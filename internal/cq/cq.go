@@ -20,11 +20,13 @@
 //     preselection status flipped or the mutated object's filter role
 //     (core.ClassifyRole) in that candidate's run changed or is an
 //     influence-set membership. All other candidates keep their decided
-//     verdicts — and because re-evaluation goes through the same
-//     EvalKNNCandidate/EvalRKNNCandidate paths a from-scratch query
-//     uses, the maintained state stays bit-identical to recomputing the
-//     query at every version (the mutation-trace oracle test enforces
-//     this).
+//     verdicts. The step visits only the tracked candidates and the
+//     untracked objects the change could bring in (an index walk, see
+//     Subscription.apply) — never the database. Because re-evaluation
+//     goes through the same EvalKNNCandidate/EvalRKNNCandidate paths a
+//     from-scratch query uses, the maintained state stays bit-identical
+//     to recomputing the query at every version (the mutation-trace
+//     oracle test enforces this).
 //
 // # Event delivery
 //

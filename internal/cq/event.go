@@ -162,10 +162,13 @@ type Stats struct {
 	// initial subscription evaluation (not maintenance).
 	SetupRuns uint64
 	// Saved is the number of (change, candidate) pairs a woken
-	// subscription decided WITHOUT an IDCA re-run — the persisted
-	// verdict stood. Runs vs. Saved is the incremental-maintenance
+	// subscription visited and decided WITHOUT an IDCA re-run — the
+	// persisted verdict stood. Only the working set is visited (tracked
+	// candidates plus the untracked objects the change could bring in),
+	// so objects preselected away before and after a change are in
+	// neither counter. Runs vs. Saved is the incremental-maintenance
 	// economy: a from-scratch re-evaluation would have executed a run
-	// for every one of these.
+	// for every saved tracked candidate too.
 	Saved uint64
 	// Events is the number of events delivered to subscribers.
 	Events uint64

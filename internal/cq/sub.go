@@ -152,28 +152,24 @@ func (s *Subscription) finish(err error) {
 	close(s.events)
 }
 
-// init evaluates the subscription from scratch on snapshot sn: one full
-// engine query seeds the per-candidate verdicts, and the initial result
-// set is emitted as ObjectEntered events at sn's version — a consumer
-// reconstructs the complete standing result from the stream alone.
+// init evaluates the subscription from scratch on snapshot sn and emits
+// the initial result set as ObjectEntered events at sn's version — a
+// consumer reconstructs the complete standing result from the stream
+// alone. Candidates come from the index walk (the m_{k+1} ball for KNN;
+// RKNN influence has no spatial bound, so every object is asked) and
+// are evaluated through the same per-candidate path maintenance uses,
+// which also decides preselection: what it keeps is what gets tracked.
 func (s *Subscription) init(sn query.SnapshotView) []Event {
 	e := sn.Engine()
 	s.cache = e.NewQueryCache()
-	var matches []query.Match
-	switch s.kind {
-	case KNN:
-		s.thresh = math.Inf(1)
-		if s.tau > 0 {
-			s.thresh = e.KNNThreshold(s.q, s.k)
-		}
-		matches = e.KNN(s.q, s.k, s.tau)
-	case RKNN:
-		matches = e.RKNN(s.q, s.k, s.tau)
+	s.thresh = math.Inf(1)
+	if s.kind == KNN && s.tau > 0 {
+		s.thresh = e.KNNThreshold(s.q, s.k)
 	}
 	var results []query.Match
-	for _, nm := range matches {
-		b := nm.Object
-		if s.preselected(e, b, s.thresh) {
+	for _, b := range e.Within(s.q, s.thresh) {
+		nm, pruned := s.eval(e, b, s.thresh)
+		if pruned {
 			continue
 		}
 		s.setupRuns.Add(1)
@@ -193,6 +189,17 @@ func (s *Subscription) init(sn query.SnapshotView) []Event {
 	}
 	sortEvents(evs)
 	return evs
+}
+
+// eval evaluates candidate b from scratch through the engine's single
+// per-candidate path (preselection against thresh for KNN, the
+// impossibility count for RKNN, then IDCA); pruned reports a
+// preselection-only verdict.
+func (s *Subscription) eval(e *query.Engine, b *uncertain.Object, thresh float64) (nm query.Match, pruned bool) {
+	if s.kind == KNN {
+		return e.EvalKNNCandidate(s.q, b, s.k, s.tau, thresh, s.cache)
+	}
+	return e.EvalRKNNCandidate(s.q, b, s.k, s.tau, s.cache)
 }
 
 // resumeEvents computes a resumed durable subscription's initial
@@ -264,22 +271,6 @@ func (s *Subscription) cursorState() wal.CursorSub {
 	return cs
 }
 
-// preselected reports whether candidate b is discarded by the engine's
-// preselection for this subscription — the exact test the from-scratch
-// query applies, so tracked candidates are exactly the evaluated ones.
-func (s *Subscription) preselected(e *query.Engine, b *uncertain.Object, thresh float64) bool {
-	if s.tau <= 0 {
-		return false
-	}
-	switch s.kind {
-	case KNN:
-		return e.KNNPrunable(s.q, b, thresh)
-	case RKNN:
-		return e.RKNNPrunable(s.q, b, s.k)
-	}
-	return false
-}
-
 // apply incrementally maintains the subscription across one committed
 // store change and returns the resulting events (ascending object ID).
 //
@@ -291,114 +282,96 @@ func (s *Subscription) preselected(e *query.Engine, b *uncertain.Object, thresh 
 // influence object (its interior distribution matters). Only candidates
 // failing those checks re-run IDCA; everything else keeps its decided
 // verdict, bit-identical to what a from-scratch query would recompute.
+//
+// The step is output-sensitive: it visits the tracked candidates and
+// the untracked objects the change could bring in — for KNN the new
+// m_{k+1} ball, for RKNN the objects whose impossibility count the
+// mutated object can enter (query.Engine.Within / RKNNAffected, both
+// index walks). Every other object is preselected away before and
+// after the change and is never touched. At tau = 0 nothing is ever
+// preselected, so every object is already tracked and no walk is needed.
 func (s *Subscription) apply(ch query.Change) []Event {
 	e := ch.Snap.Engine()
-	var evs []Event
-	switch s.kind {
-	case KNN:
-		evs = s.applyKNN(e, ch)
-	case RKNN:
-		evs = s.applyRKNN(e, ch)
+	thresh := math.Inf(1)
+	var walked []*uncertain.Object
+	if s.tau > 0 {
+		if s.kind == KNN {
+			thresh = e.KNNThreshold(s.q, s.k)
+			walked = e.Within(s.q, thresh)
+		} else {
+			walked = e.RKNNAffected(s.q, ch.Old, ch.New)
+		}
 	}
+	mutID := mutatedID(ch)
+	var evs []Event
+	for _, b := range s.workingSet(walked) {
+		if b.ID == mutID {
+			continue
+		}
+		prunedOld := s.cands[b.ID] == nil
+		prunedNew := s.tau > 0 && s.prunedNow(e, ch, b, thresh, prunedOld)
+		rerun := prunedOld != prunedNew
+		if !rerun && !prunedNew {
+			rerun = s.roleChanged(e, ch, b)
+		}
+		if !rerun {
+			s.countSaved()
+			continue
+		}
+		nm := query.Match{Object: b, Decided: true}
+		if !prunedNew {
+			nm, _ = s.eval(e, b, thresh)
+			s.countRun()
+		}
+		evs = s.transition(evs, ch.Version, b, nm, prunedNew)
+	}
+	evs = s.applyMutated(e, ch, evs, thresh)
+	s.thresh = thresh
 	sortEvents(evs)
 	return evs
 }
 
-func (s *Subscription) applyKNN(e *query.Engine, ch query.Change) []Event {
-	threshNew := math.Inf(1)
-	if s.tau > 0 {
-		threshNew = e.KNNThreshold(s.q, s.k)
+// workingSet returns the objects one maintenance step visits, in
+// ascending ID order: every tracked candidate, then the walked objects
+// not tracked yet. It is a copy — transition mutates s.cands while the
+// caller loops. A tracked cs.obj is always the live database object:
+// any mutation of a tracked object intersects the influence region,
+// wakes the subscription and re-points or drops the entry.
+func (s *Subscription) workingSet(walked []*uncertain.Object) []*uncertain.Object {
+	set := make([]*uncertain.Object, 0, len(s.cands)+len(walked))
+	for _, cs := range s.cands {
+		set = append(set, cs.obj)
 	}
-	mutID := mutatedID(ch)
-	var evs []Event
-	for _, b := range e.DB {
-		if b == s.q || b.ID == mutID {
-			continue
+	for _, b := range walked {
+		if s.cands[b.ID] == nil {
+			set = append(set, b)
 		}
-		prunedOld := s.cands[b.ID] == nil
-		prunedNew := s.tau > 0 && e.KNNPrunable(s.q, b, threshNew)
-		rerun := prunedOld != prunedNew
-		if !rerun && !prunedNew {
-			// Target is the candidate, reference the query object.
-			rerun = s.roleChanged(e, ch, b.MBR, s.q.MBR)
-		}
-		if !rerun {
-			s.countSaved()
-			continue
-		}
-		nm := query.Match{Object: b, Decided: true}
-		if !prunedNew {
-			nm = e.EvalKNNCandidate(s.q, b, s.k, s.tau, threshNew, s.cache)
-			s.countRun()
-		}
-		evs = s.transition(evs, ch.Version, b, nm, prunedNew)
 	}
-	evs = s.applyMutated(e, ch, evs, func(b *uncertain.Object) (query.Match, bool) {
-		if s.tau > 0 && e.KNNPrunable(s.q, b, threshNew) {
-			return query.Match{Object: b, Decided: true}, true
-		}
-		s.countRun()
-		return e.EvalKNNCandidate(s.q, b, s.k, s.tau, threshNew, s.cache), false
-	})
-	s.thresh = threshNew
-	return evs
+	sort.Slice(set, func(i, j int) bool { return set[i].ID < set[j].ID })
+	return set
 }
 
-func (s *Subscription) applyRKNN(e *query.Engine, ch query.Change) []Event {
-	norm := e.Norm()
-	mutID := mutatedID(ch)
-	var evs []Event
-	for _, b := range e.DB {
-		if b == s.q || b.ID == mutID {
-			continue
-		}
-		prunedOld := s.cands[b.ID] == nil
-		prunedNew := prunedOld
-		if s.tau > 0 {
-			// The impossibility count for candidate b (objects closer to
-			// b than q in every world) involves the mutated object only
-			// when one of its states is MinMax-closer than q's minimum
-			// distance; otherwise the persisted preselection status
-			// stands and the recount is skipped.
-			lim := s.q.MBR.MinDistRect(norm, b.MBR)
-			involved := (ch.Old != nil && ch.Old.MBR.MaxDistRect(norm, b.MBR) < lim) ||
-				(ch.New != nil && ch.New.MBR.MaxDistRect(norm, b.MBR) < lim)
-			if involved {
-				prunedNew = e.RKNNPrunable(s.q, b, s.k)
-			}
-		}
-		rerun := prunedOld != prunedNew
-		if !rerun && !prunedNew {
-			// Target is the query object, reference the candidate.
-			rerun = s.roleChanged(e, ch, s.q.MBR, b.MBR)
-		}
-		if !rerun {
-			s.countSaved()
-			continue
-		}
-		nm := query.Match{Object: b, Decided: true}
-		if !prunedNew {
-			nm = e.EvalRKNNCandidate(s.q, b, s.k, s.tau, s.cache)
-			s.countRun()
-		}
-		evs = s.transition(evs, ch.Version, b, nm, prunedNew)
+// prunedNow reports whether preselection discards candidate b after the
+// change (tau > 0). KNN compares against the new threshold. For RKNN the
+// impossibility count for b (objects closer to b than q in every world)
+// involves the mutated object only when one of its states is
+// MinMax-closer than q's minimum distance; otherwise the persisted
+// status stands and the recount is skipped.
+func (s *Subscription) prunedNow(e *query.Engine, ch query.Change, b *uncertain.Object, thresh float64, prunedOld bool) bool {
+	if s.kind == KNN {
+		return e.KNNPrunable(s.q, b, thresh)
 	}
-	evs = s.applyMutated(e, ch, evs, func(b *uncertain.Object) (query.Match, bool) {
-		if s.tau > 0 && e.RKNNPrunable(s.q, b, s.k) {
-			return query.Match{Object: b, Decided: true}, true
-		}
-		s.countRun()
-		return e.EvalRKNNCandidate(s.q, b, s.k, s.tau, s.cache), false
-	})
-	return evs
+	if e.RKNNInvolved(s.q, b, ch.Old, ch.New) {
+		return e.RKNNPrunable(s.q, b, s.k)
+	}
+	return prunedOld
 }
 
 // applyMutated settles the mutated object's own candidacy: deletions
 // (and replacements by the query object itself, which is never a
 // candidate) drop the tracked verdict, inserts and updates evaluate the
-// new object via evalNew (which reports the match and whether the
-// candidate was preselected away).
-func (s *Subscription) applyMutated(e *query.Engine, ch query.Change, evs []Event, evalNew func(*uncertain.Object) (query.Match, bool)) []Event {
+// new object from scratch.
+func (s *Subscription) applyMutated(e *query.Engine, ch query.Change, evs []Event, thresh float64) []Event {
 	mutID := mutatedID(ch)
 	if ch.New == nil || ch.New == s.q {
 		if cs := s.cands[mutID]; cs != nil {
@@ -409,7 +382,10 @@ func (s *Subscription) applyMutated(e *query.Engine, ch query.Change, evs []Even
 		}
 		return evs
 	}
-	nm, pruned := evalNew(ch.New)
+	nm, pruned := s.eval(e, ch.New, thresh)
+	if !pruned {
+		s.countRun()
+	}
 	return s.transition(evs, ch.Version, ch.New, nm, pruned)
 }
 
@@ -440,13 +416,18 @@ func (s *Subscription) transition(evs []Event, version uint64, b *uncertain.Obje
 	return evs
 }
 
-// roleChanged reports whether the mutated object's filter role in a run
-// with the given target/reference regions differs between its old and
-// new state, or is (either side) an influence-set membership — the
-// cases where the candidate's persisted bounds may no longer match a
-// from-scratch evaluation. Absent states (insert/delete sides) hold the
-// pruned role: an object not in the database contributes nothing.
-func (s *Subscription) roleChanged(e *query.Engine, ch query.Change, target, reference geom.Rect) bool {
+// roleChanged reports whether the mutated object's filter role in
+// candidate b's run differs between its old and new state, or is
+// (either side) an influence-set membership — the cases where b's
+// persisted bounds may no longer match a from-scratch evaluation. A KNN
+// run has the candidate as target and q as reference, an RKNN run the
+// reverse. Absent states (insert/delete sides) hold the pruned role: an
+// object not in the database contributes nothing.
+func (s *Subscription) roleChanged(e *query.Engine, ch query.Change, b *uncertain.Object) bool {
+	target, reference := b.MBR, s.q.MBR
+	if s.kind == RKNN {
+		target, reference = reference, target
+	}
 	n, crit := e.Norm(), e.Opts.Criterion
 	ro, rn := core.RolePruned, core.RolePruned
 	if ch.Old != nil {

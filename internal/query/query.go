@@ -291,14 +291,16 @@ func (e *Engine) evalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh flo
 // cache for decomposition sharing (nil builds a private cache per
 // call). The Match is bit-identical to the entry for b in
 // KNN(q, k, tau) over the same database state — the contract the
-// continuous-query subsystem's incremental maintenance relies on.
-func (e *Engine) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh float64, cache *core.DecompCache) Match {
+// continuous-query subsystem's incremental maintenance relies on. The
+// second return reports that preselection decided b without an IDCA
+// run.
+func (e *Engine) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh float64, cache *core.DecompCache) (Match, bool) {
 	if cache == nil {
 		cache = e.queryCache()
 	}
 	m, pruned := e.evalKNNCandidate(q, b, k, tau, thresh, e.normOrDefault(), cache)
 	countMatch(e.Obs, nil, m, pruned)
-	return m
+	return m, pruned
 }
 
 // RKNN answers the probabilistic threshold reverse kNN query of
@@ -374,14 +376,15 @@ func (e *Engine) evalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, n
 // EvalRKNNCandidate evaluates the threshold-RkNN predicate for
 // candidate b only, bit-identical to the entry for b in RKNN(q, k, tau)
 // over the same database state. cache may be nil (a private cache is
-// built per call).
-func (e *Engine) EvalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, cache *core.DecompCache) Match {
+// built per call). The second return reports that preselection decided
+// b without an IDCA run.
+func (e *Engine) EvalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, cache *core.DecompCache) (Match, bool) {
 	if cache == nil {
 		cache = e.queryCache()
 	}
 	m, pruned := e.evalRKNNCandidate(q, b, k, tau, e.normOrDefault(), cache)
 	countMatch(e.Obs, nil, m, pruned)
-	return m
+	return m, pruned
 }
 
 // RankDistribution is the probabilistic inverse ranking result for one

@@ -319,6 +319,51 @@ func startServerManual(t *testing.T, backend server.Backend, opts server.Options
 	return srv, ln.Addr().String()
 }
 
+// waitStats polls STATS until ok accepts the metric map. The server
+// learns of a closed connection and moves monitor events into a
+// session's ring asynchronously; tests that act on either state wait
+// for it to show instead of betting on the scheduler.
+func waitStats(t *testing.T, c *client.Client, what string, ok func(st map[string]int64) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		if ok(st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %v", what, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitParked blocks until the server noticed the subscriber's closed
+// connection and parked its session — before that a RESUME answers
+// -BUSY.
+func waitParked(t *testing.T, c *client.Client) {
+	t.Helper()
+	waitStats(t, c, "the session to park", func(st map[string]int64) bool {
+		return st["server.sessions.parked"] == 1
+	})
+}
+
+// waitRinged blocks until the monitor has processed `changes` committed
+// mutations and every event it emitted after the first `initial` ones
+// sits in the single parked session's ring (or was shed from it), so a
+// following RESUME replays them from the ring rather than racing them
+// as live pushes.
+func waitRinged(t *testing.T, c *client.Client, changes uint64, initial int) {
+	t.Helper()
+	waitStats(t, c, "parked events to reach the ring", func(st map[string]int64) bool {
+		return st["cq.changes"] >= int64(changes) &&
+			st["server.push.backlog"]+st["server.shed"] == st["cq.events"]-int64(initial)
+	})
+}
+
 // TestServerResumeGone: under the disconnect policy, a watermark older
 // than the ring's eviction horizon cannot be continued exactly — the
 // server answers -GONE instead of silently gapping.
@@ -357,13 +402,13 @@ func TestServerResumeGone(t *testing.T) {
 	member := aInit[0].Object.ID
 	wm := aInit[len(aInit)-1]
 	ac.Close() // park with the full ring delivered
+	waitParked(t, m)
 
+	base := store.Version()
 	if found, err := m.Delete(member); err != nil || !found {
 		t.Fatalf("delete: found=%v err=%v", found, err)
 	}
-	if _, err := m.WaitVersion(store.Version()); err != nil {
-		t.Fatal(err)
-	}
+	waitRinged(t, m, store.Version()-base, E)
 
 	bc := dial(t, addr)
 	if _, err := bc.Resume("g", 0, 0, named); !client.IsCode(err, "GONE") {
@@ -437,9 +482,11 @@ func TestServerDropOldest(t *testing.T) {
 	member := aInit[0].Object.ID
 	memberObj, _ := store.Get(member)
 	ac.Close()
+	waitParked(t, m)
 
 	// Churn far past the ring while parked: E delivered events evict
 	// silently, then dropoldest starts shedding and counting.
+	base := store.Version()
 	for i := 0; i < E+2; i++ {
 		if found, err := m.Delete(member); err != nil || !found {
 			t.Fatalf("delete %d: found=%v err=%v", i, found, err)
@@ -448,9 +495,7 @@ func TestServerDropOldest(t *testing.T) {
 			t.Fatalf("reinsert %d: %v", i, err)
 		}
 	}
-	if _, err := m.WaitVersion(store.Version()); err != nil {
-		t.Fatal(err)
-	}
+	waitRinged(t, m, store.Version()-base, E)
 
 	bc := dial(t, addr)
 	b, err := bc.Resume("shed", 0, 0, named)
