@@ -67,10 +67,11 @@ type Options struct {
 	// MaxHeight limits decomposition tree height; <= 0 selects the
 	// uncertain package default.
 	MaxHeight int
-	// Parallelism > 1 evaluates (B', R') partition pairs on that many
-	// goroutines. Results are deterministic for a fixed value. The query
-	// engine consumes this knob at a higher level — as its candidate
-	// worker count — and runs each candidate's pairs sequentially.
+	// Parallelism > 1 refines the active (B', R') partition pairs on up
+	// to that many goroutines. Results are deterministic for a fixed
+	// value. The query engine consumes this knob at a higher level — as
+	// its candidate worker count — and runs each candidate's pairs
+	// sequentially.
 	Parallelism int
 	// SharedTarget and SharedReference optionally supply pre-built,
 	// concurrency-safe decompositions (NewRefDecomp) of the run's target
@@ -101,12 +102,13 @@ type Options struct {
 	// zero selects a small default.
 	AdaptiveEps float64
 	// Scratch, when non-nil, supplies a reusable arena for the run's
-	// hot-path temporaries (generating functions, per-pair interval and
-	// bound buffers). Bounds are bit-identical with and without it. A
-	// Scratch may be reused by any number of sequential runs but must
-	// never be shared by concurrent ones; with Parallelism > 1 only the
-	// sequential parts of the run use it. Results remain valid after
-	// their scratch is reused — retained slices are never arena-backed.
+	// working state (generating functions, interval buffers, the
+	// refinement's level buffers and accumulators; with Parallelism > 1
+	// the extra goroutines' arenas hang off it). Bounds are bit-identical
+	// with and without it. A run or session owns its Scratch until its
+	// last Step — never hand one to two live sessions — after which the
+	// next run may reuse it. Results remain valid after their scratch is
+	// reused — retained slices are never arena-backed.
 	Scratch *Scratch
 }
 
@@ -215,9 +217,7 @@ func (r *Result) Uncertainty() float64 {
 // be nil; reference may equal an object in db (it is excluded from the
 // count, as is the target itself).
 func Run(db uncertain.Database, target, reference *uncertain.Object, opts Options) *Result {
-	res, trees := filterLinear(db, target, reference, opts)
-	refine(res, trees, opts)
-	return res
+	return NewSession(db, target, reference, opts).run()
 }
 
 // RunIndexed executes IDCA with the complete-domination filter pushed
@@ -225,23 +225,19 @@ func Run(db uncertain.Database, target, reference *uncertain.Object, opts Option
 // MBR is already decided are counted or pruned wholesale without
 // visiting their objects (the index integration of Section VIII).
 func RunIndexed(index *rtree.Tree[*uncertain.Object], target, reference *uncertain.Object, opts Options) *Result {
-	res, trees := filterIndexed(index, target, reference, opts)
-	refine(res, trees, opts)
-	return res
+	return NewSessionIndexed(index, target, reference, opts).run()
 }
 
 // Filter runs only the complete-domination filter step and returns the
 // resulting classification — what Figure 6(a) measures.
 func Filter(db uncertain.Database, target, reference *uncertain.Object, opts Options) *Result {
-	res, _ := filterLinear(db, target, reference, opts)
-	return res
+	return NewSession(db, target, reference, opts).res
 }
 
 // FilterIndexed runs only the complete-domination filter step through
 // an R-tree, pruning decided subtrees wholesale.
 func FilterIndexed(index *rtree.Tree[*uncertain.Object], target, reference *uncertain.Object, opts Options) *Result {
-	res, _ := filterIndexed(index, target, reference, opts)
-	return res
+	return NewSessionIndexed(index, target, reference, opts).res
 }
 
 func (o *Options) norm() geom.Norm {
@@ -274,18 +270,6 @@ func (o *Options) adaptiveEps() float64 {
 
 // IndexTree is the R-tree type the indexed entry points accept.
 type IndexTree = *rtree.Tree[*uncertain.Object]
-
-// The monolithic filters are the single-partition case of the
-// mergeable partial filters (merge.go): classify, then finalize via
-// installFilter — the same path a merged cross-shard filter takes.
-
-func filterLinear(db uncertain.Database, target, reference *uncertain.Object, opts Options) (*Result, []partitionSource) {
-	return installFilter(target, reference, PartialFilterLinear(db, target, reference, opts), opts)
-}
-
-func filterIndexed(index *rtree.Tree[*uncertain.Object], target, reference *uncertain.Object, opts Options) (*Result, []partitionSource) {
-	return installFilter(target, reference, walkFilter(index, target, reference, opts), opts)
-}
 
 // walkFilter classifies every indexed object through the R-tree,
 // deciding whole subtrees wholesale where the node MBR already settles
@@ -350,10 +334,6 @@ func walkFilter(index *rtree.Tree[*uncertain.Object], target, reference *uncerta
 	return pf
 }
 
-func newResult(target, reference *uncertain.Object, opts Options) *Result {
-	return &Result{Target: target, Reference: reference, kMax: opts.KMax}
-}
-
 func classifyInto(pf *PartialFilter, n geom.Norm, crit geom.Criterion, a, target, reference *uncertain.Object) {
 	switch ClassifyRole(n, crit, a.MBR, a.ExistenceProb(), target.MBR, reference.MBR) {
 	case RoleDominator:
@@ -365,73 +345,26 @@ func classifyInto(pf *PartialFilter, n geom.Norm, crit geom.Criterion, a, target
 	}
 }
 
-// finishFilter installs the post-filter bounds: counts below the
-// complete-dominator shift and above shift+|influence| are impossible;
-// each influence object contributes an interval no wider than its
-// existence probability allows.
-//
-// The influence set is first brought into canonical (object ID) order.
-// Interval arithmetic in the refinement loop accumulates in influence
-// order, so floating-point results depend on it; canonicalizing makes
-// every filter path — linear scan, any R-tree shape, bulk-loaded or
-// incrementally mutated — produce bit-identical bounds for the same
-// database state. (Objects sharing an ID keep their traversal order;
-// unique IDs, the database convention, guarantee full canonicity.)
-func finishFilter(res *Result, opts Options) {
+// canonicalize brings the influence set into canonical (object ID)
+// order. Interval arithmetic in the refinement loop accumulates in
+// influence order, so floating-point results depend on it;
+// canonicalizing makes every filter path — linear scan, any R-tree
+// shape, bulk-loaded or incrementally mutated — produce bit-identical
+// bounds for the same database state. (Objects sharing an ID keep their
+// traversal order; unique IDs, the database convention, guarantee full
+// canonicity.)
+func canonicalize(influence []*uncertain.Object) {
 	// Skip the sort when the set is already canonical — merged filter
 	// outcomes (MergePartials) arrive sorted, so the sharded hot path
 	// pays one O(I) scan here instead of a second O(I log I) sort.
-	sorted := true
-	for i := 1; i < len(res.Influence); i++ {
-		if res.Influence[i].ID < res.Influence[i-1].ID {
-			sorted = false
-			break
+	for i := 1; i < len(influence); i++ {
+		if influence[i].ID < influence[i-1].ID {
+			sort.SliceStable(influence, func(i, j int) bool {
+				return influence[i].ID < influence[j].ID
+			})
+			return
 		}
 	}
-	if !sorted {
-		sort.SliceStable(res.Influence, func(i, j int) bool {
-			return res.Influence[i].ID < res.Influence[j].ID
-		})
-	}
-	var ivs []gf.Interval
-	if sc := opts.Scratch; sc != nil {
-		ivs = sc.intervals(len(res.Influence))
-	} else {
-		ivs = make([]gf.Interval, len(res.Influence))
-	}
-	for i, a := range res.Influence {
-		ivs[i] = gf.Interval{LB: 0, UB: a.ExistenceProb()}
-	}
-	res.Bounds, res.CDF = expandBounds(opts.Scratch, ivs, opts.KMax)
-}
-
-// expandBounds builds the point and CDF bound arrays from one UGF over
-// the given per-candidate intervals. The returned slices are freshly
-// allocated (safe to retain in a Result); only the UGF expansion itself
-// draws on the scratch.
-func expandBounds(sc *Scratch, ivs []gf.Interval, kMax int) ([]gf.Interval, []gf.Interval) {
-	f := scratchUGF(sc, kMax)
-	f.MultiplyAll(ivs)
-	hi := boundsHi(len(ivs), kMax)
-	bounds := make([]gf.Interval, hi+1)
-	cdf := make([]gf.Interval, hi+2)
-	fillBoundsFromUGF(f, bounds, cdf)
-	return bounds, cdf
-}
-
-// expandBoundsScratch is expandBounds with the outputs also placed in
-// the arena — the per-pair hot path, whose results are only accumulated
-// into the iteration totals and never retained. The returned slices are
-// invalidated by the next use of the scratch.
-func expandBoundsScratch(sc *Scratch, ivs []gf.Interval, kMax int) ([]gf.Interval, []gf.Interval) {
-	if sc == nil {
-		return expandBounds(nil, ivs, kMax)
-	}
-	f := scratchUGF(sc, kMax)
-	f.MultiplyAll(ivs)
-	bounds, cdf := sc.boundArrays(boundsHi(len(ivs), kMax))
-	fillBoundsFromUGF(f, bounds, cdf)
-	return bounds, cdf
 }
 
 // boundsHi returns the largest tracked relative count for c candidates
@@ -441,21 +374,4 @@ func boundsHi(c, kMax int) int {
 		return kMax - 1
 	}
 	return c
-}
-
-func fillBoundsFromUGF(f *gf.UGF, bounds, cdf []gf.Interval) {
-	hi := len(bounds) - 1
-	for k := 0; k <= hi; k++ {
-		bounds[k] = f.Bound(k)
-		cdf[k] = f.CDFBound(k)
-	}
-	cdf[hi+1] = f.CDFBound(hi + 1)
-}
-
-func influenceSources(res *Result, opts Options) []partitionSource {
-	srcs := make([]partitionSource, len(res.Influence))
-	for i, a := range res.Influence {
-		srcs[i] = resolveSource(a, nil, opts)
-	}
-	return srcs
 }

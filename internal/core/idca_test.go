@@ -3,12 +3,15 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
+	"strconv"
 	"testing"
 
 	"probprune/internal/geom"
 	"probprune/internal/mc"
 	"probprune/internal/rtree"
 	"probprune/internal/uncertain"
+	"probprune/internal/workload"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -329,12 +332,70 @@ func TestBoundAccessorsOutOfRange(t *testing.T) {
 	}
 }
 
-func BenchmarkIDCAIteration(b *testing.B) {
-	rng := rand.New(rand.NewSource(210))
-	db, target, reference := smallWorld(rng, 30, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(db, target, reference, Options{MaxIterations: 3})
+// BenchmarkIDCAIterations is the iteration cost curve: the per-query
+// cost at 3, 4, 5 and 6 refinement levels of the IDCA runs behind a
+// threshold kNN query on an instance shaped like the serving ledger's
+// knn-refine workload — 64-sample objects at its density, a 64-sample
+// query object, one run per candidate the kNN distance preselection
+// cannot discard, KMax 10, the kNN stop criterion at τ = 0.5, a warm
+// decomposition cache and one reused Scratch.
+func BenchmarkIDCAIterations(b *testing.B) {
+	const k, tau = 10, 0.5
+	db, err := workload.Synthetic(workload.SyntheticConfig{N: 2500, Samples: 64, MaxExtent: 0.008, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	index := bulkTree(db)
+	// A query is its object plus the candidates whose MinDist does not
+	// exceed the (k+1)-th smallest MaxDist.
+	type knnQuery struct {
+		q     *uncertain.Object
+		cands []*uncertain.Object
+	}
+	var queries []knnQuery
+	for _, wq := range workload.Queries(db, 16, k, geom.L2, 1) {
+		q := wq.Reference
+		var maxDists []float64
+		for _, o := range db {
+			if o != q {
+				maxDists = append(maxDists, o.MBR.MaxDistRect(geom.L2, q.MBR))
+			}
+		}
+		sort.Float64s(maxDists)
+		kq := knnQuery{q: q}
+		for _, o := range db {
+			if o != q && o.MBR.MinDistRect(geom.L2, q.MBR) <= maxDists[k] {
+				kq.cands = append(kq.cands, o)
+			}
+		}
+		queries = append(queries, kq)
+	}
+	for _, iterations := range []int{3, 4, 5, 6} {
+		b.Run(strconv.Itoa(iterations), func(b *testing.B) {
+			opts := Options{
+				MaxIterations: iterations,
+				KMax:          k,
+				Stop: func(r *Result) bool {
+					iv := r.CDFBound(k)
+					return iv.LB >= tau || iv.UB < tau
+				},
+				SharedDecomps: NewDecompCache(0),
+				Scratch:       NewScratch(),
+			}
+			run := func() {
+				for _, kq := range queries {
+					for _, c := range kq.cands {
+						RunIndexed(index, c, kq.q, opts)
+					}
+				}
+			}
+			run() // warm the cache and the arena
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries))/1e6, "ms/query")
+		})
 	}
 }

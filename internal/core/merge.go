@@ -16,7 +16,7 @@ import (
 // target and the reference), so the filter outcome over a database is
 // the disjoint union of the outcomes over any partition of it: complete
 // dominator and pruned counts add, influence sets concatenate. Since
-// finishFilter canonicalizes the influence set into object-ID order
+// newSession canonicalizes the influence set into object-ID order
 // before any interval arithmetic touches it, a refinement run over the
 // merged filter outcome is bit-identical to one over the monolithic
 // filter — per-shard filters can be scattered over independent R-trees
@@ -91,7 +91,7 @@ func PartialFilterWhole(bounds geom.Rect, count int, allCertain bool, target, re
 // MergePartials gathers per-partition filter outcomes into the filter
 // outcome of the union: counts sum, influence sets concatenate and are
 // brought into canonical (object ID) order — the same order
-// finishFilter installs, so downstream bounds are bit-identical to a
+// newSession installs, so downstream bounds are bit-identical to a
 // monolithic filter over the combined database.
 func MergePartials(parts ...PartialFilter) PartialFilter {
 	var out PartialFilter
@@ -118,27 +118,11 @@ func MergePartials(parts ...PartialFilter) PartialFilter {
 // RunIndexed) over the combined database, because classification is
 // per-object and the influence order is canonical either way.
 func RunMerged(target, reference *uncertain.Object, pf PartialFilter, opts Options) *Result {
-	res, trees := installFilter(target, reference, pf, opts)
-	refine(res, trees, opts)
-	return res
+	return newSession(target, reference, pf, opts).run()
 }
 
 // NewSessionMerged is NewSession seeded with a merged filter outcome:
 // the filter phase is already done, Step drives refinement.
 func NewSessionMerged(target, reference *uncertain.Object, pf PartialFilter, opts Options) *Session {
-	res, trees := installFilter(target, reference, pf, opts)
-	return newSession(res, trees, opts)
-}
-
-// installFilter adopts a filter outcome into a fresh Result and
-// finalizes it (canonical influence order, post-filter bounds,
-// decomposition sources) — the single finalization path shared by the
-// monolithic filters and the merged one.
-func installFilter(target, reference *uncertain.Object, pf PartialFilter, opts Options) (*Result, []partitionSource) {
-	res := newResult(target, reference, opts)
-	res.CompleteDominators = pf.Dominators
-	res.Pruned = pf.Pruned
-	res.Influence = pf.Influence
-	finishFilter(res, opts)
-	return res, influenceSources(res, opts)
+	return newSession(target, reference, pf, opts)
 }

@@ -29,6 +29,11 @@ type RefDecomp struct {
 	mu     sync.Mutex
 	tree   *uncertain.DecompTree // built on first un-seeded level request
 	levels [][]uncertain.Partition
+	// first[l] is level l's first-child offset table (see
+	// DecompTree.LevelWithChildren), always derived from the tree —
+	// checkpoints persist partitions only, so a seeded RefDecomp
+	// re-derives the tables for its seeded levels on first use.
+	first [][]int32
 }
 
 // NewRefDecomp prepares a shared decomposition of obj with the given
@@ -44,7 +49,8 @@ func NewRefDecomp(obj *uncertain.Object, maxHeight int) *RefDecomp {
 // The seed must come from a decomposition of an object with identical
 // samples and weights at the same height limit (decomposition is
 // deterministic, so such a seed is bit-identical to what a fresh tree
-// would compute); deeper levels expand a fresh tree on demand.
+// would compute); deeper levels, and the child tables refinement walks,
+// expand a fresh tree on demand.
 func NewSeededRefDecomp(obj *uncertain.Object, maxHeight int, levels [][]uncertain.Partition) *RefDecomp {
 	return &RefDecomp{obj: obj, maxHeight: maxHeight, levels: levels}
 }
@@ -62,19 +68,40 @@ func (d *RefDecomp) PartitionsAtLevel(level int) []uncertain.Partition {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.tree == nil && level < len(d.levels) {
-		return d.levels[level]
+	if level >= len(d.levels) {
+		d.materialize(level)
 	}
+	return d.levels[level]
+}
+
+// levelWithChildren returns the decomposition at the given depth (>= 0)
+// with the first-child offset table linking it to the level above, as
+// DecompTree.LevelWithChildren does.
+func (d *RefDecomp) levelWithChildren(level int) ([]uncertain.Partition, []int32) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if level >= len(d.first) {
+		d.materialize(level)
+	}
+	return d.levels[level], d.first[level]
+}
+
+// materialize extends the child tables — and, past what is already
+// there, the levels — through the given depth. Callers hold d.mu.
+func (d *RefDecomp) materialize(level int) {
 	if d.tree == nil {
 		d.tree = uncertain.NewDecompTree(d.obj, d.maxHeight)
 	}
-	for len(d.levels) <= level {
-		// Materialize the level in packed form: one contiguous coord
-		// array per level, so every refinement pass over it is a linear
-		// scan instead of a walk over scattered tree-node rectangles.
-		d.levels = append(d.levels, uncertain.PackPartitions(d.tree.PartitionsAtLevel(len(d.levels))))
+	for l := len(d.first); l <= level; l++ {
+		parts, first := d.tree.LevelWithChildren(l)
+		if l == len(d.levels) {
+			// Materialize the level in packed form: one contiguous coord
+			// array per level, so every refinement pass over it is a linear
+			// scan instead of a walk over scattered tree-node rectangles.
+			d.levels = append(d.levels, uncertain.PackPartitions(parts))
+		}
+		d.first = append(d.first, first)
 	}
-	return d.levels[level]
 }
 
 // MaterializedLevels returns a snapshot of the levels materialized so
@@ -89,14 +116,6 @@ func (d *RefDecomp) MaterializedLevels() [][]uncertain.Partition {
 	out := make([][]uncertain.Partition, len(d.levels))
 	copy(out, d.levels)
 	return out
-}
-
-// partitionSource is what the refinement loop needs from an operand or
-// influence-object decomposition; both the session-private
-// uncertain.DecompTree and the shared RefDecomp satisfy it.
-type partitionSource interface {
-	Object() *uncertain.Object
-	PartitionsAtLevel(level int) []uncertain.Partition
 }
 
 // DecompCache shares object decompositions across all the IDCA runs of
@@ -293,13 +312,13 @@ func (c *DecompCache) Len() int {
 
 // resolveSource picks the decomposition for one run operand or
 // influence object: an explicitly shared RefDecomp when it matches,
-// else the query-wide cache when installed, else a run-private tree.
-func resolveSource(obj *uncertain.Object, explicit *RefDecomp, opts Options) partitionSource {
+// else the query-wide cache when installed, else a run-private one.
+func resolveSource(obj *uncertain.Object, explicit *RefDecomp, opts Options) *RefDecomp {
 	if explicit != nil && explicit.Object() == obj {
 		return explicit
 	}
 	if opts.SharedDecomps != nil {
 		return opts.SharedDecomps.Get(obj)
 	}
-	return uncertain.NewDecompTree(obj, opts.MaxHeight)
+	return NewRefDecomp(obj, opts.MaxHeight)
 }

@@ -26,23 +26,23 @@ type Session struct {
 	res  *Result
 	opts Options
 	norm geom.Norm
+	// sc holds the level state between Steps: Options.Scratch, or a
+	// session-private arena when none was supplied.
+	sc *Scratch
 	// bSrc/rSrc/aSrcs supply the target, reference and influence-object
-	// decompositions — session-private DecompTrees by default, shared
-	// RefDecomps when Options.SharedTarget/SharedReference/SharedDecomps
-	// install them. A Session with shared sources is safe to drive
-	// concurrently with other sessions sharing the same structures (they
-	// synchronize internally); everything else here is session-private.
-	bSrc  partitionSource
-	rSrc  partitionSource
-	aSrcs []partitionSource
-	// aLevels is the current decomposition level per candidate; without
-	// the adaptive heuristic all entries equal level.
-	aLevels []int
-	// candWidth is the aggregated interval width per candidate after
-	// the last step — the adaptive heuristic's signal.
-	candWidth []float64
-	level     int
-	done      bool
+	// decompositions — session-private by default, shared RefDecomps
+	// when Options.SharedTarget/SharedReference/SharedDecomps install
+	// them. A Session with shared sources is safe to drive concurrently
+	// with other sessions sharing the same structures (they synchronize
+	// internally); everything else here is session-private.
+	bSrc  *RefDecomp
+	rSrc  *RefDecomp
+	aSrcs []*RefDecomp
+	// tests counts the (A', B', R') triples put to the domination
+	// criterion so far: the refinement's unit of work.
+	tests int
+	level int
+	done  bool
 }
 
 // defaultAdaptiveEps is the interval width below which the adaptive
@@ -53,35 +53,54 @@ const defaultAdaptiveEps = 1e-3
 // filter is executed immediately (a linear scan over db); refinement
 // happens on Step.
 func NewSession(db uncertain.Database, target, reference *uncertain.Object, opts Options) *Session {
-	res, trees := filterLinear(db, target, reference, opts)
-	return newSession(res, trees, opts)
+	return newSession(target, reference, PartialFilterLinear(db, target, reference, opts), opts)
 }
 
 // NewSessionIndexed is NewSession with the filter pushed into an R-tree
 // (see RunIndexed).
 func NewSessionIndexed(index IndexTree, target, reference *uncertain.Object, opts Options) *Session {
-	res, trees := filterIndexed(index, target, reference, opts)
-	return newSession(res, trees, opts)
+	return newSession(target, reference, walkFilter(index, target, reference, opts), opts)
 }
 
-func newSession(res *Result, aSrcs []partitionSource, opts Options) *Session {
-	s := &Session{
-		res:       res,
-		opts:      opts,
-		norm:      opts.norm(),
-		aSrcs:     aSrcs,
-		aLevels:   make([]int, len(aSrcs)),
-		candWidth: make([]float64, len(aSrcs)),
+// newSession adopts a filter outcome: canonical influence order,
+// post-filter bounds, decomposition sources and the level-0 refinement
+// state. It is the one finalization path shared by the monolithic
+// filters and the merged one.
+func newSession(target, reference *uncertain.Object, pf PartialFilter, opts Options) *Session {
+	res := &Result{
+		Target: target, Reference: reference, kMax: opts.KMax,
+		CompleteDominators: pf.Dominators, Pruned: pf.Pruned, Influence: pf.Influence,
 	}
-	for i, t := range aSrcs {
-		s.candWidth[i] = t.Object().ExistenceProb() // initial interval [0, e]
-	}
-	if len(res.Influence) == 0 {
+	s := &Session{res: res, opts: opts, norm: opts.norm()}
+	c := len(res.Influence)
+	if c == 0 {
+		// The count is the complete-dominator shift in every world.
+		res.Bounds = []gf.Interval{gf.Exact(1)}
+		res.CDF = []gf.Interval{gf.Exact(0), gf.Exact(1)}
 		s.done = true
 		return s
 	}
-	s.bSrc = resolveSource(res.Target, opts.SharedTarget, opts)
-	s.rSrc = resolveSource(res.Reference, opts.SharedReference, opts)
+	canonicalize(res.Influence)
+	s.sc = opts.Scratch
+	if s.sc == nil {
+		s.sc = NewScratch()
+	}
+	hi := boundsHi(c, opts.KMax)
+	s.sc.beginSession(c, hi)
+	s.aSrcs = make([]*RefDecomp, c)
+	ivs := grow(s.sc.ivs, c)
+	for i, a := range res.Influence {
+		s.aSrcs[i] = resolveSource(a, nil, opts)
+		// Each influence object contributes an interval no wider than
+		// its existence probability allows.
+		ivs[i] = gf.Interval{LB: 0, UB: a.ExistenceProb()}
+		s.sc.candWidth[i] = ivs[i].UB
+	}
+	s.sc.ivs = ivs
+	res.Bounds, res.CDF = newBounds(hi)
+	s.sc.addBounds(ivs, opts.KMax, 1, res.Bounds, res.CDF)
+	s.bSrc = resolveSource(target, opts.SharedTarget, opts)
+	s.rSrc = resolveSource(reference, opts.SharedReference, opts)
 	return s
 }
 
@@ -96,180 +115,224 @@ func (s *Session) Level() int { return s.level }
 // decided, or nothing to refine).
 func (s *Session) Done() bool { return s.done }
 
+// stopped evaluates Options.Stop on the current result and, when it
+// fires, ends the session as decided.
+func (s *Session) stopped() bool {
+	if s.opts.Stop == nil || !s.opts.Stop(s.res) {
+		return false
+	}
+	s.res.Decided = true
+	s.done = true
+	return true
+}
+
 // Step executes one refinement iteration of Algorithm 1 and reports
 // whether the bounds can still improve. It does NOT consult
 // Options.MaxIterations — the caller owns the budget — but it does
 // honor Options.Stop and the convergence threshold.
+//
+// A step is incremental. Complete domination is monotone under
+// shrinking regions, so a triple (A', B', R') the criterion decided at
+// the previous level is decided the same way for all its children: the
+// step visits only the children of pairs that still have undecided
+// triples, tests only the children of those triples, and moves a child
+// pair under which nothing is left undecided to the frozen accumulator.
+// Frozen plus active is the Section IV-E sum over the whole
+// 2^L × 2^L grid, which is never built.
 func (s *Session) Step() bool {
 	if s.done {
 		return false
 	}
-	if s.opts.Stop != nil && s.opts.Stop(s.res) {
-		s.res.Decided = true
-		s.done = true
+	// Honor a Stop the filter bounds already satisfy without charging an
+	// iteration; later steps ended on this same call.
+	if s.level == 0 && s.stopped() {
 		return false
 	}
 	start := time.Now()
 	s.level++
-	bParts := s.bSrc.PartitionsAtLevel(s.level)
-	rParts := s.rSrc.PartitionsAtLevel(s.level)
+	sc := s.sc
+	lv := &sc.step
+	lv.bParts, lv.bFirst = s.bSrc.levelWithChildren(s.level)
+	lv.rParts, lv.rFirst = s.rSrc.levelWithChildren(s.level)
 	c := len(s.aSrcs)
-	var aParts [][]uncertain.Partition
-	var exist []float64
-	if sc := s.opts.Scratch; sc != nil {
-		aParts, exist = sc.partLists(c), sc.existSlice(c)
-	} else {
-		aParts = make([][]uncertain.Partition, c)
-		exist = make([]float64, c)
-	}
+	lv.cands = grow(lv.cands, c)
 	eps := s.opts.adaptiveEps()
 	for i, t := range s.aSrcs {
-		if !s.opts.Adaptive || s.candWidth[i] > eps {
-			s.aLevels[i] = s.level
+		cl := candLevel{exist: t.Object().ExistenceProb()}
+		// A candidate the heuristic froze stays at its level for good
+		// (its aggregated width only shrinks), so its child map is the
+		// identity from then on.
+		if sc.aLevels[i] == s.level-1 && (!s.opts.Adaptive || sc.candWidth[i] > eps) {
+			sc.aLevels[i] = s.level
+			cl.parts, cl.first = t.levelWithChildren(s.level)
+		} else {
+			cl.parts = t.PartitionsAtLevel(sc.aLevels[i])
 		}
-		aParts[i] = t.PartitionsAtLevel(s.aLevels[i])
-		exist[i] = t.Object().ExistenceProb()
+		lv.cands[i] = cl
 	}
-	bounds, cdf, widths := iterate(s.norm, s.opts, bParts, rParts, aParts, exist)
+
+	// Contiguous chunks of the parent list, one arena per goroutine, the
+	// first chunk on this one; gathering in worker order keeps the result
+	// deterministic for a fixed Parallelism.
+	hi := boundsHi(c, s.opts.KMax)
+	parents, next := &sc.levels[sc.cur], &sc.levels[1-sc.cur]
+	workers := max(1, min(s.opts.Parallelism, len(parents.pairs)))
+	for w := 1; w < workers; w++ {
+		lo, end := w*len(parents.pairs)/workers, (w+1)*len(parents.pairs)/workers
+		wsc := sc.worker(w - 1)
+		wsc.beginStep(c, hi)
+		sc.wg.Add(1)
+		go func() {
+			defer sc.wg.Done()
+			s.refinePairs(parents, lo, end, &wsc.levels[0], wsc)
+		}()
+	}
+	sc.beginStep(c, hi)
+	s.refinePairs(parents, 0, len(parents.pairs)/workers, next, sc)
+	sc.wg.Wait()
+	for _, wsc := range sc.workers[:workers-1] {
+		sc.gather(wsc, next)
+	}
+	sc.cur = 1 - sc.cur
+	s.tests += sc.tests
+
+	// Frozen so far plus still active is the level's sum. It becomes the
+	// Result's bounds, which callers may retain across steps: allocated
+	// per step, never arena-backed.
+	addScaled(sc.settledB, sc.frozenB, 1)
+	addScaled(sc.settledC, sc.frozenC, 1)
+	bounds, cdf := newBounds(hi)
+	addScaled(bounds, sc.settledB, 1)
+	addScaled(bounds, sc.activeB, 1)
+	addScaled(cdf, sc.settledC, 1)
+	addScaled(cdf, sc.activeC, 1)
+	clampAll(bounds)
+	clampAll(cdf)
 	s.res.Bounds, s.res.CDF = bounds, cdf
-	s.candWidth = widths
+	copy(sc.candWidth, sc.widths)
+
+	u := s.res.Uncertainty()
 	s.res.Iterations = append(s.res.Iterations, IterStat{
 		Level:       s.level,
 		Duration:    time.Since(start),
-		Uncertainty: s.res.Uncertainty(),
+		Uncertainty: u,
 	})
-	if s.opts.Stop != nil && s.opts.Stop(s.res) {
-		s.res.Decided = true
-		s.done = true
+	if s.stopped() {
 		return false
 	}
-	if s.res.Uncertainty() <= s.opts.eps() {
+	if u <= s.opts.eps() {
 		s.done = true
 		return false
 	}
 	return true
 }
 
-// refine drives a session for Options.MaxIterations steps (the Run
-// entry points).
-func refine(res *Result, aSrcs []partitionSource, opts Options) {
-	s := newSession(res, aSrcs, opts)
-	if s.done {
-		return
+// children returns the index range of partition p's children in the
+// next level; a nil table is the identity map.
+func children(first []int32, p int32) (lo, hi int32) {
+	if first == nil {
+		return p, p + 1
 	}
-	// Honor an immediately-satisfied Stop without charging an iteration.
-	for i := 0; i < opts.maxIterations(); i++ {
-		if !s.Step() {
-			return
-		}
-	}
+	return first[p], first[p+1]
 }
 
-// iterate evaluates one refinement level: for every (B', R') partition
-// pair it computes the candidates' independent domination intervals
-// (Lemma 3 within the conditioned world set, Lemma 5), expands the
-// uncertain generating function, and combines the conditional bounds
-// weighted by P(B')·P(R') (Section IV-E). The third return value is
-// the aggregated per-candidate interval width (the adaptive signal).
-func iterate(n geom.Norm, opts Options, bParts, rParts []uncertain.Partition, aParts [][]uncertain.Partition, exist []float64) ([]gf.Interval, []gf.Interval, []float64) {
-	c := len(aParts)
-	sc := opts.Scratch
-	var pairs []brPair
-	if sc != nil {
-		pairs = sc.pairList(len(bParts) * len(rParts))
-	} else {
-		pairs = make([]brPair, 0, len(bParts)*len(rParts))
-	}
-	for _, bp := range bParts {
-		for _, rp := range rParts {
-			pairs = append(pairs, brPair{b: bp, r: rp})
-		}
-	}
-
-	// The accumulators are retained by the caller (they become the
-	// Result's bounds), so they are allocated per step, never
-	// arena-backed.
-	hi := boundsHi(c, opts.KMax)
-	accB := make([]gf.Interval, hi+1)
-	accC := make([]gf.Interval, hi+2)
-	accW := make([]float64, c)
-
-	// process evaluates one pair into the given arena (nil allocates)
-	// and returns the expanded bounds, valid until the next pair.
-	process := func(sc *Scratch, p brPair, ivs []gf.Interval) ([]gf.Interval, []gf.Interval) {
-		for i := range aParts {
-			ivs[i] = domination.BoundsWithExistence(n, opts.Criterion, aParts[i], exist[i], p.b.MBR, p.r.MBR)
-		}
-		return expandBoundsScratch(sc, ivs, opts.KMax)
-	}
-
-	workers := opts.Parallelism
-	if workers <= 1 || len(pairs) < 2 {
-		var ivs []gf.Interval
-		if sc != nil {
-			ivs = sc.intervals(c)
-		} else {
-			ivs = make([]gf.Interval, c)
-		}
-		for _, p := range pairs {
-			b, cd := process(sc, p, ivs)
-			w := p.b.Prob * p.r.Prob
-			addScaled(accB, b, w)
-			addScaled(accC, cd, w)
-			for i := range ivs {
-				accW[i] += w * ivs[i].Width()
-			}
-		}
-	} else {
-		type partial struct {
-			bounds []gf.Interval
-			cdf    []gf.Interval
-			widths []float64
-		}
-		partials := make([]partial, workers)
-		done := make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				pb := make([]gf.Interval, hi+1)
-				pc := make([]gf.Interval, hi+2)
-				pw := make([]float64, c)
-				ivs := make([]gf.Interval, c)
-				for i := w; i < len(pairs); i += workers {
-					p := pairs[i]
-					// Workers never touch the caller's scratch; the arena
-					// is single-owner by contract.
-					b, cd := process(nil, p, ivs)
-					weight := p.b.Prob * p.r.Prob
-					addScaled(pb, b, weight)
-					addScaled(pc, cd, weight)
-					for j := range ivs {
-						pw[j] += weight * ivs[j].Width()
+// refinePairs refines the parent pairs [lo, hi) one level: for every
+// child pair (B', R') each influence object starts from the mass its
+// parent already settled and puts only the children of the parent's
+// undecided partitions to the criterion (Lemma 3 within the conditioned
+// world set, Lemma 5); the resulting intervals feed the generating
+// function, weighted by P(B')·P(R') (Section IV-E). A child pair with
+// undecided partitions left is appended to out and counted into wsc's
+// active accumulators; one without goes to the frozen accumulators and
+// leaves no state behind.
+func (s *Session) refinePairs(parents *levelState, lo, hi int, out *levelState, wsc *Scratch) {
+	out.reset()
+	lv := &s.sc.step
+	c := len(lv.cands)
+	crit, n, kMax := s.opts.Criterion, s.norm, s.opts.KMax
+	ivs := wsc.ivs
+	for p := lo; p < hi; p++ {
+		pair := parents.pairs[p]
+		settled := parents.cands[p*c : (p+1)*c]
+		bLo, bHi := children(lv.bFirst, pair.b)
+		rLo, rHi := children(lv.rFirst, pair.r)
+		for bi := bLo; bi < bHi; bi++ {
+			b := lv.bParts[bi]
+			for ri := rLo; ri < rHi; ri++ {
+				r := lv.rParts[ri]
+				w := b.Prob * r.Prob
+				candMark, undMark := len(out.cands), len(out.und)
+				for i := range settled {
+					st, cl := settled[i], &lv.cands[i]
+					off := len(out.und)
+					for _, ap := range parents.und[st.off : st.off+st.n] {
+						aLo, aHi := children(cl.first, ap)
+						for ai := aLo; ai < aHi; ai++ {
+							a := &cl.parts[ai]
+							if crit.Decide(n, a.MBR, b.MBR, r.MBR) {
+								st.dom += a.Prob
+							} else if crit.Decide(n, b.MBR, a.MBR, r.MBR) {
+								st.sub += a.Prob
+							} else {
+								out.und = append(out.und, ai)
+							}
+						}
+						wsc.tests += int(aHi - aLo)
+					}
+					st.off, st.n = int32(off), int32(len(out.und)-off)
+					out.cands = append(out.cands, st)
+					ivs[i] = domination.FromMass(cl.exist, st.dom, st.sub)
+					if st.n > 0 {
+						wsc.widths[i] += w * ivs[i].Width()
 					}
 				}
-				partials[w] = partial{bounds: pb, cdf: pc, widths: pw}
-				done <- w
-			}(w)
-		}
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		// Merge in worker order for determinism.
-		for w := 0; w < workers; w++ {
-			addScaled(accB, partials[w].bounds, 1)
-			addScaled(accC, partials[w].cdf, 1)
-			for i := range accW {
-				accW[i] += partials[w].widths[i]
+				if len(out.und) > undMark {
+					out.pairs = append(out.pairs, activePair{b: bi, r: ri})
+					wsc.addBounds(ivs, kMax, w, wsc.activeB, wsc.activeC)
+				} else {
+					out.cands = out.cands[:candMark]
+					wsc.addBounds(ivs, kMax, w, wsc.frozenB, wsc.frozenC)
+				}
 			}
 		}
 	}
-
-	clampAll(accB)
-	clampAll(accC)
-	return accB, accC, accW
 }
 
-// brPair is one (B', R') partition pair of a refinement level.
-type brPair struct{ b, r uncertain.Partition }
+// gather appends a worker's share of the next level and of the step's
+// accumulators to the session arena's.
+func (sc *Scratch) gather(w *Scratch, next *levelState) {
+	from := &w.levels[0]
+	base := int32(len(next.und))
+	next.pairs = append(next.pairs, from.pairs...)
+	next.und = append(next.und, from.und...)
+	for _, st := range from.cands {
+		st.off += base
+		next.cands = append(next.cands, st)
+	}
+	addScaled(sc.frozenB, w.frozenB, 1)
+	addScaled(sc.frozenC, w.frozenC, 1)
+	addScaled(sc.activeB, w.activeB, 1)
+	addScaled(sc.activeC, w.activeC, 1)
+	for i, x := range w.widths {
+		sc.widths[i] += x
+	}
+	sc.tests += w.tests
+}
+
+// run drives the session for Options.MaxIterations steps (the Run entry
+// points) and returns its result.
+func (s *Session) run() *Result {
+	for i := 0; i < s.opts.maxIterations() && s.Step(); i++ {
+	}
+	return s.res
+}
+
+// newBounds allocates a Result's point and CDF bound arrays for hi+1
+// tracked counts, zeroed, in one block.
+func newBounds(hi int) (bounds, cdf []gf.Interval) {
+	buf := make([]gf.Interval, 2*hi+3)
+	return buf[: hi+1 : hi+1], buf[hi+1:]
+}
 
 func addScaled(dst, src []gf.Interval, w float64) {
 	for k := range dst {

@@ -47,7 +47,17 @@ func BoundsWithExistence(n geom.Norm, crit geom.Criterion, aParts []uncertain.Pa
 			notUB += ap.Prob
 		}
 	}
-	return clampInterval(exist*lb, exist*(1-notUB))
+	return FromMass(exist, lb, notUB)
+}
+
+// FromMass turns decided partition mass into the Lemma 3 interval: dom
+// is the mass of A's partitions that dominate B, sub the mass of those B
+// dominates, and an object that exists with probability exist dominates
+// with probability in [exist·dom, exist·(1−sub)]. Callers that carry the
+// two sums across refinement levels (core.Session) build their intervals
+// here, so they agree with BoundsWithExistence on equal sums.
+func FromMass(exist, dom, sub float64) gf.Interval {
+	return clampInterval(exist*dom, exist*(1-sub))
 }
 
 // BoundsDecomposed computes the probability interval for PDom(A, B, R)

@@ -26,6 +26,15 @@ func Dominates(n Norm, a, b, r Rect) bool {
 	if n.IsInf() {
 		return DominatesMinMax(n, a, b, r)
 	}
+	if n.P == 2 {
+		return criterionSumL2(a, b, r) < 0
+	}
+	return criterionSum(n, a, b, r) < 0
+}
+
+// criterionSum evaluates the left-hand side of the optimal criterion
+// for an arbitrary finite exponent.
+func criterionSum(n Norm, a, b, r Rect) float64 {
 	sum := 0.0
 	for i := range r.Min {
 		lo := dimTerm(n, a, b, r.Min[i], i)
@@ -36,15 +45,62 @@ func Dominates(n Norm, a, b, r Rect) bool {
 			sum += lo
 		}
 	}
-	return sum < 0
+	return sum
 }
 
 // dimTerm evaluates MaxDist(A_i, ri)^p − MinDist(B_i, ri)^p for one
-// dimension i and one candidate corner coordinate ri of R.
+// dimension i and one candidate corner coordinate ri of R. The
+// conversions keep the two powers individually rounded on platforms
+// that would otherwise fuse the subtraction into a multiply-add.
 func dimTerm(n Norm, a, b Rect, ri float64, i int) float64 {
 	maxA := IntervalMaxDist(a.Min[i], a.Max[i], ri)
 	minB := IntervalMinDist(b.Min[i], b.Max[i], ri)
-	return powP(maxA, n.P) - powP(minB, n.P)
+	return float64(powP(maxA, n.P)) - float64(powP(minB, n.P))
+}
+
+// criterionSumL2 is criterionSum for p = 2 with the per-dimension term
+// written out: the same operations in the same order, so the sum is
+// bit-identical on finite coordinates (FuzzDominatesL2), but without a
+// call in the loop — IDCA refinement spends most of its time here, and
+// math.Max is an assembly routine the compiler never inlines.
+func criterionSumL2(a, b, r Rect) float64 {
+	// Reslicing to the common dimension lets the compiler drop the
+	// bounds checks inside the loop.
+	d := len(r.Min)
+	rmax, amin, amax, bmin, bmax := r.Max[:d], a.Min[:d], a.Max[:d], b.Min[:d], b.Max[:d]
+	sum := 0.0
+	for i, rlo := range r.Min {
+		lo := l2Term(amin[i], amax[i], bmin[i], bmax[i], rlo)
+		hi := l2Term(amin[i], amax[i], bmin[i], bmax[i], rmax[i])
+		if hi > lo {
+			sum += hi
+		} else {
+			sum += lo
+		}
+	}
+	return sum
+}
+
+// l2Term is dimTerm for p = 2 on bare coordinates, small enough to be
+// inlined into criterionSumL2's loop.
+func l2Term(alo, ahi, blo, bhi, ri float64) float64 {
+	maxA, d := ri-alo, ahi-ri
+	if maxA < 0 {
+		maxA = -maxA
+	}
+	if d < 0 {
+		d = -d
+	}
+	if d > maxA {
+		maxA = d
+	}
+	minB := 0.0
+	if ri < blo {
+		minB = blo - ri
+	} else if ri > bhi {
+		minB = ri - bhi
+	}
+	return float64(maxA*maxA) - float64(minB*minB)
 }
 
 // DominatesMinMax reports whether a dominates b w.r.t. r according to

@@ -263,12 +263,26 @@ func (f *UGF) Bounds() []Interval {
 	return out
 }
 
-// CDFLowerBound returns a conservative bound of P(Σ < k): the summed
-// definite mass Σ_{x<k} c_{x,0}.
+// CDFLowerBound returns a conservative bound of P(Σ < k): the mass of
+// all coefficients whose largest possible count stays below k,
+// Σ_{i+j<k} c_{i,j}. By Lemma 4 c_{i,j} is mass whose sum lies in
+// [i, i+j], so every such world has Σ < k; the Section VI merge only
+// touches cells with i+j ≥ kMax, so a truncated UGF gives the same value
+// as the full one for every k ≤ kMax (larger k are answered at kMax,
+// which is still conservative).
 func (f *UGF) CDFLowerBound(k int) float64 {
+	if f.kMax > 0 && k > f.kMax {
+		k = f.kMax
+	}
 	sum := 0.0
-	for x := 0; x < k; x++ {
-		sum += f.LowerBound(x)
+	for i := 0; i < k && i < len(f.c); i++ {
+		row := f.c[i]
+		for j := 0; j < k-i && j < len(row); j++ {
+			sum += row[j]
+		}
+	}
+	if sum > 1 {
+		return 1
 	}
 	return sum
 }

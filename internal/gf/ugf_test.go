@@ -231,3 +231,36 @@ func BenchmarkUGFTruncatedK5(b *testing.B) {
 		f.MultiplyAll(ivs)
 	}
 }
+
+// TestUGFResetReuse: a UGF rewound with Reset — to another truncation,
+// after a larger product — gives bit-identical bounds to a fresh one;
+// refinement expands every partition pair through one reused UGF.
+func TestUGFResetReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	reused := NewUGF()
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(12)
+		kMax := rng.Intn(6) - 1 // -1 and 0 both mean untruncated
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			lb := rng.Float64()
+			ivs[i] = Interval{LB: lb, UB: lb + rng.Float64()*(1-lb)}
+		}
+		fresh := NewUGF()
+		if kMax > 0 {
+			fresh = NewTruncatedUGF(kMax)
+		}
+		fresh.MultiplyAll(ivs)
+		reused.Reset(kMax)
+		reused.MultiplyAll(ivs)
+		if reused.N() != n {
+			t.Fatalf("trial %d: N = %d after Reset and %d factors", trial, reused.N(), n)
+		}
+		for k := 0; k <= n+1; k++ {
+			if reused.Bound(k) != fresh.Bound(k) || reused.CDFBound(k) != fresh.CDFBound(k) {
+				t.Fatalf("trial %d kMax=%d k=%d: reused %+v %+v, fresh %+v %+v",
+					trial, kMax, k, reused.Bound(k), reused.CDFBound(k), fresh.Bound(k), fresh.CDFBound(k))
+			}
+		}
+	}
+}

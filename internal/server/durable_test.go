@@ -557,6 +557,7 @@ func TestServerSlowTermination(t *testing.T) {
 	member := aInit[0].Object.ID
 	memberObj, _ := store.Get(member)
 	ac.Close()
+	waitParked(t, m)
 
 	// The parked ring absorbs at most E new events (evicting the
 	// delivered ones); churn past that terminates the session.

@@ -112,7 +112,9 @@ func TestShedAccounting(t *testing.T) {
 	member := aInit[0].Object.ID
 	memberObj, _ := store.Get(member)
 	ac.Close() // park; the ring keeps filling while nobody drains
+	waitParked(t, m)
 
+	base := store.Version()
 	for i := 0; i < E+4; i++ {
 		if found, err := m.Delete(member); err != nil || !found {
 			t.Fatalf("delete %d: found=%v err=%v", i, found, err)
@@ -121,9 +123,7 @@ func TestShedAccounting(t *testing.T) {
 			t.Fatalf("reinsert %d: %v", i, err)
 		}
 	}
-	if _, err := m.WaitVersion(store.Version()); err != nil {
-		t.Fatal(err)
-	}
+	waitRinged(t, m, store.Version()-base, E)
 
 	bc := dial(t, addr)
 	b, err := bc.Resume("shed-acct", 0, 0, named)

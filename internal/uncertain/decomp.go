@@ -78,29 +78,53 @@ func (t *DecompTree) MaxHeight() int { return t.maxHeight }
 // descendants. Level 0 is the whole object. Levels beyond the height
 // limit are clamped to it.
 func (t *DecompTree) PartitionsAtLevel(level int) []Partition {
+	parts, _ := t.LevelWithChildren(level)
+	return parts
+}
+
+// LevelWithChildren returns the decomposition at depth level together
+// with the first-child offset table that links it to the level above:
+// the children of partition p of level−1 are parts[first[p]:first[p+1]]
+// — two for a split node, one for an unsplittable leaf standing in for
+// its descendants. Incremental refinement follows a parent's verdicts
+// down to exactly its children through this table. first is nil where
+// the map is the identity: at level 0, which has no parent, and beyond
+// the height limit, where a level repeats the one above.
+func (t *DecompTree) LevelWithChildren(level int) (parts []Partition, first []int32) {
 	if level < 0 {
 		level = 0
 	}
 	if level > t.maxHeight {
-		level = t.maxHeight
+		parts, _ = t.LevelWithChildren(t.maxHeight)
+		return parts, nil
 	}
-	var out []Partition
-	t.collect(t.root, level, &out)
-	return out
+	t.collect(t.root, level, &parts, &first)
+	if level > 0 {
+		first = append(first, int32(len(parts)))
+	}
+	return parts, first
 }
 
-func (t *DecompTree) collect(n *decompNode, depth int, out *[]Partition) {
+// collect appends the partitions depth splits below n to out. Every
+// node it emits for, or recurses from, at depth 1 — and every leaf it
+// meets earlier, which stands in at all deeper levels — is a partition
+// of the level above, so the current length of out is recorded as that
+// partition's first-child offset.
+func (t *DecompTree) collect(n *decompNode, depth int, out *[]Partition, first *[]int32) {
 	if depth == 0 {
 		*out = append(*out, Partition{MBR: n.mbr, Prob: n.prob})
 		return
 	}
 	t.expand(n)
+	if depth == 1 || n.left == nil {
+		*first = append(*first, int32(len(*out)))
+	}
 	if n.left == nil { // unsplittable leaf
 		*out = append(*out, Partition{MBR: n.mbr, Prob: n.prob})
 		return
 	}
-	t.collect(n.left, depth-1, out)
-	t.collect(n.right, depth-1, out)
+	t.collect(n.left, depth-1, out, first)
+	t.collect(n.right, depth-1, out, first)
 }
 
 // expand performs the median split of a node once, caching the result.

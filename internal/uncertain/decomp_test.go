@@ -194,3 +194,62 @@ func TestDecompObjectAccessor(t *testing.T) {
 		t.Error("Object accessor mismatch")
 	}
 }
+
+// TestLevelWithChildren: the first-child table of level l maps every
+// partition of level l−1 onto a run of one or two partitions of level l
+// that carry exactly its mass inside its MBR; an only child is the
+// parent itself (an unsplittable leaf standing in for its descendants);
+// level 0 and levels beyond the height limit have no table, because the
+// map is the identity there. Packing a level leaves it equal.
+func TestLevelWithChildren(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, n := range []int{1, 3, 8, 13, 64} {
+		o := randomObject(rng, n, n, 2)
+		if n == 13 {
+			o.Samples[5] = o.Samples[4] // a repeated sample
+		}
+		const height = 5
+		tr := NewDecompTree(o, height)
+		prev, first := tr.LevelWithChildren(0)
+		if first != nil {
+			t.Fatalf("n=%d: level 0 has a child table", n)
+		}
+		for l := 1; l <= height; l++ {
+			parts, first := tr.LevelWithChildren(l)
+			if len(first) != len(prev)+1 || first[0] != 0 || int(first[len(prev)]) != len(parts) {
+				t.Fatalf("n=%d level %d: table %v for %d parents, %d children", n, l, first, len(prev), len(parts))
+			}
+			for p, parent := range prev {
+				kids := parts[first[p]:first[p+1]]
+				switch len(kids) {
+				case 1:
+					if !kids[0].MBR.Equal(parent.MBR) || kids[0].Prob != parent.Prob {
+						t.Fatalf("n=%d level %d: only child %+v of %+v is not the parent", n, l, kids[0], parent)
+					}
+				case 2:
+					if !almostEqual(kids[0].Prob+kids[1].Prob, parent.Prob, 1e-12) {
+						t.Fatalf("n=%d level %d: children carry %g of the parent's %g", n, l, kids[0].Prob+kids[1].Prob, parent.Prob)
+					}
+				default:
+					t.Fatalf("n=%d level %d: parent %d has %d children", n, l, p, len(kids))
+				}
+				for _, kid := range kids {
+					if !parent.MBR.ContainsRect(kid.MBR) {
+						t.Fatalf("n=%d level %d: child %v escapes parent %v", n, l, kid.MBR, parent.MBR)
+					}
+				}
+			}
+			packed := PackPartitions(parts)
+			for i := range parts {
+				if !packed[i].MBR.Equal(parts[i].MBR) || packed[i].Prob != parts[i].Prob {
+					t.Fatalf("n=%d level %d: packed partition %d differs", n, l, i)
+				}
+			}
+			prev = parts
+		}
+		beyond, first := tr.LevelWithChildren(height + 2)
+		if first != nil || len(beyond) != len(prev) {
+			t.Fatalf("n=%d: level past the height limit has table %v, %d partitions (limit level has %d)", n, first, len(beyond), len(prev))
+		}
+	}
+}
