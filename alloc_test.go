@@ -11,13 +11,14 @@
 package probprune_test
 
 import (
-	"time"
-
-	"probprune/internal/obs"
+	"context"
+	"math/rand"
 	"testing"
+	"time"
 
 	"probprune"
 	"probprune/internal/benchscen"
+	"probprune/internal/obs"
 )
 
 const allocDBSize = 1000
@@ -81,4 +82,63 @@ func TestStoreWarmKNNAllocCeilingRecorderArmed(t *testing.T) {
 		t.Fatalf("StoreWarmKNN with recorder armed allocated %.0f times per query, ceiling 900", allocs)
 	}
 	t.Logf("StoreWarmKNN recorder armed: %.0f allocs per query (ceiling 900)", allocs)
+}
+
+// TestShardedWarmKNNAllocCeiling: the warm query on a 4-shard store —
+// the scatter-gather plane over per-shard indexes — has a budget of its
+// own, so the multi-shard path cannot grow unnoticed behind the
+// one-shard ceilings above.
+func TestShardedWarmKNNAllocCeiling(t *testing.T) {
+	db := benchscen.MustDB(allocDBSize)
+	s, err := probprune.NewShardedStore(db, probprune.ShardedOptions{Shards: 4}, probprune.Options{MaxIterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
+	s.KNN(q, benchscen.K, benchscen.Tau) // warm the persistent cache
+	allocs := testing.AllocsPerRun(5, func() {
+		s.KNN(q, benchscen.K, benchscen.Tau)
+	})
+	if allocs > 400 {
+		t.Fatalf("4-shard StoreWarmKNN allocated %.0f times per query, ceiling 400", allocs)
+	}
+	t.Logf("4-shard StoreWarmKNN: %.0f allocs per query (ceiling 400)", allocs)
+}
+
+// TestStoreBatchKNNAllocCeiling: a 16-request BatchKNN pools the
+// candidates of all requests without a closure per candidate, so it
+// costs at most 1.5x the allocations of the same 16 queries issued one
+// by one.
+func TestStoreBatchKNNAllocCeiling(t *testing.T) {
+	db := benchscen.MustDB(allocDBSize)
+	s, err := probprune.NewStore(db, probprune.Options{MaxIterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	reqs := make([]probprune.KNNRequest, 16)
+	for i := range reqs {
+		q := probprune.PointObject(-(i + 1), probprune.Point{rng.Float64(), rng.Float64()})
+		reqs[i] = probprune.KNNRequest{Q: q, K: benchscen.K, Tau: benchscen.Tau}
+	}
+	ctx := context.Background()
+	sequential := func() {
+		for _, r := range reqs {
+			if _, err := s.KNNCtx(ctx, r.Q, r.K, r.Tau); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batch := func() {
+		if _, err := s.BatchKNN(ctx, reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sequential() // warm the persistent cache
+	seq := testing.AllocsPerRun(5, sequential)
+	got := testing.AllocsPerRun(5, batch)
+	if got > 1.5*seq {
+		t.Fatalf("16-request BatchKNN allocated %.0f times, ceiling 1.5 x %.0f sequential", got, seq)
+	}
+	t.Logf("16-request BatchKNN: %.0f allocs (16 sequential KNNs: %.0f, ceiling %.0f)", got, seq, 1.5*seq)
 }

@@ -14,12 +14,12 @@ import (
 
 func BenchmarkShardedBatchKNN(b *testing.B) {
 	db := benchscen.MustDB(1000)
-	b.Run("shards=1", func(b *testing.B) { benchscen.ShardedBatchKNN(1)(b, db) })
-	b.Run("shards=8", func(b *testing.B) { benchscen.ShardedBatchKNN(8)(b, db) })
+	b.Run("shards=1", func(b *testing.B) { benchscen.ServingBatchKNN(1)(b, db) })
+	b.Run("shards=8", func(b *testing.B) { benchscen.ServingBatchKNN(8)(b, db) })
 }
 
 func BenchmarkShardedBuild(b *testing.B) {
 	db := benchscen.MustDB(1000)
-	b.Run("shards=1", func(b *testing.B) { benchscen.ShardedBuild(1)(b, db) })
-	b.Run("shards=8", func(b *testing.B) { benchscen.ShardedBuild(8)(b, db) })
+	b.Run("shards=1", func(b *testing.B) { benchscen.StoreBuild(1)(b, db) })
+	b.Run("shards=8", func(b *testing.B) { benchscen.StoreBuild(8)(b, db) })
 }

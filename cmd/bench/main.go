@@ -92,10 +92,10 @@ func scenarios() []scenario {
 		{"IndexBulkLoad", benchscen.IndexBulkLoad},
 		{"CQMaintain", benchscen.CQMaintain},
 		{"CQRequery", benchscen.CQRequery},
-		{"ShardedBatchKNN1", benchscen.ShardedBatchKNN(1)},
-		{"ShardedBatchKNN8", benchscen.ShardedBatchKNN(8)},
-		{"ShardedBuild1", benchscen.ShardedBuild(1)},
-		{"ShardedBuild8", benchscen.ShardedBuild(8)},
+		{"ShardedBatchKNN1", benchscen.ServingBatchKNN(1)},
+		{"ShardedBatchKNN8", benchscen.ServingBatchKNN(8)},
+		{"ShardedBuild1", benchscen.StoreBuild(1)},
+		{"ShardedBuild8", benchscen.StoreBuild(8)},
 		{"WALIngest", benchscen.WALIngest},
 		{"RecoveryCold", benchscen.RecoveryCold},
 		{"RecoveryCheckpoint", benchscen.RecoveryCheckpoint},

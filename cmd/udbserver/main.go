@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -49,7 +50,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":7654", "TCP listen address")
 		dir        = flag.String("dir", "", "durable store directory (empty: volatile in-memory store)")
-		shards     = flag.Int("shards", 1, "shard count (>1 selects a ShardedStore)")
+		shards     = flag.Int("shards", 1, "shard count (with -dir, must match a store already there)")
 		sync       = flag.String("sync", "os", "fsync policy for durable commits: os, always, background")
 		ckptEvery  = flag.Int("checkpoint-every", 4096, "auto-checkpoint after this many journal records (durable only)")
 		synthetic  = flag.Int("synthetic", 0, "preload N synthetic objects (volatile or fresh durable store)")
@@ -92,24 +93,13 @@ func run(addr, dir string, shards int, sync string, ckptEvery, synthetic int, da
 	}
 
 	var (
-		backend server.Backend
-		closeFn func() error
-		cursor  string
+		store  *query.Store
+		cursor string
+		sopts  = query.ShardedOptions{Shards: shards}
 	)
-	switch {
-	case dir == "" && shards > 1:
-		s, err := query.NewShardedStore(db, query.ShardedOptions{Shards: shards}, opts)
-		if err != nil {
-			return err
-		}
-		backend, closeFn = s, s.Close
-	case dir == "":
-		s, err := query.NewStore(db, opts)
-		if err != nil {
-			return err
-		}
-		backend, closeFn = s, s.Close
-	default:
+	if dir == "" {
+		store, err = query.NewShardedStore(db, sopts, opts)
+	} else {
 		popts := query.PersistOptions{Dir: dir, CheckpointEvery: ckptEvery}
 		switch sync {
 		case "os":
@@ -122,33 +112,18 @@ func run(addr, dir string, shards int, sync string, ckptEvery, synthetic int, da
 			return fmt.Errorf("unknown -sync policy %q (want os, always or background)", sync)
 		}
 		cursor = filepath.Join(dir, "cursor")
-		fresh := !journalExists(dir)
-		if shards > 1 {
-			var s *query.ShardedStore
-			if fresh {
-				s, err = query.BootstrapShardedStore(db, popts, query.ShardedOptions{Shards: shards}, opts)
-			} else {
-				s, err = query.OpenShardedStore(popts, query.ShardedOptions{Shards: shards}, opts)
-			}
-			if err != nil {
-				return err
-			}
-			backend, closeFn = s, s.Close
-		} else {
-			var s *query.Store
-			if fresh {
-				s, err = query.BootstrapStore(db, popts, opts)
-			} else {
-				s, err = query.OpenStore(popts, opts)
-			}
-			if err != nil {
-				return err
-			}
-			backend, closeFn = s, s.Close
+		// A directory that already holds a store is recovered (the seed
+		// database is ignored); -shards must then match it.
+		store, err = query.BootstrapShardedStore(db, popts, sopts, opts)
+		if errors.Is(err, query.ErrStoreExists) {
+			store, err = query.OpenShardedStore(popts, sopts, opts)
 		}
 	}
+	if err != nil {
+		return err
+	}
 
-	srv := server.New(backend, server.Options{
+	srv := server.New(store, server.Options{
 		CursorPath:   cursor,
 		Retain:       retain,
 		SlowQuery:    slowQuery,
@@ -161,7 +136,7 @@ func run(addr, dir string, shards int, sync string, ckptEvery, synthetic int, da
 		return err
 	}
 	log.Printf("udbserver: listening on %s (%d objects, shards=%d, durable=%v)",
-		ln.Addr(), backend.Len(), shards, dir != "")
+		ln.Addr(), store.Len(), store.NumShards(), dir != "")
 
 	var debugSrv *http.Server
 	if debugAddr != "" {
@@ -197,7 +172,7 @@ func run(addr, dir string, shards int, sync string, ckptEvery, synthetic int, da
 	if err := srv.Close(); err != nil {
 		return err
 	}
-	return closeFn()
+	return store.Close()
 }
 
 // seedDatabase builds the initial database from -synthetic / -db (both
@@ -213,19 +188,4 @@ func seedDatabase(synthetic int, dataset string) (uncertain.Database, error) {
 	default:
 		return uncertain.Database{}, nil
 	}
-}
-
-// journalExists reports whether dir already holds a store (single
-// journal segments or a sharded manifest).
-func journalExists(dir string) bool {
-	for _, name := range []string{"MANIFEST", "shard-0"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	return len(ents) > 0
 }

@@ -42,8 +42,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The server: any Backend works (Store or ShardedStore); a cursor
-	// path enables named (durable) subscriptions.
+	// The server serves a Store of any shard count; a cursor path
+	// enables named (durable) subscriptions.
 	srv := server.New(store, server.Options{CursorPath: filepath.Join(dir, "cursor")})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,12 +1,13 @@
-// Sharded serving: a city-wide sensor grid is partitioned into spatial
-// stripes — eight independent shards, each with its own R-tree and
-// decomposition cache — behind a scatter-gather router. Queries merge
-// per-shard filter bounds canonically before any refinement runs, so
-// the answers are bit-identical to an unsharded store (the example
-// checks this on every query); mutations pay the copy-on-write detach
-// of their home shard only; a standing subscription consumes the merged
-// multi-shard change stream; and an online rebalance re-homes sensors
-// that drifted across stripe borders without disturbing any of it.
+// Sharded serving: a city-wide sensor grid is held by one Store of
+// eight spatial-stripe shards — each with its own R-tree, object list
+// and version — behind a scatter-gather router that keeps the one
+// decomposition cache. Queries merge per-shard filter bounds
+// canonically before any refinement runs, so the answers are
+// bit-identical to a one-shard store (the example checks this on every
+// query); mutations pay the copy-on-write detach of their home shard
+// only; a standing subscription consumes the merged change stream; and
+// an online rebalance re-homes sensors that drifted across stripe
+// borders without disturbing any of it.
 //
 //	go run ./examples/sharded
 package main
@@ -56,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The unsharded reference store — only here to demonstrate
+	// The one-shard reference store — only here to demonstrate
 	// bit-identity; a real deployment runs one or the other.
 	reference, err := probprune.NewStore(db, opts)
 	if err != nil {
@@ -81,7 +82,7 @@ func main() {
 				results++
 			}
 		}
-		fmt.Printf("round %d: %d results near the hub, scatter-gather bit-identical to unsharded: %v\n",
+		fmt.Printf("round %d: %d results near the hub, scatter-gather bit-identical to one shard: %v\n",
 			round, results, reflect.DeepEqual(got, want))
 	}
 	queryBoth(0)

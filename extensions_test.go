@@ -40,7 +40,7 @@ func TestSessionFacade(t *testing.T) {
 }
 
 // TestTopKNNFacade checks the top-m probable kNN query through the
-// public surface, on every backend (frozen Engine, Store, ShardedStore).
+// public surface, on every backend (frozen Engine, Store, 4-shard Store).
 func TestTopKNNFacade(t *testing.T) {
 	db, err := probprune.Synthetic(probprune.SyntheticConfig{
 		N: 150, Samples: 16, MaxExtent: 0.05, Seed: 33,

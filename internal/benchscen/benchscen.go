@@ -112,15 +112,15 @@ func StoreBatchKNN16(b *testing.B, db probprune.Database) {
 	}
 }
 
-// ShardedBatchKNN returns the sharded serving scenario at a given
-// shard count: a ShardedStore in serving mode (a watcher is attached,
-// so every commit publishes a snapshot for the change stream) sustains
-// an interleave of WritesPerBatch object updates and one 16-request
-// BatchKNN per op. The refinement work is identical at every shard
-// count — scatter-gather merging is exact — but each commit's
-// copy-on-write detach clones only the mutated shard's R-tree: O(n/N)
-// instead of O(n). Comparing shard counts 1 and 8 therefore measures
-// the sharding win on the live serving path.
+// ServingBatchKNN returns the serving scenario at a given shard count:
+// a Store in serving mode (a watcher is attached, so every commit
+// publishes a snapshot for the change stream) sustains an interleave of
+// WritesPerBatch object updates and one 16-request BatchKNN per op. The
+// refinement work is identical at every shard count — scatter-gather
+// merging is exact — but each commit's copy-on-write detach clones only
+// the mutated shard's R-tree: O(n/N) instead of O(n). Comparing shard
+// counts 1 and 8 therefore measures the sharding win on the live
+// serving path.
 //
 // The scenario shards spatially (unit-square stripes) and models a
 // fleet-style workload: updates drift objects locally (small jitter
@@ -130,7 +130,7 @@ func StoreBatchKNN16(b *testing.B, db probprune.Database) {
 // walks decide subtrees (often the whole shard) wholesale, exactly like
 // the monolithic tree; hash sharding would spread every shard over the
 // full extent and tax the scatter phase.
-func ShardedBatchKNN(shards int) func(b *testing.B, db probprune.Database) {
+func ServingBatchKNN(shards int) func(b *testing.B, db probprune.Database) {
 	return func(b *testing.B, db probprune.Database) {
 		s, err := probprune.NewShardedStore(db,
 			probprune.ShardedOptions{Shards: shards, Partition: probprune.StripeShards(0, 0, 1)},
@@ -199,13 +199,13 @@ func driftObject(b *testing.B, rng *rand.Rand, o *probprune.Object) *probprune.O
 	return n
 }
 
-// WritesPerBatch is the write half of the sharded serving interleave.
+// WritesPerBatch is the write half of the serving interleave.
 const WritesPerBatch = 32
 
-// ShardedBuild returns the ingest scenario: full ShardedStore
-// construction (router bookkeeping plus one concurrent STR bulk load
-// per shard) at a given shard count.
-func ShardedBuild(shards int) func(b *testing.B, db probprune.Database) {
+// StoreBuild returns the ingest scenario: full Store construction
+// (router bookkeeping plus one concurrent STR bulk load per shard) at a
+// given shard count.
+func StoreBuild(shards int) func(b *testing.B, db probprune.Database) {
 	return func(b *testing.B, db probprune.Database) {
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -123,11 +123,11 @@ type item struct {
 
 // Source is the store side a Monitor consumes: a mutable
 // uncertain-object store publishing a gapless, version-ordered change
-// stream where every change carries the snapshot of its version. Both
-// *query.Store and *query.ShardedStore satisfy it — a monitor over a
-// sharded store consumes the merged multi-shard stream, and its
-// maintenance stays bit-identical because the sharded snapshots'
-// engines are (see ShardedSnapshot.Engine).
+// stream where every change carries the snapshot of its version.
+// *query.Store satisfies it at any shard count — a monitor over a
+// multi-shard store consumes the merged stream, and its maintenance
+// stays bit-identical because the snapshots' engines are (see
+// query.Snapshot.Engine).
 type Source interface {
 	// Watch registers a commit hook, atomically with a snapshot of the
 	// current state (see Store.Watch for the full contract).
@@ -136,8 +136,8 @@ type Source interface {
 	Version() uint64
 }
 
-// NewMonitor attaches a monitor to the store — a single Store or a
-// ShardedStore (merged multi-shard change stream). The registration is
+// NewMonitor attaches a monitor to the store (for a multi-shard store,
+// its merged change stream). The registration is
 // atomic with a snapshot of the current state: subscriptions made
 // before any further mutation see exactly that state as their initial
 // result. The monitor owns a background worker until Close.
@@ -165,7 +165,7 @@ func NewMonitor(store Source, opts Options) *Monitor {
 	})
 	m.snap = snap
 	m.processed = snap.Version()
-	m.vv = versionVector(snap)
+	m.vv = snap.VersionVector()
 	m.stopWatch = stop
 	go m.run()
 	return m
@@ -303,9 +303,9 @@ func (m *Monitor) Version() uint64 {
 }
 
 // VersionVector returns the monitor's per-shard cursor: the shard
-// versions of the latest fully-processed sharded snapshot. It localizes
-// the monitor's progress to individual shards of a ShardedStore source;
-// monitors over a single Store return nil.
+// versions of the latest fully-processed snapshot. It localizes the
+// monitor's progress to individual shards of a multi-shard source;
+// monitors over a one-shard store return nil.
 func (m *Monitor) VersionVector() []uint64 {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
@@ -315,15 +315,6 @@ func (m *Monitor) VersionVector() []uint64 {
 	vv := make([]uint64, len(m.vv))
 	copy(vv, m.vv)
 	return vv
-}
-
-// versionVector extracts a snapshot's per-shard cursor, nil for
-// single-store snapshots.
-func versionVector(snap query.SnapshotView) []uint64 {
-	if v, ok := snap.(interface{ VersionVector() []uint64 }); ok {
-		return v.VersionVector()
-	}
-	return nil
 }
 
 // WaitVersion blocks until the monitor has processed store version v
@@ -777,7 +768,7 @@ func (m *Monitor) applyChange(ch query.Change) {
 		m.deliver(s, evs)
 	}
 	m.changes.Add(1)
-	m.advance(ch.Version, versionVector(ch.Snap))
+	m.advance(ch.Version, ch.Snap.VersionVector())
 	if m.opts.CursorPath != "" && m.opts.CursorEvery > 0 {
 		if m.sinceSave++; m.sinceSave >= m.opts.CursorEvery {
 			// An auto-save failure is deferred, not dropped: the next

@@ -63,7 +63,7 @@ func drain(s *Subscription, r cursorSet) []Event {
 	}
 }
 
-// mutStore is the mutation surface shared by Store and ShardedStore.
+// mutStore is the mutation surface of a Store.
 type mutStore interface {
 	Insert(*uncertain.Object) error
 	Update(*uncertain.Object) error
@@ -275,8 +275,6 @@ func TestDurableCursorResume(t *testing.T) {
 			var eng *query.Engine
 			switch s := reopened.(type) {
 			case *query.Store:
-				eng = s.Snapshot().Engine()
-			case *query.ShardedStore:
 				eng = s.Snapshot().Engine()
 			}
 			for _, m := range eng.KNN(q, 3, 0.25) {

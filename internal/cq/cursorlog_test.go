@@ -66,6 +66,9 @@ func TestCursorDeltaSaves(t *testing.T) {
 	if err := mon.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// Sync returns once the last change is processed, which is just
+	// before its auto-save; a worker round trip orders the read after it.
+	mon.HasCursorSub("alpha")
 	drain(sub, set)
 	st := mon.Stats()
 	if st.CursorSaves < base.CursorSaves+churn {

@@ -213,9 +213,10 @@ type bareSnap struct {
 	engine  *query.Engine
 }
 
-func (sn *bareSnap) Version() uint64       { return sn.version }
-func (sn *bareSnap) Len() int              { return len(sn.engine.DB) }
-func (sn *bareSnap) Engine() *query.Engine { return sn.engine }
+func (sn *bareSnap) Version() uint64         { return sn.version }
+func (sn *bareSnap) VersionVector() []uint64 { return nil }
+func (sn *bareSnap) Len() int                { return len(sn.engine.DB) }
+func (sn *bareSnap) Engine() *query.Engine   { return sn.engine }
 func (sn *bareSnap) DB() uncertain.Database {
 	return append(uncertain.Database{}, sn.engine.DB...)
 }

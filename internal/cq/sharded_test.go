@@ -11,7 +11,7 @@ import (
 )
 
 // Race-detector stress test for the sharded serving path: concurrent
-// writers mutate a ShardedStore through the router (each commit detaches
+// writers mutate a 4-shard Store through the router (each commit detaches
 // only its home shard), scatter-gather readers query snapshots, a
 // migrator moves objects between shards and rebalances, and a live
 // Monitor consumes the merged multi-shard Watch stream — all at once.

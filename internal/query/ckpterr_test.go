@@ -61,7 +61,7 @@ func TestAutoCheckpointFailureSurfacedStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.drainCheckpoints() // let the background install fail
+	s.dur.drain() // let the background install fail
 	lenBefore, verBefore := s.Len(), s.Version()
 
 	// The next commit surfaces the deferred failure and is rejected.
@@ -82,7 +82,7 @@ func TestAutoCheckpointFailureSurfacedStore(t *testing.T) {
 			t.Fatalf("insert after surfacing: %v", err)
 		}
 	}
-	s.drainCheckpoints()
+	s.dur.drain()
 	wantCkptErr(t, s.Sync(), "sync after failed checkpoint")
 	if err := s.Sync(); err != nil {
 		t.Fatalf("second sync reports a cleared error: %v", err)
@@ -129,10 +129,10 @@ func TestAutoCheckpointFailureSurfacedSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bootstrap leaves each shard at checkpoint 2 (its own bootstrap
-	// snapshot plus the router's genesis checkpoint); block shard 0's
-	// next one — the router checkpoint saves the manifest, then fails
-	// on the shard.
+	// Bootstrap leaves each shard at checkpoint 2 (its own genesis
+	// snapshot plus the first manifest's checkpoint); block shard 0's
+	// next one — the checkpoint saves the manifest, then fails on the
+	// shard.
 	blocker := blockCheckpoint(t, filepath.Join(dir, "shard-0"), 3)
 
 	obj := func(i int) *uncertain.Object {
@@ -143,7 +143,7 @@ func TestAutoCheckpointFailureSurfacedSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.drainCheckpoints() // let the background install fail
+	s.dur.drain() // let the background install fail
 	lenBefore, verBefore := s.Len(), s.Version()
 	wantCkptErr(t, s.Insert(obj(3)), "sharded insert after failed checkpoint")
 	if s.Len() != lenBefore || s.Version() != verBefore {
@@ -160,7 +160,7 @@ func TestAutoCheckpointFailureSurfacedSharded(t *testing.T) {
 	if found, err := s.DeleteErr(obj(0).ID); err != nil || !found {
 		t.Fatalf("delete after surfacing: found=%v err=%v", found, err)
 	}
-	s.drainCheckpoints()
+	s.dur.drain()
 	wantCkptErr(t, s.Sync(), "sharded sync after second failed checkpoint")
 
 	if err := os.Remove(blocker); err != nil {

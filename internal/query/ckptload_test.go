@@ -1,7 +1,9 @@
 package query
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -33,7 +35,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.journal.sched.gate = func() {
+	s.dur.gate = func() {
 		once.Do(func() { close(entered) })
 		<-release
 	}
@@ -81,7 +83,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 	}
 
 	close(release)
-	s.drainCheckpoints()
+	s.dur.drain()
 	if q := s.Metrics().Snapshot()["store.checkpoint.queue"]; q != 0 {
 		t.Fatalf("queue gauge = %d after drain", q)
 	}
@@ -143,8 +145,8 @@ func TestKillPointStoreCheckpointInstall(t *testing.T) {
 		snaps[step] = dst
 	}
 	snapshot("begin")
-	s.journal.j.SetInstallHook(func(step string) { snapshot(step) })
-	if err := s.journal.install(job); err != nil {
+	s.shards[0].journal.SetInstallHook(func(step string) { snapshot(step) })
+	if err := s.installCheckpoint(job); err != nil {
 		t.Fatal(err)
 	}
 	snapshot("done")
@@ -205,7 +207,7 @@ func TestKillPointShardedCheckpointInstall(t *testing.T) {
 	snapshot("begin")
 	for i, sh := range s.shards {
 		shard := i
-		sh.journal.j.SetInstallHook(func(step string) {
+		sh.journal.SetInstallHook(func(step string) {
 			snapshot(fmt.Sprintf("shard-%d:%s", shard, step))
 		})
 	}
@@ -236,5 +238,77 @@ func TestKillPointShardedCheckpointInstall(t *testing.T) {
 			}
 		}
 		r.Close()
+	}
+}
+
+// TestKillPointShardedBootstrap crashes a multi-shard bootstrap at every
+// step of every shard's checkpoint installs, on both sides of the first
+// manifest. udbserver's bootstrap-or-open pair must start on every
+// image with the whole bootstrap database: an image without a manifest
+// is debris the bootstrap clears, one with a manifest is recovered.
+func TestKillPointShardedBootstrap(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, _ := traceCase(t, 16, true)
+	opts := core.Options{MaxIterations: 3}
+	sopts := ShardedOptions{Shards: 2}
+	var steps []string
+	snaps := map[string]string{}
+	snapshot := func(step string) {
+		step = fmt.Sprintf("%02d-%s", len(steps), step)
+		dst := t.TempDir()
+		copyTree(t, dir, dst)
+		steps = append(steps, step)
+		snaps[step] = dst
+	}
+	bootstrapHook = func(s *Store) {
+		snapshot("attached")
+		for i, sh := range s.shards {
+			shard := i
+			sh.journal.SetInstallHook(func(step string) {
+				snapshot(fmt.Sprintf("shard-%d:%s", shard, step))
+			})
+		}
+	}
+	s, err := BootstrapShardedStore(db, PersistOptions{Dir: dir}, sopts, opts)
+	bootstrapHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot("done")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var with, without int
+	for _, step := range steps {
+		sdir := snaps[step]
+		if _, err := os.Stat(filepath.Join(sdir, manifestName)); err == nil {
+			with++
+		} else {
+			without++
+		}
+		popts := PersistOptions{Dir: sdir}
+		r, err := BootstrapShardedStore(db, popts, sopts, opts)
+		if errors.Is(err, ErrStoreExists) {
+			r, err = OpenShardedStore(popts, sopts, opts)
+		}
+		if err != nil {
+			t.Fatalf("%s: bootstrap-or-open: %v", step, err)
+		}
+		if r.Len() != len(db) || r.Version() != 0 || r.NumShards() != 2 {
+			t.Fatalf("%s: got len %d version %d shards %d, want %d, 0 and 2",
+				step, r.Len(), r.Version(), r.NumShards(), len(db))
+		}
+		for _, o := range db {
+			if _, ok := r.Get(o.ID); !ok {
+				t.Fatalf("%s: object %d lost", step, o.ID)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if with < 2 || without < 2 {
+		t.Fatalf("crash images: %d with a manifest, %d without", with, without)
 	}
 }

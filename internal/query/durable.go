@@ -1,8 +1,13 @@
 package query
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,13 +18,29 @@ import (
 	"probprune/internal/wal"
 )
 
-// PersistOptions configures the durability of a Store or ShardedStore
-// opened with OpenStore/OpenShardedStore: where the journal lives, when
-// it is fsynced, and when the log is compacted into a checkpoint.
+// manifestName is the store-level durable state file of a multi-shard
+// store's directory.
+const manifestName = "MANIFEST"
+
+// ErrStoreExists reports a bootstrap over a directory that already
+// holds a store; open it instead.
+var ErrStoreExists = errors.New("store: directory already holds a store")
+
+var errClosed = errors.New("store: closed")
+
+// bootstrapHook, when set (tests only), runs once a bootstrap has
+// attached its journals, before any genesis checkpoint installs.
+var bootstrapHook func(*Store)
+
+// PersistOptions configures the durability of a store opened with
+// BootstrapShardedStore/OpenShardedStore (or their one-shard
+// shorthands): where the journals live, when they are fsynced, and when
+// the logs are compacted into checkpoints.
 type PersistOptions struct {
-	// Dir is the journal directory (created if absent). A ShardedStore
-	// keeps one sub-journal per shard (shard-0, shard-1, ...) plus a
-	// MANIFEST carrying the version vector and the global order.
+	// Dir is the store directory (created if absent). A one-shard store
+	// journals in Dir itself; a multi-shard store keeps one journal per
+	// shard (shard-0, shard-1, ...) plus a MANIFEST carrying the version
+	// vector and the global order.
 	Dir string
 	// Sync is the fsync policy for journaled commits; the zero value is
 	// wal.SyncOS (no explicit fsync).
@@ -27,8 +48,8 @@ type PersistOptions struct {
 	// SyncEvery is the wal.SyncBackground flush interval; <= 0 selects
 	// one second.
 	SyncEvery time.Duration
-	// CheckpointEvery writes a checkpoint (and truncates the log)
-	// automatically once that many records accumulated since the last
+	// CheckpointEvery writes a checkpoint (and truncates the logs)
+	// automatically once that many commits accumulated since the last
 	// one; 0 disables auto-checkpointing (call Checkpoint explicitly).
 	CheckpointEvery int
 	// SegmentBytes is the log segment rotation threshold; <= 0 selects
@@ -40,431 +61,754 @@ func (p PersistOptions) wal() wal.Options {
 	return wal.Options{Sync: p.Sync, SyncEvery: p.SyncEvery, SegmentBytes: p.SegmentBytes}
 }
 
-// storeJournal is the durability state a durable Store carries. The
-// commit path appends under s.mu and waits for (group) durability only
-// after releasing it; checkpoints are pinned under s.mu — an O(1)
-// journal rotation plus a copy-on-write reference of the state — and
-// encoded/installed by the background scheduler, so neither fsyncs nor
-// checkpoint serialization ever stall concurrent committers.
-type storeJournal struct {
-	j               *wal.Journal
-	checkpointEvery int
+// durability is the one durability coordinator of a durable store: the
+// logs are the shards' journals; it owns the checkpoint policy, the
+// manifest, the background installer and the deferred errors, so
+// neither fsyncs nor checkpoint serialization stall committers.
+type durability struct {
+	popts PersistOptions
+	since uint64 // commits since the last checkpoint pin; guarded by the store lock
 
-	// installMu serializes checkpoint installs (the background
-	// scheduler and synchronous Checkpoint calls). The journal skips
-	// stale pins, so serialized installs converge on the newest
-	// checkpoint in any arrival order.
+	// installMu serializes checkpoint installs (background and
+	// synchronous Checkpoint calls). installed, guarded by it, keeps a
+	// late older install from regressing the manifest below a newer one:
+	// the shard logs past an older manifest epoch are truncated by the
+	// newer shard checkpoints, so a regressed manifest would be
+	// unrecoverable. The journals skip stale pins themselves.
 	installMu sync.Mutex
+	installed uint64
 
-	sched *ckptScheduler
+	// The background installer holds at most one pending install: a
+	// newer pin submitted while another install runs replaces a
+	// not-yet-started one (whose install would be skipped as superseded
+	// anyway), so a burst of auto-checkpoints coalesces into the newest
+	// state instead of queueing stale encodes.
+	smu     sync.Mutex
+	idle    *sync.Cond   // broadcast when the installer runs dry
+	pending func() error // newest not-yet-started install; the closure owns its pinned state
+	busy    bool         // an installer goroutine is live (running or between jobs)
+	gate    func()       // test hook: runs before each install, outside smu
+	queue   *obs.Gauge   // pending + running installs (0..2)
+	merged  *obs.Counter // pins coalesced away before installing
 
-	// rec is the armed flight recorder (nil when disarmed): checkpoint
-	// lifecycle and deferred durability errors record into it, and
-	// setRecorder forwards it to the wal journal for group-commit and
-	// fsync-stall events. Atomic so arming is safe mid-serving.
+	// rec is the armed flight recorder (nil when disarmed); atomic so
+	// arming is safe mid-serving.
 	rec atomic.Pointer[obs.Recorder]
 
-	emu     sync.Mutex // guards ckptErr (the scheduler writes it off s.mu)
-	ckptErr error      // first deferred auto-checkpoint failure
+	emu     sync.Mutex // guards ckptErr (the installer writes it off the store lock)
+	ckptErr error      // first deferred failure (auto-checkpoint, rebalance)
 }
 
-func newStoreJournal(j *wal.Journal, checkpointEvery int, m *Metrics) *storeJournal {
-	sj := &storeJournal{j: j, checkpointEvery: checkpointEvery}
-	sj.sched = newCkptScheduler(sj.noteCkptErr)
-	sj.sched.events = sj.recorder
-	if m != nil {
-		sj.sched.queue = m.ckptQueue
-		sj.sched.merged = m.ckptMerged
-	}
-	return sj
+func newDurability(popts PersistOptions, m *Metrics) *durability {
+	d := &durability{popts: popts, queue: m.ckptQueue, merged: m.ckptMerged}
+	d.idle = sync.NewCond(&d.smu)
+	return d
 }
 
-// setRecorder arms (or disarms, with nil) the journal's flight-recorder
-// event sources, including the wal journal's. Nil-safe (in-memory
-// store).
-func (sj *storeJournal) setRecorder(rec *obs.Recorder) {
-	if sj == nil {
-		return
+// submit runs install in the background, replacing any pending one.
+func (d *durability) submit(install func() error) {
+	d.smu.Lock()
+	if d.pending != nil {
+		d.merged.Inc()
+		// Record is lock-free, so holding smu across it is safe.
+		d.rec.Load().Record(obs.EvCheckpointSupersede, 0, 0, 0, 0)
 	}
-	sj.rec.Store(rec)
-	sj.j.SetRecorder(rec)
+	d.pending = install
+	spawn := !d.busy
+	d.busy = true
+	d.publishLocked()
+	d.smu.Unlock()
+	if spawn {
+		go d.run()
+	}
 }
 
-// recorder returns the armed recorder, nil when disarmed (nil-safe).
-func (sj *storeJournal) recorder() *obs.Recorder {
-	if sj == nil {
-		return nil
+// run drains pending installs until none remain, then exits; submit
+// spawns a new run when needed. Install failures are deferred.
+func (d *durability) run() {
+	d.smu.Lock()
+	for d.pending != nil {
+		install, gate := d.pending, d.gate
+		d.pending = nil
+		d.publishLocked()
+		d.smu.Unlock()
+		if gate != nil {
+			gate()
+		}
+		if err := install(); err != nil {
+			d.noteCkptErr(err)
+		}
+		d.smu.Lock()
 	}
-	return sj.rec.Load()
+	d.busy = false
+	d.publishLocked()
+	d.idle.Broadcast()
+	d.smu.Unlock()
 }
 
-// noteCkptErr records a deferred checkpoint failure (keeping the first).
-func (sj *storeJournal) noteCkptErr(err error) {
-	sj.emu.Lock()
-	if sj.ckptErr == nil {
-		sj.ckptErr = err
+// drain blocks until no install is pending or running — the point Sync
+// and Close use to make deferred checkpoint errors deterministic.
+func (d *durability) drain() {
+	d.smu.Lock()
+	for d.busy || d.pending != nil {
+		d.idle.Wait()
 	}
-	sj.emu.Unlock()
+	d.smu.Unlock()
+}
+
+// publishLocked updates the depth gauge. Requires d.smu held.
+func (d *durability) publishLocked() {
+	n := int64(0)
+	if d.busy {
+		n++
+	}
+	if d.pending != nil {
+		n++
+	}
+	d.queue.Set(n)
+}
+
+// record logs a durability failure as a deferred-error event.
+func (d *durability) record(err error) {
 	// Cold path: registering the error text as a note may lock and
 	// allocate, which a failure path can afford.
-	if r := sj.recorder(); r != nil {
+	if r := d.rec.Load(); r != nil {
 		r.Record(obs.EvDeferredError, r.Note(err.Error()), 0, 0, 0)
 	}
 }
 
-// takeCkptErr returns and clears the deferred checkpoint failure.
-func (sj *storeJournal) takeCkptErr() error {
-	sj.emu.Lock()
-	err := sj.ckptErr
-	sj.ckptErr = nil
-	sj.emu.Unlock()
-	return err
-}
-
-// waitDurable blocks until the journaled commit seq is covered by a
-// group fsync (SyncAlways only; a no-op under the other policies).
-// Called AFTER s.mu is released, so concurrent committers share one
-// fsync while the store keeps accepting appends. Nil-safe: an
-// in-memory store passes sj == nil and seq == 0.
-func (sj *storeJournal) waitDurable(seq uint64) error {
-	if sj == nil || seq == 0 {
-		return nil
+// noteCkptErr records a deferred durability failure (keeping the first).
+func (d *durability) noteCkptErr(err error) {
+	d.emu.Lock()
+	if d.ckptErr == nil {
+		d.ckptErr = err
 	}
-	return sj.j.WaitDurable(seq)
+	d.emu.Unlock()
+	d.record(err)
 }
 
-// install writes one pinned checkpoint, treating a superseded pin as
-// success (a newer checkpoint already covers its state).
-func (sj *storeJournal) install(job *ckptJob) error {
-	sj.installMu.Lock()
-	defer sj.installMu.Unlock()
-	start := time.Now()
-	err := sj.j.InstallCheckpoint(job.pin, job.ck)
-	if errors.Is(err, wal.ErrCheckpointSuperseded) {
-		sj.recorder().Record(obs.EvCheckpointSupersede, 0, 0, int64(job.ck.Version), 0)
-		return nil
+// deferredErr returns and clears the deferred failure. The mutation or
+// Sync that observes it is rejected, so the caller learns about the
+// degraded durability right away instead of only at Close.
+func (d *durability) deferredErr() error {
+	d.emu.Lock()
+	err := d.ckptErr
+	d.ckptErr = nil
+	d.emu.Unlock()
+	if err != nil {
+		return fmt.Errorf("store: deferred auto-checkpoint failure: %w", err)
 	}
-	if err == nil {
-		sj.recorder().Record(obs.EvCheckpointInstall, 0, time.Since(start), int64(job.ck.Version), 0)
-	}
-	return err
+	return nil
 }
 
-// ckptJob is one pinned store checkpoint awaiting its background
-// encode + install.
-type ckptJob struct {
-	pin wal.CheckpointPin
-	ck  *wal.Checkpoint
-}
-
-// journalLocked journals one commit record before it is applied and
-// returns its append sequence for the post-lock durability wait; a nil
-// journal (in-memory store) accepts everything with seq 0. A deferred
-// auto-checkpoint failure is surfaced here — the commit that observes
-// it is rejected (the store unchanged) and the error cleared, so the
-// caller learns about the degraded durability at the next mutation
-// instead of only at Close. Requires s.mu held for writing.
-func (s *Store) journalLocked(rec wal.Record) (uint64, error) {
+// journalLocked journals rec on shard si before it is applied, stamped
+// with the shard version and (N > 1) the store epoch global, and returns
+// the sequence to wait on — 0 in memory. A logical commit first
+// surfaces a deferred failure. Requires s.mu held for writing.
+func (s *Store) journalLocked(si int, rec wal.Record, global uint64) (uint64, error) {
 	if s.closed {
-		return 0, fmt.Errorf("store: closed")
+		return 0, errClosed
 	}
-	if s.journal == nil {
+	if s.failed != nil {
+		return 0, s.failed
+	}
+	sh := s.shards[si]
+	if sh.journal == nil {
 		return 0, nil
 	}
-	if err := s.journal.takeCkptErr(); err != nil {
-		return 0, fmt.Errorf("store: deferred auto-checkpoint failure: %w", err)
+	if rec.Op.Logical() {
+		if err := s.dur.deferredErr(); err != nil {
+			return 0, err
+		}
 	}
-	return s.journal.j.AppendAsync(rec)
+	rec.Version = sh.version + 1
+	if s.home != nil {
+		rec.Global = global
+	}
+	return sh.journal.AppendAsync(rec)
+}
+
+// failLocked latches the store (keeping the first error): every later
+// mutation, Sync and Close returns it. Requires s.mu held for writing.
+func (s *Store) failLocked(err error) {
+	if s.failed == nil {
+		s.failed = err
+		s.dur.record(err)
+	}
 }
 
 // maybeCheckpointLocked runs the auto-checkpoint policy after a commit:
-// when the threshold is reached the state is pinned here (the bounded,
-// O(db copy) part) and the encode + install handed to the background
-// scheduler. A checkpoint failure does not fail a commit (the commit is
-// already durable in the log); it is deferred and surfaced by the next
-// mutation or Sync — or by Close, whichever comes first. Requires s.mu
-// held for writing.
+// when the threshold is reached the state is pinned here and the
+// install handed to the background installer. A checkpoint failure does
+// not fail a commit (the commit is already in the log); it is deferred
+// and surfaced by the next mutation or Sync — or by Close, whichever
+// comes first. Requires s.mu held for writing.
 func (s *Store) maybeCheckpointLocked() {
-	sj := s.journal
-	if sj == nil || sj.checkpointEvery <= 0 {
+	d := s.dur
+	if d == nil {
 		return
 	}
-	if sj.j.AppendedSinceCheckpoint() < uint64(sj.checkpointEvery) {
+	d.since++
+	if d.popts.CheckpointEvery <= 0 || d.since < uint64(d.popts.CheckpointEvery) {
 		return
 	}
 	job, err := s.pinCheckpointLocked()
 	if err != nil {
-		sj.noteCkptErr(err)
+		d.noteCkptErr(err)
 		return
 	}
-	sj.sched.submit(func() error { return sj.install(job) })
+	d.submit(func() error { return s.installCheckpoint(job) })
 }
 
-// pinCheckpointLocked pins the store's current state for a checkpoint:
-// BeginCheckpoint rotates the journal (O(1)), and the object slice and
-// materialized decompositions are captured copy-on-write — objects and
-// published decomposition levels are immutable, so the background
-// install serializes them without the lock while commits proceed. This
-// is the entire commit-path cost of a checkpoint. Requires s.mu held
-// for writing.
+// ckptJob is one pinned checkpoint: a journal pin and state per shard,
+// plus the manifest of a multi-shard store.
+type ckptJob struct {
+	m    *wal.Manifest
+	pins []wal.CheckpointPin
+	cks  []*wal.Checkpoint
+}
+
+// pinCheckpointLocked pins the current state for a checkpoint: every
+// shard journal rotates (O(1)) and the object lists and decompositions
+// are captured copy-on-write — they are immutable, so the install
+// serializes them off the lock while commits proceed. Requires s.mu
+// held for writing.
 func (s *Store) pinCheckpointLocked() (*ckptJob, error) {
-	pin, err := s.journal.j.BeginCheckpoint()
-	if err != nil {
-		return nil, err
+	job := &ckptJob{}
+	if s.home != nil {
+		job.m = &wal.Manifest{
+			Version:      s.version,
+			Shards:       len(s.shards),
+			Order:        make([]int, len(s.db)),
+			CacheVersion: s.cache.Version(),
+		}
+		for i, o := range s.db {
+			job.m.Order[i] = o.ID
+			if levels := s.cache.Materialized(o); levels != nil {
+				job.m.Decomp = append(job.m.Decomp, wal.DecompEntry{ID: o.ID, Dim: o.Dim(), Levels: levels})
+			}
+		}
 	}
-	db := make([]*uncertain.Object, len(s.db))
-	copy(db, s.db)
-	decomp := make([][][]uncertain.Partition, len(db))
-	for i, o := range db {
-		decomp[i] = s.cache.Materialized(o)
+	for _, sh := range s.shards {
+		pin, err := sh.journal.BeginCheckpoint()
+		if err != nil {
+			return nil, err
+		}
+		ck := &wal.Checkpoint{Version: sh.version, Objects: slices.Clone(sh.db)}
+		if job.m != nil {
+			job.m.VV = append(job.m.VV, sh.version)
+		} else {
+			// One shard: its checkpoint carries the decomposition cache
+			// (with more, the manifest does).
+			ck.Decomp = make([][][]uncertain.Partition, len(ck.Objects))
+			for i, o := range ck.Objects {
+				ck.Decomp[i] = s.cache.Materialized(o)
+			}
+			ck.CacheVersion = s.cache.Version()
+		}
+		// Lock-free, allocation-free record: the pin runs on the commit
+		// path under s.mu, which the recorder never stalls.
+		s.dur.rec.Load().Record(obs.EvCheckpointBegin, 0, 0, int64(sh.version), 0)
+		job.pins = append(job.pins, pin)
+		job.cks = append(job.cks, ck)
 	}
-	// Lock-free, allocation-free record: the pin runs on the commit path
-	// under s.mu, which the recorder never stalls.
-	s.journal.recorder().Record(obs.EvCheckpointBegin, 0, 0, int64(s.version), 0)
-	return &ckptJob{pin: pin, ck: &wal.Checkpoint{
-		Version:      s.version,
-		Objects:      db,
-		Decomp:       decomp,
-		CacheVersion: s.cache.Version(),
-	}}, nil
+	s.dur.since = 0
+	return job, nil
 }
 
-// drainCheckpoints waits until no background checkpoint install is
-// pending or running — the quiesce point Sync and Close use, exposed
-// in-package for tests that need a stable directory image or a
-// deterministic deferred-error observation.
-func (s *Store) drainCheckpoints() {
-	if s.journal != nil {
-		s.journal.sched.drain()
+// installCheckpoint installs one pinned checkpoint: the manifest first
+// (the commit point recovery trusts), then every shard's checkpoint,
+// truncating the shard logs. A crash between the two leaves the
+// manifest current and the shard logs long — recovery replays the
+// surplus records into states the manifest already describes, landing
+// on the same head. A superseded shard pin counts as success (a newer
+// checkpoint already covers its state).
+func (s *Store) installCheckpoint(job *ckptJob) error {
+	d := s.dur
+	d.installMu.Lock()
+	defer d.installMu.Unlock()
+	if job.m != nil {
+		if job.m.Version < d.installed {
+			return nil
+		}
+		if err := wal.SaveManifest(filepath.Join(d.popts.Dir, manifestName), job.m); err != nil {
+			return err
+		}
+		d.installed = job.m.Version
 	}
+	for i, sh := range s.shards {
+		start := time.Now()
+		err := sh.journal.InstallCheckpoint(job.pins[i], job.cks[i])
+		switch {
+		case errors.Is(err, wal.ErrCheckpointSuperseded):
+			d.rec.Load().Record(obs.EvCheckpointSupersede, 0, 0, int64(job.cks[i].Version), 0)
+		case err != nil:
+			return err
+		default:
+			d.rec.Load().Record(obs.EvCheckpointInstall, 0, time.Since(start), int64(job.cks[i].Version), 0)
+		}
+	}
+	return nil
 }
 
-// Checkpoint durably snapshots the store's current state — the object
-// database in database order, the store version and every materialized
-// decomposition — and truncates the journal to it. Reopening afterwards
-// loads the snapshot and replays only commits journaled since. The
-// state is pinned under the store lock but encoded and installed
-// outside it, so concurrent commits are never stalled by the write.
+// Checkpoint durably snapshots the store's current state — every
+// shard's objects in order and version, the decomposition cache and,
+// with more than one shard, the manifest of version vector and global
+// order — and truncates the journals to it. Reopening afterwards loads
+// the snapshot and replays only commits journaled since. The state is
+// pinned under the store lock but encoded and installed outside it, so
+// concurrent commits are never stalled by the write.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
-	if s.journal == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("store: not durable (no journal)")
+	var job *ckptJob
+	err := errors.New("store: not durable (no journal)")
+	switch {
+	case s.dur == nil:
+	case s.closed:
+		err = errClosed
+	case s.failed != nil:
+		err = s.failed
+	default:
+		job, err = s.pinCheckpointLocked()
 	}
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("store: closed")
-	}
-	sj := s.journal
-	job, err := s.pinCheckpointLocked()
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return sj.install(job)
+	return s.installCheckpoint(job)
 }
 
 // Sync forces journaled commits to stable storage, regardless of the
-// sync policy. It first drains any in-flight background checkpoint and
-// surfaces (and clears) a deferred auto-checkpoint failure, so a caller
-// that never mutates again still learns the checkpoint did not land. It
-// is a no-op on an in-memory store.
+// sync policy. It first drains the background installer and surfaces
+// (and clears) a deferred failure, so a caller that never mutates again
+// still learns a checkpoint did not land. No-op in memory.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.journal == nil || s.closed {
+	if s.dur == nil || s.failed != nil {
+		return s.failed
+	}
+	if s.closed {
 		return nil
 	}
-	s.journal.sched.drain()
-	if err := s.journal.takeCkptErr(); err != nil {
-		return fmt.Errorf("store: deferred auto-checkpoint failure: %w", err)
+	s.dur.drain()
+	if err := s.dur.deferredErr(); err != nil {
+		return err
 	}
-	return s.journal.j.Sync()
+	for _, sh := range s.shards {
+		if err := sh.journal.Sync(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Close releases the journal of a durable store, draining any in-flight
-// background checkpoint first. Mutations fail after Close (they could
-// no longer be journaled); snapshots and queries remain usable. The
-// on-disk state stays fully recoverable — Close writes no checkpoint,
-// reopening replays the log tail. Closing an in-memory store is a
-// no-op.
+// Close drains the background installer and releases the journals.
+// Mutations fail after Close; snapshots and queries remain usable. Close
+// writes no checkpoint — reopening replays the log tails. No-op in
+// memory.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.journal == nil || s.closed {
+	if s.dur == nil || s.closed {
 		return nil
 	}
 	s.closed = true
-	s.journal.sched.drain()
-	err := s.journal.takeCkptErr()
-	if cerr := s.journal.j.Close(); err == nil {
-		err = cerr
+	s.dur.drain()
+	return cmp.Or(s.failed, s.dur.deferredErr(), s.closeJournals())
+}
+
+// closeJournals releases every attached shard journal.
+func (s *Store) closeJournals() error {
+	var err error
+	for _, sh := range s.shards {
+		if sh.journal != nil {
+			err = cmp.Or(err, sh.journal.Close())
+		}
 	}
 	return err
 }
 
-// OpenStore opens (or initializes) a durable store rooted at
-// popts.Dir: the newest checkpoint is loaded — objects, version AND
-// every decomposition the crashed process had materialized — and the
-// journal tail is replayed on top, stopping cleanly at the last intact
-// record. The recovered store is bit-identical to the store that wrote
-// the journal: same database order, same versions, same query answers.
-// Opts must match the options the journal was written under (they are
-// not persisted); opts.SharedDecomps must be left unset.
-func OpenStore(popts PersistOptions, opts core.Options) (*Store, error) {
-	return openStore(popts, opts, nil)
+// shardDir is the journal directory of shard i of a multi-shard store.
+func shardDir(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 }
 
-// openStore is OpenStore with a hook observing every replayed record —
-// the sharded router collects the logical records to rebuild its
-// global order.
-func openStore(popts PersistOptions, opts core.Options, onRecord func(wal.Record)) (*Store, error) {
-	j, err := wal.Open(popts.Dir, popts.wal())
+// storedLayout returns the journal directory of every shard of the
+// store dir holds — shard-i under a MANIFEST, or dir itself for one
+// shard — and the manifest; none when dir holds no store.
+func storedLayout(dir string) ([]string, *wal.Manifest, error) {
+	m, err := wal.LoadManifest(filepath.Join(dir, manifestName))
+	if err != nil {
+		return nil, nil, err
+	}
+	if m != nil {
+		dirs := make([]string, m.Shards)
+		for i := range dirs {
+			dirs[i] = shardDir(dir, i)
+		}
+		return dirs, m, nil
+	}
+	// The probe stops at the first checkpoint or intact record instead
+	// of replaying the log — one read, however long the history.
+	j, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	has, err := j.HasData()
+	j.Close()
+	if err != nil || !has {
+		return nil, nil, err
+	}
+	return []string{dir}, nil, nil
+}
+
+// BootstrapStore creates a NEW durable one-shard store over db at
+// popts.Dir: BootstrapShardedStore with Shards: 1.
+func BootstrapStore(db uncertain.Database, popts PersistOptions, opts core.Options) (*Store, error) {
+	return BootstrapShardedStore(db, popts, ShardedOptions{Shards: 1}, opts)
+}
+
+// BootstrapShardedStore creates a NEW durable store over db at
+// popts.Dir, writing the initial database as the first checkpoint: a
+// one-shard store journals in popts.Dir itself, a multi-shard one keeps
+// one journal per shard plus the MANIFEST. It fails with ErrStoreExists
+// when the directory already holds a store of either layout — recover
+// that with OpenShardedStore instead (an explicit choice, so a typo
+// cannot silently shadow an existing database with a fresh one).
+func BootstrapShardedStore(db uncertain.Database, popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, error) {
+	if dirs, _, err := storedLayout(popts.Dir); err != nil {
+		return nil, err
+	} else if dirs != nil {
+		return nil, fmt.Errorf("%w: %s holds a %d-shard store (open it instead of bootstrapping)", ErrStoreExists, popts.Dir, len(dirs))
+	}
+	s, err := NewShardedStore(db, sopts, opts)
 	if err != nil {
 		return nil, err
 	}
-	s, err := recoverStore(j, popts, opts, onRecord)
+	// The first manifest is the commit point of a multi-shard bootstrap:
+	// shard journals without one are the debris of a bootstrap that
+	// crashed half way (the store was never handed to a caller) and would
+	// otherwise wedge the directory. Clear them and start over.
+	if stale, err := filepath.Glob(filepath.Join(popts.Dir, "shard-*")); err == nil {
+		for _, dir := range stale {
+			os.RemoveAll(dir)
+		}
+	}
+	for i, sh := range s.shards {
+		dir := popts.Dir
+		if len(s.shards) > 1 {
+			dir = shardDir(popts.Dir, i)
+		}
+		j, err := wal.Open(dir, popts.wal())
+		if err == nil {
+			// Replay positions the (empty) journal for appending.
+			if err = j.Replay(nil); err != nil {
+				j.Close()
+			}
+		}
+		if err != nil {
+			s.closeJournals()
+			return nil, err
+		}
+		sh.journal = j
+	}
+	if bootstrapHook != nil {
+		bootstrapHook(s)
+	}
+	// The genesis state is durable before the store accepts a commit.
+	// Every shard's genesis checkpoint lands before the first manifest,
+	// whose order names objects only those checkpoints hold: a crash in
+	// between leaves shard debris, not a manifest over empty shards.
+	s.dur = newDurability(popts, s.obs)
+	s.mu.Lock()
+	job, err := s.pinCheckpointLocked()
+	s.mu.Unlock()
+	if err == nil {
+		m := job.m
+		job.m = nil
+		if err = s.installCheckpoint(job); err == nil && m != nil {
+			err = s.Checkpoint()
+		}
+	}
 	if err != nil {
-		j.Close()
+		s.closeJournals()
 		return nil, err
 	}
 	return s, nil
 }
 
-// recoverStore builds a store from a journal's checkpoint and tail.
-func recoverStore(j *wal.Journal, popts PersistOptions, opts core.Options, onRecord func(wal.Record)) (*Store, error) {
-	ck := j.Checkpoint()
-	var base uncertain.Database
-	if ck != nil {
-		base = ck.Objects
-	}
-	s, err := NewStore(base, opts)
+// OpenStore opens (or initializes) a durable store rooted at
+// popts.Dir: OpenShardedStore with whatever shard count the directory
+// holds (one for a fresh directory).
+func OpenStore(popts PersistOptions, opts core.Options) (*Store, error) {
+	return OpenShardedStore(popts, ShardedOptions{}, opts)
+}
+
+// OpenShardedStore opens (or initializes) a durable store rooted at
+// popts.Dir; the directory, not the caller, decides the layout. A fresh
+// directory is bootstrapped empty with sopts' layout. An existing one
+// is recovered: every shard loads its newest checkpoint — objects,
+// version and the decompositions the crashed process had materialized
+// — and replays its journal tail, in parallel, stopping cleanly at the
+// last intact record; a multi-shard store then rebuilds its global
+// order by merging the shards' logical records, keyed by the epoch each
+// carries, on top of the manifest's order. The recovered store is
+// bit-identical to the one that wrote the journals: same version
+// vector, same global order, same query answers. sopts.Shards, when
+// non-zero, must match the directory's shard count; sopts.Partition
+// must be the partitioner the store was created with and opts the
+// options it was written under (neither is persisted).
+func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, error) {
+	dirs, m, err := storedLayout(popts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if ck != nil {
-		s.version = ck.Version
-		// Seed the persistent cache with the checkpointed
-		// decompositions: the first queries after reopen reuse the
-		// crashed process's kd-splits instead of recomputing them.
-		// Replayed updates and deletes invalidate per object through the
-		// normal mutation paths, exactly like live commits.
-		for i, o := range ck.Objects {
-			if ck.Decomp != nil && ck.Decomp[i] != nil {
-				s.cache.Seed(o, ck.Decomp[i])
-			}
-		}
-		s.cache.SetVersion(ck.CacheVersion)
+	if dirs == nil {
+		return BootstrapShardedStore(nil, popts, sopts, opts)
 	}
+	if sopts.Shards > 0 && sopts.Shards != len(dirs) {
+		return nil, fmt.Errorf("store: %s holds a %d-shard store, options ask for %d", popts.Dir, len(dirs), sopts.Shards)
+	}
+	sopts.Shards = len(dirs)
+	s, err := newStore(sopts, opts, 0)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]*recovery, len(dirs))
+	errs := make([]error, len(dirs))
+	var wg sync.WaitGroup
+	for i, dir := range dirs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i], errs[i] = recoverShard(dir, popts, len(dirs) == 1)
+		}()
+	}
+	wg.Wait()
+	for i, r := range recs {
+		if r != nil {
+			s.shards[i] = r.sh
+		}
+	}
+	err = errors.Join(errs...)
+	if err == nil {
+		if len(dirs) == 1 {
+			// A one-shard journal is its own manifest.
+			m = checkpointManifest(recs[0].sh.journal.Checkpoint())
+		}
+		s.dur = newDurability(popts, s.obs)
+		err = s.assemble(m, recs)
+	}
+	if err != nil {
+		s.closeJournals()
+		return nil, err
+	}
+	return s, nil
+}
+
+// recovery is one shard rebuilt from its journal, plus what assemble
+// needs to rebuild the store-level state on top of the shards.
+type recovery struct {
+	sh   *shard
+	byID map[int]*uncertain.Object
+	tail []wal.Record // logical records, ID and epoch only
+	via  map[int]bool // resident objects that arrived through a replayed move-in
+}
+
+// recoverShard loads the journal in dir: its checkpoint, then the log
+// tail. In a one-shard journal (single) a record's epoch is its version.
+func recoverShard(dir string, popts PersistOptions, single bool) (*recovery, error) {
+	j, err := wal.Open(dir, popts.wal())
+	if err != nil {
+		return nil, err
+	}
+	r := &recovery{sh: &shard{journal: j}, byID: make(map[int]*uncertain.Object), via: make(map[int]bool)}
+	if ck := j.Checkpoint(); ck != nil {
+		r.sh.db = slices.Clone(ck.Objects)
+		r.sh.version = ck.Version
+		for _, o := range r.sh.db {
+			r.byID[o.ID] = o
+		}
+	}
+	r.sh.index = bulkIndex(r.sh.db)
 	err = j.Replay(func(rec wal.Record) error {
-		if err := s.applyRecordLocked(rec); err != nil {
+		if err := r.apply(rec); err != nil {
 			return err
 		}
-		if onRecord != nil {
-			onRecord(rec)
+		if single {
+			rec.Global = rec.Version
+		}
+		id := rec.ObjectID()
+		if rec.Op.Logical() {
+			// Keep the ID only — instances are resolved against the
+			// recovered shard maps, so a later move's re-decode cannot
+			// alias a stale pointer into the global order.
+			r.tail = append(r.tail, wal.Record{Op: rec.Op, Global: rec.Global, ID: id})
+		}
+		if rec.Op == wal.OpMoveIn {
+			r.via[id] = true
+		} else {
+			delete(r.via, id)
 		}
 		return nil
 	})
 	if err != nil {
+		j.Close()
 		return nil, err
 	}
-	s.journal = newStoreJournal(j, popts.CheckpointEvery, s.obs)
-	return s, nil
+	return r, nil
 }
 
-// applyRecordLocked applies one replayed journal record to the store
-// being recovered. No locks, snapshots or watchers exist yet; the
-// mutation bodies are the same ones live commits run, so the recovered
-// state is bit-identical to the state that journaled the record.
-func (s *Store) applyRecordLocked(rec wal.Record) error {
-	if rec.Version != s.version+1 {
-		return fmt.Errorf("store: journal record version %d after store version %d", rec.Version, s.version)
+// apply replays one journal record with the shard bodies live commits
+// run.
+func (r *recovery) apply(rec wal.Record) error {
+	sh := r.sh
+	if rec.Version != sh.version+1 {
+		return fmt.Errorf("store: journal record version %d after version %d", rec.Version, sh.version)
 	}
+	id := rec.ObjectID()
+	old, ok := r.byID[id]
 	switch rec.Op {
 	case wal.OpInsert, wal.OpMoveIn:
-		if _, dup := s.byID[rec.Obj.ID]; dup {
-			return fmt.Errorf("store: journal re-inserts object ID %d", rec.Obj.ID)
+		if ok {
+			return fmt.Errorf("store: journal re-inserts object ID %d", id)
 		}
-		s.addLocked(rec.Obj)
+		sh.insert(rec.Obj)
+		r.byID[id] = rec.Obj
 	case wal.OpDelete, wal.OpMoveOut:
-		o, ok := s.byID[rec.ID]
 		if !ok {
-			return fmt.Errorf("store: journal deletes unknown object ID %d", rec.ID)
+			return fmt.Errorf("store: journal deletes unknown object ID %d", id)
 		}
-		s.removeLocked(o)
+		sh.remove(old)
+		delete(r.byID, id)
 	case wal.OpUpdate:
-		old, ok := s.byID[rec.Obj.ID]
 		if !ok {
-			return fmt.Errorf("store: journal updates unknown object ID %d", rec.Obj.ID)
+			return fmt.Errorf("store: journal updates unknown object ID %d", id)
 		}
-		s.replaceLocked(old, rec.Obj)
+		sh.replace(old, rec.Obj)
+		r.byID[id] = rec.Obj
 	default:
 		return fmt.Errorf("store: journal record with unknown op %d", rec.Op)
 	}
-	s.version = rec.Version
+	sh.version = rec.Version
 	return nil
 }
 
-// BootstrapStore creates a NEW durable store over db at popts.Dir,
-// writing the initial database as the first checkpoint. It fails when
-// the directory already holds a journal — recover that with OpenStore
-// instead (an explicit choice, so a typo cannot silently shadow an
-// existing database with a fresh one).
-func BootstrapStore(db uncertain.Database, popts PersistOptions, opts core.Options) (*Store, error) {
-	s, err := NewStore(db, opts)
-	if err != nil {
-		return nil, err
+// checkpointManifest derives the manifest of a one-shard store from
+// its checkpoint: the checkpointed order, epoch and decompositions.
+func checkpointManifest(ck *wal.Checkpoint) *wal.Manifest {
+	m := &wal.Manifest{Shards: 1}
+	if ck != nil {
+		m.Version, m.CacheVersion = ck.Version, ck.CacheVersion
+		for i, o := range ck.Objects {
+			m.Order = append(m.Order, o.ID)
+			if ck.Decomp != nil && ck.Decomp[i] != nil {
+				m.Decomp = append(m.Decomp, wal.DecompEntry{ID: o.ID, Dim: o.Dim(), Levels: ck.Decomp[i]})
+			}
+		}
 	}
-	if err := s.bootstrapJournal(popts, popts.CheckpointEvery); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return m
 }
 
-// bootstrapJournal attaches a fresh journal to an already-built store
-// and writes its state as the initial checkpoint (synchronously — the
-// genesis state must be durable before the store is handed out).
-func (s *Store) bootstrapJournal(popts PersistOptions, checkpointEvery int) error {
-	j, err := newEmptyJournal(popts)
-	if err != nil {
-		return err
+// assemble rebuilds the store-level state from the recovered shards,
+// the manifest and the logical records past it.
+func (s *Store) assemble(m *wal.Manifest, recs []*recovery) error {
+	// Membership and homes come from the shards themselves: an object's
+	// home is the shard whose recovered state holds it. An ID on two
+	// shards is a migration whose move-out never hit its source journal
+	// (the process died between the two appends): the copy that arrived
+	// through the dangling move-in is dropped — durably, with the
+	// compensating move-out journaled — and the object stays home, as if
+	// the migration never started. Anything else is corruption.
+	type dangler struct {
+		shard int
+		o     *uncertain.Object
 	}
-	sj := newStoreJournal(j, checkpointEvery, s.obs)
-	s.journal = sj
-	job, err := s.pinCheckpointLocked()
-	if err == nil {
-		err = sj.install(job)
+	var danglers []dangler
+	home := make(map[int]int)
+	for i, r := range recs {
+		for id, o := range r.byID {
+			if a, dup := home[id]; dup {
+				switch {
+				case r.via[id] && !recs[a].via[id]:
+					danglers = append(danglers, dangler{i, o})
+					continue // keep a's copy
+				case recs[a].via[id] && !r.via[id]:
+					danglers = append(danglers, dangler{a, s.byID[id]})
+				default:
+					return fmt.Errorf("store: object ID %d recovered on two shards", id)
+				}
+			}
+			s.byID[id] = o
+			home[id] = i
+		}
 	}
-	if err != nil {
-		s.journal = nil
-		j.Close()
-		return err
+	// The global order: manifest order, replayed forward through the
+	// logical records merged by their unique epochs. The cache epoch
+	// follows the live ticks of the replayed commits.
+	var tail []wal.Record
+	for _, r := range recs {
+		for _, rec := range r.tail {
+			if rec.Global > m.Version {
+				tail = append(tail, rec)
+			}
+		}
+	}
+	sort.Slice(tail, func(a, b int) bool { return tail[a].Global < tail[b].Global })
+	order := slices.Clone(m.Order)
+	touched := make(map[int]bool)
+	cacheVersion := m.CacheVersion
+	s.version = m.Version
+	for _, rec := range tail {
+		if rec.Global != s.version+1 {
+			return fmt.Errorf("store: journaled commit at epoch %d after epoch %d", rec.Global, s.version)
+		}
+		s.version = rec.Global
+		touched[rec.ID] = true
+		switch rec.Op {
+		case wal.OpInsert:
+			order = append(order, rec.ID)
+			cacheVersion++
+		case wal.OpDelete:
+			if k := slices.Index(order, rec.ID); k >= 0 {
+				order = slices.Delete(order, k, k+1)
+			}
+			cacheVersion++
+		case wal.OpUpdate:
+			cacheVersion += 2
+		}
+	}
+	if len(order) != len(s.byID) {
+		return fmt.Errorf("store: global order has %d objects, shards recovered %d", len(order), len(s.byID))
+	}
+	if s.home != nil {
+		s.home = home
+		s.db = make(uncertain.Database, len(order))
+		for i, id := range order {
+			o, ok := s.byID[id]
+			if !ok {
+				return fmt.Errorf("store: global order references unknown object ID %d", id)
+			}
+			s.db[i] = o
+		}
+	}
+	for _, o := range s.byID {
+		s.cache.Add(o)
+	}
+	// Seed the cache for objects untouched since the manifest: their
+	// values are unchanged (moves re-encode the same object), so the
+	// checkpointed decomposition is the one a fresh split would compute.
+	for _, e := range m.Decomp {
+		if o, ok := s.byID[e.ID]; ok && !touched[e.ID] {
+			s.cache.Seed(o, e.Levels)
+		}
+	}
+	s.cache.SetVersion(cacheVersion)
+	for _, d := range danglers {
+		if err := s.migrateLocked(d.shard, d.o, wal.OpMoveOut); err != nil {
+			return fmt.Errorf("store: compensating interrupted migration of object %d: %w", d.o.ID, err)
+		}
 	}
 	return nil
-}
-
-// newEmptyJournal opens popts.Dir and verifies it holds no journal yet.
-// The emptiness probe stops at the first checkpoint or intact record
-// instead of replaying the whole log — rejecting a bootstrap over an
-// existing database costs one read, however long its history.
-func newEmptyJournal(popts PersistOptions) (*wal.Journal, error) {
-	j, err := wal.Open(popts.Dir, popts.wal())
-	if err != nil {
-		return nil, err
-	}
-	has, err := j.HasData()
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	if has {
-		j.Close()
-		return nil, fmt.Errorf("store: %s already holds a journal (open it instead of bootstrapping)", popts.Dir)
-	}
-	// Replay positions the (empty) journal for appending.
-	if err := j.Replay(nil); err != nil {
-		j.Close()
-		return nil, err
-	}
-	return j, nil
 }

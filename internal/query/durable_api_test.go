@@ -2,13 +2,17 @@ package query
 
 import (
 	"context"
+	"errors"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
 	"probprune/internal/uncertain"
+	"probprune/internal/workload"
 )
 
 // TestDurableShardedLifecycle drives the sharded durability surface the
@@ -125,5 +129,73 @@ func TestDeleteErrAndChangeKinds(t *testing.T) {
 		if kind.String() != want {
 			t.Fatalf("%d.String() = %q", kind, kind.String())
 		}
+	}
+}
+
+// TestOpenFollowsDirectoryLayout: the directory, not the constructor,
+// decides the layout. Over a 50-object store of one layout, every open
+// or bootstrap asking for the other either recovers all 50 objects in
+// the on-disk layout or fails naming the mismatch — none opens an empty
+// store, none writes a journal beside the existing one.
+func TestOpenFollowsDirectoryLayout(t *testing.T) {
+	db, err := workload.Synthetic(workload.SyntheticConfig{N: 50, Samples: 4, MaxExtent: 0.05, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{MaxIterations: 2}
+	files := func(dir string) []string {
+		var out []string
+		filepath.Walk(dir, func(path string, _ os.FileInfo, _ error) error {
+			out = append(out, path)
+			return nil
+		})
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		written int
+		open    func(PersistOptions) (*Store, error)
+		wantErr string
+	}{
+		{"open-4-over-1", 1, func(p PersistOptions) (*Store, error) {
+			return OpenShardedStore(p, ShardedOptions{Shards: 4}, opts)
+		}, "holds a 1-shard store, options ask for 4"},
+		{"open-store-over-4", 4, func(p PersistOptions) (*Store, error) { return OpenStore(p, opts) }, ""},
+		{"bootstrap-4-over-1", 1, func(p PersistOptions) (*Store, error) {
+			return BootstrapShardedStore(db, p, ShardedOptions{Shards: 4}, opts)
+		}, "holds a 1-shard store"},
+		{"bootstrap-store-over-4", 4, func(p PersistOptions) (*Store, error) { return BootstrapStore(db, p, opts) }, "holds a 4-shard store"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db")}
+			s, err := BootstrapShardedStore(db, popts, ShardedOptions{Shards: tc.written}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := files(popts.Dir)
+			r, err := tc.open(popts)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+				}
+				if strings.HasPrefix(tc.name, "bootstrap") && !errors.Is(err, ErrStoreExists) {
+					t.Fatalf("bootstrap refusal %v is not ErrStoreExists", err)
+				}
+				if after := files(popts.Dir); !slices.Equal(after, before) {
+					t.Fatalf("refusal changed the directory:\n before %v\n after  %v", before, after)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Len() != len(db) || r.NumShards() != tc.written {
+				t.Fatalf("recovered %d objects on %d shards, want %d on %d", r.Len(), r.NumShards(), len(db), tc.written)
+			}
+		})
 	}
 }

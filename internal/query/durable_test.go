@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -67,8 +66,8 @@ type traceOp struct {
 	id, dst int
 }
 
-// durableMutator is the mutation surface shared by Store and
-// ShardedStore, plus the sharded-only ops (no-ops on a Store).
+// durableMutator is the logical mutation surface of a Store; the
+// trace generates migrations only for multi-shard stores.
 type durableMutator interface {
 	Insert(*uncertain.Object) error
 	Update(*uncertain.Object) error
@@ -91,13 +90,13 @@ func applyOp(t *testing.T, s durableMutator, op traceOp) {
 			t.Fatalf("delete of %d found nothing", op.id)
 		}
 	case 'm':
-		if sh, ok := s.(*ShardedStore); ok {
+		if sh, ok := s.(*Store); ok {
 			if err := sh.Move(op.id, op.dst); err != nil {
 				t.Fatal(err)
 			}
 		}
 	case 'r':
-		if sh, ok := s.(*ShardedStore); ok {
+		if sh, ok := s.(*Store); ok {
 			sh.Rebalance()
 		}
 	}
@@ -285,7 +284,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 						// the copy is a point-in-time crash image (a walk
 						// racing a live install is not one — crashes DURING
 						// an install are exercised by the kill-point tests).
-						dur.drainCheckpoints()
+						dur.dur.drain()
 						copyTree(t, popts.Dir, dst)
 					}
 				}
@@ -413,7 +412,7 @@ func TestReopenSkipsRedecomposition(t *testing.T) {
 	defer reopened.Close()
 	materialized := 0
 	reopened.mu.RLock()
-	for _, o := range reopened.db {
+	for _, o := range reopened.shards[0].db {
 		if reopened.cache.Materialized(o) != nil {
 			materialized++
 		}
@@ -487,7 +486,10 @@ func TestRecoveryInterruptedMigration(t *testing.T) {
 	src, _ := s.ShardOf(id)
 	dst := (src + 1) % 3
 	o, _ := s.Get(id)
-	if err := s.shards[dst].insertOp(context.Background(), o, wal.OpMoveIn, s.Version()); err != nil {
+	s.mu.Lock()
+	err = s.migrateLocked(dst, o, wal.OpMoveIn)
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

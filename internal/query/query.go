@@ -52,10 +52,10 @@ type Engine struct {
 	// plane, when non-nil, replaces the single-index data plane with a
 	// scatter-gather over per-shard R-trees: IDCA filters, preselection
 	// thresholds and impossibility counts are computed per shard and
-	// merged canonically before any refinement runs. Installed by
-	// ShardedSnapshot.Engine; every query algorithm above this level is
-	// oblivious to it, which is what keeps sharded results bit-identical
-	// to the monolithic path.
+	// merged canonically before any refinement runs. Installed by a
+	// multi-shard Snapshot.Engine; every query algorithm above this
+	// level is oblivious to it, which is what keeps sharded results
+	// bit-identical to the monolithic path.
 	plane *shardPlane
 
 	// defaultCache is the persistent decomposition cache NewEngine
@@ -137,7 +137,7 @@ func (e *Engine) run(target, reference *uncertain.Object, opts core.Options) *co
 		defer scratchPool.Put(sc)
 	}
 	if e.plane != nil {
-		return e.plane.run(target, reference, opts)
+		return core.RunMerged(target, reference, e.plane.filter(target, reference, opts), opts)
 	}
 	if e.Index != nil {
 		return core.RunIndexed(e.Index, target, reference, opts)
@@ -156,7 +156,7 @@ func (e *Engine) newSession(target, reference *uncertain.Object, opts core.Optio
 		opts.Scratch = core.NewScratch()
 	}
 	if e.plane != nil {
-		return e.plane.newSession(target, reference, opts)
+		return core.NewSessionMerged(target, reference, e.plane.filter(target, reference, opts), opts)
 	}
 	if e.Index != nil {
 		return core.NewSessionIndexed(e.Index, target, reference, opts)

@@ -13,7 +13,7 @@ import (
 
 // Native fuzzers for the shard router and the online rebalancer: a
 // byte-string program drives an identical mutation trace against a
-// ShardedStore and an unsharded model Store, with migrations
+// multi-shard Store and a one-shard model Store, with migrations
 // interleaved on the sharded side only. After every operation the
 // sharded store must hold exactly the model's objects — none lost,
 // none duplicated, global order preserved — and periodically every
@@ -45,7 +45,7 @@ func fuzzObject(t *testing.T, rng *rand.Rand, id int) *uncertain.Object {
 // sharded store and the model agree object-for-object in global order,
 // every object lives on exactly one shard, and the shard-local
 // snapshots partition the database.
-func requireShardConsistency(t *testing.T, op int, store *Store, sharded *ShardedStore) {
+func requireShardConsistency(t *testing.T, op int, store *Store, sharded *Store) {
 	t.Helper()
 	if sharded.Len() != store.Len() {
 		t.Fatalf("op %d: sharded holds %d objects, model %d", op, sharded.Len(), store.Len())
@@ -90,7 +90,7 @@ func requireShardConsistency(t *testing.T, op int, store *Store, sharded *Sharde
 
 // requireSameVerdicts asserts bit-identical query results between the
 // sharded store and the model.
-func requireSameVerdicts(t *testing.T, op int, store *Store, sharded *ShardedStore, q *uncertain.Object) {
+func requireSameVerdicts(t *testing.T, op int, store *Store, sharded *Store, q *uncertain.Object) {
 	t.Helper()
 	if want, got := store.KNN(q, 2, 0.4), sharded.KNN(q, 2, 0.4); !reflect.DeepEqual(want, got) {
 		t.Fatalf("op %d: KNN verdicts diverge from the model", op)

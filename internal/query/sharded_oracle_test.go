@@ -12,7 +12,7 @@ import (
 
 // This file is the cross-shard equivalence suite: on the same seeded
 // random databases the query-layer oracle uses, every verdict and every
-// probability bound a ShardedStore reports — KNN, RkNN, TopKNN,
+// probability bound a multi-shard Store reports — KNN, RkNN, TopKNN,
 // InverseRank — must be bit-identical (exact float equality, not a
 // tolerance) to the unsharded Store and to a fresh Engine, at every
 // shard count and under both partitioners, and the bounds must contain
@@ -24,13 +24,13 @@ import (
 var shardCounts = []int{1, 2, 4, 8}
 
 // shardedCase builds the backends under comparison over one oracle
-// database: a fresh Engine, an unsharded Store, and one ShardedStore
+// database: a fresh Engine, an unsharded Store, and one multi-shard Store
 // per shard count (hash partitioning; odd seeds use spatial stripes to
 // cover skewed shard sizes, including empty shards).
 type shardedCase struct {
 	oc      *oracleCase
 	store   *Store
-	sharded map[int]*ShardedStore
+	sharded map[int]*Store
 }
 
 func newShardedCase(t *testing.T, seed int64, parallelism int) *shardedCase {
@@ -40,7 +40,7 @@ func newShardedCase(t *testing.T, seed int64, parallelism int) *shardedCase {
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	sc := &shardedCase{oc: oc, store: store, sharded: map[int]*ShardedStore{}}
+	sc := &shardedCase{oc: oc, store: store, sharded: map[int]*Store{}}
 	var part ShardFunc
 	if seed%2 == 1 {
 		// Stripes over a band narrower than the data: border shards get
@@ -193,7 +193,7 @@ func TestShardedEquivalenceInverseRank(t *testing.T) {
 }
 
 // TestShardedEquivalenceAfterMutations replays an identical mutation
-// trace against a Store and ShardedStores at every shard count —
+// trace against a one-shard Store and multi-shard Stores —
 // including rebalancing moves on the sharded side, which must be
 // result-invariant — and requires bit-identical KNN and RkNN results at
 // every step.

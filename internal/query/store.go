@@ -2,114 +2,286 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
 	"probprune/internal/obs"
-	"probprune/internal/rtree"
 	"probprune/internal/uncertain"
 	"probprune/internal/wal"
 )
 
 // Store is a concurrent, mutable uncertain-object store layered on the
 // query engine: live ingest (Insert/Delete/Update) interleaves with
-// snapshot-isolated queries. It is the serving-path counterpart of the
-// frozen Engine — the paper's framework operated the way a production
-// system runs it, with the database changing underneath the queries.
+// snapshot-isolated queries — the paper's framework operated with the
+// database changing underneath the queries.
 //
-// # Snapshot isolation by copy-on-write
+// A store is N >= 1 shards behind one router. A shard holds only what
+// must be per shard: its R-tree, object list, version and journal. The
+// router holds the rest once: the object map, the persistent
+// decomposition cache, the version, watchers, metrics and durability
+// coordinator — and, with N > 1, the global order and every object's
+// home shard. A one-shard store does no router work: its object list is
+// the global order and its snapshot engine binds its index directly.
 //
-// Queries never lock out writers and writers never tear queries: a
-// query binds to an immutable Snapshot (database slice + R-tree +
-// decomposition cache) published under a read lock, and the first
-// mutation after a snapshot was published detaches — it clones the
-// R-tree (O(n)) and copies the object slice, then mutates the private
-// copies. Consecutive mutations reuse the detached state, so a write
-// burst pays one clone; consecutive queries reuse the published
-// snapshot, so a read burst pays one publish. Every query therefore
-// observes a database state that existed atomically — never a
-// half-applied update — and returns results bit-identical to a fresh
-// Engine built from that state, at any Parallelism.
+// Sharding composes exactly: the complete-domination filter classifies
+// each object on its own (core.ClassifyRole reads one object, the
+// target and the reference), so per-shard filter outcomes merge into
+// the monolithic one — dominator and pruned counts add, influence sets
+// concatenate in canonical (object ID) order — and the kNN threshold
+// m_{k+1} and the RkNN impossibility count are order statistics and
+// sums of per-shard values. Results are bit-identical at any shard
+// count and Parallelism (the cross-shard equivalence suite enforces
+// this), while a mutation detaches only its home shard: O(n/N).
 //
-// # Cross-query work reuse
-//
-// The store keeps one persistent, versioned core.DecompCache pinning
-// the kd-tree decomposition of every database-resident object. Updates
-// and deletes invalidate per object; queries read through a per-call
-// overlay (query objects decompose into the overlay and die with it).
-// Repeated queries against a stable database therefore stop
-// re-splitting influence objects — the dominant shared work of the
-// refinement loop.
+// Queries bind to an immutable Snapshot; the first mutation of a shard
+// after a publish detaches it (clones its R-tree, copies its list), so
+// a write burst pays one clone and a read burst one publish. The
+// persistent decomposition cache pins every resident object's kd-split,
+// invalidated per object on update; queries read through a per-call
+// overlay. Move and Rebalance migrate objects online without changing
+// versions, change streams or any query result.
 type Store struct {
 	opts core.Options
+	part ShardFunc
 
 	mu      sync.RWMutex
-	db      uncertain.Database // private storage; detached from snapshots
-	index   *rtree.Tree[*uncertain.Object]
+	db      uncertain.Database // N > 1: global order, detached from snapshots; nil with one shard
 	byID    map[int]*uncertain.Object
+	home    map[int]int // N > 1: object ID -> shard; nil (every lookup 0) with one shard
 	cache   *core.DecompCache
 	version uint64
+	shards  []*shard
 	snap    *Snapshot // published snapshot; nil after a mutation
 
 	// obs is the store's query metric set; every snapshot engine the
-	// store publishes records into it, so counts accumulate across
-	// snapshots and mutations. Immutable after construction.
+	// store publishes records into it. Immutable after construction.
 	obs *Metrics
 
-	// journal, when non-nil, makes the store durable: every commit is
-	// journaled before it is applied (see OpenStore). closed rejects
-	// mutations after Close — they could no longer be journaled.
-	journal *storeJournal
-	closed  bool
+	// dur, when non-nil, makes the store durable: every commit is
+	// journaled on its shard before it is applied. closed rejects
+	// mutations after Close; failed latches a migration whose journals
+	// could not be brought back in line (see moveLocked).
+	dur    *durability
+	closed bool
+	failed error
 
-	watchers    []watcher
-	nextWatcher int
+	watchers []*func(Change) // registration order; unregistered by identity
 }
 
-// NewStore builds a store over db (objects must have unique IDs; the
-// slice is copied, the objects are shared and must not be mutated). The
-// index is STR bulk-loaded in O(n log n). Opts configures every query
-// the store serves, like Engine.Opts; Opts.SharedDecomps must be left
-// unset — the store manages its own persistent cache.
+// shard is the per-shard state; with one shard its list is the global
+// order.
+type shard struct {
+	db      uncertain.Database
+	index   *objTree
+	version uint64
+	journal *wal.Journal // nil in memory
+	snap    *Snapshot    // published cut of this shard; nil after it mutated
+}
+
+func (sh *shard) insert(o *uncertain.Object) {
+	sh.db = append(sh.db, o)
+	sh.index.Insert(o.MBR, o)
+}
+
+func (sh *shard) remove(o *uncertain.Object) {
+	sh.db = removeObject(sh.db, o)
+	sh.index.Delete(o.MBR, o)
+}
+
+// replace swaps old for o in place: the object keeps its list position
+// (query results are in database order).
+func (sh *shard) replace(old, o *uncertain.Object) {
+	replaceObject(sh.db, old, o)
+	sh.index.Delete(old.MBR, old)
+	sh.index.Insert(o.MBR, o)
+}
+
+func removeObject(db uncertain.Database, o *uncertain.Object) uncertain.Database {
+	if i := slices.Index(db, o); i >= 0 {
+		return slices.Delete(db, i, i+1)
+	}
+	return db
+}
+
+func replaceObject(db uncertain.Database, old, o *uncertain.Object) {
+	if i := slices.Index(db, old); i >= 0 {
+		db[i] = o
+	}
+}
+
+// ShardFunc deterministically assigns an object to one of n shards
+// (n >= 1). It must depend only on the object (typically its ID or
+// MBR), never on external state: the fuzzers replay routing decisions
+// and Rebalance re-applies the function to the live database.
+type ShardFunc func(o *uncertain.Object, n int) int
+
+// HashShards is the default router: FNV-1a over the object ID. It
+// balances load for arbitrary ID patterns and keeps an object's home
+// shard stable under Update.
+func HashShards(o *uncertain.Object, n int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	x := uint64(o.ID)
+	for i := 0; i < 8; i++ {
+		h ^= x & 0xff
+		h *= prime64
+		x >>= 8
+	}
+	return int(h % uint64(n))
+}
+
+// StripeShards returns a spatial router: the MBR center along dimension
+// dim is binned into n equal stripes of [lo, hi] (values outside clamp
+// to the border stripes). Spatially clustered queries then touch few
+// shards' worth of influence objects per filter probe; combine with
+// Rebalance when updates drift objects across stripe borders.
+func StripeShards(dim int, lo, hi float64) ShardFunc {
+	return func(o *uncertain.Object, n int) int {
+		if n <= 1 || hi <= lo || dim < 0 || dim >= len(o.MBR.Min) {
+			return 0
+		}
+		c := (o.MBR.Min[dim] + o.MBR.Max[dim]) / 2
+		return min(max(int(float64(n)*(c-lo)/(hi-lo)), 0), n-1)
+	}
+}
+
+// ShardedOptions configures the shard layout of a store.
+type ShardedOptions struct {
+	// Shards is the shard count; <= 0 selects 1 — except when opening a
+	// durable store, where 0 accepts whatever count the directory holds.
+	Shards int
+	// Partition routes objects to shards; nil selects HashShards.
+	Partition ShardFunc
+}
+
+// NewStore builds a one-shard store over db: NewShardedStore with
+// Shards: 1.
 func NewStore(db uncertain.Database, opts core.Options) (*Store, error) {
-	if opts.SharedDecomps != nil {
-		return nil, fmt.Errorf("store: Options.SharedDecomps must be unset (the store manages its own cache)")
+	return NewShardedStore(db, ShardedOptions{Shards: 1}, opts)
+}
+
+// NewShardedStore builds a store over db (objects must have unique
+// IDs; the slice is copied, the objects are shared and must not be
+// mutated). Every shard's index is STR bulk-loaded, concurrently across
+// shards. Opts configures every query the store serves, like
+// Engine.Opts; Opts.SharedDecomps must be left unset — the store
+// manages its own persistent cache.
+func NewShardedStore(db uncertain.Database, sopts ShardedOptions, opts core.Options) (*Store, error) {
+	s, err := newStore(sopts, opts, len(db))
+	if err != nil {
+		return nil, err
 	}
-	s := &Store{
-		opts:  opts,
-		db:    make(uncertain.Database, 0, len(db)),
-		byID:  make(map[int]*uncertain.Object, len(db)),
-		cache: core.NewDecompCache(opts.MaxHeight),
-		obs:   NewMetrics(),
-	}
+	parts := make([]uncertain.Database, len(s.shards))
 	for _, o := range db {
 		if o == nil {
-			return nil, fmt.Errorf("store: nil object")
+			return nil, errors.New("store: nil object")
 		}
 		if _, dup := s.byID[o.ID]; dup {
 			return nil, fmt.Errorf("store: duplicate object ID %d", o.ID)
 		}
+		si := s.shardFor(o)
 		s.byID[o.ID] = o
-		s.db = append(s.db, o)
 		s.cache.Add(o)
+		parts[si] = append(parts[si], o)
+		if s.home != nil {
+			s.home[o.ID] = si
+			s.db = append(s.db, o)
+		}
 	}
-	s.index = bulkIndex(s.db)
+	var wg sync.WaitGroup
+	for i, sh := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.db, sh.index = parts[i], bulkIndex(parts[i])
+		}()
+	}
+	wg.Wait()
 	return s, nil
+}
+
+// newStore builds an empty store with the shard layout of sopts, its
+// maps sized for n objects; the shards get neither objects nor an index
+// yet.
+func newStore(sopts ShardedOptions, opts core.Options, n int) (*Store, error) {
+	if opts.SharedDecomps != nil {
+		return nil, errors.New("store: Options.SharedDecomps must be unset (the store manages its own cache)")
+	}
+	s := &Store{
+		opts:   opts,
+		part:   sopts.Partition,
+		byID:   make(map[int]*uncertain.Object, n),
+		cache:  core.NewDecompCache(opts.MaxHeight),
+		obs:    NewMetrics(),
+		shards: make([]*shard, max(sopts.Shards, 1)),
+	}
+	if s.part == nil {
+		s.part = HashShards
+	}
+	if len(s.shards) > 1 {
+		s.home = make(map[int]int, n)
+	}
+	for i := range s.shards {
+		s.shards[i] = &shard{}
+	}
+	return s, nil
+}
+
+// shardFor routes an object, folding out-of-range partitioner results
+// back into [0, n).
+func (s *Store) shardFor(o *uncertain.Object) int {
+	n := len(s.shards)
+	if n == 1 {
+		return 0
+	}
+	i := s.part(o, n) % n
+	if i < 0 {
+		i += n
+	}
+	return i
+}
+
+// NumShards returns the shard count.
+func (s *Store) NumShards() int { return len(s.shards) }
+
+// ShardSizes returns the current number of objects per shard.
+func (s *Store) ShardSizes() []int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	sizes := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		sizes[i] = len(sh.db)
+	}
+	return sizes
+}
+
+// ShardOf returns the home shard of the object with the given ID.
+func (s *Store) ShardOf(id int) (int, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.byID[id]
+	return s.home[id], ok
 }
 
 // Len returns the number of stored objects.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.db)
+	return len(s.byID)
 }
 
 // Version returns the mutation epoch: it increments on every
-// Insert/Delete/Update, and a Snapshot carries the epoch it was
-// published at.
+// Insert/Delete/Update (migrations leave it untouched), and a Snapshot
+// carries the epoch it was published at.
 func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -155,8 +327,7 @@ func (k ChangeKind) String() string {
 // (same ID, distinct objects). Snap is the immutable database state
 // WITH the change applied — Snap.Version() == Version — so a consumer
 // replaying the change stream can evaluate every version exactly, even
-// when it lags behind the store head. Snap is a *Snapshot for Store
-// changes and a *ShardedSnapshot for ShardedStore changes.
+// when it lags behind the store head.
 type Change struct {
 	Version  uint64
 	Kind     ChangeKind
@@ -164,15 +335,16 @@ type Change struct {
 	Snap     SnapshotView
 }
 
-// SnapshotView is the read side every snapshot publisher exposes: an
-// immutable database state with a version stamp and a snapshot-bound
-// query engine. *Snapshot (one Store) and *ShardedSnapshot (a
-// ShardedStore's consistent cut across all shards) both implement it,
-// which is what lets change-stream consumers — package cq's Monitor in
-// particular — run unmodified over either backend.
+// SnapshotView is the read side of a snapshot: an immutable database
+// state with a version stamp and a snapshot-bound query engine.
+// *Snapshot implements it; change-stream consumers — package cq's
+// Monitor in particular — depend on this view only, so tests can feed
+// them a bare engine.
 type SnapshotView interface {
 	// Version returns the mutation epoch the snapshot was published at.
 	Version() uint64
+	// VersionVector returns the per-shard versions, nil with one shard.
+	VersionVector() []uint64
 	// Len returns the number of objects in the snapshot.
 	Len() int
 	// DB returns a copy of the snapshot's object slice (objects shared,
@@ -185,47 +357,35 @@ type SnapshotView interface {
 	BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error)
 }
 
-// watcher is one registered commit hook.
-type watcher struct {
-	id int
-	fn func(Change)
-}
-
 // Watch registers a commit hook and returns, atomically with the
 // registration, the snapshot of the current state: the callback will
 // observe exactly the changes with Version > Snap.Version(), gaplessly
-// and in version order. The returned stop function unregisters the
-// hook.
+// and in version order, each carrying the snapshot of its version
+// (whose version vector localizes the change to its shard). The
+// returned stop function unregisters the hook.
 //
 // The callback runs synchronously inside the mutation, while the store
 // lock is held: it must return quickly (hand the Change to a queue) and
 // must not call back into the Store — package cq's Monitor is the
 // intended consumer. While at least one watcher is registered every
 // mutation publishes a snapshot, so a write burst pays one copy-on-write
-// detach (an O(n) R-tree clone) per mutation instead of one per burst;
-// that is the price of a gapless per-version change stream.
+// detach per mutation instead of one per burst; that is the price of a
+// gapless per-version change stream.
 func (s *Store) Watch(fn func(Change)) (SnapshotView, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.nextWatcher
-	s.nextWatcher++
-	s.watchers = append(s.watchers, watcher{id: id, fn: fn})
+	w := &fn
+	s.watchers = append(s.watchers, w)
 	stop := func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for i, w := range s.watchers {
-			if w.id == id {
-				s.watchers = append(s.watchers[:i], s.watchers[i+1:]...)
-				return
-			}
-		}
+		s.watchers = slices.DeleteFunc(s.watchers, func(x *func(Change)) bool { return x == w })
 	}
 	return s.snapshotLocked(), stop
 }
 
-// notifyLocked delivers a committed change to every watcher, in
-// registration order. Requires s.mu held for writing, after the
-// mutation was applied and the version incremented.
+// notifyLocked delivers a committed change to every watcher. Requires
+// s.mu held for writing, after the mutation was applied.
 func (s *Store) notifyLocked(kind ChangeKind, old, new *uncertain.Object) {
 	if len(s.watchers) == 0 {
 		return
@@ -238,35 +398,36 @@ func (s *Store) notifyLocked(kind ChangeKind, old, new *uncertain.Object) {
 		Snap:    s.snapshotLocked(),
 	}
 	for _, w := range s.watchers {
-		w.fn(ch)
+		(*w)(ch)
 	}
 }
 
-// detachLocked makes the mutable state private again after a snapshot
-// was published: the published snapshot keeps the old slice and tree,
-// mutations proceed on copies. Requires s.mu held for writing.
-func (s *Store) detachLocked() {
-	if s.snap == nil {
-		return
+// detachLocked makes shard si (and the global order) private again
+// after a publish: the snapshot keeps the old lists and tree. Requires
+// s.mu held for writing.
+func (s *Store) detachLocked(si int) {
+	if s.snap != nil {
+		s.db = slices.Clone(s.db)
+		s.snap = nil
 	}
-	db := make(uncertain.Database, len(s.db))
-	copy(db, s.db)
-	s.db = db
-	s.index = s.index.Clone()
-	s.snap = nil
+	if sh := s.shards[si]; sh.snap != nil {
+		sh.db = slices.Clone(sh.db)
+		sh.index = sh.index.Clone()
+		sh.snap = nil
+	}
 }
 
-// Insert adds a new object; the ID must not be in use. The object is
-// shared with the store and must not be mutated afterwards. On a
-// durable store the commit is journaled before it is applied; a
-// journaling error leaves the store unchanged. Under wal.SyncAlways the
-// commit is acknowledged only once a group fsync covers its record —
-// possibly a concurrent committer's fsync — waited for after the store
-// lock is released, so committers share fsyncs instead of serializing
-// on them. A group-fsync failure is reported after the commit was
-// applied in memory; the journal wedges and every later commit fails.
+// Insert adds a new object, routing it to its partition shard; the ID
+// must not be in use. The object is shared with the store and must not
+// be mutated afterwards. On a durable store the commit is journaled
+// before it is applied; a journaling error leaves the store unchanged.
+// Under wal.SyncAlways the commit is acknowledged only once an fsync
+// covers its record — on a one-shard store possibly a concurrent
+// committer's group fsync, waited for after the store lock is released.
+// A group-fsync failure is reported after the commit was applied in
+// memory; the journal wedges and every later commit on its shard fails.
 func (s *Store) Insert(o *uncertain.Object) error {
-	return s.insertOp(context.Background(), o, wal.OpInsert, 0)
+	return s.InsertCtx(context.Background(), o)
 }
 
 // InsertCtx is Insert with a context: a trace attached via
@@ -275,61 +436,29 @@ func (s *Store) Insert(o *uncertain.Object) error {
 // context does not cancel the commit — a journaled commit always
 // applies.
 func (s *Store) InsertCtx(ctx context.Context, o *uncertain.Object) error {
-	return s.insertOp(ctx, o, wal.OpInsert, 0)
-}
-
-// insertOp is the insert body shared by the public path and the sharded
-// router (which passes the move op kinds and the router epoch for the
-// shard journals).
-func (s *Store) insertOp(ctx context.Context, o *uncertain.Object, op wal.Op, global uint64) error {
 	if o == nil {
-		return fmt.Errorf("store: nil object")
+		return errors.New("store: nil object")
 	}
 	s.mu.Lock()
 	if _, dup := s.byID[o.ID]; dup {
 		s.mu.Unlock()
 		return fmt.Errorf("store: duplicate object ID %d", o.ID)
 	}
-	seq, err := s.journalLocked(wal.Record{Op: op, Version: s.version + 1, Global: global, Obj: o})
+	si := s.shardFor(o)
+	seq, err := s.journalLocked(si, wal.Record{Op: wal.OpInsert, Obj: o}, s.version+1)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.detachLocked()
-	s.addLocked(o)
-	s.version++
-	s.notifyLocked(ChangeInsert, nil, o)
-	s.maybeCheckpointLocked()
-	sj := s.journal
-	s.mu.Unlock()
-	return waitDurableTraced(ctx, sj, seq)
-}
-
-// waitDurableTraced is the post-lock durability wait of a commit,
-// measured into the context's trace (when one is attached) as the
-// WAL-wait phase. The wait itself is unconditional — tracing never
-// changes commit semantics.
-func waitDurableTraced(ctx context.Context, sj *storeJournal, seq uint64) error {
-	if sj == nil || seq == 0 {
-		return nil
-	}
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		return sj.waitDurable(seq)
-	}
-	start := time.Now()
-	err := sj.waitDurable(seq)
-	tr.AddWALWait(time.Since(start))
-	return err
-}
-
-// addLocked links o into the slice, map, index and cache. Requires
-// s.mu held for writing and the state detached.
-func (s *Store) addLocked(o *uncertain.Object) {
+	s.detachLocked(si)
+	s.shards[si].insert(o)
 	s.byID[o.ID] = o
-	s.db = append(s.db, o)
-	s.index.Insert(o.MBR, o)
 	s.cache.Add(o)
+	if s.home != nil {
+		s.home[o.ID] = si
+		s.db = append(s.db, o)
+	}
+	return s.commitLocked(ctx, si, seq, ChangeInsert, nil, o)
 }
 
 // Delete removes the object with the given ID and reports whether one
@@ -337,7 +466,7 @@ func (s *Store) addLocked(o *uncertain.Object) {
 // DeleteErr; Delete itself keeps the boolean contract and leaves the
 // store unchanged when journaling fails.
 func (s *Store) Delete(id int) bool {
-	ok, _ := s.deleteOp(context.Background(), id, wal.OpDelete, 0)
+	ok, _ := s.DeleteErrCtx(context.Background(), id)
 	return ok
 }
 
@@ -347,58 +476,50 @@ func (s *Store) Delete(id int) bool {
 // under wal.SyncAlways, which is reported after the commit was applied
 // in memory (ok stays true and the journal wedges).
 func (s *Store) DeleteErr(id int) (bool, error) {
-	return s.deleteOp(context.Background(), id, wal.OpDelete, 0)
+	return s.DeleteErrCtx(context.Background(), id)
 }
 
 // DeleteErrCtx is DeleteErr with a context carrying an optional trace
 // (see InsertCtx).
 func (s *Store) DeleteErrCtx(ctx context.Context, id int) (bool, error) {
-	return s.deleteOp(ctx, id, wal.OpDelete, 0)
-}
-
-// deleteOp is the delete body shared by the public path and the sharded
-// router.
-func (s *Store) deleteOp(ctx context.Context, id int, op wal.Op, global uint64) (bool, error) {
 	s.mu.Lock()
 	o, ok := s.byID[id]
 	if !ok {
 		s.mu.Unlock()
 		return false, nil
 	}
-	seq, err := s.journalLocked(wal.Record{Op: op, Version: s.version + 1, Global: global, ID: id})
+	si := s.home[id]
+	seq, err := s.journalLocked(si, wal.Record{Op: wal.OpDelete, ID: id}, s.version+1)
 	if err != nil {
 		s.mu.Unlock()
 		return false, err
 	}
-	s.detachLocked()
-	s.removeLocked(o)
-	s.version++
-	s.notifyLocked(ChangeDelete, o, nil)
-	s.maybeCheckpointLocked()
-	sj := s.journal
-	s.mu.Unlock()
-	return true, waitDurableTraced(ctx, sj, seq)
+	s.detachLocked(si)
+	s.shards[si].remove(o)
+	delete(s.byID, id)
+	s.cache.Invalidate(o)
+	if s.home != nil {
+		delete(s.home, id)
+		s.db = removeObject(s.db, o)
+	}
+	return true, s.commitLocked(ctx, si, seq, ChangeDelete, o, nil)
 }
 
 // Update atomically replaces the object carrying o.ID with o: no query
 // ever observes the database with the old object gone and the new one
-// missing, or with both present. It returns an error when the ID is not
-// stored (use Insert for new objects).
+// missing, or with both present. The object keeps its home shard and
+// its database-order position even when the partitioner would now
+// route it elsewhere (Rebalance re-homes drifted objects). It returns
+// an error when the ID is not stored (use Insert for new objects).
 func (s *Store) Update(o *uncertain.Object) error {
-	return s.updateOp(context.Background(), o, 0)
+	return s.UpdateCtx(context.Background(), o)
 }
 
 // UpdateCtx is Update with a context carrying an optional trace (see
 // InsertCtx).
 func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
-	return s.updateOp(ctx, o, 0)
-}
-
-// updateOp is the update body shared by the public path and the sharded
-// router.
-func (s *Store) updateOp(ctx context.Context, o *uncertain.Object, global uint64) error {
 	if o == nil {
-		return fmt.Errorf("store: nil object")
+		return errors.New("store: nil object")
 	}
 	s.mu.Lock()
 	old, ok := s.byID[o.ID]
@@ -406,57 +527,166 @@ func (s *Store) updateOp(ctx context.Context, o *uncertain.Object, global uint64
 		s.mu.Unlock()
 		return fmt.Errorf("store: update of unknown object ID %d", o.ID)
 	}
-	seq, err := s.journalLocked(wal.Record{Op: wal.OpUpdate, Version: s.version + 1, Global: global, Obj: o})
+	si := s.home[o.ID]
+	seq, err := s.journalLocked(si, wal.Record{Op: wal.OpUpdate, Obj: o}, s.version+1)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.detachLocked()
-	s.replaceLocked(old, o)
-	s.version++
-	s.notifyLocked(ChangeUpdate, old, o)
-	s.maybeCheckpointLocked()
-	sj := s.journal
-	s.mu.Unlock()
-	return waitDurableTraced(ctx, sj, seq)
-}
-
-// replaceLocked swaps old for o in the slice, map, index and cache.
-// Requires s.mu held for writing and the state detached.
-func (s *Store) replaceLocked(old, o *uncertain.Object) {
-	// Replace the slot in place: the object keeps its database-order
-	// position (query results are in database order) and the update
-	// avoids the O(n) slice shift of a remove-and-append.
-	for i, x := range s.db {
-		if x == old {
-			s.db[i] = o
-			break
-		}
-	}
+	s.detachLocked(si)
+	s.shards[si].replace(old, o)
 	s.byID[o.ID] = o
-	s.index.Delete(old.MBR, old)
-	s.index.Insert(o.MBR, o)
 	s.cache.Invalidate(old)
 	s.cache.Add(o)
+	if s.home != nil {
+		replaceObject(s.db, old, o)
+	}
+	return s.commitLocked(ctx, si, seq, ChangeUpdate, old, o)
 }
 
-// removeLocked unlinks o from the slice, map, index and cache.
-// Requires s.mu held for writing and the state detached.
-func (s *Store) removeLocked(o *uncertain.Object) {
-	for i, x := range s.db {
-		if x == o {
-			s.db = append(s.db[:i], s.db[i+1:]...)
-			break
+// commitLocked finishes a logical mutation applied on shard si and
+// waits for its record to be durable. Requires s.mu held for writing;
+// returns with it released. One journal waits after the release, so
+// concurrent committers share fsyncs. Shard journals fsync
+// independently, so with more than one a commit stays under the lock
+// until durable: recovery must never find an acknowledged epoch past a
+// lost one.
+func (s *Store) commitLocked(ctx context.Context, si int, seq uint64, kind ChangeKind, old, new *uncertain.Object) error {
+	s.shards[si].version++
+	s.version++
+	s.notifyLocked(kind, old, new)
+	s.maybeCheckpointLocked()
+	j := s.shards[si].journal
+	if s.home != nil {
+		defer s.mu.Unlock()
+		return waitDurableTraced(ctx, j, seq)
+	}
+	s.mu.Unlock()
+	return waitDurableTraced(ctx, j, seq)
+}
+
+// waitDurableTraced is a commit's durability wait, measured into the
+// context's trace (if any) as its WAL-wait phase; tracing never changes
+// commit semantics.
+func waitDurableTraced(ctx context.Context, j *wal.Journal, seq uint64) error {
+	if j == nil || seq == 0 {
+		return nil
+	}
+	tr := obs.TraceFrom(ctx)
+	if tr == nil {
+		return j.WaitDurable(seq)
+	}
+	start := time.Now()
+	err := j.WaitDurable(seq)
+	tr.AddWALWait(time.Since(start))
+	return err
+}
+
+// Move migrates the object with the given ID to shard dst without
+// changing the logical database: versions, change streams and query
+// results are unaffected — in-flight queries keep their snapshots, new
+// queries see the object on its new shard with bit-identical bounds.
+func (s *Store) Move(id, dst int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if dst < 0 || dst >= len(s.shards) {
+		return fmt.Errorf("store: shard %d out of range [0, %d)", dst, len(s.shards))
+	}
+	if _, ok := s.byID[id]; !ok {
+		return fmt.Errorf("store: move of unknown object ID %d", id)
+	}
+	if src := s.home[id]; src != dst {
+		return s.moveLocked(id, src, dst)
+	}
+	return nil
+}
+
+// moveLocked migrates id from shard src to dst. Requires s.mu held for
+// writing. The move-in is durable BEFORE the move-out is journaled: a
+// crash between the two leaves the object on both shards — never on
+// neither — and recovery drops the dangling move-in's copy. A failed
+// move-out is rolled back with a compensating move-out on dst. If even
+// that fails, the copy is dropped in memory only — the state recovery
+// will rebuild — and the store latches: commits on top of the dangling
+// move-in could not be recovered, so every mutation, Sync and Close
+// returns the error while queries keep serving.
+func (s *Store) moveLocked(id, src, dst int) error {
+	o := s.byID[id]
+	if err := s.migrateLocked(dst, o, wal.OpMoveIn); err != nil {
+		return err
+	}
+	err := s.migrateLocked(src, o, wal.OpMoveOut)
+	if err == nil {
+		s.home[id] = dst
+		s.maybeCheckpointLocked()
+		return nil
+	}
+	// A latched store means the move-out may be durable after all (its
+	// fsync failed): compensating on dst could then lose the object.
+	if s.failed == nil {
+		uerr := s.migrateLocked(dst, o, wal.OpMoveOut)
+		if uerr == nil {
+			return err
+		}
+		s.failLocked(fmt.Errorf("store: move of object %d failed (%v) and could not be rolled back: %w", id, err, uerr))
+	}
+	s.shards[dst].remove(o)
+	return s.failed
+}
+
+// migrateLocked journals one half of a migration on shard si and
+// applies it once durable. A durability failure latches the store: the
+// record may or may not have reached the disk.
+func (s *Store) migrateLocked(si int, o *uncertain.Object, op wal.Op) error {
+	rec := wal.Record{Op: op, Obj: o}
+	if op == wal.OpMoveOut {
+		rec = wal.Record{Op: op, ID: o.ID}
+	}
+	seq, err := s.journalLocked(si, rec, s.version)
+	if err != nil {
+		return err
+	}
+	sh := s.shards[si]
+	if err := sh.journal.WaitDurable(seq); err != nil { // seq 0 (in memory) never waits
+		s.failLocked(err)
+		return err
+	}
+	s.detachLocked(si)
+	if op == wal.OpMoveIn {
+		sh.insert(o)
+	} else {
+		sh.remove(o)
+	}
+	sh.version++
+	return nil
+}
+
+// Rebalance re-applies the partitioner to every stored object and
+// migrates the ones whose current home differs, online, without
+// blocking queries (each published snapshot stays valid). It returns
+// the number of objects moved. On a durable store a migration that
+// fails stops the pass early (the logical database is unaffected — the
+// stragglers stay on their old shards); the error is deferred to the
+// next mutation, Sync or Close, like auto-checkpoint failures.
+func (s *Store) Rebalance() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	moved := 0
+	for _, o := range s.db {
+		dst := s.shardFor(o)
+		if src := s.home[o.ID]; src != dst {
+			if err := s.moveLocked(o.ID, src, dst); err != nil {
+				s.dur.noteCkptErr(err)
+				return moved
+			}
+			moved++
 		}
 	}
-	delete(s.byID, o.ID)
-	s.index.Delete(o.MBR, o)
-	s.cache.Invalidate(o)
+	return moved
 }
 
 // Snapshot publishes (or returns the already-published) immutable view
-// of the current database state. Snapshots stay valid — and their
-// queries consistent — regardless of later mutations.
+// of the current state; it stays valid whatever mutations follow.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.RLock()
 	snap := s.snap
@@ -469,20 +699,31 @@ func (s *Store) Snapshot() *Snapshot {
 	return s.snapshotLocked()
 }
 
-// snapshotLocked publishes (or returns) the snapshot of the current
-// state. Requires s.mu held for writing.
+// snapshotLocked publishes (or returns) the current snapshot: with one
+// shard, the shard's own cut. Requires s.mu held for writing.
 func (s *Store) snapshotLocked() *Snapshot {
-	if s.snap == nil {
-		s.snap = &Snapshot{
-			db:      s.db,
-			index:   s.index,
-			cache:   s.cache,
-			version: s.version,
-			opts:    s.opts,
-			obs:     s.obs,
-		}
+	if s.snap != nil {
+		return s.snap
 	}
+	if s.home == nil {
+		s.snap = s.cutLocked(s.shards[0])
+		return s.snap
+	}
+	cuts := make([]*Snapshot, len(s.shards))
+	for i, sh := range s.shards {
+		cuts[i] = s.cutLocked(sh)
+	}
+	s.snap = &Snapshot{db: s.db, shards: cuts, version: s.version, opts: s.opts, cache: s.cache, obs: s.obs}
 	return s.snap
+}
+
+// cutLocked publishes (or returns) the immutable snapshot of one shard.
+// Requires s.mu held for writing.
+func (s *Store) cutLocked(sh *shard) *Snapshot {
+	if sh.snap == nil {
+		sh.snap = &Snapshot{db: sh.db, index: sh.index, version: sh.version, opts: s.opts, cache: s.cache, obs: s.obs}
+	}
+	return sh.snap
 }
 
 // Metrics returns the store's query metric set: per-kind latency
@@ -493,16 +734,18 @@ func (s *Store) Metrics() *Metrics { return s.obs }
 
 // SetRecorder arms (or, with nil, disarms) the store's flight
 // recorder: slow queries above the SetSlowQueryThreshold record their
-// trace anatomy, and a durable store's checkpoint lifecycle and
-// durability events (pin, install, supersede, group-commit batches,
-// fsync stalls, deferred errors) flow into the same ring. Safe to call
-// while the store serves.
+// trace anatomy, and a durable store's checkpoint lifecycle and every
+// shard journal's durability events (pin, install, supersede,
+// group-commit batches, fsync stalls, deferred errors) flow into the
+// same ring. Safe to call while the store serves.
 func (s *Store) SetRecorder(rec *obs.Recorder) {
 	s.obs.SetRecorder(rec)
-	s.mu.RLock()
-	sj := s.journal
-	s.mu.RUnlock()
-	sj.setRecorder(rec)
+	if s.dur != nil {
+		s.dur.rec.Store(rec)
+	}
+	for _, sh := range s.shards {
+		sh.journal.SetRecorder(rec)
+	}
 }
 
 // SetSlowQueryThreshold arms the flight-recorder slow-query capture
@@ -511,34 +754,38 @@ func (s *Store) SetSlowQueryThreshold(d time.Duration) {
 	s.obs.SetSlowQueryThreshold(d)
 }
 
-// WALStats returns a snapshot of the journal metrics of a durable
-// store (append/fsync/checkpoint counts and latencies); ok is false on
-// an in-memory store.
+// WALStats returns the journal metrics of a durable store, merged
+// across its shard journals (append/fsync/checkpoint counts and
+// latencies); ok is false on an in-memory store.
 func (s *Store) WALStats() (wal.MetricsSnapshot, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.journal == nil {
+	if s.dur == nil {
 		return wal.MetricsSnapshot{}, false
 	}
-	return s.journal.j.MetricsSnapshot(), true
+	var out wal.MetricsSnapshot
+	for _, sh := range s.shards {
+		out.Merge(sh.journal.MetricsSnapshot())
+	}
+	return out, true
 }
 
-// Snapshot is one immutable database state published by a Store. All
-// queries on one snapshot see exactly the same objects and share the
-// store's persistent decomposition cache through one overlay.
+// Snapshot is one immutable database state published by a Store: with
+// one shard, its object list and index; with more, a consistent cut of
+// per-shard snapshots plus the global order at one epoch. All queries
+// on one snapshot see exactly the same objects.
 type Snapshot struct {
 	db      uncertain.Database
-	index   *rtree.Tree[*uncertain.Object]
-	cache   *core.DecompCache
+	index   *objTree    // the shard's index; nil on a multi-shard cut
+	shards  []*Snapshot // per-shard cuts; nil with one shard
 	version uint64
 	opts    core.Options
+	cache   *core.DecompCache
 	obs     *Metrics
 
 	engineOnce sync.Once
 	engine     *Engine
 
 	// Shard-stats cache (statsOnce): the index root MBR and whether
-	// every resident object certainly exists. A scatter-gather router
+	// every resident object certainly exists. A scatter-gather plane
 	// probes these once per snapshot to decide whole shards wholesale —
 	// the snapshot is immutable, so the answers never go stale.
 	statsOnce  sync.Once
@@ -563,31 +810,60 @@ func (sn *Snapshot) shardStats() (geom.Rect, bool, bool) {
 	return sn.rootMBR, sn.allCertain, sn.nonEmpty
 }
 
-// Version returns the store mutation epoch the snapshot was published
-// at.
+// Version returns the store mutation epoch (for a shard cut: the shard
+// version) the snapshot was published at.
 func (sn *Snapshot) Version() uint64 { return sn.version }
+
+// VersionVector returns the per-shard versions at the cut — the cursor
+// a merged change-stream consumer uses to localize a change to the one
+// shard that advanced — or nil for a one-shard cut, whose version is
+// the whole cursor.
+func (sn *Snapshot) VersionVector() []uint64 {
+	if sn.shards == nil {
+		return nil
+	}
+	vv := make([]uint64, len(sn.shards))
+	for i, c := range sn.shards {
+		vv[i] = c.version
+	}
+	return vv
+}
+
+// NumShards returns the shard count.
+func (sn *Snapshot) NumShards() int { return max(len(sn.shards), 1) }
+
+// Shard returns the immutable snapshot of shard i.
+func (sn *Snapshot) Shard(i int) *Snapshot {
+	if sn.shards == nil {
+		return sn
+	}
+	return sn.shards[i]
+}
 
 // Len returns the number of objects in the snapshot.
 func (sn *Snapshot) Len() int { return len(sn.db) }
 
-// DB returns a copy of the snapshot's object slice (the objects are
-// shared and must be treated as read-only).
+// DB returns a copy of the snapshot's object slice in database order
+// (the objects are shared and must be treated as read-only).
 func (sn *Snapshot) DB() uncertain.Database {
 	db := make(uncertain.Database, len(sn.db))
 	copy(db, sn.db)
 	return db
 }
 
-// Engine returns the snapshot-bound query engine. All queries issued on
-// it evaluate against this snapshot's state and reuse the store's
-// persistent decomposition cache (through per-query overlays); results
-// are bit-identical to a fresh Engine built from the same state, at any
-// Parallelism.
+// Engine returns the snapshot-bound query engine, reading the store's
+// persistent decomposition cache through per-query overlays. A
+// multi-shard snapshot's engine scatters the filter stage across the
+// shard indexes; results are bit-identical to a fresh Engine built from
+// the same state, at any shard count and Parallelism.
 func (sn *Snapshot) Engine() *Engine {
 	sn.engineOnce.Do(func() {
 		opts := sn.opts
 		opts.SharedDecomps = sn.cache
 		sn.engine = &Engine{DB: sn.db, Index: sn.index, Opts: opts, Obs: sn.obs}
+		if sn.shards != nil {
+			sn.engine.plane = &shardPlane{shards: sn.shards}
+		}
 	})
 	return sn.engine
 }
@@ -703,13 +979,7 @@ func (s *Store) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, err
 
 // BatchKNN is Store.BatchKNN pinned to this snapshot.
 func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
-	return batchKNN(sn.Engine(), ctx, reqs)
-}
-
-// batchKNN is the snapshot-agnostic batch body, shared by Snapshot and
-// ShardedSnapshot: the engine already carries the snapshot binding (and
-// the scatter-gather plane, for sharded snapshots).
-func batchKNN(e *Engine, ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
+	e := sn.Engine()
 	tr, pooled := e.Obs.traceFor(ctx)
 	start := time.Now()
 	// One cache overlay for the whole batch: influence objects come from
@@ -724,27 +994,25 @@ func batchKNN(e *Engine, ctx context.Context, reqs []KNNRequest) ([][]Match, err
 	}); err != nil {
 		return nil, err
 	}
+	// ends[i] is the end of job i's candidates in one flat index space:
+	// every request's candidates run on a single pool, so small queries
+	// do not serialize behind big ones and the pool never idles while
+	// work remains.
+	ends := make([]int, len(jobs))
 	total := 0
-	for _, j := range jobs {
+	for i, j := range jobs {
 		j.tr = tr
 		total += len(j.cands)
+		ends[i] = total
 	}
 	tr.AddCandidates(total)
 	e.Obs.countCandidates(total)
 	tr.AddPrepare(time.Since(start))
 	evalStart := time.Now()
-	// Flatten every request's candidates into one index space and run
-	// them on a single pool: small queries do not serialize behind big
-	// ones, and the pool never idles while work remains.
-	flat := make([]func(), 0, total)
-	for _, j := range jobs {
-		j := j
-		for i := range j.cands {
-			i := i
-			flat = append(flat, func() { j.eval(i) })
-		}
-	}
-	if err := forEach(ctx, e.parallelism(), len(flat), func(i int) { flat[i]() }); err != nil {
+	if err := forEach(ctx, e.parallelism(), total, func(i int) {
+		ji := sort.SearchInts(ends, i+1)
+		jobs[ji].eval(i - ends[ji] + len(jobs[ji].cands))
+	}); err != nil {
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))

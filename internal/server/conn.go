@@ -292,9 +292,9 @@ func stripTrace(rest [][]byte) ([][]byte, bool) {
 }
 
 // markQueue closes the traced command's queue span: dispatch start to
-// backend execution start, i.e. the server-side time spent parsing
+// store execution start, i.e. the server-side time spent parsing
 // arguments and decoding objects before the store saw the request.
-// Handlers call it immediately before invoking the backend.
+// Handlers call it immediately before invoking the store.
 func (c *conn) markQueue(ctx context.Context) {
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		tr.AddQueue(time.Since(c.qstart))
@@ -303,7 +303,7 @@ func (c *conn) markQueue(ctx context.Context) {
 
 // dispatch executes one command and enqueues its reply. Query and
 // mutation commands accept a trailing TRACE flag: the server threads an
-// obs.Trace through the backend call and appends the trace snapshot to
+// obs.Trace through the store call and appends the trace snapshot to
 // the reply as a second frame (see encodeTraceFrame).
 func (c *conn) dispatch(args [][]byte) {
 	cmd := string(bytes.ToUpper(args[0]))
@@ -332,19 +332,19 @@ func (c *conn) dispatch(args [][]byte) {
 	case "VERSION":
 		f = c.cmdVersion(rest)
 	case "LEN":
-		f = intf(int64(c.srv.backend.Len()))
+		f = intf(int64(c.srv.store.Len()))
 	case "GET":
 		f = c.cmdGet(rest)
 	case "INSERT":
-		f = c.cmdMutate(ctx, rest, c.srv.backend.InsertCtx)
+		f = c.cmdMutate(ctx, rest, c.srv.store.InsertCtx)
 	case "UPDATE":
-		f = c.cmdMutate(ctx, rest, c.srv.backend.UpdateCtx)
+		f = c.cmdMutate(ctx, rest, c.srv.store.UpdateCtx)
 	case "DELETE":
 		f = c.cmdDelete(ctx, rest)
 	case "KNN":
-		f = c.cmdThresholdQuery(ctx, rest, c.srv.backend.KNNCtx)
+		f = c.cmdThresholdQuery(ctx, rest, c.srv.store.KNNCtx)
 	case "RKNN":
-		f = c.cmdThresholdQuery(ctx, rest, c.srv.backend.RKNNCtx)
+		f = c.cmdThresholdQuery(ctx, rest, c.srv.store.RKNNCtx)
 	case "TOPKNN":
 		f = c.cmdTopKNN(ctx, rest)
 	case "INVRANK":
@@ -387,7 +387,7 @@ func (c *conn) cmdVersion(rest [][]byte) Frame {
 		return errf(codeBadArg, "VERSION takes no arguments")
 	}
 	return array(
-		intf(int64(c.srv.backend.Version())),
+		intf(int64(c.srv.store.Version())),
 		bulkStr(runtime.Version()),
 		intf(int64(runtime.GOMAXPROCS(0))),
 		intf(int64(time.Since(c.srv.started)/time.Second)),
@@ -427,7 +427,7 @@ func (c *conn) cmdGet(rest [][]byte) Frame {
 	if err != nil {
 		return errf(codeBadArg, "%v", err)
 	}
-	o, ok := c.srv.backend.Get(id)
+	o, ok := c.srv.store.Get(id)
 	if !ok {
 		return Frame{Type: TBulk, Null: true}
 	}
@@ -458,7 +458,7 @@ func (c *conn) cmdDelete(ctx context.Context, rest [][]byte) Frame {
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	found, err := c.srv.backend.DeleteErrCtx(ctx, id)
+	found, err := c.srv.store.DeleteErrCtx(ctx, id)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}
@@ -506,7 +506,7 @@ func (c *conn) cmdTopKNN(ctx context.Context, rest [][]byte) Frame {
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	ms, err := c.srv.backend.TopKNNCtx(ctx, q, k, m)
+	ms, err := c.srv.store.TopKNNCtx(ctx, q, k, m)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}
@@ -526,7 +526,7 @@ func (c *conn) cmdInvRank(ctx context.Context, rest [][]byte) Frame {
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	return EncodeRankDist(c.srv.backend.InverseRank(b, r))
+	return EncodeRankDist(c.srv.store.InverseRank(b, r))
 }
 
 // cmdBatch routes a whole pipeline of kNN queries onto the store's
@@ -559,7 +559,7 @@ func (c *conn) cmdBatch(ctx context.Context, rest [][]byte) Frame {
 		reqs[i] = query.KNNRequest{Q: q, K: k, Tau: tau}
 	}
 	c.markQueue(ctx)
-	results, err := c.srv.backend.BatchKNN(ctx, reqs)
+	results, err := c.srv.store.BatchKNN(ctx, reqs)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}

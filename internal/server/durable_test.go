@@ -307,7 +307,7 @@ func TestServerDurableRestart(t *testing.T) {
 
 // startServerManual is startServer without the cleanup registration —
 // for tests that close the server mid-test.
-func startServerManual(t *testing.T, backend server.Backend, opts server.Options) (*server.Server, string) {
+func startServerManual(t *testing.T, backend *query.Store, opts server.Options) (*server.Server, string) {
 	t.Helper()
 	srv := server.New(backend, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

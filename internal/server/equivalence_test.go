@@ -25,7 +25,7 @@ import (
 // candidate is one live server under test.
 type candidate struct {
 	name    string
-	backend server.Backend
+	backend *query.Store
 	cl      *client.Client
 	knnSub  *client.Sub
 	rknnSub *client.Sub

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"probprune/internal/obs"
-	"probprune/internal/query"
-	"probprune/internal/wal"
 )
 
 // commandNames is every command dispatch knows. The metric set is built
@@ -86,7 +84,7 @@ func (m *srvMetrics) points() []obs.MetricPoint {
 
 // MetricPoints assembles the full typed metric snapshot every surfacing
 // layer shares: server-side counters, session-registry gauges, cq
-// maintenance stats, the backend's query-engine and WAL metrics, and
+// maintenance stats, the store's query-engine and WAL metrics, and
 // process runtime gauges sampled at scrape time. The result is sorted
 // by name — STATS flattens it, the debug endpoint renders it as JSON,
 // and the Prometheus exposition renders it as text, all from this one
@@ -128,15 +126,9 @@ func (s *Server) MetricPoints() []obs.MetricPoint {
 		obs.MetricPoint{Name: "cq.cursor.compactions", Kind: obs.KindCounter, Value: int64(cs.CursorCompactions)},
 	)
 
-	if b, ok := s.backend.(interface{ Metrics() *query.Metrics }); ok {
-		pts = append(pts, b.Metrics().Registry().Points()...)
-	}
-	if b, ok := s.backend.(interface {
-		WALStats() (wal.MetricsSnapshot, bool)
-	}); ok {
-		if ws, have := b.WALStats(); have {
-			pts = append(pts, ws.Points()...)
-		}
+	pts = append(pts, s.store.Metrics().Registry().Points()...)
+	if ws, ok := s.store.WALStats(); ok {
+		pts = append(pts, ws.Points()...)
 	}
 
 	pts = append(pts, s.runtimePoints()...)

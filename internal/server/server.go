@@ -12,36 +12,7 @@ import (
 	"probprune/internal/cq"
 	"probprune/internal/obs"
 	"probprune/internal/query"
-	"probprune/internal/uncertain"
 )
-
-// Backend is the store surface the server serves. Both *query.Store and
-// *query.ShardedStore satisfy it — the server adds a wire, never its
-// own query semantics, so everything it answers is bit-identical to
-// calling the backend in process (the equivalence test tier enforces
-// this across both backends).
-type Backend interface {
-	cq.Source // Watch + Version, for the subscription monitor
-
-	Insert(o *uncertain.Object) error
-	Update(o *uncertain.Object) error
-	DeleteErr(id int) (bool, error)
-	Get(id int) (*uncertain.Object, bool)
-	Len() int
-
-	// The context-threading mutation variants carry an obs.Trace for the
-	// TRACE protocol flag: a traced INSERT measures its WAL-wait span
-	// (group-commit fsync) and ships it back to the client.
-	InsertCtx(ctx context.Context, o *uncertain.Object) error
-	UpdateCtx(ctx context.Context, o *uncertain.Object) error
-	DeleteErrCtx(ctx context.Context, id int) (bool, error)
-
-	KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]query.Match, error)
-	RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]query.Match, error)
-	TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) ([]query.Match, error)
-	InverseRank(b, r *uncertain.Object) *query.RankDistribution
-	BatchKNN(ctx context.Context, reqs []query.KNNRequest) ([][]query.Match, error)
-}
 
 // Options configures a Server.
 type Options struct {
@@ -144,15 +115,18 @@ const (
 	ModeContinue = "continue"
 )
 
-// Server serves the protocol of this package over a Backend. Construct
-// with New, start with Serve or ListenAndServe, stop with Close.
+// Server serves the protocol of this package over a *query.Store at any
+// shard count. The server adds a wire, never its own query semantics,
+// so everything it answers is bit-identical to calling the store in
+// process (the equivalence test tier enforces this). Construct with
+// New, start with Serve or ListenAndServe, stop with Close.
 //
 // One cq.Monitor (and thus one maintenance worker) is shared by all
 // connections; subscription sessions live in the server's registry so
 // they survive the connections that created them (see subs.go).
 type Server struct {
 	opts    Options
-	backend Backend
+	store   *query.Store
 	mon     *cq.Monitor
 	metrics *srvMetrics
 	rec     *obs.Recorder
@@ -175,10 +149,10 @@ type Server struct {
 	closed   bool
 }
 
-// New wraps backend in a server. The subscription monitor attaches
+// New wraps store in a server. The subscription monitor attaches
 // immediately (mutations from now on publish snapshots); the server
 // owns it until Close.
-func New(backend Backend, opts Options) *Server {
+func New(store *query.Store, opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	log := opts.Logger
 	if log == nil {
@@ -186,7 +160,7 @@ func New(backend Backend, opts Options) *Server {
 	}
 	s := &Server{
 		opts:     opts,
-		backend:  backend,
+		store:    store,
 		metrics:  newSrvMetrics(),
 		rec:      obs.NewRecorder(opts.recorderSize()),
 		started:  time.Now(),
@@ -198,17 +172,12 @@ func New(backend Backend, opts Options) *Server {
 		named:    make(map[string]*subState),
 	}
 	// The flight recorder is server-owned but records store-side events
-	// too: backends that can carry one (both stores do) get it installed,
-	// along with the slow-query capture threshold.
-	if b, ok := backend.(interface{ SetRecorder(*obs.Recorder) }); ok {
-		b.SetRecorder(s.rec)
-	}
+	// too, along with the slow-query capture.
+	store.SetRecorder(s.rec)
 	if opts.SlowQuery > 0 {
-		if b, ok := backend.(interface{ SetSlowQueryThreshold(time.Duration) }); ok {
-			b.SetSlowQueryThreshold(opts.SlowQuery)
-		}
+		store.SetSlowQueryThreshold(opts.SlowQuery)
 	}
-	s.mon = cq.NewMonitor(backend, cq.Options{
+	s.mon = cq.NewMonitor(store, cq.Options{
 		Buffer:      opts.subBuffer(),
 		Policy:      cq.DisconnectSlow, // sessions drain promptly; never gap silently
 		CursorPath:  opts.CursorPath,

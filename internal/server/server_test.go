@@ -45,7 +45,7 @@ func testDB(seed int64, n int) uncertain.Database {
 
 // startServer serves backend on a loopback listener and tears
 // everything down with the test.
-func startServer(t *testing.T, backend server.Backend, opts server.Options) (*server.Server, string) {
+func startServer(t *testing.T, backend *query.Store, opts server.Options) (*server.Server, string) {
 	t.Helper()
 	srv := server.New(backend, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -400,7 +400,7 @@ func drainAll(t *testing.T, sub *client.Sub) []server.EventMsg {
 // initialResultIDs returns the IDs a fresh subscription must announce
 // as its initial result set, from an in-process query at the current
 // version.
-func initialResultIDs(t *testing.T, backend server.Backend, q *uncertain.Object, k int, tau float64) map[int]bool {
+func initialResultIDs(t *testing.T, backend *query.Store, q *uncertain.Object, k int, tau float64) map[int]bool {
 	t.Helper()
 	ms, err := backend.KNNCtx(context.Background(), q, k, tau)
 	if err != nil {

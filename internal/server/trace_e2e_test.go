@@ -17,12 +17,12 @@ import (
 // TestTraceWireEquivalence: a KNN ... TRACE round trip over real TCP
 // returns the same query anatomy an in-process traced KNNCtx records —
 // the wire adds transport, not a different execution. Covered for both
-// the single Store and the ShardedStore backends.
+// a one-shard and a 4-shard Store.
 func TestTraceWireEquivalence(t *testing.T) {
 	db := testDB(11, 48)
 	q := testObj(rand.New(rand.NewSource(77)), -1)
 
-	backends := map[string]server.Backend{}
+	backends := map[string]*query.Store{}
 	store, err := query.NewStore(db, testOpts)
 	if err != nil {
 		t.Fatal(err)

@@ -61,9 +61,9 @@ type Record struct {
 	// Version is the owning store's mutation epoch AFTER applying the
 	// record; replay validates it is exactly one past the current epoch.
 	Version uint64
-	// Global is the router epoch after the commit when the owning store
-	// is a shard of a ShardedStore, zero otherwise. Merging the shards'
-	// logical records by Global reconstructs the router's global
+	// Global is the store epoch after the commit when the journal is one
+	// shard of a multi-shard store, zero otherwise. Merging the shards'
+	// logical records by Global reconstructs the store's global
 	// insertion order exactly.
 	Global uint64
 	// ID is the mutated object's ID for the body-less ops

@@ -58,7 +58,7 @@
 // NewDecompCache with Options.SharedDecomps shares every decomposition
 // (operands and influence objects) across the runs handed the cache.
 //
-// # Live stores and batch queries
+// # Live stores
 //
 // Engine evaluates a frozen Database. Store is the serving-path
 // counterpart: a concurrent, mutable store with Insert/Delete/Update
@@ -72,33 +72,27 @@
 //	matches := store.KNN(q, 5, 0.5)          // snapshot-isolated
 //	results, _ := store.BatchKNN(ctx, reqs)  // amortized batch
 //
-// Store results are bit-identical to a fresh Engine built from the same
-// state, at any Parallelism.
-//
-// # Sharding
-//
-// ShardedStore partitions a live store across N independent shards
-// behind a scatter-gather router. The paper's filter bounds merge
-// exactly across partitions (dominator counts sum, influence sets
-// concatenate in canonical order), so sharded results are bit-identical
-// to an unsharded Store at any shard count, while each mutation pays
-// only its home shard's copy-on-write detach and Move/Rebalance migrate
-// objects online without disturbing queries or change streams:
+// A store is N >= 1 shards behind one router (NewStore is N = 1). The
+// paper's filter bounds merge exactly across partitions (dominator
+// counts sum, influence sets concatenate in canonical order), so
+// results are bit-identical to a fresh Engine over the same state at
+// any shard count and any Parallelism, while each mutation pays only
+// its home shard's copy-on-write detach and Move/Rebalance migrate
+// objects online without disturbing queries or change streams. A
+// one-shard store does no router work at all:
 //
 //	sharded, _ := probprune.NewShardedStore(db,
 //	    probprune.ShardedOptions{Shards: 8}, probprune.Options{})
 //	sharded.Insert(obj)                   // routed to its home shard
-//	matches := sharded.KNN(q, 5, 0.5)     // scatter-gather, bit-identical
 //	moved := sharded.Rebalance()          // online, result-invariant
 //
-// # Durability
-//
-// Stores opened with BootstrapStore/OpenStore (and their sharded
-// twins) journal every commit to a segmented, CRC-framed write-ahead
-// log before it applies, and compact the log into checkpoint snapshots
-// persisting the database and the decomposition cache. Reopening after
-// a crash recovers bit-identically, stopping cleanly at the last
-// intact record:
+// Stores created with BootstrapStore/BootstrapShardedStore journal
+// every commit to a segmented, CRC-framed write-ahead log before it
+// applies, and compact the log into checkpoints persisting the database
+// and the decomposition cache. A one-shard store journals in its
+// directory; a multi-shard one keeps a journal per shard (shard-0, ...)
+// plus a MANIFEST. Opening reads the layout from the directory,
+// recovers bit-identically and stops cleanly at the last intact record:
 //
 //	popts := probprune.PersistOptions{Dir: "data/db", CheckpointEvery: 4096}
 //	store, _ := probprune.BootstrapStore(db, popts, probprune.Options{})
@@ -311,36 +305,58 @@ func NewEngine(db Database, opts Options) *Engine {
 	return query.NewEngine(db, opts)
 }
 
-// Live store: a concurrent, mutable database serving snapshot-isolated
-// queries (see internal/query.Store).
+// Live store: a concurrent, mutable database of N >= 1 shards serving
+// snapshot-isolated queries (see internal/query.Store).
 type (
 	// Store is a concurrent uncertain-object store with live ingest
 	// (Insert/Delete/Update), snapshot-isolated queries and cross-query
-	// decomposition reuse. Its snapshot queries are bit-identical to a
-	// fresh Engine over the same state, at any Parallelism.
+	// decomposition reuse, partitioned across N >= 1 shards. Its
+	// snapshot queries are bit-identical to a fresh Engine over the same
+	// state, at any shard count and Parallelism.
 	Store = query.Store
 	// StoreSnapshot is one immutable database state published by a
-	// Store; all queries on it observe exactly the same objects.
+	// Store — with several shards, a consistent cut with a per-shard
+	// version vector; all queries on it observe exactly the same objects.
 	StoreSnapshot = query.Snapshot
 	// KNNRequest is one query of a Store.BatchKNN batch.
 	KNNRequest = query.KNNRequest
+	// ShardedOptions configures shard count and the partitioner of a
+	// Store.
+	ShardedOptions = query.ShardedOptions
+	// ShardFunc deterministically routes an object to one of n shards.
+	ShardFunc = query.ShardFunc
+	// SnapshotView is the read side of a snapshot that change-stream
+	// consumers depend on; *StoreSnapshot implements it.
+	SnapshotView = query.SnapshotView
 )
 
-// NewStore builds a live store over db (unique object IDs required; the
-// index is STR bulk-loaded). Opts configures every query the store
-// serves; Opts.SharedDecomps must be left unset.
+// NewStore builds a one-shard live store over db (unique object IDs
+// required; the index is STR bulk-loaded). Opts configures every query
+// the store serves; Opts.SharedDecomps must be left unset.
 func NewStore(db Database, opts Options) (*Store, error) {
 	return query.NewStore(db, opts)
 }
 
-// Durability: stores opened with OpenStore/OpenShardedStore journal
-// every commit to a segmented, CRC-framed write-ahead log before the
-// copy-on-write publish, and periodically compact the log into
-// checkpoint snapshots that persist the object database AND the
-// decomposition cache. Reopening recovers bit-identically — same
-// versions, same database order, same query answers — stopping cleanly
-// at the last intact record after a torn tail write. See the README's
-// "Durability" section.
+// NewShardedStore builds a live store of sopts.Shards shards over db
+// (shards are STR bulk-loaded concurrently). The zero ShardedOptions
+// selects one shard and hash partitioning.
+func NewShardedStore(db Database, sopts ShardedOptions, opts Options) (*Store, error) {
+	return query.NewShardedStore(db, sopts, opts)
+}
+
+// HashShards is the default shard router: FNV-1a over the object ID.
+func HashShards(o *Object, n int) int {
+	return query.HashShards(o, n)
+}
+
+// StripeShards returns a spatial shard router binning the MBR center
+// along dimension dim into n equal stripes of [lo, hi].
+func StripeShards(dim int, lo, hi float64) ShardFunc {
+	return query.StripeShards(dim, lo, hi)
+}
+
+// Durability: see the package documentation and the README's "Live
+// stores" section.
 type (
 	// PersistOptions configures the journal directory, fsync policy and
 	// checkpoint cadence of a durable store.
@@ -360,75 +376,29 @@ const (
 )
 
 // OpenStore opens (or initializes) a durable store rooted at
-// popts.Dir, recovering the newest checkpoint plus the journal tail.
+// popts.Dir, recovering whatever layout the directory holds (one shard
+// for a fresh directory).
 func OpenStore(popts PersistOptions, opts Options) (*Store, error) {
 	return query.OpenStore(popts, opts)
 }
 
-// BootstrapStore creates a new durable store over db at popts.Dir,
-// writing the initial database as the first checkpoint. It refuses a
-// directory that already holds a journal (use OpenStore).
+// BootstrapStore creates a new durable one-shard store over db at
+// popts.Dir, writing the initial database as the first checkpoint. It
+// refuses a directory that already holds a store (use OpenStore).
 func BootstrapStore(db Database, popts PersistOptions, opts Options) (*Store, error) {
 	return query.BootstrapStore(db, popts, opts)
 }
 
-// OpenShardedStore opens (or initializes) a durable sharded store: one
-// journal per shard plus a manifest with the version vector; shards
-// recover in parallel and the router merges their logical records to
-// rebuild the exact global order. sopts.Partition must be the
-// partitioner the store was created with.
-func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts Options) (*ShardedStore, error) {
+// OpenShardedStore is OpenStore with the shard layout spelled out:
+// sopts.Shards, when non-zero, must match the directory, and
+// sopts.Partition must be the partitioner the store was created with.
+func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts Options) (*Store, error) {
 	return query.OpenShardedStore(popts, sopts, opts)
 }
 
-// BootstrapShardedStore creates a new durable sharded store over db at
-// popts.Dir. It refuses a directory that already holds a manifest (use
-// OpenShardedStore).
-func BootstrapShardedStore(db Database, popts PersistOptions, sopts ShardedOptions, opts Options) (*ShardedStore, error) {
+// BootstrapShardedStore is BootstrapStore with sopts' shard layout.
+func BootstrapShardedStore(db Database, popts PersistOptions, sopts ShardedOptions, opts Options) (*Store, error) {
 	return query.BootstrapShardedStore(db, popts, sopts, opts)
-}
-
-// Sharded store: N independent Store shards behind a scatter-gather
-// router (see internal/query.ShardedStore and the README's "Sharding"
-// section for the bound-merge argument).
-type (
-	// ShardedStore partitions a live store across N shards, each a full
-	// Store with its own R-tree, decomposition cache and copy-on-write
-	// snapshots. Queries scatter the paper's filter bounds per shard,
-	// merge them canonically and refine once per surviving candidate —
-	// results are bit-identical to an unsharded Store at any shard
-	// count. Mutations pay the O(n/N) detach of their home shard only;
-	// Move/Rebalance migrate objects online.
-	ShardedStore = query.ShardedStore
-	// ShardedSnapshot is one immutable, consistent cut across all
-	// shards of a ShardedStore, with a per-shard version vector.
-	ShardedSnapshot = query.ShardedSnapshot
-	// ShardedOptions configures shard count and the partitioner of a
-	// ShardedStore.
-	ShardedOptions = query.ShardedOptions
-	// ShardFunc deterministically routes an object to one of n shards.
-	ShardFunc = query.ShardFunc
-	// SnapshotView is the read side every snapshot publisher exposes;
-	// *StoreSnapshot and *ShardedSnapshot both implement it.
-	SnapshotView = query.SnapshotView
-)
-
-// NewShardedStore builds a sharded live store over db (unique object
-// IDs required; shards are STR bulk-loaded concurrently). The zero
-// ShardedOptions selects one shard and hash partitioning.
-func NewShardedStore(db Database, sopts ShardedOptions, opts Options) (*ShardedStore, error) {
-	return query.NewShardedStore(db, sopts, opts)
-}
-
-// HashShards is the default shard router: FNV-1a over the object ID.
-func HashShards(o *Object, n int) int {
-	return query.HashShards(o, n)
-}
-
-// StripeShards returns a spatial shard router binning the MBR center
-// along dimension dim into n equal stripes of [lo, hi].
-func StripeShards(dim int, lo, hi float64) ShardFunc {
-	return query.StripeShards(dim, lo, hi)
 }
 
 // Continuous queries: standing KNN/RkNN subscriptions over a Store,
@@ -461,8 +431,8 @@ type (
 	Change = query.Change
 	// ChangeKind distinguishes insert, update and delete changes.
 	ChangeKind = query.ChangeKind
-	// MonitorSource is the store side a Monitor consumes; *Store and
-	// *ShardedStore both satisfy it.
+	// MonitorSource is the store side a Monitor consumes; *Store
+	// satisfies it at any shard count.
 	MonitorSource = cq.Source
 )
 
@@ -493,9 +463,9 @@ var (
 	ErrCursorMismatch = cq.ErrCursorMismatch
 )
 
-// NewMonitor attaches a continuous-query monitor to a store — a Store
-// or a ShardedStore (merged multi-shard change stream, tracked by a
-// version-vector cursor). Register standing queries with
+// NewMonitor attaches a continuous-query monitor to a store (with
+// several shards: its merged change stream, tracked by a version-vector
+// cursor). Register standing queries with
 // SubscribeKNN/SubscribeRKNN, release with Close.
 func NewMonitor(store MonitorSource, opts MonitorOptions) *Monitor {
 	return cq.NewMonitor(store, opts)

@@ -9,7 +9,7 @@ import (
 )
 
 // backend is one of the four public query backends — frozen Engine,
-// live Store, sharded ShardedStore, and a durable Store written to
+// live Store, a 4-shard Store, and a durable Store written to
 // disk, closed and reopened — exposed through the common Engine
 // surface, so every root-level API test body runs unchanged (and must
 // pass identically) against each.

@@ -9,8 +9,8 @@ import (
 	"probprune"
 )
 
-// A ShardedStore partitions the database across independent shards and
-// answers every query by scatter-gather with canonical bound merging —
+// A multi-shard Store partitions the database across independent shards
+// and answers every query by scatter-gather with canonical bound merging —
 // bit-identical to an unsharded Store over the same state.
 func ExampleNewShardedStore() {
 	db := probprune.Database{
@@ -37,7 +37,7 @@ func ExampleNewShardedStore() {
 
 // Rebalance re-homes objects whose spatial stripe drifted under
 // updates, online and without changing any query result.
-func ExampleShardedStore_Rebalance() {
+func ExampleStore_Rebalance() {
 	db := probprune.Database{
 		probprune.PointObject(1, probprune.Point{1, 0}),
 		probprune.PointObject(2, probprune.Point{2, 0}),
@@ -114,9 +114,9 @@ func TestShardedStoreFacade(t *testing.T) {
 		t.Fatalf("watch delivered %d changes, want 6", len(changes))
 	}
 	for i, ch := range changes {
-		ss, ok := ch.Snap.(*probprune.ShardedSnapshot)
+		ss, ok := ch.Snap.(*probprune.StoreSnapshot)
 		if !ok {
-			t.Fatalf("change %d snapshot is %T, want *ShardedSnapshot", i, ch.Snap)
+			t.Fatalf("change %d snapshot is %T, want *StoreSnapshot", i, ch.Snap)
 		}
 		if got := ss.VersionVector(); len(got) != 3 {
 			t.Fatalf("change %d version vector has %d entries", i, len(got))
