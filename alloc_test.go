@@ -13,6 +13,7 @@ package probprune_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -103,6 +104,90 @@ func TestShardedWarmKNNAllocCeiling(t *testing.T) {
 		t.Fatalf("4-shard StoreWarmKNN allocated %.0f times per query, ceiling 400", allocs)
 	}
 	t.Logf("4-shard StoreWarmKNN: %.0f allocs per query (ceiling 400)", allocs)
+}
+
+// watchedStore builds the write path of a served store: a volatile
+// one-shard Store of 10^4 8-sample objects (extent 0.004) with a Watch
+// hook attached, as udbserver attaches its continuous-query monitor at
+// start, so every commit publishes a snapshot and the next one detaches
+// the shard from it. It returns the store and a ring of seeded drift
+// updates: each moves a random object a small step, 8 fresh samples in
+// a box of the same extent, reflecting at the unit-square borders.
+func watchedStore(tb testing.TB) (*probprune.Store, []*probprune.Object) {
+	tb.Helper()
+	const (
+		n      = 10000
+		extent = 0.004
+	)
+	db, err := probprune.Synthetic(probprune.SyntheticConfig{N: n, Samples: 8, MaxExtent: extent, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := probprune.NewStore(db, probprune.Options{MaxIterations: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// The publish and the detach it forces are the cost; what the hook
+	// does with the change is not.
+	s.Watch(func(probprune.Change) {})
+
+	reflect := func(c float64) float64 { return min(max(c, -c), 2-c) } // mirror into [0, 1]
+	rng := rand.New(rand.NewSource(5))
+	cur := append(probprune.Database(nil), db...) // Synthetic IDs are indexes
+	updates := make([]*probprune.Object, 1024)
+	for i := range updates {
+		o := cur[rng.Intn(n)]
+		cx := reflect((o.MBR.Min[0]+o.MBR.Max[0])/2 + (rng.Float64()-0.5)*0.01)
+		cy := reflect((o.MBR.Min[1]+o.MBR.Max[1])/2 + (rng.Float64()-0.5)*0.01)
+		pts := make([]probprune.Point, 8)
+		for j := range pts {
+			pts[j] = probprune.Point{cx + (rng.Float64()-0.5)*extent, cy + (rng.Float64()-0.5)*extent}
+		}
+		if updates[i], err = probprune.NewObject(o.ID, pts); err != nil {
+			tb.Fatal(err)
+		}
+		cur[o.ID] = updates[i]
+	}
+	return s, updates
+}
+
+// TestStoreWatchedUpdateAllocCeiling: a watched Update copies only the
+// R-tree pages the commit writes (plus the shard's object list), not
+// the whole index, so it allocates at most 160 KB at 10^4 objects — the
+// whole-tree clone it replaced cost ~700 KB per Update.
+func TestStoreWatchedUpdateAllocCeiling(t *testing.T) {
+	s, updates := watchedStore(t)
+	for _, o := range updates[:128] { // warm the tree's mutation scratch
+		if err := s.Update(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, o := range updates {
+		if err := s.Update(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(updates))
+	if perOp > 160e3 {
+		t.Fatalf("watched Update allocated %.0f B per op, ceiling 160000", perOp)
+	}
+	t.Logf("watched Update: %.0f B per op (ceiling 160000)", perOp)
+}
+
+// BenchmarkStoreWatchedUpdate: the commit cost TestStoreWatchedUpdateAllocCeiling
+// bounds, in time and bytes per Update.
+func BenchmarkStoreWatchedUpdate(b *testing.B) {
+	s, updates := watchedStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Update(updates[i%len(updates)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestStoreBatchKNNAllocCeiling: a 16-request BatchKNN pools the

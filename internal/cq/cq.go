@@ -143,8 +143,9 @@ type Source interface {
 // result. The monitor owns a background worker until Close.
 //
 // While a monitor is attached every store mutation publishes a snapshot
-// (see Store.Watch), so write bursts pay one copy-on-write detach per
-// mutation — the cost of a gapless per-version subscription feed.
+// (see Store.Watch), so every commit pays one copy-on-write detach — a
+// copy of the shard's object list plus the R-tree pages the commit
+// writes — the cost of a gapless per-version subscription feed.
 func NewMonitor(store Source, opts Options) *Monitor {
 	m := &Monitor{
 		store:     store,

@@ -40,8 +40,10 @@ import (
 // this), while a mutation detaches only its home shard: O(n/N).
 //
 // Queries bind to an immutable Snapshot; the first mutation of a shard
-// after a publish detaches it (clones its R-tree, copies its list), so
-// a write burst pays one clone and a read burst one publish. The
+// after a publish detaches it: its object list is copied and its R-tree
+// cloned, which copies only the page table — the commit then copies the
+// tree pages it writes, so a detach costs the pages touched plus the
+// list, not the tree. A read burst pays one publish. The
 // persistent decomposition cache pins every resident object's kd-split,
 // invalidated per object on update; queries read through a per-call
 // overlay. Move and Rebalance migrate objects online without changing
@@ -368,9 +370,10 @@ type SnapshotView interface {
 // lock is held: it must return quickly (hand the Change to a queue) and
 // must not call back into the Store — package cq's Monitor is the
 // intended consumer. While at least one watcher is registered every
-// mutation publishes a snapshot, so a write burst pays one copy-on-write
-// detach per mutation instead of one per burst; that is the price of a
-// gapless per-version change stream.
+// mutation publishes a snapshot, so every commit pays one copy-on-write
+// detach: a copy of the shard's object list plus the R-tree pages the
+// commit writes. That is the price of a gapless per-version change
+// stream.
 func (s *Store) Watch(fn func(Change)) (SnapshotView, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -403,7 +406,8 @@ func (s *Store) notifyLocked(kind ChangeKind, old, new *uncertain.Object) {
 }
 
 // detachLocked makes shard si (and the global order) private again
-// after a publish: the snapshot keeps the old lists and tree. Requires
+// after a publish: the snapshot keeps the old lists and tree, the store
+// continues on copies — the tree's pages shared until written. Requires
 // s.mu held for writing.
 func (s *Store) detachLocked(si int) {
 	if s.snap != nil {

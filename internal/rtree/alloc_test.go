@@ -16,7 +16,7 @@ import (
 // TestNearbyWithZeroAlloc: a warm NearbyWith traversal is allocation
 // free — the queue lives in the reused buffer, heap items are plain
 // values, and the rectangles handed out are views into the tree's
-// packed arrays.
+// pages.
 func TestNearbyWithZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := New[int]()
@@ -66,8 +66,9 @@ func TestWalkZeroAlloc(t *testing.T) {
 }
 
 // TestInsertAllocsBounded: steady-state inserts into a grown tree cost
-// a bounded handful of allocations (array growth is amortized; split
-// scratch is retained on the tree).
+// a bounded handful of allocations (a new page every 8 nodes and
+// page-table growth are amortized; split scratch is retained on the
+// tree).
 func TestInsertAllocsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr := New[int]()
@@ -79,9 +80,8 @@ func TestInsertAllocsBounded(t *testing.T) {
 		tr.Insert(randRect(rng, 2), i)
 		i++
 	})
-	// Amortized growth of the five packed arrays plus the free list;
-	// per-entry allocation (the pointer tree's entry boxes) would blow
-	// far past this.
+	// Amortized pages, page table and free list; per-entry allocation
+	// (the pointer tree's entry boxes) would blow far past this.
 	if allocs > 2 {
 		t.Fatalf("steady-state Insert allocated %.1f times per run, want <= 2", allocs)
 	}
@@ -92,9 +92,9 @@ func TestInsertAllocsBounded(t *testing.T) {
 
 var sinkClone *Tree[int]
 
-// TestCloneAllocsConstant: Clone is a constant number of bulk copies,
-// independent of tree size — the property the store's copy-on-write
-// detach relies on.
+// TestCloneAllocsConstant: Clone is a constant number of allocations
+// (the page table and two ownership tags among them), independent of
+// tree size — the property the store's copy-on-write detach relies on.
 func TestCloneAllocsConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	tr := New[int]()

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"probprune/internal/geom"
@@ -52,14 +53,14 @@ func Bulk[T comparable](items []BulkItem[T]) *Tree[T] {
 	off := 0
 	for _, g := range groups {
 		ni := t.newNode(true)
-		base := int(ni) * slotCap
+		p := t.writable(ni)
+		base := slot(ni, 0)
 		for k := 0; k < g; k++ {
 			it := &items[ord[off+k]]
 			t.setRect(ni, k, it.Rect)
-			t.vals[base+k] = it.Value
+			p.vals[base+k] = it.Value
 		}
-		t.meta[ni].n = int16(g)
-		t.meta[ni].count = int32(g)
+		p.meta[ni&pageMask] = nodeMeta{leaf: true, n: int16(g), count: int32(g)}
 		level = append(level, ni)
 		off += g
 	}
@@ -86,16 +87,16 @@ func Bulk[T comparable](items []BulkItem[T]) *Tree[T] {
 		off := 0
 		for _, g := range groups {
 			ni := t.newNode(false)
-			base := int(ni) * slotCap
+			p := t.writable(ni)
+			base := slot(ni, 0)
 			count := int32(0)
 			for k := 0; k < g; k++ {
 				u := ups[ord[off+k]]
 				t.setRect(ni, k, u.rect)
-				t.child[base+k] = u.ni
-				count += t.meta[u.ni].count
+				p.child[base+k] = u.ni
+				count += t.meta(u.ni).count
 			}
-			t.meta[ni].n = int16(g)
-			t.meta[ni].count = count
+			p.meta[ni&pageMask] = nodeMeta{n: int16(g), count: count}
 			level = append(level, ni)
 			off += g
 		}
@@ -177,21 +178,28 @@ func splitEven(n, max int) []int {
 	return out
 }
 
-// Clone returns a structurally independent copy of the tree: the packed
-// arrays are copied wholesale (a handful of memcpys — no pointer
-// chasing, no per-node allocation), so mutations on either tree never
-// affect the other. This is what makes the store's copy-on-write
+// Clone returns a structurally independent copy of the tree in time
+// and space proportional to its page count, not its size: only the page
+// table is copied, and the pages become shared copy-on-write. Both
+// trees get fresh ownership tags, so neither owns a shared page and
+// each copies a page on its first write to it; mutations on either tree
+// never affect the other. This is what makes the store's per-commit
 // snapshot detach cheap.
+//
+// Clone re-tags t, so it counts as a mutation of t for exclusivity —
+// it must not run concurrently with another Clone or mutation of t —
+// but readers of t are unaffected: they never read the tag, and t's
+// contents do not change.
 func (t *Tree[T]) Clone() *Tree[T] {
+	t.owner = new(ownerTag)
 	return &Tree[T]{
 		dim:     t.dim,
 		size:    t.size,
 		root:    t.root,
-		meta:    append([]nodeMeta(nil), t.meta...),
-		coords:  append([]float64(nil), t.coords...),
-		child:   append([]int32(nil), t.child...),
-		vals:    append([]T(nil), t.vals...),
-		free:    append([]int32(nil), t.free...),
-		rootMBR: append([]float64(nil), t.rootMBR...),
+		nodes:   t.nodes,
+		owner:   new(ownerTag),
+		pages:   slices.Clone(t.pages),
+		free:    slices.Clone(t.free),
+		rootMBR: slices.Clone(t.rootMBR),
 	}
 }

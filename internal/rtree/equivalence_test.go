@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 // behavior — tree bounds, DFS enumeration order, Walk node sequence
 // (MBRs, counts AND the effect of Skip/Take verdicts), intersection
 // order and the full best-first Nearby stream including exact
-// distances. The query layers' determinism guarantees (canonical
+// distances — on every live generation of a trace, so clones sharing
+// pages copy-on-write are checked for isolation too. The query layers'
+// determinism guarantees (canonical
 // influence sets, oracle-equal sharded merging, bit-identical crash
 // recovery) all reduce to this equivalence.
 
@@ -134,55 +137,76 @@ type eqEntry struct {
 	val  int
 }
 
+// eqGen is one live generation of a trace: a flat tree, the reference
+// tree it must match, and the entries both hold.
+type eqGen struct {
+	flat  *Tree[int]
+	ref   *refTree[int]
+	model []eqEntry
+}
+
+// maxEqGens bounds the generations a trace keeps alive: the newest
+// clone plus up to 3 earlier ones, all sharing pages copy-on-write.
+const maxEqGens = 4
+
 // runEquivalenceTrace drives both implementations through one op trace
-// and compares transcripts after every mutation.
+// and compares transcripts after every step. A clone keeps its source
+// alive as an earlier generation, each mutation goes to a randomly
+// chosen live generation, and every live generation is re-observed
+// after every step — so a write on one side of a clone that showed on
+// the other (a page written in place while shared) diverges from the
+// reference.
 func runEquivalenceTrace(t *testing.T, seed int64, dim, steps int) {
 	rng := rand.New(rand.NewSource(seed))
-	flat := New[int]()
-	ref := newRefTree[int]()
-	var model []eqEntry
+	gens := []*eqGen{{flat: New[int](), ref: newRefTree[int]()}}
 	next := 0
 
 	windows := []geom.Rect{latticeRect(rng, dim), latticeRect(rng, dim)}
 	probes := []geom.Rect{latticeRect(rng, dim), latticeRect(rng, dim)}
 
 	for step := 0; step < steps; step++ {
+		g := gens[rng.Intn(len(gens))]
 		switch op := rng.Intn(10); {
 		case op < 6: // insert (biased: trees must grow)
 			r := latticeRect(rng, dim)
-			flat.Insert(r, next)
-			ref.Insert(r, next)
-			model = append(model, eqEntry{rect: r, val: next})
+			g.flat.Insert(r, next)
+			g.ref.Insert(r, next)
+			g.model = append(g.model, eqEntry{rect: r, val: next})
 			next++
-		case op < 8 && len(model) > 0: // delete random existing entry
-			i := rng.Intn(len(model))
-			e := model[i]
-			if !flat.Delete(e.rect, e.val) || !ref.Delete(e.rect, e.val) {
+		case op < 8 && len(g.model) > 0: // delete random existing entry
+			i := rng.Intn(len(g.model))
+			e := g.model[i]
+			if !g.flat.Delete(e.rect, e.val) || !g.ref.Delete(e.rect, e.val) {
 				t.Fatalf("seed %d step %d: delete of existing entry failed", seed, step)
 			}
-			model = append(model[:i], model[i+1:]...)
-		case op == 8: // rebuild both via STR bulk load
-			items := make([]BulkItem[int], len(model))
-			for i, e := range model {
+			g.model = slices.Delete(g.model, i, i+1)
+		case op == 8: // rebuild via STR bulk load
+			items := make([]BulkItem[int], len(g.model))
+			for i, e := range g.model {
 				items[i] = BulkItem[int]{Rect: e.rect, Value: e.val}
 			}
-			flat = Bulk(items)
-			ref = refBulk(items)
-		default: // clone and continue on the copies
-			flat = flat.Clone()
-			ref = ref.Clone()
+			g.flat = Bulk(items)
+			g.ref = refBulk(items)
+		default: // clone; the source stays live as an earlier generation
+			gens = append(gens, &eqGen{flat: g.flat.Clone(), ref: g.ref.Clone(), model: slices.Clone(g.model)})
+			if len(gens) > maxEqGens {
+				gens = gens[1:]
+			}
 		}
-		got := observe(t, flat, windows, probes)
-		want := observe(t, ref, windows, probes)
-		if got != want {
-			t.Fatalf("seed %d step %d: transcripts diverge\nflat: %.400s\nref:  %.400s", seed, step, got, want)
+		for gi, g := range gens {
+			got := observe(t, g.flat, windows, probes)
+			want := observe(t, g.ref, windows, probes)
+			if got != want {
+				t.Fatalf("seed %d step %d generation %d/%d: transcripts diverge\nflat: %.400s\nref:  %.400s", seed, step, gi, len(gens), got, want)
+			}
 		}
 	}
 }
 
 // TestFlatTreeEquivalence: seeded randomized traces across dimensions
 // and sizes. Each trace interleaves inserts, deletes (exercising
-// condense/reinsert), bulk rebuilds and clones.
+// condense/reinsert), bulk rebuilds and clones whose generations stay
+// live and mutable side by side.
 func TestFlatTreeEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed

@@ -131,13 +131,15 @@ func (t *Tree[T]) NearbyWith(buf *NearbyBuf, dist DistFunc[T], iter func(rect ge
 			continue
 		}
 		ni := it.node
-		leaf := t.meta[ni].leaf
-		for i := 0; i < int(t.meta[ni].n); i++ {
-			r := t.rectAt(ni, i)
-			if leaf {
-				h = nbPush(h, nearbyItem{dist: dist(r, t.valAt(ni, i), true), seq: seq, node: -1, vn: ni, ei: int32(i)})
+		p := t.pageOf(ni)
+		m := p.meta[ni&pageMask]
+		base := slot(ni, 0)
+		for i := 0; i < int(m.n); i++ {
+			r := p.rect(base+i, t.dim)
+			if m.leaf {
+				h = nbPush(h, nearbyItem{dist: dist(r, p.vals[base+i], true), seq: seq, node: -1, vn: ni, ei: int32(i)})
 			} else {
-				h = nbPush(h, nearbyItem{dist: dist(r, zero, false), seq: seq, node: t.childAt(ni, i)})
+				h = nbPush(h, nearbyItem{dist: dist(r, zero, false), seq: seq, node: p.child[base+i]})
 			}
 			seq++
 		}

@@ -11,24 +11,33 @@
 // transfers to every object stored beneath it. Walk exposes exactly the
 // traversal contract this needs.
 //
-// Layout: the tree is flat, not pointer-linked. Nodes live in one
-// []nodeMeta slice addressed by int32 indices; each node owns a
+// Layout: the tree is flat, not pointer-linked. Nodes are addressed by
+// int32 indices and stored in fixed-size pages of pageNodes nodes: node
+// ni lives in page ni>>pageShift, which holds its header and a
 // fixed-stride slot range in three packed arrays — entry rectangles in
 // coords (2·dim floats per entry), child links in child, stored values
 // in vals. Entry rectangles handed to callbacks are sub-slice views
-// into coords, so traversals allocate nothing, and Clone is a handful
-// of bulk copies instead of a pointer-chasing rebuild. The algorithms
-// (ChooseLeaf, quadratic split, CondenseTree, STR packing, best-first
-// Nearby) are operation-for-operation those of the original
-// pointer-based implementation, so tree shapes, stored rectangle
-// values and traversal orders are bit-identical — the equivalence
-// fuzzer in rtree_test.go pins exactly that against the retained
-// reference implementation.
+// into a page's coords, so traversals allocate nothing.
+//
+// Pages are copy-on-write: Clone copies only the page table, and each
+// tree writes in place only the pages it owns, copying a shared page on
+// its first write. A mutation after a Clone therefore costs the pages
+// it touches — a root-to-leaf path or two — not the whole tree, which
+// is what keeps the store's per-commit snapshot detach independent of
+// the database size.
+//
+// The algorithms (ChooseLeaf, quadratic split, CondenseTree, STR
+// packing, best-first Nearby) are operation-for-operation those of the
+// original pointer-based implementation, so tree shapes, stored
+// rectangle values and traversal orders are bit-identical — the
+// equivalence fuzzer in equivalence_test.go pins exactly that against
+// the retained reference implementation.
 package rtree
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"probprune/internal/geom"
 )
@@ -43,7 +52,19 @@ const (
 	slotCap    = maxEntries + 1
 )
 
-// nodeMeta is the per-node header; entry data lives in the tree's
+// Page geometry: a page holds pageNodes consecutive node indices. The
+// size bounds the write amplification of copy-on-write (a shared page
+// is copied whole on its first write). At 8 nodes (~6 KB in 2-D) a
+// watched store Update at 10^4 objects copies ~28 KB of pages; 16 and
+// 32 nodes copied ~49 and ~85 KB, and 4 nodes saved only 9 KB more for
+// twice the page objects.
+const (
+	pageShift = 3
+	pageNodes = 1 << pageShift
+	pageMask  = pageNodes - 1
+)
+
+// nodeMeta is the per-node header; entry data lives in the page's
 // packed arrays at the node's slot range.
 type nodeMeta struct {
 	leaf  bool
@@ -51,20 +72,45 @@ type nodeMeta struct {
 	count int32 // values stored in this subtree
 }
 
+// ownerTag identifies the tree allowed to write a page in place; only
+// its address matters (the byte gives every tag its own).
+type ownerTag struct{ _ byte }
+
+// page stores pageNodes nodes. owner is the tag of the one tree allowed
+// to write the page in place; every other tree holding it copies it
+// first.
+type page[T comparable] struct {
+	owner  *ownerTag
+	meta   [pageNodes]nodeMeta
+	child  [pageNodes * slotCap]int32 // child links (internal nodes)
+	vals   [pageNodes * slotCap]T     // stored values (leaf nodes)
+	coords []float64                  // pageNodes*slotCap rects of 2*dim floats
+}
+
+// rect returns a view of the rectangle in page slot s. The view aliases
+// the page: callers must treat it as read-only, and it is invalidated
+// by mutations.
+func (p *page[T]) rect(s, dim int) geom.Rect {
+	o := s * 2 * dim
+	return geom.Rect{Min: p.coords[o : o+dim : o+dim], Max: p.coords[o+dim : o+2*dim : o+2*dim]}
+}
+
+// slot returns the page-local slot of entry i of node ni.
+func slot(ni int32, i int) int { return int(ni&pageMask)*slotCap + i }
+
 // Tree is an R-tree mapping rectangles to values of type T. The zero
 // value is not usable; construct with New. A Tree may be read
 // concurrently, but mutations require exclusive access (the store
 // layer guarantees this via copy-on-write snapshots).
 type Tree[T comparable] struct {
-	dim  int
-	size int
-	root int32 // node index; -1 until the first insert fixes dim
+	dim   int
+	size  int
+	root  int32 // node index; -1 until the first insert fixes dim
+	nodes int32 // node indices handed out (live or free)
 
-	meta   []nodeMeta
-	coords []float64 // slotCap rects of 2*dim floats per node
-	child  []int32   // slotCap child links per node (internal nodes)
-	vals   []T       // slotCap values per node (leaf nodes)
-	free   []int32   // recycled node slots
+	owner *ownerTag  // tag of the pages this tree may write in place
+	pages []*page[T] // page i holds nodes [i*pageNodes, (i+1)*pageNodes)
+	free  []int32    // recycled node indices
 
 	// rootMBR caches the union of the root's entry rectangles (2*dim
 	// floats), maintained on every mutation so read paths never compute
@@ -81,7 +127,7 @@ type Tree[T comparable] struct {
 
 // New returns an empty tree.
 func New[T comparable]() *Tree[T] {
-	return &Tree[T]{root: -1}
+	return &Tree[T]{root: -1, owner: new(ownerTag)}
 }
 
 // Len returns the number of stored values.
@@ -91,29 +137,53 @@ func (t *Tree[T]) Len() int { return t.size }
 // first insert).
 func (t *Tree[T]) Dim() int { return t.dim }
 
-// coordOff returns the offset of entry i of node ni in coords.
+// pageOf returns the page of node ni for reading.
+func (t *Tree[T]) pageOf(ni int32) *page[T] { return t.pages[ni>>pageShift] }
+
+// writable returns the page of node ni for writing, first replacing a
+// page the tree does not own with a private copy. Views obtained from
+// the page before the copy keep reading the shared original.
+func (t *Tree[T]) writable(ni int32) *page[T] {
+	pi := ni >> pageShift
+	p := t.pages[pi]
+	if p.owner != t.owner {
+		c := new(page[T])
+		*c = *p
+		c.owner = t.owner
+		c.coords = slices.Clone(p.coords)
+		t.pages[pi] = c
+		p = c
+	}
+	return p
+}
+
+// meta returns the header of node ni.
+func (t *Tree[T]) meta(ni int32) nodeMeta { return t.pageOf(ni).meta[ni&pageMask] }
+
+// metaW returns the header of node ni for writing.
+func (t *Tree[T]) metaW(ni int32) *nodeMeta { return &t.writable(ni).meta[ni&pageMask] }
+
+// coordOff returns the offset of entry i of node ni in its page's
+// coords.
 func (t *Tree[T]) coordOff(ni int32, i int) int {
-	return (int(ni)*slotCap + i) * 2 * t.dim
+	return slot(ni, i) * 2 * t.dim
 }
 
-// rectAt returns a view of entry i of node ni. The view aliases the
-// tree's packed storage: callers must treat it as read-only, and it is
-// invalidated by mutations.
+// rectAt returns a view of entry i of node ni (see page.rect).
 func (t *Tree[T]) rectAt(ni int32, i int) geom.Rect {
-	o := t.coordOff(ni, i)
-	d := t.dim
-	return geom.Rect{Min: t.coords[o : o+d : o+d], Max: t.coords[o+d : o+2*d : o+2*d]}
+	return t.pageOf(ni).rect(slot(ni, i), t.dim)
 }
 
-func (t *Tree[T]) childAt(ni int32, i int) int32 { return t.child[int(ni)*slotCap+i] }
-func (t *Tree[T]) valAt(ni int32, i int) T       { return t.vals[int(ni)*slotCap+i] }
+func (t *Tree[T]) childAt(ni int32, i int) int32 { return t.pageOf(ni).child[slot(ni, i)] }
+func (t *Tree[T]) valAt(ni int32, i int) T       { return t.pageOf(ni).vals[slot(ni, i)] }
 
 // setRect copies r into entry slot i of node ni.
 func (t *Tree[T]) setRect(ni int32, i int, r geom.Rect) {
+	c := t.writable(ni).coords
 	o := t.coordOff(ni, i)
 	d := t.dim
-	copy(t.coords[o:o+d], r.Min)
-	copy(t.coords[o+d:o+2*d], r.Max)
+	copy(c[o:o+d], r.Min)
+	copy(c[o+d:o+2*d], r.Max)
 }
 
 // writeNodeRect computes the tight MBR of node ci (the union of its
@@ -121,14 +191,16 @@ func (t *Tree[T]) setRect(ni int32, i int, r geom.Rect) {
 // reference nodeRect) directly into entry slot i of node ni.
 func (t *Tree[T]) writeNodeRect(ni int32, i int, ci int32) {
 	d := t.dim
+	dst := t.writable(ni).coords
+	src := t.pageOf(ci).coords
 	o := t.coordOff(ni, i)
 	co := t.coordOff(ci, 0)
-	copy(t.coords[o:o+2*d], t.coords[co:co+2*d])
-	for k := 1; k < int(t.meta[ci].n); k++ {
+	copy(dst[o:o+2*d], src[co:co+2*d])
+	for k := 1; k < int(t.meta(ci).n); k++ {
 		ck := t.coordOff(ci, k)
 		for j := 0; j < d; j++ {
-			t.coords[o+j] = math.Min(t.coords[o+j], t.coords[ck+j])
-			t.coords[o+d+j] = math.Max(t.coords[o+d+j], t.coords[ck+d+j])
+			dst[o+j] = math.Min(dst[o+j], src[ck+j])
+			dst[o+d+j] = math.Max(dst[o+d+j], src[ck+d+j])
 		}
 	}
 }
@@ -137,12 +209,13 @@ func (t *Tree[T]) writeNodeRect(ni int32, i int, ci int32) {
 // validation/bulk paths only; hot paths use writeNodeRect.
 func (t *Tree[T]) nodeRectAlloc(ni int32) geom.Rect {
 	r := t.rectAt(ni, 0).Clone()
+	c := t.pageOf(ni).coords
 	d := t.dim
-	for k := 1; k < int(t.meta[ni].n); k++ {
+	for k := 1; k < int(t.meta(ni).n); k++ {
 		ck := t.coordOff(ni, k)
 		for j := 0; j < d; j++ {
-			r.Min[j] = math.Min(r.Min[j], t.coords[ck+j])
-			r.Max[j] = math.Max(r.Max[j], t.coords[ck+d+j])
+			r.Min[j] = math.Min(r.Min[j], c[ck+j])
+			r.Max[j] = math.Max(r.Max[j], c[ck+d+j])
 		}
 	}
 	return r
@@ -163,13 +236,14 @@ func (t *Tree[T]) refreshRootMBR() {
 	if len(t.rootMBR) < 2*d {
 		t.rootMBR = make([]float64, 2*d)
 	}
+	c := t.pageOf(t.root).coords
 	ro := t.coordOff(t.root, 0)
-	copy(t.rootMBR[:2*d], t.coords[ro:ro+2*d])
-	for k := 1; k < int(t.meta[t.root].n); k++ {
+	copy(t.rootMBR[:2*d], c[ro:ro+2*d])
+	for k := 1; k < int(t.meta(t.root).n); k++ {
 		ck := t.coordOff(t.root, k)
 		for j := 0; j < d; j++ {
-			t.rootMBR[j] = math.Min(t.rootMBR[j], t.coords[ck+j])
-			t.rootMBR[d+j] = math.Max(t.rootMBR[d+j], t.coords[ck+d+j])
+			t.rootMBR[j] = math.Min(t.rootMBR[j], c[ck+j])
+			t.rootMBR[d+j] = math.Max(t.rootMBR[d+j], c[ck+d+j])
 		}
 	}
 }
@@ -185,41 +259,31 @@ func (t *Tree[T]) Bounds() (geom.Rect, bool) {
 	return t.rootRect().Clone(), true
 }
 
-// newNode allocates (or recycles) a node slot and returns its index.
+// newNode allocates (or recycles) a node index and returns it; a fresh
+// index past the last page opens a new page owned by the tree.
 func (t *Tree[T]) newNode(leaf bool) int32 {
+	var ni int32
 	if k := len(t.free); k > 0 {
-		ni := t.free[k-1]
+		ni = t.free[k-1]
 		t.free = t.free[:k-1]
-		t.meta[ni] = nodeMeta{leaf: leaf}
-		return ni
+	} else {
+		ni = t.nodes
+		t.nodes++
+		if int(ni>>pageShift) == len(t.pages) {
+			t.pages = append(t.pages, &page[T]{owner: t.owner, coords: make([]float64, pageNodes*slotCap*2*t.dim)})
+		}
 	}
-	ni := int32(len(t.meta))
-	t.meta = append(t.meta, nodeMeta{leaf: leaf})
-	t.coords = grown(t.coords, 2*t.dim*slotCap)
-	t.child = grown(t.child, slotCap)
-	t.vals = grown(t.vals, slotCap)
+	*t.metaW(ni) = nodeMeta{leaf: leaf}
 	return ni
 }
 
-// grown extends s by n zeroed elements, reusing capacity when possible.
-func grown[E any](s []E, n int) []E {
-	l := len(s)
-	if cap(s) < l+n {
-		ns := make([]E, l+n, 2*cap(s)+n)
-		copy(ns, s)
-		return ns
-	}
-	s = s[:l+n]
-	clear(s[l:])
-	return s
-}
-
-// freeNode returns a node slot to the free list, dropping value
+// freeNode returns a node index to the free list, dropping value
 // references so the GC can reclaim them.
 func (t *Tree[T]) freeNode(ni int32) {
-	base := int(ni) * slotCap
-	clear(t.vals[base : base+slotCap])
-	t.meta[ni] = nodeMeta{}
+	p := t.writable(ni)
+	base := slot(ni, 0)
+	clear(p.vals[base : base+slotCap])
+	p.meta[ni&pageMask] = nodeMeta{}
 	t.free = append(t.free, ni)
 }
 
@@ -247,35 +311,40 @@ func (t *Tree[T]) insertEntry(rect geom.Rect, value T) {
 		nr := t.newNode(false)
 		t.appendInternalEntry(nr, old)
 		t.appendInternalEntry(nr, sib)
-		t.meta[nr].count = t.meta[old].count + t.meta[sib].count
+		t.metaW(nr).count = t.meta(old).count + t.meta(sib).count
 		t.root = nr
 	}
 }
 
 // appendLeafEntry appends (rect, value) to leaf node ni.
 func (t *Tree[T]) appendLeafEntry(ni int32, rect geom.Rect, value T) {
-	i := int(t.meta[ni].n)
+	p := t.writable(ni)
+	m := &p.meta[ni&pageMask]
+	i := int(m.n)
 	t.setRect(ni, i, rect)
-	t.vals[int(ni)*slotCap+i] = value
-	t.meta[ni].n++
+	p.vals[slot(ni, i)] = value
+	m.n++
 }
 
 // appendInternalEntry appends child ci (with its tight MBR) to internal
 // node ni.
 func (t *Tree[T]) appendInternalEntry(ni, ci int32) {
-	i := int(t.meta[ni].n)
+	p := t.writable(ni)
+	m := &p.meta[ni&pageMask]
+	i := int(m.n)
 	t.writeNodeRect(ni, i, ci)
-	t.child[int(ni)*slotCap+i] = ci
-	t.meta[ni].n++
+	p.child[slot(ni, i)] = ci
+	m.n++
 }
 
 // insert places a leaf entry into the subtree under ni, returning the
 // index of a new sibling if ni had to split (-1 otherwise).
 func (t *Tree[T]) insert(ni int32, rect geom.Rect, value T) int32 {
-	t.meta[ni].count++
-	if t.meta[ni].leaf {
+	m := t.metaW(ni)
+	m.count++
+	if m.leaf {
 		t.appendLeafEntry(ni, rect, value)
-		if int(t.meta[ni].n) > maxEntries {
+		if int(t.meta(ni).n) > maxEntries {
 			return t.split(ni)
 		}
 		return -1
@@ -288,16 +357,17 @@ func (t *Tree[T]) insert(ni int32, rect geom.Rect, value T) int32 {
 		// tightly instead of unioning in the new rectangle.
 		t.writeNodeRect(ni, best, ci)
 		t.appendInternalEntry(ni, sib)
-		if int(t.meta[ni].n) > maxEntries {
+		if int(t.meta(ni).n) > maxEntries {
 			return t.split(ni)
 		}
 	} else {
 		// Union the inserted rectangle into the chosen entry in place.
+		c := t.writable(ni).coords
 		o := t.coordOff(ni, best)
 		d := t.dim
 		for j := 0; j < d; j++ {
-			t.coords[o+j] = math.Min(t.coords[o+j], rect.Min[j])
-			t.coords[o+d+j] = math.Max(t.coords[o+d+j], rect.Max[j])
+			c[o+j] = math.Min(c[o+j], rect.Min[j])
+			c[o+d+j] = math.Max(c[o+d+j], rect.Max[j])
 		}
 	}
 	return -1
@@ -308,7 +378,7 @@ func (t *Tree[T]) insert(ni int32, rect geom.Rect, value T) int32 {
 func (t *Tree[T]) chooseSubtree(ni int32, r geom.Rect) int {
 	best := 0
 	bestEnl, bestArea := math.Inf(1), math.Inf(1)
-	for i := 0; i < int(t.meta[ni].n); i++ {
+	for i := 0; i < int(t.meta(ni).n); i++ {
 		er := t.rectAt(ni, i)
 		area := er.Area()
 		enl := unionArea(er, r) - area
@@ -336,23 +406,26 @@ func unionArea(a, b geom.Rect) float64 {
 func (t *Tree[T]) split(ni int32) int32 {
 	d := t.dim
 	d2 := 2 * d
-	n := int(t.meta[ni].n) // slotCap: maxEntries + 1 overflow entry
-	leaf := t.meta[ni].leaf
+	m := t.meta(ni)
+	n := int(m.n) // slotCap: maxEntries + 1 overflow entry
+	leaf := m.leaf
 
-	// Copy the node's entries into scratch: coords may reallocate when
-	// the sibling is allocated, and the slots are about to be rewritten.
+	// Copy the node's entries into scratch: the slots are about to be
+	// rewritten.
 	if cap(t.scCoords) < (slotCap+2)*d2 {
 		t.scCoords = make([]float64, (slotCap+2)*d2)
 	}
 	sc := t.scCoords[:(slotCap+2)*d2]
-	copy(sc[:n*d2], t.coords[t.coordOff(ni, 0):t.coordOff(ni, 0)+n*d2])
+	p := t.pageOf(ni)
+	o := t.coordOff(ni, 0)
+	copy(sc[:n*d2], p.coords[o:o+n*d2])
 	var schild [slotCap]int32
 	var svals [slotCap]T
-	base := int(ni) * slotCap
+	base := slot(ni, 0)
 	if leaf {
-		copy(svals[:n], t.vals[base:base+n])
+		copy(svals[:n], p.vals[base:base+n])
 	} else {
-		copy(schild[:n], t.child[base:base+n])
+		copy(schild[:n], p.child[base:base+n])
 	}
 	srect := func(i int) geom.Rect {
 		o := i * d2
@@ -453,42 +526,46 @@ func (t *Tree[T]) split(ni int32) int32 {
 // writeGroup rewrites node ni with the given scratch-entry indices.
 func (t *Tree[T]) writeGroup(ni int32, leaf bool, sc []float64, g []int, schild []int32, svals []T) {
 	d2 := 2 * t.dim
-	base := int(ni) * slotCap
+	p := t.writable(ni)
+	base := slot(ni, 0)
 	count := int32(0)
 	for k, idx := range g {
 		o := t.coordOff(ni, k)
-		copy(t.coords[o:o+d2], sc[idx*d2:(idx+1)*d2])
+		copy(p.coords[o:o+d2], sc[idx*d2:(idx+1)*d2])
 		if leaf {
-			t.vals[base+k] = svals[idx]
+			p.vals[base+k] = svals[idx]
 			count++
 		} else {
 			ci := schild[idx]
-			t.child[base+k] = ci
-			count += t.meta[ci].count
+			p.child[base+k] = ci
+			count += t.meta(ci).count
 		}
 	}
 	// Drop stale value references beyond the group.
 	if leaf {
-		clear(t.vals[base+len(g) : base+slotCap])
+		clear(p.vals[base+len(g) : base+slotCap])
 	}
-	t.meta[ni].n = int16(len(g))
-	t.meta[ni].count = count
+	m := &p.meta[ni&pageMask]
+	m.n = int16(len(g))
+	m.count = count
 }
 
 // removeEntry deletes entry i of node ni, shifting later entries left.
 func (t *Tree[T]) removeEntry(ni int32, i int) {
-	n := int(t.meta[ni].n)
-	d2 := 2 * t.dim
+	p := t.writable(ni)
+	m := &p.meta[ni&pageMask]
+	n := int(m.n)
+	base := slot(ni, 0)
 	if i < n-1 {
+		d2 := 2 * t.dim
 		o := t.coordOff(ni, i)
-		copy(t.coords[o:o+(n-1-i)*d2], t.coords[o+d2:o+(n-i)*d2])
-		base := int(ni) * slotCap
-		copy(t.child[base+i:base+n-1], t.child[base+i+1:base+n])
-		copy(t.vals[base+i:base+n-1], t.vals[base+i+1:base+n])
+		copy(p.coords[o:o+(n-1-i)*d2], p.coords[o+d2:o+(n-i)*d2])
+		copy(p.child[base+i:base+n-1], p.child[base+i+1:base+n])
+		copy(p.vals[base+i:base+n-1], p.vals[base+i+1:base+n])
 	}
 	var zero T
-	t.vals[int(ni)*slotCap+n-1] = zero
-	t.meta[ni].n--
+	p.vals[base+n-1] = zero
+	m.n--
 }
 
 // SearchIntersect calls fn for every stored value whose rectangle
@@ -501,17 +578,19 @@ func (t *Tree[T]) SearchIntersect(query geom.Rect, fn func(rect geom.Rect, value
 }
 
 func (t *Tree[T]) searchIntersect(ni int32, query geom.Rect, fn func(geom.Rect, T) bool) bool {
-	leaf := t.meta[ni].leaf
-	for i := 0; i < int(t.meta[ni].n); i++ {
-		r := t.rectAt(ni, i)
+	p := t.pageOf(ni)
+	m := p.meta[ni&pageMask]
+	base := slot(ni, 0)
+	for i := 0; i < int(m.n); i++ {
+		r := p.rect(base+i, t.dim)
 		if !r.Intersects(query) {
 			continue
 		}
-		if leaf {
-			if !fn(r, t.valAt(ni, i)) {
+		if m.leaf {
+			if !fn(r, p.vals[base+i]) {
 				return false
 			}
-		} else if !t.searchIntersect(t.childAt(ni, i), query, fn) {
+		} else if !t.searchIntersect(p.child[base+i], query, fn) {
 			return false
 		}
 	}
@@ -553,9 +632,11 @@ func (t *Tree[T]) Walk(node func(mbr geom.Rect, count int) WalkAction, leaf func
 }
 
 func (t *Tree[T]) walk(ni int32, mbr geom.Rect, nodeFn func(geom.Rect, int) WalkAction, leafFn func(geom.Rect, T)) {
+	p := t.pageOf(ni)
+	m := p.meta[ni&pageMask]
 	action := Descend
 	if nodeFn != nil {
-		action = nodeFn(mbr, int(t.meta[ni].count))
+		action = nodeFn(mbr, int(m.count))
 	}
 	switch action {
 	case SkipSubtree:
@@ -563,14 +644,14 @@ func (t *Tree[T]) walk(ni int32, mbr geom.Rect, nodeFn func(geom.Rect, int) Walk
 	case TakeSubtree:
 		t.emitAll(ni, leafFn)
 	default:
-		leaf := t.meta[ni].leaf
-		for i := 0; i < int(t.meta[ni].n); i++ {
-			if leaf {
+		base := slot(ni, 0)
+		for i := 0; i < int(m.n); i++ {
+			if m.leaf {
 				if leafFn != nil {
-					leafFn(t.rectAt(ni, i), t.valAt(ni, i))
+					leafFn(p.rect(base+i, t.dim), p.vals[base+i])
 				}
 			} else {
-				t.walk(t.childAt(ni, i), t.rectAt(ni, i), nodeFn, leafFn)
+				t.walk(p.child[base+i], p.rect(base+i, t.dim), nodeFn, leafFn)
 			}
 		}
 	}
@@ -580,12 +661,14 @@ func (t *Tree[T]) emitAll(ni int32, leafFn func(geom.Rect, T)) {
 	if leafFn == nil {
 		return
 	}
-	leaf := t.meta[ni].leaf
-	for i := 0; i < int(t.meta[ni].n); i++ {
-		if leaf {
-			leafFn(t.rectAt(ni, i), t.valAt(ni, i))
+	p := t.pageOf(ni)
+	m := p.meta[ni&pageMask]
+	base := slot(ni, 0)
+	for i := 0; i < int(m.n); i++ {
+		if m.leaf {
+			leafFn(p.rect(base+i, t.dim), p.vals[base+i])
 		} else {
-			t.emitAll(t.childAt(ni, i), leafFn)
+			t.emitAll(p.child[base+i], leafFn)
 		}
 	}
 }
@@ -605,12 +688,12 @@ func (t *Tree[T]) Delete(rect geom.Rect, value T) bool {
 	}
 	t.size--
 	// Collapse a root with a single internal child.
-	for !t.meta[t.root].leaf && t.meta[t.root].n == 1 {
+	for m := t.meta(t.root); !m.leaf && m.n == 1; m = t.meta(t.root) {
 		old := t.root
 		t.root = t.childAt(old, 0)
 		t.freeNode(old)
 	}
-	if !t.meta[t.root].leaf && t.meta[t.root].n == 0 {
+	if m := t.meta(t.root); !m.leaf && m.n == 0 {
 		t.freeNode(t.root)
 		t.root = t.newNode(true)
 	}
@@ -633,17 +716,17 @@ func (t *Tree[T]) Delete(rect geom.Rect, value T) bool {
 // subtree (the deleted one plus any orphaned by condensing, which
 // Delete reinserts from the top).
 func (t *Tree[T]) delete(ni int32, rect geom.Rect, value T) (bool, int32) {
-	if t.meta[ni].leaf {
-		for i := 0; i < int(t.meta[ni].n); i++ {
+	if t.meta(ni).leaf {
+		for i := 0; i < int(t.meta(ni).n); i++ {
 			if t.valAt(ni, i) == value && t.rectAt(ni, i).Equal(rect) {
 				t.removeEntry(ni, i)
-				t.meta[ni].count--
+				t.metaW(ni).count--
 				return true, 1
 			}
 		}
 		return false, 0
 	}
-	for i := 0; i < int(t.meta[ni].n); i++ {
+	for i := 0; i < int(t.meta(ni).n); i++ {
 		if !t.rectAt(ni, i).ContainsRect(rect) {
 			continue
 		}
@@ -652,17 +735,17 @@ func (t *Tree[T]) delete(ni int32, rect geom.Rect, value T) (bool, int32) {
 		if !found {
 			continue
 		}
-		if int(t.meta[ci].n) < minEntries {
+		if cm := t.meta(ci); int(cm.n) < minEntries {
 			// Condense: orphan the underflowing child's remaining
 			// values; they also leave this subtree until the top-level
 			// reinsertion puts them back.
-			removed += t.meta[ci].count
+			removed += cm.count
 			t.collectOrphans(ci)
 			t.removeEntry(ni, i)
 		} else {
 			t.writeNodeRect(ni, i, ci)
 		}
-		t.meta[ni].count -= removed
+		t.metaW(ni).count -= removed
 		return true, removed
 	}
 	return false, 0
@@ -675,15 +758,16 @@ func (t *Tree[T]) delete(ni int32, rect geom.Rect, value T) (bool, int32) {
 // would otherwise overwrite it mid-use.
 func (t *Tree[T]) collectOrphans(ni int32) {
 	d2 := 2 * t.dim
-	if t.meta[ni].leaf {
-		for i := 0; i < int(t.meta[ni].n); i++ {
-			o := t.coordOff(ni, i)
-			t.orphanCoords = append(t.orphanCoords, t.coords[o:o+d2]...)
-			t.orphanVals = append(t.orphanVals, t.valAt(ni, i))
-		}
-	} else {
-		for i := 0; i < int(t.meta[ni].n); i++ {
-			t.collectOrphans(t.childAt(ni, i))
+	p := t.pageOf(ni)
+	m := p.meta[ni&pageMask]
+	base := slot(ni, 0)
+	for i := 0; i < int(m.n); i++ {
+		if m.leaf {
+			o := (base + i) * d2
+			t.orphanCoords = append(t.orphanCoords, p.coords[o:o+d2]...)
+			t.orphanVals = append(t.orphanVals, p.vals[base+i])
+		} else {
+			t.collectOrphans(p.child[base+i])
 		}
 	}
 	t.freeNode(ni)
@@ -724,13 +808,14 @@ func (t *Tree[T]) CheckInvariants() error {
 }
 
 func (t *Tree[T]) check(ni int32, isRoot bool) (int, error) {
-	n := int(t.meta[ni].n)
+	m := t.meta(ni)
+	n := int(m.n)
 	if !isRoot && (n < minEntries || n > maxEntries) {
 		return 0, fmt.Errorf("rtree: node with %d entries outside [%d, %d]", n, minEntries, maxEntries)
 	}
-	if t.meta[ni].leaf {
-		if int(t.meta[ni].count) != n {
-			return 0, fmt.Errorf("rtree: leaf count %d != %d entries", t.meta[ni].count, n)
+	if m.leaf {
+		if int(m.count) != n {
+			return 0, fmt.Errorf("rtree: leaf count %d != %d entries", m.count, n)
 		}
 		return n, nil
 	}
@@ -745,13 +830,13 @@ func (t *Tree[T]) check(ni int32, isRoot bool) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if c != int(t.meta[ci].count) {
-			return 0, fmt.Errorf("rtree: child count %d != %d reachable", t.meta[ci].count, c)
+		if c != int(t.meta(ci).count) {
+			return 0, fmt.Errorf("rtree: child count %d != %d reachable", t.meta(ci).count, c)
 		}
 		total += c
 	}
-	if int(t.meta[ni].count) != total {
-		return 0, fmt.Errorf("rtree: node count %d != %d reachable", t.meta[ni].count, total)
+	if int(m.count) != total {
+		return 0, fmt.Errorf("rtree: node count %d != %d reachable", m.count, total)
 	}
 	return total, nil
 }

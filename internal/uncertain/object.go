@@ -76,10 +76,19 @@ func NewObject(id int, samples []geom.Point) (*Object, error) {
 // NewWeightedObject builds an object from weighted alternative
 // positions. weights may be nil (uniform); otherwise it must have one
 // non-negative entry per sample, summing to 1 (it is renormalized to
-// absorb rounding).
+// absorb rounding). Sample coordinates must be finite: a NaN would make
+// the bounding region unequal to itself, and an index could never find
+// the object again to remove it.
 func NewWeightedObject(id int, samples []geom.Point, weights []float64) (*Object, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("uncertain: object %d has no samples", id)
+	}
+	for i, s := range samples {
+		for _, c := range s {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				return nil, fmt.Errorf("uncertain: object %d sample %d has non-finite coordinate %g", id, i, c)
+			}
+		}
 	}
 	d := samples[0].Dim()
 	mbr := geom.PointRect(samples[0])

@@ -30,6 +30,35 @@ func TestNewObjectValidation(t *testing.T) {
 	}
 }
 
+// TestNewObjectRejectsNonFinite: NaN and ±Inf coordinates are refused
+// in any sample and axis, weighted or not — a NaN MBR never equals
+// itself, so an index could not delete the object again — while finite
+// objects, extreme magnitudes included, build exactly as before.
+func TestNewObjectRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, pts := range [][]geom.Point{
+			{{bad, .5}, {.5, .5}},
+			{{.5, .5}, {.5, bad}},
+		} {
+			if o, err := NewObject(9999, pts); err == nil {
+				t.Errorf("NewObject(%v) accepted, MBR %v", pts, o.MBR)
+			}
+			if _, err := NewWeightedObject(9999, pts, []float64{1, 1}); err == nil {
+				t.Errorf("NewWeightedObject(%v) accepted", pts)
+			}
+		}
+	}
+	pts := []geom.Point{{-math.MaxFloat64, .5}, {.5, math.MaxFloat64}, {0, 0}}
+	o, err := NewObject(1, pts)
+	if err != nil {
+		t.Fatalf("finite object rejected: %v", err)
+	}
+	want := geom.Rect{Min: geom.Point{-math.MaxFloat64, 0}, Max: geom.Point{.5, math.MaxFloat64}}
+	if !o.MBR.Equal(want) || o.NumSamples() != 3 || o.Weights != nil {
+		t.Errorf("finite object built as MBR %v, %d samples, weights %v", o.MBR, o.NumSamples(), o.Weights)
+	}
+}
+
 func TestWeightedObjectValidationAndNormalization(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {1, 1}}
 	if _, err := NewWeightedObject(0, pts, []float64{1}); err == nil {
