@@ -12,7 +12,9 @@ package probprune_test
 
 import (
 	"context"
+	"io"
 	"math/rand"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"probprune"
 	"probprune/internal/benchscen"
 	"probprune/internal/obs"
+	"probprune/internal/server"
 )
 
 const allocDBSize = 1000
@@ -152,9 +155,9 @@ func watchedStore(tb testing.TB) (*probprune.Store, []*probprune.Object) {
 }
 
 // TestStoreWatchedUpdateAllocCeiling: a watched Update copies only the
-// R-tree pages the commit writes (plus the shard's object list), not
-// the whole index, so it allocates at most 160 KB at 10^4 objects — the
-// whole-tree clone it replaced cost ~700 KB per Update.
+// R-tree pages and the object-list chunk the commit writes, plus the
+// two page tables, so it allocates at most 48 KB at 10^4 objects; a
+// clone of the whole list alone would be 80 KB.
 func TestStoreWatchedUpdateAllocCeiling(t *testing.T) {
 	s, updates := watchedStore(t)
 	for _, o := range updates[:128] { // warm the tree's mutation scratch
@@ -171,10 +174,10 @@ func TestStoreWatchedUpdateAllocCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(updates))
-	if perOp > 160e3 {
-		t.Fatalf("watched Update allocated %.0f B per op, ceiling 160000", perOp)
+	if perOp > 48e3 {
+		t.Fatalf("watched Update allocated %.0f B per op, ceiling 48000", perOp)
 	}
-	t.Logf("watched Update: %.0f B per op (ceiling 160000)", perOp)
+	t.Logf("watched Update: %.0f B per op (ceiling 48000)", perOp)
 }
 
 // BenchmarkStoreWatchedUpdate: the commit cost TestStoreWatchedUpdateAllocCeiling
@@ -188,6 +191,83 @@ func BenchmarkStoreWatchedUpdate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestSubscribeSessionAllocCeiling: a served subscription holds what
+// its session ring holds, not a buffer sized for the worst case. 256
+// SUBSCRIBE KNN sessions with small initial result sets, opened over
+// one raw connection, grow the live heap by at most 16 KB each; a
+// 4096-event channel per session would be 256 KiB.
+func TestSubscribeSessionAllocCeiling(t *testing.T) {
+	const sessions = 256
+	db, err := probprune.Synthetic(probprune.SyntheticConfig{N: 2000, Samples: 8, MaxExtent: 0.004, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := probprune.NewStore(db, probprune.Options{MaxIterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(s, server.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	go io.Copy(io.Discard, nc) // replies and pushes: read, never kept
+
+	rng := rand.New(rand.NewSource(2))
+	w := server.NewWriter(nc)
+	subscribe := func(n int) {
+		for i := 0; i < n; i++ {
+			q := probprune.PointObject(-1, probprune.Point{rng.Float64(), rng.Float64()})
+			args := []string{"SUBSCRIBE", "KNN", "3", "0.5", string(server.EncodeObject(q))}
+			f := server.Frame{Type: server.TArray}
+			for _, a := range args {
+				f.Array = append(f.Array, server.Frame{Type: server.TBulk, Bulk: []byte(a)})
+			}
+			if err := w.WriteFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle := func(want int64) uint64 {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st := srv.StatsMap()
+			if st["server.sessions"] == want && st["server.push.backlog"] == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("sessions never settled: %d of %d open, backlog %d",
+					st["server.sessions"], want, st["server.push.backlog"])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	subscribe(8) // warm the connection, the monitor and the pools
+	before := settle(8)
+	subscribe(sessions)
+	after := settle(8 + sessions)
+	perSession := (float64(after) - float64(before)) / sessions
+	if perSession > 16<<10 {
+		t.Fatalf("a served subscription holds %.0f B of heap, ceiling 16384", perSession)
+	}
+	t.Logf("served subscription: %.0f B of heap per session (ceiling 16384; %d events retained)",
+		perSession, srv.StatsMap()["server.push.retained"])
 }
 
 // TestStoreBatchKNNAllocCeiling: a 16-request BatchKNN pools the

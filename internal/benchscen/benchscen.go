@@ -372,7 +372,7 @@ func CQRequery(b *testing.B, db probprune.Database) {
 		e := s.Snapshot().Engine()
 		for _, q := range qs {
 			thresh := e.KNNThreshold(q, K)
-			for _, o := range e.DB {
+			for _, o := range e.Database() {
 				if o != q && !e.KNNPrunable(q, o, thresh) {
 					runs++
 				}

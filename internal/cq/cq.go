@@ -31,10 +31,13 @@
 // # Event delivery
 //
 // Events are delivered per subscription, in store version order, with
-// ascending object IDs within a version, on a bounded buffer. A
-// consumer that stops draining either loses the subscription
-// (DisconnectSlow, the default — no silent gaps) or sheds the oldest
-// events (DropOldest, counted in Lost). See Options.
+// ascending object IDs within a version, to one consumer: the Events
+// channel, a bounded buffer whose consumer either loses the
+// subscription when it stops draining (DisconnectSlow, the default — no
+// silent gaps) or sheds the oldest events (DropOldest, counted in Lost),
+// see Options; or a Consumer given to SubscribeTo, which holds the
+// events itself — the server's session rings do — so the subscription
+// buffers nothing of its own.
 package cq
 
 import (
@@ -143,9 +146,11 @@ type Source interface {
 // result. The monitor owns a background worker until Close.
 //
 // While a monitor is attached every store mutation publishes a snapshot
-// (see Store.Watch), so every commit pays one copy-on-write detach — a
-// copy of the shard's object list plus the R-tree pages the commit
-// writes — the cost of a gapless per-version subscription feed.
+// (see Store.Watch), so every commit pays one copy-on-write detach — the
+// page tables of the shard's object list and R-tree, plus the list
+// chunk and tree pages the commit writes — the cost of a gapless
+// per-version subscription feed. Maintenance reaches objects through
+// the snapshots' indexes and never flattens their object lists.
 func NewMonitor(store Source, opts Options) *Monitor {
 	m := &Monitor{
 		store:     store,
@@ -176,14 +181,14 @@ func NewMonitor(store Source, opts Options) *Monitor {
 // the event stream tracks every object B with P(B ∈ kNN(q)) >= tau.
 // The current result set arrives first, as ObjectEntered events.
 func (m *Monitor) SubscribeKNN(q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	return m.subscribe(KNN, q, k, tau)
+	return m.SubscribeTo(nil, "", KNN, q, k, tau)
 }
 
 // SubscribeRKNN registers a standing probabilistic threshold reverse
 // kNN query: the stream tracks every object that has q among its k
 // nearest neighbors with probability >= tau.
 func (m *Monitor) SubscribeRKNN(q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	return m.subscribe(RKNN, q, k, tau)
+	return m.SubscribeTo(nil, "", RKNN, q, k, tau)
 }
 
 // SubscribeKNNDurable is SubscribeKNN with a durable identity: the
@@ -207,27 +212,27 @@ func (m *Monitor) SubscribeRKNNDurable(name string, q *uncertain.Object, k int, 
 }
 
 func (m *Monitor) subscribeDurable(name string, kind Kind, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	if m.opts.CursorPath == "" {
-		return nil, fmt.Errorf("cq: durable subscription %q without Options.CursorPath", name)
-	}
 	if name == "" {
 		return nil, fmt.Errorf("cq: durable subscription with empty name")
 	}
-	if m.cursorErr != nil {
-		return nil, fmt.Errorf("cq: cursor %s unreadable: %w", m.opts.CursorPath, m.cursorErr)
-	}
-	s, err := m.subscribeSub(name, kind, q, k, tau)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return m.SubscribeTo(nil, name, kind, q, k, tau)
 }
 
-func (m *Monitor) subscribe(kind Kind, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	return m.subscribeSub("", kind, q, k, tau)
-}
-
-func (m *Monitor) subscribeSub(name string, kind Kind, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
+// SubscribeTo registers a standing query of the given kind whose events
+// go to c instead of an Events channel (a nil c selects the channel,
+// sized and policed by Options). A non-empty name makes it durable, as
+// SubscribeKNNDurable does. The initial result set reaches c before
+// SubscribeTo returns; if c refuses it, SubscribeTo fails with c's
+// error and no subscription remains.
+func (m *Monitor) SubscribeTo(c Consumer, name string, kind Kind, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
+	if name != "" {
+		if m.opts.CursorPath == "" {
+			return nil, fmt.Errorf("cq: durable subscription %q without Options.CursorPath", name)
+		}
+		if m.cursorErr != nil {
+			return nil, fmt.Errorf("cq: cursor %s unreadable: %w", m.opts.CursorPath, m.cursorErr)
+		}
+	}
 	if q == nil {
 		return nil, fmt.Errorf("cq: nil query object")
 	}
@@ -238,31 +243,35 @@ func (m *Monitor) subscribeSub(name string, kind Kind, q *uncertain.Object, k in
 		return nil, fmt.Errorf("cq: tau = %g outside [0, 1]", tau)
 	}
 	s := &Subscription{
-		id:     m.nextID.Add(1),
-		m:      m,
-		name:   name,
-		kind:   kind,
-		q:      q,
-		k:      k,
-		tau:    tau,
-		events: make(chan Event, m.opts.buffer()),
-		cands:  make(map[int]*candState),
-		thresh: math.Inf(1),
+		id:       m.nextID.Add(1),
+		m:        m,
+		name:     name,
+		kind:     kind,
+		q:        q,
+		k:        k,
+		tau:      tau,
+		consumer: c,
+		cands:    make(map[int]*candState),
+		thresh:   math.Inf(1),
+	}
+	if c == nil {
+		s.events = make(chan Event, m.opts.buffer())
+		s.consumer = &chanConsumer{s: s, ch: s.events, policy: m.opts.Policy}
 	}
 	done := make(chan struct{})
 	if !m.enqueue(item{sub: s, done: done}) {
 		return nil, ErrMonitorClosed
 	}
 	<-done
-	// The consumer cannot drain before subscribe returns, so an initial
-	// result set larger than the buffer would — under DisconnectSlow —
-	// kill the subscription deterministically before it ever worked.
-	// Surface that as a subscribe error instead of a dead channel.
 	if err := s.Err(); err != nil {
-		if err == ErrCursorMismatch || err == ErrDuplicateName {
-			return nil, err
+		if err == ErrSlowConsumer && c == nil {
+			// The consumer cannot drain before subscribe returns, so an
+			// initial result set larger than the buffer would — under
+			// DisconnectSlow — kill the subscription deterministically
+			// before it ever worked.
+			return nil, fmt.Errorf("cq: initial result set overflowed the %d-event buffer (raise Options.Buffer or use DropOldest): %w", m.opts.buffer(), err)
 		}
-		return nil, fmt.Errorf("cq: initial result set overflowed the %d-event buffer (raise Options.Buffer or use DropOldest): %w", m.opts.buffer(), err)
+		return nil, err
 	}
 	return s, nil
 }
@@ -463,8 +472,13 @@ func (m *Monitor) run() {
 // registers the influence region and delivers the initial events. A
 // durable subscription first resolves its cursor state: present and
 // matching, the initial events become the coalesced delta since the
-// cursor instead of the full result set.
+// cursor instead of the full result set. A query object of another
+// dimension than the database is refused.
 func (m *Monitor) addSub(s *Subscription) {
+	if err := m.snap.Engine().CheckDim(s.q); err != nil {
+		s.finish(err)
+		return
+	}
 	if s.name != "" {
 		for _, other := range m.subs {
 			if other.name == s.name {
@@ -756,7 +770,14 @@ func (m *Monitor) applyChange(ch query.Change) {
 		woken = append(woken, s)
 	}
 	sort.Slice(woken, func(i, j int) bool { return woken[i].id < woken[j].id })
+	e := ch.Snap.Engine()
 	for _, s := range woken {
+		if err := e.CheckDim(s.q); err != nil {
+			// Subscribed while the store was empty, and the first object
+			// has another dimension: the query cannot be evaluated.
+			m.dropSub(s, err)
+			continue
+		}
 		s.woken.Add(1)
 		m.woken.Add(1)
 		evs := s.apply(ch)
@@ -766,7 +787,9 @@ func (m *Monitor) applyChange(ch query.Change) {
 			m.markDirty(s.name)
 		}
 		m.place(s, true)
-		m.deliver(s, evs)
+		if len(evs) > 0 {
+			m.deliver(s, evs)
+		}
 	}
 	m.changes.Add(1)
 	m.advance(ch.Version, ch.Snap.VersionVector())
@@ -811,32 +834,16 @@ func wakeRect(ch query.Change) geom.Rect {
 	}
 }
 
-// deliver pushes events into the subscription's bounded buffer,
-// applying the slow-consumer policy on overflow.
+// deliver hands one version's events to the subscription's consumer; a
+// consumer that refuses them ends the subscription with its error.
 func (m *Monitor) deliver(s *Subscription, evs []Event) {
-	for _, ev := range evs {
-		for {
-			select {
-			case s.events <- ev:
-				s.emitted.Add(1)
-				m.events.Add(1)
-			default:
-				if m.opts.Policy == DropOldest {
-					select {
-					case <-s.events:
-						s.lost.Add(1)
-						m.lost.Add(1)
-					default:
-					}
-					continue
-				}
-				m.dropped.Add(1)
-				m.dropSub(s, ErrSlowConsumer)
-				return
-			}
-			break
-		}
+	if err := s.consumer.Deliver(evs); err != nil {
+		m.dropped.Add(1)
+		m.dropSub(s, err)
+		return
 	}
+	s.emitted.Add(uint64(len(evs)))
+	m.events.Add(uint64(len(evs)))
 }
 
 // advance publishes the new watermark (and version-vector cursor) to

@@ -321,7 +321,7 @@ func TestIncrementalRunSavings(t *testing.T) {
 		e := store.Snapshot().Engine()
 		for _, q := range queries {
 			thresh := e.KNNThreshold(q, k)
-			for _, b := range e.DB {
+			for _, b := range e.Database() {
 				if b != q && !e.KNNPrunable(q, b, thresh) {
 					requeryRuns++
 				}

@@ -60,6 +60,56 @@ type Event struct {
 	Match query.Match
 }
 
+// Consumer takes a subscription's events in place of its Events
+// channel; SubscribeTo installs one. The monitor worker calls Deliver
+// first with the initial result set (possibly empty) before the
+// subscribe call returns, then with each later version's events, in
+// stream order, and calls End exactly once when the subscription ends,
+// with the error Subscription.Err reports. A Deliver error ends the
+// subscription with that error, and the events of that call count as
+// undelivered. Neither method may block or call back into the Monitor.
+type Consumer interface {
+	Deliver(evs []Event) error
+	End(err error)
+}
+
+// chanConsumer is the Events channel as a Consumer: a bounded buffer
+// under the monitor's slow-consumer Policy.
+type chanConsumer struct {
+	s      *Subscription
+	ch     chan Event
+	policy Policy
+}
+
+// Deliver buffers evs, shedding the oldest buffered events under
+// DropOldest and refusing with ErrSlowConsumer under DisconnectSlow once
+// the buffer is full.
+func (c *chanConsumer) Deliver(evs []Event) error {
+	for _, ev := range evs {
+		for {
+			select {
+			case c.ch <- ev:
+			default:
+				if c.policy != DropOldest {
+					return ErrSlowConsumer
+				}
+				select {
+				case <-c.ch:
+					c.s.lost.Add(1)
+					c.s.m.lost.Add(1)
+				default:
+				}
+				continue
+			}
+			break
+		}
+	}
+	return nil
+}
+
+// End closes the channel after the events already buffered.
+func (c *chanConsumer) End(error) { close(c.ch) }
+
 // Policy selects what happens to a subscription whose consumer does not
 // drain events fast enough to keep its bounded buffer from filling.
 type Policy uint8
@@ -92,10 +142,12 @@ func (p Policy) String() string {
 // Options configures a Monitor.
 type Options struct {
 	// Buffer is the per-subscription event channel capacity; <= 0
-	// selects DefaultBuffer.
+	// selects DefaultBuffer. It sizes Events channels only: a
+	// subscription made with SubscribeTo hands its events to its
+	// Consumer and has no channel.
 	Buffer int
-	// Policy is the slow-consumer policy; the zero value is
-	// DisconnectSlow.
+	// Policy is the slow-consumer policy of Events channels; the zero
+	// value is DisconnectSlow.
 	Policy Policy
 	// CursorPath, when set, gives the monitor a durable cursor: the
 	// file persists the last fully-delivered store version and the
@@ -132,7 +184,8 @@ func (o Options) buffer() int {
 // event channel closed.
 var (
 	// ErrSlowConsumer: the DisconnectSlow policy cancelled the
-	// subscription because its event buffer overflowed.
+	// subscription because its event buffer overflowed (a Consumer may
+	// report it for its own bound too).
 	ErrSlowConsumer = errors.New("cq: slow consumer, subscription dropped")
 	// ErrUnsubscribed: the subscription was cancelled by the client.
 	ErrUnsubscribed = errors.New("cq: unsubscribed")
@@ -174,8 +227,9 @@ type Stats struct {
 	Events uint64
 	// Lost is the number of events discarded by the DropOldest policy.
 	Lost uint64
-	// Dropped is the number of subscriptions cancelled by the
-	// DisconnectSlow policy.
+	// Dropped is the number of subscriptions ended because their
+	// consumer refused events: an Events channel full under the
+	// DisconnectSlow policy, or a Consumer's Deliver error.
 	Dropped uint64
 	// CursorSaves counts successful cursor saves (delta appends and
 	// full rewrites alike); CursorSaveFailures the failed ones. A

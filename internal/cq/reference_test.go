@@ -106,7 +106,7 @@ func (r *refSub) applyKNN(e *query.Engine, ch query.Change) []Event {
 	}
 	mutID := mutatedID(ch)
 	var evs []Event
-	for _, b := range e.DB {
+	for _, b := range e.Database() {
 		if b == r.q || b.ID == mutID {
 			continue
 		}
@@ -143,7 +143,7 @@ func (r *refSub) applyRKNN(e *query.Engine, ch query.Change) []Event {
 	norm := e.Norm()
 	mutID := mutatedID(ch)
 	var evs []Event
-	for _, b := range e.DB {
+	for _, b := range e.Database() {
 		if b == r.q || b.ID == mutID {
 			continue
 		}
@@ -413,7 +413,7 @@ func runEquivalenceTrace(t *testing.T, open func(*testing.T, uncertain.Database,
 	}
 	var pairs []pair
 	for _, sp := range specs {
-		sub, err := m.subscribe(sp.kind, sp.q, sp.k, sp.tau)
+		sub, err := m.SubscribeTo(nil, "", sp.kind, sp.q, sp.k, sp.tau)
 		if err != nil {
 			t.Fatal(err)
 		}

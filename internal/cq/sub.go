@@ -52,9 +52,10 @@ type candState struct {
 }
 
 // Subscription is one standing KNN/RKNN query registered on a Monitor.
-// Events stream on Events() until the subscription ends (Cancel, the
-// slow-consumer policy, or Monitor.Close); after the channel closes,
-// Err reports why.
+// Events stream to its consumer — the Events() channel, or the Consumer
+// given to SubscribeTo — until the subscription ends (Cancel, the
+// consumer refusing events, or Monitor.Close); after the channel closes
+// (or Consumer.End), Err reports why.
 type Subscription struct {
 	id   int64
 	m    *Monitor
@@ -69,7 +70,8 @@ type Subscription struct {
 	// full result set. Cleared after init; worker-owned.
 	resume *wal.CursorSub
 
-	events chan Event
+	consumer Consumer
+	events   chan Event // the channel consumer's; nil with SubscribeTo
 
 	// Maintenance state below is owned by the monitor worker; nothing
 	// else reads or writes it.
@@ -87,7 +89,8 @@ type Subscription struct {
 }
 
 // Events returns the subscription's ordered event stream. The channel
-// is closed when the subscription ends; consult Err then.
+// is closed when the subscription ends; consult Err then. It is nil for
+// a subscription made with SubscribeTo, whose Consumer takes the events.
 func (s *Subscription) Events() <-chan Event { return s.events }
 
 // Kind returns the subscription's predicate kind.
@@ -107,8 +110,10 @@ func (s *Subscription) K() int { return s.k }
 func (s *Subscription) Tau() float64 { return s.tau }
 
 // Err returns the terminal error after the event channel closed
-// (ErrUnsubscribed, ErrSlowConsumer or ErrMonitorClosed), nil while the
-// subscription is live.
+// (ErrUnsubscribed, ErrSlowConsumer, ErrMonitorClosed, the error a
+// Consumer refused events with, or the refusal of a query object whose
+// dimension differs from the database's), nil while the subscription is
+// live.
 func (s *Subscription) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -139,17 +144,18 @@ func (s *Subscription) Cancel() {
 	<-done
 }
 
-// finish marks the subscription ended and closes the stream. Called by
-// the monitor worker only.
+// finish marks the subscription ended and ends its consumer's stream.
+// Called by the monitor worker only.
 func (s *Subscription) finish(err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.end {
+		s.mu.Unlock()
 		return
 	}
 	s.end = true
 	s.err = err
-	close(s.events)
+	s.mu.Unlock()
+	s.consumer.End(err)
 }
 
 // init evaluates the subscription from scratch on snapshot sn and emits
@@ -231,7 +237,7 @@ func (s *Subscription) resumeEvents(sn query.SnapshotView, results []query.Match
 		// instance (the object may merely no longer qualify); fall back
 		// to the persisted copy for objects deleted from the database.
 		byID := make(map[int]*uncertain.Object)
-		for _, o := range sn.Engine().DB {
+		for _, o := range sn.Engine().Database() {
 			byID[o.ID] = o
 		}
 		for _, pe := range s.resume.Entries {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"probprune/internal/core"
+	"probprune/internal/cow"
 	"probprune/internal/obs"
 	"probprune/internal/uncertain"
 	"probprune/internal/wal"
@@ -279,11 +280,11 @@ func (s *Store) pinCheckpointLocked() (*ckptJob, error) {
 		job.m = &wal.Manifest{
 			Version:      s.version,
 			Shards:       len(s.shards),
-			Order:        make([]int, len(s.db)),
+			Order:        make([]int, 0, s.order.Len()),
 			CacheVersion: s.cache.Version(),
 		}
-		for i, o := range s.db {
-			job.m.Order[i] = o.ID
+		for o := range s.order.All() {
+			job.m.Order = append(job.m.Order, o.ID)
 			if levels := s.cache.Materialized(o); levels != nil {
 				job.m.Decomp = append(job.m.Decomp, wal.DecompEntry{ID: o.ID, Dim: o.Dim(), Levels: levels})
 			}
@@ -294,7 +295,7 @@ func (s *Store) pinCheckpointLocked() (*ckptJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		ck := &wal.Checkpoint{Version: sh.version, Objects: slices.Clone(sh.db)}
+		ck := &wal.Checkpoint{Version: sh.version, Objects: sh.list.Slice()}
 		if job.m != nil {
 			job.m.VV = append(job.m.VV, sh.version)
 		} else {
@@ -624,14 +625,15 @@ func recoverShard(dir string, popts PersistOptions, single bool) (*recovery, err
 		return nil, err
 	}
 	r := &recovery{sh: &shard{journal: j}, byID: make(map[int]*uncertain.Object), via: make(map[int]bool)}
+	var objs uncertain.Database
 	if ck := j.Checkpoint(); ck != nil {
-		r.sh.db = slices.Clone(ck.Objects)
+		objs = ck.Objects
 		r.sh.version = ck.Version
-		for _, o := range r.sh.db {
+		for _, o := range objs {
 			r.byID[o.ID] = o
 		}
 	}
-	r.sh.index = bulkIndex(r.sh.db)
+	r.sh.list, r.sh.index = cow.ListOf(objs), bulkIndex(objs)
 	err = j.Replay(func(rec wal.Record) error {
 		if err := r.apply(rec); err != nil {
 			return err
@@ -784,17 +786,17 @@ func (s *Store) assemble(m *wal.Manifest, recs []*recovery) error {
 	}
 	if s.home != nil {
 		s.home = home
-		s.db = make(uncertain.Database, len(order))
-		for i, id := range order {
+		for _, id := range order {
 			o, ok := s.byID[id]
 			if !ok {
 				return fmt.Errorf("store: global order references unknown object ID %d", id)
 			}
-			s.db[i] = o
+			s.order.Append(o)
 		}
 	}
 	for _, o := range s.byID {
 		s.cache.Add(o)
+		s.dim = o.Dim()
 	}
 	// Seed the cache for objects untouched since the manifest: their
 	// values are unchanged (moves re-encode the same object), so the

@@ -412,7 +412,7 @@ func TestReopenSkipsRedecomposition(t *testing.T) {
 	defer reopened.Close()
 	materialized := 0
 	reopened.mu.RLock()
-	for _, o := range reopened.shards[0].db {
+	for o := range reopened.shards[0].list.All() {
 		if reopened.cache.Materialized(o) != nil {
 			materialized++
 		}

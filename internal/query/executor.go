@@ -113,8 +113,9 @@ func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
 // against, in database order (q itself excluded when it is a database
 // object). The slot order is the deterministic result order.
 func (e *Engine) candidates(q *uncertain.Object) []*uncertain.Object {
-	out := make([]*uncertain.Object, 0, len(e.DB))
-	for _, b := range e.DB {
+	db := e.Database()
+	out := make([]*uncertain.Object, 0, len(db))
+	for _, b := range db {
 		if b != q {
 			out = append(out, b)
 		}

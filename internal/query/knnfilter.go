@@ -86,7 +86,7 @@ func (e *Engine) knnThreshold(q *uncertain.Object, k int, n geom.Norm) float64 {
 	if e.Index != nil {
 		return knnPruneThreshold(e.Index, q, k, n)
 	}
-	return knnPruneThresholdLinear(e.DB, q, k, n)
+	return knnPruneThresholdLinear(e.Database(), q, k, n)
 }
 
 // knnPrunable reports whether object b is impossible as a kNN of q

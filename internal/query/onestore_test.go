@@ -37,7 +37,7 @@ func TestOneShardNoRouterWork(t *testing.T) {
 		if e.Index == nil || e.Index != s.shards[0].index {
 			t.Fatal("one-shard snapshot engine does not bind the shard's index")
 		}
-		if s.db != nil || s.home != nil {
+		if s.order.Len() != 0 || s.home != nil {
 			t.Fatal("one-shard store keeps a router list or home map")
 		}
 		mutateStore(t, s, rng, &next, 10)

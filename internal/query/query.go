@@ -23,6 +23,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -37,7 +38,10 @@ import (
 
 // Engine evaluates probabilistic similarity queries over a database.
 type Engine struct {
-	// DB is the uncertain database.
+	// DB is the uncertain database of an engine built by NewEngine or
+	// by hand. A Store snapshot's engine leaves it nil and reads the
+	// snapshot's copy-on-write list instead; Database returns the objects
+	// of either kind.
 	DB uncertain.Database
 	// Index optionally accelerates the complete-domination filter; nil
 	// uses linear scans.
@@ -70,6 +74,51 @@ type Engine struct {
 	// install one; snapshot engines share their store's, so counts
 	// accumulate across snapshots. A nil Obs records nothing.
 	Obs *Metrics
+
+	// snap is the snapshot a Store snapshot's engine is bound to; its
+	// objects are read through Database.
+	snap *Snapshot
+}
+
+// Database returns the objects the engine evaluates against, in
+// database order: DB, or on a Store snapshot's engine the snapshot's
+// objects, flattened on the first call (see Snapshot). The slice is
+// shared and must be treated as read-only.
+func (e *Engine) Database() uncertain.Database {
+	if e.snap != nil {
+		return e.snap.database()
+	}
+	return e.DB
+}
+
+// CheckDim reports an error when o's dimension differs from the
+// database's: distances across dimensions are undefined, so every query
+// entry refuses such a query object instead of evaluating it. An empty
+// database accepts any dimension.
+func (e *Engine) CheckDim(o *uncertain.Object) error {
+	if d := e.dim(); d != 0 && o.Dim() != d {
+		return fmt.Errorf("query: object %d has %d dimensions, the database holds %d-dimensional objects", o.ID, o.Dim(), d)
+	}
+	return nil
+}
+
+// dim returns the dimension of the indexed or stored objects, 0 when
+// the engine has none.
+func (e *Engine) dim() int {
+	switch {
+	case e.plane != nil:
+		for _, sh := range e.plane.shards {
+			if d := sh.index.Dim(); d != 0 {
+				return d
+			}
+		}
+		return 0
+	case e.Index != nil:
+		return e.Index.Dim()
+	case len(e.DB) > 0:
+		return e.DB[0].Dim()
+	}
+	return 0
 }
 
 // NewEngine builds an engine and its R-tree index over db (an STR bulk
@@ -142,7 +191,7 @@ func (e *Engine) run(target, reference *uncertain.Object, opts core.Options) *co
 	if e.Index != nil {
 		return core.RunIndexed(e.Index, target, reference, opts)
 	}
-	return core.Run(e.DB, target, reference, opts)
+	return core.Run(e.Database(), target, reference, opts)
 }
 
 // newSession prepares an incremental IDCA run through the same dispatch
@@ -161,7 +210,7 @@ func (e *Engine) newSession(target, reference *uncertain.Object, opts core.Optio
 	if e.Index != nil {
 		return core.NewSessionIndexed(e.Index, target, reference, opts)
 	}
-	return core.NewSession(e.DB, target, reference, opts)
+	return core.NewSession(e.Database(), target, reference, opts)
 }
 
 // ThresholdStop builds the IDCA stop criterion for a tail predicate
@@ -190,6 +239,9 @@ func (e *Engine) KNN(q *uncertain.Object, k int, tau float64) []Match {
 // evaluated concurrently on Options.Parallelism workers; the result is
 // identical to the sequential evaluation, in database order.
 func (e *Engine) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
+	if err := e.CheckDim(q); err != nil {
+		return nil, err
+	}
 	tr, pooled := e.Obs.traceFor(ctx)
 	start := time.Now()
 	cache := e.queryCache()
@@ -317,6 +369,9 @@ func (e *Engine) RKNN(q *uncertain.Object, k int, tau float64) []Match {
 // least k objects certainly closer to them than q, see rknnfilter.go)
 // are preselected away without an IDCA run.
 func (e *Engine) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
+	if err := e.CheckDim(q); err != nil {
+		return nil, err
+	}
 	if k < 1 {
 		return nil, nil
 	}
@@ -415,8 +470,25 @@ func (rd *RankDistribution) Bound(i int) gf.Interval {
 // similarity ranking of the database w.r.t. r. As the one query with a
 // single IDCA run and no candidate fan-out, it applies
 // Options.Parallelism at the pair level inside that run (results are
-// deterministic for a fixed value, like core.Run).
+// deterministic for a fixed value, like core.Run). It returns nil where
+// InverseRankCtx returns an error.
 func (e *Engine) InverseRank(b, r *uncertain.Object) *RankDistribution {
+	rd, _ := e.InverseRankCtx(context.Background(), b, r)
+	return rd
+}
+
+// InverseRankCtx is InverseRank with its refusals as errors: a context
+// already done, or b or r of another dimension than the database (see
+// CheckDim). The single run itself is not cancellable.
+func (e *Engine) InverseRankCtx(ctx context.Context, b, r *uncertain.Object) (*RankDistribution, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, o := range [2]*uncertain.Object{b, r} {
+		if err := e.CheckDim(o); err != nil {
+			return nil, err
+		}
+	}
 	start := time.Now()
 	opts := e.runOpts()
 	opts.Parallelism = e.Opts.Parallelism
@@ -432,7 +504,7 @@ func (e *Engine) InverseRank(b, r *uncertain.Object) *RankDistribution {
 		MinRank: res.CountOffset() + 1,
 		Ranks:   ranks,
 		Result:  res,
-	}
+	}, nil
 }
 
 // ExpectedRankBounds derives bounds on the expected rank
@@ -491,6 +563,9 @@ func (e *Engine) RankByExpectedRank(q *uncertain.Object) []Ranked {
 // stable sort runs over per-candidate bounds computed independently of
 // worker count and completion order.
 func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object) ([]Ranked, error) {
+	if err := e.CheckDim(q); err != nil {
+		return nil, err
+	}
 	tr, pooled := e.Obs.traceFor(ctx)
 	start := time.Now()
 	cands := e.candidates(q)

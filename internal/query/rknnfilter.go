@@ -41,7 +41,7 @@ func (e *Engine) rknnPrunable(q, b *uncertain.Object, k int, n geom.Norm) bool {
 		return rknnCertainDominators(e.Index, q, b, k, lim, n) >= k
 	}
 	count := 0
-	for _, o := range e.DB {
+	for _, o := range e.Database() {
 		if o == q || o == b || o.ExistenceProb() < 1 {
 			continue
 		}

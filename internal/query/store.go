@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"probprune/internal/core"
+	"probprune/internal/cow"
 	"probprune/internal/geom"
 	"probprune/internal/obs"
 	"probprune/internal/uncertain"
@@ -40,10 +41,11 @@ import (
 // this), while a mutation detaches only its home shard: O(n/N).
 //
 // Queries bind to an immutable Snapshot; the first mutation of a shard
-// after a publish detaches it: its object list is copied and its R-tree
-// cloned, which copies only the page table — the commit then copies the
-// tree pages it writes, so a detach costs the pages touched plus the
-// list, not the tree. A read burst pays one publish. The
+// after a publish detaches it. Object lists and R-trees are both paged
+// copy-on-write (package cow), so a detach copies their page tables and
+// the commit copies only the list chunks and tree pages it writes: an
+// Update or Insert costs what it touches, not the database (a Delete
+// shifts the rest of the list). A read burst pays one publish. The
 // persistent decomposition cache pins every resident object's kd-split,
 // invalidated per object on update; queries read through a per-call
 // overlay. Move and Rebalance migrate objects online without changing
@@ -53,7 +55,8 @@ type Store struct {
 	part ShardFunc
 
 	mu      sync.RWMutex
-	db      uncertain.Database // N > 1: global order, detached from snapshots; nil with one shard
+	order   objList // N > 1: global order, detached from snapshots; empty with one shard
+	dim     int     // dimension of the stored objects, fixed by the first one
 	byID    map[int]*uncertain.Object
 	home    map[int]int // N > 1: object ID -> shard; nil (every lookup 0) with one shard
 	cache   *core.DecompCache
@@ -79,7 +82,7 @@ type Store struct {
 // shard is the per-shard state; with one shard its list is the global
 // order.
 type shard struct {
-	db      uncertain.Database
+	list    objList
 	index   *objTree
 	version uint64
 	journal *wal.Journal // nil in memory
@@ -87,33 +90,36 @@ type shard struct {
 }
 
 func (sh *shard) insert(o *uncertain.Object) {
-	sh.db = append(sh.db, o)
+	sh.list.Append(o)
 	sh.index.Insert(o.MBR, o)
 }
 
 func (sh *shard) remove(o *uncertain.Object) {
-	sh.db = removeObject(sh.db, o)
+	removeObject(&sh.list, o)
 	sh.index.Delete(o.MBR, o)
 }
 
 // replace swaps old for o in place: the object keeps its list position
 // (query results are in database order).
 func (sh *shard) replace(old, o *uncertain.Object) {
-	replaceObject(sh.db, old, o)
+	replaceObject(&sh.list, old, o)
 	sh.index.Delete(old.MBR, old)
 	sh.index.Insert(o.MBR, o)
 }
 
-func removeObject(db uncertain.Database, o *uncertain.Object) uncertain.Database {
-	if i := slices.Index(db, o); i >= 0 {
-		return slices.Delete(db, i, i+1)
+// objList is an object list in database order, paged copy-on-write so
+// a snapshot shares it with the store chunk by chunk.
+type objList = cow.List[*uncertain.Object]
+
+func removeObject(l *objList, o *uncertain.Object) {
+	if i := l.Index(o); i >= 0 {
+		l.Delete(i)
 	}
-	return db
 }
 
-func replaceObject(db uncertain.Database, old, o *uncertain.Object) {
-	if i := slices.Index(db, old); i >= 0 {
-		db[i] = o
+func replaceObject(l *objList, old, o *uncertain.Object) {
+	if i := l.Index(old); i >= 0 {
+		l.Set(i, o)
 	}
 }
 
@@ -190,21 +196,27 @@ func NewShardedStore(db uncertain.Database, sopts ShardedOptions, opts core.Opti
 		if _, dup := s.byID[o.ID]; dup {
 			return nil, fmt.Errorf("store: duplicate object ID %d", o.ID)
 		}
+		if err := s.checkDim(o); err != nil {
+			return nil, err
+		}
+		s.dim = o.Dim()
 		si := s.shardFor(o)
 		s.byID[o.ID] = o
 		s.cache.Add(o)
 		parts[si] = append(parts[si], o)
 		if s.home != nil {
 			s.home[o.ID] = si
-			s.db = append(s.db, o)
 		}
+	}
+	if s.home != nil {
+		s.order = cow.ListOf(db)
 	}
 	var wg sync.WaitGroup
 	for i, sh := range s.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sh.db, sh.index = parts[i], bulkIndex(parts[i])
+			sh.list, sh.index = cow.ListOf(parts[i]), bulkIndex(parts[i])
 		}()
 	}
 	wg.Wait()
@@ -261,7 +273,7 @@ func (s *Store) ShardSizes() []int {
 	defer s.mu.RUnlock()
 	sizes := make([]int, len(s.shards))
 	for i, sh := range s.shards {
-		sizes[i] = len(sh.db)
+		sizes[i] = sh.list.Len()
 	}
 	return sizes
 }
@@ -371,9 +383,10 @@ type SnapshotView interface {
 // must not call back into the Store — package cq's Monitor is the
 // intended consumer. While at least one watcher is registered every
 // mutation publishes a snapshot, so every commit pays one copy-on-write
-// detach: a copy of the shard's object list plus the R-tree pages the
-// commit writes. That is the price of a gapless per-version change
-// stream.
+// detach: the page tables of the shard's object list and R-tree, plus
+// the list chunk and tree pages the commit writes (a Delete: the list
+// chunks from its position on). That is the price of a gapless
+// per-version change stream.
 func (s *Store) Watch(fn func(Change)) (SnapshotView, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,18 +420,31 @@ func (s *Store) notifyLocked(kind ChangeKind, old, new *uncertain.Object) {
 
 // detachLocked makes shard si (and the global order) private again
 // after a publish: the snapshot keeps the old lists and tree, the store
-// continues on copies — the tree's pages shared until written. Requires
-// s.mu held for writing.
+// continues on clones that share their list chunks and tree pages until
+// it writes them. A detach copies page tables only. Requires s.mu held
+// for writing.
 func (s *Store) detachLocked(si int) {
 	if s.snap != nil {
-		s.db = slices.Clone(s.db)
+		if s.home != nil {
+			s.order = s.order.Clone()
+		}
 		s.snap = nil
 	}
 	if sh := s.shards[si]; sh.snap != nil {
-		sh.db = slices.Clone(sh.db)
+		sh.list = sh.list.Clone()
 		sh.index = sh.index.Clone()
 		sh.snap = nil
 	}
+}
+
+// checkDim refuses an object whose dimension differs from the stored
+// objects': the first object stored fixes the store's dimension, as it
+// fixes its R-trees', and distances across dimensions are undefined.
+func (s *Store) checkDim(o *uncertain.Object) error {
+	if s.dim != 0 && o.Dim() != s.dim {
+		return fmt.Errorf("store: object %d has %d dimensions, the store holds %d-dimensional objects", o.ID, o.Dim(), s.dim)
+	}
+	return nil
 }
 
 // Insert adds a new object, routing it to its partition shard; the ID
@@ -448,6 +474,10 @@ func (s *Store) InsertCtx(ctx context.Context, o *uncertain.Object) error {
 		s.mu.Unlock()
 		return fmt.Errorf("store: duplicate object ID %d", o.ID)
 	}
+	if err := s.checkDim(o); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	si := s.shardFor(o)
 	seq, err := s.journalLocked(si, wal.Record{Op: wal.OpInsert, Obj: o}, s.version+1)
 	if err != nil {
@@ -456,11 +486,12 @@ func (s *Store) InsertCtx(ctx context.Context, o *uncertain.Object) error {
 	}
 	s.detachLocked(si)
 	s.shards[si].insert(o)
+	s.dim = o.Dim()
 	s.byID[o.ID] = o
 	s.cache.Add(o)
 	if s.home != nil {
 		s.home[o.ID] = si
-		s.db = append(s.db, o)
+		s.order.Append(o)
 	}
 	return s.commitLocked(ctx, si, seq, ChangeInsert, nil, o)
 }
@@ -504,7 +535,7 @@ func (s *Store) DeleteErrCtx(ctx context.Context, id int) (bool, error) {
 	s.cache.Invalidate(o)
 	if s.home != nil {
 		delete(s.home, id)
-		s.db = removeObject(s.db, o)
+		removeObject(&s.order, o)
 	}
 	return true, s.commitLocked(ctx, si, seq, ChangeDelete, o, nil)
 }
@@ -531,6 +562,10 @@ func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
 		s.mu.Unlock()
 		return fmt.Errorf("store: update of unknown object ID %d", o.ID)
 	}
+	if err := s.checkDim(o); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	si := s.home[o.ID]
 	seq, err := s.journalLocked(si, wal.Record{Op: wal.OpUpdate, Obj: o}, s.version+1)
 	if err != nil {
@@ -543,7 +578,7 @@ func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
 	s.cache.Invalidate(old)
 	s.cache.Add(o)
 	if s.home != nil {
-		replaceObject(s.db, old, o)
+		replaceObject(&s.order, old, o)
 	}
 	return s.commitLocked(ctx, si, seq, ChangeUpdate, old, o)
 }
@@ -676,7 +711,8 @@ func (s *Store) Rebalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	moved := 0
-	for _, o := range s.db {
+	order := s.order // moves never reorder it; a detach may replace s.order
+	for o := range order.All() {
 		dst := s.shardFor(o)
 		if src := s.home[o.ID]; src != dst {
 			if err := s.moveLocked(o.ID, src, dst); err != nil {
@@ -717,7 +753,7 @@ func (s *Store) snapshotLocked() *Snapshot {
 	for i, sh := range s.shards {
 		cuts[i] = s.cutLocked(sh)
 	}
-	s.snap = &Snapshot{db: s.db, shards: cuts, version: s.version, opts: s.opts, cache: s.cache, obs: s.obs}
+	s.snap = &Snapshot{list: s.order, shards: cuts, version: s.version, opts: s.opts, cache: s.cache, obs: s.obs}
 	return s.snap
 }
 
@@ -725,7 +761,7 @@ func (s *Store) snapshotLocked() *Snapshot {
 // Requires s.mu held for writing.
 func (s *Store) cutLocked(sh *shard) *Snapshot {
 	if sh.snap == nil {
-		sh.snap = &Snapshot{db: sh.db, index: sh.index, version: sh.version, opts: s.opts, cache: s.cache, obs: s.obs}
+		sh.snap = &Snapshot{list: sh.list, index: sh.index, version: sh.version, opts: s.opts, cache: s.cache, obs: s.obs}
 	}
 	return sh.snap
 }
@@ -776,8 +812,14 @@ func (s *Store) WALStats() (wal.MetricsSnapshot, bool) {
 // one shard, its object list and index; with more, a consistent cut of
 // per-shard snapshots plus the global order at one epoch. All queries
 // on one snapshot see exactly the same objects.
+//
+// The list is the store's copy-on-write list as of the publish. Readers
+// that scan the database (candidate scans, index-less fallbacks, DB)
+// read a flat copy built on first use, at most once per snapshot;
+// readers that go through the index (continuous-query maintenance)
+// never build it.
 type Snapshot struct {
-	db      uncertain.Database
+	list    objList
 	index   *objTree    // the shard's index; nil on a multi-shard cut
 	shards  []*Snapshot // per-shard cuts; nil with one shard
 	version uint64
@@ -787,6 +829,9 @@ type Snapshot struct {
 
 	engineOnce sync.Once
 	engine     *Engine
+
+	flatOnce sync.Once
+	flat     uncertain.Database
 
 	// Shard-stats cache (statsOnce): the index root MBR and whether
 	// every resident object certainly exists. A scatter-gather plane
@@ -804,7 +849,7 @@ func (sn *Snapshot) shardStats() (geom.Rect, bool, bool) {
 	sn.statsOnce.Do(func() {
 		sn.rootMBR, sn.nonEmpty = sn.index.Bounds()
 		sn.allCertain = true
-		for _, o := range sn.db {
+		for o := range sn.list.All() {
 			if o.ExistenceProb() < 1 {
 				sn.allCertain = false
 				break
@@ -845,14 +890,19 @@ func (sn *Snapshot) Shard(i int) *Snapshot {
 }
 
 // Len returns the number of objects in the snapshot.
-func (sn *Snapshot) Len() int { return len(sn.db) }
+func (sn *Snapshot) Len() int { return sn.list.Len() }
 
 // DB returns a copy of the snapshot's object slice in database order
 // (the objects are shared and must be treated as read-only).
 func (sn *Snapshot) DB() uncertain.Database {
-	db := make(uncertain.Database, len(sn.db))
-	copy(db, sn.db)
-	return db
+	return slices.Clone(sn.database())
+}
+
+// database returns the snapshot's objects in database order as one flat
+// slice, built on the first call. Shared: read-only.
+func (sn *Snapshot) database() uncertain.Database {
+	sn.flatOnce.Do(func() { sn.flat = sn.list.Slice() })
+	return sn.flat
 }
 
 // Engine returns the snapshot-bound query engine, reading the store's
@@ -864,7 +914,7 @@ func (sn *Snapshot) Engine() *Engine {
 	sn.engineOnce.Do(func() {
 		opts := sn.opts
 		opts.SharedDecomps = sn.cache
-		sn.engine = &Engine{DB: sn.db, Index: sn.index, Opts: opts, Obs: sn.obs}
+		sn.engine = &Engine{Index: sn.index, Opts: opts, Obs: sn.obs, snap: sn}
 		if sn.shards != nil {
 			sn.engine.plane = &shardPlane{shards: sn.shards}
 		}
@@ -913,6 +963,12 @@ func (s *Store) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) ([
 // snapshot (see Engine.InverseRank).
 func (s *Store) InverseRank(b, r *uncertain.Object) *RankDistribution {
 	return s.Snapshot().Engine().InverseRank(b, r)
+}
+
+// InverseRankCtx is InverseRank with its refusals as errors (see
+// Engine.InverseRankCtx).
+func (s *Store) InverseRankCtx(ctx context.Context, b, r *uncertain.Object) (*RankDistribution, error) {
+	return s.Snapshot().Engine().InverseRankCtx(ctx, b, r)
 }
 
 // RankByExpectedRank ranks the current snapshot by expected rank (see
@@ -984,6 +1040,11 @@ func (s *Store) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, err
 // BatchKNN is Store.BatchKNN pinned to this snapshot.
 func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
 	e := sn.Engine()
+	for i, r := range reqs {
+		if err := e.CheckDim(r.Q); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
 	tr, pooled := e.Obs.traceFor(ctx)
 	start := time.Now()
 	// One cache overlay for the whole batch: influence objects come from

@@ -42,6 +42,9 @@ func (e *Engine) TopKNN(q *uncertain.Object, k, m int) []Match {
 // concurrently, so the outcome is deterministic and independent of
 // worker count.
 func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) ([]Match, error) {
+	if err := e.CheckDim(q); err != nil {
+		return nil, err
+	}
 	if k < 1 || m < 1 {
 		return nil, nil
 	}
@@ -58,7 +61,7 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 	norm := e.normOrDefault()
 	thresh := e.knnThreshold(q, k, norm)
 	var objs []*uncertain.Object
-	for _, b := range e.DB {
+	for _, b := range e.Database() {
 		if b == q {
 			continue
 		}

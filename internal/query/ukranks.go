@@ -43,6 +43,9 @@ func (e *Engine) UKRanks(q *uncertain.Object, k int) []RankWinner {
 // UKRanksCtx is UKRanks with cancellation and concurrent candidate
 // evaluation on the query executor.
 func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]RankWinner, error) {
+	if err := e.CheckDim(q); err != nil {
+		return nil, err
+	}
 	if k < 1 {
 		return nil, nil
 	}

@@ -45,7 +45,7 @@ func (e *Engine) gather(q *uncertain.Object, keep func(b *uncertain.Object) bool
 			probe(e.Index, root, emit)
 		}
 	default:
-		for _, b := range e.DB {
+		for _, b := range e.Database() {
 			if keep(b) {
 				emit(b)
 			}

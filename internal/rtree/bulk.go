@@ -191,14 +191,12 @@ func splitEven(n, max int) []int {
 // but readers of t are unaffected: they never read the tag, and t's
 // contents do not change.
 func (t *Tree[T]) Clone() *Tree[T] {
-	t.owner = new(ownerTag)
 	return &Tree[T]{
 		dim:     t.dim,
 		size:    t.size,
 		root:    t.root,
 		nodes:   t.nodes,
-		owner:   new(ownerTag),
-		pages:   slices.Clone(t.pages),
+		pages:   t.pages.Clone(),
 		free:    slices.Clone(t.free),
 		rootMBR: slices.Clone(t.rootMBR),
 	}

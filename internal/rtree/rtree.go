@@ -19,12 +19,12 @@
 // in vals. Entry rectangles handed to callbacks are sub-slice views
 // into a page's coords, so traversals allocate nothing.
 //
-// Pages are copy-on-write: Clone copies only the page table, and each
-// tree writes in place only the pages it owns, copying a shared page on
-// its first write. A mutation after a Clone therefore costs the pages
-// it touches — a root-to-leaf path or two — not the whole tree, which
-// is what keeps the store's per-commit snapshot detach independent of
-// the database size.
+// Pages are copy-on-write (package cow): Clone copies only the page
+// table, and each tree writes in place only the pages it owns, copying
+// a shared page on its first write. A mutation after a Clone therefore
+// costs the pages it touches — a root-to-leaf path or two — not the
+// whole tree, which is what keeps the store's per-commit snapshot detach
+// independent of the database size.
 //
 // The algorithms (ChooseLeaf, quadratic split, CondenseTree, STR
 // packing, best-first Nearby) are operation-for-operation those of the
@@ -39,6 +39,7 @@ import (
 	"math"
 	"slices"
 
+	"probprune/internal/cow"
 	"probprune/internal/geom"
 )
 
@@ -72,19 +73,20 @@ type nodeMeta struct {
 	count int32 // values stored in this subtree
 }
 
-// ownerTag identifies the tree allowed to write a page in place; only
-// its address matters (the byte gives every tag its own).
-type ownerTag struct{ _ byte }
-
-// page stores pageNodes nodes. owner is the tag of the one tree allowed
-// to write the page in place; every other tree holding it copies it
-// first.
+// page stores pageNodes nodes. Pages live in a cow.Table: the tree
+// writes in place only the pages its table owns.
 type page[T comparable] struct {
-	owner  *ownerTag
 	meta   [pageNodes]nodeMeta
 	child  [pageNodes * slotCap]int32 // child links (internal nodes)
 	vals   [pageNodes * slotCap]T     // stored values (leaf nodes)
 	coords []float64                  // pageNodes*slotCap rects of 2*dim floats
+}
+
+// Copy returns a private copy of the page (cow.Page).
+func (p *page[T]) Copy() *page[T] {
+	c := *p
+	c.coords = slices.Clone(p.coords)
+	return &c
 }
 
 // rect returns a view of the rectangle in page slot s. The view aliases
@@ -108,9 +110,8 @@ type Tree[T comparable] struct {
 	root  int32 // node index; -1 until the first insert fixes dim
 	nodes int32 // node indices handed out (live or free)
 
-	owner *ownerTag  // tag of the pages this tree may write in place
-	pages []*page[T] // page i holds nodes [i*pageNodes, (i+1)*pageNodes)
-	free  []int32    // recycled node indices
+	pages cow.Table[page[T], *page[T]] // page i holds nodes [i*pageNodes, (i+1)*pageNodes)
+	free  []int32                      // recycled node indices
 
 	// rootMBR caches the union of the root's entry rectangles (2*dim
 	// floats), maintained on every mutation so read paths never compute
@@ -127,7 +128,7 @@ type Tree[T comparable] struct {
 
 // New returns an empty tree.
 func New[T comparable]() *Tree[T] {
-	return &Tree[T]{root: -1, owner: new(ownerTag)}
+	return &Tree[T]{root: -1}
 }
 
 // Len returns the number of stored values.
@@ -138,24 +139,12 @@ func (t *Tree[T]) Len() int { return t.size }
 func (t *Tree[T]) Dim() int { return t.dim }
 
 // pageOf returns the page of node ni for reading.
-func (t *Tree[T]) pageOf(ni int32) *page[T] { return t.pages[ni>>pageShift] }
+func (t *Tree[T]) pageOf(ni int32) *page[T] { return t.pages.At(int(ni >> pageShift)) }
 
 // writable returns the page of node ni for writing, first replacing a
 // page the tree does not own with a private copy. Views obtained from
 // the page before the copy keep reading the shared original.
-func (t *Tree[T]) writable(ni int32) *page[T] {
-	pi := ni >> pageShift
-	p := t.pages[pi]
-	if p.owner != t.owner {
-		c := new(page[T])
-		*c = *p
-		c.owner = t.owner
-		c.coords = slices.Clone(p.coords)
-		t.pages[pi] = c
-		p = c
-	}
-	return p
-}
+func (t *Tree[T]) writable(ni int32) *page[T] { return t.pages.Writable(int(ni >> pageShift)) }
 
 // meta returns the header of node ni.
 func (t *Tree[T]) meta(ni int32) nodeMeta { return t.pageOf(ni).meta[ni&pageMask] }
@@ -269,8 +258,8 @@ func (t *Tree[T]) newNode(leaf bool) int32 {
 	} else {
 		ni = t.nodes
 		t.nodes++
-		if int(ni>>pageShift) == len(t.pages) {
-			t.pages = append(t.pages, &page[T]{owner: t.owner, coords: make([]float64, pageNodes*slotCap*2*t.dim)})
+		if int(ni>>pageShift) == t.pages.Len() {
+			t.pages.Append(&page[T]{coords: make([]float64, pageNodes*slotCap*2*t.dim)})
 		}
 	}
 	*t.metaW(ni) = nodeMeta{leaf: leaf}

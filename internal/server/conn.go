@@ -526,7 +526,11 @@ func (c *conn) cmdInvRank(ctx context.Context, rest [][]byte) Frame {
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	return EncodeRankDist(c.srv.store.InverseRank(b, r))
+	rd, err := c.srv.store.InverseRankCtx(ctx, b, r)
+	if err != nil {
+		return errf(codeErr, "%v", err)
+	}
+	return EncodeRankDist(rd)
 }
 
 // cmdBatch routes a whole pipeline of kNN queries onto the store's

@@ -183,7 +183,6 @@ func TestServerLifecycle(t *testing.T) {
 	srv := server.New(store, server.Options{
 		CursorPath:   filepath.Join(t.TempDir(), "cursor"),
 		CursorEvery:  64,
-		SubBuffer:    128,
 		Retain:       256,
 		OutQueue:     32,
 		DrainTimeout: 2 * time.Second,

@@ -93,7 +93,7 @@ func (s *Server) MetricPoints() []obs.MetricPoint {
 	pts := s.metrics.points()
 
 	s.mu.Lock()
-	var parked, backlog int64
+	var parked, backlog, retained int64
 	sessions := int64(len(s.sessions))
 	for _, st := range s.sessions {
 		st.mu.Lock()
@@ -101,6 +101,7 @@ func (s *Server) MetricPoints() []obs.MetricPoint {
 			parked++
 		}
 		backlog += int64(len(st.ring) - st.delivered)
+		retained += int64(len(st.ring))
 		st.mu.Unlock()
 	}
 	s.mu.Unlock()
@@ -108,6 +109,7 @@ func (s *Server) MetricPoints() []obs.MetricPoint {
 		obs.MetricPoint{Name: "server.sessions", Kind: obs.KindGauge, Value: sessions},
 		obs.MetricPoint{Name: "server.sessions.parked", Kind: obs.KindGauge, Value: parked},
 		obs.MetricPoint{Name: "server.push.backlog", Kind: obs.KindGauge, Value: backlog},
+		obs.MetricPoint{Name: "server.push.retained", Kind: obs.KindGauge, Value: retained},
 	)
 
 	cs := s.mon.Stats()

@@ -24,13 +24,11 @@ type Options struct {
 	// CursorEvery auto-saves the durable cursor after that many
 	// processed changes; <= 0 selects 512.
 	CursorEvery int
-	// SubBuffer is the monitor-level per-subscription event buffer;
-	// <= 0 selects 4096. The server drains it promptly into each
-	// session's retained ring, so this only bounds scheduling jitter.
-	SubBuffer int
-	// Retain is the per-session retained event ring: the resume window
-	// of a parked subscription and the backpressure bound of an
-	// attached one. <= 0 selects 8192.
+	// Retain is the per-session retained event ring, the one place a
+	// session buffers events: the resume window of a parked
+	// subscription, the backpressure bound of an attached one, and the
+	// largest initial result set a SUBSCRIBE accepts. The ring grows
+	// with the events it holds. <= 0 selects 8192.
 	Retain int
 	// OutQueue is the per-connection outbound frame queue; <= 0
 	// selects 1024.
@@ -61,13 +59,6 @@ func (o Options) cursorEvery() int {
 		return 512
 	}
 	return o.CursorEvery
-}
-
-func (o Options) subBuffer() int {
-	if o.SubBuffer <= 0 {
-		return 4096
-	}
-	return o.SubBuffer
 }
 
 func (o Options) retain() int {
@@ -138,7 +129,7 @@ type Server struct {
 	ctx    context.Context // server lifetime: cancels in-flight queries on Close
 	cancel context.CancelFunc
 
-	wg sync.WaitGroup // connection loops + session pumps/deliveries
+	wg sync.WaitGroup // connection loops + session deliveries
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -177,9 +168,9 @@ func New(store *query.Store, opts Options) *Server {
 	if opts.SlowQuery > 0 {
 		store.SetSlowQueryThreshold(opts.SlowQuery)
 	}
+	// Sessions consume their subscriptions' events into their rings
+	// (SubscribeTo), so the monitor's channel options go unused.
 	s.mon = cq.NewMonitor(store, cq.Options{
-		Buffer:      opts.subBuffer(),
-		Policy:      cq.DisconnectSlow, // sessions drain promptly; never gap silently
 		CursorPath:  opts.CursorPath,
 		CursorEvery: opts.cursorEvery(),
 	})
@@ -275,8 +266,8 @@ func (s *Server) Close() error {
 	if ln != nil {
 		ln.Close()
 	}
-	// Ends every cq stream after draining committed changes; pumps see
-	// the close, sessions deliver what remains and terminate.
+	// Ends every cq stream after draining committed changes; sessions
+	// deliver what remains in their rings and terminate.
 	s.mon.Close()
 	deadline := time.Now().Add(s.opts.drainTimeout())
 	for {
@@ -349,27 +340,16 @@ func subscribeErrFrame(err error) Frame {
 	}
 }
 
-func (s *Server) subscribeCQ(sp subSpec) (*cq.Subscription, error) {
-	if sp.name != "" {
-		if sp.kind == cq.RKNN {
-			return s.mon.SubscribeRKNNDurable(sp.name, sp.q, sp.k, sp.tau)
-		}
-		return s.mon.SubscribeKNNDurable(sp.name, sp.q, sp.k, sp.tau)
-	}
-	if sp.kind == cq.RKNN {
-		return s.mon.SubscribeRKNN(sp.q, sp.k, sp.tau)
-	}
-	return s.mon.SubscribeKNN(sp.q, sp.k, sp.tau)
-}
-
-// newSessionLocked registers a new session, claimed by c (hold is set:
-// delivery stays silent until the dispatch goroutine has enqueued the
-// command reply and calls release). Caller holds s.mu.
-func (s *Server) newSessionLocked(c *conn, sp subSpec, sub *cq.Subscription) *subState {
-	s.nextSub++
+// newSessionLocked subscribes a new session to the monitor and
+// registers it, claimed by c (hold is set: delivery stays silent until
+// the dispatch goroutine has enqueued the command reply and calls
+// release). The session is the subscription's consumer, so the initial
+// result set is in its ring when the subscribe returns. Caller holds
+// s.mu.
+func (s *Server) newSessionLocked(c *conn, sp subSpec) (*subState, *Frame) {
 	st := &subState{
 		srv:      s,
-		id:       s.nextSub,
+		id:       s.nextSub + 1,
 		name:     sp.name,
 		kind:     sp.kind,
 		k:        sp.k,
@@ -377,21 +357,25 @@ func (s *Server) newSessionLocked(c *conn, sp subSpec, sub *cq.Subscription) *su
 		q:        sp.q,
 		policy:   sp.policy,
 		retain:   s.opts.retain(),
-		sub:      sub,
 		attached: c,
 		hold:     true,
 		kick:     make(chan struct{}, 1),
 		dead:     make(chan struct{}),
 	}
+	sub, err := s.mon.SubscribeTo(st, sp.name, sp.kind, sp.q, sp.k, sp.tau)
+	if err != nil {
+		return nil, efp(subscribeErrFrame(err))
+	}
+	s.nextSub++
+	st.sub = sub
 	s.sessions[st.id] = st
 	if st.name != "" {
 		s.named[st.name] = st
 	}
 	c.addSub(st)
-	s.wg.Add(2)
-	go st.pump()
+	s.wg.Add(1)
 	go st.delivery()
-	return st
+	return st, nil
 }
 
 // subscribe creates a subscription session for c. On success the
@@ -420,11 +404,8 @@ func (s *Server) subscribe(c *conn, sp subSpec) (*subState, string, *Frame) {
 			mode = ModeDelta
 		}
 	}
-	sub, err := s.subscribeCQ(sp)
-	if err != nil {
-		return nil, "", efp(subscribeErrFrame(err))
-	}
-	return s.newSessionLocked(c, sp, sub), mode, nil
+	st, ef := s.newSessionLocked(c, sp)
+	return st, mode, ef
 }
 
 // resume reattaches c to the named subscription at the client's
@@ -472,11 +453,8 @@ func (s *Server) resume(c *conn, sp subSpec, w watermark) (*subState, string, ui
 	if s.mon.HasCursorSub(sp.name) {
 		mode = ModeDelta
 	}
-	sub, err := s.subscribeCQ(sp)
-	if err != nil {
-		return nil, "", 0, efp(subscribeErrFrame(err))
-	}
-	return s.newSessionLocked(c, sp, sub), mode, 0, nil
+	st, ef := s.newSessionLocked(c, sp)
+	return st, mode, 0, ef
 }
 
 // release lifts the delivery hold set by subscribe/resume, after the

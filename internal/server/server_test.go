@@ -560,3 +560,63 @@ func TestServerGracefulShutdown(t *testing.T) {
 		}
 	}
 }
+
+// TestSubscribeInitialSetBound: the session ring's Retain is the one
+// bound on an initial result set. A set larger than the ring fails
+// SUBSCRIBE with an error reply — no session, no cq subscription, the
+// connection still serving — while a set larger than 4096 events, but
+// within Retain, subscribes and arrives whole.
+func TestSubscribeInitialSetBound(t *testing.T) {
+	const n, retain = 4200, 4150
+	db := make(uncertain.Database, n)
+	for i := range db {
+		// Point objects on a line the query object ends: at tau = 0
+		// every object is a result, decided by the first IDCA bound,
+		// and each run's filter settles all but one index path wholesale.
+		o, err := uncertain.NewObject(i+1, []geom.Point{{float64(i) * 0.01, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db[i] = o
+	}
+	store, err := query.NewStore(db, core.Options{MaxIterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, store, server.Options{Retain: retain})
+	c := dial(t, addr)
+	q, err := uncertain.NewObject(0, []geom.Point{{-1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := client.SubOptions{Kind: "KNN", K: 1, Tau: 0, Q: q}
+
+	if _, err := c.Subscribe(opts); !client.IsCode(err, "ERR") {
+		t.Fatalf("subscribe with a %d-event initial set over a %d-event ring: %v, want -ERR", n, retain, err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection after the refused subscribe: %v", err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st["server.sessions"] != 0 || srv.Monitor().NumSubscriptions() != 0 {
+		t.Fatalf("refused subscribe left %d sessions, %d cq subscriptions", st["server.sessions"], srv.Monitor().NumSubscriptions())
+	}
+
+	for id := 1; id <= 100; id++ {
+		store.Delete(id)
+	}
+	sub, err := c.Subscribe(opts)
+	if err != nil {
+		t.Fatalf("subscribe with a %d-event initial set: %v", n-100, err)
+	}
+	evs := drainN(t, sub, n-100)
+	assertAscending(t, evs)
+	for _, ev := range evs {
+		if ev.Kind != server.EvEntered {
+			t.Fatalf("initial event %+v, want entered", ev)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sync"
 
 	"probprune/internal/cq"
@@ -11,16 +12,16 @@ import (
 // Subscription sessions.
 //
 // A subscription on the wire is owned by the server's session
-// registry, not by the connection that created it. Two goroutines
-// serve each one:
+// registry, not by the connection that created it. The session is the
+// cq.Subscription's consumer: the monitor worker appends each version's
+// events to the session's retained ring under the session lock, so the
+// ring is the only place a session buffers events, and one delivery
+// goroutine per session walks the ring and writes events to the
+// attached connection (if any), in order.
 //
-//   - the pump drains the cq.Subscription's event channel into the
-//     session's retained ring — always promptly, so the monitor-level
-//     buffer never becomes the backpressure point;
-//   - the delivery loop walks the ring and writes events to the
-//     attached connection (if any), in order.
-//
-// The ring retains events after delivery, bounded by Options.Retain.
+// The ring retains events after delivery, bounded by Options.Retain,
+// which also bounds the initial result set: a set larger than the ring
+// fails SUBSCRIBE with an error reply.
 // Because the cq stream is strictly ordered — versions ascend, object
 // IDs ascend within a version — the pair (Version, Object.ID) is a
 // total-order watermark over the stream, and a client that reconnects
@@ -89,6 +90,7 @@ type subState struct {
 	sub *cq.Subscription
 
 	mu         sync.Mutex
+	seeded     bool // the initial result set was delivered
 	ring       []EventMsg
 	delivered  int       // ring[:delivered] handed to the attached connection
 	evicted    watermark // newest evicted event; zero until evictedAny
@@ -131,30 +133,48 @@ func (st *subState) kickDelivery() {
 	}
 }
 
-// pump drains the cq event stream into the ring. Runs until the
-// subscription's channel closes (unsubscribe, backpressure kill or
-// monitor shutdown).
-func (st *subState) pump() {
-	defer st.srv.wg.Done()
-	for ev := range st.sub.Events() {
-		st.append(eventFromCQ(st.id, ev.Kind.String(), ev.Version, ev.Object, ev.Match))
+// Deliver is the session's cq.Consumer side, called by the monitor
+// worker: it appends one version's events to the ring. The first call
+// carries the initial result set, which must fit the ring whole —
+// otherwise the subscribe fails rather than start a stream it would
+// have to end at once. A ring the disconnect policy terminates refuses
+// with cq.ErrSlowConsumer, which ends the cq subscription.
+func (st *subState) Deliver(evs []cq.Event) error {
+	st.mu.Lock()
+	defer st.kickDelivery()
+	defer st.mu.Unlock()
+	if !st.seeded {
+		st.seeded = true
+		if len(evs) > st.retain {
+			return fmt.Errorf("initial result set of %d events exceeds the %d-event session ring", len(evs), st.retain)
+		}
 	}
+	for _, ev := range evs {
+		if !st.appendLocked(eventFromCQ(st.id, ev.Kind.String(), ev.Version, ev.Object, ev.Match)) {
+			return cq.ErrSlowConsumer
+		}
+	}
+	return nil
+}
+
+// End is the cq.Consumer end of stream: the delivery loop pushes the
+// ring's tail and then the terminal frame.
+func (st *subState) End(err error) {
 	st.mu.Lock()
 	if !st.streamEnd {
 		st.streamEnd = true
-		st.endReason = endReasonFor(st.sub.Err())
+		st.endReason = endReasonFor(err)
 	}
 	st.mu.Unlock()
 	st.kickDelivery()
 }
 
-// append admits one event into the ring, applying the retention cap
-// and the backpressure policy.
-func (st *subState) append(ev EventMsg) {
-	st.mu.Lock()
+// appendLocked admits one event into the ring, applying the retention
+// cap and the backpressure policy. It reports false when the policy
+// terminated the session. Caller must hold st.mu.
+func (st *subState) appendLocked(ev EventMsg) bool {
 	if st.terminated {
-		st.mu.Unlock()
-		return
+		return true // an ephemeral session's cancel is in flight
 	}
 	st.ring = append(st.ring, ev)
 	if len(st.ring) > st.retain {
@@ -174,10 +194,10 @@ func (st *subState) append(ev EventMsg) {
 			// behind than the server retains. Terminate rather than gap.
 			st.srv.metrics.slowKills.Inc()
 			st.terminateLocked(EndSlow)
+			return false
 		}
 	}
-	st.mu.Unlock()
-	st.kickDelivery()
+	return true
 }
 
 // evictFrontLocked drops ring[0], advancing the eviction watermark.
@@ -190,9 +210,7 @@ func (st *subState) evictFrontLocked() {
 	}
 }
 
-// terminateLocked marks the session dead. The cq subscription is
-// cancelled asynchronously — Cancel synchronizes with the monitor
-// worker, which may be blocked handing this very session an event.
+// terminateLocked marks the session dead. Caller must hold st.mu.
 func (st *subState) terminateLocked(reason string) {
 	if st.terminated {
 		return
@@ -201,7 +219,6 @@ func (st *subState) terminateLocked(reason string) {
 	st.streamEnd = true
 	st.endReason = reason
 	close(st.dead)
-	go st.sub.Cancel()
 }
 
 // attach binds the session to a connection, resuming delivery at ring
@@ -220,6 +237,11 @@ func (st *subState) detach(c *conn) {
 	if st.attached == c {
 		st.attached = nil
 		if st.name == "" {
+			if !st.terminated {
+				// Cancel synchronizes with the monitor worker, which may
+				// be waiting for st.mu to hand this session an event.
+				go st.sub.Cancel()
+			}
 			st.terminateLocked(EndUnsubscribed)
 		} else {
 			parked = !st.terminated
@@ -237,8 +259,8 @@ func (st *subState) detach(c *conn) {
 // push is delivered after every event already in the stream.
 func (st *subState) unsubscribe() {
 	// Cancel synchronously: the monitor stops maintaining the
-	// subscription, the pump drains what was already delivered to its
-	// channel, and the stream closes with ErrUnsubscribed.
+	// subscription and ends the stream with ErrUnsubscribed, after the
+	// events already in the ring.
 	st.sub.Cancel()
 }
 

@@ -22,7 +22,7 @@ type backend struct {
 // backends recovered from disk hold decoded copies, not db's pointers.
 func (be backend) byID(t *testing.T, id int) *probprune.Object {
 	t.Helper()
-	for _, o := range be.eng.DB {
+	for _, o := range be.eng.Database() {
 		if o.ID == id {
 			return o
 		}
