@@ -20,23 +20,37 @@ import (
 	"time"
 
 	"probprune"
-	"probprune/internal/benchscen"
 	"probprune/internal/obs"
 	"probprune/internal/server"
 )
 
-const allocDBSize = 1000
+// The kNN predicate of every query ceiling.
+const (
+	allocK   = 5
+	allocTau = 0.3
+)
+
+// allocDB is the database every query ceiling measures: 1000 clustered
+// 8-sample objects, fixed seed.
+func allocDB(t *testing.T) probprune.Database {
+	t.Helper()
+	db, err := probprune.Synthetic(probprune.SyntheticConfig{N: 1000, Samples: 8, MaxExtent: 0.02, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
 
 // TestEngineKNNAllocCeiling: a threshold kNN query on a frozen engine
 // (persistent pinned decomposition cache, pooled run arenas) stays
 // under 1,000 allocations.
 func TestEngineKNNAllocCeiling(t *testing.T) {
-	db := benchscen.MustDB(allocDBSize)
+	db := allocDB(t)
 	e := probprune.NewEngine(db, probprune.Options{MaxIterations: 3})
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	e.KNN(q, benchscen.K, benchscen.Tau) // warm pools and decomposition cache
+	e.KNN(q, allocK, allocTau) // warm pools and decomposition cache
 	allocs := testing.AllocsPerRun(5, func() {
-		e.KNN(q, benchscen.K, benchscen.Tau)
+		e.KNN(q, allocK, allocTau)
 	})
 	if allocs > 1000 {
 		t.Fatalf("EngineKNN allocated %.0f times per query, ceiling 1000", allocs)
@@ -47,15 +61,15 @@ func TestEngineKNNAllocCeiling(t *testing.T) {
 // TestStoreWarmKNNAllocCeiling: the same query served warm from a live
 // Store snapshot stays under 900 allocations.
 func TestStoreWarmKNNAllocCeiling(t *testing.T) {
-	db := benchscen.MustDB(allocDBSize)
+	db := allocDB(t)
 	s, err := probprune.NewStore(db, probprune.Options{MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	s.KNN(q, benchscen.K, benchscen.Tau) // warm the persistent cache
+	s.KNN(q, allocK, allocTau) // warm the persistent cache
 	allocs := testing.AllocsPerRun(5, func() {
-		s.KNN(q, benchscen.K, benchscen.Tau)
+		s.KNN(q, allocK, allocTau)
 	})
 	if allocs > 900 {
 		t.Fatalf("StoreWarmKNN allocated %.0f times per query, ceiling 900", allocs)
@@ -70,7 +84,7 @@ func TestStoreWarmKNNAllocCeiling(t *testing.T) {
 // same 900-allocation ceiling: the trace-off path records nothing and
 // allocates nothing extra.
 func TestStoreWarmKNNAllocCeilingRecorderArmed(t *testing.T) {
-	db := benchscen.MustDB(allocDBSize)
+	db := allocDB(t)
 	s, err := probprune.NewStore(db, probprune.Options{MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -78,9 +92,9 @@ func TestStoreWarmKNNAllocCeilingRecorderArmed(t *testing.T) {
 	s.SetRecorder(obs.NewRecorder(1024))
 	s.SetSlowQueryThreshold(time.Hour) // armed, never fires here
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	s.KNN(q, benchscen.K, benchscen.Tau) // warm the persistent cache
+	s.KNN(q, allocK, allocTau) // warm the persistent cache
 	allocs := testing.AllocsPerRun(5, func() {
-		s.KNN(q, benchscen.K, benchscen.Tau)
+		s.KNN(q, allocK, allocTau)
 	})
 	if allocs > 900 {
 		t.Fatalf("StoreWarmKNN with recorder armed allocated %.0f times per query, ceiling 900", allocs)
@@ -93,15 +107,15 @@ func TestStoreWarmKNNAllocCeilingRecorderArmed(t *testing.T) {
 // own, so the multi-shard path cannot grow unnoticed behind the
 // one-shard ceilings above.
 func TestShardedWarmKNNAllocCeiling(t *testing.T) {
-	db := benchscen.MustDB(allocDBSize)
+	db := allocDB(t)
 	s, err := probprune.NewShardedStore(db, probprune.ShardedOptions{Shards: 4}, probprune.Options{MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	s.KNN(q, benchscen.K, benchscen.Tau) // warm the persistent cache
+	s.KNN(q, allocK, allocTau) // warm the persistent cache
 	allocs := testing.AllocsPerRun(5, func() {
-		s.KNN(q, benchscen.K, benchscen.Tau)
+		s.KNN(q, allocK, allocTau)
 	})
 	if allocs > 400 {
 		t.Fatalf("4-shard StoreWarmKNN allocated %.0f times per query, ceiling 400", allocs)
@@ -275,7 +289,7 @@ func TestSubscribeSessionAllocCeiling(t *testing.T) {
 // costs at most 1.5x the allocations of the same 16 queries issued one
 // by one.
 func TestStoreBatchKNNAllocCeiling(t *testing.T) {
-	db := benchscen.MustDB(allocDBSize)
+	db := allocDB(t)
 	s, err := probprune.NewStore(db, probprune.Options{MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +298,7 @@ func TestStoreBatchKNNAllocCeiling(t *testing.T) {
 	reqs := make([]probprune.KNNRequest, 16)
 	for i := range reqs {
 		q := probprune.PointObject(-(i + 1), probprune.Point{rng.Float64(), rng.Float64()})
-		reqs[i] = probprune.KNNRequest{Q: q, K: benchscen.K, Tau: benchscen.Tau}
+		reqs[i] = probprune.KNNRequest{Q: q, K: allocK, Tau: allocTau}
 	}
 	ctx := context.Background()
 	sequential := func() {

@@ -81,7 +81,7 @@ func ExampleOpenStore() {
 	}
 	store, _ := probprune.BootstrapStore(db, popts, probprune.Options{})
 	store.Insert(probprune.PointObject(2, probprune.Point{3, 0}))
-	store.Delete(0)
+	store.Delete(0) // found, journaled: true, nil
 	store.Close()
 
 	reopened, _ := probprune.OpenStore(popts, probprune.Options{})

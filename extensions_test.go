@@ -147,8 +147,11 @@ func TestDurableReopenOracle(t *testing.T) {
 					}
 				default:
 					victim := db[rng.Intn(len(db))].ID
-					if durable.Delete(victim) != mirror.Delete(victim) {
-						t.Fatal("delete outcome diverged")
+					var found, mirrored bool
+					if found, err = durable.Delete(victim); err == nil {
+						if mirrored, err = mirror.Delete(victim); err == nil && found != mirrored {
+							t.Fatal("delete outcome diverged")
+						}
 					}
 				}
 				if err != nil {

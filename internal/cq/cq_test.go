@@ -163,7 +163,7 @@ func TestMutationEvents(t *testing.T) {
 	if err := store.Update(objectNear(rng, 9000, 0.5, 0.5, 0.001)); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Delete(9000) {
+	if ok, err := store.Delete(9000); err != nil || !ok {
 		t.Fatal("delete failed")
 	}
 	if err := m.Sync(ctx); err != nil {
@@ -549,7 +549,9 @@ func TestConcurrentMutationsAndConsumers(t *testing.T) {
 			}
 		default:
 			snap := store.Snapshot().DB()
-			store.Delete(snap[rng.Intn(len(snap))].ID)
+			if _, err := store.Delete(snap[rng.Intn(len(snap))].ID); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := m.Sync(ctx); err != nil {

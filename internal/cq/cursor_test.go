@@ -67,7 +67,16 @@ func drain(s *Subscription, r cursorSet) []Event {
 type mutStore interface {
 	Insert(*uncertain.Object) error
 	Update(*uncertain.Object) error
-	Delete(int) bool
+	Delete(int) (bool, error)
+}
+
+// deleteStored deletes id from s; an ID that was not stored is an error.
+func deleteStored(s mutStore, id int) error {
+	found, err := s.Delete(id)
+	if err == nil && !found {
+		err = fmt.Errorf("delete of %d found nothing", id)
+	}
+	return err
 }
 
 // cursorTrace builds a deterministic mutation batch around the unit
@@ -97,12 +106,7 @@ func cursorTrace(t *testing.T, rng *rand.Rand, n, idBase int) []func(mutStore) e
 			ops = append(ops, func(s mutStore) error { return s.Update(o) })
 		default:
 			id := idBase + i - 2
-			ops = append(ops, func(s mutStore) error {
-				if !s.Delete(id) {
-					return fmt.Errorf("delete %d found nothing", id)
-				}
-				return nil
-			})
+			ops = append(ops, func(s mutStore) error { return deleteStored(s, id) })
 		}
 	}
 	return ops

@@ -222,7 +222,7 @@ func runMutationTrace(t *testing.T, seed int64) {
 			mirror[i] = o
 		default:
 			i := rng.Intn(len(mirror))
-			if !store.Delete(mirror[i].ID) {
+			if ok, err := store.Delete(mirror[i].ID); err != nil || !ok {
 				t.Fatalf("delete of %d failed", mirror[i].ID)
 			}
 			mirror = append(mirror[:i], mirror[i+1:]...)

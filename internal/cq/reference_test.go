@@ -291,17 +291,17 @@ func (s *bareSource) Update(o *uncertain.Object) error {
 	return nil
 }
 
-func (s *bareSource) Delete(id int) bool {
+func (s *bareSource) Delete(id int) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i := s.find(id)
 	if i < 0 {
-		return false
+		return false, nil
 	}
 	s.commit(query.ChangeDelete, s.db[i], nil, func(db uncertain.Database) uncertain.Database {
 		return append(db[:i], db[i+1:]...)
 	})
-	return true
+	return true, nil
 }
 
 // traceSource is what the equivalence trace needs of a source.
@@ -467,19 +467,9 @@ func runEquivalenceTrace(t *testing.T, open func(*testing.T, uncertain.Database,
 	step("insert-hot", func() error { return src.Insert(objectNear(rng, hot, 0.48, 0.48, 0.01)) })
 	step("hot-leaves", func() error { return src.Update(objectNear(rng, hot, 0.02, 0.97, 0.01)) })
 	step("hot-returns", func() error { return src.Update(pointObject(hot, 0.5, 0.5)) })
-	step("delete-hot", func() error {
-		if !src.Delete(hot) {
-			return fmt.Errorf("delete found nothing")
-		}
-		return nil
-	})
+	step("delete-hot", func() error { return deleteStored(src, hot) })
 	step("replace-resident", func() error { return src.Update(objectNear(rng, resident.ID, 0.5, 0.45, 0.05)) })
-	step("delete-resident", func() error {
-		if !src.Delete(resident.ID) {
-			return fmt.Errorf("delete found nothing")
-		}
-		return nil
-	})
+	step("delete-resident", func() error { return deleteStored(src, resident.ID) })
 	step("reinsert-resident", func() error { return src.Insert(resident) })
 
 	for i := 0; i < 40; i++ {
@@ -495,12 +485,7 @@ func runEquivalenceTrace(t *testing.T, open func(*testing.T, uncertain.Database,
 			step(fmt.Sprintf("insert-%d", i), func() error { return src.Insert(o) })
 		case roll == 1:
 			id := live[rng.Intn(len(live))]
-			step(fmt.Sprintf("delete-%d", i), func() error {
-				if !src.Delete(id) {
-					return fmt.Errorf("delete of %d found nothing", id)
-				}
-				return nil
-			})
+			step(fmt.Sprintf("delete-%d", i), func() error { return deleteStored(src, id) })
 		default:
 			// Updates jump anywhere in the unit square, so they cross
 			// the kNN thresholds in both directions.

@@ -93,7 +93,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 						continue
 					}
 					j := rng.Intn(len(owned))
-					if !ss.Delete(owned[j]) {
+					if ok, err := ss.Delete(owned[j]); err != nil || !ok {
 						t.Errorf("writer %d: delete of owned ID %d failed", w, owned[j])
 						return
 					}

@@ -157,7 +157,7 @@ func TestAutoCheckpointFailureSurfacedSharded(t *testing.T) {
 	if err := s.Insert(obj(3)); err != nil {
 		t.Fatalf("insert after surfacing: %v", err)
 	}
-	if found, err := s.DeleteErr(obj(0).ID); err != nil || !found {
+	if found, err := s.Delete(obj(0).ID); err != nil || !found {
 		t.Fatalf("delete after surfacing: found=%v err=%v", found, err)
 	}
 	s.dur.drain()

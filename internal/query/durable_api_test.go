@@ -115,13 +115,13 @@ func TestDeleteErrAndChangeKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ok, err := s.DeleteErr(db[0].ID)
+	ok, err := s.Delete(db[0].ID)
 	if !ok || err != nil {
-		t.Fatalf("DeleteErr = %v, %v", ok, err)
+		t.Fatalf("Delete = %v, %v", ok, err)
 	}
-	ok, err = s.DeleteErr(db[0].ID)
+	ok, err = s.Delete(db[0].ID)
 	if ok || err != nil {
-		t.Fatalf("second DeleteErr = %v, %v", ok, err)
+		t.Fatalf("second Delete = %v, %v", ok, err)
 	}
 	for kind, want := range map[ChangeKind]string{
 		ChangeInsert: "insert", ChangeUpdate: "update", ChangeDelete: "delete", ChangeKind(9): "unknown",

@@ -71,7 +71,7 @@ type traceOp struct {
 type durableMutator interface {
 	Insert(*uncertain.Object) error
 	Update(*uncertain.Object) error
-	Delete(int) bool
+	Delete(int) (bool, error)
 }
 
 func applyOp(t *testing.T, s durableMutator, op traceOp) {
@@ -86,8 +86,8 @@ func applyOp(t *testing.T, s durableMutator, op traceOp) {
 			t.Fatal(err)
 		}
 	case 'd':
-		if !s.Delete(op.id) {
-			t.Fatalf("delete of %d found nothing", op.id)
+		if ok, err := s.Delete(op.id); err != nil || !ok {
+			t.Fatalf("delete of %d: ok=%v err=%v", op.id, ok, err)
 		}
 	case 'm':
 		if sh, ok := s.(*Store); ok {

@@ -67,7 +67,7 @@ func TestSnapshotListTranscript(t *testing.T) {
 				case op < 8:
 					o := cur.global[rng.Intn(len(cur.global))]
 					si := home(o.ID)
-					if !s.Delete(o.ID) {
+					if ok, err := s.Delete(o.ID); err != nil || !ok {
 						t.Fatalf("delete of stored object %d failed", o.ID)
 					}
 					cur.global = slices.DeleteFunc(cur.global, func(x *uncertain.Object) bool { return x == o })

@@ -107,7 +107,7 @@ func TestMoveRollbackFailureLatches(t *testing.T) {
 	}
 	latched("insert", s.Insert(uncertain.PointObject(9001, geom.Point{0.2, 0.2})))
 	latched("update", s.Update(uncertain.PointObject(db[1].ID, geom.Point{0.3, 0.3})))
-	_, derr := s.DeleteErr(db[2].ID)
+	_, derr := s.Delete(db[2].ID)
 	latched("delete", derr)
 	latched("move", s.Move(db[3].ID, 1-s.shardFor(db[3])))
 	latched("sync", s.Sync())

@@ -163,8 +163,10 @@ func runShardFuzz(t *testing.T, seed int64, nsh uint8, ops []byte, withMoves boo
 				continue
 			}
 			id := cur[rng.Intn(len(cur))].ID
-			if !store.Delete(id) || !sharded.Delete(id) {
-				t.Fatalf("op %d: delete of %d failed", i, id)
+			for _, s := range []*Store{store, sharded} {
+				if ok, err := s.Delete(id); err != nil || !ok {
+					t.Fatalf("op %d: delete of %d: ok=%v err=%v", i, id, ok, err)
+				}
 			}
 		case 4:
 			cur := sharded.Snapshot().DB()

@@ -236,11 +236,11 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 						continue
 					}
 					id := db[rng.Intn(len(db))].ID
-					if !sc.store.Delete(id) {
+					if ok, err := sc.store.Delete(id); err != nil || !ok {
 						t.Fatalf("store delete of %d failed", id)
 					}
 					for n, ss := range sc.sharded {
-						if !ss.Delete(id) {
+						if ok, err := ss.Delete(id); err != nil || !ok {
 							t.Fatalf("sharded(%d) delete of %d failed", n, id)
 						}
 					}

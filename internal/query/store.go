@@ -496,27 +496,18 @@ func (s *Store) InsertCtx(ctx context.Context, o *uncertain.Object) error {
 	return s.commitLocked(ctx, si, seq, ChangeInsert, nil, o)
 }
 
-// Delete removes the object with the given ID and reports whether one
-// was stored. Journaling errors on a durable store surface through
-// DeleteErr; Delete itself keeps the boolean contract and leaves the
-// store unchanged when journaling fails.
-func (s *Store) Delete(id int) bool {
-	ok, _ := s.DeleteErrCtx(context.Background(), id)
-	return ok
+// Delete removes the object with the given ID: ok reports whether one
+// was stored, err a failure to journal the commit. The store is
+// unchanged when err != nil, except a group-fsync failure under
+// wal.SyncAlways, which is reported after the commit was applied in
+// memory (ok stays true and the journal wedges).
+func (s *Store) Delete(id int) (ok bool, err error) {
+	return s.DeleteCtx(context.Background(), id)
 }
 
-// DeleteErr is Delete with the journaling error exposed: ok reports
-// whether the ID was stored, err a failure to journal the commit. The
-// store is unchanged when err != nil, except a group-fsync failure
-// under wal.SyncAlways, which is reported after the commit was applied
-// in memory (ok stays true and the journal wedges).
-func (s *Store) DeleteErr(id int) (bool, error) {
-	return s.DeleteErrCtx(context.Background(), id)
-}
-
-// DeleteErrCtx is DeleteErr with a context carrying an optional trace
-// (see InsertCtx).
-func (s *Store) DeleteErrCtx(ctx context.Context, id int) (bool, error) {
+// DeleteCtx is Delete with a context carrying an optional trace (see
+// InsertCtx).
+func (s *Store) DeleteCtx(ctx context.Context, id int) (bool, error) {
 	s.mu.Lock()
 	o, ok := s.byID[id]
 	if !ok {

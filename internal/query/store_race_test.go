@@ -80,7 +80,7 @@ func TestStoreConcurrentMutationAndQuery(t *testing.T) {
 				if err := s.Insert(randObject(t, rng, tid)); err != nil {
 					t.Errorf("mutator %d: insert: %v", w, err)
 				}
-				if !s.Delete(tid) {
+				if ok, err := s.Delete(tid); err != nil || !ok {
 					t.Errorf("mutator %d: transient %d vanished", w, tid)
 				}
 			}

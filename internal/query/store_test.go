@@ -57,7 +57,7 @@ func mutateStore(t *testing.T, s *Store, rng *rand.Rand, nextID *int, steps int)
 		default:
 			if s.Len() > 4 {
 				snap := s.Snapshot().DB()
-				if !s.Delete(snap[rng.Intn(len(snap))].ID) {
+				if ok, err := s.Delete(snap[rng.Intn(len(snap))].ID); err != nil || !ok {
 					t.Fatal("delete of existing ID failed")
 				}
 			}
@@ -236,13 +236,13 @@ func TestStoreAPIErrors(t *testing.T) {
 	if err := s.Insert(nil); err == nil {
 		t.Fatal("nil insert succeeded")
 	}
-	if s.Delete(99) {
-		t.Fatal("delete of unknown ID succeeded")
+	if ok, err := s.Delete(99); ok || err != nil {
+		t.Fatalf("delete of unknown ID: ok=%v err=%v", ok, err)
 	}
 	if got, ok := s.Get(1); !ok || got != o {
 		t.Fatal("Get(1) did not return the stored object")
 	}
-	if !s.Delete(1) {
+	if ok, err := s.Delete(1); err != nil || !ok {
 		t.Fatal("delete of stored ID failed")
 	}
 	if s.Len() != 0 {

@@ -458,7 +458,7 @@ func (c *conn) cmdDelete(ctx context.Context, rest [][]byte) Frame {
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	found, err := c.srv.store.DeleteErrCtx(ctx, id)
+	found, err := c.srv.store.DeleteCtx(ctx, id)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}
@@ -543,8 +543,9 @@ func (c *conn) cmdBatch(ctx context.Context, rest [][]byte) Frame {
 	if err != nil || n < 0 {
 		return errf(codeBadArg, "bad batch size %q", rest[0])
 	}
-	if len(rest) != 1+3*n {
-		return errf(codeBadArg, "BATCH %d wants %d arguments, got %d", n, 1+3*n, len(rest))
+	// Divide rather than multiply: 1+3*n wraps for a hostile n.
+	if (len(rest)-1)%3 != 0 || n != (len(rest)-1)/3 {
+		return errf(codeBadArg, "BATCH %d wants 3 arguments per query, got %d", n, len(rest)-1)
 	}
 	reqs := make([]query.KNNRequest, n)
 	for i := 0; i < n; i++ {

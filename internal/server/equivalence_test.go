@@ -178,7 +178,7 @@ func runEquivalence(t *testing.T, seed int64) {
 			i := rng.Intn(len(ids))
 			id := ids[i]
 			ids = append(ids[:i], ids[i+1:]...)
-			if found, err := ref.DeleteErr(id); err != nil || !found {
+			if found, err := ref.Delete(id); err != nil || !found {
 				t.Fatalf("op %d: ref delete: found=%v err=%v", op, found, err)
 			}
 			for _, cd := range cands {
@@ -337,7 +337,7 @@ func runEquivalence(t *testing.T, seed int64) {
 			t.Fatalf("%s: stats: %v", cd.name, err)
 		}
 		for _, key := range []string{
-			"server.cmd.knn.calls", "server.cmd.rknn.calls",
+			"server.cmd.insert.calls", "server.cmd.knn.calls", "server.cmd.rknn.calls",
 			"server.cmd.topknn.calls", "server.cmd.invrank.calls",
 			"server.cmd.batch.calls", "server.cmd.get.calls",
 			"server.cmd.subscribe.calls", "server.cmd.unsubscribe.calls",

@@ -45,7 +45,7 @@ func testDB(seed int64, n int) uncertain.Database {
 
 // startServer serves backend on a loopback listener and tears
 // everything down with the test.
-func startServer(t *testing.T, backend *query.Store, opts server.Options) (*server.Server, string) {
+func startServer(t testing.TB, backend *query.Store, opts server.Options) (*server.Server, string) {
 	t.Helper()
 	srv := server.New(backend, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -270,7 +270,7 @@ type rawConn struct {
 	r  *server.Reader
 }
 
-func rawDial(t *testing.T, addr string) *rawConn {
+func rawDial(t testing.TB, addr string) *rawConn {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -606,7 +606,9 @@ func TestSubscribeInitialSetBound(t *testing.T) {
 	}
 
 	for id := 1; id <= 100; id++ {
-		store.Delete(id)
+		if _, err := store.Delete(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sub, err := c.Subscribe(opts)
 	if err != nil {

@@ -92,11 +92,14 @@
 // and the decomposition cache. A one-shard store journals in its
 // directory; a multi-shard one keeps a journal per shard (shard-0, ...)
 // plus a MANIFEST. Opening reads the layout from the directory,
-// recovers bit-identically and stops cleanly at the last intact record:
+// recovers bit-identically and stops cleanly at the last intact record.
+// Every mutation reports its journaling error; Delete reports whether
+// the ID was stored as well:
 //
 //	popts := probprune.PersistOptions{Dir: "data/db", CheckpointEvery: 4096}
 //	store, _ := probprune.BootstrapStore(db, popts, probprune.Options{})
-//	store.Insert(obj)                     // journaled, then applied
+//	err := store.Insert(obj)              // journaled, then applied
+//	found, err := store.Delete(17)        // ditto; found: 17 was stored
 //	store.Close()
 //	store, _ = probprune.OpenStore(popts, probprune.Options{})
 //

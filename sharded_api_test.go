@@ -107,8 +107,10 @@ func TestShardedStoreFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !sharded.Delete(db[0].ID) || !store.Delete(db[0].ID) {
-		t.Fatal("delete failed")
+	for _, s := range []*probprune.Store{sharded, store} {
+		if ok, err := s.Delete(db[0].ID); err != nil || !ok {
+			t.Fatalf("delete: ok=%v err=%v", ok, err)
+		}
 	}
 	if len(changes) != 6 {
 		t.Fatalf("watch delivered %d changes, want 6", len(changes))

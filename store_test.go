@@ -33,7 +33,7 @@ func TestStoreFacade(t *testing.T) {
 	if err := store.Update(moved); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Delete(1) {
+	if ok, err := store.Delete(1); err != nil || !ok {
 		t.Fatal("delete of object 1 failed")
 	}
 	added, err := probprune.NewObject(1000, []probprune.Point{{0.49, 0.5}, {0.5, 0.49}})
@@ -95,7 +95,7 @@ func TestStoreFacade(t *testing.T) {
 	}
 
 	// A held snapshot survives later mutations untouched.
-	if !store.Delete(1000) {
+	if ok, err := store.Delete(1000); err != nil || !ok {
 		t.Fatal("delete of object 1000 failed")
 	}
 	if snap.Len() != 60 || store.Len() != 59 {
