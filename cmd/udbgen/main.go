@@ -1,13 +1,11 @@
 // Command udbgen generates uncertain databases and writes them in the
-// repository's dataset format — or, with -format ckpt, as a durable
-// checkpoint snapshot (the write-ahead-log layer's format), which
-// udbquery loads directly and a durable store recovers from.
+// repository's dataset format (gob, .udb), which udbquery, udbserver -db
+// and cmd/experiments read.
 //
 // Usage:
 //
 //	udbgen -kind synthetic -n 10000 -samples 1000 -maxextent 0.004 -o synth.udb
 //	udbgen -kind iceberg   -n 6216  -samples 1000 -o iceberg.udb
-//	udbgen -kind synthetic -n 1000 -format ckpt -o synth.ckpt
 package main
 
 import (
@@ -16,7 +14,6 @@ import (
 	"os"
 
 	"probprune/internal/uncertain"
-	"probprune/internal/wal"
 	"probprune/internal/workload"
 )
 
@@ -27,17 +24,12 @@ func main() {
 		samples   = flag.Int("samples", 0, "samples per object (0 = family default)")
 		maxExtent = flag.Float64("maxextent", 0, "maximum object extent (0 = family default)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		format    = flag.String("format", "udb", "output format: udb (gob dataset) or ckpt (checkpoint snapshot)")
 		out       = flag.String("o", "", "output file (required)")
 	)
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "udbgen: -o is required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *format != "udb" && *format != "ckpt" {
-		fmt.Fprintf(os.Stderr, "udbgen: unknown -format %q\n", *format)
 		os.Exit(2)
 	}
 
@@ -62,15 +54,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "udbgen: %v\n", err)
 		os.Exit(1)
 	}
-	switch *format {
-	case "udb":
-		err = workload.SaveFile(*out, db)
-	case "ckpt":
-		err = wal.SaveCheckpointFile(*out, &wal.Checkpoint{Objects: db})
-	}
-	if err != nil {
+	if err := workload.SaveFile(*out, db); err != nil {
 		fmt.Fprintf(os.Stderr, "udbgen: writing %s: %v\n", *out, err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %d objects (%d samples each) to %s (%s)\n", len(db), db[0].NumSamples(), *out, *format)
+	fmt.Printf("wrote %d objects (%d samples each) to %s\n", len(db), db[0].NumSamples(), *out)
 }

@@ -1,6 +1,5 @@
 // Command udbquery runs probabilistic similarity queries against a
-// dataset written by udbgen — either format: the gob dataset (.udb) or
-// a checkpoint snapshot (-format ckpt), sniffed by magic bytes.
+// dataset written by udbgen.
 //
 // Usage:
 //
@@ -27,7 +26,6 @@ import (
 	"probprune/internal/obs"
 	"probprune/internal/query"
 	"probprune/internal/uncertain"
-	"probprune/internal/wal"
 	"probprune/internal/workload"
 )
 
@@ -50,18 +48,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var (
-		db  uncertain.Database
-		err error
-	)
-	if wal.IsCheckpointFile(*dbPath) {
-		var ck *wal.Checkpoint
-		if ck, err = wal.LoadCheckpointFile(*dbPath); err == nil {
-			db = ck.Objects
-		}
-	} else {
-		db, err = workload.LoadFile(*dbPath)
-	}
+	db, err := workload.LoadFile(*dbPath)
 	if err != nil {
 		fail("loading %s: %v", *dbPath, err)
 	}

@@ -88,7 +88,7 @@ type Monitor struct {
 	regions   *rtree.Tree[*Subscription] // bounded influence regions
 	unbounded map[int64]*Subscription    // subscriptions that wake on every change
 	cursor    *wal.Cursor                // in-memory durable cursor view (nil without one)
-	clog      *wal.CursorLog             // append-only cursor log behind CursorPath
+	clog      *wal.CursorLog             // append-only cursor log behind CursorPath; set under wmu (Stats reads it)
 	cursorErr error                      // cursor open failure, surfaced on durable subscribes
 	sinceSave int                        // changes processed since the last cursor save
 	dirty     map[string]bool            // names whose result set changed since the last successful save
@@ -388,9 +388,12 @@ func (m *Monitor) Stats() Stats {
 		CursorSaves:        m.cursorSaves.Load(),
 		CursorSaveFailures: m.cursorSaveFails.Load(),
 	}
-	if m.clog != nil {
-		st.CursorDeltaBytes = m.clog.DeltaBytes()
-		st.CursorCompactions = m.clog.Compactions()
+	m.wmu.Lock()
+	clog := m.clog
+	m.wmu.Unlock()
+	if clog != nil {
+		st.CursorDeltaBytes = clog.DeltaBytes()
+		st.CursorCompactions = clog.Compactions()
 	}
 	return st
 }
@@ -579,12 +582,17 @@ func (m *Monitor) writeCursor() error {
 	// dropSub's remember) work against the latest persisted view.
 	m.cursor = c
 	if m.clog == nil {
-		// The cursor log never opened (m.cursorErr). Fall back to an
-		// atomic full rewrite in the legacy format: it self-heals the
-		// file, and the next open migrates it back into a log.
-		return wal.SaveCursor(m.opts.CursorPath, c)
-	}
-	if m.forceFull || m.clog.ShouldCompact() {
+		// The cursor log never opened (m.cursorErr): replace the file
+		// with a fresh log holding c, which self-heals it, and append to
+		// that log from now on.
+		l, err := wal.CreateCursorLog(m.opts.CursorPath, c)
+		if err != nil {
+			return err
+		}
+		m.wmu.Lock()
+		m.clog = l
+		m.wmu.Unlock()
+	} else if m.forceFull || m.clog.ShouldCompact() {
 		if err := m.clog.WriteFull(c); err != nil {
 			m.forceFull = true
 			return err

@@ -222,3 +222,39 @@ func TestCursorAutoSaveErrorDeferred(t *testing.T) {
 		t.Fatal("Close reported success while the cursor was never saved")
 	}
 }
+
+// TestCursorSelfHeal: a cursor file that would not open is replaced by
+// the first save with a fresh log, later saves append to that log, and
+// the next monitor on the path accepts durable subscriptions again.
+func TestCursorSelfHeal(t *testing.T) {
+	cursorPath := filepath.Join(t.TempDir(), "cursor")
+	if err := os.WriteFile(cursorPath, []byte("not a cursor at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, _ := workload.Synthetic(workload.SyntheticConfig{N: 10, Samples: 4, MaxExtent: 0.1, Seed: 26})
+	s, _ := query.NewStore(db, core.Options{MaxIterations: 3})
+	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
+
+	mon := NewMonitor(s, Options{Buffer: 256, CursorPath: cursorPath})
+	if _, err := mon.SubscribeKNNDurable("alpha", q, 3, 0.25); err == nil {
+		t.Fatal("durable subscribe accepted with an unreadable cursor")
+	}
+	for i := 0; i < 2; i++ { // the healing base, then a delta on its log
+		if err := mon.SaveCursor(); err != nil {
+			t.Fatalf("save %d: %v", i, err)
+		}
+	}
+	if mon.Stats().CursorDeltaBytes == 0 {
+		t.Fatal("the save after the heal did not append to the new log")
+	}
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mon2 := NewMonitor(s, Options{Buffer: 256, CursorPath: cursorPath})
+	defer mon2.Close()
+	sub, err := mon2.SubscribeKNNDurable("alpha", q, 3, 0.25)
+	if err != nil {
+		t.Fatalf("durable subscribe on the healed cursor: %v", err)
+	}
+	drain(sub, cursorSet{})
+}

@@ -73,19 +73,19 @@ func newConn(srv *Server, nc net.Conn) *conn {
 }
 
 // send enqueues a frame, blocking until there is room. It aborts (and
-// reports false) when the connection closes or abort is closed.
-func (c *conn) send(f Frame, abort <-chan struct{}) bool {
+// reports false) when the connection closes or abort or unbind is
+// closed.
+func (c *conn) send(f Frame, abort, unbind <-chan struct{}) bool {
 	c.queued.Add(1)
 	select {
 	case c.outq <- f:
 		return true
 	case <-c.closed:
-		c.queued.Add(-1)
-		return false
 	case <-abort:
-		c.queued.Add(-1)
-		return false
+	case <-unbind:
 	}
+	c.queued.Add(-1)
+	return false
 }
 
 // reply enqueues a command reply (aborts only on connection close).

@@ -128,21 +128,12 @@ func TestServerDurableParkResume(t *testing.T) {
 	wm := aPhase1[len(aPhase1)-1]
 	ac.Close() // the session parks; events keep accruing in the ring
 
-	// A parked session rejects a RESUME with a different predicate.
-	// The server detaches the dropped connection asynchronously, so the
-	// name can still be BUSY for a moment after Close.
+	// A live session rejects a RESUME with a different predicate, whether
+	// or not the server has noticed the dropped connection yet.
 	oc := dial(t, addr)
 	wrong := named
 	wrong.K = k + 1
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err = oc.Resume("watch", wm.Version, wm.Object.ID, wrong)
-		if !client.IsCode(err, "BUSY") || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !client.IsCode(err, "CURSORMISMATCH") {
+	if _, err = oc.Resume("watch", wm.Version, wm.Object.ID, wrong); !client.IsCode(err, "CURSORMISMATCH") {
 		t.Fatalf("resume with wrong predicate: %v, want CURSORMISMATCH", err)
 	}
 
@@ -160,22 +151,24 @@ func TestServerDurableParkResume(t *testing.T) {
 	// Resume at the watermark: an exact continuation.
 	bc := dial(t, addr)
 	b, err := bc.Resume("watch", wm.Version, wm.Object.ID, named)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if b.Mode != server.ModeContinue {
-		t.Fatalf("resume mode %q, want %q", b.Mode, server.ModeContinue)
-	}
-	if b.Lost != 0 {
-		t.Fatalf("resume lost %d, want 0", b.Lost)
+	if err != nil || b.Mode != server.ModeContinue || b.Lost != 0 {
+		t.Fatalf("resume: %+v, %v; want continue, lost 0", b, err)
 	}
 
-	// While attached, the name is busy for everyone else.
+	// A RESUME from another connection supersedes the attached one: it
+	// continues from the same watermark, and the old stream ends
+	// "superseded" after a prefix of what the new one replays.
 	b2c := dial(t, addr)
-	if _, err := b2c.Resume("watch", wm.Version, wm.Object.ID, named); !client.IsCode(err, "BUSY") {
-		t.Fatalf("resume of attached session: %v, want BUSY", err)
+	b2, err := b2c.Resume("watch", wm.Version, wm.Object.ID, named)
+	if err != nil || b2.Mode != server.ModeContinue || b2.Lost != 0 {
+		t.Fatalf("resume of attached session: %+v, %v; want continue, lost 0", b2, err)
 	}
-	if _, err := b2c.Subscribe(named); !client.IsCode(err, "BUSY") {
+	bAll := drainAll(t, b)
+	if len(bAll) == 0 || bAll[len(bAll)-1].Kind != server.EvEnd || bAll[len(bAll)-1].Reason != server.EndSuperseded {
+		t.Fatalf("superseded stream did not end superseded: %+v", bAll)
+	}
+	// SUBSCRIBE of a live name stays busy.
+	if _, err := bc.Subscribe(named); !client.IsCode(err, "BUSY") {
 		t.Fatalf("subscribe of live name: %v, want BUSY", err)
 	}
 
@@ -183,16 +176,100 @@ func TestServerDurableParkResume(t *testing.T) {
 	if err := rc.Unsubscribe(ref); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.Unsubscribe(b); err != nil {
+	if err := b2c.Unsubscribe(b2); err != nil {
 		t.Fatal(err)
 	}
 	refAll := append(refInit, drainAll(t, ref)...)
-	durAll := append(append(aInit, aPhase1...), drainAll(t, b)...)
+	b2All := drainAll(t, b2)
+	if got, want := normEvents(bAll[:len(bAll)-1]), normEvents(b2All); len(got) > len(want) || !reflect.DeepEqual(got, want[:len(got)]) {
+		t.Fatalf("superseded stream is not a prefix of its continuation:\n got %+v\nwant %+v", got, want)
+	}
+	durAll := append(append(aInit, aPhase1...), b2All...)
 	assertAscending(t, refAll)
 	if !reflect.DeepEqual(normEvents(durAll), normEvents(refAll)) {
 		t.Fatalf("durable stream across reconnect differs from uninterrupted reference:\n got %+v\nwant %+v",
 			normEvents(durAll), normEvents(refAll))
 	}
+}
+
+// TestServerResumeSupersedesHalfOpen: a peer that holds a named session
+// and then never reads again (nor closes) cannot lock the name, even
+// once the server's pushes to it stall — a RESUME from another
+// connection answers continue at once, and the stream flows to it.
+func TestServerResumeSupersedesHalfOpen(t *testing.T) {
+	db := testDB(9, 20)
+	store, err := query.NewStore(db, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := uncertain.NewObject(0, db[3].Samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, tau = 3, 0.2
+	wantIDs := initialResultIDs(t, store, q, k, tau)
+	// Small socket buffers and a one-frame queue: pushes to a peer that
+	// stops reading stall within a few dozen events.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(store, server.Options{CursorPath: t.TempDir() + "/cursor", OutQueue: 1})
+	go srv.Serve(smallWriteBuffers{ln})
+	t.Cleanup(func() { srv.Close() })
+	addr := ln.Addr().String()
+
+	stuck := rawDial(t, addr)
+	stuck.nc.(*net.TCPConn).SetReadBuffer(4096)
+	stuck.sendArgs(t, "SUBSCRIBE", "KNN", "3", "0.2", string(server.EncodeObject(q)), "NAME", "h")
+	if f := stuck.read(t); f.Type != server.TArray {
+		t.Fatalf("subscribe reply %+v", f)
+	}
+	c := dial(t, addr)
+	var member int
+	for member = range wantIDs {
+		break
+	}
+	obj, _ := store.Get(member)
+	for i := 0; i < 200; i++ { // far more events than the buffers hold
+		if _, err := c.Delete(member); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The pushes have stalled once the push count stands still while
+	// most events are still undelivered.
+	last, still := int64(-1), 0
+	waitStats(t, c, "pushes to the stuck peer to stall", func(st map[string]int64) bool {
+		if p := st["server.pushed"]; p != last {
+			last, still = p, 0
+		} else {
+			still++
+		}
+		return st["server.push.backlog"] >= 1000 && still >= 20
+	})
+	// Replay from the start; the watchdog fails a RESUME that hangs.
+	watchdog := time.AfterFunc(5*time.Second, func() { c.Close() })
+	sub, err := c.Resume("h", 0, 0, client.SubOptions{Kind: "KNN", K: k, Tau: tau, Q: q, Name: "h"})
+	watchdog.Stop()
+	if err != nil || sub.Mode != server.ModeContinue || sub.Lost != 0 {
+		t.Fatalf("resume over a stalled peer: %+v, %v; want continue, lost 0", sub, err)
+	}
+	drainN(t, sub, 1) // the replay flows to the new connection
+}
+
+// smallWriteBuffers shrinks the send buffer of every accepted connection.
+type smallWriteBuffers struct{ net.Listener }
+
+func (l smallWriteBuffers) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if tc, ok := nc.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4096)
+	}
+	return nc, err
 }
 
 // TestServerDurableRestart covers resuming across a server restart: the
@@ -342,8 +419,8 @@ func waitStats(t *testing.T, c *client.Client, what string, ok func(st map[strin
 }
 
 // waitParked blocks until the server noticed the subscriber's closed
-// connection and parked its session — before that a RESUME answers
-// -BUSY.
+// connection and parked its session — before that, events still go to
+// the dying connection instead of accruing unconsumed in the ring.
 func waitParked(t *testing.T, c *client.Client) {
 	t.Helper()
 	waitStats(t, c, "the session to park", func(st map[string]int64) bool {

@@ -361,6 +361,7 @@ func (s *Server) newSessionLocked(c *conn, sp subSpec) (*subState, *Frame) {
 		hold:     true,
 		kick:     make(chan struct{}, 1),
 		dead:     make(chan struct{}),
+		unbind:   make(chan struct{}),
 	}
 	sub, err := s.mon.SubscribeTo(st, sp.name, sp.kind, sp.q, sp.k, sp.tau)
 	if err != nil {
@@ -413,7 +414,8 @@ func (s *Server) subscribe(c *conn, sp subSpec) (*subState, string, *Frame) {
 //
 //   - the session is live in this server: exact continuation from the
 //     retained ring (ModeContinue), or -GONE if the resume point was
-//     evicted under PolicyDisconnect;
+//     evicted under PolicyDisconnect. A session still attached to
+//     another connection is taken from it (the newer connection wins);
 //   - the session is gone but the durable cursor knows the name
 //     (server restarted): a fresh cq subscription delivers the
 //     coalesced delta since the cursor (ModeDelta);
@@ -426,10 +428,6 @@ func (s *Server) resume(c *conn, sp subSpec, w watermark) (*subState, string, ui
 	}
 	if st := s.named[sp.name]; st != nil && !st.isTerminated() {
 		st.mu.Lock()
-		if st.attached != nil {
-			st.mu.Unlock()
-			return nil, "", 0, efp(errf(codeBusy, "subscription %q is attached to another connection", sp.name))
-		}
 		if !st.predicateEqual(sp) {
 			st.mu.Unlock()
 			return nil, "", 0, efp(errf(codeCursorMismatch, "predicate differs from the live subscription %q", sp.name))
@@ -438,6 +436,9 @@ func (s *Server) resume(c *conn, sp subSpec, w watermark) (*subState, string, ui
 		if !ok {
 			st.mu.Unlock()
 			return nil, "", 0, efp(errf(codeGone, "resume point evicted from the retained ring; SUBSCRIBE ... FRESH for a full snapshot"))
+		}
+		if st.attached != nil {
+			st.supersedeLocked()
 		}
 		st.attachLocked(c, from)
 		st.hold = true

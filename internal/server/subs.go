@@ -97,13 +97,15 @@ type subState struct {
 	evictedAny bool
 	lost       uint64
 	attached   *conn
-	hold       bool // delivery paused until the subscribe/resume reply is enqueued
-	streamEnd  bool // the cq stream closed; endReason says why
+	unbind     chan struct{} // closed when a RESUME supersedes attached; aborts a push to it
+	hold       bool          // delivery paused until the subscribe/resume reply is enqueued
+	streamEnd  bool          // the cq stream closed; endReason says why
 	endReason  string
 	terminated bool // terminal state reached; the session is dead
 
-	kick chan struct{} // cap-1 wakeup for the delivery loop
-	dead chan struct{} // closed on termination; aborts blocked sends
+	kick    chan struct{} // cap-1 wakeup for the delivery loop
+	dead    chan struct{} // closed on termination; aborts blocked sends
+	sending sync.Mutex    // held across each push to the attached connection
 }
 
 // isTerminated reports whether the session reached its terminal state
@@ -228,6 +230,39 @@ func (st *subState) attachLocked(c *conn, from int) {
 	st.delivered = from
 }
 
+// supersedeLocked takes the session from its attached connection for a
+// RESUME on another one. The newer connection wins, so neither a RESUME
+// that races the server noticing a dropped connection nor a half-open
+// peer that is never noticed can lock the name. A push blocked on the
+// old connection aborts, and the old stream ends with a best-effort
+// superseded frame after the last event pushed to it: trySend, so a
+// stalled peer cannot block the RESUME. Caller must hold st.mu.
+func (st *subState) supersedeLocked() {
+	old := st.attached
+	close(st.unbind)
+	st.unbind = make(chan struct{})
+	st.sending.Lock()
+	old.trySend(encodeEvent(EventMsg{Sub: st.id, Kind: EvEnd, Reason: EndSuperseded}))
+	st.sending.Unlock()
+	old.dropSub(st)
+	st.attached = nil
+	st.srv.log.Info("supersede", "conn", old.id, "sub", st.id, "name", st.name)
+}
+
+// push writes one event to c unless the attachment it was read under
+// was superseded meanwhile (unbind closed): holding sending orders it
+// before, or drops it after, the superseded frame.
+func (st *subState) push(c *conn, ev EventMsg, unbind chan struct{}) bool {
+	st.sending.Lock()
+	defer st.sending.Unlock()
+	select {
+	case <-unbind:
+		return false
+	default:
+	}
+	return c.send(encodeEvent(ev), st.dead, unbind)
+}
+
 // detach unbinds the session from a dying connection: named sessions
 // park (events keep accruing in the ring, RESUME reattaches), ephemeral
 // ones terminate.
@@ -286,7 +321,7 @@ func (st *subState) delivery() {
 						c.dropSub(st)
 						c.close()
 					} else {
-						c.send(encodeEvent(EventMsg{Sub: st.id, Kind: EvEnd, Reason: reason}), nil)
+						c.send(encodeEvent(EventMsg{Sub: st.id, Kind: EvEnd, Reason: reason}), nil, nil)
 						c.dropSub(st)
 					}
 				}
@@ -308,8 +343,9 @@ func (st *subState) delivery() {
 			}
 			ev := st.ring[st.delivered]
 			st.delivered++
+			unbind := st.unbind
 			st.mu.Unlock()
-			if c.send(encodeEvent(ev), st.dead) {
+			if st.push(c, ev, unbind) {
 				st.srv.metrics.pushed.Inc()
 			}
 			st.mu.Lock()

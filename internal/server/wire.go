@@ -308,6 +308,7 @@ const (
 const (
 	EndUnsubscribed = "unsubscribed" // client sent UNSUBSCRIBE
 	EndSlow         = "slow"         // DisconnectSlow backpressure fired
+	EndSuperseded   = "superseded"   // a RESUME on another connection took the session
 	EndClosed       = "closed"       // server shut down
 )
 

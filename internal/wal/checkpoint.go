@@ -21,15 +21,14 @@ type Checkpoint struct {
 	Objects []*uncertain.Object
 	// Decomp holds, per object (parallel to Objects), the materialized
 	// decomposition levels at checkpoint time; nil entries are objects
-	// whose decomposition was never needed. Decomp may be nil entirely
-	// (e.g. dataset snapshots written by udbgen).
+	// whose decomposition was never needed. Decomp may be nil entirely.
 	Decomp [][][]uncertain.Partition
 	// CacheVersion is the decomposition cache epoch at the snapshot.
 	CacheVersion uint64
 
 	// firstSegment is the log-tail watermark: recovery replays segments
 	// with index >= firstSegment on top of this snapshot. Managed by
-	// Journal.WriteCheckpoint; zero for standalone snapshot files.
+	// Journal.WriteCheckpoint.
 	firstSegment uint64
 }
 
@@ -131,7 +130,7 @@ func (d *decoder) levels(dim int) [][]uncertain.Partition {
 }
 
 // frameBlob wraps a payload in [magic][len][crc][payload] — the single
-// frame layout of checkpoint, manifest and cursor files.
+// frame layout of checkpoint and manifest files.
 func frameBlob(magic string, payload []byte) []byte {
 	out := make([]byte, 0, len(magic)+frameHeader+len(payload))
 	out = append(out, magic...)
@@ -164,18 +163,9 @@ func saveCheckpointFile(path string, ck *Checkpoint) error {
 	return writeFileAtomic(path, frameBlob(ckptMagic, payload))
 }
 
-// SaveCheckpointFile writes a standalone checkpoint snapshot — the
-// dataset interchange format of cmd/udbgen (a checkpoint with no log
-// tail).
-func SaveCheckpointFile(path string, ck *Checkpoint) error {
-	c := *ck
-	c.firstSegment = 0
-	return saveCheckpointFile(path, &c)
-}
-
-// LoadCheckpointFile reads a checkpoint written by SaveCheckpointFile
-// or installed by Journal.WriteCheckpoint.
-func LoadCheckpointFile(path string) (*Checkpoint, error) {
+// loadCheckpointFile reads a checkpoint installed by
+// Journal.WriteCheckpoint.
+func loadCheckpointFile(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -185,22 +175,6 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	return decodeCheckpoint(payload)
-}
-
-// IsCheckpointFile reports whether the file at path starts with the
-// checkpoint magic — format sniffing for tools that accept both the
-// legacy dataset format and checkpoint snapshots.
-func IsCheckpointFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	buf := make([]byte, len(ckptMagic))
-	if _, err := f.Read(buf); err != nil {
-		return false
-	}
-	return string(buf) == ckptMagic
 }
 
 // DecompEntry carries one object's materialized decomposition levels in

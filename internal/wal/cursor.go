@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 
 	"probprune/internal/uncertain"
 )
@@ -175,32 +174,4 @@ func decodeCursorSub(d *decoder, s *CursorSub) error {
 		}
 	}
 	return nil
-}
-
-const cursMagic = "ppcurs\x01\n"
-
-// SaveCursor atomically writes the cursor to path.
-func SaveCursor(path string, c *Cursor) error {
-	payload, err := appendCursor(nil, c)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, frameBlob(cursMagic, payload))
-}
-
-// LoadCursor reads a cursor written by SaveCursor. A missing file
-// returns (nil, nil): the monitor starts fresh.
-func LoadCursor(path string) (*Cursor, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	payload, err := unframeBlob(cursMagic, data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeCursor(payload)
 }

@@ -8,13 +8,13 @@ import (
 	"sync"
 )
 
-// CursorLog is the append-only successor of SaveCursor's whole-file
-// rewrite: the monitor's durable position is a base state (one full
-// cursor frame) followed by deltas — version advances plus the states
-// of only the subscriptions that changed — so a CursorEvery auto-save
-// costs O(changed result sets), not O(total result-set size). When the
-// accumulated deltas outgrow the base the log compacts: the current
-// state is rewritten as a fresh base via the usual temp-file + rename.
+// CursorLog is the monitor's durable position on disk: a base state
+// (one full cursor frame) followed by deltas — version advances plus
+// the states of only the subscriptions that changed — so a CursorEvery
+// auto-save costs O(changed result sets), not O(total result-set
+// size). When the accumulated deltas outgrow the base the log compacts:
+// the current state is rewritten as a fresh base via the usual
+// temp-file + rename.
 //
 // Frames reuse the segment framing ([len][crc32c][payload]); replay
 // stops at the first torn frame and truncates back to the last intact
@@ -61,9 +61,8 @@ type CursorDelta struct {
 
 // OpenCursorLog opens (or creates) the cursor log at path and replays
 // it into the current cursor state — nil when the log holds none yet.
-// A file in the legacy SaveCursor format is migrated in place: its
-// state becomes the base frame of a fresh log. A torn tail is
-// truncated back to the last intact frame.
+// A torn tail is truncated back to the last intact frame; a file that
+// is not a cursor log is an error.
 func OpenCursorLog(path string) (*CursorLog, *Cursor, error) {
 	l := &CursorLog{path: path}
 	data, err := os.ReadFile(path)
@@ -76,19 +75,6 @@ func OpenCursorLog(path string) (*CursorLog, *Cursor, error) {
 	switch {
 	case len(data) == 0:
 		// Fresh (or empty) log: the first save writes the base frame.
-	case len(data) >= len(cursMagic) && string(data[:len(cursMagic)]) == cursMagic:
-		// Legacy whole-file cursor: load it and rewrite as a log base.
-		payload, err := unframeBlob(cursMagic, data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if state, err = decodeCursor(payload); err != nil {
-			return nil, nil, err
-		}
-		if err := l.rewriteLocked(state); err != nil {
-			return nil, nil, err
-		}
-		return l, state, nil
 	case len(data) >= len(curlMagic) && string(data[:len(curlMagic)]) == curlMagic:
 		state, err = l.replay(data)
 		if err != nil {
@@ -109,6 +95,17 @@ func OpenCursorLog(path string) (*CursorLog, *Cursor, error) {
 	}
 	l.f = f
 	return l, state, nil
+}
+
+// CreateCursorLog replaces whatever is at path with a log whose base
+// frame holds c, and returns it open for appending — the self-heal of a
+// cursor file that would not open.
+func CreateCursorLog(path string, c *Cursor) (*CursorLog, error) {
+	l := &CursorLog{path: path}
+	if err := l.rewriteLocked(c); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // replay folds the log's intact frames into the cursor state and
@@ -184,7 +181,7 @@ func (l *CursorLog) AppendDelta(d *CursorDelta) error {
 
 // WriteFull rewrites the log as a single base frame holding c — the
 // compaction step, and the shape of the very first save. The rewrite
-// is atomic (temp file + rename + fsync) like the legacy SaveCursor.
+// is atomic (temp file + rename + fsync).
 func (l *CursorLog) WriteFull(c *Cursor) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

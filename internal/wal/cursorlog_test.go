@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -230,53 +229,5 @@ func TestCursorLogCompaction(t *testing.T) {
 	defer l2.Close()
 	if !reflect.DeepEqual(cur, got) {
 		t.Fatalf("state changed across compaction:\n%+v\n%+v", cur, got)
-	}
-}
-
-// TestCursorLogLegacyMigration: a file written by the legacy SaveCursor
-// opens as the log's base state and is rewritten into log format in
-// place, after which deltas append normally.
-func TestCursorLogLegacyMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cursor")
-	base, d1, _, after1, _ := cursorLogFixture(t)
-	if err := SaveCursor(path, base); err != nil {
-		t.Fatal(err)
-	}
-	l, got, err := OpenCursorLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("legacy cursor changed in migration:\n%+v\n%+v", base, got)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte(curlMagic)) {
-		t.Fatal("migration did not rewrite the file in log format")
-	}
-	if err := l.AppendDelta(d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, got2, err := OpenCursorLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if !reflect.DeepEqual(after1, got2) {
-		t.Fatalf("delta on a migrated log lost:\n%+v\n%+v", got2, after1)
-	}
-
-	// A file in neither format is an error, never a silent fresh start.
-	bad := filepath.Join(t.TempDir(), "cursor")
-	if err := os.WriteFile(bad, []byte("not a cursor at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenCursorLog(bad); err == nil {
-		t.Fatal("garbage file opened as a cursor log")
 	}
 }

@@ -101,7 +101,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.ckpt")
 	db := mustSynthetic(f, 3, 4)
-	if err := SaveCheckpointFile(path, &Checkpoint{Version: 3, Objects: db}); err != nil {
+	if err := saveCheckpointFile(path, &Checkpoint{Version: 3, Objects: db}); err != nil {
 		f.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -273,7 +273,7 @@ func (j *Journal) loadCheckpoint() error {
 	}
 	sort.Slice(cks, func(a, b int) bool { return cks[a] > cks[b] })
 	for _, i := range cks {
-		ck, err := LoadCheckpointFile(filepath.Join(j.dir, ckptName(i)))
+		ck, err := loadCheckpointFile(filepath.Join(j.dir, ckptName(i)))
 		if err != nil {
 			continue // partial write of a newer checkpoint: fall back
 		}

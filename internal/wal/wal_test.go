@@ -211,13 +211,10 @@ func TestCheckpointDecompRoundTrip(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "snap.ckpt")
 	ck := &Checkpoint{Version: 9, Objects: db, Decomp: decomp, CacheVersion: 3}
-	if err := SaveCheckpointFile(path, ck); err != nil {
+	if err := saveCheckpointFile(path, ck); err != nil {
 		t.Fatal(err)
 	}
-	if !IsCheckpointFile(path) {
-		t.Fatal("IsCheckpointFile = false on a checkpoint")
-	}
-	got, err := LoadCheckpointFile(path)
+	got, err := loadCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +343,9 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
-// TestCursorRoundTrip: the durable-cursor codec is the identity, and a
-// missing file reads as a fresh start.
+// TestCursorRoundTrip: the durable-cursor codec is the identity through
+// a log's base frame, a missing file opens as a fresh start, and a file
+// that is not a cursor log is an error until CreateCursorLog replaces it.
 func TestCursorRoundTrip(t *testing.T) {
 	db := mustSynthetic(t, 4, 4)
 	c := &Cursor{
@@ -361,25 +359,41 @@ func TestCursorRoundTrip(t *testing.T) {
 			{Name: "beta", Kind: 2, K: 2, Tau: 0, Q: db[1]},
 		},
 	}
+	if l, none, err := OpenCursorLog(filepath.Join(t.TempDir(), "cursor")); err != nil || none != nil {
+		t.Fatalf("missing cursor: got %+v, %v", none, err)
+	} else {
+		l.Close()
+	}
 	path := filepath.Join(t.TempDir(), "cursor")
-	if err := SaveCursor(path, c); err != nil {
+	if err := os.WriteFile(path, []byte("not a cursor at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCursor(path)
+	if _, _, err := OpenCursorLog(path); err == nil {
+		t.Fatal("garbage file opened as a cursor log")
+	}
+	l, err := CreateCursorLog(path, &Cursor{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(c, got) {
-		t.Fatalf("cursor round trip changed:\n%+v\n%+v", c, got)
-	}
-	if none, err := LoadCursor(filepath.Join(t.TempDir(), "cursor")); err != nil || none != nil {
-		t.Fatalf("missing cursor: got %+v, %v", none, err)
-	}
-	if err := SaveCursor(path, &Cursor{Subs: []CursorSub{{Name: "", Q: db[0]}}}); err == nil {
+	if err := l.WriteFull(&Cursor{Subs: []CursorSub{{Name: "", Q: db[0]}}}); err == nil {
 		t.Fatal("empty subscription name encoded")
 	}
-	if err := SaveCursor(path, &Cursor{Subs: []CursorSub{{Name: "x"}}}); err == nil {
+	if err := l.WriteFull(&Cursor{Subs: []CursorSub{{Name: "x"}}}); err == nil {
 		t.Fatal("subscription without query object encoded")
+	}
+	if err := l.WriteFull(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, got, err := OpenCursorLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	if !reflect.DeepEqual(c, got) {
+		t.Fatalf("cursor round trip changed:\n%+v\n%+v", c, got)
 	}
 }
 

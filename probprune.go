@@ -123,8 +123,9 @@
 //	}()
 //	store.Update(obj) // affected subscriptions stream events
 //
-// The examples/ directory contains runnable end-to-end scenarios and
-// cmd/experiments regenerates the paper's evaluation figures.
+// The package Examples are runnable scenarios with checked output, one
+// per query kind, and cmd/experiments regenerates the paper's
+// evaluation figures.
 package probprune
 
 import (
