@@ -46,7 +46,7 @@ func allocDB(t *testing.T) probprune.Database {
 // under 1,000 allocations.
 func TestEngineKNNAllocCeiling(t *testing.T) {
 	db := allocDB(t)
-	e := probprune.NewEngine(db, probprune.Options{MaxIterations: 3})
+	e := newEngine(t, db, probprune.Options{MaxIterations: 3})
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 	e.KNN(q, allocK, allocTau) // warm pools and decomposition cache
 	allocs := testing.AllocsPerRun(5, func() {

@@ -34,7 +34,7 @@ func BenchmarkKNNParallel(b *testing.B) {
 	}
 	for _, w := range workers {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := probprune.NewEngine(db, probprune.Options{MaxIterations: 3, Parallelism: w})
+			eng := newEngine(b, db, probprune.Options{MaxIterations: 3, Parallelism: w})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.KNN(q, 5, 0.5)
@@ -47,7 +47,7 @@ func BenchmarkRKNNParallel(b *testing.B) {
 	db, q := knnBenchWorkload(b)
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := probprune.NewEngine(db, probprune.Options{MaxIterations: 3, Parallelism: w})
+			eng := newEngine(b, db, probprune.Options{MaxIterations: 3, Parallelism: w})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.RKNN(q, 5, 0.5)

@@ -25,7 +25,7 @@ func BenchmarkStoreWarmKNN(b *testing.B) {
 
 	b.Run("engine-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			engine := probprune.NewEngine(db, opts)
+			engine := newEngine(b, db, opts)
 			engine.KNN(q, 10, 0.5)
 		}
 	})

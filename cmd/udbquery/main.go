@@ -52,7 +52,10 @@ func main() {
 	if err != nil {
 		fail("loading %s: %v", *dbPath, err)
 	}
-	engine := query.NewEngine(db, core.Options{MaxIterations: *iterations})
+	engine, err := query.NewEngine(db, core.Options{MaxIterations: *iterations})
+	if err != nil {
+		fail("%s: %v", *dbPath, err)
+	}
 
 	// With -trace, thread an obs.Trace through the query context and
 	// print its anatomy afterwards — the same snapshot the server ships

@@ -18,7 +18,7 @@ func ExampleEngine_KNN() {
 	// 500 objects in the unit square, each a rectangle of side up to
 	// 0.02 carrying a uniform density discretized to 32 samples.
 	db, _ := probprune.Synthetic(probprune.SyntheticConfig{N: 500, MaxExtent: 0.02, Samples: 32, Seed: 7})
-	engine := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
+	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
 
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 	matches := engine.KNN(q, 5, 0.5)
@@ -57,7 +57,7 @@ func ExampleEngine_RKNN() {
 	}
 	probe := sensor(-1, probprune.Point{22.5, 41}, 0.4, rng)
 
-	engine := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
+	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
 	for _, m := range engine.RKNN(probe, 3, 0.25) {
 		if m.Decided && m.IsResult {
 			fmt.Printf("sensor %d: P in [%.3f, %.3f]\n", m.Object.ID, m.Prob.LB, m.Prob.UB)
@@ -105,7 +105,7 @@ func ExampleEngine_InverseRank() {
 			berg = o
 		}
 	}
-	engine := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
+	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
 	rd := engine.InverseRank(berg, ship)
 	fmt.Printf("berg %d:\n", berg.ID)
 	for i := rd.MinRank; i < rd.MinRank+len(rd.Ranks); i++ {
@@ -141,7 +141,8 @@ func ExampleEngine_RankByExpectedRank() {
 	}
 	pickup := probprune.PointObject(-1, probprune.Point{5, 5})
 
-	ranked := probprune.NewEngine(db, probprune.Options{MaxIterations: 6}).RankByExpectedRank(pickup)
+	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
+	ranked := engine.RankByExpectedRank(pickup)
 	for i, r := range ranked[:4] {
 		fmt.Printf("%d. cab %d: E[rank] in [%.3f, %.3f]\n", i+1, r.Object.ID, r.ExpectedRankLB, r.ExpectedRankUB)
 	}

@@ -271,10 +271,12 @@ func (o *Options) adaptiveEps() float64 {
 // IndexTree is the R-tree type the indexed entry points accept.
 type IndexTree = *rtree.Tree[*uncertain.Object]
 
-// walkFilter classifies every indexed object through the R-tree,
-// deciding whole subtrees wholesale where the node MBR already settles
-// the domination relation (the index integration of Section VIII).
-func walkFilter(index *rtree.Tree[*uncertain.Object], target, reference *uncertain.Object, opts Options) PartialFilter {
+// PartialFilterIndexed classifies every object of one partition through
+// its R-tree, deciding whole subtrees wholesale where the node MBR
+// already settles the domination relation (the index integration of
+// Section VIII) — the filter of RunIndexed, and an engine's per-cut
+// scatter step.
+func PartialFilterIndexed(index IndexTree, target, reference *uncertain.Object, opts Options) PartialFilter {
 	var pf PartialFilter
 	n := opts.norm()
 	b, r := target.MBR, reference.MBR
@@ -355,8 +357,8 @@ func classifyInto(pf *PartialFilter, n geom.Norm, crit geom.Criterion, a, target
 // canonicity.)
 func canonicalize(influence []*uncertain.Object) {
 	// Skip the sort when the set is already canonical — merged filter
-	// outcomes (MergePartials) arrive sorted, so the sharded hot path
-	// pays one O(I) scan here instead of a second O(I log I) sort.
+	// outcomes (MergePartials) arrive sorted, so a run pays one O(I)
+	// scan here instead of a second O(I log I) sort.
 	for i := 1; i < len(influence); i++ {
 		if influence[i].ID < influence[i-1].ID {
 			sort.SliceStable(influence, func(i, j int) bool {

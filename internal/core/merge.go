@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"probprune/internal/domination"
 	"probprune/internal/geom"
 	"probprune/internal/uncertain"
@@ -54,25 +52,19 @@ func PartialFilterLinear(db uncertain.Database, target, reference *uncertain.Obj
 	return pf
 }
 
-// PartialFilterIndexed runs the complete-domination filter over one
-// partition through its R-tree, pruning decided subtrees wholesale —
-// the per-shard scatter step of a sharded engine.
-func PartialFilterIndexed(index IndexTree, target, reference *uncertain.Object, opts Options) PartialFilter {
-	return walkFilter(index, target, reference, opts)
-}
-
 // PartialFilterWhole attempts to classify an entire partition wholesale
 // from its bounding rectangle, without touching any object: when bounds
 // is completely dominated by the target the whole partition is pruned
-// by count; when it completely dominates — and every resident object
-// certainly exists (existentially uncertain dominators belong to the
-// influence set) — the whole partition shifts the count. The guard
-// conditions mirror the per-node wholesale decisions of the indexed
-// filter exactly (including the target/reference containment check that
-// forces a descent to exclude the operands by identity), so taking the
-// shortcut never changes the merged outcome. Returns ok = false when
+// by count; when it completely dominates — and allCertain reports that
+// every resident object certainly exists (existentially uncertain
+// dominators belong to the influence set) — the whole partition shifts
+// the count; allCertain is called only then. The guard conditions
+// mirror the per-node wholesale decisions of the indexed filter exactly
+// (including the target/reference containment check that forces a
+// descent to exclude the operands by identity), so taking the shortcut
+// never changes the merged outcome. Returns ok = false when
 // the partition needs an object-level filter.
-func PartialFilterWhole(bounds geom.Rect, count int, allCertain bool, target, reference *uncertain.Object, opts Options) (PartialFilter, bool) {
+func PartialFilterWhole(bounds geom.Rect, count int, allCertain func() bool, target, reference *uncertain.Object, opts Options) (PartialFilter, bool) {
 	b, r := target.MBR, reference.MBR
 	if bounds.ContainsRect(b) || bounds.ContainsRect(r) {
 		return PartialFilter{}, false
@@ -81,7 +73,7 @@ func PartialFilterWhole(bounds geom.Rect, count int, allCertain bool, target, re
 	case domination.DominatedByTarget:
 		return PartialFilter{Pruned: count}, true
 	case domination.DominatesTarget:
-		if allCertain {
+		if allCertain() {
 			return PartialFilter{Dominators: count}, true
 		}
 	}
@@ -92,8 +84,13 @@ func PartialFilterWhole(bounds geom.Rect, count int, allCertain bool, target, re
 // outcome of the union: counts sum, influence sets concatenate and are
 // brought into canonical (object ID) order — the same order
 // newSession installs, so downstream bounds are bit-identical to a
-// monolithic filter over the combined database.
+// monolithic filter over the combined database. One partial is brought
+// into canonical order in place and returned without a copy.
 func MergePartials(parts ...PartialFilter) PartialFilter {
+	if len(parts) == 1 {
+		canonicalize(parts[0].Influence)
+		return parts[0]
+	}
 	var out PartialFilter
 	total := 0
 	for _, p := range parts {
@@ -107,9 +104,7 @@ func MergePartials(parts ...PartialFilter) PartialFilter {
 			out.Influence = append(out.Influence, p.Influence...)
 		}
 	}
-	sort.SliceStable(out.Influence, func(i, j int) bool {
-		return out.Influence[i].ID < out.Influence[j].ID
-	})
+	canonicalize(out.Influence)
 	return out
 }
 

@@ -59,7 +59,7 @@ func NewSession(db uncertain.Database, target, reference *uncertain.Object, opts
 // NewSessionIndexed is NewSession with the filter pushed into an R-tree
 // (see RunIndexed).
 func NewSessionIndexed(index IndexTree, target, reference *uncertain.Object, opts Options) *Session {
-	return newSession(target, reference, walkFilter(index, target, reference, opts), opts)
+	return newSession(target, reference, PartialFilterIndexed(index, target, reference, opts), opts)
 }
 
 // newSession adopts a filter outcome: canonical influence order,

@@ -72,7 +72,7 @@ import (
 // Store.Version) and throttle; bounding the queue with an explicit
 // backpressure or degrade-to-requery mode is future work.
 type Monitor struct {
-	store Source
+	store *query.Store
 	opts  Options
 
 	qmu    sync.Mutex
@@ -83,7 +83,7 @@ type Monitor struct {
 	done chan struct{} // closed when the worker exits
 
 	// Worker-owned state: only the run goroutine touches these.
-	snap      query.SnapshotView
+	snap      *query.Snapshot
 	subs      map[int64]*Subscription
 	regions   *rtree.Tree[*Subscription] // bounded influence regions
 	unbounded map[int64]*Subscription    // subscriptions that wake on every change
@@ -99,7 +99,7 @@ type Monitor struct {
 
 	wmu       sync.Mutex
 	processed uint64
-	vv        []uint64 // per-shard version-vector cursor (sharded sources)
+	vv        []uint64 // per-shard version-vector cursor (multi-shard stores)
 	advanced  chan struct{}
 
 	stopWatch func()
@@ -124,21 +124,6 @@ type item struct {
 	done      chan struct{}
 }
 
-// Source is the store side a Monitor consumes: a mutable
-// uncertain-object store publishing a gapless, version-ordered change
-// stream where every change carries the snapshot of its version.
-// *query.Store satisfies it at any shard count — a monitor over a
-// multi-shard store consumes the merged stream, and its maintenance
-// stays bit-identical because the snapshots' engines are (see
-// query.Snapshot.Engine).
-type Source interface {
-	// Watch registers a commit hook, atomically with a snapshot of the
-	// current state (see Store.Watch for the full contract).
-	Watch(fn func(query.Change)) (query.SnapshotView, func())
-	// Version returns the store's current mutation epoch.
-	Version() uint64
-}
-
 // NewMonitor attaches a monitor to the store (for a multi-shard store,
 // its merged change stream). The registration is
 // atomic with a snapshot of the current state: subscriptions made
@@ -151,7 +136,7 @@ type Source interface {
 // chunk and tree pages the commit writes — the cost of a gapless
 // per-version subscription feed. Maintenance reaches objects through
 // the snapshots' indexes and never flattens their object lists.
-func NewMonitor(store Source, opts Options) *Monitor {
+func NewMonitor(store *query.Store, opts Options) *Monitor {
 	m := &Monitor{
 		store:     store,
 		opts:      opts,
@@ -314,7 +299,7 @@ func (m *Monitor) Version() uint64 {
 
 // VersionVector returns the monitor's per-shard cursor: the shard
 // versions of the latest fully-processed snapshot. It localizes the
-// monitor's progress to individual shards of a multi-shard source;
+// monitor's progress to individual shards of a multi-shard store;
 // monitors over a one-shard store return nil.
 func (m *Monitor) VersionVector() []uint64 {
 	m.wmu.Lock()

@@ -136,7 +136,7 @@ func TestDurableCursorResume(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var store Source
+			var store *query.Store
 			var closeStore func() error
 			if shards > 0 {
 				s, err := query.BootstrapShardedStore(db, popts, query.ShardedOptions{Shards: shards}, opts)
@@ -163,9 +163,8 @@ func TestDurableCursorResume(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(5))
 			ctx := context.Background()
-			mut := store.(mutStore)
 			for _, op := range cursorTrace(t, rng, 6, 1000) {
-				if err := op(mut); err != nil {
+				if err := op(store); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -182,7 +181,7 @@ func TestDurableCursorResume(t *testing.T) {
 			// delivers (so we know the true head set) but never saves
 			// again — these events are exactly what a resume must replay.
 			for _, op := range cursorTrace(t, rng, 7, 2000) {
-				if err := op(mut); err != nil {
+				if err := op(store); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -200,7 +199,7 @@ func TestDurableCursorResume(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var reopened Source
+			var reopened *query.Store
 			if shards > 0 {
 				s, err := query.OpenShardedStore(popts, query.ShardedOptions{Shards: shards}, opts)
 				if err != nil {
@@ -265,7 +264,7 @@ func TestDurableCursorResume(t *testing.T) {
 			// mutating and check the cumulative view against a
 			// from-scratch query on the final state.
 			for _, op := range cursorTrace(t, rng, 5, 3000) {
-				if err := op(reopened.(mutStore)); err != nil {
+				if err := op(reopened); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -276,12 +275,7 @@ func TestDurableCursorResume(t *testing.T) {
 
 			// Oracle: re-run the query on the final state.
 			final := cursorSet{}
-			var eng *query.Engine
-			switch s := reopened.(type) {
-			case *query.Store:
-				eng = s.Snapshot().Engine()
-			}
-			for _, m := range eng.KNN(q, 3, 0.25) {
+			for _, m := range reopened.Snapshot().Engine().KNN(q, 3, 0.25) {
 				if m.IsResult {
 					final[m.Object.ID] = m.Prob
 				}

@@ -178,7 +178,10 @@ func runMutationTrace(t *testing.T, seed int64) {
 
 	check := func(version uint64) {
 		t.Helper()
-		e := query.NewEngine(mirror, opts)
+		e, err := query.NewEngine(mirror, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, c := range cases {
 			c.view.applyEvents(t, drainEvents(c.sub), version)
 			c.view.compare(t, c.want(e), seed, version)

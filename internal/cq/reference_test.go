@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,8 +19,8 @@ import (
 // preselection — as an in-test reference, the way the pointer R-tree
 // outlived its replacement in package rtree. TestIndexDrivenEquivalence
 // drives reference and production subscriptions through the same seeded
-// mutation traces on every source kind and requires identical event
-// streams, tracked candidates and run counts.
+// mutation traces on a one-shard and a 4-shard store and requires
+// identical event streams, tracked candidates and run counts.
 
 // refSub is one reference subscription: a bare Subscription (never
 // registered with a worker) maintained by the full-scan bodies below,
@@ -49,7 +48,7 @@ func (r *refSub) preselected(e *query.Engine, b *uncertain.Object, thresh float6
 
 // init is the former Subscription.init: one full engine query, then a
 // second preselection pass over all of its matches.
-func (r *refSub) init(sn query.SnapshotView) []Event {
+func (r *refSub) init(sn *query.Snapshot) []Event {
 	e := sn.Engine()
 	r.cache = e.NewQueryCache()
 	var matches []query.Match
@@ -197,120 +196,6 @@ func (r *refSub) applyMutated(ch query.Change, evs []Event, evalNew func(*uncert
 	return r.transition(evs, ch.Version, ch.New, nm, pruned)
 }
 
-// bareSource is the smallest cq.Source: a mutable object slice whose
-// snapshots carry an index-less Engine, so maintenance runs on the
-// engine primitive's linear fallback.
-type bareSource struct {
-	mu       sync.Mutex
-	opts     core.Options
-	db       uncertain.Database
-	version  uint64
-	watchers []func(query.Change)
-}
-
-type bareSnap struct {
-	version uint64
-	engine  *query.Engine
-}
-
-func (sn *bareSnap) Version() uint64         { return sn.version }
-func (sn *bareSnap) VersionVector() []uint64 { return nil }
-func (sn *bareSnap) Len() int                { return len(sn.engine.DB) }
-func (sn *bareSnap) Engine() *query.Engine   { return sn.engine }
-func (sn *bareSnap) DB() uncertain.Database {
-	return append(uncertain.Database{}, sn.engine.DB...)
-}
-func (sn *bareSnap) BatchKNN(context.Context, []query.KNNRequest) ([][]query.Match, error) {
-	return nil, fmt.Errorf("bareSnap: BatchKNN not supported")
-}
-
-func (s *bareSource) snapLocked() *bareSnap {
-	return &bareSnap{version: s.version, engine: &query.Engine{DB: s.db, Opts: s.opts}}
-}
-
-func (s *bareSource) Watch(fn func(query.Change)) (query.SnapshotView, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.watchers = append(s.watchers, fn)
-	return s.snapLocked(), func() {}
-}
-
-func (s *bareSource) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
-}
-
-func (s *bareSource) Get(id int) (*uncertain.Object, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i := s.find(id); i >= 0 {
-		return s.db[i], true
-	}
-	return nil, false
-}
-
-func (s *bareSource) find(id int) int {
-	for i, o := range s.db {
-		if o.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// commit installs a fresh copy of the object slice (published snapshots
-// keep theirs) and notifies the watchers under the lock, like a Store.
-func (s *bareSource) commit(kind query.ChangeKind, old, new *uncertain.Object, edit func(db uncertain.Database) uncertain.Database) {
-	s.db = edit(append(uncertain.Database{}, s.db...))
-	s.version++
-	ch := query.Change{Version: s.version, Kind: kind, Old: old, New: new, Snap: s.snapLocked()}
-	for _, fn := range s.watchers {
-		fn(ch)
-	}
-}
-
-func (s *bareSource) Insert(o *uncertain.Object) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.find(o.ID) >= 0 {
-		return fmt.Errorf("duplicate object ID %d", o.ID)
-	}
-	s.commit(query.ChangeInsert, nil, o, func(db uncertain.Database) uncertain.Database { return append(db, o) })
-	return nil
-}
-
-func (s *bareSource) Update(o *uncertain.Object) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := s.find(o.ID)
-	if i < 0 {
-		return fmt.Errorf("update of unknown object ID %d", o.ID)
-	}
-	s.commit(query.ChangeUpdate, s.db[i], o, func(db uncertain.Database) uncertain.Database { db[i] = o; return db })
-	return nil
-}
-
-func (s *bareSource) Delete(id int) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := s.find(id)
-	if i < 0 {
-		return false, nil
-	}
-	s.commit(query.ChangeDelete, s.db[i], nil, func(db uncertain.Database) uncertain.Database {
-		return append(db[:i], db[i+1:]...)
-	})
-	return true, nil
-}
-
-// traceSource is what the equivalence trace needs of a source.
-type traceSource interface {
-	Source
-	mutStore
-	Get(id int) (*uncertain.Object, bool)
-}
-
 // pointObject is a zero-extent (certain-position) object.
 func pointObject(id int, x, y float64) *uncertain.Object {
 	o, err := uncertain.NewObject(id, []geom.Point{{x, y}, {x, y}})
@@ -321,37 +206,17 @@ func pointObject(id int, x, y float64) *uncertain.Object {
 }
 
 func TestIndexDrivenEquivalence(t *testing.T) {
-	sources := map[string]func(*testing.T, uncertain.Database, core.Options) traceSource{
-		"store": func(t *testing.T, db uncertain.Database, opts core.Options) traceSource {
-			s, err := query.NewStore(db, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"sharded4": func(t *testing.T, db uncertain.Database, opts core.Options) traceSource {
-			s, err := query.NewShardedStore(db, query.ShardedOptions{Shards: 4}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"bare-engine": func(_ *testing.T, db uncertain.Database, opts core.Options) traceSource {
-			return &bareSource{opts: opts, db: append(uncertain.Database{}, db...)}
-		},
-	}
-	for name, open := range sources {
+	for name, shards := range map[string]int{"store": 1, "sharded4": 4} {
 		for seed := int64(1); seed <= 2; seed++ {
-			name, open, seed := name, open, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				t.Parallel()
-				runEquivalenceTrace(t, open, seed)
+				runEquivalenceTrace(t, shards, seed)
 			})
 		}
 	}
 }
 
-func runEquivalenceTrace(t *testing.T, open func(*testing.T, uncertain.Database, core.Options) traceSource, seed int64) {
+func runEquivalenceTrace(t *testing.T, shards int, seed int64) {
 	ctx := testCtx(t)
 	rng := rand.New(rand.NewSource(seed * 7919))
 	// A clustered database: most objects near the center where the
@@ -374,7 +239,10 @@ func runEquivalenceTrace(t *testing.T, open func(*testing.T, uncertain.Database,
 		}
 	}
 	opts := core.Options{MaxIterations: 2 + int(seed%2)}
-	src := open(t, db, opts)
+	src, err := query.NewShardedStore(db, query.ShardedOptions{Shards: shards}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Record the change stream ahead of the monitor: the reference
 	// consumes exactly the changes (and snapshots) the worker does.
@@ -509,7 +377,7 @@ func runEquivalenceTrace(t *testing.T, open func(*testing.T, uncertain.Database,
 // subscription and in the reference: the events, the tracked candidates
 // (pointers and verdicts) and every counter but Saved, whose meaning is
 // the one thing the index-driven loop changed.
-func requireSameStep(t *testing.T, name, label string, src traceSource, sub *Subscription, ref *refSub, want []Event) {
+func requireSameStep(t *testing.T, name, label string, src *query.Store, sub *Subscription, ref *refSub, want []Event) {
 	t.Helper()
 	got := drainEvents(sub)
 	if len(got) != len(want) {

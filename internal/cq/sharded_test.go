@@ -31,7 +31,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 
 	// Record every committed version's snapshot for the replay below.
 	var recMu sync.Mutex
-	snaps := map[uint64]query.SnapshotView{}
+	snaps := map[uint64]*query.Snapshot{}
 	snap0, stopRec := ss.Watch(func(ch query.Change) {
 		recMu.Lock()
 		snaps[ch.Version] = ch.Snap

@@ -165,7 +165,7 @@ func (s *Subscription) finish(err error) {
 // RKNN influence has no spatial bound, so every object is asked) and
 // are evaluated through the same per-candidate path maintenance uses,
 // which also decides preselection: what it keeps is what gets tracked.
-func (s *Subscription) init(sn query.SnapshotView) []Event {
+func (s *Subscription) init(sn *query.Snapshot) []Event {
 	e := sn.Engine()
 	s.cache = e.NewQueryCache()
 	s.thresh = math.Inf(1)
@@ -215,7 +215,7 @@ func (s *Subscription) eval(e *query.Engine, b *uncertain.Object, thresh float64
 // ObjectLeft; bound drift on a staying member produces BoundsChanged.
 // All events carry the current snapshot version — the resumed stream
 // is exact from the cursor onward.
-func (s *Subscription) resumeEvents(sn query.SnapshotView, results []query.Match) []Event {
+func (s *Subscription) resumeEvents(sn *query.Snapshot, results []query.Match) []Event {
 	prev := make(map[int]wal.CursorEntry, len(s.resume.Entries))
 	for _, pe := range s.resume.Entries {
 		prev[pe.Obj.ID] = pe
@@ -434,7 +434,7 @@ func (s *Subscription) roleChanged(e *query.Engine, ch query.Change, b *uncertai
 	if s.kind == RKNN {
 		target, reference = reference, target
 	}
-	n, crit := e.Norm(), e.Opts.Criterion
+	n, crit := e.Norm(), e.Criterion()
 	ro, rn := core.RolePruned, core.RolePruned
 	if ch.Old != nil {
 		ro = core.ClassifyRole(n, crit, ch.Old.MBR, ch.Old.ExistenceProb(), target, reference)

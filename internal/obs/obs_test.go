@@ -231,6 +231,95 @@ func TestTraceRecordsAndString(t *testing.T) {
 	}
 }
 
+// TestTraceSpansAndReset: the two server/WAL spans accumulate (a
+// non-positive duration is a no-op, a nil trace ignores them), and
+// Reset zeroes every counter for reuse.
+func TestTraceSpansAndReset(t *testing.T) {
+	var nilTrace *Trace
+	nilTrace.AddQueue(time.Second)
+	nilTrace.AddWALWait(time.Second)
+	nilTrace.Reset()
+
+	tr := &Trace{}
+	tr.AddQueue(3 * time.Microsecond)
+	tr.AddQueue(4 * time.Microsecond)
+	tr.AddQueue(0)
+	tr.AddWALWait(2 * time.Millisecond)
+	tr.AddWALWait(-time.Millisecond)
+	tr.AddCandidates(7)
+	tr.CountRefined(2)
+	tr.CountUndecided()
+	tr.AddCacheStats(1, 1)
+	tr.AddPrepare(time.Millisecond)
+	tr.AddEval(time.Millisecond)
+	s := tr.Snapshot()
+	if s.Queue != 7*time.Microsecond || s.WALWait != 2*time.Millisecond {
+		t.Fatalf("queue %v, wal wait %v; want 7µs and 2ms", s.Queue, s.WALWait)
+	}
+	if str := s.String(); !strings.Contains(str, "wal_wait=2ms") || !strings.Contains(str, "queue=7µs") {
+		t.Fatalf("String() = %q misses the spans", str)
+	}
+	tr.Reset()
+	if s := tr.Snapshot(); s != (TraceSnapshot{}) {
+		t.Fatalf("snapshot after Reset = %+v", s)
+	}
+}
+
+// TestHistValueQuantiles: a value-fed histogram reports the upper bound
+// of the bucket holding the rank, clamped to the maximum, and
+// AddHistValue flattens exactly those figures.
+func TestHistValueQuantiles(t *testing.T) {
+	if got := (HistSnapshot{}).QuantileValue(0.5); got != 0 {
+		t.Fatalf("empty quantile = %d", got)
+	}
+	var h Histogram
+	for _, v := range []uint64{0, 1, 3, 5, 100} {
+		h.ObserveValue(v)
+	}
+	s := h.Snapshot()
+	for _, c := range []struct {
+		p    float64
+		want uint64
+	}{
+		{-1, 0},  // clamped to p = 0: the first rank, bucket 0
+		{0.2, 0}, // rank 1: the 0
+		{0.4, 2}, // rank 2: 1 lives in [1, 2)
+		{0.6, 4}, // rank 3: 3 lives in [2, 4)
+		{0.8, 8}, // rank 4: 5 lives in [4, 8)
+		{1, 100}, // rank 5: [64, 128) clamped to the maximum
+		{2, 100}, // clamped to p = 1
+	} {
+		if got := s.QuantileValue(c.p); got != c.want {
+			t.Errorf("QuantileValue(%g) = %d, want %d", c.p, got, c.want)
+		}
+	}
+	var huge Histogram
+	huge.ObserveValue(1 << 60)
+	if got := huge.Snapshot().QuantileValue(0.5); got != 1<<60 {
+		t.Errorf("overflow-bucket quantile = %d, want the maximum", got)
+	}
+	// A snapshot whose buckets lag its count (a concurrent observe
+	// straddling the reads) falls back to the maximum.
+	if got := (HistSnapshot{Count: 3, MaxNanos: 9, Buckets: [HistBuckets]uint64{1}}).QuantileValue(1); got != 9 {
+		t.Errorf("lagging snapshot quantile = %d, want 9", got)
+	}
+
+	out := map[string]int64{}
+	AddHistValue(out, "batch", s)
+	want := map[string]int64{
+		"batch.count": 5, "batch.sum": 109, "batch.max": 100,
+		"batch.p50": 4, "batch.p95": 100, "batch.p99": 100,
+	}
+	if len(out) != len(want) {
+		t.Fatalf("AddHistValue wrote %v, want %v", out, want)
+	}
+	for k, v := range want {
+		if out[k] != v {
+			t.Errorf("%s = %d, want %d", k, out[k], v)
+		}
+	}
+}
+
 func TestTraceContext(t *testing.T) {
 	if got := TraceFrom(context.Background()); got != nil {
 		t.Fatalf("TraceFrom(background) = %v, want nil", got)

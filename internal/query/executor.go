@@ -29,36 +29,26 @@ import (
 // parallelism resolves the engine's worker count: Options.Parallelism
 // when positive, otherwise GOMAXPROCS.
 func (e *Engine) parallelism() int {
-	if e.Opts.Parallelism > 0 {
-		return e.Opts.Parallelism
+	if e.opts.Parallelism > 0 {
+		return e.opts.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// queryCache resolves the decomposition cache of one query. With an
-// engine-level cache installed (Options.SharedDecomps — Store hands
-// every snapshot engine its persistent cache), the query reads through
-// a fresh overlay: decompositions of objects pinned in the persistent
-// cache are reused across queries, everything else (typically the query
-// object) lives only for this query. Without one, the query builds a
-// private cache. Results are bit-identical either way — decompositions
-// are deterministic — only the work reuse differs.
-func (e *Engine) queryCache() *core.DecompCache {
-	if e.Opts.SharedDecomps != nil {
-		return e.Opts.SharedDecomps.Overlay()
-	}
-	if e.defaultCache != nil {
-		return e.defaultCache.Overlay()
-	}
-	return core.NewDecompCache(e.Opts.MaxHeight)
-}
+// queryCache resolves the decomposition cache of one query: a fresh
+// overlay over the store's persistent cache. Decompositions of objects
+// pinned there are reused across queries, everything else (typically
+// the query object) lives only for this query. Results are
+// bit-identical to an uncached run — decompositions are deterministic —
+// only the work reuse differs.
+func (e *Engine) queryCache() *core.DecompCache { return e.snap.cache.Overlay() }
 
 // runOpts derives the per-candidate IDCA options from the engine
 // options: query-managed knobs (Stop, KMax, shared decompositions) are
 // cleared for the caller to set, and pair-level parallelism is disabled
 // because the executor already owns the concurrency budget.
 func (e *Engine) runOpts() core.Options {
-	opts := e.Opts
+	opts := e.opts
 	opts.Stop = nil
 	opts.KMax = 0
 	opts.Parallelism = 1

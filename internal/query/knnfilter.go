@@ -1,11 +1,9 @@
 package query
 
 import (
-	"container/heap"
 	"math"
 
 	"probprune/internal/geom"
-	"probprune/internal/rtree"
 	"probprune/internal/uncertain"
 )
 
@@ -26,68 +24,11 @@ import (
 // existentially uncertain object fails to dominate in the worlds where
 // it is absent from the database.
 //
-// With an index the threshold falls out of the best-first Nearby
-// stream: ordering values by MaxDist (with MinDist as the admissible
-// node-level lower bound, MaxDist >= MinDist) yields the k+1 smallest
-// MaxDist values and stops — no full scan, no heap. Without an index a
-// linear scan over a bounded max-heap computes the same value.
-
-// knnPruneThreshold computes m_{k+1}, the (k+1)-th smallest
-// MaxDist(o, q) over the indexed certain objects (excluding q itself
-// when it is a database object). Returns +Inf when the database is too
-// small to prune.
-func knnPruneThreshold(index *rtree.Tree[*uncertain.Object], q *uncertain.Object, k int, n geom.Norm) float64 {
-	thresh := math.Inf(1)
-	need := k + 1
-	buf := nearbyPool.Get().(*rtree.NearbyBuf)
-	defer nearbyPool.Put(buf)
-	index.NearbyWith(buf,
-		func(mbr geom.Rect, _ *uncertain.Object, leaf bool) float64 {
-			if leaf {
-				return mbr.MaxDistRect(n, q.MBR)
-			}
-			return mbr.MinDistRect(n, q.MBR)
-		},
-		func(_ geom.Rect, o *uncertain.Object, d float64) bool {
-			if o == q || o.ExistenceProb() < 1 {
-				return true
-			}
-			need--
-			if need == 0 {
-				thresh = d
-				return false
-			}
-			return true
-		},
-	)
-	return thresh
-}
-
-// knnPruneThresholdLinear is the index-less fallback: the same m_{k+1}
-// from a single scan through a bounded max-heap of the k+1 smallest
-// MaxDist values.
-func knnPruneThresholdLinear(db uncertain.Database, q *uncertain.Object, k int, n geom.Norm) float64 {
-	h := &maxDistHeap{bound: k + 1}
-	for _, o := range db {
-		if o == q || o.ExistenceProb() < 1 {
-			continue
-		}
-		h.offer(o.MBR.MaxDistRect(n, q.MBR))
-	}
-	return h.threshold()
-}
-
-// knnThreshold dispatches the prune-threshold computation through the
-// sharded plane or the index when one is present.
-func (e *Engine) knnThreshold(q *uncertain.Object, k int, n geom.Norm) float64 {
-	if e.plane != nil {
-		return e.plane.knnThreshold(q, k, n)
-	}
-	if e.Index != nil {
-		return knnPruneThreshold(e.Index, q, k, n)
-	}
-	return knnPruneThresholdLinear(e.Database(), q, k, n)
-}
+// The threshold is computed per cut on the cut's R-tree (see
+// Engine.knnThreshold in plane.go): ordering values by MaxDist, with
+// MinDist as the admissible node-level lower bound (MaxDist >= MinDist),
+// streams the smallest MaxDist values first, and a bounded max-heap
+// folds the cuts' streams into the k+1 smallest of their union.
 
 // knnPrunable reports whether object b is impossible as a kNN of q
 // given the threshold.
@@ -96,41 +37,53 @@ func knnPrunable(b *uncertain.Object, q *uncertain.Object, thresh float64, n geo
 }
 
 // maxDistHeap is a bounded max-heap of the smallest MaxDist values seen
-// so far (the linear fallback's working set).
+// so far.
 type maxDistHeap struct {
 	vals  []float64
 	bound int
 }
 
-func (h *maxDistHeap) Len() int           { return len(h.vals) }
-func (h *maxDistHeap) Less(i, j int) bool { return h.vals[i] > h.vals[j] }
-func (h *maxDistHeap) Swap(i, j int)      { h.vals[i], h.vals[j] = h.vals[j], h.vals[i] }
-func (h *maxDistHeap) Push(x any)         { h.vals = append(h.vals, x.(float64)) }
-func (h *maxDistHeap) Pop() any {
-	old := h.vals
-	n := len(old)
-	x := old[n-1]
-	h.vals = old[:n-1]
-	return x
-}
+func (h *maxDistHeap) full() bool { return len(h.vals) == h.bound }
 
 // offer inserts v if the heap is not full or v improves the current
 // threshold.
 func (h *maxDistHeap) offer(v float64) {
-	if len(h.vals) < h.bound {
-		heap.Push(h, v)
+	if !h.full() {
+		h.vals = append(h.vals, v)
+		for i := len(h.vals) - 1; i > 0; {
+			p := (i - 1) / 2
+			if h.vals[p] >= h.vals[i] {
+				break
+			}
+			h.vals[p], h.vals[i] = h.vals[i], h.vals[p]
+			i = p
+		}
 		return
 	}
-	if v < h.vals[0] {
-		h.vals[0] = v
-		heap.Fix(h, 0)
+	if v >= h.vals[0] {
+		return
+	}
+	h.vals[0] = v
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h.vals) {
+			return
+		}
+		if r := c + 1; r < len(h.vals) && h.vals[r] > h.vals[c] {
+			c = r
+		}
+		if h.vals[i] >= h.vals[c] {
+			return
+		}
+		h.vals[i], h.vals[c] = h.vals[c], h.vals[i]
+		i = c
 	}
 }
 
 // threshold returns the current pruning bound: the largest value in a
 // full heap, +Inf while under-filled.
 func (h *maxDistHeap) threshold() float64 {
-	if len(h.vals) < h.bound {
+	if !h.full() {
 		return math.Inf(1)
 	}
 	return h.vals[0]

@@ -8,27 +8,22 @@ import (
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
-	"probprune/internal/rtree"
-	"probprune/internal/uncertain"
 )
 
-// TestKNNPruneThresholdMatchesSort: the heap-over-R-tree computation
+// TestKNNPruneThresholdMatchesSort: the heap over the R-tree stream
 // must return exactly the (k+1)-th smallest MaxDist.
 func TestKNNPruneThresholdMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	db := smallDB(rng, 80, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	index := rtree.New[*uncertain.Object]()
-	for _, o := range db {
-		index.Insert(o.MBR, o)
-	}
+	eng := newEngine(t, db, core.Options{})
 	var maxDists []float64
 	for _, o := range db {
 		maxDists = append(maxDists, o.MBR.MaxDistRect(geom.L2, q.MBR))
 	}
 	sort.Float64s(maxDists)
 	for _, k := range []int{1, 3, 10, 40} {
-		got := knnPruneThreshold(index, q, k, geom.L2)
+		got := eng.knnThreshold(q, k, geom.L2)
 		want := maxDists[k] // 0-indexed (k+1)-th smallest
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("k=%d: threshold %g, want %g", k, got, want)
@@ -42,11 +37,7 @@ func TestKNNPruneThresholdSmallDatabase(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	db := smallDB(rng, 3, 4)
 	q := randObj(rng, 500, 4, 5, 5, 1)
-	index := rtree.New[*uncertain.Object]()
-	for _, o := range db {
-		index.Insert(o.MBR, o)
-	}
-	if got := knnPruneThreshold(index, q, 5, geom.L2); !math.IsInf(got, 1) {
+	if got := newEngine(t, db, core.Options{}).knnThreshold(q, 5, geom.L2); !math.IsInf(got, 1) {
 		t.Fatalf("threshold = %g, want +Inf", got)
 	}
 }
@@ -57,10 +48,6 @@ func TestKNNPruneThresholdExcludesQueryObject(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
 	db := smallDB(rng, 30, 8)
 	q := db[0]
-	index := rtree.New[*uncertain.Object]()
-	for _, o := range db {
-		index.Insert(o.MBR, o)
-	}
 	var maxDists []float64
 	for _, o := range db {
 		if o == q {
@@ -70,7 +57,7 @@ func TestKNNPruneThresholdExcludesQueryObject(t *testing.T) {
 	}
 	sort.Float64s(maxDists)
 	const k = 4
-	if got, want := knnPruneThreshold(index, q, k, geom.L2), maxDists[k]; math.Abs(got-want) > 1e-12 {
+	if got, want := newEngine(t, db, core.Options{}).knnThreshold(q, k, geom.L2), maxDists[k]; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("threshold %g, want %g", got, want)
 	}
 }
@@ -81,9 +68,9 @@ func TestPreselectionNeverPrunesAPossibleResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(603))
 	db := smallDB(rng, 40, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	eng := NewEngine(db, core.Options{MaxIterations: 6})
+	eng := newEngine(t, db, core.Options{MaxIterations: 6})
 	const k, tau = 3, 0.25
-	thresh := knnPruneThreshold(eng.Index, q, k, geom.L2)
+	thresh := eng.KNNThreshold(q, k)
 	pruned := 0
 	for _, b := range db {
 		if !knnPrunable(b, q, thresh, geom.L2) {
@@ -106,7 +93,7 @@ func TestKNNWithPreselectionMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(604))
 	db := smallDB(rng, 60, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	eng := NewEngine(db, core.Options{MaxIterations: 8})
+	eng := newEngine(t, db, core.Options{MaxIterations: 8})
 	const k, tau = 3, 0.5
 	for _, m := range eng.KNN(q, k, tau) {
 		exact := exactTail(db, m.Object, q, k)

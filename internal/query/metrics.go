@@ -11,8 +11,8 @@ import (
 )
 
 // This file wires the obs primitives into the query engine. Every
-// engine owns a Metrics (NewEngine and the stores install one; a
-// zero-constructed Engine has none and pays only nil checks), and every
+// engine records into its store's Metrics (an engine whose obs is nil
+// pays only nil checks), and every
 // query records its latency into a per-kind histogram plus the shared
 // filter-economy counters: candidates entering the filter stage,
 // preselected-away vs. IDCA-refined verdicts, refinement iterations and

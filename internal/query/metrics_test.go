@@ -19,7 +19,7 @@ import (
 func TestQueryMetricsAndTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := smallDB(rng, 60, 5)
-	e := NewEngine(db, core.Options{MaxIterations: 3})
+	e := newEngine(t, db, core.Options{MaxIterations: 3})
 	q := randObj(rng, -1, 5, 5, 5, 1.5)
 
 	tr := &obs.Trace{}
@@ -46,7 +46,7 @@ func TestQueryMetricsAndTrace(t *testing.T) {
 		t.Fatalf("TraceSnapshot.String() = %q, want candidate anatomy", s)
 	}
 
-	m := e.Obs.Snapshot()
+	m := e.obs.Snapshot()
 	if got := m["query.knn.latency.count"]; got != 1 {
 		t.Fatalf("query.knn.latency.count = %d, want 1", got)
 	}
@@ -76,7 +76,7 @@ func TestQueryMetricsAndTrace(t *testing.T) {
 func TestQueryMetricsAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := smallDB(rng, 30, 4)
-	e := NewEngine(db, core.Options{MaxIterations: 2})
+	e := newEngine(t, db, core.Options{MaxIterations: 2})
 	q := randObj(rng, -1, 4, 5, 5, 1.5)
 	ctx := context.Background()
 
@@ -97,7 +97,7 @@ func TestQueryMetricsAllKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := e.Obs.Snapshot()
+	m := e.obs.Snapshot()
 	for _, kind := range []string{"knn", "rknn", "topk", "inverse_rank", "expected_rank", "ukranks"} {
 		if got := m["query."+kind+".latency.count"]; got != 1 {
 			t.Fatalf("query.%s.latency.count = %d, want 1", kind, got)
@@ -111,12 +111,12 @@ func TestQueryMetricsAllKinds(t *testing.T) {
 func TestSlowQueryLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := smallDB(rng, 40, 4)
-	e := NewEngine(db, core.Options{MaxIterations: 2})
+	e := newEngine(t, db, core.Options{MaxIterations: 2})
 	q := randObj(rng, -1, 4, 5, 5, 1.5)
 
 	var logged atomic.Int64
 	var last atomic.Value
-	e.Obs.SetSlowQueryLog(time.Nanosecond, func(format string, args ...any) {
+	e.obs.SetSlowQueryLog(time.Nanosecond, func(format string, args ...any) {
 		logged.Add(1)
 		last.Store(fmt.Sprintf(format, args...))
 	})
@@ -131,7 +131,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 
 	// An unreachable threshold silences it.
-	e.Obs.SetSlowQueryLog(time.Hour, func(format string, args ...any) { logged.Add(1) })
+	e.obs.SetSlowQueryLog(time.Hour, func(format string, args ...any) { logged.Add(1) })
 	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 
 	// Disabled: non-positive threshold.
-	e.Obs.SetSlowQueryLog(0, func(format string, args ...any) { logged.Add(1) })
+	e.obs.SetSlowQueryLog(0, func(format string, args ...any) { logged.Add(1) })
 	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 
 	// Disabled again: nil logf.
-	e.Obs.SetSlowQueryLog(time.Nanosecond, nil)
+	e.obs.SetSlowQueryLog(time.Nanosecond, nil)
 	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestSlowQueryLog(t *testing.T) {
 func TestNilMetricsSafe(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := smallDB(rng, 20, 4)
-	e := NewEngine(db, core.Options{MaxIterations: 2})
-	e.Obs = nil
+	e := newEngine(t, db, core.Options{MaxIterations: 2})
+	e.obs = nil
 	q := randObj(rng, -1, 4, 5, 5, 1.5)
 	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
 		t.Fatal(err)

@@ -18,9 +18,9 @@ import (
 )
 
 // TestOneShardNoRouterWork: a one-shard store keeps no router state —
-// no global list, no home map — and its snapshot engine binds the
-// shard's index directly instead of a scatter-gather plane, before and
-// after mutations. A multi-shard snapshot gets the plane.
+// no global list, no home map — and its snapshot engine scatters over
+// exactly one cut, the shard's own index, before and after mutations.
+// A multi-shard snapshot's engine scatters over every shard's index.
 func TestOneShardNoRouterWork(t *testing.T) {
 	db := storeTestDB(t, 40, 3)
 	s, err := NewStore(db, core.Options{MaxIterations: 2})
@@ -31,11 +31,8 @@ func TestOneShardNoRouterWork(t *testing.T) {
 	next := 1000
 	for round := 0; round < 2; round++ {
 		e := s.Snapshot().Engine()
-		if e.plane != nil {
-			t.Fatal("one-shard snapshot engine has a scatter-gather plane")
-		}
-		if e.Index == nil || e.Index != s.shards[0].index {
-			t.Fatal("one-shard snapshot engine does not bind the shard's index")
+		if len(e.cuts) != 1 || e.cuts[0].index != s.shards[0].index {
+			t.Fatal("one-shard snapshot engine does not scatter over exactly the shard's index")
 		}
 		if s.order.Len() != 0 || s.home != nil {
 			t.Fatal("one-shard store keeps a router list or home map")
@@ -46,8 +43,14 @@ func TestOneShardNoRouterWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := sharded.Snapshot().Engine(); e.plane == nil || e.Index != nil {
-		t.Fatal("4-shard snapshot engine does not scatter across the shard indexes")
+	e := sharded.Snapshot().Engine()
+	if len(e.cuts) != 4 {
+		t.Fatalf("4-shard snapshot engine scatters over %d cuts", len(e.cuts))
+	}
+	for i, c := range e.cuts {
+		if c.index != sharded.shards[i].index {
+			t.Fatalf("cut %d does not bind shard %d's index", i, i)
+		}
 	}
 }
 

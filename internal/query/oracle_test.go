@@ -75,7 +75,7 @@ func newOracleCase(t *testing.T, seed int64, parallelism int) *oracleCase {
 	// A third of the seeds stop after one refinement iteration: the
 	// wide, frequently undecided intervals of a truncated run must
 	// contain the exact value just like converged ones.
-	eng := NewEngine(db, core.Options{Norm: norm, MaxIterations: 1 + 2*int(seed%3), Parallelism: parallelism})
+	eng := newEngine(t, db, core.Options{Norm: norm, MaxIterations: 1 + 2*int(seed%3), Parallelism: parallelism})
 	return &oracleCase{seed: seed, norm: norm, db: db, q: q, eng: eng}
 }
 

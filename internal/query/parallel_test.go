@@ -17,17 +17,17 @@ import (
 // they are also the safety test for concurrent candidate runs against
 // one shared reference decomposition.
 
-func enginePair(seed int64, n, samples, workers int) (*Engine, *Engine, *rand.Rand) {
+func enginePair(t *testing.T, seed int64, n, samples, workers int) (*Engine, *Engine, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	db := smallDB(rng, n, samples)
-	seq := NewEngine(db, core.Options{MaxIterations: 5, Parallelism: 1})
-	par := NewEngine(db, core.Options{MaxIterations: 5, Parallelism: workers})
+	seq := newEngine(t, db, core.Options{MaxIterations: 5, Parallelism: 1})
+	par := newEngine(t, db, core.Options{MaxIterations: 5, Parallelism: workers})
 	return seq, par, rng
 }
 
 func TestParallelKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{400, 401, 402} {
-		seq, par, rng := enginePair(seed, 30, 12, 4)
+		seq, par, rng := enginePair(t, seed, 30, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
 		a := seq.KNN(q, 3, 0.5)
 		b := par.KNN(q, 3, 0.5)
@@ -39,7 +39,7 @@ func TestParallelKNNMatchesSequential(t *testing.T) {
 
 func TestParallelRKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{410, 411, 412} {
-		seq, par, rng := enginePair(seed, 25, 12, 4)
+		seq, par, rng := enginePair(t, seed, 25, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
 		a := seq.RKNN(q, 2, 0.5)
 		b := par.RKNN(q, 2, 0.5)
@@ -51,7 +51,7 @@ func TestParallelRKNNMatchesSequential(t *testing.T) {
 
 func TestParallelRankingMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{420, 421} {
-		seq, par, rng := enginePair(seed, 20, 12, 4)
+		seq, par, rng := enginePair(t, seed, 20, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
 		a := seq.RankByExpectedRank(q)
 		b := par.RankByExpectedRank(q)
@@ -63,7 +63,7 @@ func TestParallelRankingMatchesSequential(t *testing.T) {
 
 func TestParallelTopKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{430, 431} {
-		seq, par, rng := enginePair(seed, 25, 12, 4)
+		seq, par, rng := enginePair(t, seed, 25, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
 		a := seq.TopKNN(q, 3, 5)
 		b := par.TopKNN(q, 3, 5)
@@ -74,7 +74,7 @@ func TestParallelTopKNNMatchesSequential(t *testing.T) {
 }
 
 func TestParallelUKRanksMatchesSequential(t *testing.T) {
-	seq, par, rng := enginePair(440, 20, 12, 4)
+	seq, par, rng := enginePair(t, 440, 20, 12, 4)
 	q := randObj(rng, 500, 12, 5, 5, 2)
 	a := seq.UKRanks(q, 4)
 	b := par.UKRanks(q, 4)
@@ -88,11 +88,11 @@ func TestParallelUKRanksMatchesSequential(t *testing.T) {
 // deterministic for a fixed value, and its bounds at any worker count
 // must contain the bounds' sequential values up to float reassociation.
 func TestInverseRankDeterministicAndSound(t *testing.T) {
-	seq, par, rng := enginePair(450, 15, 12, 4)
+	seq, par, rng := enginePair(t, 450, 15, 12, 4)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	a := seq.InverseRank(seq.DB[0], q)
-	b := par.InverseRank(par.DB[0], q)
-	b2 := par.InverseRank(par.DB[0], q)
+	a := seq.InverseRank(seq.Database()[0], q)
+	b := par.InverseRank(par.Database()[0], q)
+	b2 := par.InverseRank(par.Database()[0], q)
 	if !reflect.DeepEqual(b.Ranks, b2.Ranks) {
 		t.Fatal("InverseRank not deterministic for a fixed Parallelism")
 	}
@@ -112,8 +112,8 @@ func TestDefaultParallelismMatchesExplicitSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(460))
 	db := smallDB(rng, 20, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	def := NewEngine(db, core.Options{MaxIterations: 5})
-	one := NewEngine(db, core.Options{MaxIterations: 5, Parallelism: 1})
+	def := newEngine(t, db, core.Options{MaxIterations: 5})
+	one := newEngine(t, db, core.Options{MaxIterations: 5, Parallelism: 1})
 	if !reflect.DeepEqual(def.KNN(q, 3, 0.5), one.KNN(q, 3, 0.5)) {
 		t.Fatal("default-parallelism KNN differs from single-worker KNN")
 	}
@@ -125,7 +125,7 @@ func TestCtxCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(470))
 	db := smallDB(rng, 20, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	eng := NewEngine(db, core.Options{MaxIterations: 5, Parallelism: 2})
+	eng := newEngine(t, db, core.Options{MaxIterations: 5, Parallelism: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if m, err := eng.KNNCtx(ctx, q, 3, 0.5); err != context.Canceled || m != nil {
@@ -152,7 +152,7 @@ func TestRKNNPreselectionNeverPrunesAPossibleResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(480))
 	db := smallDB(rng, 40, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	eng := NewEngine(db, core.Options{MaxIterations: 6})
+	eng := newEngine(t, db, core.Options{MaxIterations: 6})
 	const k = 3
 	pruned := 0
 	for _, b := range db {
@@ -170,43 +170,32 @@ func TestRKNNPreselectionNeverPrunesAPossibleResult(t *testing.T) {
 	}
 }
 
-// TestRKNNWithoutIndexMatchesIndexed: the linear preselection fallback
-// and the streaming index path must agree on the full query result.
+// TestRKNNWithoutIndexMatchesIndexed: the engine's streaming
+// preselection and the full-scan reference's linear count must agree
+// on the full query result.
 func TestRKNNWithoutIndexMatchesIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(481))
 	db := smallDB(rng, 30, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	withIdx := NewEngine(db, core.Options{MaxIterations: 5})
-	noIdx := &Engine{DB: db, Opts: core.Options{MaxIterations: 5}}
-	a := withIdx.RKNN(q, 2, 0.5)
-	b := noIdx.RKNN(q, 2, 0.5)
-	if len(a) != len(b) {
-		t.Fatalf("match counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Object != b[i].Object || a[i].IsResult != b[i].IsResult || a[i].Decided != b[i].Decided {
-			t.Fatalf("match %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-		if !almostEqual(a[i].Prob.LB, b[i].Prob.LB, 1e-9) || !almostEqual(a[i].Prob.UB, b[i].Prob.UB, 1e-9) {
-			t.Fatalf("match %d bounds differ", i)
-		}
-	}
+	opts := core.Options{MaxIterations: 5}
+	requireMatchesAgree(t, newEngine(t, db, opts).RKNN(q, 2, 0.5), fullScan{db, opts}.rknn(q, 2, 0.5))
 }
 
-// TestKNNLinearFallbackPrunes: without an index the prune threshold now
-// comes from a linear scan instead of silently staying +Inf, so far
-// candidates are preselected away without IDCA runs.
+// TestKNNLinearFallbackPrunes: the engine's prune threshold equals the
+// full-scan reference's linear one, and the candidates beyond it are
+// preselected away without IDCA runs.
 func TestKNNLinearFallbackPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(482))
 	db := smallDB(rng, 60, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	noIdx := &Engine{DB: db, Opts: core.Options{MaxIterations: 5}}
-	thresh := noIdx.knnThreshold(q, 3, geom.L2)
-	if thresh == 0 || thresh != knnPruneThresholdLinear(db, q, 3, geom.L2) {
-		t.Fatalf("unexpected fallback threshold %g", thresh)
+	opts := core.Options{MaxIterations: 5}
+	eng := newEngine(t, db, opts)
+	thresh := eng.knnThreshold(q, 3, geom.L2)
+	if thresh == 0 || thresh != (fullScan{db, opts}).knnThreshold(q, 3) {
+		t.Fatalf("unexpected threshold %g", thresh)
 	}
 	prunedIterations := 0
-	for _, m := range noIdx.KNN(q, 3, 0.5) {
+	for _, m := range eng.KNN(q, 3, 0.5) {
 		if knnPrunable(m.Object, q, thresh, geom.L2) {
 			if m.Iterations != 0 || m.IsResult || !m.Decided {
 				t.Fatalf("prunable object %d was not preselected: %+v", m.Object.ID, m)

@@ -32,64 +32,31 @@ import (
 	"probprune/internal/geom"
 	"probprune/internal/gf"
 	"probprune/internal/obs"
-	"probprune/internal/rtree"
 	"probprune/internal/uncertain"
 )
 
-// Engine evaluates probabilistic similarity queries over a database.
+// Engine evaluates probabilistic similarity queries over one immutable
+// database state: it is the engine of a store Snapshot, and every
+// filter-stage primitive scatters over that snapshot's shard cuts (see
+// plane.go) — with one shard, the snapshot itself.
 type Engine struct {
-	// DB is the uncertain database of an engine built by NewEngine or
-	// by hand. A Store snapshot's engine leaves it nil and reads the
-	// snapshot's copy-on-write list instead; Database returns the objects
-	// of either kind.
-	DB uncertain.Database
-	// Index optionally accelerates the complete-domination filter; nil
-	// uses linear scans.
-	Index *rtree.Tree[*uncertain.Object]
-	// Opts configures the underlying IDCA runs. Stop and KMax are
-	// managed per query and must be left unset. SharedDecomps, when set,
-	// becomes the decomposition cache of every query on this engine
-	// (cross-query work reuse — how Store engines recycle decompositions
-	// of database-resident objects); when nil each query builds its own.
-	Opts core.Options
-
-	// plane, when non-nil, replaces the single-index data plane with a
-	// scatter-gather over per-shard R-trees: IDCA filters, preselection
-	// thresholds and impossibility counts are computed per shard and
-	// merged canonically before any refinement runs. Installed by a
-	// multi-shard Snapshot.Engine; every query algorithm above this
-	// level is oblivious to it, which is what keeps sharded results
-	// bit-identical to the monolithic path.
-	plane *shardPlane
-
-	// defaultCache is the persistent decomposition cache NewEngine
-	// installs when Options.SharedDecomps is unset (see NewEngine). Kept
-	// out of Opts so callers that clone an engine's Opts into another
-	// component (a Store manages its own cache and rejects a preset one)
-	// see exactly what they configured.
-	defaultCache *core.DecompCache
-
-	// Obs, when non-nil, receives per-query latency histograms and the
-	// filter-economy counters (see metrics.go). NewEngine and the stores
-	// install one; snapshot engines share their store's, so counts
-	// accumulate across snapshots. A nil Obs records nothing.
-	Obs *Metrics
-
-	// snap is the snapshot a Store snapshot's engine is bound to; its
-	// objects are read through Database.
+	// opts configures the underlying IDCA runs; runOpts derives each
+	// run's options from it.
+	opts core.Options
+	// obs receives per-query latency histograms and the filter-economy
+	// counters (see metrics.go). Snapshot engines share their store's,
+	// so counts accumulate across snapshots. A nil obs records nothing.
+	obs *Metrics
+	// snap is the snapshot the engine is bound to; cuts are its shard
+	// cuts, or the snapshot itself with one shard.
 	snap *Snapshot
+	cuts []*Snapshot
 }
 
 // Database returns the objects the engine evaluates against, in
-// database order: DB, or on a Store snapshot's engine the snapshot's
-// objects, flattened on the first call (see Snapshot). The slice is
-// shared and must be treated as read-only.
-func (e *Engine) Database() uncertain.Database {
-	if e.snap != nil {
-		return e.snap.database()
-	}
-	return e.DB
-}
+// database order: the snapshot's objects, flattened on the first call
+// (see Snapshot). The slice is shared and must be treated as read-only.
+func (e *Engine) Database() uncertain.Database { return e.snap.database() }
 
 // CheckDim reports an error when o's dimension differs from the
 // database's: distances across dimensions are undefined, so every query
@@ -102,54 +69,31 @@ func (e *Engine) CheckDim(o *uncertain.Object) error {
 	return nil
 }
 
-// dim returns the dimension of the indexed or stored objects, 0 when
-// the engine has none.
+// dim returns the dimension of the indexed objects, 0 when the engine
+// has none.
 func (e *Engine) dim() int {
-	switch {
-	case e.plane != nil:
-		for _, sh := range e.plane.shards {
-			if d := sh.index.Dim(); d != 0 {
-				return d
-			}
+	for _, sh := range e.cuts {
+		if d := sh.index.Dim(); d != 0 {
+			return d
 		}
-		return 0
-	case e.Index != nil:
-		return e.Index.Dim()
-	case len(e.DB) > 0:
-		return e.DB[0].Dim()
 	}
 	return 0
 }
 
-// NewEngine builds an engine and its R-tree index over db (an STR bulk
-// load — O(n log n) with better-clustered nodes than repeated inserts).
-//
-// Unless Options.SharedDecomps is already set, the engine gets a
-// persistent decomposition cache with every database object pinned —
-// the same cross-query kd-split reuse Store engines have had all along.
-// Pins are lazy (one map entry per object until a query first touches
-// it) and decompositions are deterministic, so results are bit-identical
-// to an uncached engine; only the repeated splitting work disappears.
-// Callers that mutate DB afterwards should construct the Engine struct
-// directly or manage their own cache.
-func NewEngine(db uncertain.Database, opts core.Options) *Engine {
-	e := &Engine{DB: db, Index: bulkIndex(db), Opts: opts, Obs: NewMetrics()}
-	if opts.SharedDecomps == nil {
-		e.defaultCache = core.NewDecompCache(opts.MaxHeight)
-		for _, o := range db {
-			e.defaultCache.Add(o)
-		}
+// NewEngine builds the engine of a one-shard in-memory store over db:
+// NewStore(db, opts) followed by Snapshot().Engine(). It therefore
+// refuses what the store refuses — a nil object, a duplicate ID, mixed
+// dimensions, a preset Options.SharedDecomps — and queries reuse the
+// store's persistent decomposition cache, in which every database
+// object is pinned (lazily; decompositions are deterministic, so results
+// are bit-identical to an uncached run). The slice is copied, the
+// objects are shared and must not be mutated.
+func NewEngine(db uncertain.Database, opts core.Options) (*Engine, error) {
+	s, err := NewStore(db, opts)
+	if err != nil {
+		return nil, err
 	}
-	return e
-}
-
-// bulkIndex STR-bulk-loads an R-tree over the objects' MBRs.
-func bulkIndex(db uncertain.Database) *rtree.Tree[*uncertain.Object] {
-	items := make([]rtree.BulkItem[*uncertain.Object], len(db))
-	for i, o := range db {
-		items[i] = rtree.BulkItem[*uncertain.Object]{Rect: o.MBR, Value: o}
-	}
-	return rtree.Bulk(items)
+	return s.Snapshot().Engine(), nil
 }
 
 // Match is one candidate's outcome in a threshold query.
@@ -171,10 +115,9 @@ type Match struct {
 	Iterations int
 }
 
-// run dispatches an IDCA run through the sharded plane or the index if
-// present. All three paths are bit-identical for the same database
-// state (canonical influence ordering); they differ only in how the
-// filter step traverses the data.
+// run executes one IDCA run on the merged filter outcome of the
+// engine's cuts (see filter). Merging is exact, so the result is
+// bit-identical at any shard count.
 func (e *Engine) run(target, reference *uncertain.Object, opts core.Options) *core.Result {
 	if opts.Scratch == nil {
 		// Check a pooled arena out for the duration of the run. The run
@@ -185,17 +128,11 @@ func (e *Engine) run(target, reference *uncertain.Object, opts core.Options) *co
 		opts.Scratch = sc
 		defer scratchPool.Put(sc)
 	}
-	if e.plane != nil {
-		return core.RunMerged(target, reference, e.plane.filter(target, reference, opts), opts)
-	}
-	if e.Index != nil {
-		return core.RunIndexed(e.Index, target, reference, opts)
-	}
-	return core.Run(e.Database(), target, reference, opts)
+	return core.RunMerged(target, reference, e.filter(target, reference, opts), opts)
 }
 
-// newSession prepares an incremental IDCA run through the same dispatch
-// as run — the session-based queries (TopKNN) go through here.
+// newSession prepares an incremental IDCA run on the same filter
+// outcome as run — the session-based queries (TopKNN) go through here.
 func (e *Engine) newSession(target, reference *uncertain.Object, opts core.Options) *core.Session {
 	if opts.Scratch == nil {
 		// A session outlives this call and is stepped at the caller's
@@ -204,13 +141,7 @@ func (e *Engine) newSession(target, reference *uncertain.Object, opts core.Optio
 		// its own Steps, garbage-collected with the session.
 		opts.Scratch = core.NewScratch()
 	}
-	if e.plane != nil {
-		return core.NewSessionMerged(target, reference, e.plane.filter(target, reference, opts), opts)
-	}
-	if e.Index != nil {
-		return core.NewSessionIndexed(e.Index, target, reference, opts)
-	}
-	return core.NewSession(e.Database(), target, reference, opts)
+	return core.NewSessionMerged(target, reference, e.filter(target, reference, opts), opts)
 }
 
 // ThresholdStop builds the IDCA stop criterion for a tail predicate
@@ -242,21 +173,21 @@ func (e *Engine) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau flo
 	if err := e.CheckDim(q); err != nil {
 		return nil, err
 	}
-	tr, pooled := e.Obs.traceFor(ctx)
+	tr, pooled := e.obs.traceFor(ctx)
 	start := time.Now()
 	cache := e.queryCache()
 	j := e.newKNNJob(q, k, tau, cache)
 	j.tr = tr
 	tr.AddCandidates(len(j.cands))
-	e.Obs.countCandidates(len(j.cands))
+	e.obs.countCandidates(len(j.cands))
 	tr.AddPrepare(time.Since(start))
 	evalStart := time.Now()
 	if err := forEach(ctx, e.parallelism(), len(j.cands), j.eval); err != nil {
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.Obs, tr, cache)
-	e.Obs.observe(kindKNN, start, tr, pooled)
+	recordCache(e.obs, tr, cache)
+	e.obs.observe(kindKNN, start, tr, pooled)
 	return j.matches, nil
 }
 
@@ -306,7 +237,7 @@ func (e *Engine) newKNNJob(q *uncertain.Object, k int, tau float64, cache *core.
 func (j *knnJob) eval(i int) {
 	m, pruned := j.e.evalKNNCandidate(j.q, j.cands[i], j.k, j.tau, j.thresh, j.norm, j.cache)
 	j.matches[i] = m
-	countMatch(j.e.Obs, j.tr, m, pruned)
+	countMatch(j.e.obs, j.tr, m, pruned)
 }
 
 // evalKNNCandidate runs the threshold-kNN predicate for one candidate:
@@ -351,7 +282,7 @@ func (e *Engine) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh flo
 		cache = e.queryCache()
 	}
 	m, pruned := e.evalKNNCandidate(q, b, k, tau, thresh, e.normOrDefault(), cache)
-	countMatch(e.Obs, nil, m, pruned)
+	countMatch(e.obs, nil, m, pruned)
 	return m, pruned
 }
 
@@ -375,7 +306,7 @@ func (e *Engine) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau fl
 	if k < 1 {
 		return nil, nil
 	}
-	tr, pooled := e.Obs.traceFor(ctx)
+	tr, pooled := e.obs.traceFor(ctx)
 	start := time.Now()
 	norm := e.normOrDefault()
 	cands := e.candidates(q)
@@ -383,21 +314,21 @@ func (e *Engine) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau fl
 	// decomposition (and the influence objects') across candidates.
 	cache := e.queryCache()
 	tr.AddCandidates(len(cands))
-	e.Obs.countCandidates(len(cands))
+	e.obs.countCandidates(len(cands))
 	tr.AddPrepare(time.Since(start))
 	matches := make([]Match, len(cands))
 	evalStart := time.Now()
 	err := forEach(ctx, e.parallelism(), len(cands), func(i int) {
 		m, pruned := e.evalRKNNCandidate(q, cands[i], k, tau, norm, cache)
 		matches[i] = m
-		countMatch(e.Obs, tr, m, pruned)
+		countMatch(e.obs, tr, m, pruned)
 	})
 	if err != nil {
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.Obs, tr, cache)
-	e.Obs.observe(kindRKNN, start, tr, pooled)
+	recordCache(e.obs, tr, cache)
+	e.obs.observe(kindRKNN, start, tr, pooled)
 	return matches, nil
 }
 
@@ -438,7 +369,7 @@ func (e *Engine) EvalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, c
 		cache = e.queryCache()
 	}
 	m, pruned := e.evalRKNNCandidate(q, b, k, tau, e.normOrDefault(), cache)
-	countMatch(e.Obs, nil, m, pruned)
+	countMatch(e.obs, nil, m, pruned)
 	return m, pruned
 }
 
@@ -491,12 +422,12 @@ func (e *Engine) InverseRankCtx(ctx context.Context, b, r *uncertain.Object) (*R
 	}
 	start := time.Now()
 	opts := e.runOpts()
-	opts.Parallelism = e.Opts.Parallelism
+	opts.Parallelism = e.opts.Parallelism
 	cache := e.queryCache()
 	opts.SharedDecomps = cache
 	res := e.run(b, r, opts)
-	recordCache(e.Obs, nil, cache)
-	e.Obs.observe(kindInverseRank, start, nil, false)
+	recordCache(e.obs, nil, cache)
+	e.obs.observe(kindInverseRank, start, nil, false)
 	ranks := make([]gf.Interval, len(res.Bounds))
 	copy(ranks, res.Bounds)
 	return &RankDistribution{
@@ -566,12 +497,12 @@ func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object)
 	if err := e.CheckDim(q); err != nil {
 		return nil, err
 	}
-	tr, pooled := e.Obs.traceFor(ctx)
+	tr, pooled := e.obs.traceFor(ctx)
 	start := time.Now()
 	cands := e.candidates(q)
 	cache := e.queryCache()
 	tr.AddCandidates(len(cands))
-	e.Obs.countCandidates(len(cands))
+	e.obs.countCandidates(len(cands))
 	tr.AddPrepare(time.Since(start))
 	out := make([]Ranked, len(cands))
 	evalStart := time.Now()
@@ -582,7 +513,7 @@ func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object)
 		// Expected-rank ranking refines every candidate — there is no
 		// threshold to preselect against.
 		tr.CountRefined(len(res.Iterations))
-		e.Obs.countRefined(len(res.Iterations))
+		e.obs.countRefined(len(res.Iterations))
 		lo, hi := ExpectedRankBounds(res)
 		out[i] = Ranked{Object: cands[i], ExpectedRankLB: lo, ExpectedRankUB: hi}
 	})
@@ -590,8 +521,8 @@ func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object)
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.Obs, tr, cache)
-	e.Obs.observe(kindExpectedRank, start, tr, pooled)
+	recordCache(e.obs, tr, cache)
+	e.obs.observe(kindExpectedRank, start, tr, pooled)
 	sort.SliceStable(out, func(i, j int) bool {
 		mi := out[i].ExpectedRankLB + out[i].ExpectedRankUB
 		mj := out[j].ExpectedRankLB + out[j].ExpectedRankUB
@@ -609,12 +540,14 @@ func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object)
 // Norm returns the engine's resolved distance norm (L2 when unset).
 func (e *Engine) Norm() geom.Norm { return e.normOrDefault() }
 
+// Criterion returns the engine's domination criterion.
+func (e *Engine) Criterion() geom.Criterion { return e.opts.Criterion }
+
 // NewQueryCache returns a decomposition cache scoped the way one query
-// run would scope it: an overlay over the engine's persistent cache
-// when Options.SharedDecomps is installed (Store engines), a private
-// cache otherwise. Long-lived callers (standing subscriptions) hold one
-// to reuse the decompositions of the query object and of
-// database-resident influence objects across re-evaluations.
+// run scopes it: an overlay over the store's persistent cache.
+// Long-lived callers (standing subscriptions) hold one to reuse the
+// decompositions of the query object and of database-resident influence
+// objects across re-evaluations.
 func (e *Engine) NewQueryCache() *core.DecompCache { return e.queryCache() }
 
 // KNNThreshold returns m_{k+1}, the (k+1)-th smallest MaxDist(o, q)

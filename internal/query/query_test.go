@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"probprune/internal/core"
@@ -12,6 +13,16 @@ import (
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
+
+// newEngine is NewEngine over a database the store accepts.
+func newEngine(t testing.TB, db uncertain.Database, opts core.Options) *Engine {
+	t.Helper()
+	e, err := NewEngine(db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 func randObj(rng *rand.Rand, id, n int, cx, cy, ext float64) *uncertain.Object {
 	pts := make([]geom.Point, n)
@@ -58,7 +69,7 @@ func TestKNNAgreesWithExact(t *testing.T) {
 	q := randObj(rng, 500, 16, 5, 5, 1.5)
 	for _, k := range []int{1, 3, 5} {
 		for _, tau := range []float64{0.25, 0.5, 0.75} {
-			eng := NewEngine(db, core.Options{MaxIterations: 8})
+			eng := newEngine(t, db, core.Options{MaxIterations: 8})
 			matches := eng.KNN(q, k, tau)
 			if len(matches) != len(db) {
 				t.Fatalf("k=%d: %d matches for %d objects", k, len(matches), len(db))
@@ -91,7 +102,7 @@ func TestKNNCertainPoints(t *testing.T) {
 		uncertain.PointObject(3, geom.Point{4, 0}),
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
-	eng := NewEngine(db, core.Options{MaxIterations: 4})
+	eng := newEngine(t, db, core.Options{MaxIterations: 4})
 	matches := eng.KNN(q, 2, 0.5)
 	for _, m := range matches {
 		want := m.Object.ID <= 1 // the two closest
@@ -111,7 +122,7 @@ func TestKNNThresholdStopSavesIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	db := smallDB(rng, 25, 32)
 	q := randObj(rng, 500, 32, 5, 5, 1.5)
-	eng := NewEngine(db, core.Options{MaxIterations: 10})
+	eng := newEngine(t, db, core.Options{MaxIterations: 10})
 	total := 0
 	for _, m := range eng.KNN(q, 3, 0.5) {
 		total += m.Iterations
@@ -127,7 +138,7 @@ func TestRKNNAgreesWithExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
 	db := smallDB(rng, 10, 16)
 	q := randObj(rng, 500, 16, 5, 5, 1.5)
-	eng := NewEngine(db, core.Options{MaxIterations: 8})
+	eng := newEngine(t, db, core.Options{MaxIterations: 8})
 	for _, m := range eng.RKNN(q, 2, 0.5) {
 		exact := exactTail(db, q, m.Object, 2)
 		if !m.Prob.Contains(exact, 1e-9) {
@@ -151,7 +162,7 @@ func TestInverseRankMatchesExactPDF(t *testing.T) {
 		cands = append(cands, o)
 	}
 	exact := mc.DomCountPDF(geom.L2, cands, b, r, 0)
-	eng := NewEngine(db, core.Options{MaxIterations: 10})
+	eng := newEngine(t, db, core.Options{MaxIterations: 10})
 	rd := eng.InverseRank(b, r)
 	for k, p := range exact {
 		iv := rd.Bound(k + 1) // rank = count + 1
@@ -205,7 +216,7 @@ func TestRankByExpectedRankOrdersCertainData(t *testing.T) {
 		uncertain.PointObject(2, geom.Point{2, 0}),
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
-	eng := NewEngine(db, core.Options{MaxIterations: 4})
+	eng := newEngine(t, db, core.Options{MaxIterations: 4})
 	ranked := eng.RankByExpectedRank(q)
 	wantOrder := []int{1, 2, 0}
 	for i, r := range ranked {
@@ -219,16 +230,20 @@ func TestRankByExpectedRankOrdersCertainData(t *testing.T) {
 	}
 }
 
-// TestEngineWithoutIndexMatchesIndexed: linear and indexed engines must
-// agree.
+// TestEngineWithoutIndexMatchesIndexed: the engine's KNN must agree
+// with the index-less full-scan reference.
 func TestEngineWithoutIndexMatchesIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	db := smallDB(rng, 15, 16)
 	q := randObj(rng, 500, 16, 5, 5, 1.5)
-	withIdx := NewEngine(db, core.Options{MaxIterations: 5})
-	noIdx := &Engine{DB: db, Opts: core.Options{MaxIterations: 5}}
-	a := withIdx.KNN(q, 3, 0.5)
-	b := noIdx.KNN(q, 3, 0.5)
+	opts := core.Options{MaxIterations: 5}
+	requireMatchesAgree(t, newEngine(t, db, opts).KNN(q, 3, 0.5), fullScan{db, opts}.knn(q, 3, 0.5))
+}
+
+// requireMatchesAgree compares an engine's matches with the reference's:
+// the same objects in the same order, verdicts and bounds.
+func requireMatchesAgree(t *testing.T, a, b []Match) {
+	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("match counts differ: %d vs %d", len(a), len(b))
 	}
@@ -247,11 +262,38 @@ func TestInvalidK(t *testing.T) {
 	rng := rand.New(rand.NewSource(306))
 	db := smallDB(rng, 5, 4)
 	q := randObj(rng, 500, 4, 5, 5, 1)
-	eng := NewEngine(db, core.Options{MaxIterations: 2})
+	eng := newEngine(t, db, core.Options{MaxIterations: 2})
 	if got := eng.KNN(q, 0, 0.5); got != nil {
 		t.Error("KNN with k=0 returned matches")
 	}
 	if got := eng.RKNN(q, 0, 0.5); got != nil {
 		t.Error("RKNN with k=0 returned matches")
+	}
+}
+
+// TestNewEngineRefusesBadDatabase: NewEngine refuses what a store
+// refuses. A mixed-dimension database used to build and then panic in
+// the first query's filter; duplicate IDs used to answer with two
+// contradictory matches for one object.
+func TestNewEngineRefusesBadDatabase(t *testing.T) {
+	flat := func(id int, p geom.Point) *uncertain.Object {
+		o, err := uncertain.NewObject(id, []geom.Point{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	for _, tc := range []struct {
+		name, want string
+		db         uncertain.Database
+	}{
+		{"mixed dimensions", "dimensions", uncertain.Database{flat(1, geom.Point{0.1, 0.1}), flat(2, geom.Point{0.2, 0.2, 0.2})}},
+		{"duplicate IDs", "duplicate object ID 1", uncertain.Database{flat(1, geom.Point{0.1, 0.1}), flat(1, geom.Point{0.9, 0.9})}},
+		{"nil object", "nil object", uncertain.Database{flat(1, geom.Point{0.1, 0.1}), nil}},
+	} {
+		e, err := NewEngine(tc.db, core.Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: NewEngine = (%v, %v), want an error containing %q", tc.name, e, err, tc.want)
+		}
 	}
 }

@@ -18,42 +18,12 @@ import (
 // MinDist(q, B) <= dist(q, b): all k objects are closer to B than q in
 // every world, so P(DomCount(q, B) < k) = 0.
 //
-// With an index the count comes from a best-first Nearby stream ordered
-// by MaxDist(·, B) (node-level lower bound: MinDist, which never
-// exceeds a descendant's MaxDist). The stream is consumed only until
+// Per cut (see Engine.rknnPrunable in plane.go) the count comes from a
+// best-first Nearby stream ordered by MaxDist(·, B) (node-level lower
+// bound: MinDist, which never exceeds a descendant's MaxDist). The stream is consumed only until
 // either k qualifying objects have appeared or the next distance
 // reaches MinDist(q, B) — whichever happens first, so the per-candidate
 // cost is O(k) stream steps rather than a database scan.
-
-// rknnPrunable reports whether candidate b is impossible as an RKNN
-// result for query object q.
-func (e *Engine) rknnPrunable(q, b *uncertain.Object, k int, n geom.Norm) bool {
-	if e.plane != nil {
-		return e.plane.rknnPrunable(q, b, k, n)
-	}
-	lim := q.MBR.MinDistRect(n, b.MBR)
-	if lim <= 0 {
-		// q can coincide with b's region; no object can be strictly
-		// closer than distance zero.
-		return false
-	}
-	if e.Index != nil {
-		return rknnCertainDominators(e.Index, q, b, k, lim, n) >= k
-	}
-	count := 0
-	for _, o := range e.Database() {
-		if o == q || o == b || o.ExistenceProb() < 1 {
-			continue
-		}
-		if o.MBR.MaxDistRect(n, b.MBR) < lim {
-			count++
-			if count >= k {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // rknnCertainDominators counts the certainly-existing indexed objects
 // (excluding q and b) whose MaxDist to b is below lim, capped at need.

@@ -36,7 +36,7 @@ type shardedCase struct {
 func newShardedCase(t *testing.T, seed int64, parallelism int) *shardedCase {
 	t.Helper()
 	oc := newOracleCase(t, seed, parallelism)
-	store, err := NewStore(oc.db, oc.eng.Opts)
+	store, err := NewStore(oc.db, oc.eng.opts)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -48,7 +48,7 @@ func newShardedCase(t *testing.T, seed int64, parallelism int) *shardedCase {
 		part = StripeShards(0, 0.25, 0.75)
 	}
 	for _, n := range shardCounts {
-		ss, err := NewShardedStore(oc.db, ShardedOptions{Shards: n, Partition: part}, oc.eng.Opts)
+		ss, err := NewShardedStore(oc.db, ShardedOptions{Shards: n, Partition: part}, oc.eng.opts)
 		if err != nil {
 			t.Fatalf("seed %d shards %d: %v", seed, n, err)
 		}

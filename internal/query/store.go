@@ -13,6 +13,7 @@ import (
 	"probprune/internal/cow"
 	"probprune/internal/geom"
 	"probprune/internal/obs"
+	"probprune/internal/rtree"
 	"probprune/internal/uncertain"
 	"probprune/internal/wal"
 )
@@ -28,7 +29,8 @@ import (
 // decomposition cache, the version, watchers, metrics and durability
 // coordinator — and, with N > 1, the global order and every object's
 // home shard. A one-shard store does no router work: its object list is
-// the global order and its snapshot engine binds its index directly.
+// the global order, and its snapshot is its shard's cut, so the snapshot
+// engine scatters over exactly that one cut.
 //
 // Sharding composes exactly: the complete-domination filter classifies
 // each object on its own (core.ClassifyRole reads one object, the
@@ -178,11 +180,11 @@ func NewStore(db uncertain.Database, opts core.Options) (*Store, error) {
 }
 
 // NewShardedStore builds a store over db (objects must have unique
-// IDs; the slice is copied, the objects are shared and must not be
-// mutated). Every shard's index is STR bulk-loaded, concurrently across
-// shards. Opts configures every query the store serves, like
-// Engine.Opts; Opts.SharedDecomps must be left unset — the store
-// manages its own persistent cache.
+// IDs and one dimension; the slice is copied, the objects are shared
+// and must not be mutated). Every shard's index is STR bulk-loaded,
+// concurrently across shards. Opts configures every query the store
+// serves; Opts.SharedDecomps must be left unset — the store manages its
+// own persistent cache.
 func NewShardedStore(db uncertain.Database, sopts ShardedOptions, opts core.Options) (*Store, error) {
 	s, err := newStore(sopts, opts, len(db))
 	if err != nil {
@@ -221,6 +223,15 @@ func NewShardedStore(db uncertain.Database, sopts ShardedOptions, opts core.Opti
 	}
 	wg.Wait()
 	return s, nil
+}
+
+// bulkIndex STR-bulk-loads an R-tree over the objects' MBRs.
+func bulkIndex(db uncertain.Database) *objTree {
+	items := make([]rtree.BulkItem[*uncertain.Object], len(db))
+	for i, o := range db {
+		items[i] = rtree.BulkItem[*uncertain.Object]{Rect: o.MBR, Value: o}
+	}
+	return rtree.Bulk(items)
 }
 
 // newStore builds an empty store with the shard layout of sopts, its
@@ -346,29 +357,7 @@ type Change struct {
 	Version  uint64
 	Kind     ChangeKind
 	Old, New *uncertain.Object
-	Snap     SnapshotView
-}
-
-// SnapshotView is the read side of a snapshot: an immutable database
-// state with a version stamp and a snapshot-bound query engine.
-// *Snapshot implements it; change-stream consumers — package cq's
-// Monitor in particular — depend on this view only, so tests can feed
-// them a bare engine.
-type SnapshotView interface {
-	// Version returns the mutation epoch the snapshot was published at.
-	Version() uint64
-	// VersionVector returns the per-shard versions, nil with one shard.
-	VersionVector() []uint64
-	// Len returns the number of objects in the snapshot.
-	Len() int
-	// DB returns a copy of the snapshot's object slice (objects shared,
-	// read-only).
-	DB() uncertain.Database
-	// Engine returns the snapshot-bound query engine; all queries on it
-	// evaluate against exactly this state.
-	Engine() *Engine
-	// BatchKNN evaluates many kNN queries pooled on this snapshot.
-	BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error)
+	Snap     *Snapshot
 }
 
 // Watch registers a commit hook and returns, atomically with the
@@ -387,7 +376,7 @@ type SnapshotView interface {
 // the list chunk and tree pages the commit writes (a Delete: the list
 // chunks from its position on). That is the price of a gapless
 // per-version change stream.
-func (s *Store) Watch(fn func(Change)) (SnapshotView, func()) {
+func (s *Store) Watch(fn func(Change)) (*Snapshot, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := &fn
@@ -805,10 +794,9 @@ func (s *Store) WALStats() (wal.MetricsSnapshot, bool) {
 // on one snapshot see exactly the same objects.
 //
 // The list is the store's copy-on-write list as of the publish. Readers
-// that scan the database (candidate scans, index-less fallbacks, DB)
-// read a flat copy built on first use, at most once per snapshot;
-// readers that go through the index (continuous-query maintenance)
-// never build it.
+// that scan the database (candidate scans, DB) read a flat copy built on
+// first use, at most once per snapshot; readers that go through the
+// index (continuous-query maintenance) never build it.
 type Snapshot struct {
 	list    objList
 	index   *objTree    // the shard's index; nil on a multi-shard cut
@@ -824,30 +812,37 @@ type Snapshot struct {
 	flatOnce sync.Once
 	flat     uncertain.Database
 
-	// Shard-stats cache (statsOnce): the index root MBR and whether
-	// every resident object certainly exists. A scatter-gather plane
-	// probes these once per snapshot to decide whole shards wholesale —
-	// the snapshot is immutable, so the answers never go stale.
-	statsOnce  sync.Once
-	rootMBR    geom.Rect
-	nonEmpty   bool
-	allCertain bool
+	// A shard cut's cached index root MBR, and whether every resident
+	// object certainly exists — what the filter plane needs to decide a
+	// whole cut wholesale. The snapshot is immutable, so neither answer
+	// goes stale; the existence scan runs only when a filter asks.
+	rootOnce    sync.Once
+	rootMBR     geom.Rect
+	nonEmpty    bool
+	certainOnce sync.Once
+	certain     bool
 }
 
-// shardStats returns the cached root MBR, the all-certain flag and
-// whether the snapshot is non-empty.
-func (sn *Snapshot) shardStats() (geom.Rect, bool, bool) {
-	sn.statsOnce.Do(func() {
-		sn.rootMBR, sn.nonEmpty = sn.index.Bounds()
-		sn.allCertain = true
+// root returns the cut's cached index root MBR; ok is false on an empty
+// cut.
+func (sn *Snapshot) root() (geom.Rect, bool) {
+	sn.rootOnce.Do(func() { sn.rootMBR, sn.nonEmpty = sn.index.Bounds() })
+	return sn.rootMBR, sn.nonEmpty
+}
+
+// allCertain reports whether every object of the cut certainly exists,
+// scanning the cut on the first call.
+func (sn *Snapshot) allCertain() bool {
+	sn.certainOnce.Do(func() {
+		sn.certain = true
 		for o := range sn.list.All() {
 			if o.ExistenceProb() < 1 {
-				sn.allCertain = false
+				sn.certain = false
 				break
 			}
 		}
 	})
-	return sn.rootMBR, sn.allCertain, sn.nonEmpty
+	return sn.certain
 }
 
 // Version returns the store mutation epoch (for a shard cut: the shard
@@ -897,18 +892,17 @@ func (sn *Snapshot) database() uncertain.Database {
 }
 
 // Engine returns the snapshot-bound query engine, reading the store's
-// persistent decomposition cache through per-query overlays. A
-// multi-shard snapshot's engine scatters the filter stage across the
-// shard indexes; results are bit-identical to a fresh Engine built from
-// the same state, at any shard count and Parallelism.
+// persistent decomposition cache through per-query overlays. It
+// scatters the filter stage across the snapshot's shard cuts — with one
+// shard, the snapshot itself — so results are bit-identical at any
+// shard count and Parallelism.
 func (sn *Snapshot) Engine() *Engine {
 	sn.engineOnce.Do(func() {
-		opts := sn.opts
-		opts.SharedDecomps = sn.cache
-		sn.engine = &Engine{Index: sn.index, Opts: opts, Obs: sn.obs, snap: sn}
-		if sn.shards != nil {
-			sn.engine.plane = &shardPlane{shards: sn.shards}
+		cuts := sn.shards
+		if cuts == nil {
+			cuts = []*Snapshot{sn}
 		}
+		sn.engine = &Engine{opts: sn.opts, obs: sn.obs, snap: sn, cuts: cuts}
 	})
 	return sn.engine
 }
@@ -1036,7 +1030,7 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
 	}
-	tr, pooled := e.Obs.traceFor(ctx)
+	tr, pooled := e.obs.traceFor(ctx)
 	start := time.Now()
 	// One cache overlay for the whole batch: influence objects come from
 	// the persistent store cache, repeated query objects are decomposed
@@ -1062,7 +1056,7 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 		ends[i] = total
 	}
 	tr.AddCandidates(total)
-	e.Obs.countCandidates(total)
+	e.obs.countCandidates(total)
 	tr.AddPrepare(time.Since(start))
 	evalStart := time.Now()
 	if err := forEach(ctx, e.parallelism(), total, func(i int) {
@@ -1072,8 +1066,8 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.Obs, tr, cache)
-	e.Obs.observe(kindBatchKNN, start, tr, pooled)
+	recordCache(e.obs, tr, cache)
+	e.obs.observe(kindBatchKNN, start, tr, pooled)
 	out := make([][]Match, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.matches

@@ -135,7 +135,7 @@ func TestStoreConcurrentMutationAndQuery(t *testing.T) {
 		t.Fatalf("Len = %d, want %d (all transients deleted)", s.Len(), coreN)
 	}
 	snap := s.Snapshot()
-	fresh := NewEngine(snap.DB(), core.Options{MaxIterations: 2})
+	fresh := newEngine(t, snap.DB(), core.Options{MaxIterations: 2})
 	got := s.KNN(q, 3, 0.5)
 	want := fresh.KNN(q, 3, 0.5)
 	if len(got) != len(want) {

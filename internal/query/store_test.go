@@ -86,7 +86,7 @@ func TestStoreEquivalence(t *testing.T) {
 
 			q := randObject(t, rng, -1)
 			snap := s.Snapshot()
-			fresh := NewEngine(snap.DB(), opts)
+			fresh := newEngine(t, snap.DB(), opts)
 
 			// Run every query twice on the store: the second pass reuses
 			// decompositions the first pass pinned — results must not move.
@@ -132,7 +132,7 @@ func TestStoreEquivalenceAcrossMutations(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		mutateStore(t, s, rng, &nextID, 8)
 		snap := s.Snapshot()
-		fresh := NewEngine(snap.DB(), opts)
+		fresh := newEngine(t, snap.DB(), opts)
 		if got, want := s.KNN(q, 2, 0.4), fresh.KNN(q, 2, 0.4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: KNN store != fresh engine", round)
 		}

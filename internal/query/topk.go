@@ -48,7 +48,7 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 	if k < 1 || m < 1 {
 		return nil, nil
 	}
-	tr, pooled := e.Obs.traceFor(ctx)
+	tr, pooled := e.obs.traceFor(ctx)
 	start := time.Now()
 	type cand struct {
 		obj     *uncertain.Object
@@ -66,16 +66,16 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 			continue
 		}
 		tr.AddCandidates(1)
-		e.Obs.countCandidates(1)
+		e.obs.countCandidates(1)
 		if knnPrunable(b, q, thresh, norm) {
 			tr.CountPreselected()
-			e.Obs.countPreselected()
+			e.obs.countPreselected()
 			continue
 		}
 		objs = append(objs, b)
 	}
 	if len(objs) == 0 {
-		e.Obs.observe(kindTopK, start, tr, pooled)
+		e.obs.observe(kindTopK, start, tr, pooled)
 		return nil, nil
 	}
 	cache := e.queryCache()
@@ -96,7 +96,7 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 		m = len(cands)
 	}
 
-	maxIter := e.Opts.MaxIterations
+	maxIter := e.opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = core.DefaultMaxIterations
 	}
@@ -189,17 +189,17 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 	tr.AddEval(time.Since(evalStart))
 	for _, c := range cands {
 		tr.CountRefined(len(c.session.Result().Iterations))
-		e.Obs.countRefined(len(c.session.Result().Iterations))
+		e.obs.countRefined(len(c.session.Result().Iterations))
 	}
-	recordCache(e.Obs, tr, cache)
-	e.Obs.observe(kindTopK, start, tr, pooled)
+	recordCache(e.obs, tr, cache)
+	e.obs.observe(kindTopK, start, tr, pooled)
 	return out, nil
 }
 
 // normOrDefault returns the engine's configured norm or L2.
 func (e *Engine) normOrDefault() geom.Norm {
-	if e.Opts.Norm.Valid() {
-		return e.Opts.Norm
+	if e.opts.Norm.Valid() {
+		return e.opts.Norm
 	}
 	return geom.L2
 }

@@ -17,7 +17,7 @@ func TestTopKNNMatchesExactOrder(t *testing.T) {
 	db := smallDB(rng, 25, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
 	const k, m = 3, 5
-	eng := NewEngine(db, core.Options{MaxIterations: 10})
+	eng := newEngine(t, db, core.Options{MaxIterations: 10})
 	got := eng.TopKNN(q, k, m)
 	if len(got) != m {
 		t.Fatalf("returned %d matches, want %d", len(got), m)
@@ -69,7 +69,7 @@ func TestTopKNNOnCertainData(t *testing.T) {
 		uncertain.PointObject(4, geom.Point{9, 0}),
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
-	eng := NewEngine(db, core.Options{MaxIterations: 4})
+	eng := newEngine(t, db, core.Options{MaxIterations: 4})
 	got := eng.TopKNN(q, 2, 2)
 	if len(got) != 2 {
 		t.Fatalf("got %d matches", len(got))
@@ -91,7 +91,7 @@ func TestTopKNNEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	db := smallDB(rng, 6, 6)
 	q := randObj(rng, 500, 6, 5, 5, 1)
-	eng := NewEngine(db, core.Options{MaxIterations: 3})
+	eng := newEngine(t, db, core.Options{MaxIterations: 3})
 	if eng.TopKNN(q, 0, 3) != nil {
 		t.Error("k=0 must return nil")
 	}
@@ -104,16 +104,15 @@ func TestTopKNNEdgeCases(t *testing.T) {
 	}
 }
 
-// TestTopKNNWithoutIndex: the linear-engine path must agree with the
-// indexed one on the selected set.
+// TestTopKNNWithoutIndex: the engine must select the same set as the
+// full-scan reference, which refines every candidate to the budget.
 func TestTopKNNWithoutIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(702))
 	db := smallDB(rng, 20, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	withIdx := NewEngine(db, core.Options{MaxIterations: 8})
-	noIdx := &Engine{DB: db, Opts: core.Options{MaxIterations: 8}}
-	a := withIdx.TopKNN(q, 3, 4)
-	b := noIdx.TopKNN(q, 3, 4)
+	opts := core.Options{MaxIterations: 8}
+	a := newEngine(t, db, opts).TopKNN(q, 3, 4)
+	b := fullScan{db, opts}.topKNN(q, 3, 4)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -121,9 +120,9 @@ func TestTopKNNWithoutIndex(t *testing.T) {
 	for _, m := range a {
 		idsA[m.Object.ID] = true
 	}
-	for _, m := range b {
-		if !idsA[m.Object.ID] {
-			t.Fatalf("selections differ: %d missing from indexed run", m.Object.ID)
+	for _, o := range b {
+		if !idsA[o.ID] {
+			t.Fatalf("selections differ: %d missing from the engine's run", o.ID)
 		}
 	}
 }

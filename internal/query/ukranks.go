@@ -49,7 +49,7 @@ func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]
 	if k < 1 {
 		return nil, nil
 	}
-	tr, pooled := e.Obs.traceFor(ctx)
+	tr, pooled := e.obs.traceFor(ctx)
 	start := time.Now()
 	type entry struct {
 		obj    *uncertain.Object
@@ -59,7 +59,7 @@ func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]
 	cands := e.candidates(q)
 	cache := e.queryCache()
 	tr.AddCandidates(len(cands))
-	e.Obs.countCandidates(len(cands))
+	e.obs.countCandidates(len(cands))
 	tr.AddPrepare(time.Since(start))
 	entries := make([]entry, len(cands))
 	evalStart := time.Now()
@@ -70,7 +70,7 @@ func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]
 		opts.SharedDecomps = cache
 		res := e.run(b, q, opts)
 		tr.CountRefined(len(res.Iterations))
-		e.Obs.countRefined(len(res.Iterations))
+		e.obs.countRefined(len(res.Iterations))
 		entries[i] = entry{
 			obj:    b,
 			bounds: res.Bounds,
@@ -81,8 +81,8 @@ func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.Obs, tr, cache)
-	defer e.Obs.observe(kindUKRanks, start, tr, pooled)
+	recordCache(e.obs, tr, cache)
+	defer e.obs.observe(kindUKRanks, start, tr, pooled)
 	probAt := func(en entry, rank int) gf.Interval {
 		i := rank - 1 - en.offset // count index
 		if i < 0 || i >= len(en.bounds) {

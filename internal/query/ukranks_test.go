@@ -34,7 +34,7 @@ func TestUKRanksOnCertainData(t *testing.T) {
 		uncertain.PointObject(2, geom.Point{2, 0}),
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
-	eng := NewEngine(db, core.Options{MaxIterations: 4})
+	eng := newEngine(t, db, core.Options{MaxIterations: 4})
 	winners := eng.UKRanks(q, 3)
 	wantIDs := []int{1, 2, 0}
 	if len(winners) != 3 {
@@ -57,7 +57,7 @@ func TestUKRanksBoundsContainExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(800))
 	db := smallDB(rng, 10, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	eng := NewEngine(db, core.Options{MaxIterations: 8})
+	eng := newEngine(t, db, core.Options{MaxIterations: 8})
 	for _, w := range eng.UKRanks(q, 4) {
 		exact := exactRankProb(db, w.Object, q, w.Rank)
 		if !w.Prob.Contains(exact, 1e-9) {
@@ -84,7 +84,7 @@ func TestGlobalTopKDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(801))
 	db := smallDB(rng, 8, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	eng := NewEngine(db, core.Options{MaxIterations: 6})
+	eng := newEngine(t, db, core.Options{MaxIterations: 6})
 	out := eng.GlobalTopK(q, 5)
 	seen := map[int]bool{}
 	for _, o := range out {
@@ -100,7 +100,7 @@ func TestUKRanksInvalidK(t *testing.T) {
 	rng := rand.New(rand.NewSource(802))
 	db := smallDB(rng, 4, 4)
 	q := randObj(rng, 500, 4, 5, 5, 1)
-	eng := NewEngine(db, core.Options{MaxIterations: 2})
+	eng := newEngine(t, db, core.Options{MaxIterations: 2})
 	if eng.UKRanks(q, 0) != nil {
 		t.Error("k=0 returned winners")
 	}

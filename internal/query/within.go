@@ -15,40 +15,24 @@ import (
 // result follows its influence set, not |D|. Package cq builds both its
 // subscribe path and its per-change maintenance on the two walks below.
 
-// objTree is the R-tree type every data plane indexes objects with.
+// objTree is the R-tree type every shard cut indexes objects with.
 type objTree = rtree.Tree[*uncertain.Object]
 
 // gather is the one place candidate generation touches the data plane.
-// probe runs once per non-empty R-tree — the single index, or each
-// shard's — with the tree's root MBR, and emits the objects it selects;
-// an index-less engine falls back to a linear scan filtered by keep (the
-// only database scan candidate generation has). q itself is never a
-// candidate. Candidates come back in ascending object-ID order, so
-// nothing downstream depends on index shape or shard layout.
-func (e *Engine) gather(q *uncertain.Object, keep func(b *uncertain.Object) bool,
-	probe func(t *objTree, root geom.Rect, emit func(b *uncertain.Object))) []*uncertain.Object {
+// probe runs once per non-empty cut with the cut's R-tree and root MBR,
+// and emits the objects it selects. q itself is never a candidate.
+// Candidates come back in ascending object-ID order, so nothing
+// downstream depends on index shape or shard layout.
+func (e *Engine) gather(q *uncertain.Object, probe func(t *objTree, root geom.Rect, emit func(b *uncertain.Object))) []*uncertain.Object {
 	var out []*uncertain.Object
 	emit := func(b *uncertain.Object) {
 		if b != q {
 			out = append(out, b)
 		}
 	}
-	switch {
-	case e.plane != nil:
-		for _, sh := range e.plane.shards {
-			if root, _, ok := sh.shardStats(); ok {
-				probe(sh.index, root, emit)
-			}
-		}
-	case e.Index != nil:
-		if root, ok := e.Index.Bounds(); ok {
-			probe(e.Index, root, emit)
-		}
-	default:
-		for _, b := range e.Database() {
-			if keep(b) {
-				emit(b)
-			}
+	for _, sh := range e.cuts {
+		if root, ok := sh.root(); ok {
+			probe(sh.index, root, emit)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -68,30 +52,25 @@ func (e *Engine) Within(q *uncertain.Object, d float64) []*uncertain.Object {
 
 // within is Within plus the number of objects the traversal looked at —
 // the answer, and the one object per entered index that ended its
-// stream (the whole database on the index-less fallback).
+// stream.
 func (e *Engine) within(q *uncertain.Object, d float64) (out []*uncertain.Object, visited int) {
 	n := e.normOrDefault()
-	out = e.gather(q,
-		func(b *uncertain.Object) bool {
-			visited++
-			return b.MBR.MinDistRect(n, q.MBR) <= d
-		},
-		func(t *objTree, root geom.Rect, emit func(*uncertain.Object)) {
-			if root.MinDistRect(n, q.MBR) > d {
-				return
-			}
-			buf := nearbyPool.Get().(*rtree.NearbyBuf)
-			defer nearbyPool.Put(buf)
-			t.NearbyWith(buf, rtree.MinDist[*uncertain.Object](n, q.MBR),
-				func(_ geom.Rect, b *uncertain.Object, dist float64) bool {
-					visited++
-					if dist > d {
-						return false // ascending stream: nothing closer follows
-					}
-					emit(b)
-					return true
-				})
-		})
+	out = e.gather(q, func(t *objTree, root geom.Rect, emit func(*uncertain.Object)) {
+		if root.MinDistRect(n, q.MBR) > d {
+			return
+		}
+		buf := nearbyPool.Get().(*rtree.NearbyBuf)
+		defer nearbyPool.Put(buf)
+		t.NearbyWith(buf, rtree.MinDist[*uncertain.Object](n, q.MBR),
+			func(_ geom.Rect, b *uncertain.Object, dist float64) bool {
+				visited++
+				if dist > d {
+					return false // ascending stream: nothing closer follows
+				}
+				emit(b)
+				return true
+			})
+	})
 	return out, visited
 }
 
@@ -115,11 +94,10 @@ func (e *Engine) RKNNInvolved(q, b, old, new *uncertain.Object) bool {
 // below and MinDist(q, b) from above for every b in N.
 func (e *Engine) RKNNAffected(q, old, new *uncertain.Object) []*uncertain.Object {
 	n := e.normOrDefault()
-	involved := func(b *uncertain.Object) bool { return e.RKNNInvolved(q, b, old, new) }
 	clear := func(x *uncertain.Object, node geom.Rect, far float64) bool {
 		return x == nil || x.MBR.MinDistRect(n, node) >= far
 	}
-	return e.gather(q, involved, func(t *objTree, _ geom.Rect, emit func(*uncertain.Object)) {
+	return e.gather(q, func(t *objTree, _ geom.Rect, emit func(*uncertain.Object)) {
 		t.Walk(
 			func(node geom.Rect, _ int) rtree.WalkAction {
 				far := q.MBR.MaxDistRect(n, node)
@@ -129,7 +107,7 @@ func (e *Engine) RKNNAffected(q, old, new *uncertain.Object) []*uncertain.Object
 				return rtree.Descend
 			},
 			func(_ geom.Rect, b *uncertain.Object) {
-				if involved(b) {
+				if e.RKNNInvolved(q, b, old, new) {
 					emit(b)
 				}
 			})

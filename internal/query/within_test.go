@@ -11,9 +11,8 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// withinPlanes builds the three data planes candidate generation runs
-// on over the same objects: the single index, the sharded scatter plane
-// and the index-less linear fallback.
+// withinPlanes builds engines over the same objects that scatter over
+// one cut and over four stripe cuts.
 func withinPlanes(t *testing.T, db uncertain.Database) map[string]*Engine {
 	t.Helper()
 	ss, err := NewShardedStore(db, ShardedOptions{Shards: 4, Partition: StripeShards(0, 0, 10)}, core.Options{})
@@ -21,9 +20,8 @@ func withinPlanes(t *testing.T, db uncertain.Database) map[string]*Engine {
 		t.Fatal(err)
 	}
 	return map[string]*Engine{
-		"index":   NewEngine(db, core.Options{}),
+		"index":   newEngine(t, db, core.Options{}),
 		"sharded": ss.Snapshot().Engine(),
-		"linear":  {DB: db},
 	}
 }
 
@@ -73,10 +71,9 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestWithinStopsEarly: the indexed planes look at the answer plus the
-// one object per entered index that ends its stream (and q, when it is
-// indexed); shards beyond d are not entered at all. Only the index-less
-// fallback scans.
+// TestWithinStopsEarly: every engine looks at the answer plus the one
+// object per entered index that ends its stream (and q, when it is
+// indexed); cuts beyond d are not entered at all.
 func TestWithinStopsEarly(t *testing.T) {
 	rng := rand.New(rand.NewSource(911))
 	db := smallDB(rng, 400, 4)
@@ -85,25 +82,16 @@ func TestWithinStopsEarly(t *testing.T) {
 		d := planes["index"].KNNThreshold(q, 5)
 		for name, e := range planes {
 			out, visited := e.within(q, d)
-			entered := 1
-			if e.plane != nil {
-				entered = 0
-				for _, sh := range e.plane.shards {
-					if root, _, ok := sh.shardStats(); ok && root.MinDistRect(e.Norm(), q.MBR) <= d {
-						entered++
-					}
+			entered := 0
+			for _, sh := range e.cuts {
+				if root, ok := sh.root(); ok && root.MinDistRect(e.Norm(), q.MBR) <= d {
+					entered++
 				}
-				if entered == len(e.plane.shards) {
-					t.Fatalf("q=%d d=%g: no stripe shard is beyond the ball — the skip is not exercised", q.ID, d)
-				}
+			}
+			if len(e.cuts) > 1 && entered == len(e.cuts) {
+				t.Fatalf("q=%d d=%g: no stripe shard is beyond the ball — the skip is not exercised", q.ID, d)
 			}
 			limit := len(out) + entered + 1 // +1: q itself when indexed
-			if name == "linear" {
-				if visited != len(db) {
-					t.Fatalf("linear fallback visited %d of %d", visited, len(db))
-				}
-				continue
-			}
 			if visited > limit {
 				t.Fatalf("%s q=%d: visited %d objects for %d answers over %d entered indexes", name, q.ID, visited, len(out), entered)
 			}

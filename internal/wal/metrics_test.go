@@ -3,6 +3,8 @@ package wal
 import (
 	"math/rand"
 	"testing"
+
+	"probprune/internal/obs"
 )
 
 // TestJournalMetrics: the durability counters track appends, bytes,
@@ -97,5 +99,87 @@ func TestJournalMetrics(t *testing.T) {
 	}
 	if s := j2.MetricsSnapshot(); s.Appends != 0 || s.Rotations != 0 || s.Checkpoints != 0 {
 		t.Fatalf("reopened journal has non-zero write metrics: %+v", s)
+	}
+}
+
+// TestMetricsPoints: the typed points carry the snapshot's figures
+// under the names AddTo flattens.
+func TestMetricsPoints(t *testing.T) {
+	j, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 3; i++ {
+		if err := j.Append(testRecord(t, rng, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := j.MetricsSnapshot()
+	points := s.Points()
+	flat := make(map[string]int64)
+	s.AddTo(flat)
+	kinds := map[string]obs.PointKind{
+		"wal.appends": obs.KindCounter, "wal.append_bytes": obs.KindCounter,
+		"wal.append.latency": obs.KindTimeHist, "wal.fsyncs": obs.KindCounter,
+		"wal.fsync.latency": obs.KindTimeHist, "wal.rotations": obs.KindCounter,
+		"wal.checkpoints": obs.KindCounter, "wal.checkpoint.latency": obs.KindTimeHist,
+		"wal.group_commit.batch": obs.KindValueHist,
+	}
+	if len(points) != len(kinds) {
+		t.Fatalf("%d points, want %d", len(points), len(kinds))
+	}
+	for _, p := range points {
+		kind, ok := kinds[p.Name]
+		if !ok || p.Kind != kind {
+			t.Fatalf("point %s has kind %v, want %v", p.Name, p.Kind, kind)
+		}
+		switch {
+		case kind == obs.KindCounter && p.Value != flat[p.Name]:
+			t.Errorf("%s = %d, AddTo says %d", p.Name, p.Value, flat[p.Name])
+		case kind != obs.KindCounter && int64(p.Hist.Count) != flat[p.Name+".count"]:
+			t.Errorf("%s count = %d, AddTo says %d", p.Name, p.Hist.Count, flat[p.Name+".count"])
+		}
+	}
+	if flat["wal.appends"] != 3 || flat["wal.group_commit.batch.count"] == 0 {
+		t.Fatalf("flat metrics miss the appends or their group commits: %v", flat)
+	}
+}
+
+// TestJournalSetRecorder: an armed recorder hears every group-commit
+// fsync of a SyncAlways journal; a disarmed one hears nothing more, and
+// a nil journal ignores the call.
+func TestJournalSetRecorder(t *testing.T) {
+	var nilJournal *Journal
+	nilJournal.SetRecorder(obs.NewRecorder(8))
+
+	j, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(64)
+	j.SetRecorder(rec)
+	rng := rand.New(rand.NewSource(7))
+	if err := j.Append(testRecord(t, rng, 1)); err != nil {
+		t.Fatal(err)
+	}
+	evs := rec.Snapshot()
+	if len(evs) != 1 || evs[0].Kind != obs.EvGroupCommit || evs[0].A != 1 {
+		t.Fatalf("armed recorder holds %+v, want one group commit of one record", evs)
+	}
+	j.SetRecorder(nil)
+	if err := j.Append(testRecord(t, rng, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rec.Snapshot()); n != 1 {
+		t.Fatalf("disarmed recorder grew to %d events", n)
 	}
 }

@@ -234,9 +234,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // SetInstallHook installs a callback invoked at each step of
 // InstallCheckpoint ("encode", "installed", "removed-ckpt",
 // "removed-segs") — the seam kill-point tests use to capture crash

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -417,5 +419,155 @@ func TestRecordAccessors(t *testing.T) {
 	}
 	if Op(99).String() != "unknown" || SyncPolicy(9).String() != "os" {
 		t.Fatal("fallback names wrong")
+	}
+}
+
+// TestHasData: the bootstrap probe finds durable state only where a
+// checkpoint or an intact first frame exists — never in an empty
+// directory, a header-only segment or a first frame that is torn,
+// zero-length or fails its CRC.
+func TestHasData(t *testing.T) {
+	hasData := func(t *testing.T, dir string) bool {
+		t.Helper()
+		j, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		ok, err := j.HasData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	if hasData(t, t.TempDir()) {
+		t.Fatal("empty directory has data")
+	}
+
+	frame := func(payload []byte, size int) []byte {
+		b := []byte(segMagic)
+		b = binary.LittleEndian.AppendUint32(b, uint32(size))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+		return append(b, payload...)
+	}
+	payload := []byte("payload")
+	badCRC := frame(payload, len(payload))
+	badCRC[len(badCRC)-1] ^= 0xff
+	for name, seg := range map[string][]byte{
+		"header-only": []byte(segMagic),
+		"bad-magic":   append([]byte("notawal\n"), frame(payload, len(payload))[len(segMagic):]...),
+		"torn-header": frame(payload, len(payload))[:len(segMagic)+3],
+		"torn-frame":  frame(payload, len(payload))[:len(segMagic)+frameHeader+2],
+		"zero-length": frame(nil, 0),
+		"bad-crc":     badCRC,
+		"intact":      frame(payload, len(payload)),
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := hasData(t, dir); got != (name == "intact") {
+			t.Errorf("%s segment: HasData = %v", name, got)
+		}
+	}
+
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(testRecord(t, rand.New(rand.NewSource(1)), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := j.HasData(); err != nil || !ok {
+		t.Fatalf("written journal: HasData = %v, %v", ok, err)
+	}
+	if err := j.WriteCheckpoint(&Checkpoint{Version: 1, Objects: mustSynthetic(t, 3, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !hasData(t, dir) {
+		t.Fatal("checkpointed directory has no data")
+	}
+}
+
+// TestSyncEveryLoop: under SyncBackground an append does not fsync;
+// the background flusher does, within a few SyncEvery intervals.
+func TestSyncEveryLoop(t *testing.T) {
+	j, err := Open(t.TempDir(), Options{Sync: SyncBackground, SyncEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(testRecord(t, rand.New(rand.NewSource(3)), 1)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for j.MetricsSnapshot().Fsyncs == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("background flusher never fsynced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSegmentRotation: a full segment rotates to the next one, fsyncing
+// the outgoing segment first under a durable policy (the background
+// flusher fsyncs only the current segment) and not under SyncOS; the
+// log replays whole across the rotations.
+func TestSegmentRotation(t *testing.T) {
+	for _, p := range []SyncPolicy{SyncOS, SyncBackground} {
+		t.Run(p.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := Open(dir, Options{Sync: p, SyncEvery: time.Hour, SegmentBytes: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Replay(nil); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			var want []Record
+			for v := uint64(1); j.MetricsSnapshot().Rotations < 3; v++ {
+				rec := testRecord(t, rng, v)
+				if err := j.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, rec)
+			}
+			s := j.MetricsSnapshot()
+			if p == SyncOS && s.Fsyncs != 0 {
+				t.Fatalf("SyncOS rotations fsynced %d times", s.Fsyncs)
+			}
+			if p != SyncOS && s.Fsyncs < s.Rotations {
+				t.Fatalf("%d rotations but %d fsyncs: an outgoing segment was not fsynced", s.Rotations, s.Fsyncs)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if segs := mustSegments(t, dir); len(segs) != int(s.Rotations)+1 {
+				t.Fatalf("%d segments after %d rotations", len(segs), s.Rotations)
+			}
+			j2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			var got []Record
+			if err := j2.Replay(func(r Record) error { got = append(got, r); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("replay returned %d records, want %d", len(got), len(want))
+			}
+		})
 	}
 }

@@ -20,8 +20,8 @@ func TestRootParallelAPI(t *testing.T) {
 	}
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 
-	seq := probprune.NewEngine(db, probprune.Options{MaxIterations: 4, Parallelism: 1})
-	par := probprune.NewEngine(db, probprune.Options{MaxIterations: 4, Parallelism: 4})
+	seq := newEngine(t, db, probprune.Options{MaxIterations: 4, Parallelism: 1})
+	par := newEngine(t, db, probprune.Options{MaxIterations: 4, Parallelism: 4})
 	a := seq.KNN(q, 5, 0.5)
 	b, err := par.KNNCtx(context.Background(), q, 5, 0.5)
 	if err != nil {

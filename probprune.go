@@ -26,7 +26,7 @@
 // # Quick start
 //
 //	db, _ := probprune.Synthetic(probprune.SyntheticConfig{N: 1000, Samples: 100, Seed: 1})
-//	engine := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
+//	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
 //	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 //	for _, m := range engine.KNN(q, 5, 0.5) {
 //	    if m.IsResult {
@@ -60,9 +60,10 @@
 //
 // # Live stores
 //
-// Engine evaluates a frozen Database. Store is the serving-path
-// counterpart: a concurrent, mutable store with Insert/Delete/Update
-// live ingest, copy-on-write snapshot isolation (a query never observes
+// Engine evaluates one frozen database state: every Engine is the
+// engine of a store snapshot, and NewEngine is a one-shard in-memory
+// store's. Store is the serving-path counterpart: a concurrent, mutable
+// store with Insert/Delete/Update live ingest, copy-on-write snapshot isolation (a query never observes
 // a half-applied update) and a persistent decomposition cache that
 // survives across queries and is invalidated per object on update.
 // BatchKNN pours many queries into one worker pool over one snapshot:
@@ -294,7 +295,8 @@ func NewSessionIndexed(index *Index, target, reference *Object, opts Options) *S
 
 // Queries.
 type (
-	// Engine evaluates probabilistic similarity queries.
+	// Engine evaluates probabilistic similarity queries over one
+	// immutable store snapshot.
 	Engine = query.Engine
 	// Match is one candidate's outcome in a threshold query.
 	Match = query.Match
@@ -304,8 +306,11 @@ type (
 	Ranked = query.Ranked
 )
 
-// NewEngine builds a query engine with an R-tree index over db.
-func NewEngine(db Database, opts Options) *Engine {
+// NewEngine builds the query engine of a one-shard in-memory store over
+// db: NewStore(db, opts) followed by Snapshot().Engine(). It returns
+// the store's error for a database the store refuses (a nil object, a
+// duplicate ID, mixed dimensions).
+func NewEngine(db Database, opts Options) (*Engine, error) {
 	return query.NewEngine(db, opts)
 }
 
@@ -329,14 +334,12 @@ type (
 	ShardedOptions = query.ShardedOptions
 	// ShardFunc deterministically routes an object to one of n shards.
 	ShardFunc = query.ShardFunc
-	// SnapshotView is the read side of a snapshot that change-stream
-	// consumers depend on; *StoreSnapshot implements it.
-	SnapshotView = query.SnapshotView
 )
 
 // NewStore builds a one-shard live store over db (unique object IDs
-// required; the index is STR bulk-loaded). Opts configures every query
-// the store serves; Opts.SharedDecomps must be left unset.
+// of one dimension required; the index is STR bulk-loaded). Opts
+// configures every query the store serves; Opts.SharedDecomps must be
+// left unset. Its snapshot's engine scatters over that one shard.
 func NewStore(db Database, opts Options) (*Store, error) {
 	return query.NewStore(db, opts)
 }
@@ -435,9 +438,6 @@ type (
 	Change = query.Change
 	// ChangeKind distinguishes insert, update and delete changes.
 	ChangeKind = query.ChangeKind
-	// MonitorSource is the store side a Monitor consumes; *Store
-	// satisfies it at any shard count.
-	MonitorSource = cq.Source
 )
 
 // Event kinds, subscription kinds, change kinds and slow-consumer
@@ -467,11 +467,11 @@ var (
 	ErrCursorMismatch = cq.ErrCursorMismatch
 )
 
-// NewMonitor attaches a continuous-query monitor to a store (with
-// several shards: its merged change stream, tracked by a version-vector
-// cursor). Register standing queries with
+// NewMonitor attaches a continuous-query monitor to a store at any
+// shard count (with several shards: its merged change stream, tracked
+// by a version-vector cursor). Register standing queries with
 // SubscribeKNN/SubscribeRKNN, release with Close.
-func NewMonitor(store MonitorSource, opts MonitorOptions) *Monitor {
+func NewMonitor(store *Store, opts MonitorOptions) *Monitor {
 	return cq.NewMonitor(store, opts)
 }
 

@@ -20,6 +20,16 @@ type backend struct {
 
 // byID resolves the backend's own instance of a database object —
 // backends recovered from disk hold decoded copies, not db's pointers.
+// newEngine is probprune.NewEngine over a database the store accepts.
+func newEngine(tb testing.TB, db probprune.Database, opts probprune.Options) *probprune.Engine {
+	tb.Helper()
+	e, err := probprune.NewEngine(db, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 func (be backend) byID(t *testing.T, id int) *probprune.Object {
 	t.Helper()
 	for _, o := range be.eng.Database() {
@@ -44,7 +54,7 @@ func queryBackends(t *testing.T, db probprune.Database, opts probprune.Options) 
 		t.Fatal(err)
 	}
 	return []backend{
-		{"engine", probprune.NewEngine(db, opts)},
+		{"engine", newEngine(t, db, opts)},
 		{"store", store.Snapshot().Engine()},
 		{"sharded", sharded.Snapshot().Engine()},
 		{"durable", durableReopen(t, db, opts).Snapshot().Engine()},

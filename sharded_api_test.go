@@ -116,11 +116,7 @@ func TestShardedStoreFacade(t *testing.T) {
 		t.Fatalf("watch delivered %d changes, want 6", len(changes))
 	}
 	for i, ch := range changes {
-		ss, ok := ch.Snap.(*probprune.StoreSnapshot)
-		if !ok {
-			t.Fatalf("change %d snapshot is %T, want *StoreSnapshot", i, ch.Snap)
-		}
-		if got := ss.VersionVector(); len(got) != 3 {
+		if got := ch.Snap.VersionVector(); len(got) != 3 {
 			t.Fatalf("change %d version vector has %d entries", i, len(got))
 		}
 	}

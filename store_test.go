@@ -50,7 +50,7 @@ func TestStoreFacade(t *testing.T) {
 	// Snapshot queries must be bit-identical to a fresh engine over the
 	// same state.
 	snap := store.Snapshot()
-	fresh := probprune.NewEngine(snap.DB(), opts)
+	fresh := newEngine(t, snap.DB(), opts)
 	got := store.KNN(q, 5, 0.5)
 	want := fresh.KNN(q, 5, 0.5)
 	if !reflect.DeepEqual(got, want) {
