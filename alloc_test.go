@@ -11,6 +11,8 @@
 package probprune_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"io"
 	"math/rand"
@@ -22,6 +24,7 @@ import (
 	"probprune"
 	"probprune/internal/obs"
 	"probprune/internal/server"
+	"probprune/internal/workload"
 )
 
 // The kNN predicate of every query ceiling.
@@ -320,4 +323,58 @@ func TestStoreBatchKNNAllocCeiling(t *testing.T) {
 		t.Fatalf("16-request BatchKNN allocated %.0f times, ceiling 1.5 x %.0f sequential", got, seq)
 	}
 	t.Logf("16-request BatchKNN: %.0f allocs (16 sequential KNNs: %.0f, ceiling %.0f)", got, seq, 1.5*seq)
+}
+
+// TestObjectDecodeAllocCeiling: decoding an object costs a constant
+// number of allocations whatever its sample count — the samples land
+// in one flat array, not one allocation each — on the wire
+// (server.DecodeObject) and from a .udb file (workload.Load of a
+// one-object file), and reading a sample allocates nothing.
+func TestObjectDecodeAllocCeiling(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	box := probprune.UniformBox{Rect: probprune.Rect{Min: probprune.Point{0, 0}, Max: probprune.Point{0.01, 0.01}}}
+	var wire, file [2]float64
+	for i, n := range []int{64, 1000} {
+		o, err := probprune.Realize(1, box, n, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := server.EncodeObject(o)
+		wire[i] = testing.AllocsPerRun(20, func() {
+			if _, err := server.DecodeObject(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var buf bytes.Buffer
+		if err := workload.Save(&buf, probprune.Database{o}); err != nil {
+			t.Fatal(err)
+		}
+		// gzip's own allocations depend on how the bytes compress
+		// (Huffman tables for a compressible object, none for a stored
+		// block), so count what Load spends beyond gunzipping them.
+		gunzip := testing.AllocsPerRun(20, func() {
+			zr, err := gzip.NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.Copy(io.Discard, zr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		file[i] = testing.AllocsPerRun(20, func() {
+			if _, err := workload.Load(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}) - gunzip
+		if allocs := testing.AllocsPerRun(100, func() { _ = o.Sample(n - 1) }); allocs != 0 {
+			t.Fatalf("Object.Sample allocated %.0f times", allocs)
+		}
+	}
+	t.Logf("server.DecodeObject: %v allocs at 64 and 1000 samples; workload.Load beyond gunzip: %v", wire, file)
+	if wire[0] != wire[1] || wire[1] > 6 {
+		t.Fatalf("server.DecodeObject: %v allocs at 64 and 1000 samples, want equal and at most 6", wire)
+	}
+	if file[0] != file[1] || file[1] > 8 {
+		t.Fatalf("workload.Load beyond gunzip: %v allocs at 64 and 1000 samples, want equal and at most 8", file)
+	}
 }

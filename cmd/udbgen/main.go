@@ -1,6 +1,7 @@
 // Command udbgen generates uncertain databases and writes them in the
-// repository's dataset format (gob, .udb), which udbquery, udbserver -db
-// and cmd/experiments read.
+// repository's dataset format (.udb: gzip over the write-ahead log's
+// object records), which udbquery, udbserver -db and cmd/experiments
+// read.
 //
 // Usage:
 //

@@ -169,7 +169,8 @@ func newPropWorld(seed int64) propWorld {
 		return o
 	}
 	cx, cy := center()
-	target := add(cloud(rng, bSize, cx, cy, 1.5), nil)
+	targetPts := cloud(rng, bSize, cx, cy, 1.5)
+	target := add(targetPts, nil)
 	for _, n := range sizes {
 		cx, cy = center()
 		add(cloud(rng, n, cx, cy, 2), nil)
@@ -196,7 +197,7 @@ func newPropWorld(seed int64) propWorld {
 	twin := cloud(rng, 8, cx, cy, 2)
 	add(twin, nil)
 	add(append([]geom.Point(nil), twin...), nil)
-	add(append([]geom.Point(nil), target.Samples...), nil)
+	add(append([]geom.Point(nil), targetPts...), nil)
 	// Weighted samples, masses far from dyadic.
 	cx, cy = center()
 	weights := make([]float64, 8)

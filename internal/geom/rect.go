@@ -115,6 +115,24 @@ func (r Rect) Intersects(s Rect) bool {
 	return true
 }
 
+// Bounds returns the minimum bounding rectangle of the points stored
+// sample-major in coords with stride dim, in one pass and one
+// allocation. coords must hold at least one point.
+func Bounds(dim int, coords []float64) Rect {
+	corners := make(Point, 2*dim)
+	lo, hi := corners[:dim:dim], corners[dim:]
+	copy(lo, coords[:dim])
+	copy(hi, coords[:dim])
+	for off := dim; off < len(coords); off += dim {
+		for j, c := range coords[off : off+dim] {
+			// The built-ins order -0 below +0, as Union's math.Min does.
+			lo[j] = min(lo[j], c)
+			hi[j] = max(hi[j], c)
+		}
+	}
+	return Rect{Min: lo, Max: hi}
+}
+
 // Union returns the minimum bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
 	min := make(Point, len(r.Min))

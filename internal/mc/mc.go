@@ -62,13 +62,13 @@ func DomCountPDF(n geom.Norm, cands []*uncertain.Object, b, r *uncertain.Object,
 	}
 	ps := make([]float64, c)
 
-	for ir, rs := range r.Samples {
-		wr := r.Weight(ir)
+	for ir := range r.NumSamples() {
+		rs, wr := r.Sample(ir), r.Weight(ir)
 		// Per reference sample: sort each candidate's distances once.
 		for i, a := range cands {
 			cd := &dists[i]
-			for j, as := range a.Samples {
-				cd.d[j] = n.Dist(as, rs)
+			for j := range cd.d {
+				cd.d[j] = n.Dist(a.Sample(j), rs)
 			}
 			if a.Weights == nil {
 				sort.Float64s(cd.d)
@@ -94,9 +94,9 @@ func DomCountPDF(n geom.Norm, cands []*uncertain.Object, b, r *uncertain.Object,
 				cd.d = sd
 			}
 		}
-		for ib, bs := range b.Samples {
+		for ib := range b.NumSamples() {
 			w := wr * b.Weight(ib)
-			dbr := n.Dist(bs, rs)
+			dbr := n.Dist(b.Sample(ib), rs)
 			for i := range cands {
 				// An existentially uncertain candidate dominates only in
 				// the worlds where it exists (independent of position).
@@ -131,15 +131,15 @@ func massBelow(d, w []float64, x float64) float64 {
 // discrete sample model: the probability that A is closer to R than B.
 func PDom(n geom.Norm, a, b, r *uncertain.Object) float64 {
 	total := 0.0
-	for ir, rs := range r.Samples {
-		wr := r.Weight(ir)
+	for ir := range r.NumSamples() {
+		rs, wr := r.Sample(ir), r.Weight(ir)
 		// Sort A's distances once per reference sample.
 		type wd struct {
 			d, w float64
 		}
 		ds := make([]wd, a.NumSamples())
-		for j, as := range a.Samples {
-			ds[j] = wd{d: n.Dist(as, rs), w: a.Weight(j)}
+		for j := range ds {
+			ds[j] = wd{d: n.Dist(a.Sample(j), rs), w: a.Weight(j)}
 		}
 		sort.Slice(ds, func(x, y int) bool { return ds[x].d < ds[y].d })
 		d := make([]float64, len(ds))
@@ -150,8 +150,8 @@ func PDom(n geom.Norm, a, b, r *uncertain.Object) float64 {
 			acc += e.w
 			w[j] = acc
 		}
-		for ib, bs := range b.Samples {
-			total += wr * b.Weight(ib) * massBelow(d, w, n.Dist(bs, rs))
+		for ib := range b.NumSamples() {
+			total += wr * b.Weight(ib) * massBelow(d, w, n.Dist(b.Sample(ib), rs))
 		}
 	}
 	return a.ExistenceProb() * total

@@ -39,13 +39,14 @@ func bruteForceDomCount(n geom.Norm, cands []*uncertain.Object, b, r *uncertain.
 	var rec func(i int, picked []int, w float64)
 	rec = func(i int, picked []int, w float64) {
 		if i == len(cands) {
-			for ib, bs := range b.Samples {
-				for ir, rs := range r.Samples {
+			for ib := range b.NumSamples() {
+				for ir := range r.NumSamples() {
+					rs := r.Sample(ir)
 					ww := w * b.Weight(ib) * r.Weight(ir)
-					dbr := n.Dist(bs, rs)
+					dbr := n.Dist(b.Sample(ib), rs)
 					count := 0
 					for ci, c := range cands {
-						if n.Dist(c.Samples[picked[ci]], rs) < dbr {
+						if n.Dist(c.Sample(picked[ci]), rs) < dbr {
 							count++
 						}
 					}
@@ -54,7 +55,7 @@ func bruteForceDomCount(n geom.Norm, cands []*uncertain.Object, b, r *uncertain.
 			}
 			return
 		}
-		for si := range cands[i].Samples {
+		for si := range cands[i].NumSamples() {
 			rec(i+1, append(picked, si), w*cands[i].Weight(si))
 		}
 	}
@@ -218,8 +219,8 @@ func TestResampleReproducibleAndShaped(t *testing.T) {
 		if a[i].NumSamples() != 7 {
 			t.Fatalf("object %d has %d samples", i, a[i].NumSamples())
 		}
-		for j := range a[i].Samples {
-			if !a[i].Samples[j].Equal(bdb[i].Samples[j]) {
+		for j := range a[i].NumSamples() {
+			if !a[i].Sample(j).Equal(bdb[i].Sample(j)) {
 				t.Fatal("Resample not reproducible under equal seeds")
 			}
 		}

@@ -33,7 +33,7 @@ func TestStoreRefusesOtherDimension(t *testing.T) {
 		if err := s.Insert(flat); err == nil {
 			t.Fatalf("shards=%d: Insert of a 3-D object into a 2-D store succeeded", n)
 		}
-		upd, _ := uncertain.NewObject(db[3].ID, flat.Samples)
+		upd, _ := uncertain.NewFlatObject(db[3].ID, flat.Dim(), flat.Coords, nil)
 		if err := s.Update(upd); err == nil {
 			t.Fatalf("shards=%d: Update to a 3-D object succeeded", n)
 		}

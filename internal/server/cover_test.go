@@ -84,25 +84,26 @@ func TestWireObjectFull(t *testing.T) {
 	}
 
 	bad := []string{
-		"1 1",             // too few tokens
-		"x 1 1 0 0",       // bad id
-		"1 x 1 0 0",       // bad dimension
-		"1 0 1 0 0",       // dimension < 1
-		"1 100 1 0 0",     // dimension > max
-		"1 1 x 0 0",       // bad sample count
-		"1 1 0 0",         // sample count < 1
-		"1 1 1 x 0",       // bad flags
-		"1 1 1 9 0",       // flags out of range
-		"1 1 1 0 0 0",     // token count mismatch
-		"1 1 1 0 NaN",     // NaN coordinate
-		"1 1 1 0 +Inf",    // infinite coordinate
-		"1 1 1 0 z",       // unparseable coordinate
-		"1 1 1 1 0 x",     // bad weight
-		"1 1 1 1 0 -1",    // negative weight
-		"1 1 2 1 0 1 0 0", // zero total weight
-		"1 1 1 2 0 x",     // bad existence
-		"1 1 1 2 0 0",     // existence <= 0
-		"1 1 1 2 0 2",     // existence > 1
+		"1 1",                     // too few tokens
+		"x 1 1 0 0",               // bad id
+		"1 x 1 0 0",               // bad dimension
+		"1 0 1 0 0",               // dimension < 1
+		"1 100 1 0 0",             // dimension > max
+		"1 1 x 0 0",               // bad sample count
+		"1 1 0 0",                 // sample count < 1
+		"1 1 1 x 0",               // bad flags
+		"1 1 1 9 0",               // flags out of range
+		"1 1 1 0 0 0",             // token count mismatch
+		"1 1 1 0 NaN",             // NaN coordinate
+		"1 1 1 0 +Inf",            // infinite coordinate
+		"1 1 1 0 z",               // unparseable coordinate
+		"1 1 1 1 0 x",             // bad weight
+		"1 1 1 1 0 -1",            // negative weight
+		"1 1 2 1 0 1 0 0",         // zero total weight
+		"1 1 2 1 0 1 1e308 1e308", // total weight overflows to +Inf
+		"1 1 1 2 0 x",             // bad existence
+		"1 1 1 2 0 0",             // existence <= 0
+		"1 1 1 2 0 2",             // existence > 1
 	}
 	for _, s := range bad {
 		if _, err := server.DecodeObject([]byte(s)); err == nil {
@@ -350,7 +351,7 @@ func TestSubscribeCursorMismatch(t *testing.T) {
 		CursorPath: filepath.Join(t.TempDir(), "cursor"),
 	})
 	cl := dial(t, addr)
-	q := uncertain.PointObject(-1, db[0].Samples[0])
+	q := uncertain.PointObject(-1, db[0].Sample(0))
 
 	sub, err := cl.Subscribe(client.SubOptions{Kind: "KNN", K: 2, Tau: 0.2, Q: q, Name: "m"})
 	if err != nil {

@@ -62,7 +62,7 @@ func TestServerDurableParkResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := uncertain.NewObject(0, db[2].Samples)
+	q, err := uncertain.NewFlatObject(0, db[2].Dim(), db[2].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestServerResumeSupersedesHalfOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := uncertain.NewObject(0, db[3].Samples)
+	q, err := uncertain.NewFlatObject(0, db[3].Dim(), db[3].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestServerDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := uncertain.NewObject(0, db[4].Samples)
+	q, err := uncertain.NewFlatObject(0, db[4].Dim(), db[4].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestServerResumeGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := uncertain.NewObject(0, db[5].Samples)
+	q, err := uncertain.NewFlatObject(0, db[5].Dim(), db[5].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestServerDropOldest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := uncertain.NewObject(0, db[1].Samples)
+	q, err := uncertain.NewFlatObject(0, db[1].Dim(), db[1].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestServerSlowTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := uncertain.NewObject(0, db[3].Samples)
+	q, err := uncertain.NewFlatObject(0, db[3].Dim(), db[3].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestServerE2ERace(t *testing.T) {
 	})
 
 	rng := rand.New(rand.NewSource(seed))
-	q, err := uncertain.NewObject(0, db[2].Samples)
+	q, err := uncertain.NewFlatObject(0, db[2].Dim(), db[2].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func runEquivalence(t *testing.T, seed int64) {
 
 	// Standing predicates, fixed at the initial version.
 	db := testDB(seed, n)
-	subQ, err := uncertain.NewObject(0, db[0].Samples)
+	subQ, err := uncertain.NewFlatObject(0, db[0].Dim(), db[0].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -426,7 +426,7 @@ func TestServerEphemeralSubscription(t *testing.T) {
 
 	// Query at an existing object's location: the initial result set is
 	// non-empty (the object is its own near-certain nearest neighbor).
-	q, err := uncertain.NewObject(0, db[0].Samples)
+	q, err := uncertain.NewFlatObject(0, db[0].Dim(), db[0].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	q, err := uncertain.NewObject(0, db[0].Samples)
+	q, err := uncertain.NewFlatObject(0, db[0].Dim(), db[0].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

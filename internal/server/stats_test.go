@@ -24,7 +24,7 @@ func TestStatsCommand(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	q, err := uncertain.NewObject(0, db[0].Samples)
+	q, err := uncertain.NewFlatObject(0, db[0].Dim(), db[0].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestShedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := uncertain.NewObject(0, db[1].Samples)
+	q, err := uncertain.NewFlatObject(0, db[1].Dim(), db[1].Coords, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

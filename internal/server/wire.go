@@ -54,12 +54,10 @@ func EncodeObject(o *uncertain.Object) []byte {
 	if o.Existence != 0 {
 		flags |= 2
 	}
-	fmt.Fprintf(&sb, "%d %d %d %d", o.ID, dim, len(o.Samples), flags)
-	for _, s := range o.Samples {
-		for d := 0; d < dim; d++ {
-			sb.WriteByte(' ')
-			sb.WriteString(formatFloat(s[d]))
-		}
+	fmt.Fprintf(&sb, "%d %d %d %d", o.ID, dim, o.NumSamples(), flags)
+	for _, c := range o.Coords {
+		sb.WriteByte(' ')
+		sb.WriteString(formatFloat(c))
 	}
 	if o.Weights != nil {
 		for _, w := range o.Weights {
@@ -114,17 +112,13 @@ func DecodeObject(b []byte) (*uncertain.Object, error) {
 		return nil, fmt.Errorf("object: %d tokens, want %d", len(toks), want)
 	}
 	toks = toks[4:]
-	samples := make([]geom.Point, n)
-	for i := range samples {
-		p := make(geom.Point, dim)
-		for d := 0; d < dim; d++ {
-			v, err := parseFloat(toks[i*dim+d])
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("object: bad coordinate %q", toks[i*dim+d])
-			}
-			p[d] = v
+	coords := make([]float64, n*dim)
+	for i := range coords {
+		v, err := parseFloat(toks[i])
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("object: bad coordinate %q", toks[i])
 		}
-		samples[i] = p
+		coords[i] = v
 	}
 	toks = toks[n*dim:]
 	var weights []float64
@@ -139,8 +133,8 @@ func DecodeObject(b []byte) (*uncertain.Object, error) {
 			weights[i] = w
 			sum += w
 		}
-		if sum <= 0 {
-			return nil, fmt.Errorf("object: zero total weight")
+		if sum <= 0 || math.IsInf(sum, 1) {
+			return nil, fmt.Errorf("object: total weight %g", sum)
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			for i := range weights {
@@ -157,11 +151,7 @@ func DecodeObject(b []byte) (*uncertain.Object, error) {
 		}
 		existence = e
 	}
-	mbr := geom.PointRect(samples[0])
-	for _, s := range samples[1:] {
-		mbr = mbr.Union(geom.PointRect(s))
-	}
-	return &uncertain.Object{ID: id, MBR: mbr, Samples: samples, Weights: weights, Existence: existence}, nil
+	return &uncertain.Object{ID: id, MBR: geom.Bounds(dim, coords), Coords: coords, Weights: weights, Existence: existence}, nil
 }
 
 // Match is the wire form of one query match: the candidate's ID plus

@@ -42,7 +42,7 @@ type DecompTree struct {
 type decompNode struct {
 	mbr         geom.Rect
 	prob        float64
-	idx         []int // indices into obj.Samples; owned by this node
+	idx         []int // sample indices into obj; owned by this node
 	left, right *decompNode
 	expanded    bool
 }
@@ -55,7 +55,7 @@ func NewDecompTree(obj *Object, maxHeight int) *DecompTree {
 	if maxHeight <= 0 {
 		maxHeight = DefaultMaxHeight
 	}
-	idx := make([]int, len(obj.Samples))
+	idx := make([]int, obj.NumSamples())
 	for i := range idx {
 		idx[i] = i
 	}
@@ -140,9 +140,9 @@ func (t *DecompTree) expand(n *decompNode) {
 	if n.mbr.Extent(axis) == 0 {
 		return // all samples coincide: degenerate region
 	}
-	obj := t.obj
+	coords, d := t.obj.Coords, t.obj.Dim()
 	sort.Slice(n.idx, func(a, b int) bool {
-		return obj.Samples[n.idx[a]][axis] < obj.Samples[n.idx[b]][axis]
+		return coords[n.idx[a]*d+axis] < coords[n.idx[b]*d+axis]
 	})
 	cut := t.massMedian(n)
 	if cut <= 0 || cut >= len(n.idx) {
@@ -183,16 +183,15 @@ func (t *DecompTree) newChild(idx []int) *decompNode {
 	obj := t.obj
 	// Grow the child MBR in place instead of unioning a fresh point-rect
 	// per sample — one corner-pair allocation per node, not per sample.
-	mbr := geom.PointRect(obj.Samples[idx[0]])
+	mbr := geom.PointRect(obj.Sample(idx[0]))
 	prob := obj.Weight(idx[0])
 	for _, id := range idx[1:] {
-		s := obj.Samples[id]
-		for d := range s {
-			if s[d] < mbr.Min[d] {
-				mbr.Min[d] = s[d]
+		for d, c := range obj.Sample(id) {
+			if c < mbr.Min[d] {
+				mbr.Min[d] = c
 			}
-			if s[d] > mbr.Max[d] {
-				mbr.Max[d] = s[d]
+			if c > mbr.Max[d] {
+				mbr.Max[d] = c
 			}
 		}
 		prob += obj.Weight(id)

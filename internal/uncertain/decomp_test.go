@@ -90,7 +90,8 @@ func TestDecompPartitionsDisjointInSamples(t *testing.T) {
 		if !almostEqual(mass, 1, 1e-9) {
 			t.Fatalf("level %d mass = %g", h, mass)
 		}
-		for _, s := range o.Samples {
+		for i := range o.NumSamples() {
+			s := o.Sample(i)
 			found := false
 			for _, p := range parts {
 				if p.MBR.Contains(s) {
@@ -206,7 +207,7 @@ func TestLevelWithChildren(t *testing.T) {
 	for _, n := range []int{1, 3, 8, 13, 64} {
 		o := randomObject(rng, n, n, 2)
 		if n == 13 {
-			o.Samples[5] = o.Samples[4] // a repeated sample
+			copy(o.Sample(5), o.Sample(4)) // a repeated sample
 		}
 		const height = 5
 		tr := NewDecompTree(o, height)

@@ -27,17 +27,19 @@ import (
 )
 
 // Object is an uncertain database object under the discrete sample
-// model: it is located at exactly one of Samples, with probability
-// Weights[i] (possible-world semantics). Weights sum to 1; a nil
-// Weights means uniform.
+// model: it is located at exactly one of its samples, sample i with
+// probability Weights[i] (possible-world semantics). Weights sum to 1;
+// a nil Weights means uniform.
 type Object struct {
 	// ID identifies the object within its database.
 	ID int
 	// MBR is the minimum bounding rectangle of the samples — the
 	// object's uncertainty region.
 	MBR geom.Rect
-	// Samples holds the alternative positions.
-	Samples []geom.Point
+	// Coords holds the alternative positions in one array, sample-major
+	// with stride Dim(): sample i is Coords[i*Dim() : (i+1)*Dim()]. Read
+	// a sample through Sample.
+	Coords []float64
 	// Weights holds the probability of each sample; nil means uniform.
 	Weights []float64
 	// Existence implements the existential uncertainty of Section I-A
@@ -74,83 +76,106 @@ func NewObject(id int, samples []geom.Point) (*Object, error) {
 }
 
 // NewWeightedObject builds an object from weighted alternative
-// positions. weights may be nil (uniform); otherwise it must have one
-// non-negative entry per sample, summing to 1 (it is renormalized to
-// absorb rounding). Sample coordinates must be finite: a NaN would make
-// the bounding region unequal to itself, and an index could never find
-// the object again to remove it.
+// positions, copying them into one flat array; see NewFlatObject for
+// the rules on coordinates and weights.
 func NewWeightedObject(id int, samples []geom.Point, weights []float64) (*Object, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("uncertain: object %d has no samples", id)
 	}
-	for i, s := range samples {
-		for _, c := range s {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return nil, fmt.Errorf("uncertain: object %d sample %d has non-finite coordinate %g", id, i, c)
-			}
-		}
-	}
 	d := samples[0].Dim()
-	mbr := geom.PointRect(samples[0])
-	for _, s := range samples[1:] {
+	coords := make([]float64, 0, len(samples)*d)
+	for _, s := range samples {
 		if s.Dim() != d {
 			return nil, fmt.Errorf("uncertain: object %d mixes dimensionalities %d and %d", id, d, s.Dim())
 		}
-		mbr = mbr.Union(geom.PointRect(s))
+		coords = append(coords, s...)
+	}
+	return NewFlatObject(id, d, coords, weights)
+}
+
+// NewFlatObject builds an object from coords, its alternative positions
+// stored sample-major with stride dim, and takes ownership of coords.
+// weights may be nil (uniform); otherwise it must have one finite,
+// non-negative entry per sample, with a positive sum (it is
+// renormalized into a fresh slice to absorb rounding). Coordinates
+// must be finite: a NaN would make the bounding region unequal to
+// itself, and an index could never find the object again to remove it.
+func NewFlatObject(id, dim int, coords, weights []float64) (*Object, error) {
+	if dim < 1 {
+		return nil, fmt.Errorf("uncertain: object %d has dimensionality %d", id, dim)
+	}
+	if len(coords) == 0 {
+		return nil, fmt.Errorf("uncertain: object %d has no samples", id)
+	}
+	if len(coords)%dim != 0 {
+		return nil, fmt.Errorf("uncertain: object %d has %d coordinates, not a multiple of dimensionality %d", id, len(coords), dim)
+	}
+	n := len(coords) / dim
+	for i, c := range coords {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("uncertain: object %d sample %d has non-finite coordinate %g", id, i/dim, c)
+		}
 	}
 	if weights != nil {
-		if len(weights) != len(samples) {
-			return nil, fmt.Errorf("uncertain: object %d has %d samples but %d weights", id, len(samples), len(weights))
+		if len(weights) != n {
+			return nil, fmt.Errorf("uncertain: object %d has %d samples but %d weights", id, n, len(weights))
 		}
 		sum := 0.0
 		for _, w := range weights {
-			if w < 0 || math.IsNaN(w) {
-				return nil, fmt.Errorf("uncertain: object %d has negative weight %g", id, w)
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("uncertain: object %d has invalid weight %g", id, w)
 			}
 			sum += w
 		}
-		if sum <= 0 {
-			return nil, fmt.Errorf("uncertain: object %d has zero total weight", id)
+		if sum <= 0 || math.IsInf(sum, 1) {
+			return nil, fmt.Errorf("uncertain: object %d has total weight %g", id, sum)
 		}
-		norm := make([]float64, len(weights))
+		norm := make([]float64, n)
 		for i, w := range weights {
 			norm[i] = w / sum
 		}
 		weights = norm
 	}
-	return &Object{ID: id, MBR: mbr, Samples: samples, Weights: weights}, nil
+	return &Object{ID: id, MBR: geom.Bounds(dim, coords), Coords: coords, Weights: weights}, nil
 }
 
 // PointObject builds a certain (degenerate) object located exactly at p.
 func PointObject(id int, p geom.Point) *Object {
-	return &Object{ID: id, MBR: geom.PointRect(p), Samples: []geom.Point{p.Clone()}}
+	return &Object{ID: id, MBR: geom.PointRect(p), Coords: p.Clone()}
 }
 
 // Dim returns the dimensionality of the object's space.
 func (o *Object) Dim() int { return o.MBR.Dim() }
 
 // NumSamples returns the number of alternative positions.
-func (o *Object) NumSamples() int { return len(o.Samples) }
+func (o *Object) NumSamples() int { return len(o.Coords) / o.Dim() }
+
+// Sample returns alternative position i as a read-only view into
+// Coords; it does not allocate.
+func (o *Object) Sample(i int) geom.Point {
+	d := o.Dim()
+	return o.Coords[i*d : (i+1)*d : (i+1)*d]
+}
 
 // Weight returns the probability of sample i.
 func (o *Object) Weight(i int) float64 {
 	if o.Weights == nil {
-		return 1 / float64(len(o.Samples))
+		return 1 / float64(o.NumSamples())
 	}
 	return o.Weights[i]
 }
 
 // IsCertain reports whether the object has a single possible position.
-func (o *Object) IsCertain() bool { return len(o.Samples) == 1 }
+func (o *Object) IsCertain() bool { return o.NumSamples() == 1 }
 
 // Centroid returns the probability-weighted mean position (the expected
 // location of the object).
 func (o *Object) Centroid() geom.Point {
 	c := make(geom.Point, o.Dim())
-	for i, s := range o.Samples {
+	for i := range o.NumSamples() {
 		w := o.Weight(i)
-		for j := range c {
-			c[j] += w * s[j]
+		for j, x := range o.Sample(i) {
+			c[j] += w * x
 		}
 	}
 	return c
@@ -159,7 +184,7 @@ func (o *Object) Centroid() geom.Point {
 // Draw returns a random sample index according to the weights.
 func (o *Object) Draw(rng *rand.Rand) int {
 	if o.Weights == nil {
-		return rng.Intn(len(o.Samples))
+		return rng.Intn(o.NumSamples())
 	}
 	u := rng.Float64()
 	acc := 0.0
@@ -169,18 +194,19 @@ func (o *Object) Draw(rng *rand.Rand) int {
 			return i
 		}
 	}
-	return len(o.Samples) - 1
+	return len(o.Weights) - 1
 }
 
 // Resample returns a new object with n samples drawn (with replacement)
 // from o's distribution, with uniform weights. It is how the experiment
 // harness derives smaller-sample variants of a dataset (Figure 5/7).
 func (o *Object) Resample(n int, rng *rand.Rand) *Object {
-	samples := make([]geom.Point, n)
-	for i := range samples {
-		samples[i] = o.Samples[o.Draw(rng)].Clone()
+	d := o.Dim()
+	coords := make([]float64, n*d)
+	for i := 0; i < n; i++ {
+		copy(coords[i*d:], o.Sample(o.Draw(rng)))
 	}
-	out, err := NewObject(o.ID, samples)
+	out, err := NewFlatObject(o.ID, d, coords, nil)
 	if err != nil {
 		panic(err) // unreachable: n >= 1 enforced by caller, samples valid
 	}

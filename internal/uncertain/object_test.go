@@ -70,6 +70,13 @@ func TestWeightedObjectValidationAndNormalization(t *testing.T) {
 	if _, err := NewWeightedObject(0, pts, []float64{0, 0}); err == nil {
 		t.Error("zero total weight accepted")
 	}
+	// Non-finite weights, or finite ones whose sum overflows, would
+	// normalize to NaN or zero weights.
+	for _, w := range [][]float64{{math.Inf(1), 1}, {1, math.Inf(-1)}, {math.NaN(), 1}, {math.MaxFloat64, math.MaxFloat64}} {
+		if o, err := NewWeightedObject(0, pts, w); err == nil {
+			t.Errorf("weights %v accepted as %v", w, o.Weights)
+		}
+	}
 	o, err := NewWeightedObject(0, pts, []float64{2, 6})
 	if err != nil {
 		t.Fatalf("valid weighted object rejected: %v", err)
@@ -154,4 +161,13 @@ func mustObject(t *testing.T, id int, pts []geom.Point) *Object {
 		t.Fatal(err)
 	}
 	return o
+}
+
+// TestSampleIsAView: Sample returns the sample's coordinates in place,
+// capped so an append cannot spill into the next sample.
+func TestSampleIsAView(t *testing.T) {
+	o := mustObject(t, 0, []geom.Point{{1, 2}, {3, 4}, {5, 6}})
+	if s := o.Sample(1); !s.Equal(geom.Point{3, 4}) || cap(s) != 2 || &s[0] != &o.Coords[2] {
+		t.Fatalf("Sample(1) = %v (cap %d), not a capped view of Coords", s, cap(s))
+	}
 }

@@ -10,13 +10,14 @@ import (
 
 // PDF is a continuous probability density over a bounded uncertainty
 // region (Definition 1 of the paper). Implementations must guarantee
-// that Sample never returns a point outside Bounds — the bounded-region
+// that Sample never draws a point outside Bounds — the bounded-region
 // assumption everything downstream relies on.
 type PDF interface {
 	// Bounds returns the uncertainty region R_i with f(x) = 0 outside.
 	Bounds() geom.Rect
-	// Sample draws one position according to the density.
-	Sample(rng *rand.Rand) geom.Point
+	// Sample draws one position according to the density into dst,
+	// which has the density's dimensionality.
+	Sample(rng *rand.Rand, dst geom.Point)
 }
 
 // UniformBox is the uniform density over a rectangle — the synthetic
@@ -29,12 +30,10 @@ type UniformBox struct {
 func (u UniformBox) Bounds() geom.Rect { return u.Rect }
 
 // Sample implements PDF.
-func (u UniformBox) Sample(rng *rand.Rand) geom.Point {
-	p := make(geom.Point, u.Rect.Dim())
-	for i := range p {
-		p[i] = u.Rect.Min[i] + rng.Float64()*(u.Rect.Max[i]-u.Rect.Min[i])
+func (u UniformBox) Sample(rng *rand.Rand, dst geom.Point) {
+	for i := range dst {
+		dst[i] = u.Rect.Min[i] + rng.Float64()*(u.Rect.Max[i]-u.Rect.Min[i])
 	}
-	return p
 }
 
 // TruncatedGaussian is an axis-independent Gaussian centered at Mean
@@ -54,26 +53,23 @@ func (g TruncatedGaussian) Bounds() geom.Rect { return g.Region }
 
 // Sample implements PDF. Rejection sampling with a clamping fallback
 // keeps the draw O(1) in expectation even for extreme truncation.
-func (g TruncatedGaussian) Sample(rng *rand.Rand) geom.Point {
+func (g TruncatedGaussian) Sample(rng *rand.Rand, dst geom.Point) {
 	const maxRejects = 64
 	for try := 0; try < maxRejects; try++ {
-		p := make(geom.Point, len(g.Mean))
-		for i := range p {
-			p[i] = g.Mean[i] + rng.NormFloat64()*g.Sigma[i]
+		for i := range dst {
+			dst[i] = g.Mean[i] + rng.NormFloat64()*g.Sigma[i]
 		}
-		if g.Region.Contains(p) {
-			return p
+		if g.Region.Contains(dst) {
+			return
 		}
 	}
 	// Extremely truncated: clamp a draw into the region. This slightly
 	// biases mass onto the boundary, which is acceptable for a density
 	// whose region captures a negligible tail.
-	p := make(geom.Point, len(g.Mean))
-	for i := range p {
+	for i := range dst {
 		v := g.Mean[i] + rng.NormFloat64()*g.Sigma[i]
-		p[i] = math.Max(g.Region.Min[i], math.Min(g.Region.Max[i], v))
+		dst[i] = math.Max(g.Region.Min[i], math.Min(g.Region.Max[i], v))
 	}
-	return p
 }
 
 // Mixture is a finite mixture of component densities — the general
@@ -95,7 +91,7 @@ func (m Mixture) Bounds() geom.Rect {
 }
 
 // Sample implements PDF.
-func (m Mixture) Sample(rng *rand.Rand) geom.Point {
+func (m Mixture) Sample(rng *rand.Rand, dst geom.Point) {
 	total := 0.0
 	for _, w := range m.Weights {
 		total += w
@@ -105,10 +101,11 @@ func (m Mixture) Sample(rng *rand.Rand) geom.Point {
 	for i, w := range m.Weights {
 		acc += w
 		if u < acc {
-			return m.Components[i].Sample(rng)
+			m.Components[i].Sample(rng, dst)
+			return
 		}
 	}
-	return m.Components[len(m.Components)-1].Sample(rng)
+	m.Components[len(m.Components)-1].Sample(rng, dst)
 }
 
 // PointMass is the degenerate density of a certain object.
@@ -120,7 +117,7 @@ type PointMass struct {
 func (p PointMass) Bounds() geom.Rect { return geom.PointRect(p.At) }
 
 // Sample implements PDF.
-func (p PointMass) Sample(rng *rand.Rand) geom.Point { return p.At.Clone() }
+func (p PointMass) Sample(rng *rand.Rand, dst geom.Point) { copy(dst, p.At) }
 
 // Realize materializes a continuous density into a sample-model Object
 // with n equally weighted samples — the discretization step the paper's
@@ -130,13 +127,14 @@ func Realize(id int, pdf PDF, n int, rng *rand.Rand) (*Object, error) {
 		return nil, fmt.Errorf("uncertain: Realize needs n > 0, got %d", n)
 	}
 	bounds := pdf.Bounds()
-	samples := make([]geom.Point, n)
-	for i := range samples {
-		s := pdf.Sample(rng)
+	d := bounds.Dim()
+	coords := make([]float64, n*d)
+	for off := 0; off < len(coords); off += d {
+		s := geom.Point(coords[off : off+d : off+d])
+		pdf.Sample(rng, s)
 		if !bounds.Contains(s) {
 			return nil, fmt.Errorf("uncertain: PDF sample %v escapes bounds %v", s, bounds)
 		}
-		samples[i] = s
 	}
-	return NewObject(id, samples)
+	return NewFlatObject(id, d, coords, nil)
 }

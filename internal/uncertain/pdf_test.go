@@ -18,7 +18,7 @@ func TestUniformBoxSampling(t *testing.T) {
 	var mean [2]float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		p := u.Sample(rng)
+		p := draw(u, rng)
 		if !r.Contains(p) {
 			t.Fatalf("sample %v escapes %v", p, r)
 		}
@@ -37,7 +37,7 @@ func TestTruncatedGaussianSampling(t *testing.T) {
 	var mean [2]float64
 	const n = 10000
 	for i := 0; i < n; i++ {
-		p := g.Sample(rng)
+		p := draw(g, rng)
 		if !region.Contains(p) {
 			t.Fatalf("sample %v escapes %v", p, region)
 		}
@@ -56,7 +56,7 @@ func TestTruncatedGaussianExtremeTruncationClamps(t *testing.T) {
 	region, _ := geom.NewRect(geom.Point{100}, geom.Point{101})
 	g := TruncatedGaussian{Mean: geom.Point{0}, Sigma: []float64{0.1}, Region: region}
 	for i := 0; i < 100; i++ {
-		if p := g.Sample(rng); !region.Contains(p) {
+		if p := draw(g, rng); !region.Contains(p) {
 			t.Fatalf("clamped sample %v escapes %v", p, region)
 		}
 	}
@@ -76,7 +76,7 @@ func TestMixtureSampling(t *testing.T) {
 	leftCount := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		p := m.Sample(rng)
+		p := draw(m, rng)
 		if p[0] <= 1 {
 			leftCount++
 		} else if p[0] < 10 {
@@ -91,7 +91,7 @@ func TestMixtureSampling(t *testing.T) {
 func TestPointMass(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	p := PointMass{At: geom.Point{5, 6}}
-	if !p.Sample(rng).Equal(geom.Point{5, 6}) {
+	if !draw(p, rng).Equal(geom.Point{5, 6}) {
 		t.Error("PointMass must always return its location")
 	}
 	if !p.Bounds().Equal(geom.PointRect(geom.Point{5, 6})) {
@@ -115,4 +115,11 @@ func TestRealize(t *testing.T) {
 	if _, err := Realize(0, UniformBox{Rect: r}, 0, rng); err == nil {
 		t.Error("n=0 accepted")
 	}
+}
+
+// draw samples one position from pdf into a fresh point.
+func draw(pdf PDF, rng *rand.Rand) geom.Point {
+	p := make(geom.Point, pdf.Bounds().Dim())
+	pdf.Sample(rng, p)
+	return p
 }

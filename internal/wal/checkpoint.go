@@ -45,7 +45,7 @@ func appendCheckpoint(buf []byte, ck *Checkpoint) ([]byte, error) {
 		if o == nil {
 			return nil, fmt.Errorf("wal: nil object in checkpoint")
 		}
-		buf = appendObject(buf, o)
+		buf = uncertain.AppendObject(buf, o)
 	}
 	for i := range ck.Objects {
 		var levels [][]uncertain.Partition
@@ -267,7 +267,7 @@ func decodeManifest(b []byte) (*Manifest, error) {
 	for i := range m.Decomp {
 		m.Decomp[i].ID = int(d.varint())
 		dim := int(d.uvarint())
-		if d.err == nil && (dim < 1 || dim > maxDim) {
+		if d.err == nil && (dim < 1 || dim > uncertain.MaxCodecDim) {
 			d.fail("decomposition entry dimensionality %d", dim)
 		}
 		if d.err != nil {

@@ -86,13 +86,13 @@ func appendCursorSub(buf []byte, s *CursorSub) ([]byte, error) {
 	buf = append(buf, s.Kind)
 	buf = binary.AppendUvarint(buf, uint64(s.K))
 	buf = appendFloat(buf, s.Tau)
-	buf = appendObject(buf, s.Q)
+	buf = uncertain.AppendObject(buf, s.Q)
 	buf = binary.AppendUvarint(buf, uint64(len(s.Entries)))
 	for _, e := range s.Entries {
 		if e.Obj == nil {
 			return nil, fmt.Errorf("wal: cursor entry without object")
 		}
-		buf = appendObject(buf, e.Obj)
+		buf = uncertain.AppendObject(buf, e.Obj)
 		buf = appendFloat(buf, e.LB)
 		buf = appendFloat(buf, e.UB)
 		buf = binary.AppendUvarint(buf, uint64(e.Iterations))

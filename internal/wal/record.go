@@ -82,13 +82,6 @@ func (r Record) ObjectID() int {
 	return r.ID
 }
 
-// Codec limits: a decoder must never allocate unbounded memory on a
-// corrupt length prefix, so every count is validated against what the
-// remaining input could possibly hold before allocating.
-const (
-	maxDim = 1 << 10 // dimensions per point
-)
-
 // appendRecord encodes r onto buf (payload only — framing and CRC are
 // the segment writer's job).
 func appendRecord(buf []byte, r Record) ([]byte, error) {
@@ -100,7 +93,7 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 		if r.Obj == nil {
 			return nil, fmt.Errorf("wal: %v record without object", r.Op)
 		}
-		return appendObject(buf, r.Obj), nil
+		return uncertain.AppendObject(buf, r.Obj), nil
 	case OpDelete, OpMoveOut:
 		return binary.AppendVarint(buf, int64(r.ID)), nil
 	default:
@@ -130,33 +123,6 @@ func decodeRecord(b []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: %d trailing bytes after record", len(d.b))
 	}
 	return r, nil
-}
-
-// appendObject encodes an uncertain object. The MBR is serialized
-// verbatim (not recomputed on decode) and weights are taken raw, so a
-// decoded object is bit-identical to the encoded one — the property the
-// crash-recovery equivalence suite rests on.
-func appendObject(buf []byte, o *uncertain.Object) []byte {
-	buf = binary.AppendVarint(buf, int64(o.ID))
-	buf = appendFloat(buf, o.Existence)
-	dim := o.Dim()
-	buf = binary.AppendUvarint(buf, uint64(dim))
-	buf = binary.AppendUvarint(buf, uint64(len(o.Samples)))
-	buf = appendRect(buf, o.MBR)
-	for _, s := range o.Samples {
-		for _, c := range s {
-			buf = appendFloat(buf, c)
-		}
-	}
-	if o.Weights == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		for _, w := range o.Weights {
-			buf = appendFloat(buf, w)
-		}
-	}
-	return buf
 }
 
 func appendRect(buf []byte, r geom.Rect) []byte {
@@ -261,51 +227,18 @@ func (d *decoder) rect(dim int) geom.Rect {
 	return geom.Rect{Min: d.point(dim), Max: d.point(dim)}
 }
 
-// object decodes an uncertain object written by appendObject. It
-// validates structure (dimensions, counts) but deliberately does not
-// renormalize weights or recompute the MBR: the decoded object must be
+// object decodes an object in the shared object codec
+// (uncertain.DecodeObject), which validates it but keeps it
 // bit-identical to the encoded one.
 func (d *decoder) object() *uncertain.Object {
-	o := &uncertain.Object{}
-	o.ID = int(d.varint())
-	o.Existence = d.float()
-	dim := int(d.uvarint())
-	if d.err == nil && (dim < 1 || dim > maxDim) {
-		d.fail("object dimensionality %d", dim)
-	}
 	if d.err != nil {
 		return nil
 	}
-	n := d.count("sample", dim*8)
-	if d.err == nil && n < 1 {
-		d.fail("object with no samples")
-	}
-	if d.err != nil {
+	o, n, err := uncertain.DecodeObject(d.b)
+	if err != nil {
+		d.err = fmt.Errorf("wal: %w", err)
 		return nil
 	}
-	o.MBR = d.rect(dim)
-	o.Samples = make([]geom.Point, n)
-	for i := range o.Samples {
-		o.Samples[i] = d.point(dim)
-	}
-	if d.byte() != 0 {
-		o.Weights = make([]float64, n)
-		for i := range o.Weights {
-			o.Weights[i] = d.float()
-		}
-	}
-	if d.err == nil {
-		if math.IsNaN(o.Existence) || o.Existence < 0 || o.Existence > 1 {
-			d.fail("object %d existence %g outside [0, 1]", o.ID, o.Existence)
-		}
-		for _, w := range o.Weights {
-			if math.IsNaN(w) || w < 0 {
-				d.fail("object %d has invalid weight %g", o.ID, w)
-			}
-		}
-	}
-	if d.err != nil {
-		return nil
-	}
+	d.b = d.b[n:]
 	return o
 }

@@ -3,10 +3,12 @@ package wal
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,6 +79,22 @@ func TestRecordRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(rec, got) {
 			t.Fatalf("record %d: round trip changed\n%+v\n%+v", i, rec, got)
 		}
+	}
+}
+
+// TestRecordRejectsInfiniteWeight: a record whose object carries a
+// +Inf weight — which no constructor builds — does not decode, so replay
+// cannot bring one into a store.
+func TestRecordRejectsInfiniteWeight(t *testing.T) {
+	o := testObject(t, 1, rand.New(rand.NewSource(2)), true)
+	o.Weights = append([]float64(nil), o.Weights...)
+	o.Weights[0] = math.Inf(1)
+	payload, err := appendRecord(nil, Record{Op: OpInsert, Version: 1, Obj: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeRecord(payload); err == nil || !strings.Contains(err.Error(), "invalid weight") {
+		t.Fatalf("record with a +Inf weight: decode error %v", err)
 	}
 }
 

@@ -1,109 +1,143 @@
 package workload
 
 import (
+	"bufio"
+	"bytes"
 	"compress/gzip"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
-	"probprune/internal/geom"
 	"probprune/internal/uncertain"
 )
 
-// The on-disk dataset format: a gob stream of flatObject records,
-// gzip-compressed. The format is internal to this repository's tools
-// (cmd/udbgen writes it, cmd/udbquery and cmd/experiments read it).
-
-type flatObject struct {
-	ID        int
-	Samples   []geom.Point
-	Weights   []float64
-	Existence float64
-}
-
-type fileHeader struct {
-	Magic   string
-	Version int
-	Count   int
-}
+// The on-disk dataset format (.udb), a gzip stream of:
+//
+//	magic "probprune-udb", uvarint version, uvarint object count,
+//	per object: uvarint length, then the object in the shared object
+//	codec of uncertain.AppendObject — the write-ahead log's records.
+//
+// The format is internal to this repository's tools (cmd/udbgen writes
+// it; cmd/udbquery, cmd/udbserver -db and cmd/experiments read it).
 
 const (
-	fileMagic   = "probprune-db"
-	fileVersion = 1
+	fileMagic   = "probprune-udb"
+	fileVersion = 2
+	// gobMagic is the header string of version 1 files, gob streams; it
+	// sits within the stream's first hundred bytes, after gob's type
+	// descriptors.
+	gobMagic = "probprune-db"
+	// maxRecord bounds one object record (2 GiB).
+	maxRecord = 1 << 31
 )
 
-// Save writes the database to w.
+// Save writes the database to w. It stores the records uncompressed
+// inside the gzip frame, which keeps gzip's CRC-32 over the stream:
+// sample coordinates are mostly random mantissa bits, which deflate
+// shrinks by about a tenth while making Load some 50 times slower.
+// Load reads compressed files as well.
 func Save(w io.Writer, db uncertain.Database) error {
-	zw := gzip.NewWriter(w)
-	enc := gob.NewEncoder(zw)
-	if err := enc.Encode(fileHeader{Magic: fileMagic, Version: fileVersion, Count: len(db)}); err != nil {
-		return fmt.Errorf("workload: encoding header: %w", err)
+	zw, err := gzip.NewWriterLevel(w, gzip.NoCompression)
+	if err != nil {
+		return err
 	}
+	bw := bufio.NewWriterSize(zw, 1<<16)
+	buf := binary.AppendUvarint([]byte(fileMagic), fileVersion)
+	bw.Write(binary.AppendUvarint(buf, uint64(len(db))))
+	var rec []byte
 	for _, o := range db {
-		f := flatObject{ID: o.ID, Samples: o.Samples, Weights: o.Weights, Existence: o.Existence}
-		if err := enc.Encode(f); err != nil {
-			return fmt.Errorf("workload: encoding object %d: %w", o.ID, err)
-		}
+		rec = uncertain.AppendObject(rec[:0], o)
+		bw.Write(binary.AppendUvarint(buf[:0], uint64(len(rec))))
+		bw.Write(rec)
+	}
+	// A bufio.Writer keeps its first error; Flush reports it.
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("workload: writing dataset: %w", err)
 	}
 	return zw.Close()
 }
 
-// Load reads a database written by Save.
+// Load reads a database written by Save. Files of the retired gob
+// format (version 1) fail with an error that says so.
 func Load(r io.Reader) (uncertain.Database, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("workload: opening stream: %w", err)
 	}
 	defer zr.Close()
-	dec := gob.NewDecoder(zr)
-	var hdr fileHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("workload: decoding header: %w", err)
-	}
-	if hdr.Magic != fileMagic {
+	br := bufio.NewReaderSize(zr, 1<<16)
+	if head, _ := br.Peek(len(fileMagic)); string(head) != fileMagic {
+		if head, _ := br.Peek(128); bytes.Contains(head, []byte(gobMagic)) {
+			return nil, fmt.Errorf("workload: dataset in the retired gob format (version 1); regenerate it with udbgen")
+		}
 		return nil, fmt.Errorf("workload: not a probprune database file")
 	}
-	if hdr.Version != fileVersion {
-		return nil, fmt.Errorf("workload: unsupported version %d", hdr.Version)
+	br.Discard(len(fileMagic))
+	version, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("workload: decoding header: %w", err)
 	}
-	if hdr.Count < 0 {
-		return nil, fmt.Errorf("workload: negative object count %d", hdr.Count)
+	if version != fileVersion {
+		return nil, fmt.Errorf("workload: unsupported version %d", version)
 	}
-	// The count is attacker-controlled until the stream is verified:
-	// never pre-allocate more than a sane chunk up front; append grows
-	// the slice as objects actually decode.
-	capHint := hdr.Count
-	if capHint > 1<<16 {
-		capHint = 1 << 16
+	count, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("workload: decoding header: %w", err)
 	}
-	db := make(uncertain.Database, 0, capHint)
-	for i := 0; i < hdr.Count; i++ {
-		var f flatObject
-		if err := dec.Decode(&f); err != nil {
-			return nil, fmt.Errorf("workload: decoding object %d: %w", i, err)
+	// The count is untrusted until the objects decode: never
+	// pre-allocate more than a sane chunk up front; append grows the
+	// slice as objects actually arrive.
+	db := make(uncertain.Database, 0, min(count, 1<<16))
+	var rec []byte
+	for i := uint64(0); i < count; i++ {
+		n, err := binary.ReadUvarint(br)
+		if err == nil && n > maxRecord {
+			err = fmt.Errorf("record length %d", n)
 		}
-		obj, err := uncertain.NewWeightedObject(f.ID, f.Samples, f.Weights)
+		if err == nil {
+			rec, err = readRecord(br, rec, int(n))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("workload: reading object %d: %w", i, err)
+		}
+		o, used, err := uncertain.DecodeObject(rec)
+		if err == nil && used != len(rec) {
+			err = fmt.Errorf("%d trailing bytes", len(rec)-used)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("workload: object %d invalid: %w", i, err)
 		}
-		if f.Existence != 0 {
-			if err := obj.SetExistence(f.Existence); err != nil {
-				return nil, fmt.Errorf("workload: object %d: %w", i, err)
-			}
-		}
-		db = append(db, obj)
+		db = append(db, o)
 	}
-	// Drain to EOF so the gzip trailer (checksum) is verified; a
+	// Read to EOF so the gzip trailer (checksum) is verified; a
 	// truncated or corrupted stream must not load silently.
-	switch _, err := io.ReadFull(zr, make([]byte, 1)); err {
+	switch _, err := br.ReadByte(); err {
 	case io.EOF:
 		return db, nil
 	case nil:
-		return nil, fmt.Errorf("workload: trailing data after %d objects", hdr.Count)
+		return nil, fmt.Errorf("workload: trailing data after %d objects", count)
 	default:
 		return nil, fmt.Errorf("workload: verifying stream: %w", err)
 	}
+}
+
+// readRecord reads the next n bytes into buf's storage. It grows buf
+// at most a megabyte ahead of the bytes that actually arrive, so a
+// corrupt length cannot allocate more than the input holds.
+func readRecord(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		chunk := min(n-len(buf), 1<<20)
+		buf = slices.Grow(buf, chunk)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // SaveFile writes the database to path.

@@ -35,8 +35,8 @@ func TestSyntheticReproducible(t *testing.T) {
 	a, _ := Synthetic(SyntheticConfig{N: 20, Samples: 10, Seed: 7})
 	b, _ := Synthetic(SyntheticConfig{N: 20, Samples: 10, Seed: 7})
 	for i := range a {
-		for j := range a[i].Samples {
-			if !a[i].Samples[j].Equal(b[i].Samples[j]) {
+		for j := range a[i].NumSamples() {
+			if !a[i].Sample(j).Equal(b[i].Sample(j)) {
 				t.Fatal("same seed produced different datasets")
 			}
 		}
@@ -44,8 +44,8 @@ func TestSyntheticReproducible(t *testing.T) {
 	c, _ := Synthetic(SyntheticConfig{N: 20, Samples: 10, Seed: 8})
 	same := true
 	for i := range a {
-		for j := range a[i].Samples {
-			if !a[i].Samples[j].Equal(c[i].Samples[j]) {
+		for j := range a[i].NumSamples() {
+			if !a[i].Sample(j).Equal(c[i].Sample(j)) {
 				same = false
 			}
 		}
@@ -149,7 +149,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := range w {
 		w[i] = float64(i + 1)
 	}
-	weighted, err := uncertain.NewWeightedObject(99, db[0].Samples, w)
+	weighted, err := uncertain.NewFlatObject(99, db[0].Dim(), db[0].Coords, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if got[i].ID != db[i].ID || got[i].NumSamples() != db[i].NumSamples() {
 			t.Fatalf("object %d metadata mismatch", i)
 		}
-		for j := range db[i].Samples {
-			if !got[i].Samples[j].Equal(db[i].Samples[j]) {
+		for j := range db[i].NumSamples() {
+			if !got[i].Sample(j).Equal(db[i].Sample(j)) {
 				t.Fatalf("object %d sample %d mismatch", i, j)
 			}
 			if math.Abs(got[i].Weight(j)-db[i].Weight(j)) > 1e-12 {
@@ -232,6 +232,16 @@ func TestLoadRejectsWrongMagicAndTruncation(t *testing.T) {
 	for _, cut := range []int{len(full) / 4, len(full) / 2, len(full) - 3} {
 		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncated stream (%d bytes) accepted", cut)
+		}
+	}
+	// So must the fuzz seeds that are not valid files.
+	for name, data := range map[string][]byte{
+		"flipped byte": flipped(t, validFile(t)),
+		"huge count":   gzipped(t, append([]byte(fileMagic), fileVersion, 0xff, 0xff, 0xff, 0xff, 0x0f)),
+		"version 3":    gzipped(t, append([]byte(fileMagic), 3, 0)),
+	} {
+		if _, err := Load(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: loaded", name)
 		}
 	}
 }

@@ -525,7 +525,8 @@ func IcebergSim(c IcebergConfig) (Database, error) {
 	return workload.IcebergSim(c)
 }
 
-// SaveFile persists a database to path (gob, gzip-compressed).
+// SaveFile persists a database to path in the .udb format: the
+// write-ahead log's object records, gzip-compressed.
 func SaveFile(path string, db Database) error {
 	return workload.SaveFile(path, db)
 }
