@@ -24,6 +24,7 @@ import (
 	"probprune"
 	"probprune/internal/obs"
 	"probprune/internal/server"
+	"probprune/internal/uncertain"
 	"probprune/internal/workload"
 )
 
@@ -376,5 +377,44 @@ func TestObjectDecodeAllocCeiling(t *testing.T) {
 	}
 	if file[0] != file[1] || file[1] > 8 {
 		t.Fatalf("workload.Load beyond gunzip: %v allocs at 64 and 1000 samples, want equal and at most 8", file)
+	}
+}
+
+// TestDecompAllocCeiling: materializing levels 0–4 of an object's
+// kd-tree decomposition costs a small constant number of allocations
+// per level whatever the sample count — a split sorts a range of the
+// object's one sample permutation in place, and each level is packed
+// into one partition array and one coordinate array — and re-reading a
+// materialized level allocates nothing.
+func TestDecompAllocCeiling(t *testing.T) {
+	const levels = 4
+	rng := rand.New(rand.NewSource(8))
+	box := probprune.UniformBox{Rect: probprune.Rect{Min: probprune.Point{0, 0}, Max: probprune.Point{0.01, 0.01}}}
+	var build [2]float64
+	for i, n := range []int{64, 1000} {
+		o, err := probprune.Realize(1, box, n, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build[i] = testing.AllocsPerRun(20, func() {
+			tr := uncertain.NewDecompTree(o, 0)
+			for l := 0; l <= levels; l++ {
+				tr.LevelWithChildren(l)
+			}
+		})
+		tr := uncertain.NewDecompTree(o, 0)
+		tr.LevelWithChildren(levels)
+		reread := testing.AllocsPerRun(20, func() {
+			for l := 0; l <= levels; l++ {
+				tr.LevelWithChildren(l)
+			}
+		})
+		if reread != 0 {
+			t.Fatalf("re-reading levels 0–%d of a %d-sample object allocated %.0f times", levels, n, reread)
+		}
+	}
+	t.Logf("levels 0–%d: %v allocs at 64 and 1000 samples", levels, build)
+	if ceiling := float64(8 + 6*levels); build[0] != build[1] || build[1] > ceiling {
+		t.Fatalf("levels 0–%d: %v allocs at 64 and 1000 samples, want equal and at most %.0f", levels, build, ceiling)
 	}
 }

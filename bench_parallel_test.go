@@ -1,5 +1,5 @@
-// Benchmarks for the parallel query executor and the shared reference
-// decomposition: BenchmarkKNNParallel measures the end-to-end threshold
+// Benchmarks for the parallel query executor and the shared
+// decomposition cache: BenchmarkKNNParallel measures the end-to-end threshold
 // kNN query at 1, 4 and GOMAXPROCS workers on the synthetic N=1000
 // workload, and BenchmarkRefDecomp isolates the shared-vs-per-candidate
 // decomposition saving at the core layer. Together with bench_test.go

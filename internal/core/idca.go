@@ -73,23 +73,12 @@ type Options struct {
 	// its candidate worker count — and runs each candidate's pairs
 	// sequentially.
 	Parallelism int
-	// SharedTarget and SharedReference optionally supply pre-built,
-	// concurrency-safe decompositions (NewRefDecomp) of the run's target
-	// and reference objects. A run whose operand is pointer-identical to
-	// the RefDecomp's object reads the shared per-level partitions
-	// instead of decomposing a private copy — the saving that makes
-	// many-candidate queries against one reference cheap. Non-matching
-	// operands ignore the field. The bounds are bit-identical either
-	// way; the shared structure should be built with the same MaxHeight
-	// as the runs that use it.
-	SharedTarget    *RefDecomp
-	SharedReference *RefDecomp
-	// SharedDecomps, when non-nil, shares ALL object decompositions —
+	// SharedDecomps, when non-nil, shares every object decomposition —
 	// operands and influence objects alike — across every run handed
 	// the same cache: each object is decomposed at most once per cache
-	// lifetime instead of once per run it appears in. The query engine
-	// installs a fresh cache per query. Explicit SharedTarget and
-	// SharedReference entries take precedence for their objects.
+	// lifetime instead of once per run it appears in, and the bounds are
+	// bit-identical either way. The query engine installs a fresh cache
+	// per query.
 	SharedDecomps *DecompCache
 	// Adaptive enables the refinement heuristic: candidates whose
 	// aggregated domination interval is narrower than AdaptiveEps stop

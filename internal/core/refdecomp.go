@@ -8,16 +8,9 @@ import (
 )
 
 // RefDecomp is a concurrency-safe, lazily extended view of one object's
-// kd-tree decomposition, built once and shared across many IDCA runs.
-//
-// The motivating access pattern is a query evaluating one IDCA run per
-// candidate against a common operand: a kNN query runs Run(b, q) for
-// every candidate b, re-deriving the identical decomposition of the
-// query object q inside every run. A RefDecomp extracts that work: the
-// underlying DecompTree is expanded at most once per level, the
-// per-level partition slices are cached, and every Session that is
-// handed the RefDecomp (via Options.SharedTarget/SharedReference) reads
-// the cached levels instead of splitting its own copy.
+// kd-tree decomposition, built once and shared by every IDCA run a
+// DecompCache hands it to: a kNN query runs Run(b, q) for every
+// candidate b, and the runs share q and most influence objects.
 //
 // All methods are safe for concurrent use. The partition slices
 // returned by PartitionsAtLevel are shared and must be treated as
@@ -26,33 +19,20 @@ type RefDecomp struct {
 	obj       *uncertain.Object
 	maxHeight int
 
-	mu     sync.Mutex
-	tree   *uncertain.DecompTree // built on first un-seeded level request
-	levels [][]uncertain.Partition
-	// first[l] is level l's first-child offset table (see
-	// DecompTree.LevelWithChildren), always derived from the tree —
-	// checkpoints persist partitions only, so a seeded RefDecomp
-	// re-derives the tables for its seeded levels on first use.
-	first [][]int32
+	mu   sync.Mutex
+	tree *uncertain.DecompTree // built on the first request seed cannot serve
+	// seed holds checkpointed levels for PartitionsAtLevel until tree is
+	// built; child maps and the levels they index come from tree only.
+	seed  [][]uncertain.Partition
+	depth int // levels requested so far: what a checkpoint persists
 }
 
-// NewRefDecomp prepares a shared decomposition of obj with the given
-// height limit (<= 0 selects the uncertain package default, matching
-// what a Session builds for itself).
-func NewRefDecomp(obj *uncertain.Object, maxHeight int) *RefDecomp {
-	return &RefDecomp{obj: obj, maxHeight: maxHeight}
-}
-
-// NewSeededRefDecomp prepares a shared decomposition whose first
-// len(levels) levels are served from a previously materialized copy —
-// how a reopened store resumes from a checkpoint without re-splitting.
-// The seed must come from a decomposition of an object with identical
-// samples and weights at the same height limit (decomposition is
-// deterministic, so such a seed is bit-identical to what a fresh tree
-// would compute); deeper levels, and the child tables refinement walks,
-// expand a fresh tree on demand.
-func NewSeededRefDecomp(obj *uncertain.Object, maxHeight int, levels [][]uncertain.Partition) *RefDecomp {
-	return &RefDecomp{obj: obj, maxHeight: maxHeight, levels: levels}
+// newRefDecomp prepares a decomposition of obj with the given height
+// limit (<= 0 selects the uncertain package default), serving seed — a
+// checkpoint's levels of the same samples and weights — until the tree
+// is built.
+func newRefDecomp(obj *uncertain.Object, maxHeight int, seed [][]uncertain.Partition) *RefDecomp {
+	return &RefDecomp{obj: obj, maxHeight: maxHeight, seed: seed, depth: len(seed)}
 }
 
 // Object returns the decomposed object.
@@ -61,17 +41,16 @@ func (d *RefDecomp) Object() *uncertain.Object { return d.obj }
 // PartitionsAtLevel returns the decomposition at the given depth,
 // identical to DecompTree.PartitionsAtLevel on a private tree. The
 // first request for a level expands the tree under a lock; subsequent
-// requests (from any goroutine) return the cached slice.
+// requests (from any goroutine) return the same slice.
 func (d *RefDecomp) PartitionsAtLevel(level int) []uncertain.Partition {
-	if level < 0 {
-		level = 0
-	}
+	level = max(level, 0)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if level >= len(d.levels) {
-		d.materialize(level)
+	d.depth = max(d.depth, level+1)
+	if d.tree == nil && level < len(d.seed) {
+		return d.seed[level]
 	}
-	return d.levels[level]
+	return d.built().PartitionsAtLevel(level)
 }
 
 // levelWithChildren returns the decomposition at the given depth (>= 0)
@@ -80,41 +59,33 @@ func (d *RefDecomp) PartitionsAtLevel(level int) []uncertain.Partition {
 func (d *RefDecomp) levelWithChildren(level int) ([]uncertain.Partition, []int32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if level >= len(d.first) {
-		d.materialize(level)
-	}
-	return d.levels[level], d.first[level]
+	d.depth = max(d.depth, level+1)
+	return d.built().LevelWithChildren(level)
 }
 
-// materialize extends the child tables — and, past what is already
-// there, the levels — through the given depth. Callers hold d.mu.
-func (d *RefDecomp) materialize(level int) {
+// built returns the tree, building it and dropping the seed on first
+// use. Callers hold d.mu.
+func (d *RefDecomp) built() *uncertain.DecompTree {
 	if d.tree == nil {
 		d.tree = uncertain.NewDecompTree(d.obj, d.maxHeight)
+		d.seed = nil
 	}
-	for l := len(d.first); l <= level; l++ {
-		parts, first := d.tree.LevelWithChildren(l)
-		if l == len(d.levels) {
-			// Materialize the level in packed form: one contiguous coord
-			// array per level, so every refinement pass over it is a linear
-			// scan instead of a walk over scattered tree-node rectangles.
-			d.levels = append(d.levels, uncertain.PackPartitions(parts))
-		}
-		d.first = append(d.first, first)
-	}
+	return d.tree
 }
 
-// MaterializedLevels returns a snapshot of the levels materialized so
-// far — what a checkpoint persists. The inner slices are shared
-// (read-only by contract); the outer slice is a copy.
+// MaterializedLevels returns the levels requested so far — what a
+// checkpoint persists. The inner slices are shared (read-only by
+// contract); the outer slice is a copy.
 func (d *RefDecomp) MaterializedLevels() [][]uncertain.Partition {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.levels) == 0 {
-		return nil
+	if d.tree == nil {
+		return append([][]uncertain.Partition(nil), d.seed...)
 	}
-	out := make([][]uncertain.Partition, len(d.levels))
-	copy(out, d.levels)
+	out := make([][]uncertain.Partition, d.depth)
+	for l := range out {
+		out[l] = d.tree.PartitionsAtLevel(l)
+	}
 	return out
 }
 
@@ -182,11 +153,8 @@ func (c *DecompCache) Get(obj *uncertain.Object) *RefDecomp {
 	if !ok || d == nil {
 		// A lazy pin (nil placeholder from Add) still counts as a miss:
 		// the decomposition work happens now.
-		d = NewRefDecomp(obj, c.maxHeight)
-		if c.m == nil {
-			c.m = make(map[*uncertain.Object]*RefDecomp)
-		}
-		c.m[obj] = d
+		d = newRefDecomp(obj, c.maxHeight, nil)
+		c.put(obj, d)
 		c.misses.Add(1)
 	} else {
 		c.hits.Add(1)
@@ -202,7 +170,7 @@ func (c *DecompCache) lookup(obj *uncertain.Object) (*RefDecomp, bool) {
 	defer c.mu.Unlock()
 	d, ok := c.m[obj]
 	if ok && d == nil {
-		d = NewRefDecomp(obj, c.maxHeight)
+		d = newRefDecomp(obj, c.maxHeight, nil)
 		c.m[obj] = d
 	}
 	return d, ok
@@ -217,12 +185,18 @@ func (c *DecompCache) Add(obj *uncertain.Object) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[obj]; !ok {
-		if c.m == nil {
-			c.m = make(map[*uncertain.Object]*RefDecomp)
-		}
-		c.m[obj] = nil
+		c.put(obj, nil)
 		c.version++
 	}
+}
+
+// put stores d for obj, allocating an overlay's map on its first
+// insert. Callers hold c.mu.
+func (c *DecompCache) put(obj *uncertain.Object, d *RefDecomp) {
+	if c.m == nil {
+		c.m = make(map[*uncertain.Object]*RefDecomp)
+	}
+	c.m[obj] = d
 }
 
 // Invalidate drops the cached decomposition of obj from this cache and
@@ -271,25 +245,23 @@ func (c *DecompCache) Materialized(obj *uncertain.Object) [][]uncertain.Partitio
 	return d.MaterializedLevels()
 }
 
-// Seed pins obj with a pre-materialized decomposition (see
-// NewSeededRefDecomp) — recovery's counterpart of Add. Like Add it
+// Seed pins obj with checkpointed levels, which serve its
+// PartitionsAtLevel until its tree is built — recovery's counterpart of
+// Add. Like Add it
 // counts one epoch tick for a new pin; an existing entry is replaced
 // only if it is still a lazy pin, so a decomposition already handed out
 // stays canonical.
 func (c *DecompCache) Seed(obj *uncertain.Object, levels [][]uncertain.Partition) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d, ok := c.m[obj]; ok {
-		if d == nil {
-			c.m[obj] = NewSeededRefDecomp(obj, c.maxHeight, levels)
-		}
+	d, ok := c.m[obj]
+	if d != nil {
 		return
 	}
-	if c.m == nil {
-		c.m = make(map[*uncertain.Object]*RefDecomp)
+	if !ok {
+		c.version++
 	}
-	c.m[obj] = NewSeededRefDecomp(obj, c.maxHeight, levels)
-	c.version++
+	c.put(obj, newRefDecomp(obj, c.maxHeight, levels))
 }
 
 // Overlay returns a query-scoped view of the cache: lookups hit c (and
@@ -310,15 +282,12 @@ func (c *DecompCache) Len() int {
 	return len(c.m)
 }
 
-// resolveSource picks the decomposition for one run operand or
-// influence object: an explicitly shared RefDecomp when it matches,
-// else the query-wide cache when installed, else a run-private one.
-func resolveSource(obj *uncertain.Object, explicit *RefDecomp, opts Options) *RefDecomp {
-	if explicit != nil && explicit.Object() == obj {
-		return explicit
-	}
+// source returns the decomposition of one run operand or influence
+// object: the query-wide cache's when one is installed, else a
+// run-private one.
+func source(obj *uncertain.Object, opts Options) *RefDecomp {
 	if opts.SharedDecomps != nil {
 		return opts.SharedDecomps.Get(obj)
 	}
-	return NewRefDecomp(obj, opts.MaxHeight)
+	return newRefDecomp(obj, opts.MaxHeight, nil)
 }

@@ -11,17 +11,19 @@ import (
 )
 
 // TestSharedReferenceBitIdentical: a run against a shared reference
-// decomposition must return exactly the bounds of a run that decomposes
-// its own private copy — the shared structure caches work, it does not
-// change it.
+// decomposition — the reference pinned in a cache, every run reading it
+// through its own overlay — must return exactly the bounds of a run
+// that decomposes its own private copy: the shared structure caches
+// work, it does not change it.
 func TestSharedReferenceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(900))
 	db, _, reference := smallWorld(rng, 14, 16)
-	ref := NewRefDecomp(reference, 0)
+	shared := NewDecompCache(0)
+	shared.Add(reference)
 	for _, target := range db {
 		private := Run(db, target, reference, Options{MaxIterations: 5})
-		shared := Run(db, target, reference, Options{MaxIterations: 5, SharedReference: ref})
-		if !reflect.DeepEqual(private.Bounds, shared.Bounds) || !reflect.DeepEqual(private.CDF, shared.CDF) {
+		got := Run(db, target, reference, Options{MaxIterations: 5, SharedDecomps: shared.Overlay()})
+		if !reflect.DeepEqual(private.Bounds, got.Bounds) || !reflect.DeepEqual(private.CDF, got.CDF) {
 			t.Fatalf("target %d: shared-reference bounds differ from private-decomposition bounds", target.ID)
 		}
 	}
@@ -32,26 +34,14 @@ func TestSharedReferenceBitIdentical(t *testing.T) {
 func TestSharedTargetBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(901))
 	db, target, _ := smallWorld(rng, 14, 16)
-	tgt := NewRefDecomp(target, 0)
+	shared := NewDecompCache(0)
+	shared.Add(target)
 	for _, reference := range db[1:] {
 		private := Run(db, target, reference, Options{MaxIterations: 5})
-		shared := Run(db, target, reference, Options{MaxIterations: 5, SharedTarget: tgt})
-		if !reflect.DeepEqual(private.Bounds, shared.Bounds) || !reflect.DeepEqual(private.CDF, shared.CDF) {
+		got := Run(db, target, reference, Options{MaxIterations: 5, SharedDecomps: shared.Overlay()})
+		if !reflect.DeepEqual(private.Bounds, got.Bounds) || !reflect.DeepEqual(private.CDF, got.CDF) {
 			t.Fatalf("reference %d: shared-target bounds differ from private-decomposition bounds", reference.ID)
 		}
-	}
-}
-
-// TestSharedOperandMismatchIgnored: a RefDecomp of a different object
-// must not be consulted.
-func TestSharedOperandMismatchIgnored(t *testing.T) {
-	rng := rand.New(rand.NewSource(902))
-	db, target, reference := smallWorld(rng, 10, 8)
-	other := NewRefDecomp(db[3], 0)
-	private := Run(db, target, reference, Options{MaxIterations: 4})
-	mismatched := Run(db, target, reference, Options{MaxIterations: 4, SharedReference: other, SharedTarget: other})
-	if !reflect.DeepEqual(private.Bounds, mismatched.Bounds) {
-		t.Fatal("non-matching shared decomposition changed the result")
 	}
 }
 
@@ -60,7 +50,7 @@ func TestSharedOperandMismatchIgnored(t *testing.T) {
 func TestRefDecompMatchesDecompTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(903))
 	obj := randObj(rng, 1, 64, 5, 5, 2)
-	shared := NewRefDecomp(obj, 0)
+	shared := newRefDecomp(obj, 0, nil)
 	plain := uncertain.NewDecompTree(obj, 0)
 	// Request out of order to exercise the lazy extension.
 	for _, level := range []int{3, 0, 5, 2, 5, 8} {
@@ -120,12 +110,13 @@ func TestDecompCacheConcurrent(t *testing.T) {
 }
 
 // TestRefDecompConcurrentRuns drives many runs against one shared
-// reference from concurrent goroutines; run with -race this is the
-// safety test for the shared decomposition path.
+// reference decomposition from concurrent goroutines; run with -race
+// this is the safety test for one RefDecomp read by many sessions.
 func TestRefDecompConcurrentRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(904))
 	db, _, reference := smallWorld(rng, 16, 16)
-	ref := NewRefDecomp(reference, 0)
+	shared := NewDecompCache(0)
+	shared.Add(reference)
 	want := make([]*Result, len(db))
 	for i, target := range db {
 		want[i] = Run(db, target, reference, Options{MaxIterations: 4})
@@ -136,7 +127,7 @@ func TestRefDecompConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int, target *uncertain.Object) {
 			defer wg.Done()
-			got[i] = Run(db, target, reference, Options{MaxIterations: 4, SharedReference: ref})
+			got[i] = Run(db, target, reference, Options{MaxIterations: 4, SharedDecomps: shared.Overlay()})
 		}(i, target)
 	}
 	wg.Wait()
@@ -217,7 +208,7 @@ func TestDecompCacheOverlay(t *testing.T) {
 // to a fresh decomposition — the checkpoint/recovery contract.
 func TestSeededRefDecomp(t *testing.T) {
 	obj := testObjectGrid(t)
-	fresh := NewRefDecomp(obj, 6)
+	fresh := newRefDecomp(obj, 6, nil)
 	for l := 0; l <= 3; l++ {
 		fresh.PartitionsAtLevel(l)
 	}
@@ -225,7 +216,7 @@ func TestSeededRefDecomp(t *testing.T) {
 	if len(levels) != 4 {
 		t.Fatalf("materialized %d levels, want 4", len(levels))
 	}
-	seeded := NewSeededRefDecomp(obj, 6, levels)
+	seeded := newRefDecomp(obj, 6, levels)
 	for l := 0; l <= 5; l++ {
 		want := fresh.PartitionsAtLevel(l)
 		got := seeded.PartitionsAtLevel(l)

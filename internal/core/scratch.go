@@ -83,7 +83,8 @@ type candState struct {
 
 // stepLevel is the read-only input of one step: the new level's
 // partitions of B, R and every influence object, each with the
-// first-child table that maps the previous level onto it.
+// first-child table that maps the previous level onto it (nil =
+// identity).
 type stepLevel struct {
 	bParts, rParts []uncertain.Partition
 	bFirst, rFirst []int32

@@ -30,11 +30,11 @@ type Session struct {
 	// session-private arena when none was supplied.
 	sc *Scratch
 	// bSrc/rSrc/aSrcs supply the target, reference and influence-object
-	// decompositions — session-private by default, shared RefDecomps
-	// when Options.SharedTarget/SharedReference/SharedDecomps install
-	// them. A Session with shared sources is safe to drive concurrently
-	// with other sessions sharing the same structures (they synchronize
-	// internally); everything else here is session-private.
+	// decompositions — session-private by default, the shared RefDecomps
+	// of Options.SharedDecomps when a cache is installed. A Session with
+	// shared sources is safe to drive concurrently with other sessions
+	// sharing the same structures (they synchronize internally);
+	// everything else here is session-private.
 	bSrc  *RefDecomp
 	rSrc  *RefDecomp
 	aSrcs []*RefDecomp
@@ -90,7 +90,7 @@ func newSession(target, reference *uncertain.Object, pf PartialFilter, opts Opti
 	s.aSrcs = make([]*RefDecomp, c)
 	ivs := grow(s.sc.ivs, c)
 	for i, a := range res.Influence {
-		s.aSrcs[i] = resolveSource(a, nil, opts)
+		s.aSrcs[i] = source(a, opts)
 		// Each influence object contributes an interval no wider than
 		// its existence probability allows.
 		ivs[i] = gf.Interval{LB: 0, UB: a.ExistenceProb()}
@@ -99,8 +99,8 @@ func newSession(target, reference *uncertain.Object, pf PartialFilter, opts Opti
 	s.sc.ivs = ivs
 	res.Bounds, res.CDF = newBounds(hi)
 	s.sc.addBounds(ivs, opts.KMax, 1, res.Bounds, res.CDF)
-	s.bSrc = resolveSource(target, opts.SharedTarget, opts)
-	s.rSrc = resolveSource(reference, opts.SharedReference, opts)
+	s.bSrc = source(target, opts)
+	s.rSrc = source(reference, opts)
 	return s
 }
 

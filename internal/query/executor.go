@@ -52,8 +52,6 @@ func (e *Engine) runOpts() core.Options {
 	opts.Stop = nil
 	opts.KMax = 0
 	opts.Parallelism = 1
-	opts.SharedTarget = nil
-	opts.SharedReference = nil
 	opts.SharedDecomps = nil
 	// A scratch arena is single-owner; concurrent candidate runs must
 	// never share one installed at engine level. run/newSession attach a

@@ -32,19 +32,29 @@ type Partition struct {
 const DefaultMaxHeight = 24
 
 // DecompTree is the lazily expanded kd-tree decomposition of one
-// uncertain object.
+// uncertain object, stored implicitly: every partition is a contiguous
+// range of one sample permutation (a split sorts its range in place and
+// cuts it in two), and each level is packed into one partition array
+// and one coordinate array beside its child offsets. A DecompTree is
+// not safe for concurrent use; core.RefDecomp shares one under a lock.
 type DecompTree struct {
 	obj       *Object
-	root      *decompNode
 	maxHeight int
+	perm      []int32
+	levels    []decompLevel
+	// ranges bounds the deepest level's partitions: partition p is
+	// perm[ranges[p]:ranges[p+1]].
+	ranges []int32
+	// settled is set once a level split nothing: all deeper levels
+	// repeat the deepest one.
+	settled bool
 }
 
-type decompNode struct {
-	mbr         geom.Rect
-	prob        float64
-	idx         []int // sample indices into obj; owned by this node
-	left, right *decompNode
-	expanded    bool
+// decompLevel is one materialized level: its partitions and the
+// first-child offsets into it from the level above (nil at level 0).
+type decompLevel struct {
+	parts []Partition
+	first []int32
 }
 
 // NewDecompTree creates the decomposition tree for obj with the given
@@ -55,14 +65,18 @@ func NewDecompTree(obj *Object, maxHeight int) *DecompTree {
 	if maxHeight <= 0 {
 		maxHeight = DefaultMaxHeight
 	}
-	idx := make([]int, obj.NumSamples())
-	for i := range idx {
-		idx[i] = i
+	n := obj.NumSamples()
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
+	root := []Partition{packed(make([]float64, 2*obj.Dim()), 0, Partition{MBR: obj.MBR, Prob: 1})}
 	return &DecompTree{
 		obj:       obj,
 		maxHeight: maxHeight,
-		root:      &decompNode{mbr: obj.MBR.Clone(), prob: 1, idx: idx},
+		perm:      perm,
+		levels:    []decompLevel{{parts: root}},
+		ranges:    []int32{0, int32(n)},
 	}
 }
 
@@ -76,7 +90,7 @@ func (t *DecompTree) MaxHeight() int { return t.maxHeight }
 // level: all nodes exactly level splits below the root, with leaves
 // that cannot be split further standing in for their would-be
 // descendants. Level 0 is the whole object. Levels beyond the height
-// limit are clamped to it.
+// limit are clamped to it. The slice is shared and read-only.
 func (t *DecompTree) PartitionsAtLevel(level int) []Partition {
 	parts, _ := t.LevelWithChildren(level)
 	return parts
@@ -88,145 +102,171 @@ func (t *DecompTree) PartitionsAtLevel(level int) []Partition {
 // — two for a split node, one for an unsplittable leaf standing in for
 // its descendants. Incremental refinement follows a parent's verdicts
 // down to exactly its children through this table. first is nil where
-// the map is the identity: at level 0, which has no parent, and beyond
-// the height limit, where a level repeats the one above.
+// the map is the identity: at level 0, which has no parent, and where a
+// level repeats the one above (the same slice) — from the first level
+// in which nothing splits, and beyond the height limit.
 func (t *DecompTree) LevelWithChildren(level int) (parts []Partition, first []int32) {
-	if level < 0 {
-		level = 0
-	}
 	if level > t.maxHeight {
 		parts, _ = t.LevelWithChildren(t.maxHeight)
 		return parts, nil
 	}
-	t.collect(t.root, level, &parts, &first)
-	if level > 0 {
-		first = append(first, int32(len(parts)))
+	level = max(level, 0)
+	for len(t.levels) <= level && !t.settled {
+		t.grow()
 	}
-	return parts, first
+	if level >= len(t.levels) {
+		return t.levels[len(t.levels)-1].parts, nil
+	}
+	lv := t.levels[level]
+	return lv.parts, lv.first
 }
 
-// collect appends the partitions depth splits below n to out. Every
-// node it emits for, or recurses from, at depth 1 — and every leaf it
-// meets earlier, which stands in at all deeper levels — is a partition
-// of the level above, so the current length of out is recorded as that
-// partition's first-child offset.
-func (t *DecompTree) collect(n *decompNode, depth int, out *[]Partition, first *[]int32) {
-	if depth == 0 {
-		*out = append(*out, Partition{MBR: n.mbr, Prob: n.prob})
+// grow materializes the level below the deepest one. A partition that
+// was its parent's only child is a leaf for good; every other one is
+// tried once. A level in which nothing splits settles the tree.
+func (t *DecompTree) grow() {
+	up := t.levels[len(t.levels)-1]
+	n := len(up.parts)
+	first := make([]int32, n+1)
+	ranges := make([]int32, 1, 2*n+1)
+	sorter := &axisSorter{coords: t.obj.Coords, dim: t.obj.Dim()}
+	q := 0 // the parent of partition p in the level above
+	for p, part := range up.parts {
+		first[p] = int32(len(ranges) - 1)
+		for up.first != nil && up.first[q+1] <= int32(p) {
+			q++
+		}
+		lo, hi := t.ranges[p], t.ranges[p+1]
+		if up.first == nil || up.first[q+1]-up.first[q] == 2 { // not a leaf yet
+			if cut := t.split(sorter, part, lo, hi); cut > lo {
+				ranges = append(ranges, cut)
+			}
+		}
+		ranges = append(ranges, hi)
+	}
+	first[n] = int32(len(ranges) - 1)
+	if int(first[n]) == n {
+		t.settled = true
 		return
 	}
-	t.expand(n)
-	if depth == 1 || n.left == nil {
-		*first = append(*first, int32(len(*out)))
+	dim := t.obj.Dim()
+	parts := make([]Partition, first[n])
+	flat := make([]float64, 2*dim*len(parts))
+	for p, part := range up.parts {
+		lo, hi := first[p], first[p+1]
+		if hi-lo == 1 {
+			parts[lo] = packed(flat, int(lo), part)
+			continue
+		}
+		for c := lo; c < hi; c++ {
+			parts[c] = t.bound(flat, int(c), t.perm[ranges[c]:ranges[c+1]])
+		}
 	}
-	if n.left == nil { // unsplittable leaf
-		*out = append(*out, Partition{MBR: n.mbr, Prob: n.prob})
-		return
-	}
-	t.collect(n.left, depth-1, out, first)
-	t.collect(n.right, depth-1, out, first)
+	t.levels = append(t.levels, decompLevel{parts: parts, first: first})
+	t.ranges = ranges
 }
 
-// expand performs the median split of a node once, caching the result.
-func (t *DecompTree) expand(n *decompNode) {
-	if n.expanded {
-		return
+// split sorts partition part's range perm[lo:hi] along the widest axis
+// of its MBR and returns the mass-median cut, or lo for a leaf: one
+// sample, a zero-extent region, or all mass on one side.
+func (t *DecompTree) split(s *axisSorter, part Partition, lo, hi int32) int32 {
+	if hi-lo < 2 {
+		return lo
 	}
-	n.expanded = true
-	if len(n.idx) < 2 {
-		return // single alternative: nothing to split
+	s.axis = widestAxis(part.MBR)
+	if part.MBR.Extent(s.axis) == 0 {
+		return lo
 	}
-	axis := widestAxis(n.mbr)
-	if n.mbr.Extent(axis) == 0 {
-		return // all samples coincide: degenerate region
+	s.idx = t.perm[lo:hi]
+	sort.Sort(s)
+	cut := t.massMedian(s.idx, part.Prob)
+	if cut <= 0 || cut >= len(s.idx) {
+		return lo
 	}
-	coords, d := t.obj.Coords, t.obj.Dim()
-	sort.Slice(n.idx, func(a, b int) bool {
-		return coords[n.idx[a]*d+axis] < coords[n.idx[b]*d+axis]
-	})
-	cut := t.massMedian(n)
-	if cut <= 0 || cut >= len(n.idx) {
-		return // mass concentrated on one side; treat as leaf
-	}
-	n.left = t.newChild(n.idx[:cut])
-	n.right = t.newChild(n.idx[cut:])
+	return lo + int32(cut)
 }
 
-// massMedian returns the split position that divides the node's
-// probability mass as evenly as possible (the median split of Section
-// V). For uniform weights this is the middle of the sorted order, so
-// each child carries exactly half the mass — P(X') = 0.5^level.
-func (t *DecompTree) massMedian(n *decompNode) int {
-	if t.obj.Weights == nil {
-		return len(n.idx) / 2
+// massMedian returns the split position in the sorted samples idx that
+// divides their mass prob as evenly as possible (the median split of
+// Section V). For uniform weights this is the middle of the sorted
+// order, so each child carries exactly half the mass — P(X') = 0.5^level.
+func (t *DecompTree) massMedian(idx []int32, prob float64) int {
+	w := t.obj.Weights
+	if w == nil {
+		return len(idx) / 2
 	}
-	half := n.prob / 2
+	half := prob / 2
 	acc := 0.0
-	for i, id := range n.idx {
-		acc += t.obj.Weights[id]
+	for i, id := range idx {
+		acc += w[id]
 		if acc >= half {
 			// Put the straddling sample on whichever side keeps the
 			// halves more balanced, while keeping both sides non-empty.
 			if i == 0 {
 				return 1
 			}
-			if acc-half > half-(acc-t.obj.Weights[id]) {
+			if acc-half > half-(acc-w[id]) {
 				return i
 			}
 			return i + 1
 		}
 	}
-	return len(n.idx) / 2
+	return len(idx) / 2
 }
 
-func (t *DecompTree) newChild(idx []int) *decompNode {
-	obj := t.obj
-	// Grow the child MBR in place instead of unioning a fresh point-rect
-	// per sample — one corner-pair allocation per node, not per sample.
-	mbr := geom.PointRect(obj.Sample(idx[0]))
-	prob := obj.Weight(idx[0])
+// bound returns the partition of the samples idx with its MBR in slot
+// c of flat. The MBR grows by < and > tests in permutation order, so of
+// a −0 and a +0 on a bound the first sample's wins.
+func (t *DecompTree) bound(flat []float64, c int, idx []int32) Partition {
+	o := t.obj
+	r := rectAt(flat, c, o.Dim())
+	copy(r.Min, o.Sample(int(idx[0])))
+	copy(r.Max, r.Min)
+	prob := o.Weight(int(idx[0]))
 	for _, id := range idx[1:] {
-		for d, c := range obj.Sample(id) {
-			if c < mbr.Min[d] {
-				mbr.Min[d] = c
+		for d, x := range o.Sample(int(id)) {
+			if x < r.Min[d] {
+				r.Min[d] = x
 			}
-			if c > mbr.Max[d] {
-				mbr.Max[d] = c
+			if x > r.Max[d] {
+				r.Max[d] = x
 			}
 		}
-		prob += obj.Weight(id)
+		prob += o.Weight(int(id))
 	}
-	// Copy the index slice so sibling re-sorts cannot alias.
-	own := make([]int, len(idx))
-	copy(own, idx)
-	return &decompNode{mbr: mbr, prob: prob, idx: own}
+	return Partition{MBR: r, Prob: prob}
 }
 
-// PackPartitions returns a copy of parts whose MBR corner coordinates
-// live in one contiguous backing array — one allocation per level
-// instead of per cell. The refinement loop iterates a whole level's
-// MBRs per (B', R') pair, so contiguity turns the pointer-chasing walk
-// over scattered tree-node rectangles into a linear scan. Values are
-// copied verbatim; callers treat the result as read-only, like any
-// shared partition slice.
-func PackPartitions(parts []Partition) []Partition {
-	if len(parts) == 0 {
-		return parts
-	}
-	dim := parts[0].MBR.Dim()
-	flat := make([]float64, 2*dim*len(parts))
-	out := make([]Partition, len(parts))
-	off := 0
-	for i, p := range parts {
-		min := flat[off : off+dim : off+dim]
-		max := flat[off+dim : off+2*dim : off+2*dim]
-		copy(min, p.MBR.Min)
-		copy(max, p.MBR.Max)
-		out[i] = Partition{MBR: geom.Rect{Min: min, Max: max}, Prob: p.Prob}
-		off += 2 * dim
-	}
-	return out
+// packed returns a copy of part whose MBR is slot c of flat.
+func packed(flat []float64, c int, part Partition) Partition {
+	r := rectAt(flat, c, part.MBR.Dim())
+	copy(r.Min, part.MBR.Min)
+	copy(r.Max, part.MBR.Max)
+	return Partition{MBR: r, Prob: part.Prob}
 }
+
+// rectAt returns slot c of a level's packed corner coordinates.
+func rectAt(flat []float64, c, dim int) geom.Rect {
+	off := 2 * c * dim
+	return geom.Rect{Min: flat[off : off+dim : off+dim], Max: flat[off+dim : off+2*dim : off+2*dim]}
+}
+
+// axisSorter orders sample indices by one coordinate. sort.Sort runs
+// the same pdqsort as sort.Slice, so ties land as a sort.Slice would
+// put them, without its allocations per call.
+type axisSorter struct {
+	idx       []int32
+	coords    []float64
+	dim, axis int
+}
+
+func (s *axisSorter) Len() int { return len(s.idx) }
+
+func (s *axisSorter) Less(a, b int) bool {
+	return s.coords[int(s.idx[a])*s.dim+s.axis] < s.coords[int(s.idx[b])*s.dim+s.axis]
+}
+
+func (s *axisSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
 func widestAxis(r geom.Rect) int {
 	best, bestExt := 0, -1.0

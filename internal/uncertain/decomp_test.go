@@ -1,8 +1,10 @@
 package uncertain
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"probprune/internal/geom"
@@ -200,8 +202,9 @@ func TestDecompObjectAccessor(t *testing.T) {
 // partition of level l−1 onto a run of one or two partitions of level l
 // that carry exactly its mass inside its MBR; an only child is the
 // parent itself (an unsplittable leaf standing in for its descendants);
-// level 0 and levels beyond the height limit have no table, because the
-// map is the identity there. Packing a level leaves it equal.
+// level 0, a level in which nothing splits and levels beyond the height
+// limit have no table, because the map is the identity there — such a
+// level is the one above, the same slice.
 func TestLevelWithChildren(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for _, n := range []int{1, 3, 8, 13, 64} {
@@ -217,6 +220,12 @@ func TestLevelWithChildren(t *testing.T) {
 		}
 		for l := 1; l <= height; l++ {
 			parts, first := tr.LevelWithChildren(l)
+			if first == nil {
+				if len(parts) != len(prev) || &parts[0] != &prev[0] {
+					t.Fatalf("n=%d level %d: no child table, but the level is not the one above", n, l)
+				}
+				continue
+			}
 			if len(first) != len(prev)+1 || first[0] != 0 || int(first[len(prev)]) != len(parts) {
 				t.Fatalf("n=%d level %d: table %v for %d parents, %d children", n, l, first, len(prev), len(parts))
 			}
@@ -240,12 +249,6 @@ func TestLevelWithChildren(t *testing.T) {
 					}
 				}
 			}
-			packed := PackPartitions(parts)
-			for i := range parts {
-				if !packed[i].MBR.Equal(parts[i].MBR) || packed[i].Prob != parts[i].Prob {
-					t.Fatalf("n=%d level %d: packed partition %d differs", n, l, i)
-				}
-			}
 			prev = parts
 		}
 		beyond, first := tr.LevelWithChildren(height + 2)
@@ -253,4 +256,146 @@ func TestLevelWithChildren(t *testing.T) {
 			t.Fatalf("n=%d: level past the height limit has table %v, %d partitions (limit level has %d)", n, first, len(beyond), len(prev))
 		}
 	}
+}
+
+// TestDecompTreeMatchesReference runs the FuzzDecompTree check on
+// random objects larger than the fuzzer builds: 64 and 1000 samples,
+// uniform and weighted, in one to three dimensions.
+func TestDecompTreeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	for trial := 0; trial < 12; trial++ {
+		n := []int{64, 1000}[trial%2]
+		o := randomObject(rng, trial, n, 1+trial%3)
+		if trial%4 >= 2 {
+			w := make([]float64, n)
+			for i := range w {
+				w[i] = rng.Float64()
+			}
+			var err error
+			if o, err = NewFlatObject(trial, o.Dim(), o.Coords, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkAgainstReference(t, o, []int{0, 4, 12}[trial%3], trial%5)
+	}
+}
+
+// FuzzDecompTree: the implicit DecompTree and the pointer tree it
+// replaced (decomp_reference_test.go) agree at every level up to and
+// past the leaf depth and the height limit — partitions bit for bit,
+// child maps (nil standing for the identity) and CheckInvariants.
+func FuzzDecompTree(f *testing.F) {
+	for _, seed := range []struct {
+		raw          []byte
+		dim          uint8
+		weights      []byte
+		height, from uint8
+	}{
+		// Weighted ties straddling the cut: equal coordinates around the
+		// mass median, the heavy sample among them.
+		{[]byte{8, 8, 8, 8, 16, 16, 4}, 0, []byte{1, 1, 9, 1, 1, 1, 1}, 0, 0},
+		{[]byte{8, 16, 8, 16, 8, 16, 8, 16}, 0, []byte{3, 1, 1, 3, 2, 2, 1, 1}, 0, 3},
+		// Duplicate samples.
+		{[]byte{20, 40, 20, 40, 20, 40, 60, 80, 60, 80}, 1, nil, 0, 0},
+		// A zero-extent axis: every sample shares its y.
+		{[]byte{4, 40, 8, 40, 12, 40, 16, 40, 20, 40, 24, 40}, 1, nil, 0, 0},
+		// ±0 on the cut and on the bounds.
+		{[]byte{0, 1, 2, 3, 1, 0, 3, 2, 40, 1}, 1, nil, 0, 0},
+		// A single sample.
+		{[]byte{44}, 0, nil, 0, 0},
+		// Zero weights.
+		{[]byte{4, 8, 12, 16, 20, 24, 28, 32}, 0, []byte{0, 5, 0, 0, 7, 0, 1, 0}, 0, 0},
+		// Small height limits.
+		{[]byte{9, 200, 37, 81, 120, 4, 66, 250, 13, 99, 180, 45}, 2, nil, 1, 0},
+		{[]byte{9, 200, 37, 81, 120, 4, 66, 250, 13, 99, 180, 45}, 1, []byte{2, 7}, 2, 5},
+	} {
+		f.Add(seed.raw, seed.dim, seed.weights, seed.height, seed.from)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, dim uint8, weights []byte, height, from uint8) {
+		d := 1 + int(dim%3)
+		n := min(len(raw)/d, 256)
+		if n == 0 {
+			return
+		}
+		coords := make([]float64, n*d)
+		for i := range coords {
+			coords[i] = fuzzCoord(raw[i])
+		}
+		var w []float64
+		if len(weights) > 0 {
+			w = make([]float64, n)
+			for i := range w {
+				w[i] = float64(weights[i%len(weights)])
+			}
+		}
+		o, err := NewFlatObject(0, d, coords, w)
+		if err != nil {
+			return // all weights zero
+		}
+		checkAgainstReference(t, o, int(height%12), int(from))
+	})
+}
+
+// fuzzCoord maps a byte onto a grid of 64 values, so that ties and
+// duplicate samples are common; an odd byte on zero is −0.
+func fuzzCoord(b byte) float64 {
+	v := float64(int8(b)>>2) / 4
+	if v == 0 && b&1 == 1 {
+		return math.Copysign(0, -1)
+	}
+	return v
+}
+
+// checkAgainstReference compares NewDecompTree(o, maxHeight) with the
+// reference tree at every level through the height limit plus two,
+// first requesting level from%(limit+3) so the trees also grow out of
+// order.
+func checkAgainstReference(t *testing.T, o *Object, maxHeight, from int) {
+	t.Helper()
+	tr, ref := NewDecompTree(o, maxHeight), newRefTree(o, maxHeight)
+	last := tr.MaxHeight() + 2
+	tr.LevelWithChildren(from % (last + 1))
+	ref.LevelWithChildren(from % (last + 1))
+	var prev []Partition
+	for l := 0; l <= last; l++ {
+		got, gotFirst := tr.LevelWithChildren(l)
+		want, wantFirst := ref.LevelWithChildren(l)
+		if len(got) != len(want) {
+			t.Fatalf("level %d: %d partitions, reference %d", l, len(got), len(want))
+		}
+		for i := range got {
+			if !samePartition(got[i], want[i]) {
+				t.Fatalf("level %d partition %d: %v, reference %v", l, i, got[i], want[i])
+			}
+		}
+		if gotFirst == nil && l > 0 && l <= tr.MaxHeight() {
+			// Nothing split: the identity map over the level above.
+			gotFirst = make([]int32, len(prev)+1)
+			for i := range gotFirst {
+				gotFirst[i] = int32(i)
+			}
+		}
+		if !slices.Equal(gotFirst, wantFirst) || (gotFirst == nil) != (wantFirst == nil) {
+			t.Fatalf("level %d: child map %v, reference %v", l, gotFirst, wantFirst)
+		}
+		prev = got
+	}
+	gotErr, wantErr := tr.CheckInvariants(last), ref.CheckInvariants(last)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("CheckInvariants: %v, reference %v", gotErr, wantErr)
+	}
+}
+
+// samePartition reports whether two partitions are equal bit for bit.
+func samePartition(a, b Partition) bool {
+	if math.Float64bits(a.Prob) != math.Float64bits(b.Prob) || len(a.MBR.Min) != len(b.MBR.Min) {
+		return false
+	}
+	for d := range a.MBR.Min {
+		if math.Float64bits(a.MBR.Min[d]) != math.Float64bits(b.MBR.Min[d]) ||
+			math.Float64bits(a.MBR.Max[d]) != math.Float64bits(b.MBR.Max[d]) {
+			return false
+		}
+	}
+	return true
 }

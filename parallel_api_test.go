@@ -10,7 +10,7 @@ import (
 
 // TestRootParallelAPI exercises the re-exported parallel/context entry
 // points end to end: context variants return what the plain wrappers
-// return, worker count does not change results, and a shared RefDecomp
+// return, worker count does not change results, and a DecompCache
 // plugged into a direct core run reproduces the private-decomposition
 // bounds.
 func TestRootParallelAPI(t *testing.T) {
@@ -37,9 +37,8 @@ func TestRootParallelAPI(t *testing.T) {
 		t.Fatalf("cancelled KNNCtx returned matches=%v err=%v", m, err)
 	}
 
-	ref := probprune.NewRefDecomp(q, 0)
 	private := probprune.Run(db, db[0], q, probprune.Options{MaxIterations: 4})
-	shared := probprune.Run(db, db[0], q, probprune.Options{MaxIterations: 4, SharedReference: ref})
+	shared := probprune.Run(db, db[0], q, probprune.Options{MaxIterations: 4, SharedDecomps: probprune.NewDecompCache(0)})
 	if !reflect.DeepEqual(private.Bounds, shared.Bounds) {
 		t.Fatal("shared-decomposition run differs from private run")
 	}

@@ -53,10 +53,9 @@
 //
 // The plain methods (KNN, RKNN, ...) are thin wrappers over the context
 // variants with context.Background(). Callers driving core.Run directly
-// can share decomposition work themselves: NewRefDecomp with
-// Options.SharedTarget/SharedReference shares one operand across runs,
-// NewDecompCache with Options.SharedDecomps shares every decomposition
-// (operands and influence objects) across the runs handed the cache.
+// can share decomposition work themselves: NewDecompCache with
+// Options.SharedDecomps shares every decomposition (operands and
+// influence objects) across the runs handed the cache.
 //
 // # Live stores
 //
@@ -225,19 +224,13 @@ type (
 	// Index is an R-tree over object MBRs accelerating the filter step.
 	Index = rtree.Tree[*uncertain.Object]
 	// RefDecomp is a concurrency-safe object decomposition shared across
-	// many IDCA runs (see Options.SharedTarget/SharedReference).
+	// many IDCA runs, one per object in a DecompCache.
 	RefDecomp = core.RefDecomp
 	// DecompCache shares every object decomposition — operands and
 	// influence objects — across the runs of one query (see
 	// Options.SharedDecomps).
 	DecompCache = core.DecompCache
 )
-
-// NewRefDecomp builds a shared decomposition of obj for reuse across
-// runs; maxHeight <= 0 selects the default decomposition height.
-func NewRefDecomp(obj *Object, maxHeight int) *RefDecomp {
-	return core.NewRefDecomp(obj, maxHeight)
-}
 
 // NewDecompCache builds an empty decomposition cache for
 // Options.SharedDecomps; maxHeight <= 0 selects the default height.
