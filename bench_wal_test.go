@@ -7,6 +7,8 @@ package probprune_test
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -85,10 +87,13 @@ func BenchmarkWALIngest(b *testing.B) {
 }
 
 // benchRecovery times reopening a store journaled as an empty bootstrap
-// plus one insert per object (and a warm query, so the decomposition
-// cache has something to checkpoint), optionally absorbed by a
-// checkpoint.
-func benchRecovery(b *testing.B, checkpoint bool) {
+// plus one insert per object, after knns KNNs ran on it, optionally
+// absorbed by a checkpoint. It reports the size of the checkpoint file
+// (ckpt-bytes; without a checkpoint, the empty bootstrap one) and the
+// first KNN after each reopen
+// (first-knn-ns, off the reopen timer), which decomposes what it
+// touches from the samples.
+func benchRecovery(b *testing.B, knns int, checkpoint bool) {
 	popts := probprune.PersistOptions{Dir: b.TempDir()}
 	s, err := probprune.BootstrapStore(nil, popts, benchOpts)
 	if err != nil {
@@ -99,7 +104,12 @@ func benchRecovery(b *testing.B, checkpoint bool) {
 			b.Fatal(err)
 		}
 	}
-	s.KNN(probprune.PointObject(-1, probprune.Point{0.5, 0.5}), 5, 0.3)
+	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
+	rng := rand.New(rand.NewSource(8))
+	s.KNN(q, 5, 0.3)
+	for i := 1; i < knns; i++ {
+		s.KNN(probprune.PointObject(-1, probprune.Point{rng.Float64(), rng.Float64()}), 5, 0.3)
+	}
 	if checkpoint {
 		if err := s.Checkpoint(); err != nil {
 			b.Fatal(err)
@@ -108,6 +118,14 @@ func benchRecovery(b *testing.B, checkpoint bool) {
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
+	var ckptBytes int64
+	cks, _ := filepath.Glob(filepath.Join(popts.Dir, "*.ckpt"))
+	for _, path := range cks {
+		if fi, err := os.Stat(path); err == nil {
+			ckptBytes += fi.Size()
+		}
+	}
+	var firstKNN time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,18 +134,29 @@ func benchRecovery(b *testing.B, checkpoint bool) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		start := time.Now()
+		s.KNN(q, 5, 0.3)
+		firstKNN += time.Since(start)
 		s.Close()
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(ckptBytes), "ckpt-bytes")
+	b.ReportMetric(float64(firstKNN.Nanoseconds())/float64(b.N), "first-knn-ns")
 }
 
 // BenchmarkRecoveryCold: checkpoint-free recovery decodes and replays
 // one record per object and rebuilds the index from scratch.
-func BenchmarkRecoveryCold(b *testing.B) { benchRecovery(b, false) }
+func BenchmarkRecoveryCold(b *testing.B) { benchRecovery(b, 1, false) }
 
-// BenchmarkRecoveryCheckpoint: the state (including the materialized
-// decomposition cache) loads in one pass, nothing replays.
-func BenchmarkRecoveryCheckpoint(b *testing.B) { benchRecovery(b, true) }
+// BenchmarkRecoveryCheckpoint: the objects load in one pass from a
+// checkpoint taken after one KNN, nothing replays.
+func BenchmarkRecoveryCheckpoint(b *testing.B) { benchRecovery(b, 1, true) }
+
+// BenchmarkRecoveryCheckpointWarm: as BenchmarkRecoveryCheckpoint, but
+// 200 KNNs ran before the checkpoint. A checkpoint holds objects only,
+// so its size, its reopen time and the first KNN after it match the
+// one-KNN variant.
+func BenchmarkRecoveryCheckpointWarm(b *testing.B) { benchRecovery(b, 200, true) }
 
 // BenchmarkDurableIngestSerial: SyncAlways updates from one committer,
 // so every commit pays a full fsync — the baseline of

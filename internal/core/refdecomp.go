@@ -20,19 +20,14 @@ type RefDecomp struct {
 	maxHeight int
 
 	mu   sync.Mutex
-	tree *uncertain.DecompTree // built on the first request seed cannot serve
-	// seed holds checkpointed levels for PartitionsAtLevel until tree is
-	// built; child maps and the levels they index come from tree only.
-	seed  [][]uncertain.Partition
-	depth int // levels requested so far: what a checkpoint persists
+	tree *uncertain.DecompTree // built on the first request
 }
 
 // newRefDecomp prepares a decomposition of obj with the given height
-// limit (<= 0 selects the uncertain package default), serving seed — a
-// checkpoint's levels of the same samples and weights — until the tree
-// is built.
-func newRefDecomp(obj *uncertain.Object, maxHeight int, seed [][]uncertain.Partition) *RefDecomp {
-	return &RefDecomp{obj: obj, maxHeight: maxHeight, seed: seed, depth: len(seed)}
+// limit (<= 0 selects the uncertain package default); the tree is built
+// on the first request.
+func newRefDecomp(obj *uncertain.Object, maxHeight int) *RefDecomp {
+	return &RefDecomp{obj: obj, maxHeight: maxHeight}
 }
 
 // Object returns the decomposed object.
@@ -43,14 +38,9 @@ func (d *RefDecomp) Object() *uncertain.Object { return d.obj }
 // first request for a level expands the tree under a lock; subsequent
 // requests (from any goroutine) return the same slice.
 func (d *RefDecomp) PartitionsAtLevel(level int) []uncertain.Partition {
-	level = max(level, 0)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.depth = max(d.depth, level+1)
-	if d.tree == nil && level < len(d.seed) {
-		return d.seed[level]
-	}
-	return d.built().PartitionsAtLevel(level)
+	return d.built().PartitionsAtLevel(max(level, 0))
 }
 
 // levelWithChildren returns the decomposition at the given depth (>= 0)
@@ -59,34 +49,15 @@ func (d *RefDecomp) PartitionsAtLevel(level int) []uncertain.Partition {
 func (d *RefDecomp) levelWithChildren(level int) ([]uncertain.Partition, []int32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.depth = max(d.depth, level+1)
 	return d.built().LevelWithChildren(level)
 }
 
-// built returns the tree, building it and dropping the seed on first
-// use. Callers hold d.mu.
+// built returns the tree, building it on first use. Callers hold d.mu.
 func (d *RefDecomp) built() *uncertain.DecompTree {
 	if d.tree == nil {
 		d.tree = uncertain.NewDecompTree(d.obj, d.maxHeight)
-		d.seed = nil
 	}
 	return d.tree
-}
-
-// MaterializedLevels returns the levels requested so far — what a
-// checkpoint persists. The inner slices are shared (read-only by
-// contract); the outer slice is a copy.
-func (d *RefDecomp) MaterializedLevels() [][]uncertain.Partition {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.tree == nil {
-		return append([][]uncertain.Partition(nil), d.seed...)
-	}
-	out := make([][]uncertain.Partition, d.depth)
-	for l := range out {
-		out[l] = d.tree.PartitionsAtLevel(l)
-	}
-	return out
 }
 
 // DecompCache shares object decompositions across all the IDCA runs of
@@ -112,9 +83,8 @@ type DecompCache struct {
 	// back to the parent chain, inserts stay local.
 	parent *DecompCache
 
-	mu      sync.Mutex
-	m       map[*uncertain.Object]*RefDecomp
-	version uint64
+	mu sync.Mutex
+	m  map[*uncertain.Object]*RefDecomp
 
 	// Hit/miss traffic through Get, counted on the receiving cache (an
 	// overlay counts its own traffic even when the hit resolved in the
@@ -153,7 +123,7 @@ func (c *DecompCache) Get(obj *uncertain.Object) *RefDecomp {
 	if !ok || d == nil {
 		// A lazy pin (nil placeholder from Add) still counts as a miss:
 		// the decomposition work happens now.
-		d = newRefDecomp(obj, c.maxHeight, nil)
+		d = newRefDecomp(obj, c.maxHeight)
 		c.put(obj, d)
 		c.misses.Add(1)
 	} else {
@@ -170,7 +140,7 @@ func (c *DecompCache) lookup(obj *uncertain.Object) (*RefDecomp, bool) {
 	defer c.mu.Unlock()
 	d, ok := c.m[obj]
 	if ok && d == nil {
-		d = newRefDecomp(obj, c.maxHeight, nil)
+		d = newRefDecomp(obj, c.maxHeight)
 		c.m[obj] = d
 	}
 	return d, ok
@@ -186,7 +156,6 @@ func (c *DecompCache) Add(obj *uncertain.Object) {
 	defer c.mu.Unlock()
 	if _, ok := c.m[obj]; !ok {
 		c.put(obj, nil)
-		c.version++
 	}
 }
 
@@ -211,57 +180,7 @@ func (c *DecompCache) Invalidate(obj *uncertain.Object) bool {
 		return false
 	}
 	delete(c.m, obj)
-	c.version++
 	return true
-}
-
-// Version returns a counter incremented by every Add and Invalidate —
-// the cache epoch Store snapshots for observability and tests.
-func (c *DecompCache) Version() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
-}
-
-// SetVersion restores the cache epoch — recovery resets it to the
-// checkpointed value so observability counters survive a reopen.
-func (c *DecompCache) SetVersion(v uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.version = v
-}
-
-// Materialized returns the levels of obj's cached decomposition that
-// have been materialized so far, nil when the cache holds no entry for
-// obj or only a lazy pin. It is the per-object export a checkpoint
-// persists.
-func (c *DecompCache) Materialized(obj *uncertain.Object) [][]uncertain.Partition {
-	c.mu.Lock()
-	d := c.m[obj]
-	c.mu.Unlock()
-	if d == nil {
-		return nil
-	}
-	return d.MaterializedLevels()
-}
-
-// Seed pins obj with checkpointed levels, which serve its
-// PartitionsAtLevel until its tree is built — recovery's counterpart of
-// Add. Like Add it
-// counts one epoch tick for a new pin; an existing entry is replaced
-// only if it is still a lazy pin, so a decomposition already handed out
-// stays canonical.
-func (c *DecompCache) Seed(obj *uncertain.Object, levels [][]uncertain.Partition) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.m[obj]
-	if d != nil {
-		return
-	}
-	if !ok {
-		c.version++
-	}
-	c.put(obj, newRefDecomp(obj, c.maxHeight, levels))
 }
 
 // Overlay returns a query-scoped view of the cache: lookups hit c (and
@@ -289,5 +208,5 @@ func source(obj *uncertain.Object, opts Options) *RefDecomp {
 	if opts.SharedDecomps != nil {
 		return opts.SharedDecomps.Get(obj)
 	}
-	return newRefDecomp(obj, opts.MaxHeight, nil)
+	return newRefDecomp(obj, opts.MaxHeight)
 }

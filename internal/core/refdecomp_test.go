@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"probprune/internal/geom"
 	"probprune/internal/uncertain"
 )
 
@@ -50,7 +49,7 @@ func TestSharedTargetBitIdentical(t *testing.T) {
 func TestRefDecompMatchesDecompTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(903))
 	obj := randObj(rng, 1, 64, 5, 5, 2)
-	shared := newRefDecomp(obj, 0, nil)
+	shared := newRefDecomp(obj, 0)
 	plain := uncertain.NewDecompTree(obj, 0)
 	// Request out of order to exercise the lazy extension.
 	for _, level := range []int{3, 0, 5, 2, 5, 8} {
@@ -153,9 +152,8 @@ func TestDecompCacheOverlay(t *testing.T) {
 	if base.Len() != len(db) {
 		t.Fatalf("base holds %d entries, want %d", base.Len(), len(db))
 	}
-	v0 := base.Version()
-	if base.Add(db[0]); base.Version() != v0 {
-		t.Fatal("re-adding a pinned object bumped the version")
+	if base.Add(db[0]); base.Len() != len(db) {
+		t.Fatal("re-adding a pinned object added an entry")
 	}
 
 	over := base.Overlay()
@@ -182,7 +180,7 @@ func TestDecompCacheOverlay(t *testing.T) {
 		t.Fatal("overlay run differs from private run")
 	}
 
-	// Invalidation: per-object, version-bumping, idempotent.
+	// Invalidation: per-object, idempotent.
 	if !base.Invalidate(db[3]) {
 		t.Fatal("invalidate of pinned object reported no entry")
 	}
@@ -192,92 +190,10 @@ func TestDecompCacheOverlay(t *testing.T) {
 	if base.Len() != len(db)-1 {
 		t.Fatalf("base holds %d entries after invalidate, want %d", base.Len(), len(db)-1)
 	}
-	if base.Version() == v0 {
-		t.Fatal("invalidate did not bump the version")
-	}
 	// A fresh entry after invalidation is a new decomposition of the
 	// same (immutable) object: results stay bit-identical.
 	reRun := Run(db, target, reference, Options{MaxIterations: 4, SharedDecomps: base.Overlay()})
 	if !reflect.DeepEqual(private.Bounds, reRun.Bounds) {
 		t.Fatal("run after invalidation differs")
-	}
-}
-
-// TestSeededRefDecomp: a RefDecomp seeded from another's materialized
-// levels serves them verbatim and extends past the seed bit-identically
-// to a fresh decomposition — the checkpoint/recovery contract.
-func TestSeededRefDecomp(t *testing.T) {
-	obj := testObjectGrid(t)
-	fresh := newRefDecomp(obj, 6, nil)
-	for l := 0; l <= 3; l++ {
-		fresh.PartitionsAtLevel(l)
-	}
-	levels := fresh.MaterializedLevels()
-	if len(levels) != 4 {
-		t.Fatalf("materialized %d levels, want 4", len(levels))
-	}
-	seeded := newRefDecomp(obj, 6, levels)
-	for l := 0; l <= 5; l++ {
-		want := fresh.PartitionsAtLevel(l)
-		got := seeded.PartitionsAtLevel(l)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("level %d: seeded decomposition diverged", l)
-		}
-	}
-	if got := fresh.MaterializedLevels(); len(got) != 6 {
-		t.Fatalf("materialized %d levels after deepening, want 6", len(got))
-	}
-}
-
-func testObjectGrid(t *testing.T) *uncertain.Object {
-	t.Helper()
-	var pts []geom.Point
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			pts = append(pts, geom.Point{float64(i), float64(j)})
-		}
-	}
-	obj, err := uncertain.NewObject(1, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return obj
-}
-
-// TestDecompCacheSeed: Seed replaces lazy pins only, ticks the epoch
-// like Add for new pins, and Materialized/SetVersion round-trip what a
-// checkpoint persists.
-func TestDecompCacheSeed(t *testing.T) {
-	obj := testObjectGrid(t)
-	c := NewDecompCache(6)
-	if c.Materialized(obj) != nil {
-		t.Fatal("materialized levels for an absent object")
-	}
-	c.Add(obj)
-	if c.Materialized(obj) != nil {
-		t.Fatal("materialized levels for a lazy pin")
-	}
-	levels := [][]uncertain.Partition{{{MBR: obj.MBR, Prob: 1}}}
-	c.Seed(obj, levels)
-	if got := c.Get(obj).PartitionsAtLevel(0); !reflect.DeepEqual(got, levels[0]) {
-		t.Fatal("seed did not install the levels")
-	}
-	if got := c.Materialized(obj); !reflect.DeepEqual(got, levels) {
-		t.Fatal("Materialized does not return the seeded levels")
-	}
-	// Seeding an already-materialized entry must not replace it.
-	c.Seed(obj, nil)
-	if got := c.Materialized(obj); !reflect.DeepEqual(got, levels) {
-		t.Fatal("seed replaced a materialized entry")
-	}
-	v := c.Version()
-	other := testObjectGrid(t)
-	c.Seed(other, levels) // new pin: one epoch tick, like Add
-	if c.Version() != v+1 {
-		t.Fatalf("seed of a new object ticked %d, want 1", c.Version()-v)
-	}
-	c.SetVersion(99)
-	if c.Version() != 99 {
-		t.Fatal("SetVersion did not restore the epoch")
 	}
 }

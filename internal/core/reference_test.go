@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"probprune/internal/domination"
@@ -358,33 +357,5 @@ func TestBoundsBracketExactAndOnlyTighten(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSeededRefDecompChildTables: a checkpoint persists partitions
-// only, so a seeded decomposition serves its seed until refinement asks
-// for a child table, and from then on serves levels and tables of one
-// tree — the ones the original had.
-func TestSeededRefDecompChildTables(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	obj := mustObject(1, cloud(rng, 20, 0, 0, 1), nil)
-	fresh := newRefDecomp(obj, 0, nil)
-	for l := 0; l <= 4; l++ {
-		fresh.PartitionsAtLevel(l)
-	}
-	seeded := newRefDecomp(obj, 0, fresh.MaterializedLevels())
-	// Until its tree is built, the seeded levels are served as they came.
-	if &seeded.PartitionsAtLevel(2)[0] != &fresh.PartitionsAtLevel(2)[0] {
-		t.Fatal("seeded level was rebuilt instead of served from the seed")
-	}
-	for l := 0; l <= 6; l++ {
-		wantParts, wantFirst := fresh.levelWithChildren(l)
-		gotParts, gotFirst := seeded.levelWithChildren(l)
-		if !reflect.DeepEqual(wantParts, gotParts) || !reflect.DeepEqual(wantFirst, gotFirst) {
-			t.Fatalf("level %d: seeded decomposition's level or child table differs", l)
-		}
-	}
-	if got := seeded.MaterializedLevels(); len(got) != 7 || !reflect.DeepEqual(got, fresh.MaterializedLevels()) {
-		t.Fatalf("seeded decomposition persists %d levels, not the original's", len(got))
 	}
 }

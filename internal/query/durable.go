@@ -270,24 +270,17 @@ type ckptJob struct {
 }
 
 // pinCheckpointLocked pins the current state for a checkpoint: every
-// shard journal rotates (O(1)) and the object lists and decompositions
-// are captured copy-on-write — they are immutable, so the install
-// serializes them off the lock while commits proceed. Requires s.mu
-// held for writing.
+// shard journal rotates (O(1)) and the object lists are captured
+// copy-on-write — they are immutable, so the install serializes them off
+// the lock while commits proceed. A checkpoint holds objects and
+// versions only; with more than one shard the manifest adds the version
+// vector and the global order. Requires s.mu held for writing.
 func (s *Store) pinCheckpointLocked() (*ckptJob, error) {
 	job := &ckptJob{}
 	if s.home != nil {
-		job.m = &wal.Manifest{
-			Version:      s.version,
-			Shards:       len(s.shards),
-			Order:        make([]int, 0, s.order.Len()),
-			CacheVersion: s.cache.Version(),
-		}
+		job.m = &wal.Manifest{Version: s.version, Shards: len(s.shards), Order: make([]int, 0, s.order.Len())}
 		for o := range s.order.All() {
 			job.m.Order = append(job.m.Order, o.ID)
-			if levels := s.cache.Materialized(o); levels != nil {
-				job.m.Decomp = append(job.m.Decomp, wal.DecompEntry{ID: o.ID, Dim: o.Dim(), Levels: levels})
-			}
 		}
 	}
 	for _, sh := range s.shards {
@@ -295,23 +288,14 @@ func (s *Store) pinCheckpointLocked() (*ckptJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		ck := &wal.Checkpoint{Version: sh.version, Objects: sh.list.Slice()}
 		if job.m != nil {
 			job.m.VV = append(job.m.VV, sh.version)
-		} else {
-			// One shard: its checkpoint carries the decomposition cache
-			// (with more, the manifest does).
-			ck.Decomp = make([][][]uncertain.Partition, len(ck.Objects))
-			for i, o := range ck.Objects {
-				ck.Decomp[i] = s.cache.Materialized(o)
-			}
-			ck.CacheVersion = s.cache.Version()
 		}
 		// Lock-free, allocation-free record: the pin runs on the commit
 		// path under s.mu, which the recorder never stalls.
 		s.dur.rec.Load().Record(obs.EvCheckpointBegin, 0, 0, int64(sh.version), 0)
 		job.pins = append(job.pins, pin)
-		job.cks = append(job.cks, ck)
+		job.cks = append(job.cks, &wal.Checkpoint{Version: sh.version, Objects: sh.list.Slice()})
 	}
 	s.dur.since = 0
 	return job, nil
@@ -353,9 +337,10 @@ func (s *Store) installCheckpoint(job *ckptJob) error {
 }
 
 // Checkpoint durably snapshots the store's current state — every
-// shard's objects in order and version, the decomposition cache and,
-// with more than one shard, the manifest of version vector and global
-// order — and truncates the journals to it. Reopening afterwards loads
+// shard's objects in order and version and, with more than one shard,
+// the manifest of version vector and global order — and truncates the
+// journals to it. No decomposition is persisted, so the files do not
+// depend on which queries ran. Reopening afterwards loads
 // the snapshot and replays only commits journaled since. The state is
 // pinned under the store lock but encoded and installed outside it, so
 // concurrent commits are never stalled by the write.
@@ -549,17 +534,19 @@ func OpenStore(popts PersistOptions, opts core.Options) (*Store, error) {
 // OpenShardedStore opens (or initializes) a durable store rooted at
 // popts.Dir; the directory, not the caller, decides the layout. A fresh
 // directory is bootstrapped empty with sopts' layout. An existing one
-// is recovered: every shard loads its newest checkpoint — objects,
-// version and the decompositions the crashed process had materialized
-// — and replays its journal tail, in parallel, stopping cleanly at the
-// last intact record; a multi-shard store then rebuilds its global
+// is recovered: every shard loads its newest checkpoint — objects and
+// version — and replays its journal tail, in parallel, stopping cleanly
+// at the last intact record; a multi-shard store then rebuilds its global
 // order by merging the shards' logical records, keyed by the epoch each
 // carries, on top of the manifest's order. The recovered store is
 // bit-identical to the one that wrote the journals: same version
 // vector, same global order, same query answers. sopts.Shards, when
 // non-zero, must match the directory's shard count; sopts.Partition
 // must be the partitioner the store was created with and opts the
-// options it was written under (neither is persisted).
+// options it was written under (neither is persisted). Decompositions
+// are rebuilt from the samples as queries need them, whatever
+// opts.MaxHeight is. A shard whose checkpoint files all fail to decode
+// fails the open, and the files stay on disk.
 func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, error) {
 	dirs, m, err := storedLayout(popts.Dir)
 	if err != nil {
@@ -594,10 +581,6 @@ func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts core.Opti
 	}
 	err = errors.Join(errs...)
 	if err == nil {
-		if len(dirs) == 1 {
-			// A one-shard journal is its own manifest.
-			m = checkpointManifest(recs[0].sh.journal.Checkpoint())
-		}
 		s.dur = newDurability(popts, s.obs)
 		err = s.assemble(m, recs)
 	}
@@ -618,7 +601,8 @@ type recovery struct {
 }
 
 // recoverShard loads the journal in dir: its checkpoint, then the log
-// tail. In a one-shard journal (single) a record's epoch is its version.
+// tail. A one-shard journal (single) keeps no logical tail: its store
+// has no global order to rebuild.
 func recoverShard(dir string, popts PersistOptions, single bool) (*recovery, error) {
 	j, err := wal.Open(dir, popts.wal())
 	if err != nil {
@@ -638,11 +622,8 @@ func recoverShard(dir string, popts PersistOptions, single bool) (*recovery, err
 		if err := r.apply(rec); err != nil {
 			return err
 		}
-		if single {
-			rec.Global = rec.Version
-		}
 		id := rec.ObjectID()
-		if rec.Op.Logical() {
+		if rec.Op.Logical() && !single {
 			// Keep the ID only — instances are resolved against the
 			// recovered shard maps, so a later move's re-decode cannot
 			// alias a stale pointer into the global order.
@@ -697,24 +678,9 @@ func (r *recovery) apply(rec wal.Record) error {
 	return nil
 }
 
-// checkpointManifest derives the manifest of a one-shard store from
-// its checkpoint: the checkpointed order, epoch and decompositions.
-func checkpointManifest(ck *wal.Checkpoint) *wal.Manifest {
-	m := &wal.Manifest{Shards: 1}
-	if ck != nil {
-		m.Version, m.CacheVersion = ck.Version, ck.CacheVersion
-		for i, o := range ck.Objects {
-			m.Order = append(m.Order, o.ID)
-			if ck.Decomp != nil && ck.Decomp[i] != nil {
-				m.Decomp = append(m.Decomp, wal.DecompEntry{ID: o.ID, Dim: o.Dim(), Levels: ck.Decomp[i]})
-			}
-		}
-	}
-	return m
-}
-
-// assemble rebuilds the store-level state from the recovered shards,
-// the manifest and the logical records past it.
+// assemble rebuilds the store-level state from the recovered shards
+// and, with more than one shard, the manifest (nil for one) and the
+// logical records past it.
 func (s *Store) assemble(m *wal.Manifest, recs []*recovery) error {
 	// Membership and homes come from the shards themselves: an object's
 	// home is the shard whose recovered state holds it. An ID on two
@@ -746,9 +712,18 @@ func (s *Store) assemble(m *wal.Manifest, recs []*recovery) error {
 			home[id] = i
 		}
 	}
+	for _, o := range s.byID {
+		s.cache.Add(o)
+		s.dim = o.Dim()
+	}
+	if s.home == nil {
+		// One shard: its list is the database order, its version the
+		// store's epoch.
+		s.version = recs[0].sh.version
+		return nil
+	}
 	// The global order: manifest order, replayed forward through the
-	// logical records merged by their unique epochs. The cache epoch
-	// follows the live ticks of the replayed commits.
+	// logical records merged by their unique epochs.
 	var tail []wal.Record
 	for _, r := range recs {
 		for _, rec := range r.tail {
@@ -759,54 +734,32 @@ func (s *Store) assemble(m *wal.Manifest, recs []*recovery) error {
 	}
 	sort.Slice(tail, func(a, b int) bool { return tail[a].Global < tail[b].Global })
 	order := slices.Clone(m.Order)
-	touched := make(map[int]bool)
-	cacheVersion := m.CacheVersion
 	s.version = m.Version
 	for _, rec := range tail {
 		if rec.Global != s.version+1 {
 			return fmt.Errorf("store: journaled commit at epoch %d after epoch %d", rec.Global, s.version)
 		}
 		s.version = rec.Global
-		touched[rec.ID] = true
 		switch rec.Op {
 		case wal.OpInsert:
 			order = append(order, rec.ID)
-			cacheVersion++
 		case wal.OpDelete:
 			if k := slices.Index(order, rec.ID); k >= 0 {
 				order = slices.Delete(order, k, k+1)
 			}
-			cacheVersion++
-		case wal.OpUpdate:
-			cacheVersion += 2
 		}
 	}
 	if len(order) != len(s.byID) {
 		return fmt.Errorf("store: global order has %d objects, shards recovered %d", len(order), len(s.byID))
 	}
-	if s.home != nil {
-		s.home = home
-		for _, id := range order {
-			o, ok := s.byID[id]
-			if !ok {
-				return fmt.Errorf("store: global order references unknown object ID %d", id)
-			}
-			s.order.Append(o)
+	s.home = home
+	for _, id := range order {
+		o, ok := s.byID[id]
+		if !ok {
+			return fmt.Errorf("store: global order references unknown object ID %d", id)
 		}
+		s.order.Append(o)
 	}
-	for _, o := range s.byID {
-		s.cache.Add(o)
-		s.dim = o.Dim()
-	}
-	// Seed the cache for objects untouched since the manifest: their
-	// values are unchanged (moves re-encode the same object), so the
-	// checkpointed decomposition is the one a fresh split would compute.
-	for _, e := range m.Decomp {
-		if o, ok := s.byID[e.ID]; ok && !touched[e.ID] {
-			s.cache.Seed(o, e.Levels)
-		}
-	}
-	s.cache.SetVersion(cacheVersion)
 	for _, d := range danglers {
 		if err := s.migrateLocked(d.shard, d.o, wal.OpMoveOut); err != nil {
 			return fmt.Errorf("store: compensating interrupted migration of object %d: %w", d.o.ID, err)

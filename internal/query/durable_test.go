@@ -1,11 +1,13 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"probprune/internal/core"
@@ -312,9 +314,6 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 					if fmt.Sprint(gvv) != fmt.Sprint(wvv) {
 						t.Fatalf("%s: version vector %v, want %v", label, gvv, wvv)
 					}
-					if g, w := reopened.cache.Version(), mirror.cache.Version(); g != w {
-						t.Fatalf("%s: router cache epoch %d, want %d", label, g, w)
-					}
 					// The reopened store keeps serving: mutate both and
 					// compare again.
 					extra := uncertain.PointObject(100000+int(seed), geom.Point{0.31, 0.62})
@@ -381,48 +380,123 @@ func TestDurableStoreBasics(t *testing.T) {
 	}
 	defer reopened.Close()
 	compareBackends(t, "reopen", reopened, mirror)
-	if g, w := reopened.cache.Version(), mirror.cache.Version(); g != w {
-		t.Fatalf("cache epoch %d, want %d", g, w)
+}
+
+// TestCheckpointBytesIgnoreQueryHistory: a checkpoint holds objects
+// and versions only, so a store that ran KNNs before checkpointing
+// writes the same bytes as a mirror that ran none — the one-shard
+// checkpoint, and at four shards the MANIFEST and every shard's.
+func TestCheckpointBytesIgnoreQueryHistory(t *testing.T) {
+	opts := core.Options{MaxIterations: 4}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, ops := traceCase(t, 5, shards > 1)
+			var dirs [2]string
+			for i := range dirs {
+				dirs[i] = filepath.Join(t.TempDir(), "db")
+				s, err := BootstrapShardedStore(db, PersistOptions{Dir: dirs[i]}, ShardedOptions{Shards: shards}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, op := range ops {
+					applyOp(t, s, op)
+				}
+				if i == 1 {
+					for _, at := range []geom.Point{{0.5, 0.5}, {0.2, 0.7}, {0.9, 0.1}} {
+						s.KNN(uncertain.PointObject(-1, at), 3, 0.3)
+					}
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			files, err := filepath.Glob(filepath.Join(dirs[0], "*.ckpt"))
+			want := 1 // the checkpoint
+			if shards > 1 {
+				files, err = filepath.Glob(filepath.Join(dirs[0], "shard-*", "*.ckpt"))
+				files = append(files, filepath.Join(dirs[0], manifestName))
+				want = shards + 1 // every shard's checkpoint and the MANIFEST
+			}
+			if err != nil || len(files) != want {
+				t.Fatalf("checkpoint files %v (%v), want %d", files, err, want)
+			}
+			for _, path := range files {
+				rel, _ := filepath.Rel(dirs[0], path)
+				cold, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm, err := os.ReadFile(filepath.Join(dirs[1], rel))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(warm, cold) {
+					t.Fatalf("%s: %d bytes after KNNs, %d without", rel, len(warm), len(cold))
+				}
+			}
+		})
 	}
 }
 
-// TestReopenSkipsRedecomposition: a checkpoint persists the
-// decomposition cache, so a reopened store starts with the crashed
-// process's materialized kd-splits instead of lazy pins.
-func TestReopenSkipsRedecomposition(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db, _ := traceCase(t, 5, false)
-	opts := core.Options{MaxIterations: 4}
-	s, err := BootstrapStore(db, PersistOptions{Dir: dir}, opts)
+// TestOpenRefusesUnreadableCheckpoint: a store whose only checkpoint
+// (N = 1) or one shard's only checkpoint (N = 4) does not decode fails
+// to open, naming the file, and the file stays on disk byte for byte —
+// never an empty store, never a deleted checkpoint.
+func TestOpenRefusesUnreadableCheckpoint(t *testing.T) {
+	db, err := workload.Synthetic(workload.SyntheticConfig{N: 50, Samples: 4, MaxExtent: 0.05, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
-	before := s.KNN(q, 3, 0.3)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := OpenStore(PersistOptions{Dir: dir}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	materialized := 0
-	reopened.mu.RLock()
-	for o := range reopened.shards[0].list.All() {
-		if reopened.cache.Materialized(o) != nil {
-			materialized++
-		}
-	}
-	reopened.mu.RUnlock()
-	if materialized == 0 {
-		t.Fatal("no decomposition survived the checkpoint")
-	}
-	if err := matchesEqual(reopened.KNN(q, 3, 0.3), before); err != nil {
-		t.Fatalf("seeded decompositions changed the answer: %v", err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			sopts := ShardedOptions{Shards: shards}
+			s, err := BootstrapShardedStore(db, PersistOptions{Dir: dir}, sopts, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ckDir := dir
+			if shards > 1 {
+				ckDir = shardDir(dir, 1)
+			}
+			cks, err := filepath.Glob(filepath.Join(ckDir, "*.ckpt"))
+			if err != nil || len(cks) != 1 {
+				t.Fatalf("checkpoints %v (%v), want one", cks, err)
+			}
+			data, err := os.ReadFile(cks[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x40
+			if err := os.WriteFile(cks[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenShardedStore(PersistOptions{Dir: dir}, ShardedOptions{}, core.Options{})
+			if err == nil {
+				n, v := r.Len(), r.Version()
+				r.Close()
+				t.Fatalf("opened with %d objects at version %d over a corrupt checkpoint", n, v)
+			}
+			if !strings.Contains(err.Error(), filepath.Base(cks[0])) {
+				t.Fatalf("error %q does not name %s", err, filepath.Base(cks[0]))
+			}
+			after, err := os.ReadFile(cks[0])
+			if err != nil || !bytes.Equal(after, data) {
+				t.Fatalf("corrupt checkpoint not kept as it was (%v)", err)
+			}
+			if now, _ := filepath.Glob(filepath.Join(ckDir, "*.ckpt")); len(now) != 1 {
+				t.Fatalf("checkpoints after the failed open: %v", now)
+			}
+		})
 	}
 }
 

@@ -219,6 +219,7 @@ func TestFormatFixtures(t *testing.T) {
 		sopts ShardedOptions
 	}{
 		{"fixture-n1", ShardedOptions{Shards: 1}},
+		{"fixture-n1-v2", ShardedOptions{Shards: 1}},
 		{"fixture-n4", ShardedOptions{Shards: 4, Partition: StripeShards(0, 0, 1)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -253,12 +254,11 @@ func TestFormatFixtures(t *testing.T) {
 	}
 }
 
-// TestFormatFixtureN1Bytes: a one-shard directory written from the
-// fixture sequence is byte-identical to the one the previous commit
-// wrote.
-func TestFormatFixtureN1Bytes(t *testing.T) {
+// writeFixtureN1 writes the one-shard fixture sequence into dir:
+// bootstrap, the first ops, an explicit Checkpoint, the rest, Close.
+func writeFixtureN1(t *testing.T, dir string) {
+	t.Helper()
 	db, pre, tail := fixtureTrace(t, false)
-	dir := t.TempDir()
 	s, err := BootstrapStore(db, PersistOptions{Dir: dir}, core.Options{MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -275,21 +275,33 @@ func TestFormatFixtureN1Bytes(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := filepath.Join("testdata", "fixture-n1")
-	read := func(dir string) map[string][]byte {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
+}
+
+// readDir returns every file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
 			t.Fatal(err)
 		}
-		files := make(map[string][]byte, len(ents))
-		for _, e := range ents {
-			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return files
 	}
-	got, exp := read(dir), read(want)
+	return files
+}
+
+// TestFormatFixtureN1Bytes: a one-shard directory written from the
+// fixture sequence is byte-identical to testdata/fixture-n1-v2, and its
+// log — records did not change with the checkpoint format — to the v1
+// fixture's.
+func TestFormatFixtureN1Bytes(t *testing.T) {
+	dir := t.TempDir()
+	writeFixtureN1(t, dir)
+	got := readDir(t, dir)
+	exp := readDir(t, filepath.Join("testdata", "fixture-n1-v2"))
 	if len(got) != len(exp) {
 		t.Fatalf("wrote %d files, the fixture has %d", len(got), len(exp))
 	}
@@ -297,5 +309,9 @@ func TestFormatFixtureN1Bytes(t *testing.T) {
 		if !bytes.Equal(got[name], b) {
 			t.Fatalf("%s differs from the fixture (%d vs %d bytes)", name, len(got[name]), len(b))
 		}
+	}
+	const log = "wal-00000003.log"
+	if v1 := readDir(t, filepath.Join("testdata", "fixture-n1")); !bytes.Equal(got[log], v1[log]) {
+		t.Fatalf("%s differs from the v1 fixture's", log)
 	}
 }

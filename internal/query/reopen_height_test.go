@@ -13,12 +13,12 @@ import (
 	"probprune/internal/workload"
 )
 
-// TestReopenAtOtherMaxHeight: a checkpoint persists materialized
-// decomposition levels but not the height limit they were built at, so
-// a store reopened under a different MaxHeight must not pair the seeded
-// levels with child maps of another tree. Its answers must equal a
-// fresh store's at the new height, bit for bit, and every bound must
-// bracket the exact kNN probability.
+// TestReopenAtOtherMaxHeight: a checkpoint persists neither
+// decompositions nor the height limit they were built at, so a store
+// reopened under a different MaxHeight after queries ran must build its
+// trees at the new height. Its answers must equal a fresh store's at
+// the new height, bit for bit, and every bound must bracket the exact
+// kNN probability.
 func TestReopenAtOtherMaxHeight(t *testing.T) {
 	const k, tau = 10, 0.3
 	db, err := workload.Synthetic(workload.SyntheticConfig{N: 300, Samples: 64, Seed: 3})

@@ -10,21 +10,14 @@ import (
 )
 
 // Checkpoint is a snapshot of one store's durable state: the object
-// database in exact database order, the store version it was taken at,
-// and the materialized levels of the store's decomposition cache, so a
-// reopened store serves its first queries without re-splitting a single
-// object the crashed process had already decomposed.
+// database in exact database order and the store version it was taken
+// at. Decompositions are not persisted: a reopened store rebuilds each
+// object's kd-tree from its samples on first use.
 type Checkpoint struct {
 	// Version is the store mutation epoch the snapshot was taken at.
 	Version uint64
 	// Objects is the object database, in database order.
 	Objects []*uncertain.Object
-	// Decomp holds, per object (parallel to Objects), the materialized
-	// decomposition levels at checkpoint time; nil entries are objects
-	// whose decomposition was never needed. Decomp may be nil entirely.
-	Decomp [][][]uncertain.Partition
-	// CacheVersion is the decomposition cache epoch at the snapshot.
-	CacheVersion uint64
 
 	// firstSegment is the log-tail watermark: recovery replays segments
 	// with index >= firstSegment on top of this snapshot. Managed by
@@ -32,14 +25,10 @@ type Checkpoint struct {
 	firstSegment uint64
 }
 
-// appendCheckpoint encodes the checkpoint payload.
+// appendCheckpoint encodes the checkpoint payload (format v2).
 func appendCheckpoint(buf []byte, ck *Checkpoint) ([]byte, error) {
-	if ck.Decomp != nil && len(ck.Decomp) != len(ck.Objects) {
-		return nil, fmt.Errorf("wal: checkpoint with %d objects but %d decomposition entries", len(ck.Objects), len(ck.Decomp))
-	}
 	buf = binary.AppendUvarint(buf, ck.Version)
 	buf = binary.AppendUvarint(buf, ck.firstSegment)
-	buf = binary.AppendUvarint(buf, ck.CacheVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Objects)))
 	for _, o := range ck.Objects {
 		if o == nil {
@@ -47,23 +36,20 @@ func appendCheckpoint(buf []byte, ck *Checkpoint) ([]byte, error) {
 		}
 		buf = uncertain.AppendObject(buf, o)
 	}
-	for i := range ck.Objects {
-		var levels [][]uncertain.Partition
-		if ck.Decomp != nil {
-			levels = ck.Decomp[i]
-		}
-		buf = appendLevels(buf, levels)
-	}
 	return buf, nil
 }
 
-// decodeCheckpoint decodes a checkpoint payload.
-func decodeCheckpoint(b []byte) (*Checkpoint, error) {
+// decodeCheckpoint decodes a checkpoint payload. A v1 payload also
+// carries a cache epoch after the watermark and, after the objects, one
+// level section per object; both are read past and dropped.
+func decodeCheckpoint(b []byte, v1 bool) (*Checkpoint, error) {
 	d := decoder{b: b}
 	ck := &Checkpoint{}
 	ck.Version = d.uvarint()
 	ck.firstSegment = d.uvarint()
-	ck.CacheVersion = d.uvarint()
+	if v1 {
+		d.uvarint() // cache epoch
+	}
 	n := d.count("object", 8)
 	if d.err != nil {
 		return nil, d.err
@@ -80,12 +66,13 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		}
 		seen[ck.Objects[i].ID] = true
 	}
-	ck.Decomp = make([][][]uncertain.Partition, n)
-	for i := range ck.Decomp {
-		ck.Decomp[i] = d.levels(ck.Objects[i].Dim())
-		if d.err != nil {
-			return nil, d.err
+	if v1 {
+		for _, o := range ck.Objects {
+			d.skipLevels(o.Dim())
 		}
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("wal: %d trailing bytes after checkpoint", len(d.b))
@@ -93,40 +80,20 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// appendLevels encodes one object's materialized decomposition levels.
-func appendLevels(buf []byte, levels [][]uncertain.Partition) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(levels)))
-	for _, parts := range levels {
-		buf = binary.AppendUvarint(buf, uint64(len(parts)))
-		for _, p := range parts {
-			buf = appendRect(buf, p.MBR)
-			buf = appendFloat(buf, p.Prob)
-		}
-	}
-	return buf
-}
-
-// levels decodes one object's decomposition levels (dim floats per
-// rectangle side).
-func (d *decoder) levels(dim int) [][]uncertain.Partition {
-	n := d.count("level", 1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	levels := make([][]uncertain.Partition, n)
-	for i := range levels {
-		m := d.count("partition", dim*16+8)
+// skipLevels reads past one object's v1 decomposition levels: a level
+// count, then per level a partition count and that many partitions of
+// dim-dimensional rectangle (2·dim floats) plus probability (one
+// float). The counts are bounded by the remaining input, as a decode of
+// them would be; nothing is allocated.
+func (d *decoder) skipLevels(dim int) {
+	width := dim*16 + 8
+	for range d.count("level", 1) {
+		m := d.count("partition", width)
 		if d.err != nil {
-			return nil
+			return
 		}
-		parts := make([]uncertain.Partition, m)
-		for k := range parts {
-			parts[k].MBR = d.rect(dim)
-			parts[k].Prob = d.float()
-		}
-		levels[i] = parts
+		d.b = d.b[m*width:]
 	}
-	return levels
 }
 
 // frameBlob wraps a payload in [magic][len][crc][payload] — the single
@@ -154,6 +121,17 @@ func unframeBlob(magic string, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// unframeVersioned strips the frame of a v2 file (magic) or of its v1
+// predecessor (v1Magic) and reports which one it was.
+func unframeVersioned(magic, v1Magic string, data []byte) (payload []byte, v1 bool, err error) {
+	if len(data) >= len(v1Magic) && string(data[:len(v1Magic)]) == v1Magic {
+		payload, err = unframeBlob(v1Magic, data)
+		return payload, true, err
+	}
+	payload, err = unframeBlob(magic, data)
+	return payload, false, err
+}
+
 // saveCheckpointFile atomically writes ck to path.
 func saveCheckpointFile(path string, ck *Checkpoint) error {
 	payload, err := appendCheckpoint(nil, ck)
@@ -164,32 +142,24 @@ func saveCheckpointFile(path string, ck *Checkpoint) error {
 }
 
 // loadCheckpointFile reads a checkpoint installed by
-// Journal.WriteCheckpoint.
+// Journal.WriteCheckpoint, in either format version.
 func loadCheckpointFile(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := unframeBlob(ckptMagic, data)
+	payload, v1, err := unframeVersioned(ckptMagic, ckptMagicV1, data)
 	if err != nil {
 		return nil, err
 	}
-	return decodeCheckpoint(payload)
-}
-
-// DecompEntry carries one object's materialized decomposition levels in
-// a router manifest, keyed by object ID.
-type DecompEntry struct {
-	ID     int
-	Dim    int
-	Levels [][]uncertain.Partition
+	return decodeCheckpoint(payload, v1)
 }
 
 // Manifest is the router-level durable state of a sharded store: the
 // shard count, the router mutation epoch of the last coordinated
-// checkpoint, the global insertion order at that epoch (object IDs —
-// the instances live in the shard checkpoints), and the router's own
-// decomposition cache. Per-shard logs carry the router epoch on every
+// checkpoint, the per-shard versions of that cut and the global
+// insertion order at that epoch (object IDs — the instances live in the
+// shard checkpoints). Per-shard logs carry the router epoch on every
 // record, so recovery rebuilds the global order as manifest order plus
 // the merged logical records with epoch > Manifest.Version.
 type Manifest struct {
@@ -204,18 +174,12 @@ type Manifest struct {
 	// Order is the global database order at the checkpoint, as object
 	// IDs.
 	Order []int
-	// Decomp holds the router cache's materialized decompositions for a
-	// subset of Order.
-	Decomp []DecompEntry
-	// CacheVersion is the router cache epoch at the checkpoint.
-	CacheVersion uint64
 }
 
-// appendManifest encodes the manifest payload.
+// appendManifest encodes the manifest payload (format v2).
 func appendManifest(buf []byte, m *Manifest) []byte {
 	buf = binary.AppendUvarint(buf, m.Version)
 	buf = binary.AppendUvarint(buf, uint64(m.Shards))
-	buf = binary.AppendUvarint(buf, m.CacheVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(m.VV)))
 	for _, v := range m.VV {
 		buf = binary.AppendUvarint(buf, v)
@@ -224,22 +188,20 @@ func appendManifest(buf []byte, m *Manifest) []byte {
 	for _, id := range m.Order {
 		buf = binary.AppendVarint(buf, int64(id))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(m.Decomp)))
-	for _, e := range m.Decomp {
-		buf = binary.AppendVarint(buf, int64(e.ID))
-		buf = binary.AppendUvarint(buf, uint64(e.Dim))
-		buf = appendLevels(buf, e.Levels)
-	}
 	return buf
 }
 
-// decodeManifest decodes a manifest payload.
-func decodeManifest(b []byte) (*Manifest, error) {
+// decodeManifest decodes a manifest payload. A v1 payload also carries a
+// cache epoch after the shard count and, after the order, a section of
+// per-object decomposition levels; both are read past and dropped.
+func decodeManifest(b []byte, v1 bool) (*Manifest, error) {
 	d := decoder{b: b}
 	m := &Manifest{}
 	m.Version = d.uvarint()
 	m.Shards = int(d.uvarint())
-	m.CacheVersion = d.uvarint()
+	if v1 {
+		d.uvarint() // cache epoch
+	}
 	if d.err == nil && (m.Shards < 1 || m.Shards > 1<<16) {
 		d.fail("manifest shard count %d", m.Shards)
 	}
@@ -259,22 +221,18 @@ func decodeManifest(b []byte) (*Manifest, error) {
 	for i := range m.Order {
 		m.Order[i] = int(d.varint())
 	}
-	ne := d.count("decomposition", 2)
-	if d.err != nil {
-		return nil, d.err
-	}
-	m.Decomp = make([]DecompEntry, ne)
-	for i := range m.Decomp {
-		m.Decomp[i].ID = int(d.varint())
-		dim := int(d.uvarint())
-		if d.err == nil && (dim < 1 || dim > uncertain.MaxCodecDim) {
-			d.fail("decomposition entry dimensionality %d", dim)
+	if v1 {
+		for range d.count("decomposition", 2) {
+			d.varint() // object ID
+			dim := int(d.uvarint())
+			if d.err == nil && (dim < 1 || dim > uncertain.MaxCodecDim) {
+				d.fail("decomposition entry dimensionality %d", dim)
+			}
+			d.skipLevels(dim)
+			if d.err != nil {
+				break
+			}
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		m.Decomp[i].Dim = dim
-		m.Decomp[i].Levels = d.levels(dim)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -290,8 +248,9 @@ func SaveManifest(path string, m *Manifest) error {
 	return writeFileAtomic(path, frameBlob(maniMagic, appendManifest(nil, m)))
 }
 
-// LoadManifest reads a manifest written by SaveManifest. A missing file
-// returns (nil, nil): the directory is fresh.
+// LoadManifest reads a manifest written by SaveManifest, in either
+// format version. A missing file returns (nil, nil): the directory is
+// fresh.
 func LoadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -300,9 +259,9 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := unframeBlob(maniMagic, data)
+	payload, v1, err := unframeVersioned(maniMagic, maniMagicV1, data)
 	if err != nil {
 		return nil, err
 	}
-	return decodeManifest(payload)
+	return decodeManifest(payload, v1)
 }

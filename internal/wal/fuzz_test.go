@@ -92,8 +92,9 @@ func seedSegment(f *testing.F, seed int64) []byte {
 }
 
 // FuzzCheckpointDecode targets the checkpoint/manifest blob codecs:
-// arbitrary bytes must decode or fail cleanly, and whatever decodes
-// must survive a re-encode/decode round trip unchanged (byte equality
+// arbitrary bytes must decode or fail cleanly, and whatever decodes, as
+// v2 or as v1 (whose decomposition levels and cache epoch are read
+// past), must re-encode as v2 and decode back unchanged (byte equality
 // is deliberately not asserted — varints have non-minimal encodings).
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -110,22 +111,26 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add(append([]byte(maniMagic), data[len(ckptMagic):]...))
+	f.Add(v1CheckpointFile(&Checkpoint{Version: 3, Objects: db}, 5, v1TestLevels(db)))
+	o := db[1]
+	f.Add(v1ManifestFile(&Manifest{Version: 7, Shards: 2, VV: []uint64{3, 4}, Order: []int{2, o.ID, 0}}, 9,
+		[]v1Levels{{ID: o.ID, Dim: o.Dim(), Levels: v1TestLevels(db)[3%len(db)]}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if payload, err := unframeBlob(ckptMagic, data); err == nil {
-			if ck, err := decodeCheckpoint(payload); err == nil {
+		if payload, v1, err := unframeVersioned(ckptMagic, ckptMagicV1, data); err == nil {
+			if ck, err := decodeCheckpoint(payload, v1); err == nil {
 				re, err := appendCheckpoint(nil, ck)
 				if err != nil {
 					t.Fatalf("decoded checkpoint does not re-encode: %v", err)
 				}
-				ck2, err := decodeCheckpoint(re)
+				ck2, err := decodeCheckpoint(re, false)
 				if err != nil || !reflect.DeepEqual(ck, ck2) {
 					t.Fatalf("checkpoint round trip changed (%v)", err)
 				}
 			}
 		}
-		if payload, err := unframeBlob(maniMagic, data); err == nil {
-			if m, err := decodeManifest(payload); err == nil {
-				m2, err := decodeManifest(appendManifest(nil, m))
+		if payload, v1, err := unframeVersioned(maniMagic, maniMagicV1, data); err == nil {
+			if m, err := decodeManifest(payload, v1); err == nil {
+				m2, err := decodeManifest(appendManifest(nil, m), false)
 				if err != nil || !reflect.DeepEqual(m, m2) {
 					t.Fatalf("manifest round trip changed (%v)", err)
 				}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"probprune/internal/geom"
 	"probprune/internal/uncertain"
 )
 
@@ -125,16 +124,6 @@ func decodeRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
-func appendRect(buf []byte, r geom.Rect) []byte {
-	for _, c := range r.Min {
-		buf = appendFloat(buf, c)
-	}
-	for _, c := range r.Max {
-		buf = appendFloat(buf, c)
-	}
-	return buf
-}
-
 func appendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
@@ -213,18 +202,6 @@ func (d *decoder) count(what string, width int) int {
 		return 0
 	}
 	return int(v)
-}
-
-func (d *decoder) point(dim int) geom.Point {
-	p := make(geom.Point, dim)
-	for i := range p {
-		p[i] = d.float()
-	}
-	return p
-}
-
-func (d *decoder) rect(dim int) geom.Rect {
-	return geom.Rect{Min: d.point(dim), Max: d.point(dim)}
 }
 
 // object decodes an object in the shared object codec

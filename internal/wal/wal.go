@@ -1,9 +1,9 @@
 // Package wal provides the durability layer under the live stores: a
 // segmented, CRC-framed write-ahead log of store mutations plus
-// checkpoint snapshots that persist the object database together with
-// its decomposition cache, so a reopened store recovers bit-identically
-// to the pre-crash one without re-decomposing anything the crashed
-// process had already paid for.
+// checkpoint snapshots of the object database, so a reopened store
+// recovers bit-identically to the pre-crash one. Checkpoints hold
+// objects and versions only; each object's decomposition is rebuilt
+// from its samples when a query first needs it.
 //
 // # On-disk layout
 //
@@ -19,8 +19,10 @@
 // A checkpoint file is the same framing around one checkpoint payload,
 // and records which segment index the log tail starts at. The directory
 // is self-describing: on open, the newest checkpoint that decodes
-// cleanly wins, segments older than its tail watermark are garbage from
-// an interrupted truncation and are removed.
+// cleanly wins; older checkpoints and segments older than its tail
+// watermark are garbage from an interrupted truncation and are removed.
+// A directory whose checkpoints all fail to decode is refused, and
+// nothing in it is removed.
 //
 // # Crash safety
 //
@@ -119,8 +121,13 @@ func (o Options) syncEvery() time.Duration {
 
 const (
 	segMagic  = "ppwal\x00\x01\n"
-	ckptMagic = "ppckpt\x01\n"
-	maniMagic = "ppmani\x01\n"
+	ckptMagic = "ppckpt\x02\n"
+	maniMagic = "ppmani\x02\n"
+
+	// Format v1 of checkpoints and manifests also persisted
+	// decomposition levels and a cache epoch; it is still read.
+	ckptMagicV1 = "ppckpt\x01\n"
+	maniMagicV1 = "ppmani\x01\n"
 
 	frameHeader = 8       // u32 length + u32 crc
 	maxFrame    = 1 << 28 // sanity bound on a single payload
@@ -253,9 +260,13 @@ func (j *Journal) Checkpoint() *Checkpoint {
 	return j.ck
 }
 
-// loadCheckpoint scans the directory for the newest checkpoint that
-// decodes cleanly and removes files an interrupted truncation left
-// behind (older checkpoints, segments before the tail watermark).
+// loadCheckpoint loads the newest checkpoint that decodes cleanly and
+// removes files an interrupted truncation left behind: checkpoints older
+// than the loaded one and segments before its tail watermark. A newer
+// file that does not decode (a torn install) is left in place. When
+// checkpoint files exist and none decodes, loadCheckpoint fails naming
+// the newest and removes nothing: opening such a directory empty would
+// lose the store.
 func (j *Journal) loadCheckpoint() error {
 	entries, err := os.ReadDir(j.dir)
 	if err != nil {
@@ -269,18 +280,26 @@ func (j *Journal) loadCheckpoint() error {
 		}
 	}
 	sort.Slice(cks, func(a, b int) bool { return cks[a] > cks[b] })
+	var firstErr error
 	for _, i := range cks {
-		ck, err := loadCheckpointFile(filepath.Join(j.dir, ckptName(i)))
+		path := filepath.Join(j.dir, ckptName(i))
+		ck, err := loadCheckpointFile(path)
 		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("wal: checkpoint %s: %w", path, err)
+			}
 			continue // partial write of a newer checkpoint: fall back
 		}
 		j.ck, j.ckSeg, j.ckIndex = ck, ck.firstSegment, i
 		break
 	}
+	if j.ck == nil && firstErr != nil {
+		return firstErr
+	}
 	// Remove stale files: superseded checkpoints and pre-watermark
 	// segments (crash between checkpoint install and truncation).
 	for _, i := range cks {
-		if i != j.ckIndex {
+		if i < j.ckIndex {
 			os.Remove(filepath.Join(j.dir, ckptName(i)))
 		}
 	}

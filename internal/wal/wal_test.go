@@ -167,7 +167,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ck := &Checkpoint{Version: 50, Objects: db, CacheVersion: 10}
+	ck := &Checkpoint{Version: 50, Objects: db}
 	if err := j.WriteCheckpoint(ck); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 	defer j2.Close()
 	ck2 := j2.Checkpoint()
-	if ck2 == nil || ck2.Version != 50 || ck2.CacheVersion != 10 || len(ck2.Objects) != len(db) {
+	if ck2 == nil || ck2.Version != 50 || len(ck2.Objects) != len(db) {
 		t.Fatalf("checkpoint not recovered: %+v", ck2)
 	}
 	for i, o := range ck2.Objects {
@@ -218,64 +218,51 @@ func mustSynthetic(t testing.TB, n, samples int) []*uncertain.Object {
 	return db
 }
 
-// TestCheckpointDecompRoundTrip: materialized decomposition levels
-// survive the checkpoint codec bit for bit.
-func TestCheckpointDecompRoundTrip(t *testing.T) {
+// TestCheckpointV1SkipsLevels: a v1 checkpoint loads to the same
+// objects, version and watermark as the v2 file of the same state; its
+// cache epoch and decomposition levels are read past, and a level
+// section that overruns the file fails the load.
+func TestCheckpointV1SkipsLevels(t *testing.T) {
 	db := mustSynthetic(t, 6, 8)
-	decomp := make([][][]uncertain.Partition, len(db))
-	for i, o := range db {
-		tree := uncertain.NewDecompTree(o, 0)
-		for l := 0; l <= i%4; l++ {
-			decomp[i] = append(decomp[i], tree.PartitionsAtLevel(l))
-		}
-	}
-	path := filepath.Join(t.TempDir(), "snap.ckpt")
-	ck := &Checkpoint{Version: 9, Objects: db, Decomp: decomp, CacheVersion: 3}
-	if err := saveCheckpointFile(path, ck); err != nil {
+	ck := &Checkpoint{Version: 9, Objects: db, firstSegment: 4}
+	dir := t.TempDir()
+	v1, v2 := filepath.Join(dir, "v1.ckpt"), filepath.Join(dir, "v2.ckpt")
+	if err := os.WriteFile(v1, v1CheckpointFile(ck, 3, v1TestLevels(db)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadCheckpointFile(path)
-	if err != nil {
+	if err := saveCheckpointFile(v2, ck); err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 9 || got.CacheVersion != 3 {
-		t.Fatalf("versions changed: %+v", got)
-	}
-	if !reflect.DeepEqual(ck.Objects, got.Objects) {
-		t.Fatal("objects changed in round trip")
-	}
-	for i := range decomp {
-		if len(decomp[i]) == 0 {
-			if len(got.Decomp[i]) != 0 {
-				t.Fatalf("object %d: spurious levels", i)
-			}
-			continue
+	for _, path := range []string{v1, v2} {
+		got, err := loadCheckpointFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
 		}
-		if !reflect.DeepEqual(decomp[i], got.Decomp[i]) {
-			t.Fatalf("object %d: levels changed in round trip", i)
+		if !reflect.DeepEqual(ck, got) {
+			t.Fatalf("%s: checkpoint changed in round trip", filepath.Base(path))
 		}
+	}
+	// A partition count larger than what follows is refused, not
+	// allocated: the last object's section claims 1<<40 partitions.
+	data := v1CheckpointFile(&Checkpoint{Objects: db[:1]}, 0, nil)
+	payload, _ := unframeBlob(ckptMagicV1, data)
+	payload = binary.AppendUvarint(payload[:len(payload)-1], 1) // one level
+	payload = binary.AppendUvarint(payload, 1<<40)
+	if _, err := decodeCheckpoint(payload, true); err == nil {
+		t.Fatal("v1 level section past the end of the file decoded")
 	}
 }
 
-// TestManifestRoundTrip: the router manifest codec is the identity.
+// TestManifestRoundTrip: the router manifest codec is the identity, and
+// a v1 manifest loads to the same manifest with its cache epoch and
+// decomposition entries read past.
 func TestManifestRoundTrip(t *testing.T) {
 	db := mustSynthetic(t, 4, 6)
-	var entries []DecompEntry
-	for i, o := range db[:2] {
-		tree := uncertain.NewDecompTree(o, 0)
-		entries = append(entries, DecompEntry{
-			ID:     o.ID,
-			Dim:    o.Dim(),
-			Levels: [][]uncertain.Partition{tree.PartitionsAtLevel(0), tree.PartitionsAtLevel(i + 1)},
-		})
-	}
 	m := &Manifest{
-		Version:      42,
-		Shards:       4,
-		VV:           []uint64{1, 0, 7, 3},
-		Order:        []int{3, 0, 2, 1},
-		Decomp:       entries,
-		CacheVersion: 17,
+		Version: 42,
+		Shards:  4,
+		VV:      []uint64{1, 0, 7, 3},
+		Order:   []int{3, 0, 2, 1},
 	}
 	path := filepath.Join(t.TempDir(), "MANIFEST")
 	if err := SaveManifest(path, m); err != nil {
@@ -287,6 +274,21 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("manifest round trip changed:\n%+v\n%+v", m, got)
+	}
+	var entries []v1Levels
+	for i, o := range db[:2] {
+		tree := uncertain.NewDecompTree(o, 0)
+		entries = append(entries, v1Levels{
+			ID:     o.ID,
+			Dim:    o.Dim(),
+			Levels: [][]uncertain.Partition{tree.PartitionsAtLevel(0), tree.PartitionsAtLevel(i + 1)},
+		})
+	}
+	if err := os.WriteFile(path, v1ManifestFile(m, 17, entries), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = LoadManifest(path); err != nil || !reflect.DeepEqual(m, got) {
+		t.Fatalf("v1 manifest loaded as %+v, %v", got, err)
 	}
 	// Missing file: fresh directory signal, not an error.
 	none, err := LoadManifest(filepath.Join(t.TempDir(), "MANIFEST"))
