@@ -14,9 +14,12 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -128,18 +131,15 @@ func TestShardedWarmKNNAllocCeiling(t *testing.T) {
 }
 
 // watchedStore builds the write path of a served store: a volatile
-// one-shard Store of 10^4 8-sample objects (extent 0.004) with a Watch
-// hook attached, as udbserver attaches its continuous-query monitor at
+// one-shard Store of n 8-sample objects (extent 0.004) with a Watch hook
+// attached, as udbserver attaches its continuous-query monitor at
 // start, so every commit publishes a snapshot and the next one detaches
 // the shard from it. It returns the store and a ring of seeded drift
 // updates: each moves a random object a small step, 8 fresh samples in
 // a box of the same extent, reflecting at the unit-square borders.
-func watchedStore(tb testing.TB) (*probprune.Store, []*probprune.Object) {
+func watchedStore(tb testing.TB, n int) (*probprune.Store, []*probprune.Object) {
 	tb.Helper()
-	const (
-		n      = 10000
-		extent = 0.004
-	)
+	const extent = 0.004
 	db, err := probprune.Synthetic(probprune.SyntheticConfig{N: n, Samples: 8, MaxExtent: extent, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
@@ -172,12 +172,17 @@ func watchedStore(tb testing.TB) (*probprune.Store, []*probprune.Object) {
 	return s, updates
 }
 
+// watchedBenchSizes are the store sizes of the watched-commit
+// benchmarks: a commit copies pages, not the database, so its cost
+// should barely move between them.
+var watchedBenchSizes = []int{10000, 100000}
+
 // TestStoreWatchedUpdateAllocCeiling: a watched Update copies only the
-// R-tree pages and the object-list chunk the commit writes, plus the
+// R-tree pages and the object-slab chunk the commit writes, plus the
 // two page tables, so it allocates at most 48 KB at 10^4 objects; a
-// clone of the whole list alone would be 80 KB.
+// clone of the whole slab alone would be 80 KB.
 func TestStoreWatchedUpdateAllocCeiling(t *testing.T) {
-	s, updates := watchedStore(t)
+	s, updates := watchedStore(t, 10000)
 	for _, o := range updates[:128] { // warm the tree's mutation scratch
 		if err := s.Update(o); err != nil {
 			t.Fatal(err)
@@ -199,16 +204,119 @@ func TestStoreWatchedUpdateAllocCeiling(t *testing.T) {
 }
 
 // BenchmarkStoreWatchedUpdate: the commit cost TestStoreWatchedUpdateAllocCeiling
-// bounds, in time and bytes per Update.
+// bounds, in time and bytes per Update, at 10^4 and 10^5 objects.
 func BenchmarkStoreWatchedUpdate(b *testing.B) {
-	s, updates := watchedStore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Update(updates[i%len(updates)]); err != nil {
-			b.Fatal(err)
+	for _, n := range watchedBenchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s, updates := watchedStore(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Update(updates[i%len(updates)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// watchedDeletes returns count distinct seeded IDs of watchedStore's
+// objects to delete.
+func watchedDeletes(n, count int) []int {
+	return rand.New(rand.NewSource(6)).Perm(n)[:count]
+}
+
+// TestStoreWatchedDeleteAllocCeiling: a watched Delete moves the slab's
+// last object into the freed slot, so it copies at most two slab chunks
+// and the R-tree pages it writes — at most 48 KB at 10^4 objects, the
+// ceiling of an Update. Shifting the slab tail instead copied every
+// chunk after the deleted slot.
+func TestStoreWatchedDeleteAllocCeiling(t *testing.T) {
+	const n = 10000
+	s, updates := watchedStore(t, n)
+	for _, o := range updates[:128] { // warm the tree's mutation scratch
+		if err := s.Update(o); err != nil {
+			t.Fatal(err)
 		}
 	}
+	ids := watchedDeletes(n, 512)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		if ok, err := s.Delete(id); !ok || err != nil {
+			t.Fatalf("delete of %d: %v, %v", id, ok, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ids))
+	if perOp > 48e3 {
+		t.Fatalf("watched Delete allocated %.0f B per op, ceiling 48000", perOp)
+	}
+	t.Logf("watched Delete: %.0f B per op (ceiling 48000)", perOp)
+}
+
+// BenchmarkStoreWatchedDelete: the commit cost TestStoreWatchedDeleteAllocCeiling
+// bounds, in time and bytes per Delete, at 10^4 and 10^5 objects. Each
+// deleted object is inserted back with the timer stopped, so the store
+// keeps its size.
+func BenchmarkStoreWatchedDelete(b *testing.B) {
+	for _, n := range watchedBenchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s, _ := watchedStore(b, n)
+			ids := watchedDeletes(n, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := ids[i%n]
+				o, _ := s.Get(id)
+				if ok, err := s.Delete(id); !ok || err != nil {
+					b.Fatalf("delete of %d: %v, %v", id, ok, err)
+				}
+				b.StopTimer()
+				if err := s.Insert(o); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// TestCheckpointAllocCeiling: a checkpoint is encoded into one buffer
+// presized from its objects' encoded size and framed in place, so
+// writing one allocates at most twice the file it writes — at 10^4
+// 64-sample objects, where growing the buffer from nil and copying the
+// payload into a frame allocated ~7x.
+func TestCheckpointAllocCeiling(t *testing.T) {
+	db, err := probprune.Synthetic(probprune.SyntheticConfig{N: 10000, Samples: 64, MaxExtent: 0.004, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := probprune.BootstrapStore(db, probprune.PersistOptions{Dir: dir}, probprune.Options{MaxIterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("checkpoint files %v (%v), want one", files, err)
+	}
+	fi, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if ratio := float64(alloc) / float64(fi.Size()); ratio > 2 {
+		t.Fatalf("a checkpoint write allocated %d B for a %d B file (%.2fx), ceiling 2x", alloc, fi.Size(), ratio)
+	}
+	t.Logf("checkpoint write: %d B allocated for a %d B file", alloc, fi.Size())
 }
 
 // TestSubscribeSessionAllocCeiling: a served subscription holds what

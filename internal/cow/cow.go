@@ -3,7 +3,8 @@
 // page. A table writes in place only the pages it owns and copies any
 // other page on its first write to it, so a write after a clone costs
 // the pages it touches, not the structure. The R-tree keeps its nodes in
-// such a table, and List — the store's object lists — its chunks.
+// such a table, and List — the slab of a store shard's objects — its
+// chunks.
 package cow
 
 import (
@@ -97,20 +98,20 @@ func (c *chunk[T]) Copy() *chunk[T] {
 	return &d
 }
 
-// List is a sequence kept in fixed-size chunks behind a copy-on-write
+// List is a slab kept in fixed-size chunks behind a copy-on-write
 // Table: element i lives in chunk i/chunkLen, every chunk but the last
 // is full. A clone shares every chunk, so Set and Append after a Clone
-// copy the one chunk they write; Delete shifts the tail and copies every
-// chunk from the deleted position on. The zero value is an empty list.
-// Like Table, a List may be read concurrently; writes and clones require
-// exclusive access.
-type List[T comparable] struct {
+// copy the one chunk they write, and Delete — which moves the last
+// element into the freed position — copies at most two. The zero value
+// is an empty list. Like Table, a List may be read concurrently; writes
+// and clones require exclusive access.
+type List[T any] struct {
 	n      int
 	chunks Table[chunk[T], *chunk[T]]
 }
 
 // ListOf returns a list holding a copy of s.
-func ListOf[T comparable](s []T) List[T] {
+func ListOf[T any](s []T) List[T] {
 	var l List[T]
 	for len(s) > 0 {
 		c := new(chunk[T])
@@ -125,6 +126,9 @@ func ListOf[T comparable](s []T) List[T] {
 // Len returns the number of elements.
 func (l *List[T]) Len() int { return l.n }
 
+// At returns element i.
+func (l *List[T]) At(i int) T { return l.chunks.At(i >> chunkShift)[i&chunkMask] }
+
 // Set overwrites element i.
 func (l *List[T]) Set(i int, v T) { l.chunks.Writable(i >> chunkShift)[i&chunkMask] = v }
 
@@ -137,32 +141,20 @@ func (l *List[T]) Append(v T) {
 	l.Set(l.n-1, v)
 }
 
-// Delete removes element i, shifting the elements after it down by one.
+// Delete removes element i by moving the last element into position i,
+// so it writes at most two chunks: i's and the last one.
 func (l *List[T]) Delete(i int) {
-	last := l.chunks.Len() - 1
-	for ci, lo := i>>chunkShift, i&chunkMask; ci <= last; ci, lo = ci+1, 0 {
-		c := l.chunks.Writable(ci)
-		copy(c[lo:], c[lo+1:])
-		var next T // the last chunk's free tail is zero
-		if ci < last {
-			next = l.chunks.At(ci + 1)[0]
-		}
-		c[chunkMask] = next
+	last := l.n - 1
+	if i != last {
+		l.Set(i, l.At(last))
 	}
-	l.n--
-	if l.n&chunkMask == 0 {
-		l.chunks.Truncate(l.n >> chunkShift)
+	l.n = last
+	if last&chunkMask == 0 {
+		l.chunks.Truncate(last >> chunkShift)
+		return
 	}
-}
-
-// Index returns the position of the first element equal to v, or -1.
-func (l *List[T]) Index(v T) int {
-	for ci := range l.chunks.Len() {
-		if k := slices.Index(l.chunk(ci), v); k >= 0 {
-			return ci<<chunkShift + k
-		}
-	}
-	return -1
+	var zero T
+	l.Set(last, zero) // the free tail holds no stale element
 }
 
 // All iterates over the elements in order.

@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-// absent is a value no transcript writes: they write random
-// non-negatives and small negative counters.
-const absent = -1 << 62
-
 // generation is one live List and the flat slice it must equal.
 type generation struct {
 	l   List[int]
@@ -17,10 +13,12 @@ type generation struct {
 }
 
 // TestListTranscript drives seeded Set/Append/Delete/Clone transcripts
-// across chunk boundaries while up to three earlier clones stay live,
+// across chunk boundaries while up to four earlier clones stay live,
 // sends every write to a randomly chosen live generation and checks all
 // of them against their flat references after every step: writes never
-// cross a clone, and order survives every edit.
+// cross a clone, and a Delete moves exactly the last element into the
+// freed position. The check counts the live clones and requires that
+// every seed ran with at least three at once.
 func TestListTranscript(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -29,7 +27,7 @@ func TestListTranscript(t *testing.T) {
 			start[i] = rng.Int()
 		}
 		gens := []*generation{{l: ListOf(start), ref: slices.Clone(start)}}
-		next := 0
+		next, maxLive := 0, 0
 		for step := 0; step < 3000; step++ {
 			g := gens[rng.Intn(len(gens))]
 			switch op := rng.Intn(10); {
@@ -43,19 +41,27 @@ func TestListTranscript(t *testing.T) {
 				g.l.Append(-next)
 				g.ref = append(g.ref, -next)
 			case op < 9 && len(g.ref) > 0:
-				i := rng.Intn(len(g.ref))
+				i, last := rng.Intn(len(g.ref)), len(g.ref)-1
+				if step%4 == 0 {
+					i = last // the slot a Delete frees without moving anything
+				}
 				g.l.Delete(i)
-				g.ref = slices.Delete(g.ref, i, i+1)
+				g.ref[i] = g.ref[last]
+				g.ref = g.ref[:last]
 			default:
 				c := &generation{l: g.l.Clone(), ref: slices.Clone(g.ref)}
 				gens = append(gens, c)
-				if len(gens) > 4 {
+				if len(gens) > 5 {
 					gens = gens[1:]
 				}
 			}
+			maxLive = max(maxLive, len(gens)-1)
 			for gi, g := range gens {
 				checkList(t, seed, step, gi, g)
 			}
+		}
+		if maxLive < 3 {
+			t.Fatalf("seed %d: at most %d clones were live at once, want 3", seed, maxLive)
 		}
 	}
 }
@@ -76,13 +82,16 @@ func checkList(t *testing.T, seed int64, step, gi int, g *generation) {
 		t.Fatalf("seed %d step %d gen %d: All differs from the reference", seed, step, gi)
 	}
 	if n := len(g.ref); n > 0 {
-		i := (step * 7) % n
-		if g.l.Index(g.ref[i]) != slices.Index(g.ref, g.ref[i]) {
-			t.Fatalf("seed %d step %d gen %d: Index of element %d disagrees with the reference", seed, step, gi, i)
+		if i := (step * 7) % n; g.l.At(i) != g.ref[i] {
+			t.Fatalf("seed %d step %d gen %d: At(%d) disagrees with the reference", seed, step, gi, i)
 		}
 	}
-	if g.l.Index(absent) != -1 {
-		t.Fatalf("seed %d step %d gen %d: Index found a value the list does not hold", seed, step, gi)
+	if n := g.l.Len(); n&chunkMask != 0 {
+		for _, v := range g.l.chunks.At(n >> chunkShift)[n&chunkMask:] {
+			if v != 0 {
+				t.Fatalf("seed %d step %d gen %d: the last chunk's free tail holds %d", seed, step, gi, v)
+			}
+		}
 	}
 	if want := (len(g.ref) + chunkLen - 1) / chunkLen; g.l.chunks.Len() != want {
 		t.Fatalf("seed %d step %d gen %d: %d chunks for %d elements, want %d", seed, step, gi, g.l.chunks.Len(), len(g.ref), want)
@@ -121,5 +130,56 @@ func TestListWriteCopiesOneChunk(t *testing.T) {
 	}
 	if a.Slice()[3*chunkLen+1] != 0 || a.Len() != len(src) {
 		t.Fatal("a write to the clone showed in the original")
+	}
+}
+
+// TestListDeleteCopiesAtMostTwoChunks: after a Clone, a Delete copies
+// the chunk of the freed position and the last chunk — one when they
+// are the same — and shares every other chunk with the clone; a Delete
+// that empties the last chunk drops it without copying it.
+func TestListDeleteCopiesAtMostTwoChunks(t *testing.T) {
+	src := make([]int, 10*chunkLen+5)
+	for i := range src {
+		src[i] = i + 1
+	}
+	a := ListOf(src)
+	shared := func(b *List[int]) int {
+		n := 0
+		for ci := range min(a.chunks.Len(), b.chunks.Len()) {
+			if a.chunks.At(ci) == b.chunks.At(ci) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name   string
+		i      int
+		shared int
+	}{
+		{"middle", 3*chunkLen + 1, 9},
+		{"last chunk", 10*chunkLen + 1, 10},
+		{"last element", 10*chunkLen + 4, 10},
+	} {
+		b := a.Clone()
+		b.Delete(tc.i)
+		if got := shared(&b); got != tc.shared {
+			t.Fatalf("%s: after one Delete the lists share %d of 11 chunks, want %d", tc.name, got, tc.shared)
+		}
+		if b.At(tc.i) != src[len(src)-1] && tc.i != len(src)-1 {
+			t.Fatalf("%s: position %d holds %d, want the last element %d", tc.name, tc.i, b.At(tc.i), src[len(src)-1])
+		}
+		if a.At(tc.i) != src[tc.i] || a.Len() != len(src) {
+			t.Fatalf("%s: a Delete on the clone showed in the original", tc.name)
+		}
+	}
+	// Five Deletes of the first element empty the 5-element last chunk:
+	// it is dropped, and of the chunks left only chunk 0 is a copy.
+	b := a.Clone()
+	for range 5 {
+		b.Delete(0)
+	}
+	if b.chunks.Len() != 10 || shared(&b) != 9 {
+		t.Fatalf("emptying the last chunk left %d chunks, %d shared; want 10, 9", b.chunks.Len(), shared(&b))
 	}
 }

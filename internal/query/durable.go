@@ -4,16 +4,15 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"probprune/internal/core"
-	"probprune/internal/cow"
 	"probprune/internal/obs"
 	"probprune/internal/uncertain"
 	"probprune/internal/wal"
@@ -41,7 +40,7 @@ type PersistOptions struct {
 	// Dir is the store directory (created if absent). A one-shard store
 	// journals in Dir itself; a multi-shard store keeps one journal per
 	// shard (shard-0, shard-1, ...) plus a MANIFEST carrying the version
-	// vector and the global order.
+	// vector.
 	Dir string
 	// Sync is the fsync policy for journaled commits; the zero value is
 	// wal.SyncOS (no explicit fsync).
@@ -223,7 +222,7 @@ func (s *Store) journalLocked(si int, rec wal.Record, global uint64) (uint64, er
 		}
 	}
 	rec.Version = sh.version + 1
-	if s.home != nil {
+	if len(s.shards) > 1 {
 		rec.Global = global
 	}
 	return sh.journal.AppendAsync(rec)
@@ -261,27 +260,25 @@ func (s *Store) maybeCheckpointLocked() {
 	d.submit(func() error { return s.installCheckpoint(job) })
 }
 
-// ckptJob is one pinned checkpoint: a journal pin and state per shard,
-// plus the manifest of a multi-shard store.
+// ckptJob is one pinned checkpoint: a journal pin and a published cut
+// per shard, plus the manifest of a multi-shard store.
 type ckptJob struct {
 	m    *wal.Manifest
 	pins []wal.CheckpointPin
-	cks  []*wal.Checkpoint
+	cuts []*Snapshot
 }
 
 // pinCheckpointLocked pins the current state for a checkpoint: every
-// shard journal rotates (O(1)) and the object lists are captured
-// copy-on-write — they are immutable, so the install serializes them off
-// the lock while commits proceed. A checkpoint holds objects and
-// versions only; with more than one shard the manifest adds the version
-// vector and the global order. Requires s.mu held for writing.
+// shard journal rotates (O(1)) and every shard's cut is published — it
+// is immutable, so the install flattens and serializes it off the lock
+// while commits proceed. A checkpoint holds the version and the objects
+// in ascending ID order, so its bytes depend on the database only, not
+// on the order of the writes; with more than one shard the manifest
+// adds the version vector. Requires s.mu held for writing.
 func (s *Store) pinCheckpointLocked() (*ckptJob, error) {
 	job := &ckptJob{}
-	if s.home != nil {
-		job.m = &wal.Manifest{Version: s.version, Shards: len(s.shards), Order: make([]int, 0, s.order.Len())}
-		for o := range s.order.All() {
-			job.m.Order = append(job.m.Order, o.ID)
-		}
+	if len(s.shards) > 1 {
+		job.m = &wal.Manifest{Version: s.version, Shards: len(s.shards)}
 	}
 	for _, sh := range s.shards {
 		pin, err := sh.journal.BeginCheckpoint()
@@ -295,7 +292,7 @@ func (s *Store) pinCheckpointLocked() (*ckptJob, error) {
 		// path under s.mu, which the recorder never stalls.
 		s.dur.rec.Load().Record(obs.EvCheckpointBegin, 0, 0, int64(sh.version), 0)
 		job.pins = append(job.pins, pin)
-		job.cks = append(job.cks, &wal.Checkpoint{Version: sh.version, Objects: sh.list.Slice()})
+		job.cuts = append(job.cuts, s.cutLocked(sh))
 	}
 	s.dur.since = 0
 	return job, nil
@@ -323,22 +320,23 @@ func (s *Store) installCheckpoint(job *ckptJob) error {
 	}
 	for i, sh := range s.shards {
 		start := time.Now()
-		err := sh.journal.InstallCheckpoint(job.pins[i], job.cks[i])
+		cut := job.cuts[i]
+		err := sh.journal.InstallCheckpoint(job.pins[i], &wal.Checkpoint{Version: cut.version, Objects: cut.database()})
 		switch {
 		case errors.Is(err, wal.ErrCheckpointSuperseded):
-			d.rec.Load().Record(obs.EvCheckpointSupersede, 0, 0, int64(job.cks[i].Version), 0)
+			d.rec.Load().Record(obs.EvCheckpointSupersede, 0, 0, int64(cut.version), 0)
 		case err != nil:
 			return err
 		default:
-			d.rec.Load().Record(obs.EvCheckpointInstall, 0, time.Since(start), int64(job.cks[i].Version), 0)
+			d.rec.Load().Record(obs.EvCheckpointInstall, 0, time.Since(start), int64(cut.version), 0)
 		}
 	}
 	return nil
 }
 
 // Checkpoint durably snapshots the store's current state — every
-// shard's objects in order and version and, with more than one shard,
-// the manifest of version vector and global order — and truncates the
+// shard's objects in ascending ID order and version and, with more than
+// one shard, the manifest of version vector — and truncates the
 // journals to it. No decomposition is persisted, so the files do not
 // depend on which queries ran. Reopening afterwards loads
 // the snapshot and replays only commits journaled since. The state is
@@ -408,7 +406,7 @@ func (s *Store) Close() error {
 func (s *Store) closeJournals() error {
 	var err error
 	for _, sh := range s.shards {
-		if sh.journal != nil {
+		if sh != nil && sh.journal != nil { // nil: a shard that failed to recover
 			err = cmp.Or(err, sh.journal.Close())
 		}
 	}
@@ -503,9 +501,9 @@ func BootstrapShardedStore(db uncertain.Database, popts PersistOptions, sopts Sh
 		bootstrapHook(s)
 	}
 	// The genesis state is durable before the store accepts a commit.
-	// Every shard's genesis checkpoint lands before the first manifest,
-	// whose order names objects only those checkpoints hold: a crash in
-	// between leaves shard debris, not a manifest over empty shards.
+	// Every shard's genesis checkpoint lands before the first manifest: a
+	// crash in between leaves shard debris, not a manifest over empty
+	// shards.
 	s.dur = newDurability(popts, s.obs)
 	s.mu.Lock()
 	job, err := s.pinCheckpointLocked()
@@ -536,11 +534,11 @@ func OpenStore(popts PersistOptions, opts core.Options) (*Store, error) {
 // directory is bootstrapped empty with sopts' layout. An existing one
 // is recovered: every shard loads its newest checkpoint — objects and
 // version — and replays its journal tail, in parallel, stopping cleanly
-// at the last intact record; a multi-shard store then rebuilds its global
-// order by merging the shards' logical records, keyed by the epoch each
-// carries, on top of the manifest's order. The recovered store is
-// bit-identical to the one that wrote the journals: same version
-// vector, same global order, same query answers. sopts.Shards, when
+// at the last intact record; a multi-shard store then checks that the
+// epochs its shards' logical records carry continue the manifest's
+// without a gap. The recovered store holds the database that wrote the
+// journals: same version vector, same objects, same query answers.
+// sopts.Shards, when
 // non-zero, must match the directory's shard count; sopts.Partition
 // must be the partitioner the store was created with and opts the
 // options it was written under (neither is persisted). Decompositions
@@ -570,7 +568,7 @@ func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts core.Opti
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			recs[i], errs[i] = recoverShard(dir, popts, len(dirs) == 1)
+			recs[i], errs[i] = recoverShard(i, dir, popts, len(dirs) == 1)
 		}()
 	}
 	wg.Wait()
@@ -594,40 +592,36 @@ func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts core.Opti
 // recovery is one shard rebuilt from its journal, plus what assemble
 // needs to rebuild the store-level state on top of the shards.
 type recovery struct {
-	sh   *shard
-	byID map[int]*uncertain.Object
-	tail []wal.Record // logical records, ID and epoch only
-	via  map[int]bool // resident objects that arrived through a replayed move-in
+	sh     *shard
+	at     map[int]slot // the shard's objects, keyed by ID
+	epochs []uint64     // store epochs of the replayed logical records
+	via    map[int]bool // resident objects that arrived through a replayed move-in
 }
 
-// recoverShard loads the journal in dir: its checkpoint, then the log
-// tail. A one-shard journal (single) keeps no logical tail: its store
-// has no global order to rebuild.
-func recoverShard(dir string, popts PersistOptions, single bool) (*recovery, error) {
+// recoverShard loads the journal of shard si in dir: its checkpoint,
+// then the log tail. A one-shard journal (single) keeps no epochs: its
+// version is the store's.
+func recoverShard(si int, dir string, popts PersistOptions, single bool) (*recovery, error) {
 	j, err := wal.Open(dir, popts.wal())
 	if err != nil {
 		return nil, err
 	}
-	r := &recovery{sh: &shard{journal: j}, byID: make(map[int]*uncertain.Object), via: make(map[int]bool)}
-	var objs uncertain.Database
-	if ck := j.Checkpoint(); ck != nil {
-		objs = ck.Objects
-		r.sh.version = ck.Version
-		for _, o := range objs {
-			r.byID[o.ID] = o
-		}
+	var ck wal.Checkpoint
+	if c := j.Checkpoint(); c != nil {
+		ck = *c // newShard sorts its objects in place: nothing else reads them
 	}
-	r.sh.list, r.sh.index = cow.ListOf(objs), bulkIndex(objs)
+	r := &recovery{sh: newShard(ck.Objects), at: make(map[int]slot, len(ck.Objects)), via: make(map[int]bool)}
+	r.sh.journal, r.sh.version = j, ck.Version
+	for i, o := range ck.Objects {
+		r.at[o.ID] = slot{o, si, i}
+	}
 	err = j.Replay(func(rec wal.Record) error {
-		if err := r.apply(rec); err != nil {
+		if err := r.apply(si, rec); err != nil {
 			return err
 		}
 		id := rec.ObjectID()
 		if rec.Op.Logical() && !single {
-			// Keep the ID only — instances are resolved against the
-			// recovered shard maps, so a later move's re-decode cannot
-			// alias a stale pointer into the global order.
-			r.tail = append(r.tail, wal.Record{Op: rec.Op, Global: rec.Global, ID: id})
+			r.epochs = append(r.epochs, rec.Global)
 		}
 		if rec.Op == wal.OpMoveIn {
 			r.via[id] = true
@@ -643,34 +637,32 @@ func recoverShard(dir string, popts PersistOptions, single bool) (*recovery, err
 	return r, nil
 }
 
-// apply replays one journal record with the shard bodies live commits
-// run.
-func (r *recovery) apply(rec wal.Record) error {
+// apply replays one journal record of shard si with the shard bodies
+// live commits run.
+func (r *recovery) apply(si int, rec wal.Record) error {
 	sh := r.sh
 	if rec.Version != sh.version+1 {
 		return fmt.Errorf("store: journal record version %d after version %d", rec.Version, sh.version)
 	}
 	id := rec.ObjectID()
-	old, ok := r.byID[id]
+	e, ok := r.at[id]
 	switch rec.Op {
 	case wal.OpInsert, wal.OpMoveIn:
 		if ok {
 			return fmt.Errorf("store: journal re-inserts object ID %d", id)
 		}
-		sh.insert(rec.Obj)
-		r.byID[id] = rec.Obj
+		r.at[id] = sh.insert(si, rec.Obj)
 	case wal.OpDelete, wal.OpMoveOut:
 		if !ok {
 			return fmt.Errorf("store: journal deletes unknown object ID %d", id)
 		}
-		sh.remove(old)
-		delete(r.byID, id)
+		sh.remove(r.at, e)
+		delete(r.at, id)
 	case wal.OpUpdate:
 		if !ok {
 			return fmt.Errorf("store: journal updates unknown object ID %d", id)
 		}
-		sh.replace(old, rec.Obj)
-		r.byID[id] = rec.Obj
+		r.at[id] = sh.replace(e, rec.Obj)
 	default:
 		return fmt.Errorf("store: journal record with unknown op %d", rec.Op)
 	}
@@ -680,7 +672,7 @@ func (r *recovery) apply(rec wal.Record) error {
 
 // assemble rebuilds the store-level state from the recovered shards
 // and, with more than one shard, the manifest (nil for one) and the
-// logical records past it.
+// epochs of the logical records past it.
 func (s *Store) assemble(m *wal.Manifest, recs []*recovery) error {
 	// Membership and homes come from the shards themselves: an object's
 	// home is the shard whose recovered state holds it. An ID on two
@@ -689,81 +681,65 @@ func (s *Store) assemble(m *wal.Manifest, recs []*recovery) error {
 	// through the dangling move-in is dropped — durably, with the
 	// compensating move-out journaled — and the object stays home, as if
 	// the migration never started. Anything else is corruption.
-	type dangler struct {
-		shard int
-		o     *uncertain.Object
-	}
-	var danglers []dangler
-	home := make(map[int]int)
-	for i, r := range recs {
-		for id, o := range r.byID {
-			if a, dup := home[id]; dup {
+	var danglers []slot
+	for _, r := range recs {
+		for id, e := range r.at {
+			if a, dup := s.byID[id]; dup {
 				switch {
-				case r.via[id] && !recs[a].via[id]:
-					danglers = append(danglers, dangler{i, o})
+				case r.via[id] && !recs[a.shard].via[id]:
+					danglers = append(danglers, e)
 					continue // keep a's copy
-				case recs[a].via[id] && !r.via[id]:
-					danglers = append(danglers, dangler{a, s.byID[id]})
+				case recs[a.shard].via[id] && !r.via[id]:
+					danglers = append(danglers, a)
 				default:
 					return fmt.Errorf("store: object ID %d recovered on two shards", id)
 				}
 			}
-			s.byID[id] = o
-			home[id] = i
+			s.byID[id] = e
 		}
 	}
-	for _, o := range s.byID {
-		s.cache.Add(o)
-		s.dim = o.Dim()
+	for _, e := range s.byID {
+		s.cache.Add(e.obj)
+		s.dim = e.obj.Dim()
 	}
-	if s.home == nil {
-		// One shard: its list is the database order, its version the
-		// store's epoch.
+	if len(s.shards) == 1 {
+		// One shard: its version is the store's epoch.
 		s.version = recs[0].sh.version
 		return nil
 	}
-	// The global order: manifest order, replayed forward through the
-	// logical records merged by their unique epochs.
-	var tail []wal.Record
+	// The store epoch: the manifest's, continued without a gap by the
+	// logical records the shards replayed past it.
+	var tail []uint64
 	for _, r := range recs {
-		for _, rec := range r.tail {
-			if rec.Global > m.Version {
-				tail = append(tail, rec)
+		for _, g := range r.epochs {
+			if g > m.Version {
+				tail = append(tail, g)
 			}
 		}
 	}
-	sort.Slice(tail, func(a, b int) bool { return tail[a].Global < tail[b].Global })
-	order := slices.Clone(m.Order)
+	slices.Sort(tail)
 	s.version = m.Version
-	for _, rec := range tail {
-		if rec.Global != s.version+1 {
-			return fmt.Errorf("store: journaled commit at epoch %d after epoch %d", rec.Global, s.version)
+	for _, g := range tail {
+		if g != s.version+1 {
+			return fmt.Errorf("store: journaled commit at epoch %d after epoch %d", g, s.version)
 		}
-		s.version = rec.Global
-		switch rec.Op {
-		case wal.OpInsert:
-			order = append(order, rec.ID)
-		case wal.OpDelete:
-			if k := slices.Index(order, rec.ID); k >= 0 {
-				order = slices.Delete(order, k, k+1)
-			}
-		}
+		s.version = g
 	}
-	if len(order) != len(s.byID) {
-		return fmt.Errorf("store: global order has %d objects, shards recovered %d", len(order), len(s.byID))
-	}
-	s.home = home
-	for _, id := range order {
-		o, ok := s.byID[id]
-		if !ok {
-			return fmt.Errorf("store: global order references unknown object ID %d", id)
-		}
-		s.order.Append(o)
+	if len(danglers) == 0 {
+		return nil
 	}
 	for _, d := range danglers {
-		if err := s.migrateLocked(d.shard, d.o, wal.OpMoveOut); err != nil {
-			return fmt.Errorf("store: compensating interrupted migration of object %d: %w", d.o.ID, err)
+		if err := s.migrateLocked(d.shard, d.obj, wal.OpMoveOut); err != nil {
+			return fmt.Errorf("store: compensating interrupted migration of object %d: %w", d.obj.ID, err)
 		}
+		at := recs[d.shard].at // an earlier drop may have moved the copy
+		s.shards[d.shard].remove(at, at[d.obj.ID])
+		delete(at, d.obj.ID)
+	}
+	// The drops moved objects within their shards' slabs.
+	clear(s.byID)
+	for _, r := range recs {
+		maps.Copy(s.byID, r.at)
 	}
 	return nil
 }

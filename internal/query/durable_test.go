@@ -22,8 +22,8 @@ import (
 // directory copied, exactly as a crashed process would leave it) and
 // reopened; the recovered store must answer KNN, RkNN, TopKNN and
 // InverseRank bit-identically to an in-memory store that survived to
-// the same commit — same versions, same database order, same
-// decomposition cache epochs, same probability intervals.
+// the same commit — same versions, same objects in ascending ID order,
+// same probability intervals.
 
 // copyTree clones a journal directory at a commit boundary — the
 // simulated crash image.

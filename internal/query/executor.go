@@ -98,8 +98,8 @@ func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
 }
 
 // candidates returns the database objects a query over reference q runs
-// against, in database order (q itself excluded when it is a database
-// object). The slot order is the deterministic result order.
+// against, in ascending ID order (q itself excluded when it is a
+// database object). The slot order is the result order.
 func (e *Engine) candidates(q *uncertain.Object) []*uncertain.Object {
 	db := e.Database()
 	out := make([]*uncertain.Object, 0, len(db))

@@ -84,7 +84,8 @@ func thresholdMatch(b *uncertain.Object, res *core.Result, k int, tau float64) M
 }
 
 // knn is Engine.KNN over the full scan: one match per object but q, in
-// database order.
+// the order of f.db — ascending ID, the engine's order, in every test
+// that compares the two.
 func (f fullScan) knn(q *uncertain.Object, k int, tau float64) []Match {
 	thresh := math.Inf(1)
 	if tau > 0 {

@@ -9,22 +9,23 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// liveSnap is a snapshot kept across later mutations with the flat
-// lists it must keep answering: the global order and each shard's list.
+// liveSnap is a snapshot kept across later mutations with the slabs it
+// must keep answering, one per shard.
 type liveSnap struct {
 	snap   *Snapshot
-	global uncertain.Database
 	shards []uncertain.Database
 }
 
 // TestSnapshotListTranscript drives seeded Insert/Update/Delete (and
-// Move at 4 shards) transcripts over stores whose lists span several
+// Move at 4 shards) transcripts over stores whose slabs span several
 // copy-on-write chunks, keeps up to three earlier snapshots live, and
-// after every step checks each live snapshot's lists and DB(), global
-// and per shard, against flat in-test references — and, every other
-// step, the current state the same way. No write may cross a detach,
-// and database order must survive every edit: updates in place, inserts
-// at the end, moves leaving the global order alone.
+// after every step checks each live snapshot's slabs against flat
+// in-test references and its DB() against their union in ascending ID
+// order — and, every other step, the current state the same way. No
+// write may cross a detach, and every edit must follow the slab rules:
+// updates in place, inserts (and moves in) at the end, deletes (and
+// moves out) by moving the last object into the freed slot. Inserts
+// take IDs below and above the stored ones.
 func TestSnapshotListTranscript(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -34,7 +35,7 @@ func TestSnapshotListTranscript(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur := liveSnap{global: slices.Clone(db), shards: make([]uncertain.Database, n)}
+			cur := liveSnap{shards: make([]uncertain.Database, n)}
 			for _, o := range db {
 				si := s.shardFor(o)
 				cur.shards[si] = append(cur.shards[si], o)
@@ -43,47 +44,64 @@ func TestSnapshotListTranscript(t *testing.T) {
 				si, _ := s.ShardOf(id)
 				return si
 			}
+			// pick returns a random stored object and its slot.
+			pick := func() (*uncertain.Object, int, int) {
+				var all []*uncertain.Object
+				for _, l := range cur.shards {
+					all = append(all, l...)
+				}
+				o := all[rng.Intn(len(all))]
+				si := home(o.ID)
+				return o, si, slices.Index(cur.shards[si], o)
+			}
+			swapDelete := func(si, i int) {
+				l := cur.shards[si]
+				l[i] = l[len(l)-1]
+				cur.shards[si] = l[:len(l)-1]
+			}
 			var live []liveSnap
-			next := 10000
+			next, low := 10000, -1
 			for step := 0; step < 600; step++ {
 				switch op := rng.Intn(10); {
 				case op < 2:
-					o := randObject(t, rng, next)
-					next++
+					id := next
+					if step%2 == 0 {
+						id = low // below every stored ID
+						low--
+					} else {
+						next++
+					}
+					o := randObject(t, rng, id)
 					if err := s.Insert(o); err != nil {
 						t.Fatal(err)
 					}
-					cur.global = append(cur.global, o)
 					si := home(o.ID)
 					cur.shards[si] = append(cur.shards[si], o)
 				case op < 6:
-					old := cur.global[rng.Intn(len(cur.global))]
+					old, si, i := pick()
 					o := randObject(t, rng, old.ID)
 					if err := s.Update(o); err != nil {
 						t.Fatal(err)
 					}
-					replaceIn(cur.global, old, o)
-					replaceIn(cur.shards[home(o.ID)], old, o)
+					cur.shards[si][i] = o
 				case op < 8:
-					o := cur.global[rng.Intn(len(cur.global))]
-					si := home(o.ID)
+					o, si, i := pick()
 					if ok, err := s.Delete(o.ID); err != nil || !ok {
 						t.Fatalf("delete of stored object %d failed", o.ID)
 					}
-					cur.global = slices.DeleteFunc(cur.global, func(x *uncertain.Object) bool { return x == o })
-					cur.shards[si] = slices.DeleteFunc(cur.shards[si], func(x *uncertain.Object) bool { return x == o })
+					swapDelete(si, i)
 				case op < 9 && n > 1:
-					o := cur.global[rng.Intn(len(cur.global))]
-					src, dst := home(o.ID), rng.Intn(n)
+					o, src, i := pick()
+					dst := rng.Intn(n)
 					if err := s.Move(o.ID, dst); err != nil {
 						t.Fatal(err)
 					}
 					if src != dst {
-						cur.shards[src] = slices.DeleteFunc(cur.shards[src], func(x *uncertain.Object) bool { return x == o })
+						swapDelete(src, i)
 						cur.shards[dst] = append(cur.shards[dst], o)
 					}
 				default:
-					keep := liveSnap{snap: s.Snapshot(), global: slices.Clone(cur.global)}
+					keep := liveSnap{snap: s.Snapshot()}
 					for _, l := range cur.shards {
 						keep.shards = append(keep.shards, slices.Clone(l))
 					}
@@ -104,25 +122,26 @@ func TestSnapshotListTranscript(t *testing.T) {
 	}
 }
 
-func replaceIn(db uncertain.Database, old, o *uncertain.Object) {
-	db[slices.Index(db, old)] = o
-}
-
-// checkLiveSnap compares a snapshot's chunked lists — read afresh, since
-// DB() flattens once and would hide a later write — and its DB() with
-// the references.
+// checkLiveSnap compares a snapshot's chunked slabs — read afresh, since
+// DB() flattens once and would hide a later write — with the
+// references, and its DB(), whole and per shard, with theirs in
+// ascending ID order.
 func checkLiveSnap(t *testing.T, n int, seed int64, step, li int, ls liveSnap) {
 	t.Helper()
-	if got := ls.snap.list.Slice(); !slices.Equal(got, ls.global) || !slices.Equal(ls.snap.DB(), ls.global) {
-		t.Fatalf("shards=%d seed=%d step %d snapshot %d: list (%d objects) or DB() differs from its reference (%d)",
-			n, seed, step, li, len(got), len(ls.global))
-	}
+	var all uncertain.Database
 	for si, want := range ls.shards {
 		sh := ls.snap.Shard(si)
-		if got := sh.list.Slice(); !slices.Equal(got, want) || !slices.Equal(sh.DB(), want) {
-			t.Fatalf("shards=%d seed=%d step %d snapshot %d: shard %d list or DB() differs from its reference",
+		sorted := slices.SortedFunc(slices.Values(want), cmpID)
+		if got := sh.slab.Slice(); !slices.Equal(got, want) || !slices.Equal(sh.DB(), sorted) {
+			t.Fatalf("shards=%d seed=%d step %d snapshot %d: shard %d slab or DB() differs from its reference",
 				n, seed, step, li, si)
 		}
+		all = append(all, want...)
+	}
+	slices.SortFunc(all, cmpID)
+	if got := ls.snap.DB(); !slices.Equal(got, all) || ls.snap.Len() != len(all) {
+		t.Fatalf("shards=%d seed=%d step %d snapshot %d: DB() (%d objects) differs from its reference (%d)",
+			n, seed, step, li, len(got), len(all))
 	}
 }
 
@@ -164,5 +183,79 @@ func TestIndexReadersKeepListChunked(t *testing.T) {
 		if sn.DB(); &sn.flat[0] != &flat[0] {
 			t.Fatalf("shards=%d: the snapshot flattened its list twice", n)
 		}
+	}
+}
+
+// TestIDOrderedSlabsNeverSort: bulk load (over IDs in any order),
+// Update and an Insert with the largest ID keep every shard's slab in
+// ascending ID order, so no snapshot over them sorts: each cut's flat
+// copy is its slab as it stands. A Delete of a slot other than the last
+// breaks the order, and the snapshot then sorts its copy; a store
+// reopened from a later checkpoint is in order again.
+func TestIDOrderedSlabsNeverSort(t *testing.T) {
+	unsorted := func(sn *Snapshot) int {
+		t.Helper()
+		n := 0
+		for si := range sn.NumShards() {
+			c := sn.Shard(si)
+			if !c.sorted {
+				n++
+			} else if !slices.Equal(c.database(), c.slab.Slice()) {
+				t.Fatalf("shard %d: a cut flagged sorted reordered its slab", si)
+			}
+			if !slices.IsSortedFunc(c.database(), cmpID) {
+				t.Fatalf("shard %d: the cut's objects are out of ID order", si)
+			}
+		}
+		return n
+	}
+	for _, n := range []int{1, 4} {
+		db := storeTestDB(t, 400, 9)
+		rng := rand.New(rand.NewSource(10))
+		rng.Shuffle(len(db), func(i, j int) { db[i], db[j] = db[j], db[i] })
+		popts := PersistOptions{Dir: t.TempDir()}
+		s, err := BootstrapShardedStore(db, popts, ShardedOptions{Shards: n}, core.Options{MaxIterations: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 1000
+		for step := 0; step < 200; step++ {
+			if step%3 == 0 {
+				err = s.Insert(randObject(t, rng, next))
+				next++
+			} else {
+				err = s.Update(randObject(t, rng, db[rng.Intn(len(db))].ID))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if step%10 == 0 {
+				if u := unsorted(s.Snapshot()); u != 0 {
+					t.Fatalf("shards=%d step %d: %d cuts sort their slabs", n, step, u)
+				}
+			}
+		}
+		if ok, err := s.Delete(db[0].ID); !ok || err != nil {
+			t.Fatalf("delete failed: %v", err)
+		}
+		if u := unsorted(s.Snapshot()); u != 1 {
+			t.Fatalf("shards=%d: after a Delete of a middle slot %d cuts are out of order, want 1", n, u)
+		}
+		// A checkpoint is written in ascending ID order, whatever the slab
+		// order: a store reopened from it loads its slabs sorted.
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenShardedStore(popts, ShardedOptions{Shards: n}, core.Options{MaxIterations: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u := unsorted(r.Snapshot()); u != 0 {
+			t.Fatalf("shards=%d: %d cuts of the reopened store sort their slabs", n, u)
+		}
+		r.Close()
 	}
 }

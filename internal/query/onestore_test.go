@@ -17,9 +17,9 @@ import (
 	"probprune/internal/workload"
 )
 
-// TestOneShardNoRouterWork: a one-shard store keeps no router state —
-// no global list, no home map — and its snapshot engine scatters over
-// exactly one cut, the shard's own index, before and after mutations.
+// TestOneShardNoRouterWork: a one-shard store's snapshot engine
+// scatters over exactly one cut, the shard's own index, before and
+// after mutations.
 // A multi-shard snapshot's engine scatters over every shard's index.
 func TestOneShardNoRouterWork(t *testing.T) {
 	db := storeTestDB(t, 40, 3)
@@ -33,9 +33,6 @@ func TestOneShardNoRouterWork(t *testing.T) {
 		e := s.Snapshot().Engine()
 		if len(e.cuts) != 1 || e.cuts[0].index != s.shards[0].index {
 			t.Fatal("one-shard snapshot engine does not scatter over exactly the shard's index")
-		}
-		if s.order.Len() != 0 || s.home != nil {
-			t.Fatal("one-shard store keeps a router list or home map")
 		}
 		mutateStore(t, s, rng, &next, 10)
 	}
@@ -210,8 +207,8 @@ func fixtureTrace(t *testing.T, sharded bool) (uncertain.Database, []traceOp, []
 // TestFormatFixtures opens the directories the previous commit wrote —
 // one shard journaling in its directory, four shards under a MANIFEST —
 // and checks them against an in-memory store fed the same sequence:
-// size, version, version vector, shard sizes, global order and every
-// query kind, bit for bit.
+// size, version, version vector, shard sizes, the objects in ascending
+// ID order and every query kind, bit for bit.
 func TestFormatFixtures(t *testing.T) {
 	opts := core.Options{MaxIterations: 3}
 	for _, tc := range []struct {
@@ -247,8 +244,9 @@ func TestFormatFixtures(t *testing.T) {
 			if g, w := r.ShardSizes(), mirror.ShardSizes(); !slices.Equal(g, w) {
 				t.Fatalf("shard sizes %v, want %v", g, w)
 			}
-			if g, w := objIDs(r.Snapshot().DB()), objIDs(mirror.Snapshot().DB()); !slices.Equal(g, w) {
-				t.Fatalf("global order %v, want %v", g, w)
+			g, w := objIDs(r.Snapshot().DB()), objIDs(mirror.Snapshot().DB())
+			if !slices.Equal(g, w) || !slices.IsSorted(g) {
+				t.Fatalf("objects %v, want %v in ascending ID order", g, w)
 			}
 		})
 	}

@@ -54,8 +54,9 @@ type Engine struct {
 }
 
 // Database returns the objects the engine evaluates against, in
-// database order: the snapshot's objects, flattened on the first call
-// (see Snapshot). The slice is shared and must be treated as read-only.
+// ascending ID order: the snapshot's objects, flattened on the first
+// call (see Snapshot). The slice is shared and must be treated as
+// read-only.
 func (e *Engine) Database() uncertain.Database { return e.snap.database() }
 
 // CheckDim reports an error when o's dimension differs from the
@@ -168,7 +169,7 @@ func (e *Engine) KNN(q *uncertain.Object, k int, tau float64) []Match {
 // KNNCtx is KNN with cancellation: when ctx is cancelled before the
 // query completes, (nil, ctx.Err()) is returned. Candidates are
 // evaluated concurrently on Options.Parallelism workers; the result is
-// identical to the sequential evaluation, in database order.
+// identical to the sequential evaluation, in ascending object ID order.
 func (e *Engine) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
 	if err := e.CheckDim(q); err != nil {
 		return nil, err
@@ -492,7 +493,7 @@ func (e *Engine) RankByExpectedRank(q *uncertain.Object) []Ranked {
 // RankByExpectedRankCtx is RankByExpectedRank with cancellation and
 // concurrent candidate evaluation. The ordering is deterministic: the
 // stable sort runs over per-candidate bounds computed independently of
-// worker count and completion order.
+// worker count and completion order, so ties keep ascending ID order.
 func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object) ([]Ranked, error) {
 	if err := e.CheckDim(q); err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ import (
 // multi-shard Store and a one-shard model Store, with migrations
 // interleaved on the sharded side only. After every operation the
 // sharded store must hold exactly the model's objects — none lost,
-// none duplicated, global order preserved — and periodically every
+// none duplicated, both in ascending ID order — and periodically every
 // query verdict must be bit-identical to the model. The checked-in
 // corpus entries below double as deterministic regression tests on
 // every plain `go test` run; `go test -fuzz` explores beyond them.
@@ -42,8 +42,8 @@ func fuzzObject(t *testing.T, rng *rand.Rand, id int) *uncertain.Object {
 }
 
 // requireShardConsistency asserts the structural invariants: the
-// sharded store and the model agree object-for-object in global order,
-// every object lives on exactly one shard, and the shard-local
+// sharded store and the model agree object-for-object in ascending ID
+// order, every object lives on exactly one shard, and the shard-local
 // snapshots partition the database.
 func requireShardConsistency(t *testing.T, op int, store *Store, sharded *Store) {
 	t.Helper()
@@ -58,7 +58,7 @@ func requireShardConsistency(t *testing.T, op int, store *Store, sharded *Store)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("op %d: global order diverges at %d: object %d vs %d", op, i, got[i].ID, want[i].ID)
+			t.Fatalf("op %d: snapshots diverge at %d: object %d vs %d", op, i, got[i].ID, want[i].ID)
 		}
 	}
 	seen := make(map[int]int, len(want))

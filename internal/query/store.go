@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -24,12 +25,12 @@ import (
 // database changing underneath the queries.
 //
 // A store is N >= 1 shards behind one router. A shard holds only what
-// must be per shard: its R-tree, object list, version and journal. The
-// router holds the rest once: the object map, the persistent
-// decomposition cache, the version, watchers, metrics and durability
-// coordinator — and, with N > 1, the global order and every object's
-// home shard. A one-shard store does no router work: its object list is
-// the global order, and its snapshot is its shard's cut, so the snapshot
+// must be per shard: its R-tree, object slab, version and journal. The
+// router holds the rest once: the object map (every object's home shard
+// and slab slot), the persistent decomposition cache, the version,
+// watchers, metrics and durability coordinator. Results come in
+// ascending object ID, whatever the slab order. A one-shard store does
+// no router work: its snapshot is its shard's cut, so the snapshot
 // engine scatters over exactly that one cut.
 //
 // Sharding composes exactly: the complete-domination filter classifies
@@ -43,24 +44,22 @@ import (
 // this), while a mutation detaches only its home shard: O(n/N).
 //
 // Queries bind to an immutable Snapshot; the first mutation of a shard
-// after a publish detaches it. Object lists and R-trees are both paged
+// after a publish detaches it. Object slabs and R-trees are both paged
 // copy-on-write (package cow), so a detach copies their page tables and
-// the commit copies only the list chunks and tree pages it writes: an
-// Update or Insert costs what it touches, not the database (a Delete
-// shifts the rest of the list). A read burst pays one publish. The
-// persistent decomposition cache pins every resident object's kd-split,
-// invalidated per object on update; queries read through a per-call
-// overlay. Move and Rebalance migrate objects online without changing
-// versions, change streams or any query result.
+// the commit copies only the slab chunks and tree pages it writes: an
+// Update, Insert or Delete costs what it touches, not the database. A
+// read burst pays one publish. The persistent decomposition cache pins
+// every resident object's kd-split, invalidated per object on update;
+// queries read through a per-call overlay. Move and Rebalance migrate
+// objects online without changing versions, change streams or any
+// query result.
 type Store struct {
 	opts core.Options
 	part ShardFunc
 
 	mu      sync.RWMutex
-	order   objList // N > 1: global order, detached from snapshots; empty with one shard
-	dim     int     // dimension of the stored objects, fixed by the first one
-	byID    map[int]*uncertain.Object
-	home    map[int]int // N > 1: object ID -> shard; nil (every lookup 0) with one shard
+	dim     int // dimension of the stored objects, fixed by the first one
+	byID    map[int]slot
 	cache   *core.DecompCache
 	version uint64
 	shards  []*shard
@@ -81,48 +80,65 @@ type Store struct {
 	watchers []*func(Change) // registration order; unregistered by identity
 }
 
-// shard is the per-shard state; with one shard its list is the global
-// order.
+// slot locates a stored object: its home shard and its position in
+// that shard's slab.
+type slot struct {
+	obj      *uncertain.Object
+	shard, i int
+}
+
+// shard is the per-shard state. Its slab holds the objects, paged
+// copy-on-write so a snapshot shares it chunk by chunk, in the order the
+// writes leave (see insert and remove).
 type shard struct {
-	list    objList
+	slab    cow.List[*uncertain.Object]
+	sorted  bool // the slab is in ascending ID order
 	index   *objTree
 	version uint64
 	journal *wal.Journal // nil in memory
 	snap    *Snapshot    // published cut of this shard; nil after it mutated
 }
 
-func (sh *shard) insert(o *uncertain.Object) {
-	sh.list.Append(o)
+// cmpID orders objects by ascending ID, the order of every result.
+func cmpID(a, b *uncertain.Object) int { return cmp.Compare(a.ID, b.ID) }
+
+// newShard returns a shard holding objs, sorted in place into ascending
+// ID order, with their index STR-bulk-loaded.
+func newShard(objs uncertain.Database) *shard {
+	slices.SortFunc(objs, cmpID)
+	return &shard{slab: cow.ListOf(objs), sorted: true, index: bulkIndex(objs)}
+}
+
+// insert appends o, shard si's new object, and returns its slot.
+func (sh *shard) insert(si int, o *uncertain.Object) slot {
+	n := sh.slab.Len()
+	sh.sorted = n == 0 || sh.sorted && sh.slab.At(n-1).ID < o.ID
+	sh.slab.Append(o)
 	sh.index.Insert(o.MBR, o)
+	return slot{o, si, n}
 }
 
-func (sh *shard) remove(o *uncertain.Object) {
-	removeObject(&sh.list, o)
-	sh.index.Delete(o.MBR, o)
+// remove takes the object at e out: the slab's last object moves into
+// the freed slot, and at records its new slot (e's entry is the
+// caller's).
+func (sh *shard) remove(at map[int]slot, e slot) {
+	last := sh.slab.Len() - 1
+	if e.i != last {
+		moved := sh.slab.At(last)
+		at[moved.ID] = slot{moved, e.shard, e.i}
+		sh.sorted = sh.sorted && e.i == last-1
+	}
+	sh.slab.Delete(e.i)
+	sh.index.Delete(e.obj.MBR, e.obj)
 }
 
-// replace swaps old for o in place: the object keeps its list position
-// (query results are in database order).
-func (sh *shard) replace(old, o *uncertain.Object) {
-	replaceObject(&sh.list, old, o)
-	sh.index.Delete(old.MBR, old)
+// replace puts o in e's slot in place of e's object and returns the new
+// slot.
+func (sh *shard) replace(e slot, o *uncertain.Object) slot {
+	sh.slab.Set(e.i, o)
+	sh.index.Delete(e.obj.MBR, e.obj)
 	sh.index.Insert(o.MBR, o)
-}
-
-// objList is an object list in database order, paged copy-on-write so
-// a snapshot shares it with the store chunk by chunk.
-type objList = cow.List[*uncertain.Object]
-
-func removeObject(l *objList, o *uncertain.Object) {
-	if i := l.Index(o); i >= 0 {
-		l.Delete(i)
-	}
-}
-
-func replaceObject(l *objList, old, o *uncertain.Object) {
-	if i := l.Index(old); i >= 0 {
-		l.Set(i, o)
-	}
+	return slot{o, e.shard, e.i}
 }
 
 // ShardFunc deterministically assigns an object to one of n shards
@@ -181,10 +197,10 @@ func NewStore(db uncertain.Database, opts core.Options) (*Store, error) {
 
 // NewShardedStore builds a store over db (objects must have unique
 // IDs and one dimension; the slice is copied, the objects are shared
-// and must not be mutated). Every shard's index is STR bulk-loaded,
-// concurrently across shards. Opts configures every query the store
-// serves; Opts.SharedDecomps must be left unset — the store manages its
-// own persistent cache.
+// and must not be mutated). Every shard's slab is loaded in ascending ID
+// order and its index STR bulk-loaded, concurrently across shards. Opts
+// configures every query the store serves; Opts.SharedDecomps must be
+// left unset — the store manages its own persistent cache.
 func NewShardedStore(db uncertain.Database, sopts ShardedOptions, opts core.Options) (*Store, error) {
 	s, err := newStore(sopts, opts, len(db))
 	if err != nil {
@@ -203,25 +219,24 @@ func NewShardedStore(db uncertain.Database, sopts ShardedOptions, opts core.Opti
 		}
 		s.dim = o.Dim()
 		si := s.shardFor(o)
-		s.byID[o.ID] = o
+		s.byID[o.ID] = slot{obj: o, shard: si}
 		s.cache.Add(o)
 		parts[si] = append(parts[si], o)
-		if s.home != nil {
-			s.home[o.ID] = si
-		}
-	}
-	if s.home != nil {
-		s.order = cow.ListOf(db)
 	}
 	var wg sync.WaitGroup
-	for i, sh := range s.shards {
+	for i := range s.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sh.list, sh.index = cow.ListOf(parts[i]), bulkIndex(parts[i])
+			s.shards[i] = newShard(parts[i])
 		}()
 	}
 	wg.Wait()
+	for i, part := range parts {
+		for k, o := range part {
+			s.byID[o.ID] = slot{o, i, k}
+		}
+	}
 	return s, nil
 }
 
@@ -235,8 +250,7 @@ func bulkIndex(db uncertain.Database) *objTree {
 }
 
 // newStore builds an empty store with the shard layout of sopts, its
-// maps sized for n objects; the shards get neither objects nor an index
-// yet.
+// map sized for n objects; the caller fills in the shards.
 func newStore(sopts ShardedOptions, opts core.Options, n int) (*Store, error) {
 	if opts.SharedDecomps != nil {
 		return nil, errors.New("store: Options.SharedDecomps must be unset (the store manages its own cache)")
@@ -244,19 +258,13 @@ func newStore(sopts ShardedOptions, opts core.Options, n int) (*Store, error) {
 	s := &Store{
 		opts:   opts,
 		part:   sopts.Partition,
-		byID:   make(map[int]*uncertain.Object, n),
+		byID:   make(map[int]slot, n),
 		cache:  core.NewDecompCache(opts.MaxHeight),
 		obs:    NewMetrics(),
 		shards: make([]*shard, max(sopts.Shards, 1)),
 	}
 	if s.part == nil {
 		s.part = HashShards
-	}
-	if len(s.shards) > 1 {
-		s.home = make(map[int]int, n)
-	}
-	for i := range s.shards {
-		s.shards[i] = &shard{}
 	}
 	return s, nil
 }
@@ -284,7 +292,7 @@ func (s *Store) ShardSizes() []int {
 	defer s.mu.RUnlock()
 	sizes := make([]int, len(s.shards))
 	for i, sh := range s.shards {
-		sizes[i] = sh.list.Len()
+		sizes[i] = sh.slab.Len()
 	}
 	return sizes
 }
@@ -293,8 +301,8 @@ func (s *Store) ShardSizes() []int {
 func (s *Store) ShardOf(id int) (int, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.byID[id]
-	return s.home[id], ok
+	e, ok := s.byID[id]
+	return e.shard, ok
 }
 
 // Len returns the number of stored objects.
@@ -317,8 +325,8 @@ func (s *Store) Version() uint64 {
 func (s *Store) Get(id int) (*uncertain.Object, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	o, ok := s.byID[id]
-	return o, ok
+	e, ok := s.byID[id]
+	return e.obj, ok
 }
 
 // ChangeKind identifies the mutation a Change record describes.
@@ -372,10 +380,9 @@ type Change struct {
 // must not call back into the Store — package cq's Monitor is the
 // intended consumer. While at least one watcher is registered every
 // mutation publishes a snapshot, so every commit pays one copy-on-write
-// detach: the page tables of the shard's object list and R-tree, plus
-// the list chunk and tree pages the commit writes (a Delete: the list
-// chunks from its position on). That is the price of a gapless
-// per-version change stream.
+// detach: the page tables of the shard's object slab and R-tree, plus
+// the slab chunks (at most two) and tree pages the commit writes. That
+// is the price of a gapless per-version change stream.
 func (s *Store) Watch(fn func(Change)) (*Snapshot, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,20 +414,14 @@ func (s *Store) notifyLocked(kind ChangeKind, old, new *uncertain.Object) {
 	}
 }
 
-// detachLocked makes shard si (and the global order) private again
-// after a publish: the snapshot keeps the old lists and tree, the store
-// continues on clones that share their list chunks and tree pages until
-// it writes them. A detach copies page tables only. Requires s.mu held
-// for writing.
+// detachLocked makes shard si private again after a publish: the
+// snapshot keeps the old slab and tree, the store continues on clones
+// that share their slab chunks and tree pages until it writes them. A
+// detach copies page tables only. Requires s.mu held for writing.
 func (s *Store) detachLocked(si int) {
-	if s.snap != nil {
-		if s.home != nil {
-			s.order = s.order.Clone()
-		}
-		s.snap = nil
-	}
+	s.snap = nil
 	if sh := s.shards[si]; sh.snap != nil {
-		sh.list = sh.list.Clone()
+		sh.slab = sh.slab.Clone()
 		sh.index = sh.index.Clone()
 		sh.snap = nil
 	}
@@ -474,14 +475,9 @@ func (s *Store) InsertCtx(ctx context.Context, o *uncertain.Object) error {
 		return err
 	}
 	s.detachLocked(si)
-	s.shards[si].insert(o)
+	s.byID[o.ID] = s.shards[si].insert(si, o)
 	s.dim = o.Dim()
-	s.byID[o.ID] = o
 	s.cache.Add(o)
-	if s.home != nil {
-		s.home[o.ID] = si
-		s.order.Append(o)
-	}
 	return s.commitLocked(ctx, si, seq, ChangeInsert, nil, o)
 }
 
@@ -498,34 +494,29 @@ func (s *Store) Delete(id int) (ok bool, err error) {
 // InsertCtx).
 func (s *Store) DeleteCtx(ctx context.Context, id int) (bool, error) {
 	s.mu.Lock()
-	o, ok := s.byID[id]
+	e, ok := s.byID[id]
 	if !ok {
 		s.mu.Unlock()
 		return false, nil
 	}
-	si := s.home[id]
-	seq, err := s.journalLocked(si, wal.Record{Op: wal.OpDelete, ID: id}, s.version+1)
+	seq, err := s.journalLocked(e.shard, wal.Record{Op: wal.OpDelete, ID: id}, s.version+1)
 	if err != nil {
 		s.mu.Unlock()
 		return false, err
 	}
-	s.detachLocked(si)
-	s.shards[si].remove(o)
+	s.detachLocked(e.shard)
+	s.shards[e.shard].remove(s.byID, e)
 	delete(s.byID, id)
-	s.cache.Invalidate(o)
-	if s.home != nil {
-		delete(s.home, id)
-		removeObject(&s.order, o)
-	}
-	return true, s.commitLocked(ctx, si, seq, ChangeDelete, o, nil)
+	s.cache.Invalidate(e.obj)
+	return true, s.commitLocked(ctx, e.shard, seq, ChangeDelete, e.obj, nil)
 }
 
 // Update atomically replaces the object carrying o.ID with o: no query
 // ever observes the database with the old object gone and the new one
 // missing, or with both present. The object keeps its home shard and
-// its database-order position even when the partitioner would now
-// route it elsewhere (Rebalance re-homes drifted objects). It returns
-// an error when the ID is not stored (use Insert for new objects).
+// slab slot even when the partitioner would now route it elsewhere
+// (Rebalance re-homes drifted objects). It returns an error when the ID
+// is not stored (use Insert for new objects).
 func (s *Store) Update(o *uncertain.Object) error {
 	return s.UpdateCtx(context.Background(), o)
 }
@@ -537,7 +528,7 @@ func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
 		return errors.New("store: nil object")
 	}
 	s.mu.Lock()
-	old, ok := s.byID[o.ID]
+	e, ok := s.byID[o.ID]
 	if !ok {
 		s.mu.Unlock()
 		return fmt.Errorf("store: update of unknown object ID %d", o.ID)
@@ -546,21 +537,16 @@ func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
 		s.mu.Unlock()
 		return err
 	}
-	si := s.home[o.ID]
-	seq, err := s.journalLocked(si, wal.Record{Op: wal.OpUpdate, Obj: o}, s.version+1)
+	seq, err := s.journalLocked(e.shard, wal.Record{Op: wal.OpUpdate, Obj: o}, s.version+1)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.detachLocked(si)
-	s.shards[si].replace(old, o)
-	s.byID[o.ID] = o
-	s.cache.Invalidate(old)
+	s.detachLocked(e.shard)
+	s.byID[o.ID] = s.shards[e.shard].replace(e, o)
+	s.cache.Invalidate(e.obj)
 	s.cache.Add(o)
-	if s.home != nil {
-		replaceObject(&s.order, old, o)
-	}
-	return s.commitLocked(ctx, si, seq, ChangeUpdate, old, o)
+	return s.commitLocked(ctx, e.shard, seq, ChangeUpdate, e.obj, o)
 }
 
 // commitLocked finishes a logical mutation applied on shard si and
@@ -576,7 +562,7 @@ func (s *Store) commitLocked(ctx context.Context, si int, seq uint64, kind Chang
 	s.notifyLocked(kind, old, new)
 	s.maybeCheckpointLocked()
 	j := s.shards[si].journal
-	if s.home != nil {
+	if len(s.shards) > 1 {
 		defer s.mu.Unlock()
 		return waitDurableTraced(ctx, j, seq)
 	}
@@ -611,16 +597,17 @@ func (s *Store) Move(id, dst int) error {
 	if dst < 0 || dst >= len(s.shards) {
 		return fmt.Errorf("store: shard %d out of range [0, %d)", dst, len(s.shards))
 	}
-	if _, ok := s.byID[id]; !ok {
+	e, ok := s.byID[id]
+	if !ok {
 		return fmt.Errorf("store: move of unknown object ID %d", id)
 	}
-	if src := s.home[id]; src != dst {
-		return s.moveLocked(id, src, dst)
+	if e.shard != dst {
+		return s.moveLocked(id, dst)
 	}
 	return nil
 }
 
-// moveLocked migrates id from shard src to dst. Requires s.mu held for
+// moveLocked migrates id from its home shard to dst. Requires s.mu held for
 // writing. The move-in is durable BEFORE the move-out is journaled: a
 // crash between the two leaves the object on both shards — never on
 // neither — and recovery drops the dangling move-in's copy. A failed
@@ -629,32 +616,34 @@ func (s *Store) Move(id, dst int) error {
 // will rebuild — and the store latches: commits on top of the dangling
 // move-in could not be recovered, so every mutation, Sync and Close
 // returns the error while queries keep serving.
-func (s *Store) moveLocked(id, src, dst int) error {
-	o := s.byID[id]
+func (s *Store) moveLocked(id, dst int) error {
+	from := s.byID[id]
+	o := from.obj
 	if err := s.migrateLocked(dst, o, wal.OpMoveIn); err != nil {
 		return err
 	}
-	err := s.migrateLocked(src, o, wal.OpMoveOut)
+	to := s.shards[dst].insert(dst, o)
+	err := s.migrateLocked(from.shard, o, wal.OpMoveOut)
 	if err == nil {
-		s.home[id] = dst
+		s.shards[from.shard].remove(s.byID, from)
+		s.byID[id] = to
 		s.maybeCheckpointLocked()
 		return nil
 	}
 	// A latched store means the move-out may be durable after all (its
 	// fsync failed): compensating on dst could then lose the object.
 	if s.failed == nil {
-		uerr := s.migrateLocked(dst, o, wal.OpMoveOut)
-		if uerr == nil {
-			return err
+		if uerr := s.migrateLocked(dst, o, wal.OpMoveOut); uerr != nil {
+			s.failLocked(fmt.Errorf("store: move of object %d failed (%v) and could not be rolled back: %w", id, err, uerr))
 		}
-		s.failLocked(fmt.Errorf("store: move of object %d failed (%v) and could not be rolled back: %w", id, err, uerr))
 	}
-	s.shards[dst].remove(o)
-	return s.failed
+	s.shards[dst].remove(s.byID, to)
+	return cmp.Or(s.failed, err)
 }
 
-// migrateLocked journals one half of a migration on shard si and
-// applies it once durable. A durability failure latches the store: the
+// migrateLocked journals one half of a migration on shard si and, once
+// it is durable, detaches the shard and counts its version up for the
+// caller to apply the half. A durability failure latches the store: the
 // record may or may not have reached the disk.
 func (s *Store) migrateLocked(si int, o *uncertain.Object, op wal.Op) error {
 	rec := wal.Record{Op: op, Obj: o}
@@ -671,11 +660,6 @@ func (s *Store) migrateLocked(si int, o *uncertain.Object, op wal.Op) error {
 		return err
 	}
 	s.detachLocked(si)
-	if op == wal.OpMoveIn {
-		sh.insert(o)
-	} else {
-		sh.remove(o)
-	}
 	sh.version++
 	return nil
 }
@@ -691,15 +675,17 @@ func (s *Store) Rebalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	moved := 0
-	order := s.order // moves never reorder it; a detach may replace s.order
-	for o := range order.All() {
-		dst := s.shardFor(o)
-		if src := s.home[o.ID]; src != dst {
-			if err := s.moveLocked(o.ID, src, dst); err != nil {
-				s.dur.noteCkptErr(err)
-				return moved
+	// The cuts stay put while the moves rewrite the slabs (one shard has
+	// none).
+	for si, cut := range s.snapshotLocked().shards {
+		for o := range cut.slab.All() {
+			if dst := s.shardFor(o); dst != si {
+				if err := s.moveLocked(o.ID, dst); err != nil {
+					s.dur.noteCkptErr(err)
+					return moved
+				}
+				moved++
 			}
-			moved++
 		}
 	}
 	return moved
@@ -725,7 +711,7 @@ func (s *Store) snapshotLocked() *Snapshot {
 	if s.snap != nil {
 		return s.snap
 	}
-	if s.home == nil {
+	if len(s.shards) == 1 {
 		s.snap = s.cutLocked(s.shards[0])
 		return s.snap
 	}
@@ -733,7 +719,7 @@ func (s *Store) snapshotLocked() *Snapshot {
 	for i, sh := range s.shards {
 		cuts[i] = s.cutLocked(sh)
 	}
-	s.snap = &Snapshot{list: s.order, shards: cuts, version: s.version, opts: s.opts, cache: s.cache, obs: s.obs}
+	s.snap = &Snapshot{shards: cuts, version: s.version, opts: s.opts, cache: s.cache, obs: s.obs}
 	return s.snap
 }
 
@@ -741,7 +727,7 @@ func (s *Store) snapshotLocked() *Snapshot {
 // Requires s.mu held for writing.
 func (s *Store) cutLocked(sh *shard) *Snapshot {
 	if sh.snap == nil {
-		sh.snap = &Snapshot{list: sh.list, index: sh.index, version: sh.version, opts: s.opts, cache: s.cache, obs: s.obs}
+		sh.snap = &Snapshot{slab: sh.slab, sorted: sh.sorted, index: sh.index, version: sh.version, opts: s.opts, cache: s.cache, obs: s.obs}
 	}
 	return sh.snap
 }
@@ -789,18 +775,21 @@ func (s *Store) WALStats() (wal.MetricsSnapshot, bool) {
 }
 
 // Snapshot is one immutable database state published by a Store: with
-// one shard, its object list and index; with more, a consistent cut of
-// per-shard snapshots plus the global order at one epoch. All queries
-// on one snapshot see exactly the same objects.
+// one shard, its object slab and index; with more, a consistent cut of
+// per-shard snapshots at one epoch. All queries on one snapshot see
+// exactly the same objects.
 //
-// The list is the store's copy-on-write list as of the publish. Readers
-// that scan the database (candidate scans, DB) read a flat copy built on
-// first use, at most once per snapshot; readers that go through the
+// A shard cut's slab is the store's copy-on-write slab as of the
+// publish. Readers that scan the database (candidate scans, DB) read a
+// flat copy in ascending ID order, built on first use at most once per
+// snapshot — sorted only when the slab is out of order, merged from the
+// cuts' copies with more than one shard; readers that go through the
 // index (continuous-query maintenance) never build it.
 type Snapshot struct {
-	list    objList
-	index   *objTree    // the shard's index; nil on a multi-shard cut
-	shards  []*Snapshot // per-shard cuts; nil with one shard
+	slab    cow.List[*uncertain.Object] // the shard's slab; empty on a multi-shard cut
+	sorted  bool                        // the slab is in ascending ID order
+	index   *objTree                    // the shard's index; nil on a multi-shard cut
+	shards  []*Snapshot                 // per-shard cuts; nil with one shard
 	version uint64
 	opts    core.Options
 	cache   *core.DecompCache
@@ -835,7 +824,7 @@ func (sn *Snapshot) root() (geom.Rect, bool) {
 func (sn *Snapshot) allCertain() bool {
 	sn.certainOnce.Do(func() {
 		sn.certain = true
-		for o := range sn.list.All() {
+		for o := range sn.slab.All() {
 			if o.ExistenceProb() < 1 {
 				sn.certain = false
 				break
@@ -876,18 +865,48 @@ func (sn *Snapshot) Shard(i int) *Snapshot {
 }
 
 // Len returns the number of objects in the snapshot.
-func (sn *Snapshot) Len() int { return sn.list.Len() }
+func (sn *Snapshot) Len() int {
+	n := sn.slab.Len()
+	for _, c := range sn.shards {
+		n += c.Len()
+	}
+	return n
+}
 
-// DB returns a copy of the snapshot's object slice in database order
+// DB returns a copy of the snapshot's objects in ascending ID order
 // (the objects are shared and must be treated as read-only).
 func (sn *Snapshot) DB() uncertain.Database {
 	return slices.Clone(sn.database())
 }
 
-// database returns the snapshot's objects in database order as one flat
-// slice, built on the first call. Shared: read-only.
+// database returns the snapshot's objects in ascending ID order as one
+// flat slice, built on the first call. Shared: read-only.
 func (sn *Snapshot) database() uncertain.Database {
-	sn.flatOnce.Do(func() { sn.flat = sn.list.Slice() })
+	sn.flatOnce.Do(func() {
+		if sn.shards == nil {
+			sn.flat = sn.slab.Slice()
+			if !sn.sorted {
+				slices.SortFunc(sn.flat, cmpID)
+			}
+			return
+		}
+		// Every cut's copy ascends by ID: merge them.
+		heads := make([]uncertain.Database, len(sn.shards))
+		for i, c := range sn.shards {
+			heads[i] = c.database()
+		}
+		sn.flat = make(uncertain.Database, 0, sn.Len())
+		for len(sn.flat) < cap(sn.flat) {
+			best := -1
+			for i, h := range heads {
+				if len(h) > 0 && (best < 0 || h[0].ID < heads[best][0].ID) {
+					best = i
+				}
+			}
+			sn.flat = append(sn.flat, heads[best][0])
+			heads[best] = heads[best][1:]
+		}
+	})
 	return sn.flat
 }
 

@@ -26,7 +26,8 @@ import (
 // IDCA itself, lifted to the candidate set.
 //
 // The returned matches are the selected objects in decreasing order of
-// their probability bounds' midpoint. Decided is false on a candidate
+// their probability bounds' midpoint, ties in ascending ID order.
+// Decided is false on a candidate
 // whose membership could not be separated within the iteration budget
 // (ties or exhausted refinement); its bounds still quantify the
 // remaining ambiguity.

@@ -39,6 +39,11 @@ func AppendObject(buf []byte, o *Object) []byte {
 	return appendFloats(append(buf, 1), o.Weights)
 }
 
+// MaxEncodedLen bounds the number of bytes AppendObject writes for o.
+func MaxEncodedLen(o *Object) int {
+	return 3*binary.MaxVarintLen64 + 8*(1+2*o.Dim()+len(o.Coords)+len(o.Weights)) + 1
+}
+
 func appendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }

@@ -10,13 +10,14 @@ import (
 )
 
 // Checkpoint is a snapshot of one store's durable state: the object
-// database in exact database order and the store version it was taken
-// at. Decompositions are not persisted: a reopened store rebuilds each
-// object's kd-tree from its samples on first use.
+// database and the store version it was taken at. Decompositions are
+// not persisted: a reopened store rebuilds each object's kd-tree from
+// its samples on first use.
 type Checkpoint struct {
 	// Version is the store mutation epoch the snapshot was taken at.
 	Version uint64
-	// Objects is the object database, in database order.
+	// Objects is the object database; stores write it in ascending ID
+	// order, and the file keeps whatever order it is given.
 	Objects []*uncertain.Object
 
 	// firstSegment is the log-tail watermark: recovery replays segments
@@ -26,17 +27,14 @@ type Checkpoint struct {
 }
 
 // appendCheckpoint encodes the checkpoint payload (format v2).
-func appendCheckpoint(buf []byte, ck *Checkpoint) ([]byte, error) {
+func appendCheckpoint(buf []byte, ck *Checkpoint) []byte {
 	buf = binary.AppendUvarint(buf, ck.Version)
 	buf = binary.AppendUvarint(buf, ck.firstSegment)
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Objects)))
 	for _, o := range ck.Objects {
-		if o == nil {
-			return nil, fmt.Errorf("wal: nil object in checkpoint")
-		}
 		buf = uncertain.AppendObject(buf, o)
 	}
-	return buf, nil
+	return buf
 }
 
 // decodeCheckpoint decodes a checkpoint payload. A v1 payload also
@@ -96,17 +94,26 @@ func (d *decoder) skipLevels(dim int) {
 	}
 }
 
-// frameBlob wraps a payload in [magic][len][crc][payload] — the single
-// frame layout of checkpoint and manifest files.
-func frameBlob(magic string, payload []byte) []byte {
-	out := make([]byte, 0, len(magic)+frameHeader+len(payload))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
+// startBlob returns a buffer holding magic and a blank frame header with
+// room for a size-byte payload, which the caller appends and sealBlob
+// frames in place: [magic][len][crc][payload], the one layout of
+// checkpoint and manifest files.
+func startBlob(magic string, size int) []byte {
+	buf := make([]byte, len(magic)+frameHeader, len(magic)+frameHeader+size)
+	copy(buf, magic)
+	return buf
 }
 
-// unframeBlob validates and strips the frameBlob layout.
+// sealBlob fills in the frame header of a startBlob buffer from the
+// payload appended to it.
+func sealBlob(magic string, buf []byte) []byte {
+	payload := buf[len(magic)+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[len(magic):], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[len(magic)+4:], crc32.Checksum(payload, crcTable))
+	return buf
+}
+
+// unframeBlob validates and strips the startBlob/sealBlob layout.
 func unframeBlob(magic string, data []byte) ([]byte, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("wal: bad magic")
@@ -132,13 +139,17 @@ func unframeVersioned(magic, v1Magic string, data []byte) (payload []byte, v1 bo
 	return payload, false, err
 }
 
-// saveCheckpointFile atomically writes ck to path.
+// saveCheckpointFile atomically writes ck to path, encoding it into one
+// buffer presized from the objects' encoded size.
 func saveCheckpointFile(path string, ck *Checkpoint) error {
-	payload, err := appendCheckpoint(nil, ck)
-	if err != nil {
-		return err
+	size := 3 * binary.MaxVarintLen64
+	for _, o := range ck.Objects {
+		if o == nil {
+			return fmt.Errorf("wal: nil object in checkpoint")
+		}
+		size += uncertain.MaxEncodedLen(o)
 	}
-	return writeFileAtomic(path, frameBlob(ckptMagic, payload))
+	return writeFileAtomic(path, sealBlob(ckptMagic, appendCheckpoint(startBlob(ckptMagic, size), ck)))
 }
 
 // loadCheckpointFile reads a checkpoint installed by
@@ -157,11 +168,11 @@ func loadCheckpointFile(path string) (*Checkpoint, error) {
 
 // Manifest is the router-level durable state of a sharded store: the
 // shard count, the router mutation epoch of the last coordinated
-// checkpoint, the per-shard versions of that cut and the global
-// insertion order at that epoch (object IDs — the instances live in the
-// shard checkpoints). Per-shard logs carry the router epoch on every
-// record, so recovery rebuilds the global order as manifest order plus
-// the merged logical records with epoch > Manifest.Version.
+// checkpoint and the per-shard versions of that cut. Per-shard logs
+// carry the router epoch on every record, so recovery checks that the
+// merged logical records with epoch > Manifest.Version continue it
+// without a gap. The format keeps an order section (object IDs), which
+// the writer leaves empty and the reader skips.
 type Manifest struct {
 	// Version is the router mutation epoch at the checkpoint.
 	Version uint64
@@ -171,9 +182,6 @@ type Manifest struct {
 	// VV is the per-shard store version at the checkpoint — the version
 	// vector of the coordinated cut.
 	VV []uint64
-	// Order is the global database order at the checkpoint, as object
-	// IDs.
-	Order []int
 }
 
 // appendManifest encodes the manifest payload (format v2).
@@ -184,16 +192,13 @@ func appendManifest(buf []byte, m *Manifest) []byte {
 	for _, v := range m.VV {
 		buf = binary.AppendUvarint(buf, v)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(m.Order)))
-	for _, id := range m.Order {
-		buf = binary.AppendVarint(buf, int64(id))
-	}
-	return buf
+	return binary.AppendUvarint(buf, 0) // the empty order section
 }
 
-// decodeManifest decodes a manifest payload. A v1 payload also carries a
-// cache epoch after the shard count and, after the order, a section of
-// per-object decomposition levels; both are read past and dropped.
+// decodeManifest decodes a manifest payload; the order section is read
+// past. A v1 payload also carries a cache epoch after the shard count
+// and, after the order, a section of per-object decomposition levels;
+// both are read past and dropped.
 func decodeManifest(b []byte, v1 bool) (*Manifest, error) {
 	d := decoder{b: b}
 	m := &Manifest{}
@@ -213,13 +218,8 @@ func decodeManifest(b []byte, v1 bool) (*Manifest, error) {
 	for i := range m.VV {
 		m.VV[i] = d.uvarint()
 	}
-	n := d.count("order", 1)
-	if d.err != nil {
-		return nil, d.err
-	}
-	m.Order = make([]int, n)
-	for i := range m.Order {
-		m.Order[i] = int(d.varint())
+	for range d.count("order", 1) {
+		d.varint()
 	}
 	if v1 {
 		for range d.count("decomposition", 2) {
@@ -245,7 +245,8 @@ func decodeManifest(b []byte, v1 bool) (*Manifest, error) {
 
 // SaveManifest atomically writes the router manifest to path.
 func SaveManifest(path string, m *Manifest) error {
-	return writeFileAtomic(path, frameBlob(maniMagic, appendManifest(nil, m)))
+	size := (4 + len(m.VV)) * binary.MaxVarintLen64
+	return writeFileAtomic(path, sealBlob(maniMagic, appendManifest(startBlob(maniMagic, size), m)))
 }
 
 // LoadManifest reads a manifest written by SaveManifest, in either

@@ -201,9 +201,7 @@ func (l *CursorLog) rewriteLocked(c *Cursor) error {
 	if err != nil {
 		return err
 	}
-	data := make([]byte, len(curlMagic), len(curlMagic)+frameHeader+len(payload))
-	copy(data, curlMagic)
-	data = appendFrame(data, payload)
+	data := sealBlob(curlMagic, append(startBlob(curlMagic, len(payload)), payload...))
 	if err := writeFileAtomic(l.path, data); err != nil {
 		return err
 	}

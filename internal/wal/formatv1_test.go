@@ -9,7 +9,14 @@ import (
 
 // The format-v1 checkpoint and manifest writers, kept as test fixtures
 // for the v1 reader: v1 persisted a decomposition-cache epoch and each
-// object's materialized kd-tree levels, which v2 dropped.
+// object's materialized kd-tree levels, which v2 dropped. Both versions
+// of the manifest carried a global order, which the writer now leaves
+// empty; v2ManifestFile writes one.
+
+// frameBlob frames a finished payload as a file.
+func frameBlob(magic string, payload []byte) []byte {
+	return sealBlob(magic, append(startBlob(magic, len(payload)), payload...))
+}
 
 // v1Levels is one object's v1 decomposition section, keyed for the
 // manifest by object ID and dimensionality.
@@ -40,19 +47,12 @@ func v1CheckpointFile(ck *Checkpoint, epoch uint64, levels [][][]uncertain.Parti
 }
 
 // v1ManifestFile frames m as a v1 manifest file carrying the cache
-// epoch and decomposition entries.
-func v1ManifestFile(m *Manifest, epoch uint64, entries []v1Levels) []byte {
+// epoch, a global order and decomposition entries.
+func v1ManifestFile(m *Manifest, epoch uint64, order []int, entries []v1Levels) []byte {
 	buf := binary.AppendUvarint(nil, m.Version)
 	buf = binary.AppendUvarint(buf, uint64(m.Shards))
 	buf = binary.AppendUvarint(buf, epoch)
-	buf = binary.AppendUvarint(buf, uint64(len(m.VV)))
-	for _, v := range m.VV {
-		buf = binary.AppendUvarint(buf, v)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(m.Order)))
-	for _, id := range m.Order {
-		buf = binary.AppendVarint(buf, int64(id))
-	}
+	buf = appendVVOrder(buf, m, order)
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = binary.AppendVarint(buf, int64(e.ID))
@@ -60,6 +60,27 @@ func v1ManifestFile(m *Manifest, epoch uint64, entries []v1Levels) []byte {
 		buf = appendV1Levels(buf, e.Levels)
 	}
 	return frameBlob(maniMagicV1, buf)
+}
+
+// v2ManifestFile frames m as a v2 manifest file carrying a global
+// order, as stores wrote it before the order was dropped.
+func v2ManifestFile(m *Manifest, order []int) []byte {
+	buf := binary.AppendUvarint(nil, m.Version)
+	buf = binary.AppendUvarint(buf, uint64(m.Shards))
+	return frameBlob(maniMagic, appendVVOrder(buf, m, order))
+}
+
+// appendVVOrder writes the version vector and order sections.
+func appendVVOrder(buf []byte, m *Manifest, order []int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(m.VV)))
+	for _, v := range m.VV {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(order)))
+	for _, id := range order {
+		buf = binary.AppendVarint(buf, int64(id))
+	}
+	return buf
 }
 
 // appendV1Levels writes a level count, then per level a partition count

@@ -113,16 +113,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(append([]byte(maniMagic), data[len(ckptMagic):]...))
 	f.Add(v1CheckpointFile(&Checkpoint{Version: 3, Objects: db}, 5, v1TestLevels(db)))
 	o := db[1]
-	f.Add(v1ManifestFile(&Manifest{Version: 7, Shards: 2, VV: []uint64{3, 4}, Order: []int{2, o.ID, 0}}, 9,
+	f.Add(v1ManifestFile(&Manifest{Version: 7, Shards: 2, VV: []uint64{3, 4}}, 9, []int{2, o.ID, 0},
 		[]v1Levels{{ID: o.ID, Dim: o.Dim(), Levels: v1TestLevels(db)[3%len(db)]}}))
+	f.Add(v2ManifestFile(&Manifest{Version: 7, Shards: 2, VV: []uint64{3, 4}}, []int{2, o.ID, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if payload, v1, err := unframeVersioned(ckptMagic, ckptMagicV1, data); err == nil {
 			if ck, err := decodeCheckpoint(payload, v1); err == nil {
-				re, err := appendCheckpoint(nil, ck)
-				if err != nil {
-					t.Fatalf("decoded checkpoint does not re-encode: %v", err)
-				}
-				ck2, err := decodeCheckpoint(re, false)
+				ck2, err := decodeCheckpoint(appendCheckpoint(nil, ck), false)
 				if err != nil || !reflect.DeepEqual(ck, ck2) {
 					t.Fatalf("checkpoint round trip changed (%v)", err)
 				}

@@ -61,9 +61,9 @@ type Record struct {
 	// record; replay validates it is exactly one past the current epoch.
 	Version uint64
 	// Global is the store epoch after the commit when the journal is one
-	// shard of a multi-shard store, zero otherwise. Merging the shards'
-	// logical records by Global reconstructs the store's global
-	// insertion order exactly.
+	// shard of a multi-shard store, zero otherwise. Recovery merges the
+	// shards' logical records by Global to check that no acknowledged
+	// epoch follows a lost one.
 	Global uint64
 	// ID is the mutated object's ID for the body-less ops
 	// (OpDelete/OpMoveOut); other ops carry the object itself.

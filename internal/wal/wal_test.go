@@ -253,16 +253,17 @@ func TestCheckpointV1SkipsLevels(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip: the router manifest codec is the identity, and
-// a v1 manifest loads to the same manifest with its cache epoch and
-// decomposition entries read past.
+// TestManifestRoundTrip: the router manifest codec is the identity, a
+// v2 manifest with a global order (as stores wrote it before the order
+// was dropped) loads to the same manifest with the order read past, and
+// so does a v1 manifest with its cache epoch, order and decomposition
+// entries.
 func TestManifestRoundTrip(t *testing.T) {
 	db := mustSynthetic(t, 4, 6)
 	m := &Manifest{
 		Version: 42,
 		Shards:  4,
 		VV:      []uint64{1, 0, 7, 3},
-		Order:   []int{3, 0, 2, 1},
 	}
 	path := filepath.Join(t.TempDir(), "MANIFEST")
 	if err := SaveManifest(path, m); err != nil {
@@ -284,11 +285,17 @@ func TestManifestRoundTrip(t *testing.T) {
 			Levels: [][]uncertain.Partition{tree.PartitionsAtLevel(0), tree.PartitionsAtLevel(i + 1)},
 		})
 	}
-	if err := os.WriteFile(path, v1ManifestFile(m, 17, entries), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err = LoadManifest(path); err != nil || !reflect.DeepEqual(m, got) {
-		t.Fatalf("v1 manifest loaded as %+v, %v", got, err)
+	order := []int{3, 0, 2, 1}
+	for name, data := range map[string][]byte{
+		"v2 with an order": v2ManifestFile(m, order),
+		"v1":               v1ManifestFile(m, 17, order, entries),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = LoadManifest(path); err != nil || !reflect.DeepEqual(m, got) {
+			t.Fatalf("%s manifest loaded as %+v, %v", name, got, err)
+		}
 	}
 	// Missing file: fresh directory signal, not an error.
 	none, err := LoadManifest(filepath.Join(t.TempDir(), "MANIFEST"))
