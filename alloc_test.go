@@ -48,21 +48,21 @@ func allocDB(t *testing.T) probprune.Database {
 	return db
 }
 
-// TestEngineKNNAllocCeiling: a threshold kNN query on a frozen engine
-// (persistent pinned decomposition cache, pooled run arenas) stays
-// under 1,000 allocations.
-func TestEngineKNNAllocCeiling(t *testing.T) {
+// TestSnapshotKNNAllocCeiling: a threshold kNN query on one held
+// snapshot (persistent pinned decomposition cache, pooled run arenas)
+// stays under 1,000 allocations.
+func TestSnapshotKNNAllocCeiling(t *testing.T) {
 	db := allocDB(t)
-	e := newEngine(t, db, probprune.Options{MaxIterations: 3})
+	snap := newSnapshot(t, db, probprune.Options{MaxIterations: 3})
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	e.KNN(q, allocK, allocTau) // warm pools and decomposition cache
+	must(snap.KNN(bg, q, allocK, allocTau)) // warm pools and decomposition cache
 	allocs := testing.AllocsPerRun(5, func() {
-		e.KNN(q, allocK, allocTau)
+		must(snap.KNN(bg, q, allocK, allocTau))
 	})
 	if allocs > 1000 {
-		t.Fatalf("EngineKNN allocated %.0f times per query, ceiling 1000", allocs)
+		t.Fatalf("SnapshotKNN allocated %.0f times per query, ceiling 1000", allocs)
 	}
-	t.Logf("EngineKNN: %.0f allocs per query (ceiling 1000)", allocs)
+	t.Logf("SnapshotKNN: %.0f allocs per query (ceiling 1000)", allocs)
 }
 
 // TestStoreWarmKNNAllocCeiling: the same query served warm from a live
@@ -415,13 +415,13 @@ func TestStoreBatchKNNAllocCeiling(t *testing.T) {
 	ctx := context.Background()
 	sequential := func() {
 		for _, r := range reqs {
-			if _, err := s.KNNCtx(ctx, r.Q, r.K, r.Tau); err != nil {
+			if _, err := s.Snapshot().KNN(ctx, r.Q, r.K, r.Tau); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	batch := func() {
-		if _, err := s.BatchKNN(ctx, reqs); err != nil {
+		if _, err := s.Snapshot().BatchKNN(ctx, reqs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@ func BenchmarkShardedBatchKNN(b *testing.B) {
 				reqs[i] = probprune.KNNRequest{Q: q, K: 5, Tau: 0.3}
 			}
 			ctx := context.Background()
-			if _, err := s.BatchKNN(ctx, reqs); err != nil { // warm the caches
+			if _, err := s.Snapshot().BatchKNN(ctx, reqs); err != nil { // warm the caches
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -50,7 +50,7 @@ func BenchmarkShardedBatchKNN(b *testing.B) {
 					}
 				}
 				s.Rebalance()
-				if _, err := s.BatchKNN(ctx, reqs); err != nil {
+				if _, err := s.Snapshot().BatchKNN(ctx, reqs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,7 @@
 // Benchmarks for the live store: BenchmarkStoreWarmKNN measures
 // repeated kNN queries against a stable Store — the persistent
 // decomposition cache makes later queries skip every influence-object
-// kd-split — next to the cold path that builds a fresh Engine per
+// kd-split — next to the cold path that builds a fresh store per
 // query. BenchmarkBulkLoad compares the STR bulk build of the R-tree
 // against incremental insertion.
 package probprune_test
@@ -23,10 +23,9 @@ func BenchmarkStoreWarmKNN(b *testing.B) {
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 	opts := probprune.Options{Parallelism: 1}
 
-	b.Run("engine-cold", func(b *testing.B) {
+	b.Run("store-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			engine := newEngine(b, db, opts)
-			engine.KNN(q, 10, 0.5)
+			must(newSnapshot(b, db, opts).KNN(bg, q, 10, 0.5))
 		}
 	})
 	b.Run("store-warm", func(b *testing.B) {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"probprune"
+	"probprune/internal/obs"
 )
 
 var benchOpts = probprune.Options{MaxIterations: 3}
@@ -223,5 +224,5 @@ func BenchmarkCheckpointUnderLoad(b *testing.B) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-commit-ns")
 	b.ReportMetric(float64(lat[len(lat)-1]), "max-commit-ns")
-	b.ReportMetric(float64(s.Metrics().Snapshot()["store.checkpoint.coalesced"])/float64(b.N), "ckpt-coalesced/op")
+	b.ReportMetric(float64(obs.PointsMap(s.Metrics().Registry().Points())["store.checkpoint.coalesced"])/float64(b.N), "ckpt-coalesced/op")
 }

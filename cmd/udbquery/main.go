@@ -52,10 +52,11 @@ func main() {
 	if err != nil {
 		fail("loading %s: %v", *dbPath, err)
 	}
-	engine, err := query.NewEngine(db, core.Options{MaxIterations: *iterations})
+	store, err := query.NewStore(db, core.Options{MaxIterations: *iterations})
 	if err != nil {
 		fail("%s: %v", *dbPath, err)
 	}
+	snap := store.Snapshot()
 
 	// With -trace, thread an obs.Trace through the query context and
 	// print its anatomy afterwards — the same snapshot the server ships
@@ -70,14 +71,14 @@ func main() {
 	switch *queryKind {
 	case "knn":
 		q := queryObject(db, *at, *targetID)
-		matches, err := engine.KNNCtx(ctx, q, *k, *tau)
+		matches, err := snap.KNN(ctx, q, *k, *tau)
 		if err != nil {
 			fail("knn: %v", err)
 		}
 		printMatches(matches, *tau)
 	case "rknn":
 		q := queryObject(db, *at, *targetID)
-		matches, err := engine.RKNNCtx(ctx, q, *k, *tau)
+		matches, err := snap.RKNN(ctx, q, *k, *tau)
 		if err != nil {
 			fail("rknn: %v", err)
 		}
@@ -85,7 +86,10 @@ func main() {
 	case "irank":
 		target := byID(db, *targetID)
 		ref := byID(db, *refID)
-		rd := engine.InverseRank(target, ref)
+		rd, err := snap.InverseRank(ctx, target, ref)
+		if err != nil {
+			fail("irank: %v", err)
+		}
 		fmt.Printf("inverse ranking of object %d w.r.t. object %d:\n", target.ID, ref.ID)
 		for i := rd.MinRank; i < rd.MinRank+len(rd.Ranks); i++ {
 			iv := rd.Bound(i)
@@ -96,7 +100,10 @@ func main() {
 		}
 	case "rank":
 		q := queryObject(db, *at, *targetID)
-		ranked := engine.RankByExpectedRank(q)
+		ranked, err := snap.RankByExpectedRank(ctx, q)
+		if err != nil {
+			fail("rank: %v", err)
+		}
 		if *top < len(ranked) {
 			ranked = ranked[:*top]
 		}

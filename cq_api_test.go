@@ -94,11 +94,8 @@ func TestContinuousQueryAPI(t *testing.T) {
 		t.Fatalf("Err = %v, want ErrUnsubscribed", sub.Err())
 	}
 
-	// BatchCtx through the root alias.
-	if err := store.BatchCtx(ctx, func(ctx context.Context, e *probprune.Engine) error {
-		_, err := e.KNNCtx(ctx, q, 3, 0.4)
-		return err
-	}); err != nil {
+	// A snapshot query through the root alias.
+	if _, err := store.Snapshot().KNN(ctx, q, 3, 0.4); err != nil {
 		t.Fatal(err)
 	}
 }

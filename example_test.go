@@ -3,6 +3,7 @@ package probprune_test
 import (
 	"context"
 	"fmt"
+	"log"
 	"math/rand"
 	"os"
 	"sort"
@@ -14,14 +15,17 @@ import (
 // nearest neighbors of (0.5, 0.5) with probability at least 50%? The
 // filter step decides almost every candidate geometrically; refinement
 // tightens the bounds of the rest.
-func ExampleEngine_KNN() {
+func ExampleStoreSnapshot_KNN() {
 	// 500 objects in the unit square, each a rectangle of side up to
 	// 0.02 carrying a uniform density discretized to 32 samples.
 	db, _ := probprune.Synthetic(probprune.SyntheticConfig{N: 500, MaxExtent: 0.02, Samples: 32, Seed: 7})
-	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
+	store, _ := probprune.NewStore(db, probprune.Options{MaxIterations: 6})
 
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	matches := engine.KNN(q, 5, 0.5)
+	matches, err := store.Snapshot().KNN(context.Background(), q, 5, 0.5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	undecided := 0
 	for _, m := range matches {
 		switch {
@@ -46,7 +50,7 @@ func ExampleEngine_KNN() {
 // new, still uncalibrated probe asks which sensors have it among their
 // 3 most similar peers with probability at least 25% — the sensors it
 // can cross-validate.
-func ExampleEngine_RKNN() {
+func ExampleStoreSnapshot_RKNN() {
 	rng := rand.New(rand.NewSource(21))
 	regimes := []probprune.Point{{22, 40}, {17, 60}, {30, 30}} // office, cold aisle, rooftop
 	var db probprune.Database
@@ -57,8 +61,12 @@ func ExampleEngine_RKNN() {
 	}
 	probe := sensor(-1, probprune.Point{22.5, 41}, 0.4, rng)
 
-	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
-	for _, m := range engine.RKNN(probe, 3, 0.25) {
+	store, _ := probprune.NewStore(db, probprune.Options{MaxIterations: 6})
+	matches, err := store.Snapshot().RKNN(context.Background(), probe, 3, 0.25)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, m := range matches {
 		if m.Decided && m.IsResult {
 			fmt.Printf("sensor %d: P in [%.3f, %.3f]\n", m.Object.ID, m.Prob.LB, m.Prob.UB)
 		}
@@ -89,7 +97,7 @@ func sensor(id int, mean probprune.Point, sigma float64, rng *rand.Rand) *probpr
 // A probabilistic inverse ranking query (Corollary 3) on simulated
 // iceberg sightings: a ship whose projected position is itself uncertain
 // asks where the nearest berg ranks among all bergs by proximity.
-func ExampleEngine_InverseRank() {
+func ExampleStoreSnapshot_InverseRank() {
 	db, _ := probprune.IcebergSim(probprune.IcebergConfig{N: 400, Samples: 32, Seed: 3})
 	rng := rand.New(rand.NewSource(99))
 	ship, _ := probprune.Realize(-1, probprune.TruncatedGaussian{
@@ -105,8 +113,11 @@ func ExampleEngine_InverseRank() {
 			berg = o
 		}
 	}
-	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
-	rd := engine.InverseRank(berg, ship)
+	store, _ := probprune.NewStore(db, probprune.Options{MaxIterations: 6})
+	rd, err := store.Snapshot().InverseRank(context.Background(), berg, ship)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("berg %d:\n", berg.ID)
 	for i := rd.MinRank; i < rd.MinRank+len(rd.Ranks); i++ {
 		if iv := rd.Bound(i); iv.UB >= 0.0005 {
@@ -126,7 +137,7 @@ func ExampleEngine_InverseRank() {
 // plus drift since their last ping, ordered by expected proximity to a
 // pickup. Dispatch is unambiguous when the front-runner's upper bound
 // beats the runner-up's lower bound.
-func ExampleEngine_RankByExpectedRank() {
+func ExampleStoreSnapshot_RankByExpectedRank() {
 	rng := rand.New(rand.NewSource(5))
 	var db probprune.Database
 	for i := 0; i < 80; i++ { // a 10 km x 10 km grid
@@ -141,8 +152,11 @@ func ExampleEngine_RankByExpectedRank() {
 	}
 	pickup := probprune.PointObject(-1, probprune.Point{5, 5})
 
-	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
-	ranked := engine.RankByExpectedRank(pickup)
+	store, _ := probprune.NewStore(db, probprune.Options{MaxIterations: 6})
+	ranked, err := store.Snapshot().RankByExpectedRank(context.Background(), pickup)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, r := range ranked[:4] {
 		fmt.Printf("%d. cab %d: E[rank] in [%.3f, %.3f]\n", i+1, r.Object.ID, r.ExpectedRankLB, r.ExpectedRankUB)
 	}

@@ -40,7 +40,8 @@ func TestSessionFacade(t *testing.T) {
 }
 
 // TestTopKNNFacade checks the top-m probable kNN query through the
-// public surface, on every backend (frozen Engine, Store, 4-shard Store).
+// public surface, on every backend (frozen snapshot, Store, 4-shard
+// Store, durable Store).
 func TestTopKNNFacade(t *testing.T) {
 	db, err := probprune.Synthetic(probprune.SyntheticConfig{
 		N: 150, Samples: 16, MaxExtent: 0.05, Seed: 33,
@@ -51,7 +52,7 @@ func TestTopKNNFacade(t *testing.T) {
 	for _, be := range queryBackends(t, db, probprune.Options{MaxIterations: 6}) {
 		t.Run(be.name, func(t *testing.T) {
 			q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-			top := be.eng.TopKNN(q, 3, 5)
+			top := must(be.snap.TopKNN(bg, q, 3, 5))
 			if len(top) != 5 {
 				t.Fatalf("TopKNN returned %d matches", len(top))
 			}
@@ -77,11 +78,11 @@ func TestUKRanksFacade(t *testing.T) {
 	for _, be := range queryBackends(t, db, probprune.Options{MaxIterations: 3}) {
 		t.Run(be.name, func(t *testing.T) {
 			q := probprune.PointObject(-1, probprune.Point{0, 0})
-			winners := be.eng.UKRanks(q, 2)
+			winners := must(be.snap.UKRanks(bg, q, 2))
 			if len(winners) != 2 || winners[0].Object.ID != 1 || winners[1].Object.ID != 0 {
 				t.Fatalf("UKRanks winners wrong: %+v", winners)
 			}
-			if ids := be.eng.GlobalTopK(q, 2); len(ids) != 2 {
+			if ids := must(be.snap.GlobalTopK(bg, q, 2)); len(ids) != 2 {
 				t.Fatalf("GlobalTopK returned %d objects", len(ids))
 			}
 		})
@@ -172,8 +173,8 @@ func TestDurableReopenOracle(t *testing.T) {
 			q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 			wantKNN := mirror.KNN(q, 3, 0.4)
 			gotKNN := reopened.KNN(q, 3, 0.4)
-			wantRKNN := mirror.RKNN(q, 2, 0.3)
-			gotRKNN := reopened.RKNN(q, 2, 0.3)
+			wantRKNN := must(mirror.Snapshot().RKNN(bg, q, 2, 0.3))
+			gotRKNN := must(reopened.Snapshot().RKNN(bg, q, 2, 0.3))
 			for _, pair := range []struct {
 				kind      string
 				got, want []probprune.Match

@@ -55,10 +55,6 @@ type Options struct {
 	// optimization of Section VI for kNN/RkNN predicates. Zero computes
 	// the full domination count PDF.
 	KMax int
-	// UncertaintyEps stops refinement once the accumulated uncertainty
-	// Σ_k (UB_k − LB_k) drops to or below this value. Zero keeps the
-	// default of stopping only on convergence to (near) zero.
-	UncertaintyEps float64
 	// Stop, when non-nil, is evaluated after every iteration with the
 	// current result; returning true ends refinement (the "domain- and
 	// user-specific stop criterion" of Algorithm 1, e.g. a threshold
@@ -106,8 +102,8 @@ type Options struct {
 // samples) are decomposed into 64 partitions each.
 const DefaultMaxIterations = 6
 
-// convergenceEps is the residual uncertainty treated as "converged to
-// zero" when no explicit UncertaintyEps is configured.
+// convergenceEps is the residual uncertainty Σ_k (UB_k − LB_k) treated
+// as "converged to zero": refinement stops once it drops to or below it.
 const convergenceEps = 1e-9
 
 // IterStat records one refinement iteration for the evaluation harness
@@ -241,13 +237,6 @@ func (o *Options) maxIterations() int {
 		return DefaultMaxIterations
 	}
 	return o.MaxIterations
-}
-
-func (o *Options) eps() float64 {
-	if o.UncertaintyEps <= 0 {
-		return convergenceEps
-	}
-	return o.UncertaintyEps
 }
 
 func (o *Options) adaptiveEps() float64 {

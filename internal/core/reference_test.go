@@ -119,7 +119,7 @@ func runGridRef(target, reference *uncertain.Object, influence []*uncertain.Obje
 		for _, iv := range b {
 			u += iv.Width()
 		}
-		if u <= opts.eps() {
+		if u <= convergenceEps {
 			break
 		}
 	}

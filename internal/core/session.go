@@ -220,7 +220,7 @@ func (s *Session) Step() bool {
 	if s.stopped() {
 		return false
 	}
-	if u <= s.opts.eps() {
+	if u <= convergenceEps {
 		s.done = true
 		return false
 	}

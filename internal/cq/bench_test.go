@@ -105,7 +105,7 @@ func BenchmarkCQRequery(b *testing.B) {
 			s.KNN(q, benchK, benchTau)
 		}
 		b.StopTimer()
-		e := s.Snapshot().Engine()
+		e := s.Snapshot()
 		for _, q := range qs {
 			thresh := e.KNNThreshold(q, benchK)
 			for _, o := range e.Database() {

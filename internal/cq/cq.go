@@ -1,4 +1,4 @@
-// Package cq turns the one-shot probabilistic queries of the engine
+// Package cq turns the one-shot probabilistic queries of package query
 // into continuous ones: standing KNN/RkNN subscriptions over a live
 // query.Store, kept current incrementally as Insert/Update/Delete
 // commit, with clients consuming an ordered stream of result-set events
@@ -463,7 +463,7 @@ func (m *Monitor) run() {
 // cursor instead of the full result set. A query object of another
 // dimension than the database is refused.
 func (m *Monitor) addSub(s *Subscription) {
-	if err := m.snap.Engine().CheckDim(s.q); err != nil {
+	if err := m.snap.CheckDim(s.q); err != nil {
 		s.finish(err)
 		return
 	}
@@ -728,7 +728,7 @@ func (m *Monitor) dropSub(s *Subscription, err error) {
 // state changed. existing distinguishes repositioning from the first
 // registration.
 func (m *Monitor) place(s *Subscription, existing bool) {
-	region, bounded := s.computeRegion(m.snap.Engine())
+	region, bounded := s.computeRegion(m.snap)
 	if existing {
 		if bounded == s.bounded && (!bounded || region.Equal(s.region)) {
 			return
@@ -763,9 +763,8 @@ func (m *Monitor) applyChange(ch query.Change) {
 		woken = append(woken, s)
 	}
 	sort.Slice(woken, func(i, j int) bool { return woken[i].id < woken[j].id })
-	e := ch.Snap.Engine()
 	for _, s := range woken {
-		if err := e.CheckDim(s.q); err != nil {
+		if err := ch.Snap.CheckDim(s.q); err != nil {
 			// Subscribed while the store was empty, and the first object
 			// has another dimension: the query cannot be evaluated.
 			m.dropSub(s, err)

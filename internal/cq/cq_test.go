@@ -14,6 +14,18 @@ import (
 	"probprune/internal/workload"
 )
 
+// bg is the context of every query a test does not cancel.
+var bg = context.Background()
+
+// must returns a query's result and panics on its error: the queries
+// the tests issue through it are well-formed, so an error is a failure.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func testCtx(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -318,7 +330,7 @@ func TestIncrementalRunSavings(t *testing.T) {
 		}
 		// What re-running every standing query at this version would
 		// cost: one IDCA run per non-preselected candidate.
-		e := store.Snapshot().Engine()
+		e := store.Snapshot()
 		for _, q := range queries {
 			thresh := e.KNNThreshold(q, k)
 			for _, b := range e.Database() {
@@ -542,13 +554,13 @@ func TestConcurrentMutationsAndConsumers(t *testing.T) {
 			}
 			nextID++
 		case 1:
-			snap := store.Snapshot().DB()
+			snap := store.Snapshot().Database()
 			o := snap[rng.Intn(len(snap))]
 			if err := store.Update(objectNear(rng, o.ID, rng.Float64(), rng.Float64(), 0.02)); err != nil {
 				t.Fatal(err)
 			}
 		default:
-			snap := store.Snapshot().DB()
+			snap := store.Snapshot().Database()
 			if _, err := store.Delete(snap[rng.Intn(len(snap))].ID); err != nil {
 				t.Fatal(err)
 			}

@@ -275,7 +275,7 @@ func TestDurableCursorResume(t *testing.T) {
 
 			// Oracle: re-run the query on the final state.
 			final := cursorSet{}
-			for _, m := range reopened.Snapshot().Engine().KNN(q, 3, 0.25) {
+			for _, m := range must(reopened.Snapshot().KNN(bg, q, 3, 0.25)) {
 				if m.IsResult {
 					final[m.Object.ID] = m.Prob
 				}

@@ -16,7 +16,7 @@ import (
 // (Insert/Update/Delete) is replayed against a monitored store, and
 // after EVERY committed version the cumulative event stream of every
 // subscription is checked for bit-equivalence with a from-scratch
-// Engine recomputation over a mirrored copy of the database state —
+// store's recomputation over a mirrored copy of the database state —
 // result membership AND probability bounds, exact float equality. This
 // is the acceptance criterion that incremental maintenance never
 // diverges from recomputation: the verdicts a sleeping candidate keeps
@@ -107,7 +107,7 @@ func resultSet(matches []query.Match) map[int]gf.Interval {
 type subCase struct {
 	sub  *Subscription
 	view *traceView
-	want func(e *query.Engine) map[int]gf.Interval
+	want func(e *query.Snapshot) map[int]gf.Interval
 }
 
 func TestMutationTraceOracle(t *testing.T) {
@@ -155,7 +155,7 @@ func runMutationTrace(t *testing.T, seed int64) {
 	}
 	q1, q2, q3 := newQ(-1), newQ(-2), newQ(-3)
 	var cases []*subCase
-	addCase := func(name string, sub *Subscription, err error, want func(e *query.Engine) map[int]gf.Interval) {
+	addCase := func(name string, sub *Subscription, err error, want func(e *query.Snapshot) map[int]gf.Interval) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
@@ -164,27 +164,27 @@ func runMutationTrace(t *testing.T, seed int64) {
 	}
 	k := 2 + int(seed%3)
 	sub1, err1 := m.SubscribeKNN(q1, k, 0.35)
-	addCase("knn", sub1, err1, func(e *query.Engine) map[int]gf.Interval {
-		return resultSet(e.KNN(q1, k, 0.35))
+	addCase("knn", sub1, err1, func(e *query.Snapshot) map[int]gf.Interval {
+		return resultSet(must(e.KNN(bg, q1, k, 0.35)))
 	})
 	sub2, err2 := m.SubscribeKNN(q2, 2, 0) // tau = 0: no preselection, everything is a result
-	addCase("knn-tau0", sub2, err2, func(e *query.Engine) map[int]gf.Interval {
-		return resultSet(e.KNN(q2, 2, 0))
+	addCase("knn-tau0", sub2, err2, func(e *query.Snapshot) map[int]gf.Interval {
+		return resultSet(must(e.KNN(bg, q2, 2, 0)))
 	})
 	sub3, err3 := m.SubscribeRKNN(q3, k, 0.25)
-	addCase("rknn", sub3, err3, func(e *query.Engine) map[int]gf.Interval {
-		return resultSet(e.RKNN(q3, k, 0.25))
+	addCase("rknn", sub3, err3, func(e *query.Snapshot) map[int]gf.Interval {
+		return resultSet(must(e.RKNN(bg, q3, k, 0.25)))
 	})
 
 	check := func(version uint64) {
 		t.Helper()
-		e, err := query.NewEngine(mirror, opts)
+		fresh, err := query.NewStore(mirror, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range cases {
 			c.view.applyEvents(t, drainEvents(c.sub), version)
-			c.view.compare(t, c.want(e), seed, version)
+			c.view.compare(t, c.want(fresh.Snapshot()), seed, version)
 		}
 	}
 	check(store.Version()) // initial result sets

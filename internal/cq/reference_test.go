@@ -36,7 +36,7 @@ func newRefSub(kind Kind, q *uncertain.Object, k int, tau float64) *refSub {
 	}}
 }
 
-func (r *refSub) preselected(e *query.Engine, b *uncertain.Object, thresh float64) bool {
+func (r *refSub) preselected(e *query.Snapshot, b *uncertain.Object, thresh float64) bool {
 	if r.tau <= 0 {
 		return false
 	}
@@ -49,23 +49,22 @@ func (r *refSub) preselected(e *query.Engine, b *uncertain.Object, thresh float6
 // init is the former Subscription.init: one full engine query, then a
 // second preselection pass over all of its matches.
 func (r *refSub) init(sn *query.Snapshot) []Event {
-	e := sn.Engine()
-	r.cache = e.NewQueryCache()
+	r.cache = sn.NewQueryCache()
 	var matches []query.Match
 	switch r.kind {
 	case KNN:
 		r.thresh = math.Inf(1)
 		if r.tau > 0 {
-			r.thresh = e.KNNThreshold(r.q, r.k)
+			r.thresh = sn.KNNThreshold(r.q, r.k)
 		}
-		matches = e.KNN(r.q, r.k, r.tau)
+		matches = must(sn.KNN(bg, r.q, r.k, r.tau))
 	case RKNN:
-		matches = e.RKNN(r.q, r.k, r.tau)
+		matches = must(sn.RKNN(bg, r.q, r.k, r.tau))
 	}
 	var evs []Event
 	for _, nm := range matches {
 		b := nm.Object
-		if r.preselected(e, b, r.thresh) {
+		if r.preselected(sn, b, r.thresh) {
 			continue
 		}
 		r.setupRuns.Add(1)
@@ -75,7 +74,7 @@ func (r *refSub) init(sn *query.Snapshot) []Event {
 		}
 	}
 	sortEvents(evs)
-	r.region, r.bounded = r.computeRegion(e)
+	r.region, r.bounded = r.computeRegion(sn)
 	return evs
 }
 
@@ -86,19 +85,19 @@ func (r *refSub) step(ch query.Change) []Event {
 		return nil
 	}
 	r.woken.Add(1)
-	e := ch.Snap.Engine()
+	sn := ch.Snap
 	var evs []Event
 	if r.kind == KNN {
-		evs = r.applyKNN(e, ch)
+		evs = r.applyKNN(sn, ch)
 	} else {
-		evs = r.applyRKNN(e, ch)
+		evs = r.applyRKNN(sn, ch)
 	}
 	sortEvents(evs)
-	r.region, r.bounded = r.computeRegion(e)
+	r.region, r.bounded = r.computeRegion(sn)
 	return evs
 }
 
-func (r *refSub) applyKNN(e *query.Engine, ch query.Change) []Event {
+func (r *refSub) applyKNN(e *query.Snapshot, ch query.Change) []Event {
 	threshNew := math.Inf(1)
 	if r.tau > 0 {
 		threshNew = e.KNNThreshold(r.q, r.k)
@@ -138,7 +137,7 @@ func (r *refSub) applyKNN(e *query.Engine, ch query.Change) []Event {
 	return evs
 }
 
-func (r *refSub) applyRKNN(e *query.Engine, ch query.Change) []Event {
+func (r *refSub) applyRKNN(e *query.Snapshot, ch query.Change) []Event {
 	norm := e.Norm()
 	mutID := mutatedID(ch)
 	var evs []Event

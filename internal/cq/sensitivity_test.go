@@ -69,7 +69,7 @@ func TestMaintenanceOutputSensitive(t *testing.T) {
 		if err := m.Sync(ctx); err != nil {
 			t.Fatal(err)
 		}
-		e := store.Snapshot().Engine()
+		e := store.Snapshot()
 		for i, s := range subs {
 			st := s.Stats()
 			for id, cs := range s.cands {

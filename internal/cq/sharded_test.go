@@ -111,9 +111,8 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(r)*97 + 3))
 			for i := 0; i < 10; i++ {
 				snap := ss.Snapshot()
-				e := snap.Engine()
 				q := objectNear(rng, -100-r, rng.Float64(), rng.Float64(), 0.1)
-				if a, b := e.KNN(q, 3, 0.3), e.KNN(q, 3, 0.3); !reflect.DeepEqual(a, b) {
+				if a, b := must(snap.KNN(bg, q, 3, 0.3)), must(snap.KNN(bg, q, 3, 0.3)); !reflect.DeepEqual(a, b) {
 					t.Errorf("reader %d: repeated KNN on one sharded snapshot diverged", r)
 					return
 				}
@@ -131,7 +130,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 20; i++ {
-			cur := ss.Snapshot().DB()
+			cur := ss.Snapshot().Database()
 			if len(cur) == 0 {
 				continue
 			}
@@ -159,7 +158,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 	// groups, and compare the cumulative view against a from-scratch
 	// recomputation on that version's sharded snapshot.
 	final := ss.Version()
-	verify := func(name string, sub *Subscription, recompute func(e *query.Engine) []query.Match) {
+	verify := func(name string, sub *Subscription, recompute func(e *query.Snapshot) []query.Match) {
 		view := newTraceView(name)
 		evs := drainEvents(sub)
 		i := 0
@@ -176,12 +175,12 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 			}
 			view.applyEvents(t, evs[i:j], v)
 			i = j
-			view.compare(t, resultSet(recompute(snap.Engine())), 11, v)
+			view.compare(t, resultSet(recompute(snap)), 11, v)
 		}
 		if i != len(evs) {
 			t.Fatalf("%s: %d events beyond the final version %d", name, len(evs)-i, final)
 		}
 	}
-	verify("sharded-knn", sub1, func(e *query.Engine) []query.Match { return e.KNN(q1, 3, 0.3) })
-	verify("sharded-rknn", sub2, func(e *query.Engine) []query.Match { return e.RKNN(q2, 2, 0.3) })
+	verify("sharded-knn", sub1, func(e *query.Snapshot) []query.Match { return must(e.KNN(bg, q1, 3, 0.3)) })
+	verify("sharded-rknn", sub2, func(e *query.Snapshot) []query.Match { return must(e.RKNN(bg, q2, 2, 0.3)) })
 }

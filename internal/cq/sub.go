@@ -166,15 +166,14 @@ func (s *Subscription) finish(err error) {
 // are evaluated through the same per-candidate path maintenance uses,
 // which also decides preselection: what it keeps is what gets tracked.
 func (s *Subscription) init(sn *query.Snapshot) []Event {
-	e := sn.Engine()
-	s.cache = e.NewQueryCache()
+	s.cache = sn.NewQueryCache()
 	s.thresh = math.Inf(1)
 	if s.kind == KNN && s.tau > 0 {
-		s.thresh = e.KNNThreshold(s.q, s.k)
+		s.thresh = sn.KNNThreshold(s.q, s.k)
 	}
 	var results []query.Match
-	for _, b := range e.Within(s.q, s.thresh) {
-		nm, pruned := s.eval(e, b, s.thresh)
+	for _, b := range sn.Within(s.q, s.thresh) {
+		nm, pruned := s.eval(sn, b, s.thresh)
 		if pruned {
 			continue
 		}
@@ -197,15 +196,15 @@ func (s *Subscription) init(sn *query.Snapshot) []Event {
 	return evs
 }
 
-// eval evaluates candidate b from scratch through the engine's single
+// eval evaluates candidate b from scratch through the snapshot's single
 // per-candidate path (preselection against thresh for KNN, the
 // impossibility count for RKNN, then IDCA); pruned reports a
 // preselection-only verdict.
-func (s *Subscription) eval(e *query.Engine, b *uncertain.Object, thresh float64) (nm query.Match, pruned bool) {
+func (s *Subscription) eval(sn *query.Snapshot, b *uncertain.Object, thresh float64) (nm query.Match, pruned bool) {
 	if s.kind == KNN {
-		return e.EvalKNNCandidate(s.q, b, s.k, s.tau, thresh, s.cache)
+		return sn.EvalKNNCandidate(s.q, b, s.k, s.tau, thresh, s.cache)
 	}
-	return e.EvalRKNNCandidate(s.q, b, s.k, s.tau, s.cache)
+	return sn.EvalRKNNCandidate(s.q, b, s.k, s.tau, s.cache)
 }
 
 // resumeEvents computes a resumed durable subscription's initial
@@ -237,7 +236,7 @@ func (s *Subscription) resumeEvents(sn *query.Snapshot, results []query.Match) [
 		// instance (the object may merely no longer qualify); fall back
 		// to the persisted copy for objects deleted from the database.
 		byID := make(map[int]*uncertain.Object)
-		for _, o := range sn.Engine().Database() {
+		for _, o := range sn.Database() {
 			byID[o.ID] = o
 		}
 		for _, pe := range s.resume.Entries {
@@ -292,20 +291,20 @@ func (s *Subscription) cursorState() wal.CursorSub {
 // The step is output-sensitive: it visits the tracked candidates and
 // the untracked objects the change could bring in — for KNN the new
 // m_{k+1} ball, for RKNN the objects whose impossibility count the
-// mutated object can enter (query.Engine.Within / RKNNAffected, both
+// mutated object can enter (query.Snapshot.Within / RKNNAffected, both
 // index walks). Every other object is preselected away before and
 // after the change and is never touched. At tau = 0 nothing is ever
 // preselected, so every object is already tracked and no walk is needed.
 func (s *Subscription) apply(ch query.Change) []Event {
-	e := ch.Snap.Engine()
+	sn := ch.Snap
 	thresh := math.Inf(1)
 	var walked []*uncertain.Object
 	if s.tau > 0 {
 		if s.kind == KNN {
-			thresh = e.KNNThreshold(s.q, s.k)
-			walked = e.Within(s.q, thresh)
+			thresh = sn.KNNThreshold(s.q, s.k)
+			walked = sn.Within(s.q, thresh)
 		} else {
-			walked = e.RKNNAffected(s.q, ch.Old, ch.New)
+			walked = sn.RKNNAffected(s.q, ch.Old, ch.New)
 		}
 	}
 	mutID := mutatedID(ch)
@@ -315,10 +314,10 @@ func (s *Subscription) apply(ch query.Change) []Event {
 			continue
 		}
 		prunedOld := s.cands[b.ID] == nil
-		prunedNew := s.tau > 0 && s.prunedNow(e, ch, b, thresh, prunedOld)
+		prunedNew := s.tau > 0 && s.prunedNow(sn, ch, b, thresh, prunedOld)
 		rerun := prunedOld != prunedNew
 		if !rerun && !prunedNew {
-			rerun = s.roleChanged(e, ch, b)
+			rerun = s.roleChanged(sn, ch, b)
 		}
 		if !rerun {
 			s.countSaved()
@@ -326,12 +325,12 @@ func (s *Subscription) apply(ch query.Change) []Event {
 		}
 		nm := query.Match{Object: b, Decided: true}
 		if !prunedNew {
-			nm, _ = s.eval(e, b, thresh)
+			nm, _ = s.eval(sn, b, thresh)
 			s.countRun()
 		}
 		evs = s.transition(evs, ch.Version, b, nm, prunedNew)
 	}
-	evs = s.applyMutated(e, ch, evs, thresh)
+	evs = s.applyMutated(sn, ch, evs, thresh)
 	s.thresh = thresh
 	sortEvents(evs)
 	return evs
@@ -363,12 +362,12 @@ func (s *Subscription) workingSet(walked []*uncertain.Object) []*uncertain.Objec
 // involves the mutated object only when one of its states is
 // MinMax-closer than q's minimum distance; otherwise the persisted
 // status stands and the recount is skipped.
-func (s *Subscription) prunedNow(e *query.Engine, ch query.Change, b *uncertain.Object, thresh float64, prunedOld bool) bool {
+func (s *Subscription) prunedNow(sn *query.Snapshot, ch query.Change, b *uncertain.Object, thresh float64, prunedOld bool) bool {
 	if s.kind == KNN {
-		return e.KNNPrunable(s.q, b, thresh)
+		return sn.KNNPrunable(s.q, b, thresh)
 	}
-	if e.RKNNInvolved(s.q, b, ch.Old, ch.New) {
-		return e.RKNNPrunable(s.q, b, s.k)
+	if sn.RKNNInvolved(s.q, b, ch.Old, ch.New) {
+		return sn.RKNNPrunable(s.q, b, s.k)
 	}
 	return prunedOld
 }
@@ -377,7 +376,7 @@ func (s *Subscription) prunedNow(e *query.Engine, ch query.Change, b *uncertain.
 // (and replacements by the query object itself, which is never a
 // candidate) drop the tracked verdict, inserts and updates evaluate the
 // new object from scratch.
-func (s *Subscription) applyMutated(e *query.Engine, ch query.Change, evs []Event, thresh float64) []Event {
+func (s *Subscription) applyMutated(sn *query.Snapshot, ch query.Change, evs []Event, thresh float64) []Event {
 	mutID := mutatedID(ch)
 	if ch.New == nil || ch.New == s.q {
 		if cs := s.cands[mutID]; cs != nil {
@@ -388,7 +387,7 @@ func (s *Subscription) applyMutated(e *query.Engine, ch query.Change, evs []Even
 		}
 		return evs
 	}
-	nm, pruned := s.eval(e, ch.New, thresh)
+	nm, pruned := s.eval(sn, ch.New, thresh)
 	if !pruned {
 		s.countRun()
 	}
@@ -429,12 +428,12 @@ func (s *Subscription) transition(evs []Event, version uint64, b *uncertain.Obje
 // run has the candidate as target and q as reference, an RKNN run the
 // reverse. Absent states (insert/delete sides) hold the pruned role: an
 // object not in the database contributes nothing.
-func (s *Subscription) roleChanged(e *query.Engine, ch query.Change, b *uncertain.Object) bool {
+func (s *Subscription) roleChanged(sn *query.Snapshot, ch query.Change, b *uncertain.Object) bool {
 	target, reference := b.MBR, s.q.MBR
 	if s.kind == RKNN {
 		target, reference = reference, target
 	}
-	n, crit := e.Norm(), e.Criterion()
+	n, crit := sn.Norm(), sn.Criterion()
 	ro, rn := core.RolePruned, core.RolePruned
 	if ch.Old != nil {
 		ro = core.ClassifyRole(n, crit, ch.Old.MBR, ch.Old.ExistenceProb(), target, reference)
@@ -457,7 +456,7 @@ func (s *Subscription) roleChanged(e *query.Engine, ch query.Change, b *uncertai
 // and tau = 0 disables preselection entirely, so those subscriptions
 // report no region and wake on every change (their maintenance still
 // re-runs only affected candidates).
-func (s *Subscription) computeRegion(e *query.Engine) (geom.Rect, bool) {
+func (s *Subscription) computeRegion(sn *query.Snapshot) (geom.Rect, bool) {
 	if s.kind != KNN || s.tau <= 0 {
 		return geom.Rect{}, false
 	}
@@ -465,7 +464,7 @@ func (s *Subscription) computeRegion(e *query.Engine) (geom.Rect, bool) {
 	if math.IsInf(r, 1) {
 		return geom.Rect{}, false
 	}
-	n := e.Norm()
+	n := sn.Norm()
 	for _, cs := range s.cands {
 		if d := cs.obj.MBR.MaxDistRect(n, s.q.MBR); d > r {
 			r = d

@@ -9,7 +9,7 @@ import (
 )
 
 // The metric record paths must stay allocation-free: they run inside
-// the engine's audited hot paths (PR 6's EngineKNN/StoreWarmKNN
+// the audited query hot paths (the SnapshotKNN/StoreWarmKNN
 // ceilings) and on every server command dispatch. Guarded by !race
 // because the race detector instruments allocations; CI runs these in
 // the plain allocation-ceilings step.
@@ -80,7 +80,7 @@ func TestTraceFromZeroAlloc(t *testing.T) {
 // TestRecorderRecordZeroAlloc pins the flight-recorder write path at
 // zero allocations: it runs on the commit path, the group-commit
 // leader and every traced query, so a single allocation here would
-// show up in the audited EngineKNN/StoreWarmKNN ceilings.
+// show up in the audited SnapshotKNN/StoreWarmKNN ceilings.
 func TestRecorderRecordZeroAlloc(t *testing.T) {
 	r := NewRecorder(64)
 	note := r.Note("knn") // pre-registered, as hot paths do

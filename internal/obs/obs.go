@@ -319,29 +319,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Snapshot flattens every metric into name → value. Counters and gauges
-// appear verbatim; a histogram h expands to h.count, h.sum_ns,
-// h.p50_ns, h.p95_ns, h.p99_ns and h.max_ns. The flat integer map is
-// the lingua franca of the surfacing layers: the STATS reply, the debug
-// endpoint's JSON and the load report all consume it directly.
-func (r *Registry) Snapshot() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters)+len(r.gauges)+6*len(r.hists))
-	for name, c := range r.counters {
-		out[name] = int64(c.Load())
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Load()
-	}
-	for name, h := range r.hists {
-		AddHist(out, name, h.Snapshot())
-	}
-	return out
-}
-
 // AddHist expands a histogram snapshot into a flat metric map under the
-// given name prefix, the same shape Registry.Snapshot produces.
+// given name prefix: .count, .sum_ns, .p50_ns, .p95_ns, .p99_ns and
+// .max_ns, the flat shape PointsMap produces.
 func AddHist(out map[string]int64, name string, s HistSnapshot) {
 	out[name+".count"] = int64(s.Count)
 	out[name+".sum_ns"] = s.SumNanos

@@ -154,7 +154,7 @@ func TestRegistry(t *testing.T) {
 	c.Add(7)
 	g.Set(-2)
 	h.Observe(time.Millisecond)
-	snap := r.Snapshot()
+	snap := PointsMap(r.Points())
 	if snap["a.count"] != 7 || snap["a.gauge"] != -2 {
 		t.Fatalf("snapshot = %v", snap)
 	}

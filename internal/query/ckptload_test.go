@@ -11,6 +11,7 @@ import (
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
+	"probprune/internal/obs"
 	"probprune/internal/uncertain"
 )
 
@@ -74,7 +75,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("writers blocked behind a parked checkpoint install")
 	}
-	snap := s.Metrics().Snapshot()
+	snap := obs.PointsMap(s.Metrics().Registry().Points())
 	if snap["store.checkpoint.coalesced"] == 0 {
 		t.Fatal("pins submitted behind the parked install were not coalesced")
 	}
@@ -84,7 +85,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 
 	close(release)
 	s.dur.drain()
-	if q := s.Metrics().Snapshot()["store.checkpoint.queue"]; q != 0 {
+	if q := obs.PointsMap(s.Metrics().Registry().Points())["store.checkpoint.queue"]; q != 0 {
 		t.Fatalf("queue gauge = %d after drain", q)
 	}
 	wantLen, wantVer := s.Len(), s.Version()

@@ -43,34 +43,32 @@ func TestStoreRefusesOtherDimension(t *testing.T) {
 		if o, _ := s.Get(db[3].ID); o != db[3] {
 			t.Fatalf("shards=%d: refused Update replaced the object", n)
 		}
-		e := s.Snapshot().Engine()
+		snap := s.Snapshot()
 		queries := map[string]func() error{
-			"KNNCtx":  func() error { _, err := s.KNNCtx(ctx, flat, 3, 0.5); return err },
-			"RKNNCtx": func() error { _, err := s.RKNNCtx(ctx, flat, 3, 0.5); return err },
-			"TopKNNCtx": func() error {
-				_, err := s.TopKNNCtx(ctx, flat, 3, 2)
+			"KNN":  func() error { _, err := snap.KNN(ctx, flat, 3, 0.5); return err },
+			"RKNN": func() error { _, err := snap.RKNN(ctx, flat, 3, 0.5); return err },
+			"TopKNN": func() error {
+				_, err := snap.TopKNN(ctx, flat, 3, 2)
 				return err
 			},
 			"BatchKNN": func() error {
-				_, err := s.BatchKNN(ctx, []KNNRequest{{Q: db[0], K: 2, Tau: 0.5}, {Q: flat, K: 2, Tau: 0.5}})
+				_, err := snap.BatchKNN(ctx, []KNNRequest{{Q: db[0], K: 2, Tau: 0.5}, {Q: flat, K: 2, Tau: 0.5}})
 				return err
 			},
-			"InverseRankCtx(b)":     func() error { _, err := s.InverseRankCtx(ctx, flat, db[0]); return err },
-			"InverseRankCtx(r)":     func() error { _, err := s.InverseRankCtx(ctx, db[0], flat); return err },
-			"RankByExpectedRankCtx": func() error { _, err := s.RankByExpectedRankCtx(ctx, flat); return err },
-			"UKRanksCtx":            func() error { _, err := s.UKRanksCtx(ctx, flat, 2); return err },
-			"CheckDim":              func() error { return e.CheckDim(flat) },
+			"InverseRank(b)":     func() error { _, err := snap.InverseRank(ctx, flat, db[0]); return err },
+			"InverseRank(r)":     func() error { _, err := snap.InverseRank(ctx, db[0], flat); return err },
+			"RankByExpectedRank": func() error { _, err := snap.RankByExpectedRank(ctx, flat); return err },
+			"UKRanks":            func() error { _, err := snap.UKRanks(ctx, flat, 2); return err },
+			"GlobalTopK":         func() error { _, err := snap.GlobalTopK(ctx, flat, 2); return err },
+			"CheckDim":           func() error { return snap.CheckDim(flat) },
 		}
 		for name, run := range queries {
 			if run() == nil {
 				t.Errorf("shards=%d: %s accepted a 3-D query object over a 2-D store", n, name)
 			}
 		}
-		if s.InverseRank(flat, db[0]) != nil {
-			t.Errorf("shards=%d: InverseRank answered a 3-D object", n)
-		}
-		if _, err := s.InverseRankCtx(ctx, db[0], db[1]); err != nil {
-			t.Errorf("shards=%d: InverseRankCtx refused a valid pair: %v", n, err)
+		if _, err := snap.InverseRank(ctx, db[0], db[1]); err != nil {
+			t.Errorf("shards=%d: InverseRank refused a valid pair: %v", n, err)
 		}
 	}
 
@@ -79,7 +77,7 @@ func TestStoreRefusesOtherDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Snapshot().Engine().CheckDim(flat); err != nil {
+	if err := s.Snapshot().CheckDim(flat); err != nil {
 		t.Fatalf("an empty store refused a query object: %v", err)
 	}
 	if err := s.Insert(flat); err != nil {

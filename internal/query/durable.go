@@ -321,7 +321,7 @@ func (s *Store) installCheckpoint(job *ckptJob) error {
 	for i, sh := range s.shards {
 		start := time.Now()
 		cut := job.cuts[i]
-		err := sh.journal.InstallCheckpoint(job.pins[i], &wal.Checkpoint{Version: cut.version, Objects: cut.database()})
+		err := sh.journal.InstallCheckpoint(job.pins[i], &wal.Checkpoint{Version: cut.version, Objects: cut.Database()})
 		switch {
 		case errors.Is(err, wal.ErrCheckpointSuperseded):
 			d.rec.Load().Record(obs.EvCheckpointSupersede, 0, 0, int64(cut.version), 0)

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -57,30 +56,15 @@ func TestDurableShardedLifecycle(t *testing.T) {
 	// Exercise the query surface on the durable sharded store.
 	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
 	snap := s.Snapshot()
-	if snap.NumShards() != 3 || snap.Shard(0) == nil || snap.Len() != s.Len() {
+	if snap.NumShards() != 3 || snap.cuts()[0] == nil || snap.Len() != s.Len() {
 		t.Fatal("snapshot shape wrong")
 	}
-	s.RankByExpectedRank(q)
-	s.UKRanks(q, 2)
-	s.Batch(func(e *Engine) { e.KNN(q, 2, 0.5) })
-	if err := s.BatchCtx(context.Background(), func(ctx context.Context, e *Engine) error {
-		_, err := e.KNNCtx(ctx, q, 2, 0.5)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.BatchKNN(context.Background(), []KNNRequest{{Q: q, K: 2, Tau: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.TopKNNCtx(context.Background(), q, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RKNNCtx(context.Background(), q, 2, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.KNNCtx(context.Background(), q, 2, 0.5); err != nil {
-		t.Fatal(err)
-	}
+	must(snap.RankByExpectedRank(bg, q))
+	must(snap.UKRanks(bg, q, 2))
+	must(snap.BatchKNN(bg, []KNNRequest{{Q: q, K: 2, Tau: 0.5}}))
+	must(snap.TopKNN(bg, q, 2, 3))
+	must(snap.RKNN(bg, q, 2, 0.5))
+	must(snap.KNN(bg, q, 2, 0.5))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -190,15 +190,7 @@ func matchesEqual(a, b []Match) error {
 
 // compareBackends asserts the two stores answer every query kind
 // bit-identically.
-func compareBackends(t *testing.T, label string, got, want interface {
-	KNN(*uncertain.Object, int, float64) []Match
-	RKNN(*uncertain.Object, int, float64) []Match
-	TopKNN(*uncertain.Object, int, int) []Match
-	InverseRank(*uncertain.Object, *uncertain.Object) *RankDistribution
-	Get(int) (*uncertain.Object, bool)
-	Len() int
-	Version() uint64
-}) {
+func compareBackends(t *testing.T, label string, got, want *Store) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d objects, want %d", label, got.Len(), want.Len())
@@ -206,18 +198,19 @@ func compareBackends(t *testing.T, label string, got, want interface {
 	if got.Version() != want.Version() {
 		t.Fatalf("%s: version %d, want %d", label, got.Version(), want.Version())
 	}
+	gs, ws := got.Snapshot(), want.Snapshot()
 	qs := []*uncertain.Object{
 		uncertain.PointObject(-1, geom.Point{0.5, 0.5}),
 		uncertain.PointObject(-2, geom.Point{0.15, 0.8}),
 	}
 	for qi, q := range qs {
-		if err := matchesEqual(got.KNN(q, 3, 0.3), want.KNN(q, 3, 0.3)); err != nil {
+		if err := matchesEqual(must(gs.KNN(bg, q, 3, 0.3)), must(ws.KNN(bg, q, 3, 0.3))); err != nil {
 			t.Fatalf("%s: KNN q%d: %v", label, qi, err)
 		}
-		if err := matchesEqual(got.RKNN(q, 2, 0.4), want.RKNN(q, 2, 0.4)); err != nil {
+		if err := matchesEqual(must(gs.RKNN(bg, q, 2, 0.4)), must(ws.RKNN(bg, q, 2, 0.4))); err != nil {
 			t.Fatalf("%s: RKNN q%d: %v", label, qi, err)
 		}
-		if err := matchesEqual(got.TopKNN(q, 3, 4), want.TopKNN(q, 3, 4)); err != nil {
+		if err := matchesEqual(must(gs.TopKNN(bg, q, 3, 4)), must(ws.TopKNN(bg, q, 3, 4))); err != nil {
 			t.Fatalf("%s: TopKNN q%d: %v", label, qi, err)
 		}
 	}
@@ -231,10 +224,10 @@ func compareBackends(t *testing.T, label string, got, want interface {
 		}
 	}
 	if bID >= 0 {
-		bg, _ := got.Get(bID)
-		bw, _ := want.Get(bID)
-		rg := got.InverseRank(bg, qs[0])
-		rw := want.InverseRank(bw, qs[0])
+		bGot, _ := got.Get(bID)
+		bWant, _ := want.Get(bID)
+		rg := must(gs.InverseRank(bg, bGot, qs[0]))
+		rw := must(ws.InverseRank(bg, bWant, qs[0]))
 		if rg.MinRank != rw.MinRank || len(rg.Ranks) != len(rw.Ranks) {
 			t.Fatalf("%s: InverseRank shape differs", label)
 		}

@@ -26,11 +26,11 @@ import (
 // parallelism inside core, so per-candidate runs execute their
 // partition pairs sequentially (runOpts pins Parallelism to 1).
 
-// parallelism resolves the engine's worker count: Options.Parallelism
+// parallelism resolves the query worker count: Options.Parallelism
 // when positive, otherwise GOMAXPROCS.
-func (e *Engine) parallelism() int {
-	if e.opts.Parallelism > 0 {
-		return e.opts.Parallelism
+func (sn *Snapshot) parallelism() int {
+	if sn.opts.Parallelism > 0 {
+		return sn.opts.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -41,20 +41,20 @@ func (e *Engine) parallelism() int {
 // the query object) lives only for this query. Results are
 // bit-identical to an uncached run — decompositions are deterministic —
 // only the work reuse differs.
-func (e *Engine) queryCache() *core.DecompCache { return e.snap.cache.Overlay() }
+func (sn *Snapshot) queryCache() *core.DecompCache { return sn.cache.Overlay() }
 
-// runOpts derives the per-candidate IDCA options from the engine
+// runOpts derives the per-candidate IDCA options from the store's
 // options: query-managed knobs (Stop, KMax, shared decompositions) are
 // cleared for the caller to set, and pair-level parallelism is disabled
 // because the executor already owns the concurrency budget.
-func (e *Engine) runOpts() core.Options {
-	opts := e.opts
+func (sn *Snapshot) runOpts() core.Options {
+	opts := sn.opts
 	opts.Stop = nil
 	opts.KMax = 0
 	opts.Parallelism = 1
 	opts.SharedDecomps = nil
 	// A scratch arena is single-owner; concurrent candidate runs must
-	// never share one installed at engine level. run/newSession attach a
+	// never share one installed in the store's options. run/newSession attach a
 	// per-run (pooled) or per-session arena instead.
 	opts.Scratch = nil
 	return opts
@@ -100,8 +100,8 @@ func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
 // candidates returns the database objects a query over reference q runs
 // against, in ascending ID order (q itself excluded when it is a
 // database object). The slot order is the result order.
-func (e *Engine) candidates(q *uncertain.Object) []*uncertain.Object {
-	db := e.Database()
+func (sn *Snapshot) candidates(q *uncertain.Object) []*uncertain.Object {
+	db := sn.Database()
 	out := make([]*uncertain.Object, 0, len(db))
 	for _, b := range db {
 		if b != q {

@@ -83,7 +83,7 @@ func thresholdMatch(b *uncertain.Object, res *core.Result, k int, tau float64) M
 	}
 }
 
-// knn is Engine.KNN over the full scan: one match per object but q, in
+// knn is Snapshot.KNN over the full scan: one match per object but q, in
 // the order of f.db — ascending ID, the engine's order, in every test
 // that compares the two.
 func (f fullScan) knn(q *uncertain.Object, k int, tau float64) []Match {
@@ -104,7 +104,7 @@ func (f fullScan) knn(q *uncertain.Object, k int, tau float64) []Match {
 	return out
 }
 
-// rknn is Engine.RKNN over the full scan: q is the target of every run,
+// rknn is Snapshot.RKNN over the full scan: q is the target of every run,
 // the candidate its reference.
 func (f fullScan) rknn(q *uncertain.Object, k int, tau float64) []Match {
 	var out []Match

@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements candidate preselection for kNN queries: before
-// running per-candidate IDCA, the engine discards every object that
+// running per-candidate IDCA, a query discards every object that
 // cannot be a k-nearest neighbor of q in ANY possible world.
 //
 // The bound: let m_1 <= m_2 <= ... be the sorted MaxDist(o, q) over all
@@ -25,7 +25,7 @@ import (
 // it is absent from the database.
 //
 // The threshold is computed per cut on the cut's R-tree (see
-// Engine.knnThreshold in plane.go): ordering values by MaxDist, with
+// Snapshot.knnThreshold in plane.go): ordering values by MaxDist, with
 // MinDist as the admissible node-level lower bound (MaxDist >= MinDist),
 // streams the smallest MaxDist values first, and a bounded max-heap
 // folds the cuts' streams into the k+1 smallest of their union.

@@ -16,7 +16,7 @@ func TestKNNPruneThresholdMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	db := smallDB(rng, 80, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	eng := newEngine(t, db, core.Options{})
+	eng := newSnapshot(t, db, core.Options{})
 	var maxDists []float64
 	for _, o := range db {
 		maxDists = append(maxDists, o.MBR.MaxDistRect(geom.L2, q.MBR))
@@ -37,7 +37,7 @@ func TestKNNPruneThresholdSmallDatabase(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	db := smallDB(rng, 3, 4)
 	q := randObj(rng, 500, 4, 5, 5, 1)
-	if got := newEngine(t, db, core.Options{}).knnThreshold(q, 5, geom.L2); !math.IsInf(got, 1) {
+	if got := newSnapshot(t, db, core.Options{}).knnThreshold(q, 5, geom.L2); !math.IsInf(got, 1) {
 		t.Fatalf("threshold = %g, want +Inf", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestKNNPruneThresholdExcludesQueryObject(t *testing.T) {
 	}
 	sort.Float64s(maxDists)
 	const k = 4
-	if got, want := newEngine(t, db, core.Options{}).knnThreshold(q, k, geom.L2), maxDists[k]; math.Abs(got-want) > 1e-12 {
+	if got, want := newSnapshot(t, db, core.Options{}).knnThreshold(q, k, geom.L2), maxDists[k]; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("threshold %g, want %g", got, want)
 	}
 }
@@ -68,7 +68,7 @@ func TestPreselectionNeverPrunesAPossibleResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(603))
 	db := smallDB(rng, 40, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	eng := newEngine(t, db, core.Options{MaxIterations: 6})
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 6})
 	const k, tau = 3, 0.25
 	thresh := eng.KNNThreshold(q, k)
 	pruned := 0
@@ -93,9 +93,9 @@ func TestKNNWithPreselectionMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(604))
 	db := smallDB(rng, 60, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	eng := newEngine(t, db, core.Options{MaxIterations: 8})
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 8})
 	const k, tau = 3, 0.5
-	for _, m := range eng.KNN(q, k, tau) {
+	for _, m := range must(eng.KNN(bg, q, k, tau)) {
 		exact := exactTail(db, m.Object, q, k)
 		if !m.Prob.Contains(exact, 1e-9) {
 			t.Fatalf("object %d: exact %g outside [%g, %g]", m.Object.ID, exact, m.Prob.LB, m.Prob.UB)

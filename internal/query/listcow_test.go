@@ -130,16 +130,16 @@ func checkLiveSnap(t *testing.T, n int, seed int64, step, li int, ls liveSnap) {
 	t.Helper()
 	var all uncertain.Database
 	for si, want := range ls.shards {
-		sh := ls.snap.Shard(si)
+		sh := ls.snap.cuts()[si]
 		sorted := slices.SortedFunc(slices.Values(want), cmpID)
-		if got := sh.slab.Slice(); !slices.Equal(got, want) || !slices.Equal(sh.DB(), sorted) {
+		if got := sh.slab.Slice(); !slices.Equal(got, want) || !slices.Equal(sh.Database(), sorted) {
 			t.Fatalf("shards=%d seed=%d step %d snapshot %d: shard %d slab or DB() differs from its reference",
 				n, seed, step, li, si)
 		}
 		all = append(all, want...)
 	}
 	slices.SortFunc(all, cmpID)
-	if got := ls.snap.DB(); !slices.Equal(got, all) || ls.snap.Len() != len(all) {
+	if got := ls.snap.Database(); !slices.Equal(got, all) || ls.snap.Len() != len(all) {
 		t.Fatalf("shards=%d seed=%d step %d snapshot %d: DB() (%d objects) differs from its reference (%d)",
 			n, seed, step, li, len(got), len(all))
 	}
@@ -162,25 +162,24 @@ func TestIndexReadersKeepListChunked(t *testing.T) {
 			t.Fatal(err)
 		}
 		sn := s.Snapshot()
-		e := sn.Engine()
 		q := randObject(t, rng, -1)
-		thresh := e.KNNThreshold(q, 3)
-		for _, b := range e.Within(q, thresh) {
-			e.EvalKNNCandidate(q, b, 3, 0.5, thresh, nil)
-			e.EvalRKNNCandidate(q, b, 3, 0.5, nil)
-			e.RKNNPrunable(q, b, 3)
+		thresh := sn.KNNThreshold(q, 3)
+		for _, b := range sn.Within(q, thresh) {
+			sn.EvalKNNCandidate(q, b, 3, 0.5, thresh, nil)
+			sn.EvalRKNNCandidate(q, b, 3, 0.5, nil)
+			sn.RKNNPrunable(q, b, 3)
 		}
-		e.RKNNAffected(q, db[3], db[4])
+		sn.RKNNAffected(q, db[3], db[4])
 		if sn.flat != nil {
 			t.Fatalf("shards=%d: index-driven reads flattened the snapshot's list", n)
 		}
-		e.KNN(q, 3, 0.5)
+		must(sn.KNN(bg, q, 3, 0.5))
 		flat := sn.flat
 		if len(flat) != len(db) {
 			t.Fatalf("shards=%d: a candidate scan saw %d of %d objects", n, len(flat), len(db))
 		}
-		e.RKNN(q, 3, 0.5)
-		if sn.DB(); &sn.flat[0] != &flat[0] {
+		must(sn.RKNN(bg, q, 3, 0.5))
+		if sn.Database(); &sn.flat[0] != &flat[0] {
 			t.Fatalf("shards=%d: the snapshot flattened its list twice", n)
 		}
 	}
@@ -197,13 +196,13 @@ func TestIDOrderedSlabsNeverSort(t *testing.T) {
 		t.Helper()
 		n := 0
 		for si := range sn.NumShards() {
-			c := sn.Shard(si)
+			c := sn.cuts()[si]
 			if !c.sorted {
 				n++
-			} else if !slices.Equal(c.database(), c.slab.Slice()) {
+			} else if !slices.Equal(c.Database(), c.slab.Slice()) {
 				t.Fatalf("shard %d: a cut flagged sorted reordered its slab", si)
 			}
-			if !slices.IsSortedFunc(c.database(), cmpID) {
+			if !slices.IsSortedFunc(c.Database(), cmpID) {
 				t.Fatalf("shard %d: the cut's objects are out of ID order", si)
 			}
 		}

@@ -10,19 +10,17 @@ import (
 	"probprune/internal/obs"
 )
 
-// This file wires the obs primitives into the query engine. Every
-// engine records into its store's Metrics (an engine whose obs is nil
-// pays only nil checks), and every
-// query records its latency into a per-kind histogram plus the shared
+// This file wires the obs primitives into the queries. Every snapshot
+// records into its store's Metrics, and every query records its latency into a per-kind histogram plus the shared
 // filter-economy counters: candidates entering the filter stage,
 // preselected-away vs. IDCA-refined verdicts, refinement iterations and
 // decomposition-cache traffic — the quantities Figure 8 of the paper
 // plots, now measured on the serving path.
 //
 // A caller that wants the same anatomy for ONE query threads an
-// obs.Trace through the context (obs.WithTrace); the engine records
+// obs.Trace through the context (obs.WithTrace); the query records
 // into both unconditionally, and both paths are nil-safe and
-// allocation-free so an uninstrumented query stays inside the engine's
+// allocation-free so an uninstrumented query stays inside its
 // allocation ceilings.
 
 // queryKind enumerates the instrumented query algorithms.
@@ -44,8 +42,8 @@ var kindNames = [numQueryKinds]string{
 	"knn", "rknn", "topk", "inverse_rank", "expected_rank", "ukranks", "batch_knn",
 }
 
-// Metrics is the query-layer metric set of one engine (or of a store
-// and every snapshot engine it publishes). All record paths are atomic
+// Metrics is the query-layer metric set of a store and every snapshot
+// it publishes. All record paths are atomic
 // and allocation-free; a nil *Metrics is valid and records nothing.
 type Metrics struct {
 	reg     *obs.Registry
@@ -65,11 +63,6 @@ type Metrics struct {
 	ckptQueue  *obs.Gauge
 	ckptMerged *obs.Counter
 
-	// slow holds the slow-query log configuration (a slowQueryLog).
-	// atomic.Value so SetSlowQueryLog is safe while queries run and the
-	// per-query load costs no lock.
-	slow atomic.Value
-
 	// rec holds the flight-recorder arming (a recState). When armed
 	// together with slowRecNanos, every query above the threshold
 	// records an EvSlowQuery event — with its full trace snapshot —
@@ -77,12 +70,6 @@ type Metrics struct {
 	// (untraced queries borrow a pooled one, see traceFor).
 	rec          atomic.Value
 	slowRecNanos atomic.Int64
-}
-
-// slowQueryLog is the slow-query logging configuration.
-type slowQueryLog struct {
-	threshold time.Duration
-	logf      func(format string, args ...any)
 }
 
 // recState is the installed flight recorder plus the pre-registered
@@ -95,7 +82,7 @@ type recState struct {
 
 // tracePool recycles the traces the slow-query capture arms for
 // otherwise-untraced queries, keeping the always-on recorder inside the
-// engine's allocation ceilings.
+// query allocation ceilings.
 var tracePool = sync.Pool{New: func() any { return &obs.Trace{} }}
 
 // NewMetrics builds the query metric set:
@@ -134,26 +121,6 @@ func (m *Metrics) Registry() *obs.Registry {
 	return m.reg
 }
 
-// Snapshot flattens the metric set into name → value (nil map for nil
-// metrics), the shape the STATS command and the debug endpoint serve.
-func (m *Metrics) Snapshot() map[string]int64 {
-	if m == nil {
-		return nil
-	}
-	return m.reg.Snapshot()
-}
-
-// SetSlowQueryLog configures the slow-query log: a query slower than
-// threshold logs one line through logf (kind, latency, and the query's
-// trace anatomy when one was attached). threshold <= 0 or a nil logf
-// disables it. Safe to call while queries run.
-func (m *Metrics) SetSlowQueryLog(threshold time.Duration, logf func(format string, args ...any)) {
-	if m == nil {
-		return
-	}
-	m.slow.Store(slowQueryLog{threshold: threshold, logf: logf})
-}
-
 // SetRecorder installs (or, with nil, removes) the flight recorder the
 // slow-query capture records into. Pair with SetSlowQueryThreshold to
 // arm it. Safe to call while queries run.
@@ -182,8 +149,7 @@ func (m *Metrics) Recorder() *obs.Recorder {
 
 // SetSlowQueryThreshold arms the flight-recorder slow-query capture:
 // every query at least this slow records an EvSlowQuery event with its
-// full trace snapshot. <= 0 disarms. Independent of SetSlowQueryLog
-// (the log writes lines, the recorder writes ring events).
+// full trace snapshot. <= 0 disarms.
 func (m *Metrics) SetSlowQueryThreshold(d time.Duration) {
 	if m == nil {
 		return
@@ -214,8 +180,8 @@ func (m *Metrics) traceFor(ctx context.Context) (tr *obs.Trace, pooled bool) {
 }
 
 // observe records one completed query: latency into the kind's
-// histogram, a flight-recorder event when the capture threshold is
-// exceeded, plus the slow-query log when its threshold is exceeded.
+// histogram, plus a flight-recorder event when the capture threshold is
+// exceeded.
 // pooled marks a trace traceFor borrowed; it is returned to the pool
 // here, after the snapshot was taken.
 func (m *Metrics) observe(kind queryKind, start time.Time, tr *obs.Trace, pooled bool) {
@@ -227,13 +193,6 @@ func (m *Metrics) observe(kind queryKind, start time.Time, tr *obs.Trace, pooled
 	if thr := m.slowRecNanos.Load(); thr > 0 && int64(d) >= thr {
 		if rs, _ := m.rec.Load().(recState); rs.rec != nil {
 			rs.rec.RecordTrace(obs.EvSlowQuery, rs.notes[kind], d, 0, 0, tr.Snapshot())
-		}
-	}
-	if sl, _ := m.slow.Load().(slowQueryLog); sl.logf != nil && sl.threshold > 0 && d >= sl.threshold {
-		if tr != nil {
-			sl.logf("slow query kind=%s latency=%v %v", kindNames[kind], d, tr.Snapshot())
-		} else {
-			sl.logf("slow query kind=%s latency=%v", kindNames[kind], d)
 		}
 	}
 	if pooled {
@@ -278,7 +237,7 @@ func (m *Metrics) countUndecided() {
 }
 
 // countMatch classifies one candidate verdict into the per-query trace
-// and the engine counters: pruned candidates were preselected away
+// and the store counters: pruned candidates were preselected away
 // without an IDCA run, everything else was refined.
 func countMatch(m *Metrics, tr *obs.Trace, match Match, pruned bool) {
 	if pruned {
@@ -295,7 +254,7 @@ func countMatch(m *Metrics, tr *obs.Trace, match Match, pruned bool) {
 }
 
 // recordCache drains a query-scoped cache's hit/miss counts into the
-// trace and the engine counters. The cache is the query's overlay (or
+// trace and the store counters. The cache is the query's overlay (or
 // private cache), so its counts are exactly this query's traffic.
 func recordCache(m *Metrics, tr *obs.Trace, cache *core.DecompCache) {
 	if cache == nil || (m == nil && tr == nil) {

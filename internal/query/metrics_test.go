@@ -2,12 +2,9 @@ package query
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"probprune/internal/core"
 	"probprune/internal/obs"
@@ -19,12 +16,12 @@ import (
 func TestQueryMetricsAndTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := smallDB(rng, 60, 5)
-	e := newEngine(t, db, core.Options{MaxIterations: 3})
+	e := newSnapshot(t, db, core.Options{MaxIterations: 3})
 	q := randObj(rng, -1, 5, 5, 5, 1.5)
 
 	tr := &obs.Trace{}
 	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := e.KNNCtx(ctx, q, 3, 0.3); err != nil {
+	if _, err := e.KNN(ctx, q, 3, 0.3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -46,7 +43,7 @@ func TestQueryMetricsAndTrace(t *testing.T) {
 		t.Fatalf("TraceSnapshot.String() = %q, want candidate anatomy", s)
 	}
 
-	m := e.obs.Snapshot()
+	m := obs.PointsMap(e.obs.Registry().Points())
 	if got := m["query.knn.latency.count"]; got != 1 {
 		t.Fatalf("query.knn.latency.count = %d, want 1", got)
 	}
@@ -76,85 +73,32 @@ func TestQueryMetricsAndTrace(t *testing.T) {
 func TestQueryMetricsAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := smallDB(rng, 30, 4)
-	e := newEngine(t, db, core.Options{MaxIterations: 2})
+	e := newSnapshot(t, db, core.Options{MaxIterations: 2})
 	q := randObj(rng, -1, 4, 5, 5, 1.5)
 	ctx := context.Background()
 
-	if _, err := e.KNNCtx(ctx, q, 2, 0.3); err != nil {
+	if _, err := e.KNN(ctx, q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RKNNCtx(ctx, q, 2, 0.3); err != nil {
+	if _, err := e.RKNN(ctx, q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.TopKNNCtx(ctx, q, 2, 3); err != nil {
+	if _, err := e.TopKNN(ctx, q, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	e.InverseRank(db[0], q)
-	if _, err := e.RankByExpectedRankCtx(ctx, q); err != nil {
+	must(e.InverseRank(bg, db[0], q))
+	if _, err := e.RankByExpectedRank(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.UKRanksCtx(ctx, q, 2); err != nil {
+	if _, err := e.UKRanks(ctx, q, 2); err != nil {
 		t.Fatal(err)
 	}
 
-	m := e.obs.Snapshot()
+	m := obs.PointsMap(e.obs.Registry().Points())
 	for _, kind := range []string{"knn", "rknn", "topk", "inverse_rank", "expected_rank", "ukranks"} {
 		if got := m["query."+kind+".latency.count"]; got != 1 {
 			t.Fatalf("query.%s.latency.count = %d, want 1", kind, got)
 		}
-	}
-}
-
-// TestSlowQueryLog: queries above the threshold are logged with their
-// kind and latency; a 1ns threshold catches everything, a non-positive
-// threshold disables the log.
-func TestSlowQueryLog(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	db := smallDB(rng, 40, 4)
-	e := newEngine(t, db, core.Options{MaxIterations: 2})
-	q := randObj(rng, -1, 4, 5, 5, 1.5)
-
-	var logged atomic.Int64
-	var last atomic.Value
-	e.obs.SetSlowQueryLog(time.Nanosecond, func(format string, args ...any) {
-		logged.Add(1)
-		last.Store(fmt.Sprintf(format, args...))
-	})
-	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if logged.Load() != 1 {
-		t.Fatalf("slow-query log fired %d times with a 1ns threshold, want 1", logged.Load())
-	}
-	if msg := last.Load().(string); !strings.Contains(msg, "kind=knn") {
-		t.Fatalf("slow-query log %q does not name the query kind", msg)
-	}
-
-	// An unreachable threshold silences it.
-	e.obs.SetSlowQueryLog(time.Hour, func(format string, args ...any) { logged.Add(1) })
-	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if logged.Load() != 1 {
-		t.Fatalf("slow-query log fired below threshold (%d calls)", logged.Load())
-	}
-
-	// Disabled: non-positive threshold.
-	e.obs.SetSlowQueryLog(0, func(format string, args ...any) { logged.Add(1) })
-	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if logged.Load() != 1 {
-		t.Fatalf("slow-query log fired with a zero threshold (%d calls)", logged.Load())
-	}
-
-	// Disabled again: nil logf.
-	e.obs.SetSlowQueryLog(time.Nanosecond, nil)
-	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if logged.Load() != 1 {
-		t.Fatalf("slow-query log fired while disabled (%d calls)", logged.Load())
 	}
 }
 
@@ -163,18 +107,18 @@ func TestSlowQueryLog(t *testing.T) {
 func TestNilMetricsSafe(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := smallDB(rng, 20, 4)
-	e := newEngine(t, db, core.Options{MaxIterations: 2})
+	e := newSnapshot(t, db, core.Options{MaxIterations: 2})
 	e.obs = nil
 	q := randObj(rng, -1, 4, 5, 5, 1.5)
-	if _, err := e.KNNCtx(context.Background(), q, 2, 0.3); err != nil {
+	if _, err := e.KNN(context.Background(), q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.TopKNNCtx(context.Background(), q, 2, 3); err != nil {
+	if _, err := e.TopKNN(context.Background(), q, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	var m *Metrics
-	if m.Snapshot() != nil {
-		t.Fatal("nil Metrics snapshot should be nil")
+	if m.Registry() != nil {
+		t.Fatal("nil Metrics has a registry")
 	}
 }
 
@@ -189,16 +133,16 @@ func TestStoreMetricsShared(t *testing.T) {
 	}
 	q := randObj(rng, -1, 4, 5, 5, 1.5)
 	ctx := context.Background()
-	if _, err := s.KNNCtx(ctx, q, 2, 0.3); err != nil {
+	if _, err := s.Snapshot().KNN(ctx, q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Update(randObj(rng, db[0].ID, 4, 5, 5, 1.5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.KNNCtx(ctx, q, 2, 0.3); err != nil { // fresh snapshot engine
+	if _, err := s.Snapshot().KNN(ctx, q, 2, 0.3); err != nil { // fresh snapshot engine
 		t.Fatal(err)
 	}
-	if got := s.Metrics().Snapshot()["query.knn.latency.count"]; got != 2 {
+	if got := obs.PointsMap(s.Metrics().Registry().Points())["query.knn.latency.count"]; got != 2 {
 		t.Fatalf("store counted %d KNN queries across snapshots, want 2", got)
 	}
 }

@@ -17,10 +17,9 @@ import (
 	"probprune/internal/workload"
 )
 
-// TestOneShardNoRouterWork: a one-shard store's snapshot engine
-// scatters over exactly one cut, the shard's own index, before and
-// after mutations.
-// A multi-shard snapshot's engine scatters over every shard's index.
+// TestOneShardNoRouterWork: a one-shard store's snapshot scatters over
+// exactly one cut, the shard's own index, before and after mutations.
+// A multi-shard snapshot scatters over every shard's index.
 func TestOneShardNoRouterWork(t *testing.T) {
 	db := storeTestDB(t, 40, 3)
 	s, err := NewStore(db, core.Options{MaxIterations: 2})
@@ -30,9 +29,9 @@ func TestOneShardNoRouterWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	next := 1000
 	for round := 0; round < 2; round++ {
-		e := s.Snapshot().Engine()
-		if len(e.cuts) != 1 || e.cuts[0].index != s.shards[0].index {
-			t.Fatal("one-shard snapshot engine does not scatter over exactly the shard's index")
+		sn := s.Snapshot()
+		if len(sn.cuts()) != 1 || sn.cuts()[0].index != s.shards[0].index {
+			t.Fatal("one-shard snapshot does not scatter over exactly the shard's index")
 		}
 		mutateStore(t, s, rng, &next, 10)
 	}
@@ -40,11 +39,11 @@ func TestOneShardNoRouterWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := sharded.Snapshot().Engine()
-	if len(e.cuts) != 4 {
-		t.Fatalf("4-shard snapshot engine scatters over %d cuts", len(e.cuts))
+	sn := sharded.Snapshot()
+	if len(sn.cuts()) != 4 {
+		t.Fatalf("4-shard snapshot scatters over %d cuts", len(sn.cuts()))
 	}
-	for i, c := range e.cuts {
+	for i, c := range sn.cuts() {
 		if c.index != sharded.shards[i].index {
 			t.Fatalf("cut %d does not bind shard %d's index", i, i)
 		}
@@ -244,7 +243,7 @@ func TestFormatFixtures(t *testing.T) {
 			if g, w := r.ShardSizes(), mirror.ShardSizes(); !slices.Equal(g, w) {
 				t.Fatalf("shard sizes %v, want %v", g, w)
 			}
-			g, w := objIDs(r.Snapshot().DB()), objIDs(mirror.Snapshot().DB())
+			g, w := objIDs(r.Snapshot().Database()), objIDs(mirror.Snapshot().Database())
 			if !slices.Equal(g, w) || !slices.IsSorted(g) {
 				t.Fatalf("objects %v, want %v in ascending ID order", g, w)
 			}

@@ -31,7 +31,7 @@ type oracleCase struct {
 	norm geom.Norm
 	db   uncertain.Database
 	q    *uncertain.Object
-	eng  *Engine
+	eng  *Snapshot
 }
 
 func newOracleCase(t *testing.T, seed int64, parallelism int) *oracleCase {
@@ -75,7 +75,7 @@ func newOracleCase(t *testing.T, seed int64, parallelism int) *oracleCase {
 	// A third of the seeds stop after one refinement iteration: the
 	// wide, frequently undecided intervals of a truncated run must
 	// contain the exact value just like converged ones.
-	eng := newEngine(t, db, core.Options{Norm: norm, MaxIterations: 1 + 2*int(seed%3), Parallelism: parallelism})
+	eng := newSnapshot(t, db, core.Options{Norm: norm, MaxIterations: 1 + 2*int(seed%3), Parallelism: parallelism})
 	return &oracleCase{seed: seed, norm: norm, db: db, q: q, eng: eng}
 }
 
@@ -114,7 +114,7 @@ func TestOracleKNN(t *testing.T) {
 			oc := newOracleCase(t, seed, 1+int(seed%3))
 			k := 2 + int(seed%3)
 			tau := []float64{0.3, 0.5, 0.8}[seed%3]
-			for _, m := range oc.eng.KNN(oc.q, k, tau) {
+			for _, m := range must(oc.eng.KNN(bg, oc.q, k, tau)) {
 				exact := oc.exactCDF(m.Object, oc.q, k)
 				checkContains(t, seed, fmt.Sprintf("KNN(k=%d) object %d", k, m.Object.ID),
 					m.Prob.LB, m.Prob.UB, exact)
@@ -143,7 +143,7 @@ func TestOracleRKNN(t *testing.T) {
 			oc := newOracleCase(t, seed, 1)
 			k := 1 + int(seed%3)
 			tau := 0.4
-			for _, m := range oc.eng.RKNN(oc.q, k, tau) {
+			for _, m := range must(oc.eng.RKNN(bg, oc.q, k, tau)) {
 				// RKNN evaluates q as the target against candidate B as
 				// the reference.
 				exact := oc.exactCDF(oc.q, m.Object, k)
@@ -173,7 +173,7 @@ func TestOracleTopKNN(t *testing.T) {
 			t.Parallel()
 			oc := newOracleCase(t, seed, 1)
 			k, m := 3, 3
-			selected := oc.eng.TopKNN(oc.q, k, m)
+			selected := must(oc.eng.TopKNN(bg, oc.q, k, m))
 			// Exact probability of every database object.
 			exact := make(map[int]float64, len(oc.db))
 			for _, o := range oc.db {
@@ -220,7 +220,7 @@ func TestOracleInverseRank(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 3; trial++ {
 				b := oc.db[rng.Intn(len(oc.db))]
-				rd := oc.eng.InverseRank(b, oc.q)
+				rd := must(oc.eng.InverseRank(bg, b, oc.q))
 				cands := make([]*uncertain.Object, 0, len(oc.db))
 				for _, o := range oc.db {
 					if o != b && o != oc.q {

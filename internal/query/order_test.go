@@ -40,13 +40,18 @@ type orderAnswers struct {
 func answerInOrder(t *testing.T, s *query.Store, q *uncertain.Object) orderAnswers {
 	t.Helper()
 	var a orderAnswers
-	for _, o := range s.Snapshot().DB() {
+	snap, ctx := s.Snapshot(), context.Background()
+	for _, o := range snap.Database() {
 		a.db = append(a.db, o.ID)
 	}
-	a.knn = s.KNN(q, 3, 0.3)
-	a.rknn = s.RKNN(q, 2, 0.2)
 	var err error
-	a.batch, err = s.BatchKNN(context.Background(), []query.KNNRequest{{Q: q, K: 3, Tau: 0.3}, {Q: q, K: 5, Tau: 0}})
+	if a.knn, err = snap.KNN(ctx, q, 3, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	if a.rknn, err = snap.RKNN(ctx, q, 2, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	a.batch, err = snap.BatchKNN(ctx, []query.KNNRequest{{Q: q, K: 3, Tau: 0.3}, {Q: q, K: 5, Tau: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestResultsAscendByID(t *testing.T) {
 					return o
 				}
 				for step := 0; step < 300; step++ {
-					live := s.Snapshot().DB()
+					live := s.Snapshot().Database()
 					switch op := rng.Intn(3); {
 					case op == 0:
 						id := rng.Intn(4000) - 1000 // below, between and above the stored IDs
@@ -161,7 +166,7 @@ func TestResultsAscendByID(t *testing.T) {
 				requireAscending(t, "cq KNN initial set", eventIDs(got.cqKNN))
 				requireAscending(t, "cq RKNN initial set", eventIDs(got.cqRKNN))
 
-				fresh, err := query.NewShardedStore(s.Snapshot().DB(), sopts, opts)
+				fresh, err := query.NewShardedStore(s.Snapshot().Database(), sopts, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -17,11 +17,11 @@ import (
 // they are also the safety test for concurrent candidate runs against
 // one shared reference decomposition.
 
-func enginePair(t *testing.T, seed int64, n, samples, workers int) (*Engine, *Engine, *rand.Rand) {
+func enginePair(t *testing.T, seed int64, n, samples, workers int) (*Snapshot, *Snapshot, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	db := smallDB(rng, n, samples)
-	seq := newEngine(t, db, core.Options{MaxIterations: 5, Parallelism: 1})
-	par := newEngine(t, db, core.Options{MaxIterations: 5, Parallelism: workers})
+	seq := newSnapshot(t, db, core.Options{MaxIterations: 5, Parallelism: 1})
+	par := newSnapshot(t, db, core.Options{MaxIterations: 5, Parallelism: workers})
 	return seq, par, rng
 }
 
@@ -29,8 +29,8 @@ func TestParallelKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{400, 401, 402} {
 		seq, par, rng := enginePair(t, seed, 30, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
-		a := seq.KNN(q, 3, 0.5)
-		b := par.KNN(q, 3, 0.5)
+		a := must(seq.KNN(bg, q, 3, 0.5))
+		b := must(par.KNN(bg, q, 3, 0.5))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: parallel KNN differs from sequential", seed)
 		}
@@ -41,8 +41,8 @@ func TestParallelRKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{410, 411, 412} {
 		seq, par, rng := enginePair(t, seed, 25, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
-		a := seq.RKNN(q, 2, 0.5)
-		b := par.RKNN(q, 2, 0.5)
+		a := must(seq.RKNN(bg, q, 2, 0.5))
+		b := must(par.RKNN(bg, q, 2, 0.5))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: parallel RKNN differs from sequential", seed)
 		}
@@ -53,8 +53,8 @@ func TestParallelRankingMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{420, 421} {
 		seq, par, rng := enginePair(t, seed, 20, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
-		a := seq.RankByExpectedRank(q)
-		b := par.RankByExpectedRank(q)
+		a := must(seq.RankByExpectedRank(bg, q))
+		b := must(par.RankByExpectedRank(bg, q))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: parallel ranking differs from sequential", seed)
 		}
@@ -65,8 +65,8 @@ func TestParallelTopKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{430, 431} {
 		seq, par, rng := enginePair(t, seed, 25, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
-		a := seq.TopKNN(q, 3, 5)
-		b := par.TopKNN(q, 3, 5)
+		a := must(seq.TopKNN(bg, q, 3, 5))
+		b := must(par.TopKNN(bg, q, 3, 5))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: parallel TopKNN differs from sequential", seed)
 		}
@@ -76,8 +76,8 @@ func TestParallelTopKNNMatchesSequential(t *testing.T) {
 func TestParallelUKRanksMatchesSequential(t *testing.T) {
 	seq, par, rng := enginePair(t, 440, 20, 12, 4)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	a := seq.UKRanks(q, 4)
-	b := par.UKRanks(q, 4)
+	a := must(seq.UKRanks(bg, q, 4))
+	b := must(par.UKRanks(bg, q, 4))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("parallel UKRanks differs from sequential")
 	}
@@ -90,9 +90,9 @@ func TestParallelUKRanksMatchesSequential(t *testing.T) {
 func TestInverseRankDeterministicAndSound(t *testing.T) {
 	seq, par, rng := enginePair(t, 450, 15, 12, 4)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	a := seq.InverseRank(seq.Database()[0], q)
-	b := par.InverseRank(par.Database()[0], q)
-	b2 := par.InverseRank(par.Database()[0], q)
+	a := must(seq.InverseRank(bg, seq.Database()[0], q))
+	b := must(par.InverseRank(bg, par.Database()[0], q))
+	b2 := must(par.InverseRank(bg, par.Database()[0], q))
 	if !reflect.DeepEqual(b.Ranks, b2.Ranks) {
 		t.Fatal("InverseRank not deterministic for a fixed Parallelism")
 	}
@@ -112,9 +112,9 @@ func TestDefaultParallelismMatchesExplicitSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(460))
 	db := smallDB(rng, 20, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	def := newEngine(t, db, core.Options{MaxIterations: 5})
-	one := newEngine(t, db, core.Options{MaxIterations: 5, Parallelism: 1})
-	if !reflect.DeepEqual(def.KNN(q, 3, 0.5), one.KNN(q, 3, 0.5)) {
+	def := newSnapshot(t, db, core.Options{MaxIterations: 5})
+	one := newSnapshot(t, db, core.Options{MaxIterations: 5, Parallelism: 1})
+	if !reflect.DeepEqual(must(def.KNN(bg, q, 3, 0.5)), must(one.KNN(bg, q, 3, 0.5))) {
 		t.Fatal("default-parallelism KNN differs from single-worker KNN")
 	}
 }
@@ -125,23 +125,23 @@ func TestCtxCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(470))
 	db := smallDB(rng, 20, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	eng := newEngine(t, db, core.Options{MaxIterations: 5, Parallelism: 2})
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 5, Parallelism: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if m, err := eng.KNNCtx(ctx, q, 3, 0.5); err != context.Canceled || m != nil {
-		t.Fatalf("KNNCtx after cancel: matches=%v err=%v", m, err)
+	if m, err := eng.KNN(ctx, q, 3, 0.5); err != context.Canceled || m != nil {
+		t.Fatalf("KNN after cancel: matches=%v err=%v", m, err)
 	}
-	if m, err := eng.RKNNCtx(ctx, q, 3, 0.5); err != context.Canceled || m != nil {
-		t.Fatalf("RKNNCtx after cancel: matches=%v err=%v", m, err)
+	if m, err := eng.RKNN(ctx, q, 3, 0.5); err != context.Canceled || m != nil {
+		t.Fatalf("RKNN after cancel: matches=%v err=%v", m, err)
 	}
-	if r, err := eng.RankByExpectedRankCtx(ctx, q); err != context.Canceled || r != nil {
-		t.Fatalf("RankByExpectedRankCtx after cancel: ranked=%v err=%v", r, err)
+	if r, err := eng.RankByExpectedRank(ctx, q); err != context.Canceled || r != nil {
+		t.Fatalf("RankByExpectedRank after cancel: ranked=%v err=%v", r, err)
 	}
-	if m, err := eng.TopKNNCtx(ctx, q, 3, 5); err != context.Canceled || m != nil {
-		t.Fatalf("TopKNNCtx after cancel: matches=%v err=%v", m, err)
+	if m, err := eng.TopKNN(ctx, q, 3, 5); err != context.Canceled || m != nil {
+		t.Fatalf("TopKNN after cancel: matches=%v err=%v", m, err)
 	}
-	if w, err := eng.UKRanksCtx(ctx, q, 3); err != context.Canceled || w != nil {
-		t.Fatalf("UKRanksCtx after cancel: winners=%v err=%v", w, err)
+	if w, err := eng.UKRanks(ctx, q, 3); err != context.Canceled || w != nil {
+		t.Fatalf("UKRanks after cancel: winners=%v err=%v", w, err)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestRKNNPreselectionNeverPrunesAPossibleResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(480))
 	db := smallDB(rng, 40, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
-	eng := newEngine(t, db, core.Options{MaxIterations: 6})
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 6})
 	const k = 3
 	pruned := 0
 	for _, b := range db {
@@ -178,7 +178,7 @@ func TestRKNNWithoutIndexMatchesIndexed(t *testing.T) {
 	db := smallDB(rng, 30, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
 	opts := core.Options{MaxIterations: 5}
-	requireMatchesAgree(t, newEngine(t, db, opts).RKNN(q, 2, 0.5), fullScan{db, opts}.rknn(q, 2, 0.5))
+	requireMatchesAgree(t, must(newSnapshot(t, db, opts).RKNN(bg, q, 2, 0.5)), fullScan{db, opts}.rknn(q, 2, 0.5))
 }
 
 // TestKNNLinearFallbackPrunes: the engine's prune threshold equals the
@@ -189,13 +189,13 @@ func TestKNNLinearFallbackPrunes(t *testing.T) {
 	db := smallDB(rng, 60, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
 	opts := core.Options{MaxIterations: 5}
-	eng := newEngine(t, db, opts)
+	eng := newSnapshot(t, db, opts)
 	thresh := eng.knnThreshold(q, 3, geom.L2)
 	if thresh == 0 || thresh != (fullScan{db, opts}).knnThreshold(q, 3) {
 		t.Fatalf("unexpected threshold %g", thresh)
 	}
 	prunedIterations := 0
-	for _, m := range eng.KNN(q, 3, 0.5) {
+	for _, m := range must(eng.KNN(bg, q, 3, 0.5)) {
 		if knnPrunable(m.Object, q, thresh, geom.L2) {
 			if m.Iterations != 0 || m.IsResult || !m.Decided {
 				t.Fatalf("prunable object %d was not preselected: %+v", m.Object.ID, m)

@@ -10,7 +10,7 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// This file is the engine's one data plane. The filter-stage primitives
+// This file is the snapshot's one data plane. The filter-stage primitives
 // (IDCA filter, preselection threshold, impossibility count) run per
 // cut on the cuts' own R-trees and are gathered into the exact global
 // value before any refinement work runs. The paper's filter classifies
@@ -26,9 +26,9 @@ import (
 // verdict with a single geometric test instead of a tree walk — the
 // cut-level analogue of the walk's per-node wholesale decisions, with
 // identical outcomes.
-func (e *Engine) filter(target, reference *uncertain.Object, opts core.Options) core.PartialFilter {
+func (sn *Snapshot) filter(target, reference *uncertain.Object, opts core.Options) core.PartialFilter {
 	parts := make([]core.PartialFilter, 0, 8)
-	for _, sh := range e.cuts {
+	for _, sh := range sn.cuts() {
 		root, ok := sh.root()
 		if !ok {
 			continue // empty cut
@@ -51,14 +51,14 @@ func (e *Engine) filter(target, reference *uncertain.Object, opts core.Options) 
 // are ruled out with one distance test and a near cut's stream stops as
 // soon as its next value cannot displace a heap member. Returns +Inf
 // when the database is too small to prune.
-func (e *Engine) knnThreshold(q *uncertain.Object, k int, n geom.Norm) float64 {
+func (sn *Snapshot) knnThreshold(q *uncertain.Object, k int, n geom.Norm) float64 {
 	h := maxDistHeap{vals: make([]float64, 0, k+1), bound: k + 1}
 	type cutDist struct {
 		sh  *Snapshot
 		min float64
 	}
 	order := make([]cutDist, 0, 8)
-	for _, sh := range e.cuts {
+	for _, sh := range sn.cuts() {
 		if root, ok := sh.root(); ok {
 			order = append(order, cutDist{sh, root.MinDistRect(n, q.MBR)})
 		}
@@ -100,7 +100,7 @@ func (e *Engine) knnThreshold(q *uncertain.Object, k int, n geom.Norm) float64 {
 // cuts together account for k objects closer to it than q in every
 // possible world. Cuts whose root MBR cannot be MaxDist-closer than the
 // limit are ruled out without a traversal.
-func (e *Engine) rknnPrunable(q, b *uncertain.Object, k int, n geom.Norm) bool {
+func (sn *Snapshot) rknnPrunable(q, b *uncertain.Object, k int, n geom.Norm) bool {
 	lim := q.MBR.MinDistRect(n, b.MBR)
 	if lim <= 0 {
 		// q can coincide with b's region; no object can be strictly
@@ -108,7 +108,7 @@ func (e *Engine) rknnPrunable(q, b *uncertain.Object, k int, n geom.Norm) bool {
 		return false
 	}
 	count := 0
-	for _, sh := range e.cuts {
+	for _, sh := range sn.cuts() {
 		root, ok := sh.root()
 		if !ok || root.MinDistRect(n, b.MBR) >= lim {
 			continue

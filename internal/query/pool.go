@@ -13,11 +13,11 @@ import (
 // buffers, interval scratch, partition-pair lists) and each
 // preselection's best-first queue used to be reallocated per run. The
 // pools below recycle them across runs, candidates, queries and
-// engines — both structures are instance-independent, so the pools are
+// snapshots — both structures are instance-independent, so the pools are
 // package-global.
 
 // scratchPool recycles per-run IDCA arenas (core.Scratch). A scratch is
-// attached to exactly one run at a time: Engine.run checks one out and
+// attached to exactly one run at a time: Snapshot.run checks one out and
 // returns it when the run completes. Sessions (which outlive the call
 // that creates them) get private, unpooled arenas instead.
 var scratchPool = sync.Pool{New: func() any { return core.NewScratch() }}

@@ -15,10 +15,13 @@
 // parallel executor (see executor.go): Options.Parallelism worker
 // goroutines (default GOMAXPROCS), one decomposition cache
 // (core.DecompCache) sharing the kd-splits of the query object and of
-// every influence object across all runs, and context-accepting
-// variants (KNNCtx etc.) for cancellation and deadlines. Results are
-// deterministic and identical to a sequential evaluation regardless of
-// worker count.
+// every influence object across all runs, and a context for
+// cancellation and deadlines. Results are deterministic and identical
+// to a sequential evaluation regardless of worker count.
+//
+// Every query is a method of Snapshot, the database at one version:
+// each takes a context and returns an error, which is how a query
+// object of another dimension is refused (see CheckDim).
 package query
 
 import (
@@ -35,66 +38,26 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// Engine evaluates probabilistic similarity queries over one immutable
-// database state: it is the engine of a store Snapshot, and every
-// filter-stage primitive scatters over that snapshot's shard cuts (see
-// plane.go) — with one shard, the snapshot itself.
-type Engine struct {
-	// opts configures the underlying IDCA runs; runOpts derives each
-	// run's options from it.
-	opts core.Options
-	// obs receives per-query latency histograms and the filter-economy
-	// counters (see metrics.go). Snapshot engines share their store's,
-	// so counts accumulate across snapshots. A nil obs records nothing.
-	obs *Metrics
-	// snap is the snapshot the engine is bound to; cuts are its shard
-	// cuts, or the snapshot itself with one shard.
-	snap *Snapshot
-	cuts []*Snapshot
-}
-
-// Database returns the objects the engine evaluates against, in
-// ascending ID order: the snapshot's objects, flattened on the first
-// call (see Snapshot). The slice is shared and must be treated as
-// read-only.
-func (e *Engine) Database() uncertain.Database { return e.snap.database() }
-
 // CheckDim reports an error when o's dimension differs from the
 // database's: distances across dimensions are undefined, so every query
 // entry refuses such a query object instead of evaluating it. An empty
 // database accepts any dimension.
-func (e *Engine) CheckDim(o *uncertain.Object) error {
-	if d := e.dim(); d != 0 && o.Dim() != d {
+func (sn *Snapshot) CheckDim(o *uncertain.Object) error {
+	if d := sn.dim(); d != 0 && o.Dim() != d {
 		return fmt.Errorf("query: object %d has %d dimensions, the database holds %d-dimensional objects", o.ID, o.Dim(), d)
 	}
 	return nil
 }
 
-// dim returns the dimension of the indexed objects, 0 when the engine
+// dim returns the dimension of the indexed objects, 0 when the snapshot
 // has none.
-func (e *Engine) dim() int {
-	for _, sh := range e.cuts {
+func (sn *Snapshot) dim() int {
+	for _, sh := range sn.cuts() {
 		if d := sh.index.Dim(); d != 0 {
 			return d
 		}
 	}
 	return 0
-}
-
-// NewEngine builds the engine of a one-shard in-memory store over db:
-// NewStore(db, opts) followed by Snapshot().Engine(). It therefore
-// refuses what the store refuses — a nil object, a duplicate ID, mixed
-// dimensions, a preset Options.SharedDecomps — and queries reuse the
-// store's persistent decomposition cache, in which every database
-// object is pinned (lazily; decompositions are deterministic, so results
-// are bit-identical to an uncached run). The slice is copied, the
-// objects are shared and must not be mutated.
-func NewEngine(db uncertain.Database, opts core.Options) (*Engine, error) {
-	s, err := NewStore(db, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.Snapshot().Engine(), nil
 }
 
 // Match is one candidate's outcome in a threshold query.
@@ -117,9 +80,9 @@ type Match struct {
 }
 
 // run executes one IDCA run on the merged filter outcome of the
-// engine's cuts (see filter). Merging is exact, so the result is
+// snapshot's cuts (see filter). Merging is exact, so the result is
 // bit-identical at any shard count.
-func (e *Engine) run(target, reference *uncertain.Object, opts core.Options) *core.Result {
+func (sn *Snapshot) run(target, reference *uncertain.Object, opts core.Options) *core.Result {
 	if opts.Scratch == nil {
 		// Check a pooled arena out for the duration of the run. The run
 		// completes before return and a Result never retains
@@ -129,12 +92,12 @@ func (e *Engine) run(target, reference *uncertain.Object, opts core.Options) *co
 		opts.Scratch = sc
 		defer scratchPool.Put(sc)
 	}
-	return core.RunMerged(target, reference, e.filter(target, reference, opts), opts)
+	return core.RunMerged(target, reference, sn.filter(target, reference, opts), opts)
 }
 
 // newSession prepares an incremental IDCA run on the same filter
 // outcome as run — the session-based queries (TopKNN) go through here.
-func (e *Engine) newSession(target, reference *uncertain.Object, opts core.Options) *core.Session {
+func (sn *Snapshot) newSession(target, reference *uncertain.Object, opts core.Options) *core.Session {
 	if opts.Scratch == nil {
 		// A session outlives this call and is stepped at the caller's
 		// pace (possibly interleaved with other live sessions), so it
@@ -142,7 +105,7 @@ func (e *Engine) newSession(target, reference *uncertain.Object, opts core.Optio
 		// its own Steps, garbage-collected with the session.
 		opts.Scratch = core.NewScratch()
 	}
-	return core.NewSessionMerged(target, reference, e.filter(target, reference, opts), opts)
+	return core.NewSessionMerged(target, reference, sn.filter(target, reference, opts), opts)
 }
 
 // ThresholdStop builds the IDCA stop criterion for a tail predicate
@@ -160,35 +123,29 @@ func ThresholdStop(k int, tau float64) func(*core.Result) bool {
 // KNN answers the probabilistic threshold kNN query of Corollary 4:
 // all objects B with P(B ∈ kNN(q)) = P(DomCount(B, q) < k) >= tau.
 // It returns a Match per database object (q itself excluded, if it is a
-// database object).
-func (e *Engine) KNN(q *uncertain.Object, k int, tau float64) []Match {
-	matches, _ := e.KNNCtx(context.Background(), q, k, tau)
-	return matches
-}
-
-// KNNCtx is KNN with cancellation: when ctx is cancelled before the
-// query completes, (nil, ctx.Err()) is returned. Candidates are
+// database object), in ascending object ID order. Candidates are
 // evaluated concurrently on Options.Parallelism workers; the result is
-// identical to the sequential evaluation, in ascending object ID order.
-func (e *Engine) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
-	if err := e.CheckDim(q); err != nil {
+// identical to the sequential evaluation. When ctx is cancelled before
+// the query completes, (nil, ctx.Err()) is returned.
+func (sn *Snapshot) KNN(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
+	if err := sn.CheckDim(q); err != nil {
 		return nil, err
 	}
-	tr, pooled := e.obs.traceFor(ctx)
+	tr, pooled := sn.obs.traceFor(ctx)
 	start := time.Now()
-	cache := e.queryCache()
-	j := e.newKNNJob(q, k, tau, cache)
+	cache := sn.queryCache()
+	j := sn.newKNNJob(q, k, tau, cache)
 	j.tr = tr
 	tr.AddCandidates(len(j.cands))
-	e.obs.countCandidates(len(j.cands))
+	sn.obs.countCandidates(len(j.cands))
 	tr.AddPrepare(time.Since(start))
 	evalStart := time.Now()
-	if err := forEach(ctx, e.parallelism(), len(j.cands), j.eval); err != nil {
+	if err := forEach(ctx, sn.parallelism(), len(j.cands), j.eval); err != nil {
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.obs, tr, cache)
-	e.obs.observe(kindKNN, start, tr, pooled)
+	recordCache(sn.obs, tr, cache)
+	sn.obs.observe(kindKNN, start, tr, pooled)
 	return j.matches, nil
 }
 
@@ -197,7 +154,7 @@ func (e *Engine) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau flo
 // the worker pool that drives it so that BatchKNN can pour the
 // candidates of many queries into a single pool.
 type knnJob struct {
-	e       *Engine
+	sn      *Snapshot
 	q       *uncertain.Object
 	k       int
 	tau     float64
@@ -207,11 +164,11 @@ type knnJob struct {
 	cands   []*uncertain.Object
 	matches []Match
 	// tr, when non-nil, receives this query's per-candidate verdicts
-	// alongside the engine counters.
+	// alongside the store counters.
 	tr *obs.Trace
 }
 
-// newKNNJob prepares a kNN query against the engine: candidate
+// newKNNJob prepares a kNN query against the snapshot: candidate
 // preselection (objects farther than the (k+1)-th smallest MaxDist are
 // dominated at least k times in every possible world and get P = 0
 // without an IDCA run, see knnfilter.go — only valid for tau > 0, at
@@ -219,16 +176,16 @@ type knnJob struct {
 // decomposition cache for the whole query, so the reference q and every
 // influence object are decomposed once, not once per candidate run they
 // appear in. k < 1 yields an empty job.
-func (e *Engine) newKNNJob(q *uncertain.Object, k int, tau float64, cache *core.DecompCache) *knnJob {
-	j := &knnJob{e: e, q: q, k: k, tau: tau, norm: e.normOrDefault(), cache: cache}
+func (sn *Snapshot) newKNNJob(q *uncertain.Object, k int, tau float64, cache *core.DecompCache) *knnJob {
+	j := &knnJob{sn: sn, q: q, k: k, tau: tau, norm: sn.normOrDefault(), cache: cache}
 	if k < 1 {
 		return j
 	}
 	j.thresh = math.Inf(1)
 	if tau > 0 {
-		j.thresh = e.knnThreshold(q, k, j.norm)
+		j.thresh = sn.knnThreshold(q, k, j.norm)
 	}
-	j.cands = e.candidates(q)
+	j.cands = sn.candidates(q)
 	j.matches = make([]Match, len(j.cands))
 	return j
 }
@@ -236,29 +193,96 @@ func (e *Engine) newKNNJob(q *uncertain.Object, k int, tau float64, cache *core.
 // eval evaluates candidate i into its result slot; calls for distinct i
 // are safe to run concurrently.
 func (j *knnJob) eval(i int) {
-	m, pruned := j.e.evalKNNCandidate(j.q, j.cands[i], j.k, j.tau, j.thresh, j.norm, j.cache)
+	m, pruned := j.sn.evalKNNCandidate(j.q, j.cands[i], j.k, j.tau, j.thresh, j.norm, j.cache)
 	j.matches[i] = m
-	countMatch(j.e.obs, j.tr, m, pruned)
+	countMatch(j.sn.obs, j.tr, m, pruned)
+}
+
+// KNNRequest is one query of a BatchKNN call.
+type KNNRequest struct {
+	// Q is the query reference object.
+	Q *uncertain.Object
+	// K is the kNN parameter.
+	K int
+	// Tau is the probability threshold.
+	Tau float64
+}
+
+// BatchKNN evaluates many kNN queries on the snapshot: the candidate
+// IDCA runs of all requests are poured into a single worker pool
+// (Options.Parallelism workers total, not per query) and share one
+// decomposition cache overlay, so common influence objects and repeated
+// query objects are decomposed once for the whole batch. Results[i]
+// corresponds to reqs[i] and is bit-identical to KNN(ctx, reqs[i]...).
+func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
+	for i, r := range reqs {
+		if err := sn.CheckDim(r.Q); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	tr, pooled := sn.obs.traceFor(ctx)
+	start := time.Now()
+	// One cache overlay for the whole batch: influence objects come from
+	// the persistent store cache, repeated query objects are decomposed
+	// once per batch. Preparation (candidate scan + preselection
+	// traversal per request) runs on the pool too — it only reads the
+	// snapshot — so a large batch has no serial prefix.
+	cache := sn.queryCache()
+	jobs := make([]*knnJob, len(reqs))
+	if err := forEach(ctx, sn.parallelism(), len(reqs), func(i int) {
+		jobs[i] = sn.newKNNJob(reqs[i].Q, reqs[i].K, reqs[i].Tau, cache)
+	}); err != nil {
+		return nil, err
+	}
+	// ends[i] is the end of job i's candidates in one flat index space:
+	// every request's candidates run on a single pool, so small queries
+	// do not serialize behind big ones and the pool never idles while
+	// work remains.
+	ends := make([]int, len(jobs))
+	total := 0
+	for i, j := range jobs {
+		j.tr = tr
+		total += len(j.cands)
+		ends[i] = total
+	}
+	tr.AddCandidates(total)
+	sn.obs.countCandidates(total)
+	tr.AddPrepare(time.Since(start))
+	evalStart := time.Now()
+	if err := forEach(ctx, sn.parallelism(), total, func(i int) {
+		ji := sort.SearchInts(ends, i+1)
+		jobs[ji].eval(i - ends[ji] + len(jobs[ji].cands))
+	}); err != nil {
+		return nil, err
+	}
+	tr.AddEval(time.Since(evalStart))
+	recordCache(sn.obs, tr, cache)
+	sn.obs.observe(kindBatchKNN, start, tr, pooled)
+	out := make([][]Match, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.matches
+	}
+	return out, nil
 }
 
 // evalKNNCandidate runs the threshold-kNN predicate for one candidate:
 // preselection against the m_{k+1} threshold, then an IDCA run with the
 // threshold stop criterion. It is the single evaluation path shared by
-// KNNCtx, BatchKNN and the incremental maintainers of package cq, so a
+// KNN, BatchKNN and the incremental maintainers of package cq, so a
 // candidate re-evaluated in isolation yields a Match bit-identical to
 // the one a full query over the same database state would report. The
 // second return reports whether preselection decided the candidate
 // without an IDCA run — the filter-verdict classification the
 // observability counters record.
-func (e *Engine) evalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh float64, norm geom.Norm, cache *core.DecompCache) (Match, bool) {
+func (sn *Snapshot) evalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh float64, norm geom.Norm, cache *core.DecompCache) (Match, bool) {
 	if knnPrunable(b, q, thresh, norm) {
 		return Match{Object: b, Decided: true}, true
 	}
-	opts := e.runOpts()
+	opts := sn.runOpts()
 	opts.KMax = k
 	opts.Stop = ThresholdStop(k, tau)
 	opts.SharedDecomps = cache
-	res := e.run(b, q, opts)
+	res := sn.run(b, q, opts)
 	iv := res.CDFBound(k)
 	return Match{
 		Object:     b,
@@ -271,85 +295,79 @@ func (e *Engine) evalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh flo
 
 // EvalKNNCandidate evaluates the threshold-kNN predicate for candidate
 // b only, using thresh as the preselection bound (KNNThreshold; pass
-// +Inf to disable preselection, as the engine does at tau = 0) and
+// +Inf to disable preselection, as KNN does at tau = 0) and
 // cache for decomposition sharing (nil builds a private cache per
 // call). The Match is bit-identical to the entry for b in
 // KNN(q, k, tau) over the same database state — the contract the
 // continuous-query subsystem's incremental maintenance relies on. The
 // second return reports that preselection decided b without an IDCA
 // run.
-func (e *Engine) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh float64, cache *core.DecompCache) (Match, bool) {
+func (sn *Snapshot) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh float64, cache *core.DecompCache) (Match, bool) {
 	if cache == nil {
-		cache = e.queryCache()
+		cache = sn.queryCache()
 	}
-	m, pruned := e.evalKNNCandidate(q, b, k, tau, thresh, e.normOrDefault(), cache)
-	countMatch(e.obs, nil, m, pruned)
+	m, pruned := sn.evalKNNCandidate(q, b, k, tau, thresh, sn.normOrDefault(), cache)
+	countMatch(sn.obs, nil, m, pruned)
 	return m, pruned
 }
 
 // RKNN answers the probabilistic threshold reverse kNN query of
 // Corollary 5: all objects B for which q is among B's k nearest
 // neighbors with probability at least tau, i.e.
-// P(DomCount(q, B) < k) >= tau with B as the reference.
-func (e *Engine) RKNN(q *uncertain.Object, k int, tau float64) []Match {
-	matches, _ := e.RKNNCtx(context.Background(), q, k, tau)
-	return matches
-}
-
-// RKNNCtx is RKNN with cancellation and concurrent candidate
-// evaluation, mirroring KNNCtx. Candidates impossible as results (at
-// least k objects certainly closer to them than q, see rknnfilter.go)
-// are preselected away without an IDCA run.
-func (e *Engine) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
-	if err := e.CheckDim(q); err != nil {
+// P(DomCount(q, B) < k) >= tau with B as the reference. Cancellation
+// and concurrent candidate evaluation mirror KNN. Candidates impossible
+// as results (at least k objects certainly closer to them than q, see
+// rknnfilter.go) are preselected away without an IDCA run.
+func (sn *Snapshot) RKNN(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
+	if err := sn.CheckDim(q); err != nil {
 		return nil, err
 	}
 	if k < 1 {
 		return nil, nil
 	}
-	tr, pooled := e.obs.traceFor(ctx)
+	tr, pooled := sn.obs.traceFor(ctx)
 	start := time.Now()
-	norm := e.normOrDefault()
-	cands := e.candidates(q)
+	norm := sn.normOrDefault()
+	cands := sn.candidates(q)
 	// The query object is the target of every run; the cache shares its
 	// decomposition (and the influence objects') across candidates.
-	cache := e.queryCache()
+	cache := sn.queryCache()
 	tr.AddCandidates(len(cands))
-	e.obs.countCandidates(len(cands))
+	sn.obs.countCandidates(len(cands))
 	tr.AddPrepare(time.Since(start))
 	matches := make([]Match, len(cands))
 	evalStart := time.Now()
-	err := forEach(ctx, e.parallelism(), len(cands), func(i int) {
-		m, pruned := e.evalRKNNCandidate(q, cands[i], k, tau, norm, cache)
+	err := forEach(ctx, sn.parallelism(), len(cands), func(i int) {
+		m, pruned := sn.evalRKNNCandidate(q, cands[i], k, tau, norm, cache)
 		matches[i] = m
-		countMatch(e.obs, tr, m, pruned)
+		countMatch(sn.obs, tr, m, pruned)
 	})
 	if err != nil {
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.obs, tr, cache)
-	e.obs.observe(kindRKNN, start, tr, pooled)
+	recordCache(sn.obs, tr, cache)
+	sn.obs.observe(kindRKNN, start, tr, pooled)
 	return matches, nil
 }
 
 // evalRKNNCandidate runs the threshold-RkNN predicate for one
 // candidate: the cheap impossibility preselection, then an IDCA run
 // with q as the target and the candidate as the reference. Like
-// evalKNNCandidate it is the single evaluation path shared by RKNNCtx
+// evalKNNCandidate it is the single evaluation path shared by RKNN
 // and the incremental maintainers, and like it the second return
 // reports a preselection-only verdict.
-func (e *Engine) evalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, norm geom.Norm, cache *core.DecompCache) (Match, bool) {
-	if tau > 0 && e.rknnPrunable(q, b, k, norm) {
+func (sn *Snapshot) evalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, norm geom.Norm, cache *core.DecompCache) (Match, bool) {
+	if tau > 0 && sn.rknnPrunable(q, b, k, norm) {
 		return Match{Object: b, Decided: true}, true
 	}
-	opts := e.runOpts()
+	opts := sn.runOpts()
 	opts.KMax = k
 	opts.Stop = ThresholdStop(k, tau)
 	opts.SharedDecomps = cache
 	// Target is the query, reference is the candidate: the count is
 	// how many objects are closer to B than q is.
-	res := e.run(q, b, opts)
+	res := sn.run(q, b, opts)
 	iv := res.CDFBound(k)
 	return Match{
 		Object:     b,
@@ -365,12 +383,12 @@ func (e *Engine) evalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, n
 // over the same database state. cache may be nil (a private cache is
 // built per call). The second return reports that preselection decided
 // b without an IDCA run.
-func (e *Engine) EvalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, cache *core.DecompCache) (Match, bool) {
+func (sn *Snapshot) EvalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, cache *core.DecompCache) (Match, bool) {
 	if cache == nil {
-		cache = e.queryCache()
+		cache = sn.queryCache()
 	}
-	m, pruned := e.evalRKNNCandidate(q, b, k, tau, e.normOrDefault(), cache)
-	countMatch(e.obs, nil, m, pruned)
+	m, pruned := sn.evalRKNNCandidate(q, b, k, tau, sn.normOrDefault(), cache)
+	countMatch(sn.obs, nil, m, pruned)
 	return m, pruned
 }
 
@@ -402,33 +420,26 @@ func (rd *RankDistribution) Bound(i int) gf.Interval {
 // similarity ranking of the database w.r.t. r. As the one query with a
 // single IDCA run and no candidate fan-out, it applies
 // Options.Parallelism at the pair level inside that run (results are
-// deterministic for a fixed value, like core.Run). It returns nil where
-// InverseRankCtx returns an error.
-func (e *Engine) InverseRank(b, r *uncertain.Object) *RankDistribution {
-	rd, _ := e.InverseRankCtx(context.Background(), b, r)
-	return rd
-}
-
-// InverseRankCtx is InverseRank with its refusals as errors: a context
+// deterministic for a fixed value, like core.Run). It refuses a context
 // already done, or b or r of another dimension than the database (see
 // CheckDim). The single run itself is not cancellable.
-func (e *Engine) InverseRankCtx(ctx context.Context, b, r *uncertain.Object) (*RankDistribution, error) {
+func (sn *Snapshot) InverseRank(ctx context.Context, b, r *uncertain.Object) (*RankDistribution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for _, o := range [2]*uncertain.Object{b, r} {
-		if err := e.CheckDim(o); err != nil {
+		if err := sn.CheckDim(o); err != nil {
 			return nil, err
 		}
 	}
 	start := time.Now()
-	opts := e.runOpts()
-	opts.Parallelism = e.opts.Parallelism
-	cache := e.queryCache()
+	opts := sn.runOpts()
+	opts.Parallelism = sn.opts.Parallelism
+	cache := sn.queryCache()
 	opts.SharedDecomps = cache
-	res := e.run(b, r, opts)
-	recordCache(e.obs, nil, cache)
-	e.obs.observe(kindInverseRank, start, nil, false)
+	res := sn.run(b, r, opts)
+	recordCache(sn.obs, nil, cache)
+	sn.obs.observe(kindInverseRank, start, nil, false)
 	ranks := make([]gf.Interval, len(res.Bounds))
 	copy(ranks, res.Bounds)
 	return &RankDistribution{
@@ -485,36 +496,30 @@ type Ranked struct {
 // RankByExpectedRank orders all database objects by (the midpoint of
 // the bounds on) their expected rank with respect to q — the expected
 // rank semantics of Cormode et al. [14] evaluated with IDCA bounds.
-func (e *Engine) RankByExpectedRank(q *uncertain.Object) []Ranked {
-	out, _ := e.RankByExpectedRankCtx(context.Background(), q)
-	return out
-}
-
-// RankByExpectedRankCtx is RankByExpectedRank with cancellation and
-// concurrent candidate evaluation. The ordering is deterministic: the
-// stable sort runs over per-candidate bounds computed independently of
-// worker count and completion order, so ties keep ascending ID order.
-func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object) ([]Ranked, error) {
-	if err := e.CheckDim(q); err != nil {
+// Candidates are evaluated concurrently. The ordering is deterministic:
+// the stable sort runs over per-candidate bounds computed independently
+// of worker count and completion order, so ties keep ascending ID order.
+func (sn *Snapshot) RankByExpectedRank(ctx context.Context, q *uncertain.Object) ([]Ranked, error) {
+	if err := sn.CheckDim(q); err != nil {
 		return nil, err
 	}
-	tr, pooled := e.obs.traceFor(ctx)
+	tr, pooled := sn.obs.traceFor(ctx)
 	start := time.Now()
-	cands := e.candidates(q)
-	cache := e.queryCache()
+	cands := sn.candidates(q)
+	cache := sn.queryCache()
 	tr.AddCandidates(len(cands))
-	e.obs.countCandidates(len(cands))
+	sn.obs.countCandidates(len(cands))
 	tr.AddPrepare(time.Since(start))
 	out := make([]Ranked, len(cands))
 	evalStart := time.Now()
-	err := forEach(ctx, e.parallelism(), len(cands), func(i int) {
-		opts := e.runOpts()
+	err := forEach(ctx, sn.parallelism(), len(cands), func(i int) {
+		opts := sn.runOpts()
 		opts.SharedDecomps = cache
-		res := e.run(cands[i], q, opts)
+		res := sn.run(cands[i], q, opts)
 		// Expected-rank ranking refines every candidate — there is no
 		// threshold to preselect against.
 		tr.CountRefined(len(res.Iterations))
-		e.obs.countRefined(len(res.Iterations))
+		sn.obs.countRefined(len(res.Iterations))
 		lo, hi := ExpectedRankBounds(res)
 		out[i] = Ranked{Object: cands[i], ExpectedRankLB: lo, ExpectedRankUB: hi}
 	})
@@ -522,8 +527,8 @@ func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object)
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.obs, tr, cache)
-	e.obs.observe(kindExpectedRank, start, tr, pooled)
+	recordCache(sn.obs, tr, cache)
+	sn.obs.observe(kindExpectedRank, start, tr, pooled)
 	sort.SliceStable(out, func(i, j int) bool {
 		mi := out[i].ExpectedRankLB + out[i].ExpectedRankUB
 		mj := out[j].ExpectedRankLB + out[j].ExpectedRankUB
@@ -532,24 +537,24 @@ func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object)
 	return out, nil
 }
 
-// The accessors below expose the engine's candidate-preselection
+// The accessors below expose the snapshot's candidate-preselection
 // primitives to incremental maintainers (package cq): a standing query
 // that persists per-candidate verdicts needs to recompute exactly the
 // preselection decisions a from-scratch query would make, on exactly
-// the engine's resolved configuration.
+// the store's resolved configuration.
 
-// Norm returns the engine's resolved distance norm (L2 when unset).
-func (e *Engine) Norm() geom.Norm { return e.normOrDefault() }
+// Norm returns the resolved distance norm (L2 when unset).
+func (sn *Snapshot) Norm() geom.Norm { return sn.normOrDefault() }
 
-// Criterion returns the engine's domination criterion.
-func (e *Engine) Criterion() geom.Criterion { return e.opts.Criterion }
+// Criterion returns the configured domination criterion.
+func (sn *Snapshot) Criterion() geom.Criterion { return sn.opts.Criterion }
 
 // NewQueryCache returns a decomposition cache scoped the way one query
 // run scopes it: an overlay over the store's persistent cache.
 // Long-lived callers (standing subscriptions) hold one to reuse the
 // decompositions of the query object and of database-resident influence
 // objects across re-evaluations.
-func (e *Engine) NewQueryCache() *core.DecompCache { return e.queryCache() }
+func (sn *Snapshot) NewQueryCache() *core.DecompCache { return sn.queryCache() }
 
 // KNNThreshold returns m_{k+1}, the (k+1)-th smallest MaxDist(o, q)
 // over the certainly-existing database objects — the kNN preselection
@@ -557,23 +562,23 @@ func (e *Engine) NewQueryCache() *core.DecompCache { return e.queryCache() }
 // P(B ∈ kNN(q)) = 0. Returns +Inf when the database is too small to
 // prune. The value is an order statistic of the database state, so it
 // is independent of index shape.
-func (e *Engine) KNNThreshold(q *uncertain.Object, k int) float64 {
-	return e.knnThreshold(q, k, e.normOrDefault())
+func (sn *Snapshot) KNNThreshold(q *uncertain.Object, k int) float64 {
+	return sn.knnThreshold(q, k, sn.normOrDefault())
 }
 
 // KNNPrunable reports whether candidate b is impossible as a kNN
 // result of q given the KNNThreshold bound thresh — the exact
-// preselection test the engine applies at tau > 0.
-func (e *Engine) KNNPrunable(q, b *uncertain.Object, thresh float64) bool {
-	return knnPrunable(b, q, thresh, e.normOrDefault())
+// preselection test KNN applies at tau > 0.
+func (sn *Snapshot) KNNPrunable(q, b *uncertain.Object, thresh float64) bool {
+	return knnPrunable(b, q, thresh, sn.normOrDefault())
 }
 
 // RKNNPrunable reports whether candidate b is impossible as a reverse
 // kNN result for q: at least k certainly-existing objects are closer to
-// b than q in every possible world — the exact preselection test the
-// engine applies at tau > 0.
-func (e *Engine) RKNNPrunable(q, b *uncertain.Object, k int) bool {
-	return e.rknnPrunable(q, b, k, e.normOrDefault())
+// b than q in every possible world — the exact preselection test RKNN
+// applies at tau > 0.
+func (sn *Snapshot) RKNNPrunable(q, b *uncertain.Object, k int) bool {
+	return sn.rknnPrunable(q, b, k, sn.normOrDefault())
 }
 
 func minFloat(a, b float64) float64 {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -14,14 +15,27 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-// newEngine is NewEngine over a database the store accepts.
-func newEngine(t testing.TB, db uncertain.Database, opts core.Options) *Engine {
+// newSnapshot is the snapshot of a one-shard store over a database the
+// store accepts.
+func newSnapshot(t testing.TB, db uncertain.Database, opts core.Options) *Snapshot {
 	t.Helper()
-	e, err := NewEngine(db, opts)
+	s, err := NewStore(db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return s.Snapshot()
+}
+
+// bg is the context of every query a test does not cancel.
+var bg = context.Background()
+
+// must returns a query's result and panics on its error: the queries
+// the tests issue through it are well-formed, so an error is a failure.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func randObj(rng *rand.Rand, id, n int, cx, cy, ext float64) *uncertain.Object {
@@ -69,8 +83,8 @@ func TestKNNAgreesWithExact(t *testing.T) {
 	q := randObj(rng, 500, 16, 5, 5, 1.5)
 	for _, k := range []int{1, 3, 5} {
 		for _, tau := range []float64{0.25, 0.5, 0.75} {
-			eng := newEngine(t, db, core.Options{MaxIterations: 8})
-			matches := eng.KNN(q, k, tau)
+			eng := newSnapshot(t, db, core.Options{MaxIterations: 8})
+			matches := must(eng.KNN(bg, q, k, tau))
 			if len(matches) != len(db) {
 				t.Fatalf("k=%d: %d matches for %d objects", k, len(matches), len(db))
 			}
@@ -102,8 +116,8 @@ func TestKNNCertainPoints(t *testing.T) {
 		uncertain.PointObject(3, geom.Point{4, 0}),
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
-	eng := newEngine(t, db, core.Options{MaxIterations: 4})
-	matches := eng.KNN(q, 2, 0.5)
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 4})
+	matches := must(eng.KNN(bg, q, 2, 0.5))
 	for _, m := range matches {
 		want := m.Object.ID <= 1 // the two closest
 		if !m.Decided {
@@ -122,9 +136,9 @@ func TestKNNThresholdStopSavesIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	db := smallDB(rng, 25, 32)
 	q := randObj(rng, 500, 32, 5, 5, 1.5)
-	eng := newEngine(t, db, core.Options{MaxIterations: 10})
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 10})
 	total := 0
-	for _, m := range eng.KNN(q, 3, 0.5) {
+	for _, m := range must(eng.KNN(bg, q, 3, 0.5)) {
 		total += m.Iterations
 	}
 	if total >= 10*len(db) {
@@ -138,8 +152,8 @@ func TestRKNNAgreesWithExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
 	db := smallDB(rng, 10, 16)
 	q := randObj(rng, 500, 16, 5, 5, 1.5)
-	eng := newEngine(t, db, core.Options{MaxIterations: 8})
-	for _, m := range eng.RKNN(q, 2, 0.5) {
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 8})
+	for _, m := range must(eng.RKNN(bg, q, 2, 0.5)) {
 		exact := exactTail(db, q, m.Object, 2)
 		if !m.Prob.Contains(exact, 1e-9) {
 			t.Fatalf("obj=%d: exact %g outside [%g, %g]", m.Object.ID, exact, m.Prob.LB, m.Prob.UB)
@@ -162,8 +176,8 @@ func TestInverseRankMatchesExactPDF(t *testing.T) {
 		cands = append(cands, o)
 	}
 	exact := mc.DomCountPDF(geom.L2, cands, b, r, 0)
-	eng := newEngine(t, db, core.Options{MaxIterations: 10})
-	rd := eng.InverseRank(b, r)
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 10})
+	rd := must(eng.InverseRank(bg, b, r))
 	for k, p := range exact {
 		iv := rd.Bound(k + 1) // rank = count + 1
 		if !iv.Contains(p, 1e-9) {
@@ -216,8 +230,8 @@ func TestRankByExpectedRankOrdersCertainData(t *testing.T) {
 		uncertain.PointObject(2, geom.Point{2, 0}),
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
-	eng := newEngine(t, db, core.Options{MaxIterations: 4})
-	ranked := eng.RankByExpectedRank(q)
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 4})
+	ranked := must(eng.RankByExpectedRank(bg, q))
 	wantOrder := []int{1, 2, 0}
 	for i, r := range ranked {
 		if r.Object.ID != wantOrder[i] {
@@ -237,7 +251,7 @@ func TestEngineWithoutIndexMatchesIndexed(t *testing.T) {
 	db := smallDB(rng, 15, 16)
 	q := randObj(rng, 500, 16, 5, 5, 1.5)
 	opts := core.Options{MaxIterations: 5}
-	requireMatchesAgree(t, newEngine(t, db, opts).KNN(q, 3, 0.5), fullScan{db, opts}.knn(q, 3, 0.5))
+	requireMatchesAgree(t, must(newSnapshot(t, db, opts).KNN(bg, q, 3, 0.5)), fullScan{db, opts}.knn(q, 3, 0.5))
 }
 
 // requireMatchesAgree compares an engine's matches with the reference's:
@@ -262,20 +276,20 @@ func TestInvalidK(t *testing.T) {
 	rng := rand.New(rand.NewSource(306))
 	db := smallDB(rng, 5, 4)
 	q := randObj(rng, 500, 4, 5, 5, 1)
-	eng := newEngine(t, db, core.Options{MaxIterations: 2})
-	if got := eng.KNN(q, 0, 0.5); got != nil {
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 2})
+	if got := must(eng.KNN(bg, q, 0, 0.5)); got != nil {
 		t.Error("KNN with k=0 returned matches")
 	}
-	if got := eng.RKNN(q, 0, 0.5); got != nil {
+	if got := must(eng.RKNN(bg, q, 0, 0.5)); got != nil {
 		t.Error("RKNN with k=0 returned matches")
 	}
 }
 
-// TestNewEngineRefusesBadDatabase: NewEngine refuses what a store
-// refuses. A mixed-dimension database used to build and then panic in
-// the first query's filter; duplicate IDs used to answer with two
-// contradictory matches for one object.
-func TestNewEngineRefusesBadDatabase(t *testing.T) {
+// TestNewStoreRefusesBadDatabase: a store over a mixed-dimension
+// database would panic in the first query's filter, and one over
+// duplicate IDs would answer with two contradictory matches for one
+// object; NewStore refuses both, and a nil object.
+func TestNewStoreRefusesBadDatabase(t *testing.T) {
 	flat := func(id int, p geom.Point) *uncertain.Object {
 		o, err := uncertain.NewObject(id, []geom.Point{p})
 		if err != nil {
@@ -291,9 +305,9 @@ func TestNewEngineRefusesBadDatabase(t *testing.T) {
 		{"duplicate IDs", "duplicate object ID 1", uncertain.Database{flat(1, geom.Point{0.1, 0.1}), flat(1, geom.Point{0.9, 0.9})}},
 		{"nil object", "nil object", uncertain.Database{flat(1, geom.Point{0.1, 0.1}), nil}},
 	} {
-		e, err := NewEngine(tc.db, core.Options{})
+		s, err := NewStore(tc.db, core.Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: NewEngine = (%v, %v), want an error containing %q", tc.name, e, err, tc.want)
+			t.Fatalf("%s: NewStore = (%v, %v), want an error containing %q", tc.name, s, err, tc.want)
 		}
 	}
 }

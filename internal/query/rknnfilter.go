@@ -18,7 +18,7 @@ import (
 // MinDist(q, B) <= dist(q, b): all k objects are closer to B than q in
 // every world, so P(DomCount(q, B) < k) = 0.
 //
-// Per cut (see Engine.rknnPrunable in plane.go) the count comes from a
+// Per cut (see Snapshot.rknnPrunable in plane.go) the count comes from a
 // best-first Nearby stream ordered by MaxDist(·, B) (node-level lower
 // bound: MinDist, which never exceeds a descendant's MaxDist). The stream is consumed only until
 // either k qualifying objects have appeared or the next distance

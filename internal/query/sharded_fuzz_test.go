@@ -50,9 +50,9 @@ func requireShardConsistency(t *testing.T, op int, store *Store, sharded *Store)
 	if sharded.Len() != store.Len() {
 		t.Fatalf("op %d: sharded holds %d objects, model %d", op, sharded.Len(), store.Len())
 	}
-	want := store.Snapshot().DB()
+	want := store.Snapshot().Database()
 	snap := sharded.Snapshot()
-	got := snap.DB()
+	got := snap.Database()
 	if len(got) != len(want) {
 		t.Fatalf("op %d: snapshot lengths diverge: %d vs %d", op, len(got), len(want))
 	}
@@ -64,7 +64,7 @@ func requireShardConsistency(t *testing.T, op int, store *Store, sharded *Store)
 	seen := make(map[int]int, len(want))
 	total := 0
 	for si := 0; si < snap.NumShards(); si++ {
-		for _, o := range snap.Shard(si).DB() {
+		for _, o := range snap.cuts()[si].Database() {
 			if prev, dup := seen[o.ID]; dup {
 				t.Fatalf("op %d: object %d duplicated across shards %d and %d", op, o.ID, prev, si)
 			}
@@ -95,7 +95,7 @@ func requireSameVerdicts(t *testing.T, op int, store *Store, sharded *Store, q *
 	if want, got := store.KNN(q, 2, 0.4), sharded.KNN(q, 2, 0.4); !reflect.DeepEqual(want, got) {
 		t.Fatalf("op %d: KNN verdicts diverge from the model", op)
 	}
-	if want, got := store.RKNN(q, 2, 0.4), sharded.RKNN(q, 2, 0.4); !reflect.DeepEqual(want, got) {
+	if want, got := must(store.Snapshot().RKNN(bg, q, 2, 0.4)), must(sharded.Snapshot().RKNN(bg, q, 2, 0.4)); !reflect.DeepEqual(want, got) {
 		t.Fatalf("op %d: RKNN verdicts diverge from the model", op)
 	}
 }
@@ -146,7 +146,7 @@ func runShardFuzz(t *testing.T, seed int64, nsh uint8, ops []byte, withMoves boo
 				t.Fatal(err)
 			}
 		case 2:
-			cur := store.Snapshot().DB()
+			cur := store.Snapshot().Database()
 			if len(cur) == 0 {
 				continue
 			}
@@ -158,7 +158,7 @@ func runShardFuzz(t *testing.T, seed int64, nsh uint8, ops []byte, withMoves boo
 				t.Fatal(err)
 			}
 		case 3:
-			cur := store.Snapshot().DB()
+			cur := store.Snapshot().Database()
 			if len(cur) < 5 {
 				continue
 			}
@@ -169,7 +169,7 @@ func runShardFuzz(t *testing.T, seed int64, nsh uint8, ops []byte, withMoves boo
 				}
 			}
 		case 4:
-			cur := sharded.Snapshot().DB()
+			cur := sharded.Snapshot().Database()
 			if len(cur) == 0 {
 				continue
 			}
@@ -213,4 +213,24 @@ func FuzzShardRebalance(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nsh uint8, ops []byte) {
 		runShardFuzz(t, seed, nsh, ops, true)
 	})
+}
+
+// TestStripeShardsClampsFar: a center outside [lo, hi] lands in the
+// border stripe on its side, however far out it is. A center beyond
+// the int64 range used to convert to MinInt64 and land in stripe 0.
+func TestStripeShardsClampsFar(t *testing.T) {
+	part := StripeShards(0, 0, 1)
+	for _, tc := range []struct {
+		x    float64
+		want int
+	}{
+		{-1e300, 0}, {-1e19, 0}, {-2, 0}, {-0.01, 0},
+		{0, 0}, {0.2, 0}, {0.25, 1}, {0.6, 2}, {0.99, 3}, {1, 3},
+		{1.01, 3}, {2, 3}, {1e10, 3}, {1e19, 3}, {1e300, 3},
+	} {
+		o := uncertain.PointObject(1, geom.Point{tc.x, 0.5})
+		if got := part(o, 4); got != tc.want {
+			t.Errorf("x = %g: shard %d, want %d", tc.x, got, tc.want)
+		}
+	}
 }

@@ -14,7 +14,7 @@ import (
 // random databases the query-layer oracle uses, every verdict and every
 // probability bound a multi-shard Store reports — KNN, RkNN, TopKNN,
 // InverseRank — must be bit-identical (exact float equality, not a
-// tolerance) to the unsharded Store and to a fresh Engine, at every
+// tolerance) to the unsharded Store and to a fresh one, at every
 // shard count and under both partitioners, and the bounds must contain
 // the exact internal/mc value. This is the acceptance criterion of the
 // sharding design: scatter-gather with canonical bound merging is not
@@ -24,7 +24,7 @@ import (
 var shardCounts = []int{1, 2, 4, 8}
 
 // shardedCase builds the backends under comparison over one oracle
-// database: a fresh Engine, an unsharded Store, and one multi-shard Store
+// database: a fresh store, an unsharded Store, and one multi-shard Store
 // per shard count (hash partitioning; odd seeds use spatial stripes to
 // cover skewed shard sizes, including empty shards).
 type shardedCase struct {
@@ -73,7 +73,7 @@ func requireSameMatches(t *testing.T, seed int64, label string, want, got []Matc
 }
 
 // TestShardedEquivalenceKNN: KNN verdicts and bounds bit-identical
-// across Engine, Store and every shard count, and contained by the
+// across a fresh store, Store and every shard count, and contained by the
 // exact oracle.
 func TestShardedEquivalenceKNN(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -83,7 +83,7 @@ func TestShardedEquivalenceKNN(t *testing.T) {
 			sc := newShardedCase(t, seed, 1+int(seed%3))
 			k := 2 + int(seed%3)
 			tau := []float64{0.3, 0.5, 0.8}[seed%3]
-			want := sc.oc.eng.KNN(sc.oc.q, k, tau)
+			want := must(sc.oc.eng.KNN(bg, sc.oc.q, k, tau))
 			requireSameMatches(t, seed, "Store KNN", want, sc.store.KNN(sc.oc.q, k, tau))
 			for _, n := range shardCounts {
 				got := sc.sharded[n].KNN(sc.oc.q, k, tau)
@@ -108,10 +108,10 @@ func TestShardedEquivalenceRKNN(t *testing.T) {
 			sc := newShardedCase(t, seed, 1)
 			k := 1 + int(seed%3)
 			const tau = 0.4
-			want := sc.oc.eng.RKNN(sc.oc.q, k, tau)
-			requireSameMatches(t, seed, "Store RKNN", want, sc.store.RKNN(sc.oc.q, k, tau))
+			want := must(sc.oc.eng.RKNN(bg, sc.oc.q, k, tau))
+			requireSameMatches(t, seed, "Store RKNN", want, must(sc.store.Snapshot().RKNN(bg, sc.oc.q, k, tau)))
 			for _, n := range shardCounts {
-				got := sc.sharded[n].RKNN(sc.oc.q, k, tau)
+				got := must(sc.sharded[n].Snapshot().RKNN(bg, sc.oc.q, k, tau))
 				requireSameMatches(t, seed, fmt.Sprintf("ShardedStore(%d) RKNN", n), want, got)
 				for _, m := range got {
 					exact := sc.oc.exactCDF(sc.oc.q, m.Object, k)
@@ -134,11 +134,11 @@ func TestShardedEquivalenceTopKNN(t *testing.T) {
 			t.Parallel()
 			sc := newShardedCase(t, seed, 1+int(seed%2))
 			k, m := 3, 3
-			want := sc.oc.eng.TopKNN(sc.oc.q, k, m)
-			requireSameMatches(t, seed, "Store TopKNN", want, sc.store.TopKNN(sc.oc.q, k, m))
+			want := must(sc.oc.eng.TopKNN(bg, sc.oc.q, k, m))
+			requireSameMatches(t, seed, "Store TopKNN", want, must(sc.store.Snapshot().TopKNN(bg, sc.oc.q, k, m)))
 			for _, n := range shardCounts {
 				requireSameMatches(t, seed, fmt.Sprintf("ShardedStore(%d) TopKNN", n),
-					want, sc.sharded[n].TopKNN(sc.oc.q, k, m))
+					want, must(sc.sharded[n].Snapshot().TopKNN(bg, sc.oc.q, k, m)))
 			}
 		})
 	}
@@ -155,7 +155,7 @@ func TestShardedEquivalenceInverseRank(t *testing.T) {
 			sc := newShardedCase(t, seed, 1)
 			for trial := 0; trial < 2; trial++ {
 				b := sc.oc.db[(int(seed)+trial*5)%len(sc.oc.db)]
-				want := sc.oc.eng.InverseRank(b, sc.oc.q)
+				want := must(sc.oc.eng.InverseRank(bg, b, sc.oc.q))
 				check := func(label string, got *RankDistribution) {
 					t.Helper()
 					if got.Object != want.Object || got.MinRank != want.MinRank ||
@@ -164,7 +164,7 @@ func TestShardedEquivalenceInverseRank(t *testing.T) {
 							seed, label, b.ID, want.MinRank, want.Ranks, got.MinRank, got.Ranks)
 					}
 				}
-				check("Store", sc.store.InverseRank(b, sc.oc.q))
+				check("Store", must(sc.store.Snapshot().InverseRank(bg, b, sc.oc.q)))
 				// Containment against the exact count PDF; bit-equality
 				// transfers it to every backend.
 				cands := make([]*uncertain.Object, 0, len(sc.oc.db))
@@ -175,7 +175,7 @@ func TestShardedEquivalenceInverseRank(t *testing.T) {
 				}
 				pdf := mc.DomCountPDF(sc.oc.norm, cands, b, sc.oc.q, 0)
 				for _, n := range shardCounts {
-					got := sc.sharded[n].InverseRank(b, sc.oc.q)
+					got := must(sc.sharded[n].Snapshot().InverseRank(bg, b, sc.oc.q))
 					check(fmt.Sprintf("ShardedStore(%d)", n), got)
 					for j, iv := range got.Ranks {
 						rank := got.MinRank + j
@@ -220,7 +220,7 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 						}
 					}
 				case 1:
-					db := sc.store.Snapshot().DB()
+					db := sc.store.Snapshot().Database()
 					o := randObject(t, rng, db[rng.Intn(len(db))].ID)
 					if err := sc.store.Update(o); err != nil {
 						t.Fatal(err)
@@ -231,7 +231,7 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 						}
 					}
 				default:
-					db := sc.store.Snapshot().DB()
+					db := sc.store.Snapshot().Database()
 					if len(db) < 6 {
 						continue
 					}
@@ -250,7 +250,7 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 				// step rebalances outright.
 				for n, ss := range sc.sharded {
 					if rng.Intn(2) == 0 {
-						db := ss.Snapshot().DB()
+						db := ss.Snapshot().Database()
 						if len(db) > 0 {
 							if err := ss.Move(db[rng.Intn(len(db))].ID, rng.Intn(n)); err != nil {
 								t.Fatal(err)
@@ -262,12 +262,12 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 					}
 				}
 				want := sc.store.KNN(sc.oc.q, k, 0.4)
-				wantR := sc.store.RKNN(sc.oc.q, k, 0.4)
+				wantR := must(sc.store.Snapshot().RKNN(bg, sc.oc.q, k, 0.4))
 				for _, n := range shardCounts {
 					requireSameMatches(t, seed, fmt.Sprintf("step %d ShardedStore(%d) KNN", step, n),
 						want, sc.sharded[n].KNN(sc.oc.q, k, 0.4))
 					requireSameMatches(t, seed, fmt.Sprintf("step %d ShardedStore(%d) RKNN", step, n),
-						wantR, sc.sharded[n].RKNN(sc.oc.q, k, 0.4))
+						wantR, must(sc.sharded[n].Snapshot().RKNN(bg, sc.oc.q, k, 0.4)))
 				}
 			}
 		})

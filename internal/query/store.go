@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,10 +18,10 @@ import (
 	"probprune/internal/wal"
 )
 
-// Store is a concurrent, mutable uncertain-object store layered on the
-// query engine: live ingest (Insert/Delete/Update) interleaves with
-// snapshot-isolated queries — the paper's framework operated with the
-// database changing underneath the queries.
+// Store is a concurrent, mutable uncertain-object store whose
+// snapshots answer the queries: live ingest (Insert/Delete/Update)
+// interleaves with snapshot-isolated queries — the paper's framework
+// operated with the database changing underneath the queries.
 //
 // A store is N >= 1 shards behind one router. A shard holds only what
 // must be per shard: its R-tree, object slab, version and journal. The
@@ -30,8 +29,8 @@ import (
 // and slab slot), the persistent decomposition cache, the version,
 // watchers, metrics and durability coordinator. Results come in
 // ascending object ID, whatever the slab order. A one-shard store does
-// no router work: its snapshot is its shard's cut, so the snapshot
-// engine scatters over exactly that one cut.
+// no router work: its snapshot is its shard's cut, so a query scatters
+// over exactly that one cut.
 //
 // Sharding composes exactly: the complete-domination filter classifies
 // each object on its own (core.ClassifyRole reads one object, the
@@ -65,8 +64,8 @@ type Store struct {
 	shards  []*shard
 	snap    *Snapshot // published snapshot; nil after a mutation
 
-	// obs is the store's query metric set; every snapshot engine the
-	// store publishes records into it. Immutable after construction.
+	// obs is the store's query metric set; every snapshot the store
+	// publishes records into it. Immutable after construction.
 	obs *Metrics
 
 	// dur, when non-nil, makes the store durable: every commit is
@@ -176,7 +175,16 @@ func StripeShards(dim int, lo, hi float64) ShardFunc {
 			return 0
 		}
 		c := (o.MBR.Min[dim] + o.MBR.Max[dim]) / 2
-		return min(max(int(float64(n)*(c-lo)/(hi-lo)), 0), n-1)
+		// Clamp before converting: int() of a float64 beyond the int64
+		// range is undefined (MinInt64 on amd64).
+		switch x := float64(n) * (c - lo) / (hi - lo); {
+		case !(x > 0): // below lo, or NaN
+			return 0
+		case x >= float64(n-1):
+			return n - 1
+		default:
+			return int(x)
+		}
 	}
 }
 
@@ -728,14 +736,15 @@ func (s *Store) snapshotLocked() *Snapshot {
 func (s *Store) cutLocked(sh *shard) *Snapshot {
 	if sh.snap == nil {
 		sh.snap = &Snapshot{slab: sh.slab, sorted: sh.sorted, index: sh.index, version: sh.version, opts: s.opts, cache: s.cache, obs: s.obs}
+		sh.snap.self[0] = sh.snap
 	}
 	return sh.snap
 }
 
 // Metrics returns the store's query metric set: per-kind latency
 // histograms and filter-economy counters accumulated across every
-// snapshot engine the store has published. See Metrics.Snapshot for the
-// flat map the server surfaces.
+// snapshot the store has published. Registry().Points() is what the
+// server renders.
 func (s *Store) Metrics() *Metrics { return s.obs }
 
 // SetRecorder arms (or, with nil, disarms) the store's flight
@@ -774,29 +783,32 @@ func (s *Store) WALStats() (wal.MetricsSnapshot, bool) {
 	return out, true
 }
 
-// Snapshot is one immutable database state published by a Store: with
+// Snapshot is the database D at one version, published by a Store: with
 // one shard, its object slab and index; with more, a consistent cut of
-// per-shard snapshots at one epoch. All queries on one snapshot see
-// exactly the same objects.
+// per-shard snapshots at one epoch. It is the one read type: every
+// query (KNN, RKNN, TopKNN, InverseRank, RankByExpectedRank, UKRanks,
+// BatchKNN) is a method of it, reads the store's persistent
+// decomposition cache through a per-query overlay and scatters its
+// filter stage across the snapshot's shard cuts, so all queries on one
+// snapshot see exactly the same objects and results are bit-identical
+// at any shard count and Parallelism.
 //
 // A shard cut's slab is the store's copy-on-write slab as of the
-// publish. Readers that scan the database (candidate scans, DB) read a
-// flat copy in ascending ID order, built on first use at most once per
-// snapshot — sorted only when the slab is out of order, merged from the
-// cuts' copies with more than one shard; readers that go through the
-// index (continuous-query maintenance) never build it.
+// publish. Readers that scan the database (candidate scans, Database)
+// read a flat copy in ascending ID order, built on first use at most
+// once per snapshot — sorted only when the slab is out of order, merged
+// from the cuts' copies with more than one shard; readers that go
+// through the index (continuous-query maintenance) never build it.
 type Snapshot struct {
 	slab    cow.List[*uncertain.Object] // the shard's slab; empty on a multi-shard cut
 	sorted  bool                        // the slab is in ascending ID order
 	index   *objTree                    // the shard's index; nil on a multi-shard cut
 	shards  []*Snapshot                 // per-shard cuts; nil with one shard
+	self    [1]*Snapshot                // a shard cut's one-element cut list: itself
 	version uint64
 	opts    core.Options
 	cache   *core.DecompCache
 	obs     *Metrics
-
-	engineOnce sync.Once
-	engine     *Engine
 
 	flatOnce sync.Once
 	flat     uncertain.Database
@@ -856,12 +868,13 @@ func (sn *Snapshot) VersionVector() []uint64 {
 // NumShards returns the shard count.
 func (sn *Snapshot) NumShards() int { return max(len(sn.shards), 1) }
 
-// Shard returns the immutable snapshot of shard i.
-func (sn *Snapshot) Shard(i int) *Snapshot {
+// cuts returns the per-shard cuts every filter-stage primitive scatters
+// over: with one shard, the snapshot itself.
+func (sn *Snapshot) cuts() []*Snapshot {
 	if sn.shards == nil {
-		return sn
+		return sn.self[:]
 	}
-	return sn.shards[i]
+	return sn.shards
 }
 
 // Len returns the number of objects in the snapshot.
@@ -873,15 +886,10 @@ func (sn *Snapshot) Len() int {
 	return n
 }
 
-// DB returns a copy of the snapshot's objects in ascending ID order
-// (the objects are shared and must be treated as read-only).
-func (sn *Snapshot) DB() uncertain.Database {
-	return slices.Clone(sn.database())
-}
-
-// database returns the snapshot's objects in ascending ID order as one
-// flat slice, built on the first call. Shared: read-only.
-func (sn *Snapshot) database() uncertain.Database {
+// Database returns the snapshot's objects in ascending ID order as one
+// flat slice, built on the first call. The slice is shared and must be
+// treated as read-only.
+func (sn *Snapshot) Database() uncertain.Database {
 	sn.flatOnce.Do(func() {
 		if sn.shards == nil {
 			sn.flat = sn.slab.Slice()
@@ -893,7 +901,7 @@ func (sn *Snapshot) database() uncertain.Database {
 		// Every cut's copy ascends by ID: merge them.
 		heads := make([]uncertain.Database, len(sn.shards))
 		for i, c := range sn.shards {
-			heads[i] = c.database()
+			heads[i] = c.Database()
 		}
 		sn.flat = make(uncertain.Database, 0, sn.Len())
 		for len(sn.flat) < cap(sn.flat) {
@@ -910,186 +918,13 @@ func (sn *Snapshot) database() uncertain.Database {
 	return sn.flat
 }
 
-// Engine returns the snapshot-bound query engine, reading the store's
-// persistent decomposition cache through per-query overlays. It
-// scatters the filter stage across the snapshot's shard cuts — with one
-// shard, the snapshot itself — so results are bit-identical at any
-// shard count and Parallelism.
-func (sn *Snapshot) Engine() *Engine {
-	sn.engineOnce.Do(func() {
-		cuts := sn.shards
-		if cuts == nil {
-			cuts = []*Snapshot{sn}
-		}
-		sn.engine = &Engine{opts: sn.opts, obs: sn.obs, snap: sn, cuts: cuts}
-	})
-	return sn.engine
-}
-
-// Store query methods: each binds to the current snapshot and delegates
-// to the snapshot engine, so concurrent mutations never affect a query
-// in flight.
-
 // KNN answers the probabilistic threshold kNN query on the current
-// snapshot (see Engine.KNN).
+// snapshot, dropping its error (a query object of another dimension
+// yields nil). It is the one store-level query and exists only for the
+// layer benchmark harness (benchmark/layers), which calls it; it goes
+// once that harness queries Snapshot().KNN (ROADMAP item 1(b)).
+// Everything else queries a Snapshot.
 func (s *Store) KNN(q *uncertain.Object, k int, tau float64) []Match {
-	return s.Snapshot().Engine().KNN(q, k, tau)
-}
-
-// KNNCtx is KNN with cancellation.
-func (s *Store) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
-	return s.Snapshot().Engine().KNNCtx(ctx, q, k, tau)
-}
-
-// RKNN answers the probabilistic threshold reverse kNN query on the
-// current snapshot (see Engine.RKNN).
-func (s *Store) RKNN(q *uncertain.Object, k int, tau float64) []Match {
-	return s.Snapshot().Engine().RKNN(q, k, tau)
-}
-
-// RKNNCtx is RKNN with cancellation.
-func (s *Store) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
-	return s.Snapshot().Engine().RKNNCtx(ctx, q, k, tau)
-}
-
-// TopKNN answers the top-m probable kNN query on the current snapshot
-// (see Engine.TopKNN).
-func (s *Store) TopKNN(q *uncertain.Object, k, m int) []Match {
-	return s.Snapshot().Engine().TopKNN(q, k, m)
-}
-
-// TopKNNCtx is TopKNN with cancellation.
-func (s *Store) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) ([]Match, error) {
-	return s.Snapshot().Engine().TopKNNCtx(ctx, q, k, m)
-}
-
-// InverseRank computes the probabilistic inverse ranking on the current
-// snapshot (see Engine.InverseRank).
-func (s *Store) InverseRank(b, r *uncertain.Object) *RankDistribution {
-	return s.Snapshot().Engine().InverseRank(b, r)
-}
-
-// InverseRankCtx is InverseRank with its refusals as errors (see
-// Engine.InverseRankCtx).
-func (s *Store) InverseRankCtx(ctx context.Context, b, r *uncertain.Object) (*RankDistribution, error) {
-	return s.Snapshot().Engine().InverseRankCtx(ctx, b, r)
-}
-
-// RankByExpectedRank ranks the current snapshot by expected rank (see
-// Engine.RankByExpectedRank).
-func (s *Store) RankByExpectedRank(q *uncertain.Object) []Ranked {
-	return s.Snapshot().Engine().RankByExpectedRank(q)
-}
-
-// RankByExpectedRankCtx is RankByExpectedRank with cancellation.
-func (s *Store) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object) ([]Ranked, error) {
-	return s.Snapshot().Engine().RankByExpectedRankCtx(ctx, q)
-}
-
-// UKRanks computes the U-kRanks winners on the current snapshot (see
-// Engine.UKRanks).
-func (s *Store) UKRanks(q *uncertain.Object, k int) []RankWinner {
-	return s.Snapshot().Engine().UKRanks(q, k)
-}
-
-// UKRanksCtx is UKRanks with cancellation.
-func (s *Store) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]RankWinner, error) {
-	return s.Snapshot().Engine().UKRanksCtx(ctx, q, k)
-}
-
-// Batch runs fn against an engine bound to one snapshot: every query fn
-// issues sees the same database state and reuses the store's persistent
-// decomposition cache (each query reads it through its own overlay, so
-// database-resident objects are shared, query objects are not). Use it
-// to evaluate a mixed query batch atomically; for many kNN queries,
-// BatchKNN additionally pools the candidate runs.
-func (s *Store) Batch(fn func(*Engine)) {
-	fn(s.Snapshot().Engine())
-}
-
-// BatchCtx is Batch with cancellation: fn receives the context along
-// with the snapshot-bound engine and is expected to thread it through
-// the ...Ctx query variants it issues. BatchCtx returns ctx.Err()
-// without invoking fn when the context is already done, and otherwise
-// returns whatever fn returns — typically the first query error, which
-// is ctx.Err() when a query inside the batch was cancelled.
-func (s *Store) BatchCtx(ctx context.Context, fn func(context.Context, *Engine) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fn(ctx, s.Snapshot().Engine())
-}
-
-// KNNRequest is one query of a BatchKNN call.
-type KNNRequest struct {
-	// Q is the query reference object.
-	Q *uncertain.Object
-	// K is the kNN parameter.
-	K int
-	// Tau is the probability threshold.
-	Tau float64
-}
-
-// BatchKNN evaluates many kNN queries on ONE snapshot: the candidate
-// IDCA runs of all requests are poured into a single worker pool
-// (Options.Parallelism workers total, not per query) and share one
-// decomposition cache overlay, so common influence objects and repeated
-// query objects are decomposed once for the whole batch. Results[i]
-// corresponds to reqs[i] and is bit-identical to Store.KNNCtx(reqs[i])
-// issued against the same snapshot.
-func (s *Store) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
-	return s.Snapshot().BatchKNN(ctx, reqs)
-}
-
-// BatchKNN is Store.BatchKNN pinned to this snapshot.
-func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
-	e := sn.Engine()
-	for i, r := range reqs {
-		if err := e.CheckDim(r.Q); err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	tr, pooled := e.obs.traceFor(ctx)
-	start := time.Now()
-	// One cache overlay for the whole batch: influence objects come from
-	// the persistent store cache, repeated query objects are decomposed
-	// once per batch. Preparation (candidate scan + preselection
-	// traversal per request) runs on the pool too — it only reads the
-	// snapshot — so a large batch has no serial prefix.
-	cache := e.queryCache()
-	jobs := make([]*knnJob, len(reqs))
-	if err := forEach(ctx, e.parallelism(), len(reqs), func(i int) {
-		jobs[i] = e.newKNNJob(reqs[i].Q, reqs[i].K, reqs[i].Tau, cache)
-	}); err != nil {
-		return nil, err
-	}
-	// ends[i] is the end of job i's candidates in one flat index space:
-	// every request's candidates run on a single pool, so small queries
-	// do not serialize behind big ones and the pool never idles while
-	// work remains.
-	ends := make([]int, len(jobs))
-	total := 0
-	for i, j := range jobs {
-		j.tr = tr
-		total += len(j.cands)
-		ends[i] = total
-	}
-	tr.AddCandidates(total)
-	e.obs.countCandidates(total)
-	tr.AddPrepare(time.Since(start))
-	evalStart := time.Now()
-	if err := forEach(ctx, e.parallelism(), total, func(i int) {
-		ji := sort.SearchInts(ends, i+1)
-		jobs[ji].eval(i - ends[ji] + len(jobs[ji].cands))
-	}); err != nil {
-		return nil, err
-	}
-	tr.AddEval(time.Since(evalStart))
-	recordCache(e.obs, tr, cache)
-	e.obs.observe(kindBatchKNN, start, tr, pooled)
-	out := make([][]Match, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.matches
-	}
-	return out, nil
+	matches, _ := s.Snapshot().KNN(context.Background(), q, k, tau)
+	return matches
 }

@@ -99,14 +99,14 @@ func TestStoreConcurrentMutationAndQuery(t *testing.T) {
 				} else {
 					lastVersion = v
 				}
-				matches, err := s.KNNCtx(ctx, q, 3, 0.5)
+				matches, err := s.Snapshot().KNN(ctx, q, 3, 0.5)
 				if err != nil {
-					t.Errorf("reader %d: KNNCtx: %v", w, err)
+					t.Errorf("reader %d: KNN: %v", w, err)
 					return
 				}
-				checkIDs(matches, "KNNCtx")
+				checkIDs(matches, "KNN")
 
-				batch, err := s.BatchKNN(ctx, []KNNRequest{
+				batch, err := s.Snapshot().BatchKNN(ctx, []KNNRequest{
 					{Q: q, K: 3, Tau: 0.5},
 					{Q: q, K: 3, Tau: 0.5},
 				})
@@ -135,9 +135,9 @@ func TestStoreConcurrentMutationAndQuery(t *testing.T) {
 		t.Fatalf("Len = %d, want %d (all transients deleted)", s.Len(), coreN)
 	}
 	snap := s.Snapshot()
-	fresh := newEngine(t, snap.DB(), core.Options{MaxIterations: 2})
+	fresh := newSnapshot(t, snap.Database(), core.Options{MaxIterations: 2})
 	got := s.KNN(q, 3, 0.5)
-	want := fresh.KNN(q, 3, 0.5)
+	want := must(fresh.KNN(bg, q, 3, 0.5))
 	if len(got) != len(want) {
 		t.Fatalf("final state: store and fresh engine disagree on candidate count")
 	}
@@ -171,5 +171,5 @@ func TestStoreSnapshotSharing(t *testing.T) {
 	if s1.Len() != 10 || s3.Len() != 11 {
 		t.Fatalf("snapshot lengths: %d, %d", s1.Len(), s3.Len())
 	}
-	var _ uncertain.Database = s1.DB()
+	var _ uncertain.Database = s1.Database()
 }

@@ -48,7 +48,7 @@ func mutateStore(t *testing.T, s *Store, rng *rand.Rand, nextID *int, steps int)
 			*nextID++
 		case 1:
 			if s.Len() > 0 {
-				snap := s.Snapshot().DB()
+				snap := s.Snapshot().Database()
 				o := snap[rng.Intn(len(snap))]
 				if err := s.Update(randObject(t, rng, o.ID)); err != nil {
 					t.Fatal(err)
@@ -56,7 +56,7 @@ func mutateStore(t *testing.T, s *Store, rng *rand.Rand, nextID *int, steps int)
 			}
 		default:
 			if s.Len() > 4 {
-				snap := s.Snapshot().DB()
+				snap := s.Snapshot().Database()
 				if ok, err := s.Delete(snap[rng.Intn(len(snap))].ID); err != nil || !ok {
 					t.Fatal("delete of existing ID failed")
 				}
@@ -67,7 +67,7 @@ func mutateStore(t *testing.T, s *Store, rng *rand.Rand, nextID *int, steps int)
 
 // TestStoreEquivalence is the acceptance test of the Store: after an
 // arbitrary mutation history, every query on a Store snapshot must be
-// bit-identical to the same query on a fresh Engine built from the same
+// bit-identical to the same query on a fresh store built from the same
 // state — at any Parallelism, with and without the persistent cache
 // warm.
 func TestStoreEquivalence(t *testing.T) {
@@ -86,28 +86,28 @@ func TestStoreEquivalence(t *testing.T) {
 
 			q := randObject(t, rng, -1)
 			snap := s.Snapshot()
-			fresh := newEngine(t, snap.DB(), opts)
+			fresh := newSnapshot(t, snap.Database(), opts)
 
 			// Run every query twice on the store: the second pass reuses
 			// decompositions the first pass pinned — results must not move.
 			for pass := 0; pass < 2; pass++ {
-				if got, want := s.KNN(q, 3, 0.5), fresh.KNN(q, 3, 0.5); !reflect.DeepEqual(got, want) {
+				if got, want := s.KNN(q, 3, 0.5), must(fresh.KNN(bg, q, 3, 0.5)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: KNN store != fresh engine\n got %+v\nwant %+v", pass, got, want)
 				}
-				if got, want := s.RKNN(q, 2, 0.3), fresh.RKNN(q, 2, 0.3); !reflect.DeepEqual(got, want) {
+				if got, want := must(s.Snapshot().RKNN(bg, q, 2, 0.3)), must(fresh.RKNN(bg, q, 2, 0.3)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: RKNN store != fresh engine", pass)
 				}
-				if got, want := s.TopKNN(q, 3, 4), fresh.TopKNN(q, 3, 4); !reflect.DeepEqual(got, want) {
+				if got, want := must(s.Snapshot().TopKNN(bg, q, 3, 4)), must(fresh.TopKNN(bg, q, 3, 4)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: TopKNN store != fresh engine", pass)
 				}
-				if got, want := s.RankByExpectedRank(q), fresh.RankByExpectedRank(q); !reflect.DeepEqual(got, want) {
+				if got, want := must(s.Snapshot().RankByExpectedRank(bg, q)), must(fresh.RankByExpectedRank(bg, q)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: RankByExpectedRank store != fresh engine", pass)
 				}
-				if got, want := s.UKRanks(q, 3), fresh.UKRanks(q, 3); !reflect.DeepEqual(got, want) {
+				if got, want := must(s.Snapshot().UKRanks(bg, q, 3)), must(fresh.UKRanks(bg, q, 3)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: UKRanks store != fresh engine", pass)
 				}
-				b := snap.DB()[0]
-				gotIR, wantIR := s.InverseRank(b, q), fresh.InverseRank(b, q)
+				b := snap.Database()[0]
+				gotIR, wantIR := must(s.Snapshot().InverseRank(bg, b, q)), must(fresh.InverseRank(bg, b, q))
 				if gotIR.MinRank != wantIR.MinRank || !reflect.DeepEqual(gotIR.Ranks, wantIR.Ranks) {
 					t.Fatalf("pass %d: InverseRank store != fresh engine", pass)
 				}
@@ -132,8 +132,8 @@ func TestStoreEquivalenceAcrossMutations(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		mutateStore(t, s, rng, &nextID, 8)
 		snap := s.Snapshot()
-		fresh := newEngine(t, snap.DB(), opts)
-		if got, want := s.KNN(q, 2, 0.4), fresh.KNN(q, 2, 0.4); !reflect.DeepEqual(got, want) {
+		fresh := newSnapshot(t, snap.Database(), opts)
+		if got, want := s.KNN(q, 2, 0.4), must(fresh.KNN(bg, q, 2, 0.4)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: KNN store != fresh engine", round)
 		}
 	}
@@ -151,7 +151,7 @@ func TestStoreSnapshotStability(t *testing.T) {
 	}
 	q := randObject(t, rng, -1)
 	snap := s.Snapshot()
-	before, err := snap.Engine().KNNCtx(context.Background(), q, 3, 0.5)
+	before, err := snap.KNN(context.Background(), q, 3, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestStoreSnapshotStability(t *testing.T) {
 		t.Fatal("mutations did not advance the store version")
 	}
 
-	after, err := snap.Engine().KNNCtx(context.Background(), q, 3, 0.5)
+	after, err := snap.KNN(context.Background(), q, 3, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestBatchKNN(t *testing.T) {
 		{Q: randObject(t, rng, -3), K: 5, Tau: 0.2},
 		{Q: randObject(t, rng, -4), K: 0, Tau: 0.5}, // degenerate: k < 1
 	}
-	got, err := s.BatchKNN(context.Background(), reqs)
+	got, err := s.Snapshot().BatchKNN(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,18 +200,18 @@ func TestBatchKNN(t *testing.T) {
 	}
 	snap := s.Snapshot()
 	for i, r := range reqs {
-		want, err := snap.Engine().KNNCtx(context.Background(), r.Q, r.K, r.Tau)
+		want, err := snap.KNN(context.Background(), r.Q, r.K, r.Tau)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("request %d: batch result differs from KNNCtx", i)
+			t.Fatalf("request %d: batch result differs from KNN", i)
 		}
 	}
 	// Cancellation must propagate.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.BatchKNN(ctx, reqs); err == nil {
+	if _, err := s.Snapshot().BatchKNN(ctx, reqs); err == nil {
 		t.Fatal("cancelled batch returned no error")
 	}
 }

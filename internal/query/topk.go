@@ -18,7 +18,7 @@ import (
 // P(DomCount(B, q) < k) of being among the k nearest neighbors of q.
 //
 // Unlike the threshold query there is no τ to stop against, so the
-// engine refines candidates selectively until the m best are separable
+// query refines candidates selectively until the m best are separable
 // by their probability bounds: a candidate is IN once its lower bound
 // beats the upper bounds of all but < m others, OUT once its upper
 // bound falls below m lower bounds. Only candidates straddling the
@@ -31,25 +31,20 @@ import (
 // whose membership could not be separated within the iteration budget
 // (ties or exhausted refinement); its bounds still quantify the
 // remaining ambiguity.
-func (e *Engine) TopKNN(q *uncertain.Object, k, m int) []Match {
-	out, _ := e.TopKNNCtx(context.Background(), q, k, m)
-	return out
-}
-
-// TopKNNCtx is TopKNN with cancellation and concurrent evaluation.
+//
 // Sessions are constructed and stepped on the query executor; each
 // refinement round decides which candidates still straddle the top-m
 // boundary from the start-of-round bounds, then steps all of them
 // concurrently, so the outcome is deterministic and independent of
 // worker count.
-func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) ([]Match, error) {
-	if err := e.CheckDim(q); err != nil {
+func (sn *Snapshot) TopKNN(ctx context.Context, q *uncertain.Object, k, m int) ([]Match, error) {
+	if err := sn.CheckDim(q); err != nil {
 		return nil, err
 	}
 	if k < 1 || m < 1 {
 		return nil, nil
 	}
-	tr, pooled := e.obs.traceFor(ctx)
+	tr, pooled := sn.obs.traceFor(ctx)
 	start := time.Now()
 	type cand struct {
 		obj     *uncertain.Object
@@ -59,35 +54,35 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 	}
 	// Preselection: impossible candidates have P = 0 and can only
 	// occupy the tail; they never need a session.
-	norm := e.normOrDefault()
-	thresh := e.knnThreshold(q, k, norm)
+	norm := sn.normOrDefault()
+	thresh := sn.knnThreshold(q, k, norm)
 	var objs []*uncertain.Object
-	for _, b := range e.Database() {
+	for _, b := range sn.Database() {
 		if b == q {
 			continue
 		}
 		tr.AddCandidates(1)
-		e.obs.countCandidates(1)
+		sn.obs.countCandidates(1)
 		if knnPrunable(b, q, thresh, norm) {
 			tr.CountPreselected()
-			e.obs.countPreselected()
+			sn.obs.countPreselected()
 			continue
 		}
 		objs = append(objs, b)
 	}
 	if len(objs) == 0 {
-		e.obs.observe(kindTopK, start, tr, pooled)
+		sn.obs.observe(kindTopK, start, tr, pooled)
 		return nil, nil
 	}
-	cache := e.queryCache()
+	cache := sn.queryCache()
 	tr.AddPrepare(time.Since(start))
 	evalStart := time.Now()
 	cands := make([]*cand, len(objs))
-	err := forEach(ctx, e.parallelism(), len(objs), func(i int) {
-		opts := e.runOpts()
+	err := forEach(ctx, sn.parallelism(), len(objs), func(i int) {
+		opts := sn.runOpts()
 		opts.KMax = k
 		opts.SharedDecomps = cache
-		s := e.newSession(objs[i], q, opts)
+		s := sn.newSession(objs[i], q, opts)
 		cands[i] = &cand{obj: objs[i], session: s, prob: s.Result().CDFBound(k), done: s.Done()}
 	})
 	if err != nil {
@@ -97,7 +92,7 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 		m = len(cands)
 	}
 
-	maxIter := e.opts.MaxIterations
+	maxIter := sn.opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = core.DefaultMaxIterations
 	}
@@ -140,7 +135,7 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 		// Phase 2: step them all; sessions are independent, so the
 		// steps parallelize freely.
 		var progressed atomic.Bool
-		err := forEach(ctx, e.parallelism(), len(todo), func(j int) {
+		err := forEach(ctx, sn.parallelism(), len(todo), func(j int) {
 			c := cands[todo[j]]
 			if c.session.Step() {
 				progressed.Store(true)
@@ -190,17 +185,17 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 	tr.AddEval(time.Since(evalStart))
 	for _, c := range cands {
 		tr.CountRefined(len(c.session.Result().Iterations))
-		e.obs.countRefined(len(c.session.Result().Iterations))
+		sn.obs.countRefined(len(c.session.Result().Iterations))
 	}
-	recordCache(e.obs, tr, cache)
-	e.obs.observe(kindTopK, start, tr, pooled)
+	recordCache(sn.obs, tr, cache)
+	sn.obs.observe(kindTopK, start, tr, pooled)
 	return out, nil
 }
 
-// normOrDefault returns the engine's configured norm or L2.
-func (e *Engine) normOrDefault() geom.Norm {
-	if e.opts.Norm.Valid() {
-		return e.opts.Norm
+// normOrDefault returns the configured norm or L2.
+func (sn *Snapshot) normOrDefault() geom.Norm {
+	if sn.opts.Norm.Valid() {
+		return sn.opts.Norm
 	}
 	return geom.L2
 }

@@ -17,8 +17,8 @@ func TestTopKNNMatchesExactOrder(t *testing.T) {
 	db := smallDB(rng, 25, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
 	const k, m = 3, 5
-	eng := newEngine(t, db, core.Options{MaxIterations: 10})
-	got := eng.TopKNN(q, k, m)
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 10})
+	got := must(eng.TopKNN(bg, q, k, m))
 	if len(got) != m {
 		t.Fatalf("returned %d matches, want %d", len(got), m)
 	}
@@ -69,8 +69,8 @@ func TestTopKNNOnCertainData(t *testing.T) {
 		uncertain.PointObject(4, geom.Point{9, 0}),
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
-	eng := newEngine(t, db, core.Options{MaxIterations: 4})
-	got := eng.TopKNN(q, 2, 2)
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 4})
+	got := must(eng.TopKNN(bg, q, 2, 2))
 	if len(got) != 2 {
 		t.Fatalf("got %d matches", len(got))
 	}
@@ -91,14 +91,14 @@ func TestTopKNNEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	db := smallDB(rng, 6, 6)
 	q := randObj(rng, 500, 6, 5, 5, 1)
-	eng := newEngine(t, db, core.Options{MaxIterations: 3})
-	if eng.TopKNN(q, 0, 3) != nil {
+	eng := newSnapshot(t, db, core.Options{MaxIterations: 3})
+	if must(eng.TopKNN(bg, q, 0, 3)) != nil {
 		t.Error("k=0 must return nil")
 	}
-	if eng.TopKNN(q, 3, 0) != nil {
+	if must(eng.TopKNN(bg, q, 3, 0)) != nil {
 		t.Error("m=0 must return nil")
 	}
-	got := eng.TopKNN(q, 2, 100)
+	got := must(eng.TopKNN(bg, q, 2, 100))
 	if len(got) == 0 || len(got) > len(db) {
 		t.Errorf("m beyond candidates returned %d matches", len(got))
 	}
@@ -111,7 +111,7 @@ func TestTopKNNWithoutIndex(t *testing.T) {
 	db := smallDB(rng, 20, 8)
 	q := randObj(rng, 500, 8, 5, 5, 2)
 	opts := core.Options{MaxIterations: 8}
-	a := newEngine(t, db, opts).TopKNN(q, 3, 4)
+	a := must(newSnapshot(t, db, opts).TopKNN(bg, q, 3, 4))
 	b := fullScan{db, opts}.topKNN(q, 3, 4)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))

@@ -34,43 +34,37 @@ type RankWinner struct {
 // the reference q: for each rank, the object maximizing
 // P(DomCount = rank−1). Winners are chosen by the midpoint of the
 // probability bounds; Decided indicates whether the bounds alone
-// already separate the winner.
-func (e *Engine) UKRanks(q *uncertain.Object, k int) []RankWinner {
-	winners, _ := e.UKRanksCtx(context.Background(), q, k)
-	return winners
-}
-
-// UKRanksCtx is UKRanks with cancellation and concurrent candidate
-// evaluation on the query executor.
-func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]RankWinner, error) {
-	if err := e.CheckDim(q); err != nil {
+// already separate the winner. Candidates are evaluated concurrently
+// on the query executor.
+func (sn *Snapshot) UKRanks(ctx context.Context, q *uncertain.Object, k int) ([]RankWinner, error) {
+	if err := sn.CheckDim(q); err != nil {
 		return nil, err
 	}
 	if k < 1 {
 		return nil, nil
 	}
-	tr, pooled := e.obs.traceFor(ctx)
+	tr, pooled := sn.obs.traceFor(ctx)
 	start := time.Now()
 	type entry struct {
 		obj    *uncertain.Object
 		bounds []gf.Interval // bounds[i] = P(Rank = i+1)
 		offset int           // first rank with non-zero probability − 1
 	}
-	cands := e.candidates(q)
-	cache := e.queryCache()
+	cands := sn.candidates(q)
+	cache := sn.queryCache()
 	tr.AddCandidates(len(cands))
-	e.obs.countCandidates(len(cands))
+	sn.obs.countCandidates(len(cands))
 	tr.AddPrepare(time.Since(start))
 	entries := make([]entry, len(cands))
 	evalStart := time.Now()
-	err := forEach(ctx, e.parallelism(), len(cands), func(i int) {
+	err := forEach(ctx, sn.parallelism(), len(cands), func(i int) {
 		b := cands[i]
-		opts := e.runOpts()
+		opts := sn.runOpts()
 		opts.KMax = k // ranks beyond k are irrelevant
 		opts.SharedDecomps = cache
-		res := e.run(b, q, opts)
+		res := sn.run(b, q, opts)
 		tr.CountRefined(len(res.Iterations))
-		e.obs.countRefined(len(res.Iterations))
+		sn.obs.countRefined(len(res.Iterations))
 		entries[i] = entry{
 			obj:    b,
 			bounds: res.Bounds,
@@ -81,8 +75,8 @@ func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
-	recordCache(e.obs, tr, cache)
-	defer e.obs.observe(kindUKRanks, start, tr, pooled)
+	recordCache(sn.obs, tr, cache)
+	defer sn.obs.observe(kindUKRanks, start, tr, pooled)
 	probAt := func(en entry, rank int) gf.Interval {
 		i := rank - 1 - en.offset // count index
 		if i < 0 || i >= len(en.bounds) {
@@ -126,14 +120,18 @@ func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]
 
 // GlobalTopK is a convenience wrapper: the distinct objects appearing
 // as U-kRanks winners for ranks 1..k, in rank order of their first win.
-func (e *Engine) GlobalTopK(q *uncertain.Object, k int) []*uncertain.Object {
+func (sn *Snapshot) GlobalTopK(ctx context.Context, q *uncertain.Object, k int) ([]*uncertain.Object, error) {
+	winners, err := sn.UKRanks(ctx, q, k)
+	if err != nil {
+		return nil, err
+	}
 	seen := map[int]bool{}
 	var out []*uncertain.Object
-	for _, w := range e.UKRanks(q, k) {
+	for _, w := range winners {
 		if !seen[w.Object.ID] {
 			seen[w.Object.ID] = true
 			out = append(out, w.Object)
 		}
 	}
-	return out
+	return out, nil
 }

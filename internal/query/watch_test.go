@@ -62,12 +62,12 @@ func TestWatchDeliversGaplessChangeStream(t *testing.T) {
 		}
 		// The change snapshot must reflect the mutation.
 		if ch.New != nil {
-			if o, ok := findByID(ch.Snap.DB(), ch.New.ID); !ok || o != ch.New {
+			if o, ok := findByID(ch.Snap.Database(), ch.New.ID); !ok || o != ch.New {
 				t.Fatalf("change %d: new object not in its snapshot", i)
 			}
 		}
 		if ch.Kind == ChangeDelete {
-			if _, ok := findByID(ch.Snap.DB(), ch.Old.ID); ok {
+			if _, ok := findByID(ch.Snap.Database(), ch.Old.ID); ok {
 				t.Fatalf("change %d: deleted object still in its snapshot", i)
 			}
 		}
@@ -91,6 +91,9 @@ func findByID(db uncertain.Database, id int) (*uncertain.Object, bool) {
 	return nil, false
 }
 
+// TestBatchCtx: a batch of queries on one snapshot shares one context.
+// A live context answers on the snapshot; once it is cancelled, every
+// query kind returns context.Canceled.
 func TestBatchCtx(t *testing.T) {
 	db := storeTestDB(t, 30, 2)
 	s, err := NewStore(db, testOpts())
@@ -98,42 +101,35 @@ func TestBatchCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := db[0]
-
-	// A live context runs the batch on one snapshot.
-	var matches []Match
-	if err := s.BatchCtx(context.Background(), func(ctx context.Context, e *Engine) error {
-		var err error
-		matches, err = e.KNNCtx(ctx, q, 3, 0.4)
-		return err
-	}); err != nil {
+	snap := s.Snapshot()
+	ctx, cancel := context.WithCancel(context.Background())
+	matches, err := snap.KNN(ctx, q, 3, 0.4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(matches) != len(db)-1 {
 		t.Fatalf("got %d matches, want %d", len(matches), len(db)-1)
 	}
 
-	// A cancelled context aborts before fn runs.
-	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	called := false
-	if err := s.BatchCtx(ctx, func(context.Context, *Engine) error {
-		called = true
-		return nil
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled BatchCtx returned %v, want context.Canceled", err)
+	queries := map[string]func() error{
+		"KNN":  func() error { _, err := snap.KNN(ctx, q, 3, 0.4); return err },
+		"RKNN": func() error { _, err := snap.RKNN(ctx, q, 3, 0.4); return err },
+		"TopKNN": func() error {
+			_, err := snap.TopKNN(ctx, q, 3, 2)
+			return err
+		},
+		"BatchKNN": func() error {
+			_, err := snap.BatchKNN(ctx, []KNNRequest{{Q: q, K: 3, Tau: 0.4}})
+			return err
+		},
+		"InverseRank":        func() error { _, err := snap.InverseRank(ctx, db[1], q); return err },
+		"RankByExpectedRank": func() error { _, err := snap.RankByExpectedRank(ctx, q); return err },
+		"UKRanks":            func() error { _, err := snap.UKRanks(ctx, q, 2); return err },
 	}
-	if called {
-		t.Fatal("fn invoked despite cancelled context")
-	}
-
-	// Cancellation inside the batch propagates out.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	err = s.BatchCtx(ctx2, func(ctx context.Context, e *Engine) error {
-		cancel2()
-		_, err := e.KNNCtx(ctx, q, 3, 0.4)
-		return err
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("in-batch cancellation returned %v, want context.Canceled", err)
+	for name, run := range queries {
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on a cancelled context returned %v, want context.Canceled", name, err)
+		}
 	}
 }

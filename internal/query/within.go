@@ -8,7 +8,7 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// This file is the engine's candidate-generation primitive: the objects
+// This file is the snapshot's candidate-generation primitive: the objects
 // a standing query has to look at, produced by walking the index instead
 // of the database. The paper's filter is spatial — a completely
 // dominated object contributes nothing — so the work of maintaining a
@@ -23,14 +23,14 @@ type objTree = rtree.Tree[*uncertain.Object]
 // and emits the objects it selects. q itself is never a candidate.
 // Candidates come back in ascending object-ID order, so nothing
 // downstream depends on index shape or shard layout.
-func (e *Engine) gather(q *uncertain.Object, probe func(t *objTree, root geom.Rect, emit func(b *uncertain.Object))) []*uncertain.Object {
+func (sn *Snapshot) gather(q *uncertain.Object, probe func(t *objTree, root geom.Rect, emit func(b *uncertain.Object))) []*uncertain.Object {
 	var out []*uncertain.Object
 	emit := func(b *uncertain.Object) {
 		if b != q {
 			out = append(out, b)
 		}
 	}
-	for _, sh := range e.cuts {
+	for _, sh := range sn.cuts() {
 		if root, ok := sh.root(); ok {
 			probe(sh.index, root, emit)
 		}
@@ -45,17 +45,17 @@ func (e *Engine) gather(q *uncertain.Object, probe func(t *objTree, root geom.Re
 // d = +Inf yields the whole database but q. The cost is proportional to
 // the answer: a best-first stream per index stops at the first distance
 // above d, and shards whose root MBR is farther than d are not entered.
-func (e *Engine) Within(q *uncertain.Object, d float64) []*uncertain.Object {
-	out, _ := e.within(q, d)
+func (sn *Snapshot) Within(q *uncertain.Object, d float64) []*uncertain.Object {
+	out, _ := sn.within(q, d)
 	return out
 }
 
 // within is Within plus the number of objects the traversal looked at —
 // the answer, and the one object per entered index that ended its
 // stream.
-func (e *Engine) within(q *uncertain.Object, d float64) (out []*uncertain.Object, visited int) {
-	n := e.normOrDefault()
-	out = e.gather(q, func(t *objTree, root geom.Rect, emit func(*uncertain.Object)) {
+func (sn *Snapshot) within(q *uncertain.Object, d float64) (out []*uncertain.Object, visited int) {
+	n := sn.normOrDefault()
+	out = sn.gather(q, func(t *objTree, root geom.Rect, emit func(*uncertain.Object)) {
 		if root.MinDistRect(n, q.MBR) > d {
 			return
 		}
@@ -79,8 +79,8 @@ func (e *Engine) within(q *uncertain.Object, d float64) (out []*uncertain.Object
 // b's RkNN impossibility count for query q: the count holds the objects
 // MaxDist-closer to b than q's minimum distance (see rknnfilter.go), so
 // a state that is not leaves RKNNPrunable(q, b, ·) where it was.
-func (e *Engine) RKNNInvolved(q, b, old, new *uncertain.Object) bool {
-	n := e.normOrDefault()
+func (sn *Snapshot) RKNNInvolved(q, b, old, new *uncertain.Object) bool {
+	n := sn.normOrDefault()
 	lim := q.MBR.MinDistRect(n, b.MBR)
 	return (old != nil && old.MBR.MaxDistRect(n, b.MBR) < lim) ||
 		(new != nil && new.MBR.MaxDistRect(n, b.MBR) < lim)
@@ -92,12 +92,12 @@ func (e *Engine) RKNNInvolved(q, b, old, new *uncertain.Object) bool {
 // walk skips a node N when neither state can be involved for anything
 // inside it: MinDist(X, N) >= MaxDist(q, N) bounds MaxDist(X, b) from
 // below and MinDist(q, b) from above for every b in N.
-func (e *Engine) RKNNAffected(q, old, new *uncertain.Object) []*uncertain.Object {
-	n := e.normOrDefault()
+func (sn *Snapshot) RKNNAffected(q, old, new *uncertain.Object) []*uncertain.Object {
+	n := sn.normOrDefault()
 	clear := func(x *uncertain.Object, node geom.Rect, far float64) bool {
 		return x == nil || x.MBR.MinDistRect(n, node) >= far
 	}
-	return e.gather(q, func(t *objTree, _ geom.Rect, emit func(*uncertain.Object)) {
+	return sn.gather(q, func(t *objTree, _ geom.Rect, emit func(*uncertain.Object)) {
 		t.Walk(
 			func(node geom.Rect, _ int) rtree.WalkAction {
 				far := q.MBR.MaxDistRect(n, node)
@@ -107,7 +107,7 @@ func (e *Engine) RKNNAffected(q, old, new *uncertain.Object) []*uncertain.Object
 				return rtree.Descend
 			},
 			func(_ geom.Rect, b *uncertain.Object) {
-				if e.RKNNInvolved(q, b, old, new) {
+				if sn.RKNNInvolved(q, b, old, new) {
 					emit(b)
 				}
 			})

@@ -13,15 +13,15 @@ import (
 
 // withinPlanes builds engines over the same objects that scatter over
 // one cut and over four stripe cuts.
-func withinPlanes(t *testing.T, db uncertain.Database) map[string]*Engine {
+func withinPlanes(t *testing.T, db uncertain.Database) map[string]*Snapshot {
 	t.Helper()
 	ss, err := NewShardedStore(db, ShardedOptions{Shards: 4, Partition: StripeShards(0, 0, 10)}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*Engine{
-		"index":   newEngine(t, db, core.Options{}),
-		"sharded": ss.Snapshot().Engine(),
+	return map[string]*Snapshot{
+		"index":   newSnapshot(t, db, core.Options{}),
+		"sharded": ss.Snapshot(),
 	}
 }
 
@@ -83,12 +83,12 @@ func TestWithinStopsEarly(t *testing.T) {
 		for name, e := range planes {
 			out, visited := e.within(q, d)
 			entered := 0
-			for _, sh := range e.cuts {
+			for _, sh := range e.cuts() {
 				if root, ok := sh.root(); ok && root.MinDistRect(e.Norm(), q.MBR) <= d {
 					entered++
 				}
 			}
-			if len(e.cuts) > 1 && entered == len(e.cuts) {
+			if len(e.cuts()) > 1 && entered == len(e.cuts()) {
 				t.Fatalf("q=%d d=%g: no stripe shard is beyond the ball — the skip is not exercised", q.ID, d)
 			}
 			limit := len(out) + entered + 1 // +1: q itself when indexed

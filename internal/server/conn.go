@@ -342,9 +342,9 @@ func (c *conn) dispatch(args [][]byte) {
 	case "DELETE":
 		f = c.cmdDelete(ctx, rest)
 	case "KNN":
-		f = c.cmdThresholdQuery(ctx, rest, c.srv.store.KNNCtx)
+		f = c.cmdThresholdQuery(ctx, rest, (*query.Snapshot).KNN)
 	case "RKNN":
-		f = c.cmdThresholdQuery(ctx, rest, c.srv.store.RKNNCtx)
+		f = c.cmdThresholdQuery(ctx, rest, (*query.Snapshot).RKNN)
 	case "TOPKNN":
 		f = c.cmdTopKNN(ctx, rest)
 	case "INVRANK":
@@ -465,7 +465,7 @@ func (c *conn) cmdDelete(ctx context.Context, rest [][]byte) Frame {
 	return intf(boolInt(found))
 }
 
-func (c *conn) cmdThresholdQuery(ctx context.Context, rest [][]byte, run func(context.Context, *uncertain.Object, int, float64) ([]query.Match, error)) Frame {
+func (c *conn) cmdThresholdQuery(ctx context.Context, rest [][]byte, run func(*query.Snapshot, context.Context, *uncertain.Object, int, float64) ([]query.Match, error)) Frame {
 	if len(rest) != 3 {
 		return errf(codeBadArg, "KNN|RKNN <k> <tau> <object>")
 	}
@@ -482,7 +482,7 @@ func (c *conn) cmdThresholdQuery(ctx context.Context, rest [][]byte, run func(co
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	ms, err := run(ctx, q, k, tau)
+	ms, err := run(c.srv.store.Snapshot(), ctx, q, k, tau)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}
@@ -506,7 +506,7 @@ func (c *conn) cmdTopKNN(ctx context.Context, rest [][]byte) Frame {
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	ms, err := c.srv.store.TopKNNCtx(ctx, q, k, m)
+	ms, err := c.srv.store.Snapshot().TopKNN(ctx, q, k, m)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}
@@ -526,15 +526,15 @@ func (c *conn) cmdInvRank(ctx context.Context, rest [][]byte) Frame {
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	rd, err := c.srv.store.InverseRankCtx(ctx, b, r)
+	rd, err := c.srv.store.Snapshot().InverseRank(ctx, b, r)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}
 	return EncodeRankDist(rd)
 }
 
-// cmdBatch routes a whole pipeline of kNN queries onto the store's
-// one-snapshot BatchKNN path: BATCH <n> then n×(<k> <tau> <object>).
+// cmdBatch routes a whole pipeline of kNN queries onto one snapshot's
+// BatchKNN path: BATCH <n> then n×(<k> <tau> <object>).
 func (c *conn) cmdBatch(ctx context.Context, rest [][]byte) Frame {
 	if len(rest) < 1 {
 		return errf(codeBadArg, "BATCH <n> (<k> <tau> <object>)...")
@@ -564,7 +564,7 @@ func (c *conn) cmdBatch(ctx context.Context, rest [][]byte) Frame {
 		reqs[i] = query.KNNRequest{Q: q, K: k, Tau: tau}
 	}
 	c.markQueue(ctx)
-	results, err := c.srv.store.BatchKNN(ctx, reqs)
+	results, err := c.srv.store.Snapshot().BatchKNN(ctx, reqs)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}

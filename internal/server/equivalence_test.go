@@ -189,7 +189,7 @@ func runEquivalence(t *testing.T, seed int64) {
 		case c == 6: // threshold kNN
 			q := testObj(rng, 0)
 			k, tau := 1+rng.Intn(5), rng.Float64()
-			want, err := ref.KNNCtx(ctx, q, k, tau)
+			want, err := ref.Snapshot().KNN(ctx, q, k, tau)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func runEquivalence(t *testing.T, seed int64) {
 		case c == 7: // reverse kNN
 			q := testObj(rng, 0)
 			k, tau := 1+rng.Intn(3), rng.Float64()
-			want, err := ref.RKNNCtx(ctx, q, k, tau)
+			want, err := ref.Snapshot().RKNN(ctx, q, k, tau)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func runEquivalence(t *testing.T, seed int64) {
 		case c == 8: // top-m kNN and inverse ranking
 			q := testObj(rng, 0)
 			k, m := 1+rng.Intn(4), 1+rng.Intn(3)
-			want, err := ref.TopKNNCtx(ctx, q, k, m)
+			want, err := ref.Snapshot().TopKNN(ctx, q, k, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,11 @@ func runEquivalence(t *testing.T, seed int64) {
 			checkMatches("topknn", want, got)
 
 			b, r := testObj(rng, 0), testObj(rng, 0)
-			wantInv, err := server.DecodeRankDist(server.EncodeRankDist(ref.InverseRank(b, r)))
+			wantRD, err := ref.Snapshot().InverseRank(ctx, b, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantInv, err := server.DecodeRankDist(server.EncodeRankDist(wantRD))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +255,7 @@ func runEquivalence(t *testing.T, seed int64) {
 				reqs[i] = client.BatchReq{Q: q, K: 1 + rng.Intn(4), Tau: rng.Float64()}
 				qreqs[i] = query.KNNRequest{Q: q, K: reqs[i].K, Tau: reqs[i].Tau}
 			}
-			want, err := ref.BatchKNN(ctx, qreqs)
+			want, err := ref.Snapshot().BatchKNN(ctx, qreqs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -154,7 +154,7 @@ func TestServerCommands(t *testing.T) {
 
 	ctx := context.Background()
 	q := testObj(rng, 0)
-	wantKNN, err := store.KNNCtx(ctx, q, 4, 0.25)
+	wantKNN, err := store.Snapshot().KNN(ctx, q, 4, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestServerCommands(t *testing.T) {
 		t.Fatalf("knn answer differs from in-process result")
 	}
 
-	wantR, err := store.RKNNCtx(ctx, q, 2, 0.3)
+	wantR, err := store.Snapshot().RKNN(ctx, q, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestServerCommands(t *testing.T) {
 		t.Fatalf("rknn answer differs from in-process result")
 	}
 
-	wantT, err := store.TopKNNCtx(ctx, q, 3, 2)
+	wantT, err := store.Snapshot().TopKNN(ctx, q, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,11 @@ func TestServerCommands(t *testing.T) {
 	}
 
 	b, r := testObj(rng, 600), testObj(rng, 601)
-	wantInv, err := server.DecodeRankDist(server.EncodeRankDist(store.InverseRank(b, r)))
+	wantRD, err := store.Snapshot().InverseRank(ctx, b, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInv, err := server.DecodeRankDist(server.EncodeRankDist(wantRD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +216,7 @@ func TestServerCommands(t *testing.T) {
 	for i, rq := range reqs {
 		qreqs[i] = query.KNNRequest{Q: rq.Q, K: rq.K, Tau: rq.Tau}
 	}
-	wantBatch, err := store.BatchKNN(ctx, qreqs)
+	wantBatch, err := store.Snapshot().BatchKNN(ctx, qreqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestServerShardedBackend(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	q := testObj(rng, 0)
-	want, err := store.KNNCtx(context.Background(), q, 4, 0.2)
+	want, err := store.Snapshot().KNN(context.Background(), q, 4, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +406,7 @@ func drainAll(t *testing.T, sub *client.Sub) []server.EventMsg {
 // version.
 func initialResultIDs(t *testing.T, backend *query.Store, q *uncertain.Object, k int, tau float64) map[int]bool {
 	t.Helper()
-	ms, err := backend.KNNCtx(context.Background(), q, k, tau)
+	ms, err := backend.Snapshot().KNN(context.Background(), q, k, tau)
 	if err != nil {
 		t.Fatal(err)
 	}

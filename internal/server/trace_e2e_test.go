@@ -15,7 +15,7 @@ import (
 )
 
 // TestTraceWireEquivalence: a KNN ... TRACE round trip over real TCP
-// returns the same query anatomy an in-process traced KNNCtx records —
+// returns the same query anatomy an in-process traced KNN records —
 // the wire adds transport, not a different execution. Covered for both
 // a one-shard and a 4-shard Store.
 func TestTraceWireEquivalence(t *testing.T) {
@@ -48,7 +48,7 @@ func TestTraceWireEquivalence(t *testing.T) {
 			}
 			var ref obs.Trace
 			ctx := obs.WithTrace(context.Background(), &ref)
-			if _, err := backend.KNNCtx(ctx, q, 5, 0.3); err != nil {
+			if _, err := backend.Snapshot().KNN(ctx, q, 5, 0.3); err != nil {
 				t.Fatal(err)
 			}
 			refSnap := ref.Snapshot()

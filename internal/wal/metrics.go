@@ -61,23 +61,9 @@ func (s *MetricsSnapshot) Merge(o MetricsSnapshot) {
 	s.GroupBatch.Merge(o.GroupBatch)
 }
 
-// AddTo flattens the snapshot into a metric map under the "wal."
-// prefix, the shape the STATS command and debug endpoint serve.
-func (s MetricsSnapshot) AddTo(out map[string]int64) {
-	out["wal.appends"] = int64(s.Appends)
-	out["wal.append_bytes"] = int64(s.AppendBytes)
-	obs.AddHist(out, "wal.append.latency", s.AppendLat)
-	out["wal.fsyncs"] = int64(s.Fsyncs)
-	obs.AddHist(out, "wal.fsync.latency", s.FsyncLat)
-	out["wal.rotations"] = int64(s.Rotations)
-	out["wal.checkpoints"] = int64(s.Checkpoints)
-	obs.AddHist(out, "wal.checkpoint.latency", s.CheckpointLat)
-	obs.AddHistValue(out, "wal.group_commit.batch", s.GroupBatch)
-}
-
 // Points renders the snapshot as typed metric points under the "wal."
-// prefix — the same names AddTo flattens, kept as histograms so the
-// Prometheus exposition can serve cumulative buckets.
+// prefix, kept as histograms so the Prometheus exposition can serve
+// cumulative buckets (obs.PointsMap flattens them for STATS and JSON).
 func (s MetricsSnapshot) Points() []obs.MetricPoint {
 	return []obs.MetricPoint{
 		{Name: "wal.appends", Kind: obs.KindCounter, Value: int64(s.Appends)},

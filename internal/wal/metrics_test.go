@@ -73,15 +73,14 @@ func TestJournalMetrics(t *testing.T) {
 	if merged.Appends != s.Appends+s2.Appends {
 		t.Fatalf("Merge: Appends = %d, want %d", merged.Appends, s.Appends+s2.Appends)
 	}
-	out := make(map[string]int64)
-	s2.AddTo(out)
+	out := obs.PointsMap(s2.Points())
 	for _, key := range []string{
 		"wal.appends", "wal.append_bytes", "wal.append.latency.count",
 		"wal.fsyncs", "wal.fsync.latency.p99_ns", "wal.rotations",
 		"wal.checkpoints", "wal.checkpoint.latency.count",
 	} {
 		if _, ok := out[key]; !ok {
-			t.Errorf("AddTo missing key %s", key)
+			t.Errorf("PointsMap missing key %s", key)
 		}
 	}
 	if out["wal.appends"] != int64(n) {
@@ -103,7 +102,7 @@ func TestJournalMetrics(t *testing.T) {
 }
 
 // TestMetricsPoints: the typed points carry the snapshot's figures
-// under the names AddTo flattens.
+// under the names PointsMap flattens them to.
 func TestMetricsPoints(t *testing.T) {
 	j, err := Open(t.TempDir(), Options{Sync: SyncAlways})
 	if err != nil {
@@ -121,8 +120,7 @@ func TestMetricsPoints(t *testing.T) {
 	}
 	s := j.MetricsSnapshot()
 	points := s.Points()
-	flat := make(map[string]int64)
-	s.AddTo(flat)
+	flat := obs.PointsMap(points)
 	kinds := map[string]obs.PointKind{
 		"wal.appends": obs.KindCounter, "wal.append_bytes": obs.KindCounter,
 		"wal.append.latency": obs.KindTimeHist, "wal.fsyncs": obs.KindCounter,
@@ -140,9 +138,9 @@ func TestMetricsPoints(t *testing.T) {
 		}
 		switch {
 		case kind == obs.KindCounter && p.Value != flat[p.Name]:
-			t.Errorf("%s = %d, AddTo says %d", p.Name, p.Value, flat[p.Name])
+			t.Errorf("%s = %d, PointsMap says %d", p.Name, p.Value, flat[p.Name])
 		case kind != obs.KindCounter && int64(p.Hist.Count) != flat[p.Name+".count"]:
-			t.Errorf("%s count = %d, AddTo says %d", p.Name, p.Hist.Count, flat[p.Name+".count"])
+			t.Errorf("%s count = %d, PointsMap says %d", p.Name, p.Hist.Count, flat[p.Name+".count"])
 		}
 	}
 	if flat["wal.appends"] != 3 || flat["wal.group_commit.batch.count"] == 0 {

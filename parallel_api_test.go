@@ -20,21 +20,21 @@ func TestRootParallelAPI(t *testing.T) {
 	}
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 
-	seq := newEngine(t, db, probprune.Options{MaxIterations: 4, Parallelism: 1})
-	par := newEngine(t, db, probprune.Options{MaxIterations: 4, Parallelism: 4})
-	a := seq.KNN(q, 5, 0.5)
-	b, err := par.KNNCtx(context.Background(), q, 5, 0.5)
+	seq := newSnapshot(t, db, probprune.Options{MaxIterations: 4, Parallelism: 1})
+	par := newSnapshot(t, db, probprune.Options{MaxIterations: 4, Parallelism: 4})
+	a := must(seq.KNN(bg, q, 5, 0.5))
+	b, err := par.KNN(context.Background(), q, 5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("KNNCtx on 4 workers differs from sequential KNN")
+		t.Fatal("KNN on 4 workers differs from sequential KNN")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if m, err := par.KNNCtx(ctx, q, 5, 0.5); err == nil || m != nil {
-		t.Fatalf("cancelled KNNCtx returned matches=%v err=%v", m, err)
+	if m, err := par.KNN(ctx, q, 5, 0.5); err == nil || m != nil {
+		t.Fatalf("cancelled KNN returned matches=%v err=%v", m, err)
 	}
 
 	private := probprune.Run(db, db[0], q, probprune.Options{MaxIterations: 4})

@@ -26,56 +26,58 @@
 // # Quick start
 //
 //	db, _ := probprune.Synthetic(probprune.SyntheticConfig{N: 1000, Samples: 100, Seed: 1})
-//	engine, _ := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
+//	store, _ := probprune.NewStore(db, probprune.Options{MaxIterations: 6})
 //	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-//	for _, m := range engine.KNN(q, 5, 0.5) {
+//	matches, _ := store.Snapshot().KNN(context.Background(), q, 5, 0.5)
+//	for _, m := range matches {
 //	    if m.IsResult {
 //	        fmt.Println(m.Object.ID, m.Prob)
 //	    }
 //	}
 //
-// # Parallel execution and cancellation
+// # Snapshots, parallel execution and cancellation
 //
-// Engine queries evaluate their candidates concurrently on
+// A StoreSnapshot is the database at one version, and every query is a
+// method of it: KNN, RKNN, TopKNN, InverseRank, RankByExpectedRank,
+// UKRanks and BatchKNN. Each takes a context for cancellation and
+// deadlines and returns an error — a query object of another dimension
+// than the database is refused, not answered with an empty result:
+//
+//	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+//	defer cancel()
+//	matches, err := store.Snapshot().KNN(ctx, q, 5, 0.5)
+//
+// Queries evaluate their candidates concurrently on
 // Options.Parallelism worker goroutines (the zero value selects
 // GOMAXPROCS; set 1 to force sequential evaluation). All candidate
 // runs share one decomposition cache (DecompCache), built once per
 // query, so the query object and every influence object are kd-split
 // at most once per query instead of once per candidate run — and
 // results stay identical, bit for bit, to the sequential path
-// regardless of worker count. Every query has a context-accepting
-// variant for cancellation and deadlines:
-//
-//	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-//	defer cancel()
-//	matches, err := engine.KNNCtx(ctx, q, 5, 0.5)   // also RKNNCtx,
-//	// RankByExpectedRankCtx, TopKNNCtx, UKRanksCtx
-//
-// The plain methods (KNN, RKNN, ...) are thin wrappers over the context
-// variants with context.Background(). Callers driving core.Run directly
+// regardless of worker count. Callers driving core.Run directly
 // can share decomposition work themselves: NewDecompCache with
 // Options.SharedDecomps shares every decomposition (operands and
 // influence objects) across the runs handed the cache.
 //
 // # Live stores
 //
-// Engine evaluates one frozen database state: every Engine is the
-// engine of a store snapshot, and NewEngine is a one-shard in-memory
-// store's. Store is the serving-path counterpart: a concurrent, mutable
-// store with Insert/Delete/Update live ingest, copy-on-write snapshot isolation (a query never observes
-// a half-applied update) and a persistent decomposition cache that
+// Store is a concurrent, mutable store with Insert/Delete/Update live
+// ingest, copy-on-write snapshot isolation (a query never observes a
+// half-applied update) and a persistent decomposition cache that
 // survives across queries and is invalidated per object on update.
-// BatchKNN pours many queries into one worker pool over one snapshot:
+// Queries on one snapshot all see the same state; BatchKNN pours many
+// queries into one worker pool over it:
 //
 //	store, _ := probprune.NewStore(db, probprune.Options{})
-//	store.Insert(obj)                        // live ingest
-//	matches := store.KNN(q, 5, 0.5)          // snapshot-isolated
-//	results, _ := store.BatchKNN(ctx, reqs)  // amortized batch
+//	store.Insert(obj)                                  // live ingest
+//	snap := store.Snapshot()                           // one version
+//	matches, _ := snap.KNN(ctx, q, 5, 0.5)             // snapshot-isolated
+//	results, _ := snap.BatchKNN(ctx, reqs)             // amortized batch
 //
 // A store is N >= 1 shards behind one router (NewStore is N = 1). The
 // paper's filter bounds merge exactly across partitions (dominator
 // counts sum, influence sets concatenate in canonical order), so
-// results are bit-identical to a fresh Engine over the same state at
+// results are bit-identical to a one-shard store over the same state at
 // any shard count and any Parallelism, while each mutation pays only
 // its home shard's copy-on-write detach and Move/Rebalance migrate
 // objects online without disturbing queries or change streams. A
@@ -88,8 +90,8 @@
 //
 // Stores created with BootstrapStore/BootstrapShardedStore journal
 // every commit to a segmented, CRC-framed write-ahead log before it
-// applies, and compact the log into checkpoints persisting the database
-// and the decomposition cache. A one-shard store journals in its
+// applies, and compact the log into checkpoints persisting the
+// database's objects. A one-shard store journals in its
 // directory; a multi-shard one keeps a journal per shard (shard-0, ...)
 // plus a MANIFEST. Opening reads the layout from the directory,
 // recovers bit-identically and stops cleanly at the last intact record.
@@ -288,9 +290,6 @@ func NewSessionIndexed(index *Index, target, reference *Object, opts Options) *S
 
 // Queries.
 type (
-	// Engine evaluates probabilistic similarity queries over one
-	// immutable store snapshot.
-	Engine = query.Engine
 	// Match is one candidate's outcome in a threshold query.
 	Match = query.Match
 	// RankDistribution is a probabilistic inverse ranking result.
@@ -299,28 +298,21 @@ type (
 	Ranked = query.Ranked
 )
 
-// NewEngine builds the query engine of a one-shard in-memory store over
-// db: NewStore(db, opts) followed by Snapshot().Engine(). It returns
-// the store's error for a database the store refuses (a nil object, a
-// duplicate ID, mixed dimensions).
-func NewEngine(db Database, opts Options) (*Engine, error) {
-	return query.NewEngine(db, opts)
-}
-
 // Live store: a concurrent, mutable database of N >= 1 shards serving
 // snapshot-isolated queries (see internal/query.Store).
 type (
 	// Store is a concurrent uncertain-object store with live ingest
 	// (Insert/Delete/Update), snapshot-isolated queries and cross-query
 	// decomposition reuse, partitioned across N >= 1 shards. Its
-	// snapshot queries are bit-identical to a fresh Engine over the same
-	// state, at any shard count and Parallelism.
+	// snapshot queries are bit-identical to a one-shard store's over
+	// the same state, at any shard count and Parallelism.
 	Store = query.Store
 	// StoreSnapshot is one immutable database state published by a
 	// Store — with several shards, a consistent cut with a per-shard
-	// version vector; all queries on it observe exactly the same objects.
+	// version vector — and the type every query is a method of; all
+	// queries on it observe exactly the same objects.
 	StoreSnapshot = query.Snapshot
-	// KNNRequest is one query of a Store.BatchKNN batch.
+	// KNNRequest is one query of a StoreSnapshot.BatchKNN batch.
 	KNNRequest = query.KNNRequest
 	// ShardedOptions configures shard count and the partitioner of a
 	// Store.
@@ -332,7 +324,8 @@ type (
 // NewStore builds a one-shard live store over db (unique object IDs
 // of one dimension required; the index is STR bulk-loaded). Opts
 // configures every query the store serves; Opts.SharedDecomps must be
-// left unset. Its snapshot's engine scatters over that one shard.
+// left unset. It refuses a nil object, a duplicate ID and mixed
+// dimensions.
 func NewStore(db Database, opts Options) (*Store, error) {
 	return query.NewStore(db, opts)
 }

@@ -1,6 +1,7 @@
 package probprune_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -8,31 +9,44 @@ import (
 	"probprune"
 )
 
-// backend is one of the four public query backends — frozen Engine,
-// live Store, a 4-shard Store, and a durable Store written to
-// disk, closed and reopened — exposed through the common Engine
-// surface, so every root-level API test body runs unchanged (and must
-// pass identically) against each.
+// backend is one of the four public query backends — a frozen
+// snapshot of a store built for it, a live Store, a 4-shard Store, and
+// a durable Store written to disk, closed and reopened — exposed
+// through its snapshot, so every root-level API test body runs
+// unchanged (and must pass identically) against each.
 type backend struct {
 	name string
-	eng  *probprune.Engine
+	snap *probprune.StoreSnapshot
+}
+
+// newSnapshot is the snapshot of a one-shard store over a database the
+// store accepts.
+func newSnapshot(tb testing.TB, db probprune.Database, opts probprune.Options) *probprune.StoreSnapshot {
+	tb.Helper()
+	s, err := probprune.NewStore(db, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s.Snapshot()
+}
+
+// bg is the context of every query a test does not cancel.
+var bg = context.Background()
+
+// must returns a query's result and panics on its error: the queries
+// the tests issue through it are well-formed, so an error is a failure.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // byID resolves the backend's own instance of a database object —
 // backends recovered from disk hold decoded copies, not db's pointers.
-// newEngine is probprune.NewEngine over a database the store accepts.
-func newEngine(tb testing.TB, db probprune.Database, opts probprune.Options) *probprune.Engine {
-	tb.Helper()
-	e, err := probprune.NewEngine(db, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return e
-}
-
 func (be backend) byID(t *testing.T, id int) *probprune.Object {
 	t.Helper()
-	for _, o := range be.eng.Database() {
+	for _, o := range be.snap.Database() {
 		if o.ID == id {
 			return o
 		}
@@ -41,7 +55,7 @@ func (be backend) byID(t *testing.T, id int) *probprune.Object {
 	return nil
 }
 
-// queryBackends builds identically-configured engines from all four
+// queryBackends builds identically-configured snapshots of all four
 // backends over the same database.
 func queryBackends(t *testing.T, db probprune.Database, opts probprune.Options) []backend {
 	t.Helper()
@@ -54,10 +68,10 @@ func queryBackends(t *testing.T, db probprune.Database, opts probprune.Options) 
 		t.Fatal(err)
 	}
 	return []backend{
-		{"engine", newEngine(t, db, opts)},
-		{"store", store.Snapshot().Engine()},
-		{"sharded", sharded.Snapshot().Engine()},
-		{"durable", durableReopen(t, db, opts).Snapshot().Engine()},
+		{"engine", newSnapshot(t, db, opts)},
+		{"store", store.Snapshot()},
+		{"sharded", sharded.Snapshot()},
+		{"durable", durableReopen(t, db, opts).Snapshot()},
 	}
 }
 
@@ -96,7 +110,7 @@ func TestEndToEndKNN(t *testing.T) {
 		t.Run(be.name, func(t *testing.T) {
 			q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 			const k, tau = 5, 0.5
-			matches := be.eng.KNN(q, k, tau)
+			matches := must(be.snap.KNN(bg, q, k, tau))
 			if len(matches) != len(db) {
 				t.Fatalf("%d matches for %d objects", len(matches), len(db))
 			}
@@ -143,9 +157,9 @@ func TestEndToEndInverseRanking(t *testing.T) {
 	for _, be := range queryBackends(t, db, probprune.Options{MaxIterations: 6}) {
 		t.Run(be.name, func(t *testing.T) {
 			// Resolve the operands from the backend's own database: the
-			// durable backend holds decoded copies, and the engine
+			// durable backend holds decoded copies, and the query
 			// identifies the target among the candidates by instance.
-			rd := be.eng.InverseRank(be.byID(t, db[3].ID), be.byID(t, db[77].ID))
+			rd := must(be.snap.InverseRank(bg, be.byID(t, db[3].ID), be.byID(t, db[77].ID)))
 			if rd.MinRank < 1 {
 				t.Fatalf("MinRank = %d", rd.MinRank)
 			}

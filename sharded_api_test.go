@@ -126,11 +126,11 @@ func TestShardedStoreFacade(t *testing.T) {
 		t.Fatal("sharded KNN diverges from Store after mutations")
 	}
 	reqs := []probprune.KNNRequest{{Q: q, K: 3, Tau: 0.3}, {Q: db[5], K: 2, Tau: 0.5}}
-	want, err := store.BatchKNN(context.Background(), reqs)
+	want, err := store.Snapshot().BatchKNN(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sharded.BatchKNN(context.Background(), reqs)
+	got, err := sharded.Snapshot().BatchKNN(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestStoreFacade drives the live store end to end through the public
 // surface: ingest, snapshot-isolated queries, batch execution and the
-// bit-identical guarantee against a fresh Engine.
+// bit-identical guarantee against a fresh store.
 func TestStoreFacade(t *testing.T) {
 	db, err := probprune.Synthetic(probprune.SyntheticConfig{
 		N: 60, Samples: 8, MaxExtent: 0.05, Seed: 71,
@@ -47,14 +47,14 @@ func TestStoreFacade(t *testing.T) {
 		t.Fatalf("Len = %d, want 60", store.Len())
 	}
 
-	// Snapshot queries must be bit-identical to a fresh engine over the
+	// Snapshot queries must be bit-identical to a fresh store's over the
 	// same state.
 	snap := store.Snapshot()
-	fresh := newEngine(t, snap.DB(), opts)
+	fresh := newSnapshot(t, snap.Database(), opts)
 	got := store.KNN(q, 5, 0.5)
-	want := fresh.KNN(q, 5, 0.5)
+	want := must(fresh.KNN(bg, q, 5, 0.5))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("store KNN differs from fresh engine on the same state")
+		t.Fatal("store KNN differs from a fresh store on the same state")
 	}
 	if len(got) != 60 {
 		t.Fatalf("KNN returned %d matches, want 60", len(got))
@@ -74,7 +74,7 @@ func TestStoreFacade(t *testing.T) {
 		{Q: q, K: 5, Tau: 0.5},
 		{Q: probprune.PointObject(-2, probprune.Point{0.2, 0.8}), K: 3, Tau: 0.3},
 	}
-	batch, err := store.BatchKNN(context.Background(), reqs)
+	batch, err := store.Snapshot().BatchKNN(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,9 @@ func TestStoreFacade(t *testing.T) {
 		t.Fatal("batch result differs from single-query result")
 	}
 
-	// Mixed batch through the generic entry point.
-	var topk []probprune.Match
-	store.Batch(func(e *probprune.Engine) {
-		topk = e.TopKNN(q, 5, 3)
-	})
-	if len(topk) != 3 {
-		t.Fatalf("TopKNN in Batch returned %d matches", len(topk))
+	// Another query kind on the same snapshot.
+	if topk := must(snap.TopKNN(bg, q, 5, 3)); len(topk) != 3 {
+		t.Fatalf("TopKNN returned %d matches", len(topk))
 	}
 
 	// A held snapshot survives later mutations untouched.
@@ -101,7 +97,7 @@ func TestStoreFacade(t *testing.T) {
 	if snap.Len() != 60 || store.Len() != 59 {
 		t.Fatalf("snapshot/store lengths: %d/%d", snap.Len(), store.Len())
 	}
-	again, err := snap.Engine().KNNCtx(context.Background(), q, 5, 0.5)
+	again, err := snap.KNN(context.Background(), q, 5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
