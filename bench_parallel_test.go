@@ -4,6 +4,9 @@
 // workload, and BenchmarkRefDecomp isolates the shared-vs-per-candidate
 // decomposition saving at the core layer. Together with bench_test.go
 // they make the executor speedup visible in the bench trajectory.
+// BenchmarkInverseRank is the one-run query whose full-PDF generating
+// functions run on one goroutine, the baseline for pair-level
+// parallelism.
 package probprune_test
 
 import (
@@ -85,4 +88,25 @@ func BenchmarkRefDecomp(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkInverseRank is one full domination-count PDF (KMax 0): the
+// inverse ranking of one object among 2,000 of 32 samples, refined
+// four levels on one goroutine. Its cost is the generating functions
+// over the whole influence set at every partition pair, which makes it
+// the reading for the UGF's full-expansion cost.
+func BenchmarkInverseRank(b *testing.B) {
+	db, err := probprune.Synthetic(probprune.SyntheticConfig{N: 2000, Samples: 32, MaxExtent: 0.05, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn := newSnapshot(b, db, probprune.Options{MaxIterations: 4, Parallelism: 1})
+	r := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
+	must(sn.InverseRank(bg, db[0], r)) // warm the decomposition cache
+	b.ResetTimer()
+	var rd *probprune.RankDistribution
+	for i := 0; i < b.N; i++ {
+		rd = must(sn.InverseRank(bg, db[0], r))
+	}
+	b.ReportMetric(float64(len(rd.Ranks)), "ranks")
 }

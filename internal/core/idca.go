@@ -51,9 +51,9 @@ type Options struct {
 	// (decomposition levels). <= 0 selects DefaultMaxIterations.
 	MaxIterations int
 	// KMax, when positive, truncates the generating functions to the
-	// state needed for P(DomCount < KMax) — the O(k²·|Cand|)
-	// optimization of Section VI for kNN/RkNN predicates. Zero computes
-	// the full domination count PDF.
+	// terms needed for P(DomCount < KMax) — O(k·|Cand|) per partition
+	// pair instead of O(|Cand|²), the reduction of Section VI for
+	// kNN/RkNN predicates. Zero computes the full domination count PDF.
 	KMax int
 	// Stop, when non-nil, is evaluated after every iteration with the
 	// current result; returning true ends refinement (the "domain- and

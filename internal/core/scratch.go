@@ -165,8 +165,8 @@ func (sc *Scratch) worker(w int) *Scratch {
 // [0,0] factor leaves every coefficient as it is and a [1,1] factor
 // shifts the count by one, so the first kind is skipped and the second
 // becomes an offset, with the truncation reduced to match. The bounds
-// are those of the full product up to the order the Section VI merge
-// adds its overflow mass in.
+// are read in one pass over the counts, with running sums of the UGF's
+// terms, by the formulas of gf.UGF's Bound and CDFBound.
 func (sc *Scratch) addBounds(ivs []gf.Interval, kMax int, w float64, accB, accC []gf.Interval) {
 	shift := 0
 	factors := sc.factors[:0]
@@ -189,14 +189,16 @@ func (sc *Scratch) addBounds(ivs []gf.Interval, kMax int, w float64, accB, accC 
 	f := &sc.ugf
 	f.Reset(kMax)
 	f.MultiplyAll(factors)
-	for k := shift; k < len(accB); k++ {
-		b := f.Bound(k - shift)
-		accB[k].LB += w * b.LB
-		accB[k].UB += w * b.UB
-	}
-	for k := shift + 1; k < len(accC); k++ {
-		c := f.CDFBound(k - shift)
-		accC[k].LB += w * c.LB
-		accC[k].UB += w * c.UB
+	var lt, ltXY float64 // P(X < j) and P(X+Y < j)
+	for j := 0; shift+j < len(accC); j++ {
+		ub := min(lt, 1)
+		accC[shift+j].LB += w * min(ltXY, ub)
+		accC[shift+j].UB += w * ub
+		x, xy, x0 := f.Terms(j)
+		if k := shift + j; k < len(accB) && j <= f.N() {
+			accB[k].LB += w * x0
+			accB[k].UB += w * min(max(lt+x-ltXY, x0), 1)
+		}
+		lt, ltXY = lt+x, ltXY+xy
 	}
 }

@@ -164,7 +164,11 @@ func TestAblationUGF(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFigure(t, f, 2)
-	// UGF bounds must be at least as tight at every k.
+	// UGF bounds must be at least as tight at every level. Both sides
+	// read one UGF: in exact arithmetic they share the CDF bounds and
+	// the point upper bound, so the whole gap is Lemma 4's point lower
+	// bound c_{k,0} = P(X = k, Y = 0) against the differenced tails'
+	// P(X+Y ≤ k) − P(X < k).
 	ugf, two := f.Series[0], f.Series[1]
 	for i := range ugf.Points {
 		if ugf.Points[i].Y > two.Points[i].Y+1e-9 {

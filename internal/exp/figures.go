@@ -384,10 +384,3 @@ func Fig9b(cfg Config) (*Figure, error) {
 		Notes:  fmt.Sprintf("sizes scaled to %d-%d; the paper sweeps 20k-100k", sizes[0], sizes[len(sizes)-1]),
 	}, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

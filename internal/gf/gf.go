@@ -1,11 +1,11 @@
 // Package gf implements the generating-function machinery of Section IV
 // of the paper: the classical generating function over independent
 // Bernoulli variables (the Poisson binomial distribution, following Li,
-// Saha and Deshpande [19]), the paper's novel Uncertain Generating
-// Functions (UGFs) that operate on probability *intervals* instead of
-// exact probabilities, and the k-truncated variants that reduce the
-// complexity from O(N³) to O(k²·N) for kNN-style predicates (Section
-// VI).
+// Saha and Deshpande [19]) and the paper's Uncertain Generating
+// Functions (UGFs), which operate on probability *intervals* instead of
+// exact probabilities. Both are products of linear factors expanded by
+// one kernel, O(N) per factor: O(N²) for a full expansion and O(k·N)
+// when only the counts below k are needed (Section VI's truncation).
 package gf
 
 import "fmt"
@@ -22,12 +22,7 @@ func PoissonBinomial(ps []float64) []float64 {
 	coef[0] = 1
 	for _, p := range ps {
 		validateProb(p)
-		coef = append(coef, 0)
-		// Multiply by (1-p) + p·x in place, highest degree first.
-		for k := len(coef) - 1; k > 0; k-- {
-			coef[k] = coef[k]*(1-p) + coef[k-1]*p
-		}
-		coef[0] *= 1 - p
+		coef = mulLinear(coef, 1-p, p, 0)
 	}
 	return coef
 }
@@ -45,38 +40,39 @@ func PoissonBinomialTruncated(ps []float64, kMax int) []float64 {
 	coef[0] = 1
 	for _, p := range ps {
 		validateProb(p)
-		if len(coef) < kMax {
-			coef = append(coef, 0)
-		}
-		for k := len(coef) - 1; k > 0; k-- {
-			coef[k] = coef[k]*(1-p) + coef[k-1]*p
-		}
-		coef[0] *= 1 - p
+		coef = mulLinear(coef, 1-p, p, kMax)
 	}
 	return coef
 }
 
-// CDF accumulates coefficients into P(Σ X_i < k) for each k, i.e.
-// out[k] = Σ_{j<k} coef[j]. out has len(coef)+1 entries and out[len]
-// is the total mass.
-func CDF(coef []float64) []float64 {
-	out := make([]float64, len(coef)+1)
-	sum := 0.0
-	for k, c := range coef {
-		out[k] = sum
-		sum += c
+// mulLinear multiplies the polynomial with coefficients p by (a + b·z)
+// in place and returns it, one degree longer unless kMax > 0 and it
+// already holds kMax terms: truncation drops every term of degree
+// kMax or more, which never feeds a lower one.
+func mulLinear(p []float64, a, b float64, kMax int) []float64 {
+	if kMax <= 0 || len(p) < kMax {
+		p = append(p, 0)
 	}
-	out[len(coef)] = sum
-	return out
+	for k := len(p) - 1; k > 0; k-- {
+		p[k] = p[k]*a + p[k-1]*b
+	}
+	p[0] *= a
+	return p
 }
 
+// validateProb panics on a probability outside [0, 1] (up to 1e-9). The
+// panic marks a programmer error, not bad input: probabilities reach
+// this package from package domination's interval bounds and package
+// mc's sample masses, never from the wire.
 func validateProb(p float64) {
 	if p < -1e-9 || p > 1+1e-9 {
 		panic(fmt.Sprintf("gf: probability %g out of [0,1]", p))
 	}
 }
 
-// validateInterval checks an [lb, ub] probability interval.
+// validateInterval panics on an [lb, ub] probability interval that is
+// out of range or inverted. Like validateProb it guards a programmer
+// error: intervals come from domination.Bounds, never from the wire.
 func validateInterval(lb, ub float64) {
 	validateProb(lb)
 	validateProb(ub)

@@ -136,6 +136,20 @@ func TestValidateProbPanics(t *testing.T) {
 	PoissonBinomial([]float64{1.5})
 }
 
+// CDF accumulates coefficients into P(Σ X_i < k) for each k, i.e.
+// out[k] = Σ_{j<k} coef[j]. out has len(coef)+1 entries and out[len]
+// is the total mass.
+func CDF(coef []float64) []float64 {
+	out := make([]float64, len(coef)+1)
+	sum := 0.0
+	for k, c := range coef {
+		out[k] = sum
+		sum += c
+	}
+	out[len(coef)] = sum
+	return out
+}
+
 func TestCDF(t *testing.T) {
 	cdf := CDF([]float64{0.5, 0.3, 0.2})
 	want := []float64{0, 0.5, 0.8, 1.0}

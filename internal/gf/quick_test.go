@@ -45,8 +45,8 @@ func TestQuickPoissonBinomialMassAndMean(t *testing.T) {
 	}
 }
 
-// Property: UGF bounds are always ordered (LB <= UB), have total mass
-// one, and the definite masses sum to at most one.
+// Property: UGF bounds are always ordered (LB <= UB), its polynomials
+// have total mass one, and the definite masses sum to at most one.
 func TestQuickUGFStructure(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 200,
@@ -60,7 +60,7 @@ func TestQuickUGFStructure(t *testing.T) {
 			ub := lb + rng.Float64()*(1-lb)
 			u.Multiply(Interval{LB: lb, UB: ub})
 		}
-		if math.Abs(u.TotalMass()-1) > 1e-9 {
+		if x, xy := masses(u); math.Abs(x-1) > 1e-9 || math.Abs(xy-1) > 1e-9 {
 			return false
 		}
 		definite := 0.0
@@ -78,7 +78,9 @@ func TestQuickUGFStructure(t *testing.T) {
 	}
 }
 
-// Property: CDF bounds are monotone in k for both UGF and CDFBounds.
+// Property: CDF bounds are monotone in k, for the UGF in full and
+// truncated (whose CDF bounds are also the two-GF baseline's) and for
+// the 2-D reference.
 func TestQuickCDFMonotone(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 200,
@@ -88,23 +90,21 @@ func TestQuickCDFMonotone(t *testing.T) {
 		ps := quickProbs(raw)
 		rng := rand.New(rand.NewSource(seed))
 		ivs := make([]Interval, len(ps))
-		u := NewUGF()
 		for i, lb := range ps {
-			ub := lb + rng.Float64()*(1-lb)
-			ivs[i] = Interval{LB: lb, UB: ub}
-			u.Multiply(ivs[i])
+			ivs[i] = Interval{LB: lb, UB: lb + rng.Float64()*(1-lb)}
 		}
-		cb := NewCDFBounds(ivs)
-		prevU, prevC := Interval{}, Interval{}
+		u, tr, ref := NewUGF(), NewTruncatedUGF(1+rng.Intn(8)), newRefUGF(0)
+		u.MultiplyAll(ivs)
+		tr.MultiplyAll(ivs)
+		ref.MultiplyAll(ivs)
+		var prev [3]Interval
 		for k := 0; k <= len(ps)+1; k++ {
-			cu, cc := u.CDFBound(k), cb.CDFBound(k)
-			if cu.LB < prevU.LB-1e-12 || cu.UB < prevU.UB-1e-12 {
-				return false
+			for i, c := range [3]Interval{u.CDFBound(k), tr.CDFBound(k), ref.CDFBound(k)} {
+				if c.LB < prev[i].LB-1e-12 || c.UB < prev[i].UB-1e-12 {
+					return false
+				}
+				prev[i] = c
 			}
-			if cc.LB < prevC.LB-1e-12 || cc.UB < prevC.UB-1e-12 {
-				return false
-			}
-			prevU, prevC = cu, cc
 		}
 		return true
 	}

@@ -3,27 +3,30 @@ package gf
 // This file implements Uncertain Generating Functions (Section IV-C of
 // the paper).
 //
-// A UGF tracks the distribution of a sum of independent Bernoulli
+// A UGF bounds the distribution of a sum Σ of independent Bernoulli
 // variables whose success probabilities are only known as intervals
-// [PLB_i, PUB_i]. Each factor contributes three terms:
+// [LB_i, UB_i]. The paper expands
 //
-//	PLB_i · x                    — X_i = 1 for sure (at least)
-//	(1 − PUB_i) · 1              — X_i = 0 for sure (at least)
-//	(PUB_i − PLB_i) · y          — unknown
+//	F^N = Π_i [LB_i·x + (UB_i−LB_i)·y + (1−UB_i)] = Σ_{i,j} c_{i,j} x^i y^j:
 //
-// so that F^N = Π_i [PLB_i·x + (PUB_i−PLB_i)·y + (1−PUB_i)]
-//             = Σ_{i,j} c_{i,j} x^i y^j.
+// each variable is, independently, a success for sure (x, probability
+// LB_i), possibly one (y, UB_i−LB_i) or surely none (1, 1−UB_i). With X
+// counting the x states and Y the y states, c_{i,j} = P(X = i, Y = j)
+// and Σ lies in [X, X+Y]. Every bound Lemma 4 reads off the c_{i,j}
+// depends on one of three 1-D distributions only:
 //
-// Coefficient c_{i,j} is the probability that the sum is definitely at
-// least i and possibly up to i+j. From the expansion,
+//	P(Σ = k) ≥ c_{k,0}                 = P(X = k, Y = 0)
+//	P(Σ = k) ≤ Σ_{i≤k, i+j≥k} c_{i,j}  = P(X ≤ k) − P(X+Y < k)
+//	P(Σ < k) ≥ Σ_{i+j<k} c_{i,j}       = P(X+Y < k)
+//	P(Σ < k) ≤ Σ_{i<k} c_{i,j}         = P(X < k)
 //
-//	lower bound of P(Σ = k):  c_{k,0}
-//	upper bound of P(Σ = k):  Σ_{i ≤ k, i+j ≥ k} c_{i,j}
-//
-// (Lemma 4). The full expansion has O(N²) coefficients and costs O(N³);
-// when only P(Σ = x) for x < k is needed (kNN/RkNN predicates), the
-// truncated form merges all coefficients that are equivalent below k
-// and costs O(k²·N) (Section VI).
+// X is Poisson binomial over the LB_i, X+Y over the UB_i, and
+// P(X = k, Y = 0) is the z^k coefficient of Π_i (1−UB_i + LB_i·z). So a
+// UGF is three polynomials, each multiplied by one linear factor per
+// variable: O(N) per factor and O(N²) for the full expansion. The
+// bounds of the counts below k read no term of degree k or more, so
+// truncating at kMax just drops those terms and costs O(k·N)
+// (Section VI's reduction, without its merge rules).
 
 // Interval is a conservative/progressive probability bound pair.
 type Interval struct {
@@ -45,162 +48,65 @@ func (iv Interval) Contains(p, eps float64) bool {
 func Exact(p float64) Interval { return Interval{LB: p, UB: p} }
 
 // UGF is an uncertain generating function under expansion. The zero
-// value is not usable; construct with NewUGF or NewTruncatedUGF.
+// value is not usable; construct with NewUGF or NewTruncatedUGF, or
+// Reset it.
 type UGF struct {
-	// kMax > 0 caps the tracked state space: exponents of x are capped
-	// at kMax and exponents of y at kMax−i, merging overflow mass. The
-	// merged representation yields exactly the same bounds for every
-	// P(Σ = x) with x < kMax as the full expansion (Section VI).
+	// kMax > 0 keeps only the terms of degree below kMax: all that the
+	// bounds of P(Σ = k) for k < kMax and of P(Σ < k) for k ≤ kMax read.
 	// kMax == 0 means no truncation.
 	kMax int
 	// n is the number of factors multiplied in so far.
 	n int
-	// c holds the triangular coefficient matrix: c[i][j] is the
-	// coefficient of x^i y^j. Row i exists for i <= degX(); row i has
-	// entries for j <= degY(i).
-	c [][]float64
-	// Multiply ping-pongs between two flat backing buffers (rows of c
-	// are sub-slices of buf[cur]), so a warmed-up UGF expands factors
-	// without allocating. Reset rewinds to the neutral element while
-	// keeping the buffers, which is what lets a query session reuse one
-	// UGF across every partition pair it expands.
-	rows [2][][]float64
-	buf  [2][]float64
-	cur  int
+	// x, xy and x0 hold the coefficients of Π(1−LB_i + LB_i·z),
+	// Π(1−UB_i + UB_i·z) and Π(1−UB_i + LB_i·z): P(X = k), P(X+Y = k)
+	// and P(X = k, Y = 0). Reset keeps their storage, which is what lets
+	// a query session expand every partition pair through one UGF
+	// without allocating.
+	x, xy, x0 []float64
 }
 
 // NewUGF returns the neutral UGF F⁰ = 1 with no truncation.
 func NewUGF() *UGF {
-	return &UGF{c: [][]float64{{1}}}
+	f := &UGF{}
+	f.Reset(0)
+	return f
 }
 
 // NewTruncatedUGF returns the neutral UGF that tracks only the state
-// needed to bound P(Σ = x) for x < kMax.
+// needed to bound P(Σ = x) for x < kMax. kMax <= 0 panics: it is a
+// programmer error, since callers ask for truncation only with a
+// positive Options.KMax.
 func NewTruncatedUGF(kMax int) *UGF {
 	if kMax <= 0 {
 		panic("gf: NewTruncatedUGF requires kMax > 0")
 	}
-	return &UGF{kMax: kMax, c: [][]float64{{1}}}
+	f := &UGF{}
+	f.Reset(kMax)
+	return f
 }
 
 // Reset rewinds the UGF to the neutral element F⁰ = 1 with the given
 // truncation bound (kMax <= 0 disables truncation), retaining the
 // coefficient storage of previous expansions. A reset-and-reused UGF
-// produces bit-identical bounds to a freshly constructed one; after a
-// warm-up it multiplies factors without allocating.
+// produces bit-identical bounds to a freshly constructed one.
 func (f *UGF) Reset(kMax int) {
-	if kMax < 0 {
-		kMax = 0
-	}
-	f.kMax = kMax
-	f.n = 0
-	w := 1 - f.cur
-	buf := f.buf[w]
-	if cap(buf) < 1 {
-		buf = make([]float64, 1)
-	}
-	buf = buf[:1]
-	buf[0] = 1
-	rows := f.rows[w][:0]
-	rows = append(rows, buf[0:1:1])
-	f.rows[w], f.buf[w] = rows, buf
-	f.c = rows
-	f.cur = w
+	f.kMax, f.n = max(kMax, 0), 0
+	f.x = append(f.x[:0], 1)
+	f.xy = append(f.xy[:0], 1)
+	f.x0 = append(f.x0[:0], 1)
 }
 
 // N returns the number of factors multiplied into the UGF so far.
 func (f *UGF) N() int { return f.n }
 
-// degX returns the largest tracked exponent of x.
-func (f *UGF) degX() int {
-	if f.kMax > 0 && f.n > f.kMax {
-		return f.kMax
-	}
-	return f.n
-}
-
-// degY returns the largest tracked exponent of y in row i.
-func (f *UGF) degY(i int) int {
-	if f.kMax > 0 {
-		if i >= f.kMax {
-			return 0
-		}
-		if f.n-i > f.kMax-i {
-			return f.kMax - i
-		}
-	}
-	return f.n - i
-}
-
 // Multiply folds one more Bernoulli factor with probability interval iv
 // into the UGF: F ← F · [LB·x + (UB−LB)·y + (1−UB)].
 func (f *UGF) Multiply(iv Interval) {
 	validateInterval(iv.LB, iv.UB)
-	pX := iv.LB         // definite domination mass
-	pY := iv.UB - iv.LB // unknown mass
-	p0 := 1 - iv.UB     // definite non-domination mass
-
 	f.n++
-	nx := f.degX()
-	total := 0
-	for i := 0; i <= nx; i++ {
-		total += f.degY(i) + 1
-	}
-	// Carve the next triangle out of the idle backing buffer; the old
-	// coefficients live in the other one, so reading while scattering is
-	// safe. The first few calls grow the buffers; afterwards Multiply is
-	// allocation-free.
-	w := 1 - f.cur
-	buf := f.buf[w]
-	if cap(buf) < total {
-		buf = make([]float64, total)
-	} else {
-		buf = buf[:total]
-		clear(buf)
-	}
-	rows := f.rows[w][:0]
-	off := 0
-	for i := 0; i <= nx; i++ {
-		l := f.degY(i) + 1
-		rows = append(rows, buf[off:off+l:off+l])
-		off += l
-	}
-	f.rows[w], f.buf[w] = rows, buf
-	next := rows
-	// Scatter every old coefficient into the three destination cells,
-	// clamping indexes into the truncated state space.
-	for i, row := range f.c {
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			if p0 > 0 {
-				f.add(next, i, j, v*p0)
-			}
-			if pX > 0 {
-				f.add(next, i+1, j, v*pX)
-			}
-			if pY > 0 {
-				f.add(next, i, j+1, v*pY)
-			}
-		}
-	}
-	f.c = next
-	f.cur = w
-}
-
-// add accumulates mass into cell (i, j) of dst, applying the Section VI
-// merge rules when the UGF is truncated: i is capped at kMax with j
-// forced to 0, and j is capped at kMax−i.
-func (f *UGF) add(dst [][]float64, i, j int, v float64) {
-	if f.kMax > 0 {
-		if i >= f.kMax {
-			i, j = f.kMax, 0
-		} else if j > f.kMax-i {
-			j = f.kMax - i
-		}
-	}
-	dst[i][j] += v
+	f.x = mulLinear(f.x, 1-iv.LB, iv.LB, f.kMax)
+	f.xy = mulLinear(f.xy, 1-iv.UB, iv.UB, f.kMax)
+	f.x0 = mulLinear(f.x0, 1-iv.UB, iv.LB, f.kMax)
 }
 
 // MultiplyAll folds a sequence of probability intervals into the UGF.
@@ -210,37 +116,43 @@ func (f *UGF) MultiplyAll(ivs []Interval) {
 	}
 }
 
-// Coefficient returns c_{i,j}; zero for untracked cells.
-func (f *UGF) Coefficient(i, j int) float64 {
-	if i < 0 || j < 0 || i >= len(f.c) || j >= len(f.c[i]) {
-		return 0
+// Terms returns the degree-k coefficients of the three polynomials,
+// P(X = k), P(X+Y = k) and P(X = k, Y = 0), or zeros past the tracked
+// degree. With running sums over k they give every bound in one pass.
+func (f *UGF) Terms(k int) (x, xy, x0 float64) {
+	if k < 0 || k >= len(f.x) {
+		return 0, 0, 0
 	}
-	return f.c[i][j]
+	return f.x[k], f.xy[k], f.x0[k]
+}
+
+// below returns Σ_{j<k} p[j].
+func below(p []float64, k int) float64 {
+	sum := 0.0
+	for j := 0; j < k && j < len(p); j++ {
+		sum += p[j]
+	}
+	return sum
 }
 
 // LowerBound returns the conservative bound c_{k,0} of P(Σ = k). For a
 // truncated UGF the value is only meaningful for k < kMax.
 func (f *UGF) LowerBound(k int) float64 {
-	if f.kMax > 0 && k >= f.kMax {
-		return 0
-	}
-	return f.Coefficient(k, 0)
+	_, _, x0 := f.Terms(k)
+	return x0
 }
 
-// UpperBound returns the progressive bound Σ_{i≤k, i+j≥k} c_{i,j} of
-// P(Σ = k). For a truncated UGF the value is only meaningful for
-// k < kMax.
+// UpperBound returns the progressive bound P(X ≤ k) − P(X+Y < k) of
+// P(Σ = k), clamped to [LowerBound(k), 1], and 0 for a count outside
+// [0, N]. For a truncated UGF the value is only meaningful for k < kMax.
 func (f *UGF) UpperBound(k int) float64 {
-	if f.kMax > 0 && k >= f.kMax {
+	switch {
+	case f.kMax > 0 && k >= f.kMax:
 		return 1
+	case k < 0 || k > f.n:
+		return 0
 	}
-	sum := 0.0
-	for i := 0; i <= k && i < len(f.c); i++ {
-		for j := max(0, k-i); j < len(f.c[i]); j++ {
-			sum += f.c[i][j]
-		}
-	}
-	return sum
+	return min(max(below(f.x, k+1)-below(f.xy, k), f.LowerBound(k)), 1)
 }
 
 // Bound returns the [LB, UB] interval for P(Σ = k).
@@ -263,66 +175,22 @@ func (f *UGF) Bounds() []Interval {
 	return out
 }
 
-// CDFLowerBound returns a conservative bound of P(Σ < k): the mass of
-// all coefficients whose largest possible count stays below k,
-// Σ_{i+j<k} c_{i,j}. By Lemma 4 c_{i,j} is mass whose sum lies in
-// [i, i+j], so every such world has Σ < k; the Section VI merge only
-// touches cells with i+j ≥ kMax, so a truncated UGF gives the same value
-// as the full one for every k ≤ kMax (larger k are answered at kMax,
-// which is still conservative).
-func (f *UGF) CDFLowerBound(k int) float64 {
-	if f.kMax > 0 && k > f.kMax {
-		k = f.kMax
-	}
-	sum := 0.0
-	for i := 0; i < k && i < len(f.c); i++ {
-		row := f.c[i]
-		for j := 0; j < k-i && j < len(row); j++ {
-			sum += row[j]
-		}
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
-}
-
-// CDFUpperBound returns a progressive bound of P(Σ < k): the total mass
-// of all coefficients whose definite count is below k, Σ_{i<k, j} c_{i,j}.
-func (f *UGF) CDFUpperBound(k int) float64 {
-	sum := 0.0
-	for i := 0; i < k && i < len(f.c); i++ {
-		for _, v := range f.c[i] {
-			sum += v
-		}
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
-}
-
-// CDFBound returns the [LB, UB] interval for P(Σ < k).
+// CDFBound returns the [LB, UB] interval for P(Σ < k): [P(X+Y < k),
+// P(X < k)], capped at 1, with the lower end kept at or below the
+// upper. A truncated UGF answers a k past kMax with its bounds at kMax
+// widened to 1 above, which is still sound.
 func (f *UGF) CDFBound(k int) Interval {
-	return Interval{LB: f.CDFLowerBound(k), UB: f.CDFUpperBound(k)}
+	if f.kMax > 0 && k > f.kMax {
+		return Interval{LB: f.CDFBound(f.kMax).LB, UB: 1}
+	}
+	ub := min(below(f.x, k), 1)
+	return Interval{LB: min(below(f.xy, k), ub), UB: ub}
 }
 
-// TotalMass returns the sum of all tracked coefficients; it is 1 up to
-// floating-point error after any number of multiplications (useful as a
-// sanity invariant).
-func (f *UGF) TotalMass() float64 {
-	sum := 0.0
-	for _, row := range f.c {
-		for _, v := range row {
-			sum += v
-		}
-	}
-	return sum
-}
+// CDFLowerBound returns the conservative bound P(X+Y < k) of P(Σ < k):
+// every world with X+Y < k has Σ < k.
+func (f *UGF) CDFLowerBound(k int) float64 { return f.CDFBound(k).LB }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// CDFUpperBound returns the progressive bound P(X < k) of P(Σ < k):
+// every world with Σ < k has X < k.
+func (f *UGF) CDFUpperBound(k int) float64 { return f.CDFBound(k).UB }

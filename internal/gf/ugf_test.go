@@ -10,9 +10,11 @@ import (
 // F² = 0.12x² + 0.34x + 0.1 + 0.22xy + 0.16y + 0.06y², hence
 // P(Σ=2) ∈ [12%, 40%], P(Σ=1) ∈ [34%, 78%], P(Σ=0) ∈ [10%, 32%].
 func TestUGFPaperExample3(t *testing.T) {
-	f := NewUGF()
-	f.Multiply(Interval{LB: 0.2, UB: 0.5})
-	f.Multiply(Interval{LB: 0.6, UB: 0.8})
+	f, ref := NewUGF(), newRefUGF(0)
+	for _, iv := range []Interval{{LB: 0.2, UB: 0.5}, {LB: 0.6, UB: 0.8}} {
+		f.Multiply(iv)
+		ref.Multiply(iv)
+	}
 
 	coeffs := []struct {
 		i, j int
@@ -22,7 +24,7 @@ func TestUGFPaperExample3(t *testing.T) {
 		{1, 1, 0.22}, {0, 1, 0.16}, {0, 2, 0.06},
 	}
 	for _, c := range coeffs {
-		if got := f.Coefficient(c.i, c.j); !almostEqual(got, c.want, 1e-12) {
+		if got := ref.Coefficient(c.i, c.j); !almostEqual(got, c.want, 1e-12) {
 			t.Errorf("c_{%d,%d} = %g, want %g", c.i, c.j, got, c.want)
 		}
 	}
@@ -34,22 +36,36 @@ func TestUGFPaperExample3(t *testing.T) {
 		{2, 0.12, 0.40}, {1, 0.34, 0.78}, {0, 0.10, 0.32},
 	}
 	for _, b := range bounds {
-		iv := f.Bound(b.k)
-		if !almostEqual(iv.LB, b.lb, 1e-12) || !almostEqual(iv.UB, b.ub, 1e-12) {
-			t.Errorf("Bound(%d) = [%g, %g], want [%g, %g]", b.k, iv.LB, iv.UB, b.lb, b.ub)
+		for _, iv := range []Interval{f.Bound(b.k), ref.Bound(b.k)} {
+			if !almostEqual(iv.LB, b.lb, 1e-12) || !almostEqual(iv.UB, b.ub, 1e-12) {
+				t.Errorf("Bound(%d) = [%g, %g], want [%g, %g]", b.k, iv.LB, iv.UB, b.lb, b.ub)
+			}
 		}
 	}
 }
 
+// masses returns the total mass of the UGF's polynomials for X and X+Y.
+func masses(f *UGF) (x, xy float64) {
+	for k := 0; k <= f.N(); k++ {
+		a, b, _ := f.Terms(k)
+		x, xy = x+a, xy+b
+	}
+	return x, xy
+}
+
 func TestUGFTotalMassInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	f := NewUGF()
+	f, ref := NewUGF(), newRefUGF(0)
 	for i := 0; i < 40; i++ {
 		lb := rng.Float64()
 		ub := lb + rng.Float64()*(1-lb)
 		f.Multiply(Interval{LB: lb, UB: ub})
-		if !almostEqual(f.TotalMass(), 1, 1e-9) {
-			t.Fatalf("after %d factors mass = %g", i+1, f.TotalMass())
+		ref.Multiply(Interval{LB: lb, UB: ub})
+		if !almostEqual(ref.TotalMass(), 1, 1e-9) {
+			t.Fatalf("after %d factors reference mass = %g", i+1, ref.TotalMass())
+		}
+		if x, xy := masses(f); !almostEqual(x, 1, 1e-9) || !almostEqual(xy, 1, 1e-9) {
+			t.Fatalf("after %d factors masses = %g, %g", i+1, x, xy)
 		}
 	}
 }
@@ -116,12 +132,13 @@ func TestTruncatedUGFMatchesFullBelowK(t *testing.T) {
 		kMax := 1 + rng.Intn(8)
 		full := NewUGF()
 		trunc := NewTruncatedUGF(kMax)
-		for i := 0; i < n; i++ {
+		ivs := make([]Interval, n)
+		for i := range ivs {
 			lb := rng.Float64()
 			ub := lb + rng.Float64()*(1-lb)
-			iv := Interval{LB: lb, UB: ub}
-			full.Multiply(iv)
-			trunc.Multiply(iv)
+			ivs[i] = Interval{LB: lb, UB: ub}
+			full.Multiply(ivs[i])
+			trunc.Multiply(ivs[i])
 		}
 		for k := 0; k < kMax && k <= n; k++ {
 			fb, tb := full.Bound(k), trunc.Bound(k)
@@ -135,8 +152,11 @@ func TestTruncatedUGFMatchesFullBelowK(t *testing.T) {
 					n, kMax, k+1, fc.LB, fc.UB, tc.LB, tc.UB)
 			}
 		}
-		if !almostEqual(trunc.TotalMass(), 1, 1e-9) {
-			t.Fatalf("truncated mass = %g", trunc.TotalMass())
+		// The merge rules the truncation replaced kept all the mass.
+		ref := newRefUGF(kMax)
+		ref.MultiplyAll(ivs)
+		if !almostEqual(ref.TotalMass(), 1, 1e-9) {
+			t.Fatalf("truncated reference mass = %g", ref.TotalMass())
 		}
 	}
 }
@@ -152,8 +172,8 @@ func TestUGFBoundsSliceAndAccessors(t *testing.T) {
 	if f.N() != 2 {
 		t.Errorf("N = %d", f.N())
 	}
-	if got := f.Coefficient(-1, 0); got != 0 {
-		t.Errorf("out-of-range coefficient = %g", got)
+	if x, xy, x0 := f.Terms(-1); x != 0 || xy != 0 || x0 != 0 {
+		t.Errorf("out-of-range terms = %g, %g, %g", x, xy, x0)
 	}
 	tr := NewTruncatedUGF(2)
 	tr.Multiply(Interval{LB: 0.2, UB: 0.5})

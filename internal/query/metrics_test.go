@@ -66,6 +66,25 @@ func TestQueryMetricsAndTrace(t *testing.T) {
 			t.Fatalf("query.%s.latency.count = %d after a KNN-only run", kind, got)
 		}
 	}
+
+	// InverseRank: its one candidate is refined, and the run's
+	// iterations, phases and cache traffic land in the caller's trace.
+	tr = &obs.Trace{}
+	rd, err := e.InverseRank(obs.WithTrace(context.Background(), tr), db[0], q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap = tr.Snapshot()
+	if snap.Candidates != 1 || snap.Refined != 1 || snap.Iterations != uint64(len(rd.Result.Iterations)) {
+		t.Fatalf("InverseRank trace candidates=%d refined=%d iterations=%d, want 1, 1, %d",
+			snap.Candidates, snap.Refined, snap.Iterations, len(rd.Result.Iterations))
+	}
+	if snap.CacheHits+snap.CacheMisses == 0 {
+		t.Fatal("InverseRank trace saw no decomposition-cache traffic")
+	}
+	if snap.Prepare <= 0 || snap.Eval <= 0 {
+		t.Fatalf("InverseRank phase durations prepare=%v eval=%v, want both > 0", snap.Prepare, snap.Eval)
+	}
 }
 
 // TestQueryMetricsAllKinds: each query entry point lands in its own

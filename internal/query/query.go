@@ -432,14 +432,23 @@ func (sn *Snapshot) InverseRank(ctx context.Context, b, r *uncertain.Object) (*R
 			return nil, err
 		}
 	}
+	tr, pooled := sn.obs.traceFor(ctx)
 	start := time.Now()
 	opts := sn.runOpts()
 	opts.Parallelism = sn.opts.Parallelism
 	cache := sn.queryCache()
 	opts.SharedDecomps = cache
+	// b is the one candidate, and it is always refined.
+	tr.AddCandidates(1)
+	sn.obs.countCandidates(1)
+	tr.AddPrepare(time.Since(start))
+	evalStart := time.Now()
 	res := sn.run(b, r, opts)
-	recordCache(sn.obs, nil, cache)
-	sn.obs.observe(kindInverseRank, start, nil, false)
+	tr.CountRefined(len(res.Iterations))
+	sn.obs.countRefined(len(res.Iterations))
+	tr.AddEval(time.Since(evalStart))
+	recordCache(sn.obs, tr, cache)
+	sn.obs.observe(kindInverseRank, start, tr, pooled)
 	ranks := make([]gf.Interval, len(res.Bounds))
 	copy(ranks, res.Bounds)
 	return &RankDistribution{
