@@ -6,6 +6,7 @@
 package probprune_test
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -61,9 +62,14 @@ func driftRandom(b *testing.B, s *probprune.Store, db probprune.Database, rng *r
 // bootstrap creates a durable one-shard store over db in a fresh
 // directory, closed with the benchmark.
 func bootstrap(b *testing.B, db probprune.Database, popts probprune.PersistOptions) *probprune.Store {
+	return bootstrapSharded(b, db, popts, 1)
+}
+
+// bootstrapSharded is bootstrap with the given shard count.
+func bootstrapSharded(b *testing.B, db probprune.Database, popts probprune.PersistOptions, shards int) *probprune.Store {
 	b.Helper()
 	popts.Dir = b.TempDir()
-	s, err := probprune.BootstrapStore(db, popts, benchOpts)
+	s, err := probprune.BootstrapShardedStore(db, popts, probprune.ShardedOptions{Shards: shards}, benchOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -176,26 +182,32 @@ func BenchmarkDurableIngestSerial(b *testing.B) {
 }
 
 // BenchmarkDurableIngestGroupCommit: the same update stream from 8
-// committers per GOMAXPROCS. One leader fsync acknowledges every append
-// that landed before it, so a commit pays ~1/batch of an fsync.
-// Committers block in the durability wait, not on a P, so the batch
-// forms at GOMAXPROCS=1 too.
+// committers per GOMAXPROCS, on one shard and on four. One leader fsync
+// acknowledges every append that landed before it, so a commit pays
+// ~1/batch of an fsync. Committers block in the durability wait, not on
+// a P, so the batch forms at GOMAXPROCS=1 too. Every shard count keeps
+// one journal and waits after releasing the store lock, so four shards
+// share fsyncs as one does.
 func BenchmarkDurableIngestGroupCommit(b *testing.B) {
-	db := benchDB(b)
-	s := bootstrap(b, db, probprune.PersistOptions{Sync: probprune.SyncAlways})
-	var seed atomic.Int64
-	b.SetParallelism(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(500 + seed.Add(1)))
-		for pb.Next() {
-			if err := driftRandom(b, s, db, rng); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			db := benchDB(b)
+			s := bootstrapSharded(b, db, probprune.PersistOptions{Sync: probprune.SyncAlways}, shards)
+			var seed atomic.Int64
+			b.SetParallelism(8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(500 + seed.Add(1)))
+				for pb.Next() {
+					if err := driftRandom(b, s, db, rng); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkCheckpointUnderLoad: journaled updates with a checkpoint

@@ -50,7 +50,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":7654", "TCP listen address")
 		dir        = flag.String("dir", "", "durable store directory (empty: volatile in-memory store)")
-		shards     = flag.Int("shards", 1, "shard count (with -dir, must match a store already there)")
+		shards     = flag.Int("shards", 1, "shard count (with -dir, must match a store already there; every count keeps one journal in -dir)")
 		sync       = flag.String("sync", "os", "fsync policy for durable commits: os, always, background")
 		ckptEvery  = flag.Int("checkpoint-every", 4096, "auto-checkpoint after this many journal records (durable only)")
 		synthetic  = flag.Int("synthetic", 0, "preload N synthetic objects (volatile or fresh durable store)")

@@ -129,11 +129,9 @@ func TestAutoCheckpointFailureSurfacedSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bootstrap leaves each shard at checkpoint 2 (its own genesis
-	// snapshot plus the first manifest's checkpoint); block shard 0's
-	// next one — the checkpoint saves the manifest, then fails on the
-	// shard.
-	blocker := blockCheckpoint(t, filepath.Join(dir, "shard-0"), 3)
+	// Bootstrap wrote checkpoint 1, every shard's objects in one file;
+	// the auto-checkpoint will try 2.
+	blocker := blockCheckpoint(t, dir, 2)
 
 	obj := func(i int) *uncertain.Object {
 		return uncertain.PointObject(2000+i, geom.Point{0.07 * float64(i), 0.4})

@@ -3,8 +3,9 @@ package query
 import (
 	"errors"
 	"fmt"
-	"os"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"probprune/internal/geom"
 	"probprune/internal/obs"
 	"probprune/internal/uncertain"
+	"probprune/internal/wal"
 )
 
 // These tests pin down the two promises of background checkpointing:
@@ -146,7 +148,7 @@ func TestKillPointStoreCheckpointInstall(t *testing.T) {
 		snaps[step] = dst
 	}
 	snapshot("begin")
-	s.shards[0].journal.SetInstallHook(func(step string) { snapshot(step) })
+	s.journal.SetInstallHook(func(step string) { snapshot(step) })
 	if err := s.installCheckpoint(job); err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +181,9 @@ func TestKillPointStoreCheckpointInstall(t *testing.T) {
 }
 
 // TestKillPointShardedCheckpointInstall crashes a sharded checkpoint —
-// manifest save, then per-shard installs — at every step of every
-// shard's install; each image must recover the full committed state
-// whatever mix of old and new shard checkpoints it caught.
+// one file holding every shard's objects and the shard trailer — at
+// every step of its install; each image must recover the full committed
+// state, shard sizes included, whichever checkpoint it caught.
 func TestKillPointShardedCheckpointInstall(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, _ := traceCase(t, 15, true)
@@ -206,22 +208,17 @@ func TestKillPointShardedCheckpointInstall(t *testing.T) {
 		snaps[step] = dst
 	}
 	snapshot("begin")
-	for i, sh := range s.shards {
-		shard := i
-		sh.journal.SetInstallHook(func(step string) {
-			snapshot(fmt.Sprintf("shard-%d:%s", shard, step))
-		})
-	}
+	s.journal.SetInstallHook(func(step string) { snapshot(step) })
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	snapshot("done")
-	wantLen, wantVer := s.Len(), s.Version()
+	wantLen, wantVer, wantSizes := s.Len(), s.Version(), s.ShardSizes()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if len(snaps) < 2+2*4 {
+	if len(snaps) < 2+4 {
 		t.Fatalf("only %d crash images captured", len(snaps))
 	}
 	for step, sdir := range snaps {
@@ -229,9 +226,9 @@ func TestKillPointShardedCheckpointInstall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", step, err)
 		}
-		if r.Len() != wantLen || r.Version() != wantVer {
-			t.Fatalf("%s: recovered len %d version %d, want %d and %d",
-				step, r.Len(), r.Version(), wantLen, wantVer)
+		if r.Len() != wantLen || r.Version() != wantVer || !slices.Equal(r.ShardSizes(), wantSizes) {
+			t.Fatalf("%s: recovered len %d version %d sizes %v, want %d, %d and %v",
+				step, r.Len(), r.Version(), r.ShardSizes(), wantLen, wantVer, wantSizes)
 		}
 		for i := 0; i < 10; i++ {
 			if _, ok := r.Get(5000 + i); !ok {
@@ -243,10 +240,11 @@ func TestKillPointShardedCheckpointInstall(t *testing.T) {
 }
 
 // TestKillPointShardedBootstrap crashes a multi-shard bootstrap at every
-// step of every shard's checkpoint installs, on both sides of the first
-// manifest. udbserver's bootstrap-or-open pair must start on every
-// image with the whole bootstrap database: an image without a manifest
-// is debris the bootstrap clears, one with a manifest is recovered.
+// step of its genesis checkpoint install, on both sides of the
+// checkpoint's rename. udbserver's bootstrap-or-open pair must start on
+// every image with the whole bootstrap database on its shards: an image
+// without a checkpoint holds no data and is bootstrapped again, one with
+// it is recovered.
 func TestKillPointShardedBootstrap(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, _ := traceCase(t, 16, true)
@@ -263,18 +261,14 @@ func TestKillPointShardedBootstrap(t *testing.T) {
 	}
 	bootstrapHook = func(s *Store) {
 		snapshot("attached")
-		for i, sh := range s.shards {
-			shard := i
-			sh.journal.SetInstallHook(func(step string) {
-				snapshot(fmt.Sprintf("shard-%d:%s", shard, step))
-			})
-		}
+		s.journal.SetInstallHook(snapshot)
 	}
 	s, err := BootstrapShardedStore(db, PersistOptions{Dir: dir}, sopts, opts)
 	bootstrapHook = nil
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantSizes := s.ShardSizes()
 	snapshot("done")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -283,7 +277,7 @@ func TestKillPointShardedBootstrap(t *testing.T) {
 	var with, without int
 	for _, step := range steps {
 		sdir := snaps[step]
-		if _, err := os.Stat(filepath.Join(sdir, manifestName)); err == nil {
+		if cks, _ := filepath.Glob(filepath.Join(sdir, "*.ckpt")); len(cks) > 0 {
 			with++
 		} else {
 			without++
@@ -296,9 +290,9 @@ func TestKillPointShardedBootstrap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: bootstrap-or-open: %v", step, err)
 		}
-		if r.Len() != len(db) || r.Version() != 0 || r.NumShards() != 2 {
-			t.Fatalf("%s: got len %d version %d shards %d, want %d, 0 and 2",
-				step, r.Len(), r.Version(), r.NumShards(), len(db))
+		if r.Len() != len(db) || r.Version() != 0 || !slices.Equal(r.ShardSizes(), wantSizes) {
+			t.Fatalf("%s: got len %d version %d sizes %v, want %d, 0 and %v",
+				step, r.Len(), r.Version(), r.ShardSizes(), len(db), wantSizes)
 		}
 		for _, o := range db {
 			if _, ok := r.Get(o.ID); !ok {
@@ -310,6 +304,64 @@ func TestKillPointShardedBootstrap(t *testing.T) {
 		}
 	}
 	if with < 2 || without < 2 {
-		t.Fatalf("crash images: %d with a manifest, %d without", with, without)
+		t.Fatalf("crash images: %d with a checkpoint, %d without", with, without)
+	}
+}
+
+// TestDurableShardedConcurrentCommits: committers, movers, rebalances
+// and auto-checkpoints race on a durable 4-shard SyncAlways store, whose
+// commits wait for durability after releasing the store lock. The
+// reopened store equals the closed one: size, version, shard sizes,
+// version vector and every query.
+func TestDurableShardedConcurrentCommits(t *testing.T) {
+	db, _ := traceCase(t, 23, false)
+	opts := core.Options{MaxIterations: 2}
+	sopts := ShardedOptions{Shards: 4}
+	popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db"), Sync: wal.SyncAlways, CheckpointEvery: 5}
+	s, err := BootstrapShardedStore(db, popts, sopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 24; i++ {
+				id := db[rng.Intn(len(db))].ID
+				var err error
+				switch i % 4 {
+				case 0:
+					err = s.Update(uncertain.PointObject(id, geom.Point{rng.Float64(), rng.Float64()}))
+				case 1:
+					err = s.Move(id, rng.Intn(4))
+				case 2:
+					err = s.Insert(uncertain.PointObject(1000*(w+1)+i, geom.Point{rng.Float64(), rng.Float64()}))
+				default:
+					s.Rebalance()
+				}
+				if err != nil {
+					t.Errorf("committer %d, op %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenShardedStore(popts, sopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	compareBackends(t, "reopen", r, s)
+	if g, w := r.ShardSizes(), s.ShardSizes(); !slices.Equal(g, w) {
+		t.Fatalf("shard sizes %v, want %v", g, w)
+	}
+	if g, w := r.Snapshot().VersionVector(), s.Snapshot().VersionVector(); !slices.Equal(g, w) {
+		t.Fatalf("version vector %v, want %v", g, w)
 	}
 }

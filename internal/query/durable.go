@@ -4,10 +4,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +16,6 @@ import (
 	"probprune/internal/wal"
 )
 
-// manifestName is the store-level durable state file of a multi-shard
-// store's directory.
-const manifestName = "MANIFEST"
-
 // ErrStoreExists reports a bootstrap over a directory that already
 // holds a store; open it instead.
 var ErrStoreExists = errors.New("store: directory already holds a store")
@@ -29,18 +23,17 @@ var ErrStoreExists = errors.New("store: directory already holds a store")
 var errClosed = errors.New("store: closed")
 
 // bootstrapHook, when set (tests only), runs once a bootstrap has
-// attached its journals, before any genesis checkpoint installs.
+// attached its journal, before the genesis checkpoint installs.
 var bootstrapHook func(*Store)
 
 // PersistOptions configures the durability of a store opened with
 // BootstrapShardedStore/OpenShardedStore (or their one-shard
-// shorthands): where the journals live, when they are fsynced, and when
-// the logs are compacted into checkpoints.
+// shorthands): where the journal lives, when it is fsynced, and when
+// the log is compacted into checkpoints.
 type PersistOptions struct {
-	// Dir is the store directory (created if absent). A one-shard store
-	// journals in Dir itself; a multi-shard store keeps one journal per
-	// shard (shard-0, shard-1, ...) plus a MANIFEST carrying the version
-	// vector.
+	// Dir is the store directory (created if absent). It holds the
+	// store's one journal — log segments and checkpoints — whatever the
+	// shard count: the records and checkpoints name each object's shard.
 	Dir string
 	// Sync is the fsync policy for journaled commits; the zero value is
 	// wal.SyncOS (no explicit fsync).
@@ -48,7 +41,7 @@ type PersistOptions struct {
 	// SyncEvery is the wal.SyncBackground flush interval; <= 0 selects
 	// one second.
 	SyncEvery time.Duration
-	// CheckpointEvery writes a checkpoint (and truncates the logs)
+	// CheckpointEvery writes a checkpoint (and truncates the log)
 	// automatically once that many commits accumulated since the last
 	// one; 0 disables auto-checkpointing (call Checkpoint explicitly).
 	CheckpointEvery int
@@ -61,22 +54,17 @@ func (p PersistOptions) wal() wal.Options {
 	return wal.Options{Sync: p.Sync, SyncEvery: p.SyncEvery, SegmentBytes: p.SegmentBytes}
 }
 
-// durability is the one durability coordinator of a durable store: the
-// logs are the shards' journals; it owns the checkpoint policy, the
-// manifest, the background installer and the deferred errors, so
-// neither fsyncs nor checkpoint serialization stall committers.
+// durability is the durability coordinator of a durable store: it owns
+// the checkpoint policy, the background installer and the deferred
+// errors, so neither fsyncs nor checkpoint serialization stall
+// committers.
 type durability struct {
 	popts PersistOptions
 	since uint64 // commits since the last checkpoint pin; guarded by the store lock
 
 	// installMu serializes checkpoint installs (background and
-	// synchronous Checkpoint calls). installed, guarded by it, keeps a
-	// late older install from regressing the manifest below a newer one:
-	// the shard logs past an older manifest epoch are truncated by the
-	// newer shard checkpoints, so a regressed manifest would be
-	// unrecoverable. The journals skip stale pins themselves.
+	// synchronous Checkpoint calls); the journal skips stale pins itself.
 	installMu sync.Mutex
-	installed uint64
 
 	// The background installer holds at most one pending install: a
 	// newer pin submitted while another install runs replaces a
@@ -201,19 +189,14 @@ func (d *durability) deferredErr() error {
 	return nil
 }
 
-// journalLocked journals rec on shard si before it is applied, stamped
-// with the shard version and (N > 1) the store epoch global, and returns
-// the sequence to wait on — 0 in memory. A logical commit first
-// surfaces a deferred failure. Requires s.mu held for writing.
-func (s *Store) journalLocked(si int, rec wal.Record, global uint64) (uint64, error) {
+// journalLocked journals rec before it is applied and returns the
+// sequence to wait on — 0 in memory. A logical commit first surfaces a
+// deferred failure. Requires s.mu held for writing.
+func (s *Store) journalLocked(rec wal.Record) (uint64, error) {
 	if s.closed {
 		return 0, errClosed
 	}
-	if s.failed != nil {
-		return 0, s.failed
-	}
-	sh := s.shards[si]
-	if sh.journal == nil {
+	if s.journal == nil {
 		return 0, nil
 	}
 	if rec.Op.Logical() {
@@ -221,20 +204,7 @@ func (s *Store) journalLocked(si int, rec wal.Record, global uint64) (uint64, er
 			return 0, err
 		}
 	}
-	rec.Version = sh.version + 1
-	if len(s.shards) > 1 {
-		rec.Global = global
-	}
-	return sh.journal.AppendAsync(rec)
-}
-
-// failLocked latches the store (keeping the first error): every later
-// mutation, Sync and Close returns it. Requires s.mu held for writing.
-func (s *Store) failLocked(err error) {
-	if s.failed == nil {
-		s.failed = err
-		s.dur.record(err)
-	}
+	return s.journal.AppendAsync(rec)
 }
 
 // maybeCheckpointLocked runs the auto-checkpoint policy after a commit:
@@ -260,88 +230,75 @@ func (s *Store) maybeCheckpointLocked() {
 	d.submit(func() error { return s.installCheckpoint(job) })
 }
 
-// ckptJob is one pinned checkpoint: a journal pin and a published cut
-// per shard, plus the manifest of a multi-shard store.
+// ckptJob is one pinned checkpoint: the journal pin, the store version
+// and a published cut per shard.
 type ckptJob struct {
-	m    *wal.Manifest
-	pins []wal.CheckpointPin
-	cuts []*Snapshot
+	pin     wal.CheckpointPin
+	version uint64
+	cuts    []*Snapshot
 }
 
-// pinCheckpointLocked pins the current state for a checkpoint: every
-// shard journal rotates (O(1)) and every shard's cut is published — it
-// is immutable, so the install flattens and serializes it off the lock
-// while commits proceed. A checkpoint holds the version and the objects
-// in ascending ID order, so its bytes depend on the database only, not
-// on the order of the writes; with more than one shard the manifest
-// adds the version vector. Requires s.mu held for writing.
+// pinCheckpointLocked pins the current state for a checkpoint: the
+// journal rotates (O(1)) and every shard's cut is published — it is
+// immutable, so the install flattens and serializes it off the lock
+// while commits proceed. A checkpoint holds the version and the objects,
+// shard by shard in ascending ID order, so its bytes depend on the
+// database and its placement only, not on the order of the writes.
+// Requires s.mu held for writing.
 func (s *Store) pinCheckpointLocked() (*ckptJob, error) {
-	job := &ckptJob{}
-	if len(s.shards) > 1 {
-		job.m = &wal.Manifest{Version: s.version, Shards: len(s.shards)}
+	pin, err := s.journal.BeginCheckpoint()
+	if err != nil {
+		return nil, err
 	}
-	for _, sh := range s.shards {
-		pin, err := sh.journal.BeginCheckpoint()
-		if err != nil {
-			return nil, err
-		}
-		if job.m != nil {
-			job.m.VV = append(job.m.VV, sh.version)
-		}
-		// Lock-free, allocation-free record: the pin runs on the commit
-		// path under s.mu, which the recorder never stalls.
-		s.dur.rec.Load().Record(obs.EvCheckpointBegin, 0, 0, int64(sh.version), 0)
-		job.pins = append(job.pins, pin)
-		job.cuts = append(job.cuts, s.cutLocked(sh))
+	// Lock-free, allocation-free record: the pin runs on the commit path
+	// under s.mu, which the recorder never stalls.
+	s.dur.rec.Load().Record(obs.EvCheckpointBegin, 0, 0, int64(s.version), 0)
+	job := &ckptJob{pin: pin, version: s.version, cuts: make([]*Snapshot, len(s.shards))}
+	for i, sh := range s.shards {
+		job.cuts[i] = s.cutLocked(sh)
 	}
 	s.dur.since = 0
 	return job, nil
 }
 
-// installCheckpoint installs one pinned checkpoint: the manifest first
-// (the commit point recovery trusts), then every shard's checkpoint,
-// truncating the shard logs. A crash between the two leaves the
-// manifest current and the shard logs long — recovery replays the
-// surplus records into states the manifest already describes, landing
-// on the same head. A superseded shard pin counts as success (a newer
-// checkpoint already covers its state).
+// installCheckpoint installs one pinned checkpoint, truncating the log:
+// one shard's objects at the store version, or with more than one every
+// shard's objects in turn and the shard trailer of versions and counts.
+// A superseded pin counts as success (a newer checkpoint already covers
+// its state).
 func (s *Store) installCheckpoint(job *ckptJob) error {
 	d := s.dur
 	d.installMu.Lock()
 	defer d.installMu.Unlock()
-	if job.m != nil {
-		if job.m.Version < d.installed {
-			return nil
-		}
-		if err := wal.SaveManifest(filepath.Join(d.popts.Dir, manifestName), job.m); err != nil {
-			return err
-		}
-		d.installed = job.m.Version
-	}
-	for i, sh := range s.shards {
-		start := time.Now()
-		cut := job.cuts[i]
-		err := sh.journal.InstallCheckpoint(job.pins[i], &wal.Checkpoint{Version: cut.version, Objects: cut.Database()})
-		switch {
-		case errors.Is(err, wal.ErrCheckpointSuperseded):
-			d.rec.Load().Record(obs.EvCheckpointSupersede, 0, 0, int64(cut.version), 0)
-		case err != nil:
-			return err
-		default:
-			d.rec.Load().Record(obs.EvCheckpointInstall, 0, time.Since(start), int64(cut.version), 0)
+	start := time.Now()
+	ck := &wal.Checkpoint{Version: job.version, Objects: job.cuts[0].Database()}
+	if len(job.cuts) > 1 {
+		ck.Objects = nil
+		for _, c := range job.cuts {
+			ck.Objects = append(ck.Objects, c.Database()...)
+			ck.Shards = append(ck.Shards, wal.ShardState{Version: c.version, Len: c.Len()})
 		}
 	}
+	err := s.journal.InstallCheckpoint(job.pin, ck)
+	switch {
+	case errors.Is(err, wal.ErrCheckpointSuperseded):
+		d.rec.Load().Record(obs.EvCheckpointSupersede, 0, 0, int64(job.version), 0)
+		return nil
+	case err != nil:
+		return err
+	}
+	d.rec.Load().Record(obs.EvCheckpointInstall, 0, time.Since(start), int64(job.version), 0)
 	return nil
 }
 
 // Checkpoint durably snapshots the store's current state — every
-// shard's objects in ascending ID order and version and, with more than
-// one shard, the manifest of version vector — and truncates the
-// journals to it. No decomposition is persisted, so the files do not
-// depend on which queries ran. Reopening afterwards loads
-// the snapshot and replays only commits journaled since. The state is
-// pinned under the store lock but encoded and installed outside it, so
-// concurrent commits are never stalled by the write.
+// shard's objects in ascending ID order, the version and, with more than
+// one shard, every shard's version — and truncates the journal to it.
+// No decomposition is persisted, so the file does not depend on which
+// queries ran. Reopening afterwards loads the snapshot and replays only
+// commits journaled since. The state is pinned under the store lock but
+// encoded and installed outside it, so concurrent commits are never
+// stalled by the write.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	var job *ckptJob
@@ -350,8 +307,6 @@ func (s *Store) Checkpoint() error {
 	case s.dur == nil:
 	case s.closed:
 		err = errClosed
-	case s.failed != nil:
-		err = s.failed
 	default:
 		job, err = s.pinCheckpointLocked()
 	}
@@ -369,27 +324,19 @@ func (s *Store) Checkpoint() error {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dur == nil || s.failed != nil {
-		return s.failed
-	}
-	if s.closed {
+	if s.dur == nil || s.closed {
 		return nil
 	}
 	s.dur.drain()
 	if err := s.dur.deferredErr(); err != nil {
 		return err
 	}
-	for _, sh := range s.shards {
-		if err := sh.journal.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.journal.Sync()
 }
 
-// Close drains the background installer and releases the journals.
+// Close drains the background installer and releases the journal.
 // Mutations fail after Close; snapshots and queries remain usable. Close
-// writes no checkpoint — reopening replays the log tails. No-op in
+// writes no checkpoint — reopening replays the log tail. No-op in
 // memory.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -399,52 +346,19 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.dur.drain()
-	return cmp.Or(s.failed, s.dur.deferredErr(), s.closeJournals())
+	return cmp.Or(s.dur.deferredErr(), s.journal.Close())
 }
 
-// closeJournals releases every attached shard journal.
-func (s *Store) closeJournals() error {
-	var err error
-	for _, sh := range s.shards {
-		if sh != nil && sh.journal != nil { // nil: a shard that failed to recover
-			err = cmp.Or(err, sh.journal.Close())
-		}
+// openJournal opens the journal in popts.Dir, refusing a directory in
+// the retired per-shard layout: one journal per shard in shard-i under
+// a MANIFEST, which earlier versions wrote for more than one shard.
+func openJournal(popts PersistOptions) (*wal.Journal, error) {
+	_, err := os.Stat(filepath.Join(popts.Dir, "MANIFEST"))
+	shardDirs, _ := filepath.Glob(filepath.Join(popts.Dir, "shard-*"))
+	if err == nil || len(shardDirs) > 0 {
+		return nil, fmt.Errorf("store: %s holds a store in the retired per-shard layout (shard-i journals under a MANIFEST); this version keeps one journal per store: bootstrap a new store from its objects", popts.Dir)
 	}
-	return err
-}
-
-// shardDir is the journal directory of shard i of a multi-shard store.
-func shardDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-}
-
-// storedLayout returns the journal directory of every shard of the
-// store dir holds — shard-i under a MANIFEST, or dir itself for one
-// shard — and the manifest; none when dir holds no store.
-func storedLayout(dir string) ([]string, *wal.Manifest, error) {
-	m, err := wal.LoadManifest(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, nil, err
-	}
-	if m != nil {
-		dirs := make([]string, m.Shards)
-		for i := range dirs {
-			dirs[i] = shardDir(dir, i)
-		}
-		return dirs, m, nil
-	}
-	// The probe stops at the first checkpoint or intact record instead
-	// of replaying the log — one read, however long the history.
-	j, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	has, err := j.HasData()
-	j.Close()
-	if err != nil || !has {
-		return nil, nil, err
-	}
-	return []string{dir}, nil, nil
+	return wal.Open(popts.Dir, popts.wal())
 }
 
 // BootstrapStore creates a NEW durable one-shard store over db at
@@ -454,69 +368,46 @@ func BootstrapStore(db uncertain.Database, popts PersistOptions, opts core.Optio
 }
 
 // BootstrapShardedStore creates a NEW durable store over db at
-// popts.Dir, writing the initial database as the first checkpoint: a
-// one-shard store journals in popts.Dir itself, a multi-shard one keeps
-// one journal per shard plus the MANIFEST. It fails with ErrStoreExists
-// when the directory already holds a store of either layout — recover
-// that with OpenShardedStore instead (an explicit choice, so a typo
-// cannot silently shadow an existing database with a fresh one).
+// popts.Dir — one journal in the directory itself, whatever the shard
+// count — writing the initial database as the first checkpoint. It
+// fails with ErrStoreExists when the directory already holds a store —
+// recover that with OpenShardedStore instead (an explicit choice, so a
+// typo cannot silently shadow an existing database with a fresh one).
 func BootstrapShardedStore(db uncertain.Database, popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, error) {
-	if dirs, _, err := storedLayout(popts.Dir); err != nil {
-		return nil, err
-	} else if dirs != nil {
-		return nil, fmt.Errorf("%w: %s holds a %d-shard store (open it instead of bootstrapping)", ErrStoreExists, popts.Dir, len(dirs))
-	}
-	s, err := NewShardedStore(db, sopts, opts)
+	j, err := openJournal(popts)
 	if err != nil {
 		return nil, err
 	}
-	// The first manifest is the commit point of a multi-shard bootstrap:
-	// shard journals without one are the debris of a bootstrap that
-	// crashed half way (the store was never handed to a caller) and would
-	// otherwise wedge the directory. Clear them and start over.
-	if stale, err := filepath.Glob(filepath.Join(popts.Dir, "shard-*")); err == nil {
-		for _, dir := range stale {
-			os.RemoveAll(dir)
-		}
-	}
-	for i, sh := range s.shards {
-		dir := popts.Dir
-		if len(s.shards) > 1 {
-			dir = shardDir(popts.Dir, i)
-		}
-		j, err := wal.Open(dir, popts.wal())
+	// The probe stops at the first checkpoint or intact record instead
+	// of replaying the log — one read, however long the history.
+	if has, err := j.HasData(); err != nil || has {
 		if err == nil {
-			// Replay positions the (empty) journal for appending.
-			if err = j.Replay(nil); err != nil {
-				j.Close()
-			}
+			err = fmt.Errorf("%w: %s holds a %d-shard store (open it instead of bootstrapping)", ErrStoreExists, popts.Dir, len(storedShards(j.Checkpoint())))
 		}
-		if err != nil {
-			s.closeJournals()
-			return nil, err
-		}
-		sh.journal = j
+		j.Close()
+		return nil, err
 	}
-	if bootstrapHook != nil {
-		bootstrapHook(s)
-	}
-	// The genesis state is durable before the store accepts a commit.
-	// Every shard's genesis checkpoint lands before the first manifest: a
-	// crash in between leaves shard debris, not a manifest over empty
-	// shards.
-	s.dur = newDurability(popts, s.obs)
-	s.mu.Lock()
-	job, err := s.pinCheckpointLocked()
-	s.mu.Unlock()
+	return bootstrap(j, db, popts, sopts, opts)
+}
+
+// bootstrap builds a store over db on j, a journal without data, and
+// makes the genesis state durable as the first checkpoint before the
+// store accepts a commit.
+func bootstrap(j *wal.Journal, db uncertain.Database, popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, error) {
+	s, err := NewShardedStore(db, sopts, opts)
 	if err == nil {
-		m := job.m
-		job.m = nil
-		if err = s.installCheckpoint(job); err == nil && m != nil {
-			err = s.Checkpoint()
+		// Replay positions the (empty) journal for appending.
+		err = j.Replay(nil)
+	}
+	if err == nil {
+		s.journal, s.dur = j, newDurability(popts, s.obs)
+		if bootstrapHook != nil {
+			bootstrapHook(s)
 		}
+		err = s.Checkpoint()
 	}
 	if err != nil {
-		s.closeJournals()
+		j.Close()
 		return nil, err
 	}
 	return s, nil
@@ -530,216 +421,131 @@ func OpenStore(popts PersistOptions, opts core.Options) (*Store, error) {
 }
 
 // OpenShardedStore opens (or initializes) a durable store rooted at
-// popts.Dir; the directory, not the caller, decides the layout. A fresh
-// directory is bootstrapped empty with sopts' layout. An existing one
-// is recovered: every shard loads its newest checkpoint — objects and
-// version — and replays its journal tail, in parallel, stopping cleanly
-// at the last intact record; a multi-shard store then checks that the
-// epochs its shards' logical records carry continue the manifest's
-// without a gap. The recovered store holds the database that wrote the
-// journals: same version vector, same objects, same query answers.
-// sopts.Shards, when
-// non-zero, must match the directory's shard count; sopts.Partition
-// must be the partitioner the store was created with and opts the
-// options it was written under (neither is persisted). Decompositions
-// are rebuilt from the samples as queries need them, whatever
-// opts.MaxHeight is. A shard whose checkpoint files all fail to decode
-// fails the open, and the files stay on disk.
+// popts.Dir; the directory, not the caller, decides the shard count. A
+// fresh directory is bootstrapped empty with sopts' layout. An existing
+// one is recovered from its one journal: the newest checkpoint — every
+// shard's objects and version, and the store version — then the log
+// tail replayed through the same shard bodies live commits run,
+// stopping cleanly at the last intact record. Each record names its
+// object's shard, so the recovered store holds the database that wrote
+// the journal with the same placement: same version vector, same
+// objects, same query answers. sopts.Shards, when non-zero, must match
+// the directory's shard count; sopts.Partition must be the partitioner
+// the store was created with and opts the options it was written under
+// (neither is persisted). Decompositions are rebuilt from the samples
+// as queries need them, whatever opts.MaxHeight is. A directory whose
+// checkpoint files all fail to decode fails the open, and the files
+// stay on disk; so does a directory in the retired per-shard layout.
 func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, error) {
-	dirs, m, err := storedLayout(popts.Dir)
+	j, err := openJournal(popts)
 	if err != nil {
 		return nil, err
 	}
-	if dirs == nil {
-		return BootstrapShardedStore(nil, popts, sopts, opts)
+	has, err := j.HasData()
+	if err == nil && !has {
+		return bootstrap(j, nil, popts, sopts, opts)
 	}
-	if sopts.Shards > 0 && sopts.Shards != len(dirs) {
-		return nil, fmt.Errorf("store: %s holds a %d-shard store, options ask for %d", popts.Dir, len(dirs), sopts.Shards)
-	}
-	sopts.Shards = len(dirs)
-	s, err := newStore(sopts, opts, 0)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]*recovery, len(dirs))
-	errs := make([]error, len(dirs))
-	var wg sync.WaitGroup
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			recs[i], errs[i] = recoverShard(i, dir, popts, len(dirs) == 1)
-		}()
-	}
-	wg.Wait()
-	for i, r := range recs {
-		if r != nil {
-			s.shards[i] = r.sh
-		}
-	}
-	err = errors.Join(errs...)
+	var s *Store
 	if err == nil {
-		s.dur = newDurability(popts, s.obs)
-		err = s.assemble(m, recs)
+		s, err = recoverStore(j, popts, sopts, opts)
 	}
 	if err != nil {
-		s.closeJournals()
+		j.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// recovery is one shard rebuilt from its journal, plus what assemble
-// needs to rebuild the store-level state on top of the shards.
-type recovery struct {
-	sh     *shard
-	at     map[int]slot // the shard's objects, keyed by ID
-	epochs []uint64     // store epochs of the replayed logical records
-	via    map[int]bool // resident objects that arrived through a replayed move-in
+// storedShards returns the shard sections of ck, a journal's newest
+// checkpoint (nil for none): its trailer, or one shard holding every
+// object at the checkpoint's version.
+func storedShards(ck *wal.Checkpoint) []wal.ShardState {
+	switch {
+	case ck == nil:
+		return []wal.ShardState{{}}
+	case ck.Shards != nil:
+		return ck.Shards
+	default:
+		return []wal.ShardState{{Version: ck.Version, Len: len(ck.Objects)}}
+	}
 }
 
-// recoverShard loads the journal of shard si in dir: its checkpoint,
-// then the log tail. A one-shard journal (single) keeps no epochs: its
-// version is the store's.
-func recoverShard(si int, dir string, popts PersistOptions, single bool) (*recovery, error) {
-	j, err := wal.Open(dir, popts.wal())
-	if err != nil {
-		return nil, err
-	}
+// recoverStore rebuilds the store j holds: its checkpoint's shards, then
+// the log tail.
+func recoverStore(j *wal.Journal, popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, error) {
 	var ck wal.Checkpoint
 	if c := j.Checkpoint(); c != nil {
-		ck = *c // newShard sorts its objects in place: nothing else reads them
+		ck = *c
 	}
-	r := &recovery{sh: newShard(ck.Objects), at: make(map[int]slot, len(ck.Objects)), via: make(map[int]bool)}
-	r.sh.journal, r.sh.version = j, ck.Version
-	for i, o := range ck.Objects {
-		r.at[o.ID] = slot{o, si, i}
+	parts := storedShards(&ck)
+	if sopts.Shards > 0 && sopts.Shards != len(parts) {
+		return nil, fmt.Errorf("store: %s holds a %d-shard store, options ask for %d", popts.Dir, len(parts), sopts.Shards)
 	}
-	err = j.Replay(func(rec wal.Record) error {
-		if err := r.apply(si, rec); err != nil {
-			return err
-		}
-		id := rec.ObjectID()
-		if rec.Op.Logical() && !single {
-			r.epochs = append(r.epochs, rec.Global)
-		}
-		if rec.Op == wal.OpMoveIn {
-			r.via[id] = true
-		} else {
-			delete(r.via, id)
-		}
-		return nil
-	})
+	sopts.Shards = len(parts)
+	s, err := newStore(sopts, opts, len(ck.Objects))
 	if err != nil {
-		j.Close()
 		return nil, err
 	}
-	return r, nil
-}
-
-// apply replays one journal record of shard si with the shard bodies
-// live commits run.
-func (r *recovery) apply(si int, rec wal.Record) error {
-	sh := r.sh
-	if rec.Version != sh.version+1 {
-		return fmt.Errorf("store: journal record version %d after version %d", rec.Version, sh.version)
+	s.version = ck.Version
+	objs := ck.Objects // newShard sorts each part in place: nothing else reads them
+	for i, p := range parts {
+		part := objs[:p.Len]
+		objs = objs[p.Len:]
+		s.shards[i] = newShard(part)
+		s.shards[i].version = p.Version
+		for k, o := range part {
+			s.byID[o.ID] = slot{o, i, k}
+		}
 	}
-	id := rec.ObjectID()
-	e, ok := r.at[id]
-	switch rec.Op {
-	case wal.OpInsert, wal.OpMoveIn:
-		if ok {
-			return fmt.Errorf("store: journal re-inserts object ID %d", id)
-		}
-		r.at[id] = sh.insert(si, rec.Obj)
-	case wal.OpDelete, wal.OpMoveOut:
-		if !ok {
-			return fmt.Errorf("store: journal deletes unknown object ID %d", id)
-		}
-		sh.remove(r.at, e)
-		delete(r.at, id)
-	case wal.OpUpdate:
-		if !ok {
-			return fmt.Errorf("store: journal updates unknown object ID %d", id)
-		}
-		r.at[id] = sh.replace(e, rec.Obj)
-	default:
-		return fmt.Errorf("store: journal record with unknown op %d", rec.Op)
-	}
-	sh.version = rec.Version
-	return nil
-}
-
-// assemble rebuilds the store-level state from the recovered shards
-// and, with more than one shard, the manifest (nil for one) and the
-// epochs of the logical records past it.
-func (s *Store) assemble(m *wal.Manifest, recs []*recovery) error {
-	// Membership and homes come from the shards themselves: an object's
-	// home is the shard whose recovered state holds it. An ID on two
-	// shards is a migration whose move-out never hit its source journal
-	// (the process died between the two appends): the copy that arrived
-	// through the dangling move-in is dropped — durably, with the
-	// compensating move-out journaled — and the object stays home, as if
-	// the migration never started. Anything else is corruption.
-	var danglers []slot
-	for _, r := range recs {
-		for id, e := range r.at {
-			if a, dup := s.byID[id]; dup {
-				switch {
-				case r.via[id] && !recs[a.shard].via[id]:
-					danglers = append(danglers, e)
-					continue // keep a's copy
-				case recs[a.shard].via[id] && !r.via[id]:
-					danglers = append(danglers, a)
-				default:
-					return fmt.Errorf("store: object ID %d recovered on two shards", id)
-				}
-			}
-			s.byID[id] = e
-		}
+	if err := j.Replay(s.replay); err != nil {
+		return nil, err
 	}
 	for _, e := range s.byID {
 		s.cache.Add(e.obj)
 		s.dim = e.obj.Dim()
 	}
-	if len(s.shards) == 1 {
-		// One shard: its version is the store's epoch.
-		s.version = recs[0].sh.version
-		return nil
+	s.journal, s.dur = j, newDurability(popts, s.obs)
+	return s, nil
+}
+
+// replay applies one journal record with the shard bodies live commits
+// run. A logical record advances the store version by one, a move
+// leaves it as it is; each advances the versions of the shards it
+// touches: the record's shard and, for a move, the source.
+func (s *Store) replay(rec wal.Record) error {
+	want := s.version + 1
+	if !rec.Op.Logical() {
+		want = s.version
 	}
-	// The store epoch: the manifest's, continued without a gap by the
-	// logical records the shards replayed past it.
-	var tail []uint64
-	for _, r := range recs {
-		for _, g := range r.epochs {
-			if g > m.Version {
-				tail = append(tail, g)
-			}
-		}
+	if rec.Version != want {
+		return fmt.Errorf("store: journal %v record version %d after version %d", rec.Op, rec.Version, s.version)
 	}
-	slices.Sort(tail)
-	s.version = m.Version
-	for _, g := range tail {
-		if g != s.version+1 {
-			return fmt.Errorf("store: journaled commit at epoch %d after epoch %d", g, s.version)
-		}
-		s.version = g
+	if rec.Shard < 0 || rec.Shard >= len(s.shards) {
+		return fmt.Errorf("store: journal record on shard %d of a %d-shard store", rec.Shard, len(s.shards))
 	}
-	if len(danglers) == 0 {
-		return nil
+	id := rec.ObjectID()
+	e, ok := s.byID[id]
+	switch {
+	case ok == (rec.Op == wal.OpInsert):
+		return fmt.Errorf("store: journal %v of object ID %d (stored: %v)", rec.Op, id, ok)
+	case ok && rec.Op != wal.OpMove && e.shard != rec.Shard:
+		return fmt.Errorf("store: journal %v of object ID %d on shard %d, its home is shard %d", rec.Op, id, rec.Shard, e.shard)
 	}
-	for _, d := range danglers {
-		if err := s.migrateLocked(d.shard, d.obj, wal.OpMoveOut); err != nil {
-			return fmt.Errorf("store: compensating interrupted migration of object %d: %w", d.obj.ID, err)
-		}
-		at := recs[d.shard].at // an earlier drop may have moved the copy
-		s.shards[d.shard].remove(at, at[d.obj.ID])
-		delete(at, d.obj.ID)
+	sh := s.shards[rec.Shard]
+	switch rec.Op {
+	case wal.OpInsert:
+		s.byID[id] = sh.insert(rec.Shard, rec.Obj)
+	case wal.OpUpdate:
+		s.byID[id] = sh.replace(e, rec.Obj)
+	case wal.OpDelete:
+		sh.remove(s.byID, e)
+		delete(s.byID, id)
+	case wal.OpMove:
+		s.shards[e.shard].remove(s.byID, e)
+		s.shards[e.shard].version++
+		s.byID[id] = sh.insert(rec.Shard, e.obj)
 	}
-	// The drops moved objects within their shards' slabs.
-	clear(s.byID)
-	for _, r := range recs {
-		maps.Copy(s.byID, r.at)
-	}
+	sh.version++
+	s.version = rec.Version
 	return nil
 }

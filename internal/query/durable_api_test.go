@@ -51,7 +51,7 @@ func TestDurableShardedLifecycle(t *testing.T) {
 	}
 	// A second bootstrap over the same directory must refuse.
 	if _, err := BootstrapShardedStore(db, popts, ShardedOptions{Shards: 3}, opts); err == nil {
-		t.Fatal("bootstrap over an existing manifest succeeded")
+		t.Fatal("bootstrap over an existing sharded store succeeded")
 	}
 	// Exercise the query surface on the durable sharded store.
 	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
@@ -79,7 +79,7 @@ func TestDurableShardedLifecycle(t *testing.T) {
 	if _, err := OpenShardedStore(popts, ShardedOptions{Shards: 5}, opts); err == nil {
 		t.Fatal("shard-count mismatch accepted")
 	}
-	// Reopen with the manifest's count inferred (Shards: 0).
+	// Reopen with the checkpoint's count inferred (Shards: 0).
 	r, err := OpenShardedStore(popts, ShardedOptions{}, opts)
 	if err != nil {
 		t.Fatal(err)

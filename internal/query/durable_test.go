@@ -377,8 +377,8 @@ func TestDurableStoreBasics(t *testing.T) {
 
 // TestCheckpointBytesIgnoreQueryHistory: a checkpoint holds objects
 // and versions only, so a store that ran KNNs before checkpointing
-// writes the same bytes as a mirror that ran none — the one-shard
-// checkpoint, and at four shards the MANIFEST and every shard's.
+// writes the same bytes as a mirror that ran none — the one checkpoint
+// file at one shard and at four.
 func TestCheckpointBytesIgnoreQueryHistory(t *testing.T) {
 	opts := core.Options{MaxIterations: 4}
 	for _, shards := range []int{1, 4} {
@@ -407,14 +407,8 @@ func TestCheckpointBytesIgnoreQueryHistory(t *testing.T) {
 				}
 			}
 			files, err := filepath.Glob(filepath.Join(dirs[0], "*.ckpt"))
-			want := 1 // the checkpoint
-			if shards > 1 {
-				files, err = filepath.Glob(filepath.Join(dirs[0], "shard-*", "*.ckpt"))
-				files = append(files, filepath.Join(dirs[0], manifestName))
-				want = shards + 1 // every shard's checkpoint and the MANIFEST
-			}
-			if err != nil || len(files) != want {
-				t.Fatalf("checkpoint files %v (%v), want %d", files, err, want)
+			if err != nil || len(files) != 1 {
+				t.Fatalf("checkpoint files %v (%v), want one", files, err)
 			}
 			for _, path := range files {
 				rel, _ := filepath.Rel(dirs[0], path)
@@ -434,10 +428,10 @@ func TestCheckpointBytesIgnoreQueryHistory(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesUnreadableCheckpoint: a store whose only checkpoint
-// (N = 1) or one shard's only checkpoint (N = 4) does not decode fails
-// to open, naming the file, and the file stays on disk byte for byte —
-// never an empty store, never a deleted checkpoint.
+// TestOpenRefusesUnreadableCheckpoint: a store (N = 1 or 4) whose only
+// checkpoint does not decode fails to open, naming the file, and the
+// file stays on disk byte for byte — never an empty store, never a
+// deleted checkpoint.
 func TestOpenRefusesUnreadableCheckpoint(t *testing.T) {
 	db, err := workload.Synthetic(workload.SyntheticConfig{N: 50, Samples: 4, MaxExtent: 0.05, Seed: 11})
 	if err != nil {
@@ -457,11 +451,7 @@ func TestOpenRefusesUnreadableCheckpoint(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			ckDir := dir
-			if shards > 1 {
-				ckDir = shardDir(dir, 1)
-			}
-			cks, err := filepath.Glob(filepath.Join(ckDir, "*.ckpt"))
+			cks, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 			if err != nil || len(cks) != 1 {
 				t.Fatalf("checkpoints %v (%v), want one", cks, err)
 			}
@@ -486,7 +476,7 @@ func TestOpenRefusesUnreadableCheckpoint(t *testing.T) {
 			if err != nil || !bytes.Equal(after, data) {
 				t.Fatalf("corrupt checkpoint not kept as it was (%v)", err)
 			}
-			if now, _ := filepath.Glob(filepath.Join(ckDir, "*.ckpt")); len(now) != 1 {
+			if now, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(now) != 1 {
 				t.Fatalf("checkpoints after the failed open: %v", now)
 			}
 		})
@@ -530,92 +520,4 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 	}
 	defer reopened.Close()
 	compareBackends(t, "torn tail", reopened, mirror)
-}
-
-// TestRecoveryInterruptedMigration: a crash between a migration's two
-// journal appends (move-in durable on the destination, move-out never
-// written on the source) leaves the object on both shards' logs. The
-// next open must detect the duplicate, drop the dangling move-in copy
-// (journaling the compensating move-out), and recover the logical
-// database unharmed — and a second reopen must be clean too.
-func TestRecoveryInterruptedMigration(t *testing.T) {
-	db, _ := traceCase(t, 17, false)
-	opts := core.Options{MaxIterations: 2}
-	popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db")}
-	s, err := BootstrapShardedStore(db, popts, ShardedOptions{Shards: 3}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the torn migration: journal (and apply) the move-in on a
-	// non-home shard without ever journaling the source's move-out —
-	// exactly the on-disk state a kill between the two appends leaves.
-	id := db[0].ID
-	src, _ := s.ShardOf(id)
-	dst := (src + 1) % 3
-	o, _ := s.Get(id)
-	s.mu.Lock()
-	err = s.migrateLocked(dst, o, wal.OpMoveIn)
-	s.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for round := 1; round <= 2; round++ {
-		r, err := OpenShardedStore(popts, ShardedOptions{Shards: 3}, opts)
-		if err != nil {
-			t.Fatalf("reopen %d after torn migration: %v", round, err)
-		}
-		if r.Len() != len(db) {
-			t.Fatalf("reopen %d: %d objects, want %d", round, r.Len(), len(db))
-		}
-		if home, ok := r.ShardOf(id); !ok || home != src {
-			t.Fatalf("reopen %d: object %d homed on %d (ok=%v), want undo to %d", round, id, home, ok, src)
-		}
-		mirror, err := NewShardedStore(db, ShardedOptions{Shards: 3}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareBackends(t, fmt.Sprintf("torn migration reopen %d", round), r, mirror)
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestBootstrapShardedInterrupted: shard journals without a MANIFEST
-// are the debris of a bootstrap that crashed before its commit point;
-// they must not wedge the directory — open (or a retried bootstrap)
-// clears them and starts fresh.
-func TestBootstrapShardedInterrupted(t *testing.T) {
-	db, _ := traceCase(t, 19, false)
-	opts := core.Options{MaxIterations: 2}
-	popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db")}
-	s, err := BootstrapShardedStore(db, popts, ShardedOptions{Shards: 2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the crash-before-commit-point: shard dirs exist, the
-	// manifest never made it.
-	if err := os.Remove(filepath.Join(popts.Dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenShardedStore(popts, ShardedOptions{Shards: 2}, opts)
-	if err != nil {
-		t.Fatalf("open after interrupted bootstrap: %v", err)
-	}
-	if r.Len() != 0 || r.Version() != 0 {
-		t.Fatalf("interrupted bootstrap recovered %d objects at version %d, want a fresh store", r.Len(), r.Version())
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BootstrapShardedStore(db, PersistOptions{Dir: popts.Dir}, ShardedOptions{Shards: 2}, opts); err == nil {
-		t.Fatal("bootstrap over the re-initialized manifest succeeded")
-	}
 }

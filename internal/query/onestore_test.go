@@ -12,7 +12,6 @@ import (
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
-	"probprune/internal/obs"
 	"probprune/internal/uncertain"
 	"probprune/internal/workload"
 )
@@ -50,104 +49,178 @@ func TestOneShardNoRouterWork(t *testing.T) {
 	}
 }
 
-// TestMoveRollbackFailureLatches forces both journal failures of a
-// migration — the source's move-out and the compensating move-out on
-// the destination — and checks the store latches instead of going on:
-// the error comes back from every later mutation, Sync and Close, the
-// flight recorder holds a deferred_error, queries keep answering
-// exactly as before, and the directory recovers the pre-move state.
-func TestMoveRollbackFailureLatches(t *testing.T) {
-	db, _ := traceCase(t, 21, false)
+// liveSegment returns the newest log segment in dir.
+func liveSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no log segment in %s: %v", dir, err)
+	}
+	return segs[len(segs)-1]
+}
+
+// TestKillPointMove truncates the log of a 4-shard store at every byte
+// offset of a journaled Move's record and reopens each image: the
+// object is on exactly one shard — the source while the record is
+// torn, the destination once it is intact — and the store equals the
+// in-memory mirror from before or after the move: shard sizes, version
+// vector and every query.
+func TestKillPointMove(t *testing.T) {
+	db, ops := traceCase(t, 21, false)
 	opts := core.Options{MaxIterations: 2}
-	// 1-byte segments: every append after a segment's first rotates, so
-	// a directory planted at the next segment's name fails exactly the
-	// second append of a journal.
-	popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db"), SegmentBytes: 1}
-	s, err := BootstrapShardedStore(db, popts, ShardedOptions{Shards: 2}, opts)
+	sopts := ShardedOptions{Shards: 4}
+	popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db")}
+	s, err := BootstrapShardedStore(db, popts, sopts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder(64)
-	s.SetRecorder(rec)
-	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
-	before := s.KNN(q, 3, 0.3)
-	sizes := s.ShardSizes()
-
-	id := db[0].ID
+	pre, err := NewShardedStore(db, sopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post, err := NewShardedStore(db, sopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops[:12] {
+		for _, m := range []durableMutator{s, pre, post} {
+			applyOp(t, m, op)
+		}
+	}
+	id := s.Snapshot().Database()[0].ID
 	src, _ := s.ShardOf(id)
-	dst := 1 - src
-	segs, err := filepath.Glob(filepath.Join(shardDir(popts.Dir, dst), "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no live segment on shard %d: %v", dst, err)
-	}
-	var last int
-	fmt.Sscanf(filepath.Base(segs[len(segs)-1]), "wal-%08d.log", &last)
-	blocker := filepath.Join(shardDir(popts.Dir, dst), fmt.Sprintf("wal-%08d.log", last+1))
-	if err := os.Mkdir(blocker, 0o755); err != nil {
+	dst := (src + 1) % 4
+	if err := post.Move(id, dst); err != nil {
 		t.Fatal(err)
 	}
-	s.shards[src].journal.Close() // the move-out on src fails
-
-	err = s.Move(id, dst)
-	if err == nil || !strings.Contains(err.Error(), "could not be rolled back") {
-		t.Fatalf("move with both journals failing: %v", err)
+	seg := liveSegment(t, popts.Dir)
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if home, _ := s.ShardOf(id); home != src || !slices.Equal(s.ShardSizes(), sizes) {
-		t.Fatalf("object %d homed on %d with sizes %v, want %d with %v", id, home, s.ShardSizes(), src, sizes)
+	start := fi.Size()
+	if err := s.Move(id, dst); err != nil {
+		t.Fatal(err)
 	}
-	if err := matchesEqual(s.KNN(q, 3, 0.3), before); err != nil {
-		t.Fatalf("queries changed after the failed move: %v", err)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	latched := func(label string, got error) {
-		t.Helper()
-		if got == nil || got.Error() != err.Error() {
-			t.Fatalf("%s: %v, want the latched %v", label, got, err)
+	if liveSegment(t, popts.Dir) != seg {
+		t.Fatal("the move rotated the log")
+	}
+	if fi, err = os.Stat(seg); err != nil || fi.Size() <= start {
+		t.Fatalf("the move journaled nothing (%v)", err)
+	}
+	end := fi.Size()
+	for off := start; off <= end; off++ {
+		img := t.TempDir()
+		copyTree(t, popts.Dir, img)
+		if err := os.Truncate(filepath.Join(img, filepath.Base(seg)), off); err != nil {
+			t.Fatal(err)
 		}
-	}
-	latched("insert", s.Insert(uncertain.PointObject(9001, geom.Point{0.2, 0.2})))
-	latched("update", s.Update(uncertain.PointObject(db[1].ID, geom.Point{0.3, 0.3})))
-	_, derr := s.Delete(db[2].ID)
-	latched("delete", derr)
-	latched("move", s.Move(db[3].ID, 1-s.shardFor(db[3])))
-	latched("sync", s.Sync())
-	if s.Len() != len(db) {
-		t.Fatalf("latched store holds %d objects, want %d", s.Len(), len(db))
-	}
-	recorded := false
-	for _, ev := range rec.Snapshot() {
-		recorded = recorded || (ev.Kind == obs.EvDeferredError && strings.Contains(ev.Note, "could not be rolled back"))
-	}
-	if !recorded {
-		t.Fatal("no deferred_error event for the latched failure")
-	}
-	latched("close", s.Close())
-
-	if err := os.Remove(blocker); err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 2; round++ {
-		r, err := OpenShardedStore(popts, ShardedOptions{Shards: 2}, opts)
+		want, home := pre, src
+		if off == end {
+			want, home = post, dst
+		}
+		r, err := OpenShardedStore(PersistOptions{Dir: img}, sopts, opts)
 		if err != nil {
-			t.Fatalf("reopen %d: %v", round, err)
+			t.Fatalf("offset %d: %v", off, err)
 		}
-		if home, _ := r.ShardOf(id); home != src || r.Len() != len(db) {
-			t.Fatalf("reopen %d: object %d on %d, %d objects; want %d, %d", round, id, home, r.Len(), src, len(db))
+		label := fmt.Sprintf("offset %d of %d..%d", off, start, end)
+		on := 0
+		for _, c := range r.Snapshot().cuts() {
+			for o := range c.slab.All() {
+				if o.ID == id {
+					on++
+				}
+			}
 		}
-		if err := matchesEqual(r.KNN(q, 3, 0.3), before); err != nil {
-			t.Fatalf("reopen %d: %v", round, err)
+		if got, _ := r.ShardOf(id); got != home || on != 1 {
+			t.Fatalf("%s: object %d homed on %d and held by %d shards, want %d and 1", label, id, got, on, home)
 		}
+		if g, w := r.ShardSizes(), want.ShardSizes(); !slices.Equal(g, w) {
+			t.Fatalf("%s: shard sizes %v, want %v", label, g, w)
+		}
+		if g, w := r.Snapshot().VersionVector(), want.Snapshot().VersionVector(); !slices.Equal(g, w) {
+			t.Fatalf("%s: version vector %v, want %v", label, g, w)
+		}
+		compareBackends(t, label, r, want)
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// fixtureTrace is the seeded sequence testdata/fixture-n1 and
-// testdata/fixture-n4 were written with — by the commit before the one
-// store, so they pin the on-disk formats across the change: bootstrap,
-// 24 commits, an explicit Checkpoint, 30 more commits and, on the
-// 4-shard fixture (StripeShards over x), a completed Move. Changing the
-// sequence invalidates the fixtures.
+// TestMoveAppendFailure: a Move whose journal append fails returns the
+// error and changes nothing — home shard, shard sizes, version vector
+// and KNN answers — and once the fault is gone the move commits and
+// survives a reopen.
+func TestMoveAppendFailure(t *testing.T) {
+	db, _ := traceCase(t, 21, false)
+	opts := core.Options{MaxIterations: 2}
+	sopts := ShardedOptions{Shards: 4}
+	// 1-byte segments: every append after a segment's first rotates, so
+	// a directory planted at the next segment's name fails the append.
+	popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db"), SegmentBytes: 1}
+	s, err := BootstrapShardedStore(db, popts, sopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(db[1]); err != nil { // the live segment's first append
+		t.Fatal(err)
+	}
+	var last int
+	fmt.Sscanf(filepath.Base(liveSegment(t, popts.Dir)), "wal-%08d.log", &last)
+	blocker := filepath.Join(popts.Dir, fmt.Sprintf("wal-%08d.log", last+1))
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
+	before, sizes, vv := s.KNN(q, 3, 0.3), s.ShardSizes(), s.Snapshot().VersionVector()
+	id := db[0].ID
+	src, _ := s.ShardOf(id)
+	dst := (src + 1) % 4
+	if err := s.Move(id, dst); err == nil {
+		t.Fatal("move with a failing append succeeded")
+	}
+	if home, _ := s.ShardOf(id); home != src || !slices.Equal(s.ShardSizes(), sizes) ||
+		!slices.Equal(s.Snapshot().VersionVector(), vv) {
+		t.Fatalf("failed move left object %d on %d with sizes %v and versions %v, want %d, %v and %v",
+			id, home, s.ShardSizes(), s.Snapshot().VersionVector(), src, sizes, vv)
+	}
+	if err := matchesEqual(s.KNN(q, 3, 0.3), before); err != nil {
+		t.Fatalf("queries changed after the failed move: %v", err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Move(id, dst); err != nil {
+		t.Fatalf("move after the fault: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenShardedStore(popts, sopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if home, _ := r.ShardOf(id); home != dst {
+		t.Fatalf("reopened object %d on %d, want %d", id, home, dst)
+	}
+	if err := matchesEqual(r.KNN(q, 3, 0.3), before); err != nil {
+		t.Fatalf("reopened queries: %v", err)
+	}
+}
+
+// fixtureTrace is the seeded sequence the testdata fixtures were
+// written with: bootstrap, 24 commits, an explicit Checkpoint, 30 more
+// commits and, on the 4-shard fixtures (StripeShards over x), a
+// completed Move. fixture-n1 and fixture-n4 come from the commit before
+// the one store — fixture-n4 in the retired per-shard layout —,
+// fixture-n1-v2 from the v2 checkpoint format and fixture-n4-v2 from
+// the one-journal layout, so they pin the on-disk formats across those
+// changes. Changing the sequence invalidates the fixtures.
 func fixtureTrace(t *testing.T, sharded bool) (uncertain.Database, []traceOp, []traceOp) {
 	t.Helper()
 	db, err := workload.Synthetic(workload.SyntheticConfig{N: 180, Samples: 4, MaxExtent: 0.05, Seed: 25})
@@ -203,11 +276,13 @@ func fixtureTrace(t *testing.T, sharded bool) (uncertain.Database, []traceOp, []
 	return db, pre, tail
 }
 
-// TestFormatFixtures opens the directories the previous commit wrote —
-// one shard journaling in its directory, four shards under a MANIFEST —
-// and checks them against an in-memory store fed the same sequence:
-// size, version, version vector, shard sizes, the objects in ascending
-// ID order and every query kind, bit for bit.
+// TestFormatFixtures opens the fixture directories — one shard, and
+// four shards in one journal — and checks them against an in-memory
+// store fed the same sequence: size, version, version vector, shard
+// sizes, the objects in ascending ID order and every query kind, bit for
+// bit. The four-shard directory in the retired per-shard layout
+// (fixture-n4) is refused, by open and bootstrap alike, with an error
+// that names the layout.
 func TestFormatFixtures(t *testing.T) {
 	opts := core.Options{MaxIterations: 3}
 	for _, tc := range []struct {
@@ -217,8 +292,21 @@ func TestFormatFixtures(t *testing.T) {
 		{"fixture-n1", ShardedOptions{Shards: 1}},
 		{"fixture-n1-v2", ShardedOptions{Shards: 1}},
 		{"fixture-n4", ShardedOptions{Shards: 4, Partition: StripeShards(0, 0, 1)}},
+		{"fixture-n4-v2", ShardedOptions{Shards: 4, Partition: StripeShards(0, 0, 1)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, filepath.Join("testdata", tc.name), dir)
+			if tc.name == "fixture-n4" {
+				_, err := OpenShardedStore(PersistOptions{Dir: dir}, tc.sopts, opts)
+				_, berr := BootstrapShardedStore(nil, PersistOptions{Dir: dir}, tc.sopts, opts)
+				for _, err := range []error{err, berr} {
+					if err == nil || !strings.Contains(err.Error(), "retired per-shard layout") {
+						t.Fatalf("per-shard layout: %v, want a refusal naming it", err)
+					}
+				}
+				return
+			}
 			db, pre, tail := fixtureTrace(t, tc.sopts.Shards > 1)
 			mirror, err := NewShardedStore(db, tc.sopts, opts)
 			if err != nil {
@@ -229,8 +317,6 @@ func TestFormatFixtures(t *testing.T) {
 					applyOp(t, mirror, op)
 				}
 			}
-			dir := t.TempDir()
-			copyTree(t, filepath.Join("testdata", tc.name), dir)
 			r, err := OpenShardedStore(PersistOptions{Dir: dir}, tc.sopts, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -251,12 +337,13 @@ func TestFormatFixtures(t *testing.T) {
 	}
 }
 
-// writeFixtureN1 writes the one-shard fixture sequence into dir:
-// bootstrap, the first ops, an explicit Checkpoint, the rest, Close.
-func writeFixtureN1(t *testing.T, dir string) {
+// writeFixture writes the fixture sequence of the sopts layout into
+// dir: bootstrap, the first ops, an explicit Checkpoint, the rest,
+// Close.
+func writeFixture(t *testing.T, dir string, sopts ShardedOptions) {
 	t.Helper()
-	db, pre, tail := fixtureTrace(t, false)
-	s, err := BootstrapStore(db, PersistOptions{Dir: dir}, core.Options{MaxIterations: 3})
+	db, pre, tail := fixtureTrace(t, sopts.Shards > 1)
+	s, err := BootstrapShardedStore(db, PersistOptions{Dir: dir}, sopts, core.Options{MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,25 +377,43 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// sameFiles fails unless dir holds exactly the files of the fixture
+// directory, byte for byte, and returns them.
+func sameFiles(t *testing.T, dir, fixture string) map[string][]byte {
+	t.Helper()
+	got := readDir(t, dir)
+	exp := readDir(t, filepath.Join("testdata", fixture))
+	if len(got) != len(exp) {
+		t.Fatalf("wrote %d files, %s has %d", len(got), fixture, len(exp))
+	}
+	for name, b := range exp {
+		if !bytes.Equal(got[name], b) {
+			t.Fatalf("%s differs from %s's (%d vs %d bytes)", name, fixture, len(got[name]), len(b))
+		}
+	}
+	return got
+}
+
 // TestFormatFixtureN1Bytes: a one-shard directory written from the
 // fixture sequence is byte-identical to testdata/fixture-n1-v2, and its
 // log — records did not change with the checkpoint format — to the v1
 // fixture's.
 func TestFormatFixtureN1Bytes(t *testing.T) {
 	dir := t.TempDir()
-	writeFixtureN1(t, dir)
-	got := readDir(t, dir)
-	exp := readDir(t, filepath.Join("testdata", "fixture-n1-v2"))
-	if len(got) != len(exp) {
-		t.Fatalf("wrote %d files, the fixture has %d", len(got), len(exp))
-	}
-	for name, b := range exp {
-		if !bytes.Equal(got[name], b) {
-			t.Fatalf("%s differs from the fixture (%d vs %d bytes)", name, len(got[name]), len(b))
-		}
-	}
+	writeFixture(t, dir, ShardedOptions{Shards: 1})
+	got := sameFiles(t, dir, "fixture-n1-v2")
 	const log = "wal-00000003.log"
 	if v1 := readDir(t, filepath.Join("testdata", "fixture-n1")); !bytes.Equal(got[log], v1[log]) {
 		t.Fatalf("%s differs from the v1 fixture's", log)
 	}
+}
+
+// TestFormatFixtureN4Bytes: a four-shard directory written from the
+// fixture sequence is byte-identical to testdata/fixture-n4-v2 — one
+// journal whose checkpoint holds the shards' objects in turn and the
+// shard trailer, and whose log holds the move as one record.
+func TestFormatFixtureN4Bytes(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, ShardedOptions{Shards: 4, Partition: StripeShards(0, 0, 1)})
+	sameFiles(t, dir, "fixture-n4-v2")
 }

@@ -21,11 +21,13 @@
 //
 // Every query is a method of Snapshot, the database at one version:
 // each takes a context and returns an error, which is how a query
-// object of another dimension is refused (see CheckDim).
+// object of another dimension is refused (see CheckDim), and a NaN
+// threshold tau by the threshold queries (KNN, RKNN, BatchKNN).
 package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -47,6 +49,17 @@ func (sn *Snapshot) CheckDim(o *uncertain.Object) error {
 		return fmt.Errorf("query: object %d has %d dimensions, the database holds %d-dimensional objects", o.ID, o.Dim(), d)
 	}
 	return nil
+}
+
+// checkThreshold refuses a threshold query whose query object has the
+// wrong dimension (CheckDim) or whose tau is NaN: no probability
+// compares with NaN, so the threshold stop would never fire and every
+// candidate would refine to full depth.
+func (sn *Snapshot) checkThreshold(q *uncertain.Object, tau float64) error {
+	if math.IsNaN(tau) {
+		return errors.New("query: tau is NaN")
+	}
+	return sn.CheckDim(q)
 }
 
 // dim returns the dimension of the indexed objects, 0 when the snapshot
@@ -128,7 +141,7 @@ func ThresholdStop(k int, tau float64) func(*core.Result) bool {
 // identical to the sequential evaluation. When ctx is cancelled before
 // the query completes, (nil, ctx.Err()) is returned.
 func (sn *Snapshot) KNN(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
-	if err := sn.CheckDim(q); err != nil {
+	if err := sn.checkThreshold(q, tau); err != nil {
 		return nil, err
 	}
 	tr, pooled := sn.obs.traceFor(ctx)
@@ -216,7 +229,7 @@ type KNNRequest struct {
 // corresponds to reqs[i] and is bit-identical to KNN(ctx, reqs[i]...).
 func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
 	for i, r := range reqs {
-		if err := sn.CheckDim(r.Q); err != nil {
+		if err := sn.checkThreshold(r.Q, r.Tau); err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
 	}
@@ -319,7 +332,7 @@ func (sn *Snapshot) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh 
 // as results (at least k objects certainly closer to them than q, see
 // rknnfilter.go) are preselected away without an IDCA run.
 func (sn *Snapshot) RKNN(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
-	if err := sn.CheckDim(q); err != nil {
+	if err := sn.checkThreshold(q, tau); err != nil {
 		return nil, err
 	}
 	if k < 1 {

@@ -24,10 +24,13 @@ import (
 // operated with the database changing underneath the queries.
 //
 // A store is N >= 1 shards behind one router. A shard holds only what
-// must be per shard: its R-tree, object slab, version and journal. The
-// router holds the rest once: the object map (every object's home shard
-// and slab slot), the persistent decomposition cache, the version,
-// watchers, metrics and durability coordinator. Results come in
+// must be per shard: its R-tree, object slab and version. The router
+// holds the rest once: the object map (every object's home shard and
+// slab slot), the persistent decomposition cache, the version, watchers,
+// metrics and, on a durable store, the one journal and its durability
+// coordinator. Shards partition the index, not the log: every commit
+// and every migration is one record in the store's journal, which
+// orders them all. Results come in
 // ascending object ID, whatever the slab order. A one-shard store does
 // no router work: its snapshot is its shard's cut, so a query scatters
 // over exactly that one cut.
@@ -50,8 +53,8 @@ import (
 // read burst pays one publish. The persistent decomposition cache pins
 // every resident object's kd-split, invalidated per object on update;
 // queries read through a per-call overlay. Move and Rebalance migrate
-// objects online without changing versions, change streams or any
-// query result.
+// objects online without changing the store version, change streams or
+// any query result.
 type Store struct {
 	opts core.Options
 	part ShardFunc
@@ -68,13 +71,12 @@ type Store struct {
 	// publishes records into it. Immutable after construction.
 	obs *Metrics
 
-	// dur, when non-nil, makes the store durable: every commit is
-	// journaled on its shard before it is applied. closed rejects
-	// mutations after Close; failed latches a migration whose journals
-	// could not be brought back in line (see moveLocked).
-	dur    *durability
-	closed bool
-	failed error
+	// journal and dur, when non-nil, make the store durable: every
+	// commit and migration is journaled before it is applied. closed
+	// rejects mutations after Close.
+	journal *wal.Journal
+	dur     *durability
+	closed  bool
 
 	watchers []*func(Change) // registration order; unregistered by identity
 }
@@ -94,8 +96,7 @@ type shard struct {
 	sorted  bool // the slab is in ascending ID order
 	index   *objTree
 	version uint64
-	journal *wal.Journal // nil in memory
-	snap    *Snapshot    // published cut of this shard; nil after it mutated
+	snap    *Snapshot // published cut of this shard; nil after it mutated
 }
 
 // cmpID orders objects by ascending ID, the order of every result.
@@ -450,10 +451,10 @@ func (s *Store) checkDim(o *uncertain.Object) error {
 // be mutated afterwards. On a durable store the commit is journaled
 // before it is applied; a journaling error leaves the store unchanged.
 // Under wal.SyncAlways the commit is acknowledged only once an fsync
-// covers its record — on a one-shard store possibly a concurrent
-// committer's group fsync, waited for after the store lock is released.
-// A group-fsync failure is reported after the commit was applied in
-// memory; the journal wedges and every later commit on its shard fails.
+// covers its record — possibly a concurrent committer's group fsync,
+// waited for after the store lock is released. A group-fsync failure is
+// reported after the commit was applied in memory; the journal wedges
+// and every later commit fails.
 func (s *Store) Insert(o *uncertain.Object) error {
 	return s.InsertCtx(context.Background(), o)
 }
@@ -477,7 +478,7 @@ func (s *Store) InsertCtx(ctx context.Context, o *uncertain.Object) error {
 		return err
 	}
 	si := s.shardFor(o)
-	seq, err := s.journalLocked(si, wal.Record{Op: wal.OpInsert, Obj: o}, s.version+1)
+	seq, err := s.journalLocked(wal.Record{Op: wal.OpInsert, Version: s.version + 1, Shard: si, Obj: o})
 	if err != nil {
 		s.mu.Unlock()
 		return err
@@ -507,7 +508,7 @@ func (s *Store) DeleteCtx(ctx context.Context, id int) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	seq, err := s.journalLocked(e.shard, wal.Record{Op: wal.OpDelete, ID: id}, s.version+1)
+	seq, err := s.journalLocked(wal.Record{Op: wal.OpDelete, Version: s.version + 1, Shard: e.shard, ID: id})
 	if err != nil {
 		s.mu.Unlock()
 		return false, err
@@ -545,7 +546,7 @@ func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
 		s.mu.Unlock()
 		return err
 	}
-	seq, err := s.journalLocked(e.shard, wal.Record{Op: wal.OpUpdate, Obj: o}, s.version+1)
+	seq, err := s.journalLocked(wal.Record{Op: wal.OpUpdate, Version: s.version + 1, Shard: e.shard, Obj: o})
 	if err != nil {
 		s.mu.Unlock()
 		return err
@@ -559,23 +560,16 @@ func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
 
 // commitLocked finishes a logical mutation applied on shard si and
 // waits for its record to be durable. Requires s.mu held for writing;
-// returns with it released. One journal waits after the release, so
-// concurrent committers share fsyncs. Shard journals fsync
-// independently, so with more than one a commit stays under the lock
-// until durable: recovery must never find an acknowledged epoch past a
-// lost one.
+// returns with it released: the wait runs after the release, so
+// concurrent committers share fsyncs. The one journal orders every
+// commit, so an fsync that covers a record covers every earlier one.
 func (s *Store) commitLocked(ctx context.Context, si int, seq uint64, kind ChangeKind, old, new *uncertain.Object) error {
 	s.shards[si].version++
 	s.version++
 	s.notifyLocked(kind, old, new)
 	s.maybeCheckpointLocked()
-	j := s.shards[si].journal
-	if len(s.shards) > 1 {
-		defer s.mu.Unlock()
-		return waitDurableTraced(ctx, j, seq)
-	}
 	s.mu.Unlock()
-	return waitDurableTraced(ctx, j, seq)
+	return waitDurableTraced(ctx, s.journal, seq)
 }
 
 // waitDurableTraced is a commit's durability wait, measured into the
@@ -596,105 +590,88 @@ func waitDurableTraced(ctx context.Context, j *wal.Journal, seq uint64) error {
 }
 
 // Move migrates the object with the given ID to shard dst without
-// changing the logical database: versions, change streams and query
-// results are unaffected — in-flight queries keep their snapshots, new
-// queries see the object on its new shard with bit-identical bounds.
+// changing the logical database: the store version, change streams and
+// query results are unaffected — in-flight queries keep their
+// snapshots, new queries see the object on its new shard with
+// bit-identical bounds. The versions of the source and destination
+// shards advance. On a durable store the move is one journal record, so
+// it is atomic, and it commits and waits like any other mutation: a
+// failed append returns the error with the object still home.
 func (s *Store) Move(id, dst int) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if dst < 0 || dst >= len(s.shards) {
+		s.mu.Unlock()
 		return fmt.Errorf("store: shard %d out of range [0, %d)", dst, len(s.shards))
 	}
 	e, ok := s.byID[id]
 	if !ok {
+		s.mu.Unlock()
 		return fmt.Errorf("store: move of unknown object ID %d", id)
 	}
+	var seq uint64
+	var err error
 	if e.shard != dst {
-		return s.moveLocked(id, dst)
+		seq, err = s.moveLocked(e, dst)
 	}
-	return nil
-}
-
-// moveLocked migrates id from its home shard to dst. Requires s.mu held for
-// writing. The move-in is durable BEFORE the move-out is journaled: a
-// crash between the two leaves the object on both shards — never on
-// neither — and recovery drops the dangling move-in's copy. A failed
-// move-out is rolled back with a compensating move-out on dst. If even
-// that fails, the copy is dropped in memory only — the state recovery
-// will rebuild — and the store latches: commits on top of the dangling
-// move-in could not be recovered, so every mutation, Sync and Close
-// returns the error while queries keep serving.
-func (s *Store) moveLocked(id, dst int) error {
-	from := s.byID[id]
-	o := from.obj
-	if err := s.migrateLocked(dst, o, wal.OpMoveIn); err != nil {
-		return err
-	}
-	to := s.shards[dst].insert(dst, o)
-	err := s.migrateLocked(from.shard, o, wal.OpMoveOut)
-	if err == nil {
-		s.shards[from.shard].remove(s.byID, from)
-		s.byID[id] = to
-		s.maybeCheckpointLocked()
-		return nil
-	}
-	// A latched store means the move-out may be durable after all (its
-	// fsync failed): compensating on dst could then lose the object.
-	if s.failed == nil {
-		if uerr := s.migrateLocked(dst, o, wal.OpMoveOut); uerr != nil {
-			s.failLocked(fmt.Errorf("store: move of object %d failed (%v) and could not be rolled back: %w", id, err, uerr))
-		}
-	}
-	s.shards[dst].remove(s.byID, to)
-	return cmp.Or(s.failed, err)
-}
-
-// migrateLocked journals one half of a migration on shard si and, once
-// it is durable, detaches the shard and counts its version up for the
-// caller to apply the half. A durability failure latches the store: the
-// record may or may not have reached the disk.
-func (s *Store) migrateLocked(si int, o *uncertain.Object, op wal.Op) error {
-	rec := wal.Record{Op: op, Obj: o}
-	if op == wal.OpMoveOut {
-		rec = wal.Record{Op: op, ID: o.ID}
-	}
-	seq, err := s.journalLocked(si, rec, s.version)
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	sh := s.shards[si]
-	if err := sh.journal.WaitDurable(seq); err != nil { // seq 0 (in memory) never waits
-		s.failLocked(err)
-		return err
+	return waitDurableTraced(context.Background(), s.journal, seq)
+}
+
+// moveLocked journals and applies the migration of e's object to shard
+// dst, and returns the sequence to wait on. Requires s.mu held for
+// writing.
+func (s *Store) moveLocked(e slot, dst int) (uint64, error) {
+	seq, err := s.journalLocked(wal.Record{Op: wal.OpMove, Version: s.version, Shard: dst, ID: e.obj.ID})
+	if err != nil {
+		return 0, err
 	}
-	s.detachLocked(si)
-	sh.version++
-	return nil
+	s.detachLocked(e.shard)
+	s.detachLocked(dst)
+	src, to := s.shards[e.shard], s.shards[dst]
+	src.remove(s.byID, e)
+	s.byID[e.obj.ID] = to.insert(dst, e.obj)
+	src.version++
+	to.version++
+	s.maybeCheckpointLocked()
+	return seq, nil
 }
 
 // Rebalance re-applies the partitioner to every stored object and
 // migrates the ones whose current home differs, online, without
 // blocking queries (each published snapshot stays valid). It returns
-// the number of objects moved. On a durable store a migration that
-// fails stops the pass early (the logical database is unaffected — the
-// stragglers stay on their old shards); the error is deferred to the
-// next mutation, Sync or Close, like auto-checkpoint failures.
+// the number of objects moved. On a durable store the moves are
+// journaled under the store lock and waited for once, after it is
+// released. A migration that fails stops the pass early (the logical
+// database is unaffected — the stragglers stay on their old shards);
+// the error is deferred to the next mutation, Sync or Close, like
+// auto-checkpoint failures.
 func (s *Store) Rebalance() int {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	moved := 0
+	var seq uint64
+	var err error
 	// The cuts stay put while the moves rewrite the slabs (one shard has
 	// none).
+pass:
 	for si, cut := range s.snapshotLocked().shards {
 		for o := range cut.slab.All() {
 			if dst := s.shardFor(o); dst != si {
-				if err := s.moveLocked(o.ID, dst); err != nil {
-					s.dur.noteCkptErr(err)
-					return moved
+				if seq, err = s.moveLocked(s.byID[o.ID], dst); err != nil {
+					break pass
 				}
 				moved++
 			}
 		}
+	}
+	s.mu.Unlock()
+	if err == nil {
+		err = waitDurableTraced(context.Background(), s.journal, seq)
+	}
+	if err != nil {
+		s.dur.noteCkptErr(err)
 	}
 	return moved
 }
@@ -749,18 +726,16 @@ func (s *Store) Metrics() *Metrics { return s.obs }
 
 // SetRecorder arms (or, with nil, disarms) the store's flight
 // recorder: slow queries above the SetSlowQueryThreshold record their
-// trace anatomy, and a durable store's checkpoint lifecycle and every
-// shard journal's durability events (pin, install, supersede,
-// group-commit batches, fsync stalls, deferred errors) flow into the
-// same ring. Safe to call while the store serves.
+// trace anatomy, and a durable store's checkpoint lifecycle and journal
+// durability events (pin, install, supersede, group-commit batches,
+// fsync stalls, deferred errors) flow into the same ring. Safe to call
+// while the store serves.
 func (s *Store) SetRecorder(rec *obs.Recorder) {
 	s.obs.SetRecorder(rec)
 	if s.dur != nil {
 		s.dur.rec.Store(rec)
 	}
-	for _, sh := range s.shards {
-		sh.journal.SetRecorder(rec)
-	}
+	s.journal.SetRecorder(rec)
 }
 
 // SetSlowQueryThreshold arms the flight-recorder slow-query capture
@@ -769,18 +744,14 @@ func (s *Store) SetSlowQueryThreshold(d time.Duration) {
 	s.obs.SetSlowQueryThreshold(d)
 }
 
-// WALStats returns the journal metrics of a durable store, merged
-// across its shard journals (append/fsync/checkpoint counts and
-// latencies); ok is false on an in-memory store.
+// WALStats returns the journal metrics of a durable store
+// (append/fsync/checkpoint counts and latencies); ok is false on an
+// in-memory store.
 func (s *Store) WALStats() (wal.MetricsSnapshot, bool) {
-	if s.dur == nil {
+	if s.journal == nil {
 		return wal.MetricsSnapshot{}, false
 	}
-	var out wal.MetricsSnapshot
-	for _, sh := range s.shards {
-		out.Merge(sh.journal.MetricsSnapshot())
-	}
-	return out, true
+	return s.journal.MetricsSnapshot(), true
 }
 
 // Snapshot is the database D at one version, published by a Store: with

@@ -36,6 +36,35 @@ func TestBatchCountOverflow(t *testing.T) {
 	}
 }
 
+// TestThresholdQueriesRefuseNaNTau: a NaN tau, which would refine every
+// candidate to full depth, gets an error reply from KNN, RKNN, BATCH
+// and SUBSCRIBE, and the connection keeps serving.
+func TestThresholdQueriesRefuseNaNTau(t *testing.T) {
+	store, err := query.NewStore(testDB(7, 16), testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, store, server.Options{})
+	rc := rawDial(t, addr)
+	q := string(server.EncodeObject(uncertain.PointObject(-1, geom.Point{4, 4})))
+	for _, argv := range [][]string{
+		{"KNN", "5", "NaN", q},
+		{"RKNN", "3", "NaN", q},
+		{"BATCH", "2", "3", "0.5", q, "5", "NaN", q},
+	} {
+		rc.sendArgs(t, argv...)
+		rc.wantError(t, "ERR")
+	}
+	rc.sendArgs(t, "SUBSCRIBE", "KNN", "5", "NaN", q)
+	if f := rc.read(t); f.Type != server.TError {
+		t.Fatalf("SUBSCRIBE with a NaN tau: %+v", f)
+	}
+	rc.sendArgs(t, "KNN", "5", "0.5", q)
+	if f := rc.read(t); f.Type != server.TArray {
+		t.Fatalf("KNN after the refusals: %+v", f)
+	}
+}
+
 // FuzzDispatch feeds argument lists, one per line of args, to the
 // one-shot commands of a served 50-object store, with and without a
 // trailing TRACE. No argument list may panic the server, and the
@@ -63,6 +92,17 @@ func FuzzDispatch(f *testing.F) {
 	}
 	f.Add(uint8(0), "-1\nNaN\n"+obj, false)
 	f.Add(uint8(2), "100\n-5\n"+obj, false)
+	// Thresholds no probability compares with, and k <= 0.
+	for _, tau := range []string{"NaN", "+Inf", "-Inf"} {
+		f.Add(uint8(0), "5\n"+tau+"\n"+obj, false)
+		f.Add(uint8(1), "3\n"+tau+"\n"+obj, false)
+		f.Add(uint8(4), "1\n5\n"+tau+"\n"+obj, false)
+	}
+	for _, k := range []string{"0", "-3"} {
+		f.Add(uint8(0), k+"\n0.5\n"+obj, false)
+		f.Add(uint8(1), k+"\n0.5\n"+obj, false)
+		f.Add(uint8(4), "1\n"+k+"\n0.5\n"+obj, false)
+	}
 
 	f.Fuzz(func(t *testing.T, cmd uint8, args string, trace bool) {
 		if len(args) > 1<<12 {

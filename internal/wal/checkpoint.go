@@ -16,14 +16,27 @@ import (
 type Checkpoint struct {
 	// Version is the store mutation epoch the snapshot was taken at.
 	Version uint64
-	// Objects is the object database; stores write it in ascending ID
-	// order, and the file keeps whatever order it is given.
+	// Objects is the object database; stores write it shard by shard, in
+	// ascending ID order within each shard, and the file keeps whatever
+	// order it is given.
 	Objects []*uncertain.Object
+	// Shards, for a store of more than one shard, holds each shard's
+	// version and object count: shard i's objects follow shard i-1's in
+	// Objects. Nil for one shard, whose version is Version. It is
+	// written as a trailer after the objects; nil writes none, so a
+	// one-shard file holds the version and the objects only.
+	Shards []ShardState
 
 	// firstSegment is the log-tail watermark: recovery replays segments
 	// with index >= firstSegment on top of this snapshot. Managed by
-	// Journal.WriteCheckpoint.
+	// Journal.InstallCheckpoint.
 	firstSegment uint64
+}
+
+// ShardState is one shard's section of a multi-shard checkpoint.
+type ShardState struct {
+	Version uint64 // the shard's version at the checkpoint
+	Len     int    // the number of its objects
 }
 
 // appendCheckpoint encodes the checkpoint payload (format v2).
@@ -34,12 +47,22 @@ func appendCheckpoint(buf []byte, ck *Checkpoint) []byte {
 	for _, o := range ck.Objects {
 		buf = uncertain.AppendObject(buf, o)
 	}
+	if ck.Shards == nil {
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(ck.Shards)))
+	for _, sh := range ck.Shards {
+		buf = binary.AppendUvarint(buf, sh.Version)
+		buf = binary.AppendUvarint(buf, uint64(sh.Len))
+	}
 	return buf
 }
 
 // decodeCheckpoint decodes a checkpoint payload. A v1 payload also
 // carries a cache epoch after the watermark and, after the objects, one
-// level section per object; both are read past and dropped.
+// level section per object; both are read past and dropped. A v2
+// payload may end in the shard trailer, whose counts must add up to the
+// objects.
 func decodeCheckpoint(b []byte, v1 bool) (*Checkpoint, error) {
 	d := decoder{b: b}
 	ck := &Checkpoint{}
@@ -68,6 +91,8 @@ func decodeCheckpoint(b []byte, v1 bool) (*Checkpoint, error) {
 		for _, o := range ck.Objects {
 			d.skipLevels(o.Dim())
 		}
+	} else if len(d.b) != 0 {
+		ck.Shards = d.shards(len(ck.Objects))
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -76,6 +101,30 @@ func decodeCheckpoint(b []byte, v1 bool) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wal: %d trailing bytes after checkpoint", len(d.b))
 	}
 	return ck, nil
+}
+
+// shards reads a checkpoint's shard trailer: a shard count of at least
+// one, then each shard's version and object count, the counts adding
+// up to n.
+func (d *decoder) shards(n int) []ShardState {
+	m := d.count("shard", 2)
+	if d.err == nil && m == 0 {
+		d.fail("empty shard trailer")
+	}
+	out := make([]ShardState, m)
+	rest := uint64(n)
+	for i := range out {
+		out[i].Version = d.uvarint()
+		k := d.uvarint()
+		if d.err == nil && k > rest {
+			d.fail("shard %d holds %d objects, %d are left", i, k, rest)
+		}
+		out[i].Len, rest = int(k), rest-k
+	}
+	if d.err == nil && rest != 0 {
+		d.fail("shards hold %d fewer objects than the checkpoint", rest)
+	}
+	return out
 }
 
 // skipLevels reads past one object's v1 decomposition levels: a level
@@ -96,8 +145,8 @@ func (d *decoder) skipLevels(dim int) {
 
 // startBlob returns a buffer holding magic and a blank frame header with
 // room for a size-byte payload, which the caller appends and sealBlob
-// frames in place: [magic][len][crc][payload], the one layout of
-// checkpoint and manifest files.
+// frames in place: [magic][len][crc][payload], the layout of checkpoint
+// files.
 func startBlob(magic string, size int) []byte {
 	buf := make([]byte, len(magic)+frameHeader, len(magic)+frameHeader+size)
 	copy(buf, magic)
@@ -142,7 +191,7 @@ func unframeVersioned(magic, v1Magic string, data []byte) (payload []byte, v1 bo
 // saveCheckpointFile atomically writes ck to path, encoding it into one
 // buffer presized from the objects' encoded size.
 func saveCheckpointFile(path string, ck *Checkpoint) error {
-	size := 3 * binary.MaxVarintLen64
+	size := (4 + 2*len(ck.Shards)) * binary.MaxVarintLen64
 	for _, o := range ck.Objects {
 		if o == nil {
 			return fmt.Errorf("wal: nil object in checkpoint")
@@ -153,7 +202,7 @@ func saveCheckpointFile(path string, ck *Checkpoint) error {
 }
 
 // loadCheckpointFile reads a checkpoint installed by
-// Journal.WriteCheckpoint, in either format version.
+// Journal.InstallCheckpoint, in either format version.
 func loadCheckpointFile(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -164,105 +213,4 @@ func loadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	return decodeCheckpoint(payload, v1)
-}
-
-// Manifest is the router-level durable state of a sharded store: the
-// shard count, the router mutation epoch of the last coordinated
-// checkpoint and the per-shard versions of that cut. Per-shard logs
-// carry the router epoch on every record, so recovery checks that the
-// merged logical records with epoch > Manifest.Version continue it
-// without a gap. The format keeps an order section (object IDs), which
-// the writer leaves empty and the reader skips.
-type Manifest struct {
-	// Version is the router mutation epoch at the checkpoint.
-	Version uint64
-	// Shards is the shard count; shard i's journal lives in
-	// subdirectory shard-i.
-	Shards int
-	// VV is the per-shard store version at the checkpoint — the version
-	// vector of the coordinated cut.
-	VV []uint64
-}
-
-// appendManifest encodes the manifest payload (format v2).
-func appendManifest(buf []byte, m *Manifest) []byte {
-	buf = binary.AppendUvarint(buf, m.Version)
-	buf = binary.AppendUvarint(buf, uint64(m.Shards))
-	buf = binary.AppendUvarint(buf, uint64(len(m.VV)))
-	for _, v := range m.VV {
-		buf = binary.AppendUvarint(buf, v)
-	}
-	return binary.AppendUvarint(buf, 0) // the empty order section
-}
-
-// decodeManifest decodes a manifest payload; the order section is read
-// past. A v1 payload also carries a cache epoch after the shard count
-// and, after the order, a section of per-object decomposition levels;
-// both are read past and dropped.
-func decodeManifest(b []byte, v1 bool) (*Manifest, error) {
-	d := decoder{b: b}
-	m := &Manifest{}
-	m.Version = d.uvarint()
-	m.Shards = int(d.uvarint())
-	if v1 {
-		d.uvarint() // cache epoch
-	}
-	if d.err == nil && (m.Shards < 1 || m.Shards > 1<<16) {
-		d.fail("manifest shard count %d", m.Shards)
-	}
-	nvv := d.count("version vector", 1)
-	if d.err != nil {
-		return nil, d.err
-	}
-	m.VV = make([]uint64, nvv)
-	for i := range m.VV {
-		m.VV[i] = d.uvarint()
-	}
-	for range d.count("order", 1) {
-		d.varint()
-	}
-	if v1 {
-		for range d.count("decomposition", 2) {
-			d.varint() // object ID
-			dim := int(d.uvarint())
-			if d.err == nil && (dim < 1 || dim > uncertain.MaxCodecDim) {
-				d.fail("decomposition entry dimensionality %d", dim)
-			}
-			d.skipLevels(dim)
-			if d.err != nil {
-				break
-			}
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("wal: %d trailing bytes after manifest", len(d.b))
-	}
-	return m, nil
-}
-
-// SaveManifest atomically writes the router manifest to path.
-func SaveManifest(path string, m *Manifest) error {
-	size := (4 + len(m.VV)) * binary.MaxVarintLen64
-	return writeFileAtomic(path, sealBlob(maniMagic, appendManifest(startBlob(maniMagic, size), m)))
-}
-
-// LoadManifest reads a manifest written by SaveManifest, in either
-// format version. A missing file returns (nil, nil): the directory is
-// fresh.
-func LoadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	payload, v1, err := unframeVersioned(maniMagic, maniMagicV1, data)
-	if err != nil {
-		return nil, err
-	}
-	return decodeManifest(payload, v1)
 }

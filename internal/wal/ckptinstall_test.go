@@ -52,9 +52,7 @@ func TestKillPointCheckpointInstall(t *testing.T) {
 	base := mustSynthetic(t, 3, 4)
 	// An initial checkpoint, so the install under test has an old
 	// checkpoint file to remove.
-	if err := j.WriteCheckpoint(&Checkpoint{Version: 0, Objects: base}); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, j, &Checkpoint{Version: 0, Objects: base})
 	baseIDs := map[int]bool{}
 	for _, o := range base {
 		baseIDs[o.ID] = true

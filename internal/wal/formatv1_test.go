@@ -7,22 +7,13 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// The format-v1 checkpoint and manifest writers, kept as test fixtures
-// for the v1 reader: v1 persisted a decomposition-cache epoch and each
-// object's materialized kd-tree levels, which v2 dropped. Both versions
-// of the manifest carried a global order, which the writer now leaves
-// empty; v2ManifestFile writes one.
+// The format-v1 checkpoint writer, kept as a test fixture for the v1
+// reader: v1 persisted a decomposition-cache epoch and each object's
+// materialized kd-tree levels, which v2 dropped.
 
 // frameBlob frames a finished payload as a file.
 func frameBlob(magic string, payload []byte) []byte {
 	return sealBlob(magic, append(startBlob(magic, len(payload)), payload...))
-}
-
-// v1Levels is one object's v1 decomposition section, keyed for the
-// manifest by object ID and dimensionality.
-type v1Levels struct {
-	ID, Dim int
-	Levels  [][]uncertain.Partition
 }
 
 // v1CheckpointFile frames ck as a v1 checkpoint file carrying the cache
@@ -44,43 +35,6 @@ func v1CheckpointFile(ck *Checkpoint, epoch uint64, levels [][][]uncertain.Parti
 		buf = appendV1Levels(buf, l)
 	}
 	return frameBlob(ckptMagicV1, buf)
-}
-
-// v1ManifestFile frames m as a v1 manifest file carrying the cache
-// epoch, a global order and decomposition entries.
-func v1ManifestFile(m *Manifest, epoch uint64, order []int, entries []v1Levels) []byte {
-	buf := binary.AppendUvarint(nil, m.Version)
-	buf = binary.AppendUvarint(buf, uint64(m.Shards))
-	buf = binary.AppendUvarint(buf, epoch)
-	buf = appendVVOrder(buf, m, order)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = binary.AppendVarint(buf, int64(e.ID))
-		buf = binary.AppendUvarint(buf, uint64(e.Dim))
-		buf = appendV1Levels(buf, e.Levels)
-	}
-	return frameBlob(maniMagicV1, buf)
-}
-
-// v2ManifestFile frames m as a v2 manifest file carrying a global
-// order, as stores wrote it before the order was dropped.
-func v2ManifestFile(m *Manifest, order []int) []byte {
-	buf := binary.AppendUvarint(nil, m.Version)
-	buf = binary.AppendUvarint(buf, uint64(m.Shards))
-	return frameBlob(maniMagic, appendVVOrder(buf, m, order))
-}
-
-// appendVVOrder writes the version vector and order sections.
-func appendVVOrder(buf []byte, m *Manifest, order []int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(m.VV)))
-	for _, v := range m.VV {
-		buf = binary.AppendUvarint(buf, v)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(order)))
-	for _, id := range order {
-		buf = binary.AppendVarint(buf, int64(id))
-	}
-	return buf
 }
 
 // appendV1Levels writes a level count, then per level a partition count

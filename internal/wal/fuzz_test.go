@@ -91,11 +91,12 @@ func seedSegment(f *testing.F, seed int64) []byte {
 	return data
 }
 
-// FuzzCheckpointDecode targets the checkpoint/manifest blob codecs:
-// arbitrary bytes must decode or fail cleanly, and whatever decodes, as
-// v2 or as v1 (whose decomposition levels and cache epoch are read
-// past), must re-encode as v2 and decode back unchanged (byte equality
-// is deliberately not asserted — varints have non-minimal encodings).
+// FuzzCheckpointDecode targets the checkpoint blob codec, shard trailer
+// included: arbitrary bytes must decode or fail cleanly, and whatever
+// decodes, as v2 or as v1 (whose decomposition levels and cache epoch
+// are read past), must re-encode as v2 and decode back unchanged (byte
+// equality is deliberately not asserted — varints have non-minimal
+// encodings).
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(ckptMagic))
@@ -110,26 +111,24 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
-	f.Add(append([]byte(maniMagic), data[len(ckptMagic):]...))
 	f.Add(v1CheckpointFile(&Checkpoint{Version: 3, Objects: db}, 5, v1TestLevels(db)))
-	o := db[1]
-	f.Add(v1ManifestFile(&Manifest{Version: 7, Shards: 2, VV: []uint64{3, 4}}, 9, []int{2, o.ID, 0},
-		[]v1Levels{{ID: o.ID, Dim: o.Dim(), Levels: v1TestLevels(db)[3%len(db)]}}))
-	f.Add(v2ManifestFile(&Manifest{Version: 7, Shards: 2, VV: []uint64{3, 4}}, []int{2, o.ID, 0}))
+	// Shard trailers: four shards, two with an empty one, one shard,
+	// counts that overrun the objects, and counts that fall short.
+	for _, shards := range [][]ShardState{
+		{{2, 1}, {0, 0}, {5, 1}, {1, 1}},
+		{{3, 3}, {0, 0}},
+		{{8, 3}},
+		{{3, 2}, {4, 2}},
+		{{3, 1}, {4, 1}},
+	} {
+		f.Add(frameBlob(ckptMagic, appendCheckpoint(nil, &Checkpoint{Version: 8, Objects: db, Shards: shards})))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if payload, v1, err := unframeVersioned(ckptMagic, ckptMagicV1, data); err == nil {
 			if ck, err := decodeCheckpoint(payload, v1); err == nil {
 				ck2, err := decodeCheckpoint(appendCheckpoint(nil, ck), false)
 				if err != nil || !reflect.DeepEqual(ck, ck2) {
 					t.Fatalf("checkpoint round trip changed (%v)", err)
-				}
-			}
-		}
-		if payload, v1, err := unframeVersioned(maniMagic, maniMagicV1, data); err == nil {
-			if m, err := decodeManifest(payload, v1); err == nil {
-				m2, err := decodeManifest(appendManifest(nil, m), false)
-				if err != nil || !reflect.DeepEqual(m, m2) {
-					t.Fatalf("manifest round trip changed (%v)", err)
 				}
 			}
 		}

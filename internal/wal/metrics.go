@@ -20,9 +20,7 @@ type journalMetrics struct {
 	groupBatch  obs.Histogram // value-fed: appends acknowledged per group fsync
 }
 
-// MetricsSnapshot is a point-in-time copy of a journal's metrics. It is
-// mergeable: a sharded store sums its per-shard journals into one
-// (latency histograms merge bucket-wise, like obs.HistSnapshot).
+// MetricsSnapshot is a point-in-time copy of a journal's metrics.
 type MetricsSnapshot struct {
 	// Appends counts journaled records; AppendBytes their framed bytes
 	// on disk; AppendLat the wall time of one append (including the
@@ -46,19 +44,6 @@ type MetricsSnapshot struct {
 	// appends each SyncAlways leader fsync acknowledged. A p50 well
 	// above 1 means concurrent committers are sharing fsyncs.
 	GroupBatch obs.HistSnapshot
-}
-
-// Merge adds o into s.
-func (s *MetricsSnapshot) Merge(o MetricsSnapshot) {
-	s.Appends += o.Appends
-	s.AppendBytes += o.AppendBytes
-	s.AppendLat.Merge(o.AppendLat)
-	s.Fsyncs += o.Fsyncs
-	s.FsyncLat.Merge(o.FsyncLat)
-	s.Rotations += o.Rotations
-	s.Checkpoints += o.Checkpoints
-	s.CheckpointLat.Merge(o.CheckpointLat)
-	s.GroupBatch.Merge(o.GroupBatch)
 }
 
 // Points renders the snapshot as typed metric points under the "wal."

@@ -18,13 +18,10 @@ const (
 	OpUpdate
 	// OpDelete: an object left the store.
 	OpDelete
-	// OpMoveIn: an object physically arrived on this shard from another
-	// (sharded stores only). The logical database is unchanged — move
-	// records carry the router epoch they happened under but are
-	// excluded from global-order replay.
-	OpMoveIn
-	// OpMoveOut: an object physically left this shard for another.
-	OpMoveOut
+	// OpMove: the object carrying the record's ID moved to the record's
+	// shard (multi-shard stores only). The logical database is unchanged,
+	// so the record carries the store version it leaves as it is.
+	OpMove
 )
 
 // String returns a short human-readable op name.
@@ -36,39 +33,36 @@ func (op Op) String() string {
 		return "update"
 	case OpDelete:
 		return "delete"
-	case OpMoveIn:
-		return "move-in"
-	case OpMoveOut:
-		return "move-out"
+	case OpMove:
+		return "move"
 	default:
 		return "unknown"
 	}
 }
 
 // Logical reports whether the op changes the logical database (as
-// opposed to physically re-homing an object between shards).
+// opposed to re-homing an object between shards).
 func (op Op) Logical() bool {
 	return op == OpInsert || op == OpUpdate || op == OpDelete
 }
 
 // Record is one journaled store mutation. Obj is set for
-// OpInsert/OpUpdate/OpMoveIn (the post-mutation object), ID for
-// OpDelete/OpMoveOut.
+// OpInsert/OpUpdate (the post-mutation object), ID for
+// OpDelete/OpMove.
 type Record struct {
 	// Op is the mutation kind.
 	Op Op
 	// Version is the owning store's mutation epoch AFTER applying the
-	// record; replay validates it is exactly one past the current epoch.
+	// record; replay validates it is exactly one past the current epoch
+	// (for OpMove, equal to it).
 	Version uint64
-	// Global is the store epoch after the commit when the journal is one
-	// shard of a multi-shard store, zero otherwise. Recovery merges the
-	// shards' logical records by Global to check that no acknowledged
-	// epoch follows a lost one.
-	Global uint64
+	// Shard is the home shard of the record's object after it applies
+	// (for OpMove, the destination); always 0 in a one-shard store.
+	Shard int
 	// ID is the mutated object's ID for the body-less ops
-	// (OpDelete/OpMoveOut); other ops carry the object itself.
+	// (OpDelete/OpMove); other ops carry the object itself.
 	ID int
-	// Obj is the post-mutation object (OpInsert/OpUpdate/OpMoveIn).
+	// Obj is the post-mutation object (OpInsert/OpUpdate).
 	Obj *uncertain.Object
 }
 
@@ -86,14 +80,14 @@ func (r Record) ObjectID() int {
 func appendRecord(buf []byte, r Record) ([]byte, error) {
 	buf = append(buf, byte(r.Op))
 	buf = binary.AppendUvarint(buf, r.Version)
-	buf = binary.AppendUvarint(buf, r.Global)
+	buf = binary.AppendUvarint(buf, uint64(r.Shard))
 	switch r.Op {
-	case OpInsert, OpUpdate, OpMoveIn:
+	case OpInsert, OpUpdate:
 		if r.Obj == nil {
 			return nil, fmt.Errorf("wal: %v record without object", r.Op)
 		}
 		return uncertain.AppendObject(buf, r.Obj), nil
-	case OpDelete, OpMoveOut:
+	case OpDelete, OpMove:
 		return binary.AppendVarint(buf, int64(r.ID)), nil
 	default:
 		return nil, fmt.Errorf("wal: unknown op %d", r.Op)
@@ -106,11 +100,11 @@ func decodeRecord(b []byte) (Record, error) {
 	var r Record
 	r.Op = Op(d.byte())
 	r.Version = d.uvarint()
-	r.Global = d.uvarint()
+	r.Shard = int(d.uvarint())
 	switch r.Op {
-	case OpInsert, OpUpdate, OpMoveIn:
+	case OpInsert, OpUpdate:
 		r.Obj = d.object()
-	case OpDelete, OpMoveOut:
+	case OpDelete, OpMove:
 		r.ID = int(d.varint())
 	default:
 		return Record{}, fmt.Errorf("wal: unknown op %d", r.Op)

@@ -12,7 +12,6 @@
 //	wal-00000001.log        append-only record segments
 //	wal-00000002.log
 //	checkpoint-00000002.ckpt  checkpoint snapshots
-//	MANIFEST                  (sharded router directories only)
 //
 // Every segment starts with an 8-byte magic and holds a sequence of
 // frames [len u32][crc32c u32][payload]; the payload is one Record.
@@ -31,7 +30,7 @@
 // back to the last intact record, so a torn tail write loses exactly
 // the commits that had not finished journaling (the kill-point test
 // asserts this at every byte offset). Checkpoints are written to a
-// temporary file and renamed into place; the manifest likewise. Old
+// temporary file and renamed into place. Old
 // segments are deleted only after the new checkpoint is durably
 // installed, so a crash at any point leaves either the old or the new
 // checkpoint complete on disk.
@@ -122,12 +121,10 @@ func (o Options) syncEvery() time.Duration {
 const (
 	segMagic  = "ppwal\x00\x01\n"
 	ckptMagic = "ppckpt\x02\n"
-	maniMagic = "ppmani\x02\n"
 
-	// Format v1 of checkpoints and manifests also persisted
-	// decomposition levels and a cache epoch; it is still read.
+	// Format v1 of checkpoints also persisted decomposition levels and a
+	// cache epoch; it is still read.
 	ckptMagicV1 = "ppckpt\x01\n"
-	maniMagicV1 = "ppmani\x01\n"
 
 	frameHeader = 8       // u32 length + u32 crc
 	maxFrame    = 1 << 28 // sanity bound on a single payload
@@ -137,8 +134,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal is a segmented write-ahead log plus its checkpoint state,
 // rooted in one directory. Typical lifecycle: Open, read Checkpoint(),
-// Replay the tail, then Append per commit and WriteCheckpoint
-// periodically; Close releases the files. All methods are safe for
+// Replay the tail, then Append per commit and BeginCheckpoint +
+// InstallCheckpoint periodically; Close releases the files. All methods are safe for
 // concurrent use, though the stores serialize commits themselves.
 type Journal struct {
 	dir  string
@@ -151,7 +148,6 @@ type Journal struct {
 	ck        *Checkpoint
 	ckSeg     uint64 // first live segment (tail watermark of ck)
 	ckIndex   uint64 // index of the installed checkpoint file
-	appended  uint64 // records appended since the last checkpoint pin
 	writeSeq  uint64 // sequence number of the last appended record
 	replayed  bool
 	closed    bool
@@ -541,7 +537,6 @@ func (j *Journal) AppendAsync(rec Record) (uint64, error) {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	j.size += int64(len(frame))
-	j.appended++
 	j.writeSeq++
 	j.metrics.appends.Inc()
 	j.metrics.appendBytes.Add(uint64(len(frame)))
@@ -717,15 +712,6 @@ func (j *Journal) leaderTarget() (f *os.File, gen, target uint64, err error) {
 	return j.f, j.gen, j.writeSeq, nil
 }
 
-// AppendedSinceCheckpoint returns the number of records appended since
-// the last checkpoint install (or open) — the store layer's
-// auto-checkpoint trigger.
-func (j *Journal) AppendedSinceCheckpoint() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appended
-}
-
 // Sync fsyncs the current segment. A pending background-flusher
 // failure is surfaced (and cleared) here, like on Append — the caller
 // learns about degraded durability at the next explicit barrier, not
@@ -796,7 +782,7 @@ var ErrCheckpointSuperseded = errors.New("wal: checkpoint superseded by a newer 
 
 // BeginCheckpoint pins the log position for a checkpoint of the
 // caller's current state: it rotates to a fresh segment (the new tail
-// watermark) and resets the auto-checkpoint counter. The caller then
+// watermark). The caller then
 // serializes its pinned state and hands both to InstallCheckpoint —
 // typically from a background goroutine, off the lock the state was
 // pinned under.
@@ -815,7 +801,6 @@ func (j *Journal) BeginCheckpoint() (CheckpointPin, error) {
 	if err := j.rotateLocked(); err != nil {
 		return CheckpointPin{}, err
 	}
-	j.appended = 0
 	return CheckpointPin{seg: j.seg, ok: true}, nil
 }
 
@@ -898,20 +883,6 @@ func (j *Journal) InstallCheckpoint(pin CheckpointPin, ck *Checkpoint) error {
 	}
 	j.metrics.checkpoints.Inc()
 	j.metrics.ckptLat.Observe(time.Since(start))
-	return nil
-}
-
-// WriteCheckpoint synchronously installs ck as the new recovery base:
-// BeginCheckpoint + InstallCheckpoint in one call. After it returns,
-// recovery is checkpoint + (empty) tail.
-func (j *Journal) WriteCheckpoint(ck *Checkpoint) error {
-	pin, err := j.BeginCheckpoint()
-	if err != nil {
-		return err
-	}
-	if err := j.InstallCheckpoint(pin, ck); err != nil && !errors.Is(err, ErrCheckpointSuperseded) {
-		return err
-	}
 	return nil
 }
 

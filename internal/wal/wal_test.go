@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -46,18 +47,16 @@ func testObject(t testing.TB, id int, rng *rand.Rand, weighted bool) *uncertain.
 
 func testRecord(t testing.TB, rng *rand.Rand, version uint64) Record {
 	t.Helper()
-	rec := Record{Version: version, Global: rng.Uint64() % 1000}
-	switch rng.Intn(5) {
+	rec := Record{Version: version, Shard: rng.Intn(8)}
+	switch rng.Intn(4) {
 	case 0:
 		rec.Op, rec.Obj = OpInsert, testObject(t, int(version), rng, rng.Intn(2) == 0)
 	case 1:
 		rec.Op, rec.Obj = OpUpdate, testObject(t, int(version), rng, true)
 	case 2:
 		rec.Op, rec.ID = OpDelete, rng.Intn(100)-5
-	case 3:
-		rec.Op, rec.Obj = OpMoveIn, testObject(t, int(version), rng, false)
 	default:
-		rec.Op, rec.ID = OpMoveOut, rng.Intn(100)
+		rec.Op, rec.ID = OpMove, rng.Intn(100)
 	}
 	return rec
 }
@@ -148,7 +147,20 @@ func mustSegments(t *testing.T, dir string) []string {
 	return segs
 }
 
-// TestCheckpointTruncatesLog: WriteCheckpoint absorbs the log; replay
+// writeCheckpoint installs ck as the journal's new recovery base: a pin,
+// then its install.
+func writeCheckpoint(t testing.TB, j *Journal, ck *Checkpoint) {
+	t.Helper()
+	pin, err := j.BeginCheckpoint()
+	if err == nil {
+		err = j.InstallCheckpoint(pin, ck)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointTruncatesLog: a checkpoint absorbs the log; replay
 // afterwards sees only post-checkpoint records, and the pre-checkpoint
 // segments are gone.
 func TestCheckpointTruncatesLog(t *testing.T) {
@@ -168,12 +180,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 		}
 	}
 	ck := &Checkpoint{Version: 50, Objects: db}
-	if err := j.WriteCheckpoint(ck); err != nil {
-		t.Fatal(err)
-	}
-	if n := j.AppendedSinceCheckpoint(); n != 0 {
-		t.Fatalf("appended-since-checkpoint = %d after checkpoint", n)
-	}
+	writeCheckpoint(t, j, ck)
 	var tail []Record
 	for i := 50; i < 55; i++ {
 		rec := testRecord(t, rng, uint64(i+1))
@@ -253,61 +260,39 @@ func TestCheckpointV1SkipsLevels(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip: the router manifest codec is the identity, a
-// v2 manifest with a global order (as stores wrote it before the order
-// was dropped) loads to the same manifest with the order read past, and
-// so does a v1 manifest with its cache epoch, order and decomposition
-// entries.
-func TestManifestRoundTrip(t *testing.T) {
-	db := mustSynthetic(t, 4, 6)
-	m := &Manifest{
-		Version: 42,
-		Shards:  4,
-		VV:      []uint64{1, 0, 7, 3},
-	}
-	path := filepath.Join(t.TempDir(), "MANIFEST")
-	if err := SaveManifest(path, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("manifest round trip changed:\n%+v\n%+v", m, got)
-	}
-	var entries []v1Levels
-	for i, o := range db[:2] {
-		tree := uncertain.NewDecompTree(o, 0)
-		entries = append(entries, v1Levels{
-			ID:     o.ID,
-			Dim:    o.Dim(),
-			Levels: [][]uncertain.Partition{tree.PartitionsAtLevel(0), tree.PartitionsAtLevel(i + 1)},
-		})
-	}
-	order := []int{3, 0, 2, 1}
-	for name, data := range map[string][]byte{
-		"v2 with an order": v2ManifestFile(m, order),
-		"v1":               v1ManifestFile(m, 17, order, entries),
-	} {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+// TestCheckpointShardsRoundTrip: a multi-shard checkpoint's trailer
+// (shard count, then each shard's version and object count) survives
+// the file round trip, a one-shard checkpoint has no trailer, and a
+// trailer whose counts do not add up to the objects is refused.
+func TestCheckpointShardsRoundTrip(t *testing.T) {
+	db := mustSynthetic(t, 6, 4)
+	dir := t.TempDir()
+	one := &Checkpoint{Version: 42, Objects: db}
+	four := &Checkpoint{Version: 42, Objects: db, Shards: []ShardState{{1, 2}, {0, 0}, {7, 3}, {3, 1}}}
+	for name, ck := range map[string]*Checkpoint{"one": one, "four": four} {
+		path := filepath.Join(dir, name+".ckpt")
+		if err := saveCheckpointFile(path, ck); err != nil {
 			t.Fatal(err)
 		}
-		if got, err = LoadManifest(path); err != nil || !reflect.DeepEqual(m, got) {
-			t.Fatalf("%s manifest loaded as %+v, %v", name, got, err)
+		got, err := loadCheckpointFile(path)
+		if err != nil || !reflect.DeepEqual(ck, got) {
+			t.Fatalf("%s: round trip changed:\n%+v\n%+v (%v)", name, ck, got, err)
 		}
 	}
-	// Missing file: fresh directory signal, not an error.
-	none, err := LoadManifest(filepath.Join(t.TempDir(), "MANIFEST"))
-	if err != nil || none != nil {
-		t.Fatalf("missing manifest: got %+v, %v", none, err)
+	plain := appendCheckpoint(nil, one)
+	if !bytes.HasPrefix(appendCheckpoint(nil, four), plain) {
+		t.Fatal("the trailer changed the bytes before it")
 	}
-	// Corrupt file: an error, never a silent fresh start.
-	if err := os.WriteFile(path, []byte("ppmani\x01\ngarbage"), 0o644); err != nil {
-		t.Fatal(err)
+	for name, shards := range map[string][]ShardState{
+		"short": {{1, 2}, {1, 3}},
+		"long":  {{1, 4}, {1, 3}},
+	} {
+		if _, err := decodeCheckpoint(appendCheckpoint(nil, &Checkpoint{Objects: db, Shards: shards}), false); err == nil {
+			t.Fatalf("%s trailer decoded", name)
+		}
 	}
-	if _, err := LoadManifest(path); err == nil {
-		t.Fatal("corrupt manifest loaded silently")
+	if _, err := decodeCheckpoint(append(plain, 0), false); err == nil {
+		t.Fatal("empty trailer decoded")
 	}
 }
 
@@ -324,9 +309,7 @@ func TestInterruptedCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := mustSynthetic(t, 5, 4)
-	if err := j.WriteCheckpoint(&Checkpoint{Version: 5, Objects: db}); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, j, &Checkpoint{Version: 5, Objects: db})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +418,7 @@ func TestRecordAccessors(t *testing.T) {
 	if ins.ObjectID() != o.ID || del.ObjectID() != 7 {
 		t.Fatal("ObjectID resolves the wrong field")
 	}
-	logical := map[Op]bool{OpInsert: true, OpUpdate: true, OpDelete: true, OpMoveIn: false, OpMoveOut: false}
+	logical := map[Op]bool{OpInsert: true, OpUpdate: true, OpDelete: true, OpMove: false}
 	for op, want := range logical {
 		if op.Logical() != want {
 			t.Fatalf("%v.Logical() = %v", op, op.Logical())
@@ -512,9 +495,7 @@ func TestHasData(t *testing.T) {
 	if ok, err := j.HasData(); err != nil || !ok {
 		t.Fatalf("written journal: HasData = %v, %v", ok, err)
 	}
-	if err := j.WriteCheckpoint(&Checkpoint{Version: 1, Objects: mustSynthetic(t, 3, 2)}); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, j, &Checkpoint{Version: 1, Objects: mustSynthetic(t, 3, 2)})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

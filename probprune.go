@@ -91,10 +91,11 @@
 // Stores created with BootstrapStore/BootstrapShardedStore journal
 // every commit to a segmented, CRC-framed write-ahead log before it
 // applies, and compact the log into checkpoints persisting the
-// database's objects. A one-shard store journals in its
-// directory; a multi-shard one keeps a journal per shard (shard-0, ...)
-// plus a MANIFEST. Opening reads the layout from the directory,
-// recovers bit-identically and stops cleanly at the last intact record.
+// database's objects. A store keeps one journal in its directory,
+// whatever its shard count: each record names its object's shard, a
+// Move is one record and a checkpoint holds every shard's objects.
+// Opening reads the shard count from the directory, recovers
+// bit-identically and stops cleanly at the last intact record.
 // Every mutation reports its journaling error; Delete reports whether
 // the ID was stored as well:
 //
