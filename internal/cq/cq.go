@@ -224,8 +224,8 @@ func (m *Monitor) SubscribeTo(c Consumer, name string, kind Kind, q *uncertain.O
 	if k < 1 {
 		return nil, fmt.Errorf("cq: k = %d, need k >= 1", k)
 	}
-	if tau < 0 || tau > 1 || math.IsNaN(tau) {
-		return nil, fmt.Errorf("cq: tau = %g outside [0, 1]", tau)
+	if err := query.CheckTau(tau); err != nil {
+		return nil, err
 	}
 	s := &Subscription{
 		id:       m.nextID.Add(1),

@@ -265,6 +265,34 @@ func TestTraceSpansAndReset(t *testing.T) {
 	}
 }
 
+// TestTraceMerge: merging a snapshot adds every counter and span to the
+// trace, twice adds twice, and a nil trace ignores it.
+func TestTraceMerge(t *testing.T) {
+	s := TraceSnapshot{
+		Candidates: 9, Preselected: 5, Refined: 4, Undecided: 1,
+		Iterations: 11, CacheHits: 3, CacheMisses: 2,
+		Prepare: time.Microsecond, Eval: time.Millisecond,
+		WALWait: 2 * time.Millisecond, Queue: 3 * time.Microsecond,
+	}
+	var nilTrace *Trace
+	nilTrace.Merge(s)
+	tr := &Trace{}
+	tr.Merge(s)
+	if got := tr.Snapshot(); got != s {
+		t.Fatalf("after one merge %+v, want %+v", got, s)
+	}
+	tr.Merge(s)
+	want := TraceSnapshot{
+		Candidates: 18, Preselected: 10, Refined: 8, Undecided: 2,
+		Iterations: 22, CacheHits: 6, CacheMisses: 4,
+		Prepare: 2 * time.Microsecond, Eval: 2 * time.Millisecond,
+		WALWait: 4 * time.Millisecond, Queue: 6 * time.Microsecond,
+	}
+	if got := tr.Snapshot(); got != want {
+		t.Fatalf("after two merges %+v, want %+v", got, want)
+	}
+}
+
 // TestHistValueQuantiles: a value-fed histogram reports the upper bound
 // of the bucket holding the rank, clamped to the maximum, and
 // AddHistValue flattens exactly those figures.

@@ -15,11 +15,9 @@ import (
 // candidates.
 //
 // A caller opts in per query by threading a Trace through the context
-// (WithTrace); the engine extracts it with TraceFrom and records into
-// it as it runs. All record methods are atomic (candidate evaluation is
-// concurrent) and nil-safe — the engine calls them unconditionally, and
-// a query without a trace pays a nil check and nothing else, keeping
-// the trace-disabled path allocation-free.
+// (WithTrace); the engine extracts it with TraceFrom and, at the end of
+// the query, merges the query's own trace into it (Merge). All record
+// methods are atomic (candidate evaluation is concurrent) and nil-safe.
 type Trace struct {
 	candidates   atomic.Uint64
 	preselected  atomic.Uint64
@@ -34,8 +32,8 @@ type Trace struct {
 	queueNanos   atomic.Int64
 }
 
-// Reset zeroes every counter, making the trace reusable (the engine's
-// slow-query capture pools traces across queries).
+// Reset zeroes every counter, making the trace reusable (the engine
+// pools the traces its queries record into).
 func (t *Trace) Reset() {
 	if t == nil {
 		return
@@ -135,6 +133,24 @@ func (t *Trace) AddQueue(d time.Duration) {
 		return
 	}
 	t.queueNanos.Add(int64(d))
+}
+
+// Merge adds every counter and span of s to t — how a query folds its
+// own trace into the caller's at its end.
+func (t *Trace) Merge(s TraceSnapshot) {
+	if t == nil {
+		return
+	}
+	t.candidates.Add(s.Candidates)
+	t.preselected.Add(s.Preselected)
+	t.refined.Add(s.Refined)
+	t.undecided.Add(s.Undecided)
+	t.iterations.Add(s.Iterations)
+	t.AddCacheStats(s.CacheHits, s.CacheMisses)
+	t.AddPrepare(s.Prepare)
+	t.AddEval(s.Eval)
+	t.AddWALWait(s.WALWait)
+	t.AddQueue(s.Queue)
 }
 
 // TraceSnapshot is a plain copy of a Trace's counters.

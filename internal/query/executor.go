@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,18 +59,18 @@ func (sn *Snapshot) runOpts() core.Options {
 	return opts
 }
 
-// forEach runs fn(i) for every i in [0, n) on the given number of
-// workers, pulling indices from a shared counter. It stops handing out
-// new indices once ctx is cancelled (in-flight calls complete) and
-// returns ctx.Err() in that case. fn must confine its writes to
-// index-private state.
-func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
-	if workers > n {
-		workers = n
-	}
+// forEach runs fn(i) for every i in [0, n) on the snapshot's workers,
+// pulling indices from a shared counter. It stops handing out new
+// indices once the query's context is cancelled (in-flight calls
+// complete) and returns ctx.Err() in that case, marking the run
+// cancelled: end observes no latency for it. fn must confine its writes
+// to index-private state.
+func (r *queryRun) forEach(n int, fn func(i int)) (err error) {
+	defer func() { r.cancelled = r.cancelled || err != nil }()
+	workers := min(r.sn.parallelism(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
+			if err := r.ctx.Err(); err != nil {
 				return err
 			}
 			fn(i)
@@ -84,7 +83,7 @@ func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			for r.ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -94,7 +93,7 @@ func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
 		}()
 	}
 	wg.Wait()
-	return ctx.Err()
+	return r.ctx.Err()
 }
 
 // candidates returns the database objects a query over reference q runs

@@ -72,17 +72,6 @@ func (f fullScan) rknnPrunable(q, b *uncertain.Object, k int) bool {
 	return count >= k
 }
 
-func thresholdMatch(b *uncertain.Object, res *core.Result, k int, tau float64) Match {
-	iv := res.CDFBound(k)
-	return Match{
-		Object:     b,
-		Prob:       iv,
-		IsResult:   iv.LB >= tau,
-		Decided:    iv.LB >= tau || iv.UB < tau,
-		Iterations: len(res.Iterations),
-	}
-}
-
 // knn is Snapshot.KNN over the full scan: one match per object but q, in
 // the order of f.db — ascending ID, the engine's order, in every test
 // that compares the two.

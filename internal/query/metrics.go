@@ -11,16 +11,17 @@ import (
 )
 
 // This file wires the obs primitives into the queries. Every snapshot
-// records into its store's Metrics, and every query records its latency into a per-kind histogram plus the shared
-// filter-economy counters: candidates entering the filter stage,
-// preselected-away vs. IDCA-refined verdicts, refinement iterations and
-// decomposition-cache traffic — the quantities Figure 8 of the paper
-// plots, now measured on the serving path.
+// records into its store's Metrics: a latency histogram per query kind
+// plus the filter-economy counters — candidates entering the filter
+// stage, preselected-away vs. IDCA-refined verdicts, refinement
+// iterations and decomposition-cache traffic, the quantities Figure 8
+// of the paper plots, measured on the serving path.
 //
-// A caller that wants the same anatomy for ONE query threads an
-// obs.Trace through the context (obs.WithTrace); the query records
-// into both unconditionally, and both paths are nil-safe and
-// allocation-free so an uninstrumented query stays inside its
+// Every query records its anatomy once, into a trace of its own (see
+// queryRun); at its end that trace is added to the store counters and,
+// when the caller threaded an obs.Trace through the context
+// (obs.WithTrace), to the caller's trace. The lifecycle is pooled and
+// allocation-free, so an uninstrumented query stays inside its
 // allocation ceilings.
 
 // queryKind enumerates the instrumented query algorithms.
@@ -35,6 +36,10 @@ const (
 	kindUKRanks
 	kindBatchKNN
 	numQueryKinds
+	// kindCandidate is one standing-query candidate re-evaluation
+	// (EvalKNNCandidate/EvalRKNNCandidate): its verdict is counted, but
+	// it is no query of its own and observes no latency.
+	kindCandidate = numQueryKinds
 )
 
 // kindNames are the metric-name segments of the kinds, in order.
@@ -66,8 +71,8 @@ type Metrics struct {
 	// rec holds the flight-recorder arming (a recState). When armed
 	// together with slowRecNanos, every query above the threshold
 	// records an EvSlowQuery event — with its full trace snapshot —
-	// into the ring, whether or not the caller attached a trace
-	// (untraced queries borrow a pooled one, see traceFor).
+	// into the ring, whether or not the caller attached a trace (every
+	// query records into a trace of its own, see queryRun).
 	rec          atomic.Value
 	slowRecNanos atomic.Int64
 }
@@ -79,11 +84,6 @@ type recState struct {
 	rec   *obs.Recorder
 	notes [numQueryKinds]obs.NoteID
 }
-
-// tracePool recycles the traces the slow-query capture arms for
-// otherwise-untraced queries, keeping the always-on recorder inside the
-// query allocation ceilings.
-var tracePool = sync.Pool{New: func() any { return &obs.Trace{} }}
 
 // NewMetrics builds the query metric set:
 //
@@ -157,113 +157,102 @@ func (m *Metrics) SetSlowQueryThreshold(d time.Duration) {
 	m.slowRecNanos.Store(int64(d))
 }
 
-// traceFor resolves the trace a query records into: the caller's, when
-// the context carries one, or a pooled trace when the flight recorder
-// is armed for slow-query capture — so an untraced slow query still
-// leaves its anatomy in the ring. pooled reports the latter; observe
-// returns the pooled trace to the pool.
-func (m *Metrics) traceFor(ctx context.Context) (tr *obs.Trace, pooled bool) {
-	tr = obs.TraceFrom(ctx)
-	if tr != nil || m == nil {
-		return tr, false
-	}
-	if m.slowRecNanos.Load() <= 0 {
-		return nil, false
-	}
-	rs, _ := m.rec.Load().(recState)
-	if rs.rec == nil {
-		return nil, false
-	}
-	t := tracePool.Get().(*obs.Trace)
-	t.Reset()
-	return t, true
+// queryRun is the lifecycle of one query: begin opens it, the query
+// records each verdict once into the run's own trace, and end — deferred,
+// so a cancelled query folds its partial work too — adds that trace to
+// the caller's trace and to the store counters, once per query. Runs
+// are pooled, so the lifecycle allocates nothing in steady state.
+type queryRun struct {
+	tr        obs.Trace
+	sn        *Snapshot
+	ctx       context.Context
+	kind      queryKind
+	cache     *core.DecompCache
+	owned     bool // cache is the run's own overlay, its traffic this query's
+	start     time.Time
+	evalStart time.Time
+	cancelled bool
 }
 
-// observe records one completed query: latency into the kind's
-// histogram, plus a flight-recorder event when the capture threshold is
-// exceeded.
-// pooled marks a trace traceFor borrowed; it is returned to the pool
-// here, after the snapshot was taken.
-func (m *Metrics) observe(kind queryKind, start time.Time, tr *obs.Trace, pooled bool) {
-	if m == nil {
-		return
+// runPool recycles query runs together with their traces.
+var runPool = sync.Pool{New: func() any { return new(queryRun) }}
+
+// begin opens a query of the given kind on the snapshot. The run
+// evaluates over cache, or over a fresh overlay of the store's cache
+// (queryCache) when cache is nil; only an overlay of its own has its
+// hit/miss counts folded in at end, a caller-held cache's being
+// cumulative.
+func (sn *Snapshot) begin(ctx context.Context, kind queryKind, cache *core.DecompCache) *queryRun {
+	r := runPool.Get().(*queryRun)
+	r.tr.Reset()
+	r.sn, r.ctx, r.kind, r.cache, r.owned = sn, ctx, kind, cache, cache == nil
+	if r.owned {
+		r.cache = sn.queryCache()
 	}
-	d := time.Since(start)
+	r.start, r.evalStart, r.cancelled = time.Now(), time.Time{}, false
+	return r
+}
+
+// prepared ends the prepare span: n candidates enter the filter stage
+// and evaluation starts.
+func (r *queryRun) prepared(n int) {
+	r.tr.AddCandidates(n)
+	r.evalStart = time.Now()
+	r.tr.AddPrepare(r.evalStart.Sub(r.start))
+}
+
+// end closes the run: the eval span and the overlay's cache traffic go
+// into the trace, the trace into the caller's (when the context carries
+// one) and into the store counters, and a completed query's latency
+// into its kind's histogram — plus a slow-query event when the flight
+// recorder's threshold is exceeded. The run goes back to the pool.
+func (r *queryRun) end() {
+	if !r.evalStart.IsZero() {
+		r.tr.AddEval(time.Since(r.evalStart))
+	}
+	if r.owned {
+		r.tr.AddCacheStats(r.cache.Stats())
+	}
+	s := r.tr.Snapshot()
+	obs.TraceFrom(r.ctx).Merge(s)
+	if m := r.sn.obs; m != nil {
+		m.candidates.Add(s.Candidates)
+		m.preselected.Add(s.Preselected)
+		m.refined.Add(s.Refined)
+		m.undecided.Add(s.Undecided)
+		m.iterations.Add(s.Iterations)
+		m.cacheHits.Add(s.CacheHits)
+		m.cacheMisses.Add(s.CacheMisses)
+		if r.kind < numQueryKinds && !r.cancelled {
+			m.observe(r.kind, time.Since(r.start), s)
+		}
+	}
+	r.sn, r.ctx, r.cache = nil, nil, nil
+	runPool.Put(r)
+}
+
+// observe records one completed query of duration d: latency into the
+// kind's histogram, plus a flight-recorder event carrying the query's
+// trace when the capture threshold is exceeded.
+func (m *Metrics) observe(kind queryKind, d time.Duration, s obs.TraceSnapshot) {
 	m.latency[kind].Observe(d)
 	if thr := m.slowRecNanos.Load(); thr > 0 && int64(d) >= thr {
 		if rs, _ := m.rec.Load().(recState); rs.rec != nil {
-			rs.rec.RecordTrace(obs.EvSlowQuery, rs.notes[kind], d, 0, 0, tr.Snapshot())
+			rs.rec.RecordTrace(obs.EvSlowQuery, rs.notes[kind], d, 0, 0, s)
 		}
 	}
-	if pooled {
-		tracePool.Put(tr)
-	}
 }
 
-// countCandidates records n candidates entering the filter stage.
-func (m *Metrics) countCandidates(n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.candidates.Add(uint64(n))
-}
-
-// countPreselected records one candidate decided by preselection alone.
-func (m *Metrics) countPreselected() {
-	if m == nil {
-		return
-	}
-	m.preselected.Inc()
-}
-
-// countRefined records one candidate that needed an IDCA run.
-func (m *Metrics) countRefined(iterations int) {
-	if m == nil {
-		return
-	}
-	m.refined.Inc()
-	if iterations > 0 {
-		m.iterations.Add(uint64(iterations))
-	}
-}
-
-// countUndecided records one refined candidate whose bounds ran out of
-// iteration budget.
-func (m *Metrics) countUndecided() {
-	if m == nil {
-		return
-	}
-	m.undecided.Inc()
-}
-
-// countMatch classifies one candidate verdict into the per-query trace
-// and the store counters: pruned candidates were preselected away
-// without an IDCA run, everything else was refined.
-func countMatch(m *Metrics, tr *obs.Trace, match Match, pruned bool) {
+// countMatch records one candidate verdict into the query's trace:
+// pruned candidates were preselected away without an IDCA run,
+// everything else was refined.
+func countMatch(tr *obs.Trace, m Match, pruned bool) {
 	if pruned {
 		tr.CountPreselected()
-		m.countPreselected()
 		return
 	}
-	tr.CountRefined(match.Iterations)
-	m.countRefined(match.Iterations)
-	if !match.Decided {
+	tr.CountRefined(m.Iterations)
+	if !m.Decided {
 		tr.CountUndecided()
-		m.countUndecided()
-	}
-}
-
-// recordCache drains a query-scoped cache's hit/miss counts into the
-// trace and the store counters. The cache is the query's overlay (or
-// private cache), so its counts are exactly this query's traffic.
-func recordCache(m *Metrics, tr *obs.Trace, cache *core.DecompCache) {
-	if cache == nil || (m == nil && tr == nil) {
-		return
-	}
-	hits, misses := cache.Stats()
-	tr.AddCacheStats(hits, misses)
-	if m != nil {
-		m.cacheHits.Add(hits)
-		m.cacheMisses.Add(misses)
 	}
 }

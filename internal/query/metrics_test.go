@@ -2,88 +2,210 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"probprune/internal/core"
 	"probprune/internal/obs"
 )
 
-// TestQueryMetricsAndTrace: a KNN query records its full anatomy into
-// both the engine's Metrics and a per-query Trace threaded through the
-// context, and the two agree on the filter economy.
+// anatomy is a metric set's query counters as a trace snapshot (the
+// spans left zero).
+func anatomy(m *Metrics) obs.TraceSnapshot {
+	p := obs.PointsMap(m.Registry().Points())
+	return obs.TraceSnapshot{
+		Candidates:  uint64(p["query.candidates"]),
+		Preselected: uint64(p["query.preselected"]),
+		Refined:     uint64(p["query.refined"]),
+		Undecided:   uint64(p["query.undecided"]),
+		Iterations:  uint64(p["query.iterations"]),
+		CacheHits:   uint64(p["query.cache.hits"]),
+		CacheMisses: uint64(p["query.cache.misses"]),
+	}
+}
+
+// counts is s without its spans.
+func counts(s obs.TraceSnapshot) obs.TraceSnapshot {
+	s.Prepare, s.Eval, s.WALWait, s.Queue = 0, 0, 0, 0
+	return s
+}
+
+// minus is the counter delta after - before.
+func minus(after, before obs.TraceSnapshot) obs.TraceSnapshot {
+	return obs.TraceSnapshot{
+		Candidates:  after.Candidates - before.Candidates,
+		Preselected: after.Preselected - before.Preselected,
+		Refined:     after.Refined - before.Refined,
+		Undecided:   after.Undecided - before.Undecided,
+		Iterations:  after.Iterations - before.Iterations,
+		CacheHits:   after.CacheHits - before.CacheHits,
+		CacheMisses: after.CacheMisses - before.CacheMisses,
+	}
+}
+
+// latencies is the per-kind latency observation counts of m.
+func latencies(m *Metrics) map[string]int64 {
+	p := obs.PointsMap(m.Registry().Points())
+	out := map[string]int64{}
+	for _, kind := range kindNames {
+		out[kind] = p["query."+kind+".latency.count"]
+	}
+	return out
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// (n+1)-th call on. The query fan-out checks Err before every
+// candidate, so a query run under it is cancelled mid-evaluation.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestQueryMetricsAndTrace: every query kind records its anatomy once,
+// into a trace of its own folded into the store counters and the
+// caller's trace at its end, so each call's counter deltas equal its
+// trace snapshot; a completed call adds one latency sample to its own
+// kind, a cancelled one adds none; and a slow untraced query's
+// flight-recorder event carries the same anatomy as a traced run.
 func TestQueryMetricsAndTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := smallDB(rng, 60, 5)
 	e := newSnapshot(t, db, core.Options{MaxIterations: 3})
 	q := randObj(rng, -1, 5, 5, 5, 1.5)
 
-	tr := &obs.Trace{}
-	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := e.KNN(ctx, q, 3, 0.3); err != nil {
-		t.Fatal(err)
+	calls := []struct {
+		kind string
+		run  func(ctx context.Context) error
+	}{
+		{"knn", func(ctx context.Context) error { _, err := e.KNN(ctx, q, 3, 0.3); return err }},
+		{"batch_knn", func(ctx context.Context) error {
+			_, err := e.BatchKNN(ctx, []KNNRequest{{Q: q, K: 3, Tau: 0.3}, {Q: db[7], K: 2, Tau: 0.6}})
+			return err
+		}},
+		{"rknn", func(ctx context.Context) error { _, err := e.RKNN(ctx, q, 3, 0.3); return err }},
+		{"topk", func(ctx context.Context) error { _, err := e.TopKNN(ctx, q, 3, 4); return err }},
+		{"inverse_rank", func(ctx context.Context) error { _, err := e.InverseRank(ctx, db[0], q); return err }},
+		{"expected_rank", func(ctx context.Context) error { _, err := e.RankByExpectedRank(ctx, q); return err }},
+		{"ukranks", func(ctx context.Context) error { _, err := e.UKRanks(ctx, q, 3); return err }},
 	}
-
-	snap := tr.Snapshot()
-	if snap.Candidates == 0 {
-		t.Fatal("trace counted no candidates")
+	for _, c := range calls {
+		before, lat := anatomy(e.obs), latencies(e.obs)
+		tr := &obs.Trace{}
+		if err := c.run(obs.WithTrace(bg, tr)); err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		snap := tr.Snapshot()
+		if d := minus(anatomy(e.obs), before); d != counts(snap) {
+			t.Fatalf("%s: counter deltas %+v, trace %+v", c.kind, d, snap)
+		}
+		if snap.Candidates == 0 || snap.Preselected+snap.Refined != snap.Candidates {
+			t.Fatalf("%s: preselected %d + refined %d != candidates %d",
+				c.kind, snap.Preselected, snap.Refined, snap.Candidates)
+		}
+		if snap.CacheHits+snap.CacheMisses == 0 {
+			t.Fatalf("%s: trace saw no decomposition-cache traffic", c.kind)
+		}
+		if snap.Prepare <= 0 || snap.Eval <= 0 {
+			t.Fatalf("%s: phase durations prepare=%v eval=%v, want both > 0", c.kind, snap.Prepare, snap.Eval)
+		}
+		lat[c.kind]++
+		if got := latencies(e.obs); !reflect.DeepEqual(got, lat) {
+			t.Fatalf("%s: latency counts %v, want %v", c.kind, got, lat)
+		}
 	}
-	if snap.Preselected+snap.Refined != snap.Candidates {
-		t.Fatalf("preselected %d + refined %d != candidates %d",
-			snap.Preselected, snap.Refined, snap.Candidates)
-	}
-	if snap.CacheHits+snap.CacheMisses == 0 {
-		t.Fatal("trace saw no decomposition-cache traffic")
-	}
-	if snap.Prepare <= 0 || snap.Eval <= 0 {
-		t.Fatalf("phase durations prepare=%v eval=%v, want both > 0", snap.Prepare, snap.Eval)
-	}
-	if s := snap.String(); !strings.Contains(s, "candidates=") {
+	if s := (obs.TraceSnapshot{Candidates: 1}).String(); !strings.Contains(s, "candidates=1") {
 		t.Fatalf("TraceSnapshot.String() = %q, want candidate anatomy", s)
 	}
 
-	m := obs.PointsMap(e.obs.Registry().Points())
-	if got := m["query.knn.latency.count"]; got != 1 {
-		t.Fatalf("query.knn.latency.count = %d, want 1", got)
-	}
-	if got := m["query.candidates"]; got != int64(snap.Candidates) {
-		t.Fatalf("engine candidates %d, trace %d", got, snap.Candidates)
-	}
-	if got := m["query.preselected"]; got != int64(snap.Preselected) {
-		t.Fatalf("engine preselected %d, trace %d", got, snap.Preselected)
-	}
-	if got := m["query.refined"]; got != int64(snap.Refined) {
-		t.Fatalf("engine refined %d, trace %d", got, snap.Refined)
-	}
-	if m["query.cache.hits"]+m["query.cache.misses"] == 0 {
-		t.Fatal("engine saw no decomposition-cache traffic")
-	}
-
-	// Every other kind's latency histogram stays empty.
-	for _, kind := range []string{"rknn", "topk", "inverse_rank", "expected_rank", "ukranks", "batch_knn"} {
-		if got := m["query."+kind+".latency.count"]; got != 0 {
-			t.Fatalf("query.%s.latency.count = %d after a KNN-only run", kind, got)
+	// A standing query's re-evaluation counts its verdict (and its
+	// private overlay's cache traffic) but no candidate and no latency.
+	for i, b := range db[:8] {
+		before, lat := anatomy(e.obs), latencies(e.obs)
+		m, pruned := e.EvalKNNCandidate(q, b, 3, 0.3, e.KNNThreshold(q, 3), nil)
+		d := minus(anatomy(e.obs), before)
+		want := obs.TraceSnapshot{Preselected: 1}
+		if !pruned {
+			want = obs.TraceSnapshot{Refined: 1, Iterations: uint64(m.Iterations)}
+			if !m.Decided {
+				want.Undecided = 1
+			}
+		}
+		want.CacheHits, want.CacheMisses = d.CacheHits, d.CacheMisses
+		if d != want {
+			t.Fatalf("EvalKNNCandidate %d: counter deltas %+v, want %+v", i, d, want)
+		}
+		if got := latencies(e.obs); !reflect.DeepEqual(got, lat) {
+			t.Fatalf("EvalKNNCandidate %d: latency counts %v, want %v", i, got, lat)
 		}
 	}
 
-	// InverseRank: its one candidate is refined, and the run's
-	// iterations, phases and cache traffic land in the caller's trace.
-	tr = &obs.Trace{}
-	rd, err := e.InverseRank(obs.WithTrace(context.Background(), tr), db[0], q)
-	if err != nil {
-		t.Fatal(err)
+	// Cancelled mid-evaluation: the partial work is folded in, the
+	// latency is not observed.
+	before, lat := anatomy(e.obs), latencies(e.obs)
+	ctx := &cancelAfter{Context: bg}
+	ctx.n.Store(2)
+	tr := &obs.Trace{}
+	if _, err := e.KNN(obs.WithTrace(ctx, tr), q, 3, 0.3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("KNN under a cancelled context: err %v, want context.Canceled", err)
 	}
-	snap = tr.Snapshot()
-	if snap.Candidates != 1 || snap.Refined != 1 || snap.Iterations != uint64(len(rd.Result.Iterations)) {
-		t.Fatalf("InverseRank trace candidates=%d refined=%d iterations=%d, want 1, 1, %d",
-			snap.Candidates, snap.Refined, snap.Iterations, len(rd.Result.Iterations))
+	snap := tr.Snapshot()
+	if d := minus(anatomy(e.obs), before); d != counts(snap) {
+		t.Fatalf("cancelled KNN: counter deltas %+v, trace %+v", d, snap)
 	}
-	if snap.CacheHits+snap.CacheMisses == 0 {
-		t.Fatal("InverseRank trace saw no decomposition-cache traffic")
+	if done := snap.Preselected + snap.Refined; done == 0 || done >= snap.Candidates {
+		t.Fatalf("cancelled KNN decided %d of %d candidates, want some but not all", done, snap.Candidates)
 	}
-	if snap.Prepare <= 0 || snap.Eval <= 0 {
-		t.Fatalf("InverseRank phase durations prepare=%v eval=%v, want both > 0", snap.Prepare, snap.Eval)
+	if got := latencies(e.obs); !reflect.DeepEqual(got, lat) {
+		t.Fatalf("cancelled KNN: latency counts %v, want %v", got, lat)
+	}
+
+	// Slow-query capture: an untraced query's event carries the same
+	// anatomy as a traced run of the same query.
+	rec := obs.NewRecorder(64)
+	e.obs.SetRecorder(rec)
+	e.obs.SetSlowQueryThreshold(time.Nanosecond)
+	defer e.obs.SetRecorder(nil)
+	lastSlow := func() obs.Event {
+		evs := rec.Snapshot()
+		if len(evs) == 0 || evs[len(evs)-1].Kind != obs.EvSlowQuery || !evs[len(evs)-1].HasTrace {
+			t.Fatalf("no slow-query event with a trace last in %+v", evs)
+		}
+		return evs[len(evs)-1]
+	}
+	verdicts := func(s obs.TraceSnapshot) obs.TraceSnapshot {
+		s = counts(s)
+		s.CacheHits, s.CacheMisses = s.CacheHits+s.CacheMisses, 0
+		return s
+	}
+	for _, c := range calls {
+		if err := c.run(bg); err != nil {
+			t.Fatal(err)
+		}
+		untraced := lastSlow()
+		if untraced.Note != c.kind {
+			t.Fatalf("slow-query event note %q, want %q", untraced.Note, c.kind)
+		}
+		tr := &obs.Trace{}
+		if err := c.run(obs.WithTrace(bg, tr)); err != nil {
+			t.Fatal(err)
+		}
+		traced := lastSlow()
+		if verdicts(untraced.Trace) != verdicts(tr.Snapshot()) || verdicts(traced.Trace) != verdicts(tr.Snapshot()) {
+			t.Fatalf("%s: untraced slow event %+v, traced event %+v, trace %+v",
+				c.kind, untraced.Trace, traced.Trace, tr.Snapshot())
+		}
 	}
 }
 

@@ -21,22 +21,20 @@
 //
 // Every query is a method of Snapshot, the database at one version:
 // each takes a context and returns an error, which is how a query
-// object of another dimension is refused (see CheckDim), and a NaN
-// threshold tau by the threshold queries (KNN, RKNN, BatchKNN).
+// object of another dimension is refused (see CheckDim), and a
+// threshold tau outside [0, 1] by the threshold queries (KNN, RKNN,
+// BatchKNN; see CheckTau).
 package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
 	"probprune/internal/gf"
-	"probprune/internal/obs"
 	"probprune/internal/uncertain"
 )
 
@@ -51,13 +49,23 @@ func (sn *Snapshot) CheckDim(o *uncertain.Object) error {
 	return nil
 }
 
+// CheckTau refuses a probability threshold outside [0, 1], NaN
+// included: no probability compares with NaN, so the threshold stop
+// would never fire and every candidate would refine to full depth.
+// tau = 0 and tau = 1 are legal. The threshold queries (KNN, RKNN,
+// BatchKNN) and the standing queries of package cq share this check.
+func CheckTau(tau float64) error {
+	if !(tau >= 0 && tau <= 1) {
+		return fmt.Errorf("query: tau = %g outside [0, 1]", tau)
+	}
+	return nil
+}
+
 // checkThreshold refuses a threshold query whose query object has the
-// wrong dimension (CheckDim) or whose tau is NaN: no probability
-// compares with NaN, so the threshold stop would never fire and every
-// candidate would refine to full depth.
+// wrong dimension (CheckDim) or whose tau is outside [0, 1] (CheckTau).
 func (sn *Snapshot) checkThreshold(q *uncertain.Object, tau float64) error {
-	if math.IsNaN(tau) {
-		return errors.New("query: tau is NaN")
+	if err := CheckTau(tau); err != nil {
+		return err
 	}
 	return sn.CheckDim(q)
 }
@@ -144,21 +152,13 @@ func (sn *Snapshot) KNN(ctx context.Context, q *uncertain.Object, k int, tau flo
 	if err := sn.checkThreshold(q, tau); err != nil {
 		return nil, err
 	}
-	tr, pooled := sn.obs.traceFor(ctx)
-	start := time.Now()
-	cache := sn.queryCache()
-	j := sn.newKNNJob(q, k, tau, cache)
-	j.tr = tr
-	tr.AddCandidates(len(j.cands))
-	sn.obs.countCandidates(len(j.cands))
-	tr.AddPrepare(time.Since(start))
-	evalStart := time.Now()
-	if err := forEach(ctx, sn.parallelism(), len(j.cands), j.eval); err != nil {
+	run := sn.begin(ctx, kindKNN, nil)
+	defer run.end()
+	j := sn.newKNNJob(run, q, k, tau)
+	run.prepared(len(j.cands))
+	if err := run.forEach(len(j.cands), j.eval); err != nil {
 		return nil, err
 	}
-	tr.AddEval(time.Since(evalStart))
-	recordCache(sn.obs, tr, cache)
-	sn.obs.observe(kindKNN, start, tr, pooled)
 	return j.matches, nil
 }
 
@@ -167,30 +167,27 @@ func (sn *Snapshot) KNN(ctx context.Context, q *uncertain.Object, k int, tau flo
 // the worker pool that drives it so that BatchKNN can pour the
 // candidates of many queries into a single pool.
 type knnJob struct {
-	sn      *Snapshot
+	run     *queryRun
 	q       *uncertain.Object
 	k       int
 	tau     float64
 	norm    geom.Norm
 	thresh  float64
-	cache   *core.DecompCache
 	cands   []*uncertain.Object
 	matches []Match
-	// tr, when non-nil, receives this query's per-candidate verdicts
-	// alongside the store counters.
-	tr *obs.Trace
 }
 
 // newKNNJob prepares a kNN query against the snapshot: candidate
 // preselection (objects farther than the (k+1)-th smallest MaxDist are
 // dominated at least k times in every possible world and get P = 0
 // without an IDCA run, see knnfilter.go — only valid for tau > 0, at
-// tau = 0 even impossible candidates satisfy the predicate) and one
-// decomposition cache for the whole query, so the reference q and every
-// influence object are decomposed once, not once per candidate run they
-// appear in. k < 1 yields an empty job.
-func (sn *Snapshot) newKNNJob(q *uncertain.Object, k int, tau float64, cache *core.DecompCache) *knnJob {
-	j := &knnJob{sn: sn, q: q, k: k, tau: tau, norm: sn.normOrDefault(), cache: cache}
+// tau = 0 even impossible candidates satisfy the predicate). Every
+// candidate evaluates over run's one decomposition cache, so the
+// reference q and every influence object are decomposed once, not once
+// per candidate run they appear in, and records its verdict into run.
+// k < 1 yields an empty job.
+func (sn *Snapshot) newKNNJob(run *queryRun, q *uncertain.Object, k int, tau float64) *knnJob {
+	j := &knnJob{run: run, q: q, k: k, tau: tau, norm: sn.normOrDefault()}
 	if k < 1 {
 		return j
 	}
@@ -206,9 +203,9 @@ func (sn *Snapshot) newKNNJob(q *uncertain.Object, k int, tau float64, cache *co
 // eval evaluates candidate i into its result slot; calls for distinct i
 // are safe to run concurrently.
 func (j *knnJob) eval(i int) {
-	m, pruned := j.sn.evalKNNCandidate(j.q, j.cands[i], j.k, j.tau, j.thresh, j.norm, j.cache)
+	m, pruned := j.run.sn.evalKNNCandidate(j.q, j.cands[i], j.k, j.tau, j.thresh, j.norm, j.run.cache)
 	j.matches[i] = m
-	countMatch(j.sn.obs, j.tr, m, pruned)
+	countMatch(&j.run.tr, m, pruned)
 }
 
 // KNNRequest is one query of a BatchKNN call.
@@ -233,17 +230,16 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
 	}
-	tr, pooled := sn.obs.traceFor(ctx)
-	start := time.Now()
 	// One cache overlay for the whole batch: influence objects come from
 	// the persistent store cache, repeated query objects are decomposed
 	// once per batch. Preparation (candidate scan + preselection
 	// traversal per request) runs on the pool too — it only reads the
 	// snapshot — so a large batch has no serial prefix.
-	cache := sn.queryCache()
+	run := sn.begin(ctx, kindBatchKNN, nil)
+	defer run.end()
 	jobs := make([]*knnJob, len(reqs))
-	if err := forEach(ctx, sn.parallelism(), len(reqs), func(i int) {
-		jobs[i] = sn.newKNNJob(reqs[i].Q, reqs[i].K, reqs[i].Tau, cache)
+	if err := run.forEach(len(reqs), func(i int) {
+		jobs[i] = sn.newKNNJob(run, reqs[i].Q, reqs[i].K, reqs[i].Tau)
 	}); err != nil {
 		return nil, err
 	}
@@ -254,23 +250,16 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 	ends := make([]int, len(jobs))
 	total := 0
 	for i, j := range jobs {
-		j.tr = tr
 		total += len(j.cands)
 		ends[i] = total
 	}
-	tr.AddCandidates(total)
-	sn.obs.countCandidates(total)
-	tr.AddPrepare(time.Since(start))
-	evalStart := time.Now()
-	if err := forEach(ctx, sn.parallelism(), total, func(i int) {
+	run.prepared(total)
+	if err := run.forEach(total, func(i int) {
 		ji := sort.SearchInts(ends, i+1)
 		jobs[ji].eval(i - ends[ji] + len(jobs[ji].cands))
 	}); err != nil {
 		return nil, err
 	}
-	tr.AddEval(time.Since(evalStart))
-	recordCache(sn.obs, tr, cache)
-	sn.obs.observe(kindBatchKNN, start, tr, pooled)
 	out := make([][]Match, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.matches
@@ -295,7 +284,12 @@ func (sn *Snapshot) evalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh 
 	opts.KMax = k
 	opts.Stop = ThresholdStop(k, tau)
 	opts.SharedDecomps = cache
-	res := sn.run(b, q, opts)
+	return thresholdMatch(b, sn.run(b, q, opts), k, tau), false
+}
+
+// thresholdMatch is candidate b's Match for the tail predicate
+// P(DomCount < k) >= tau on the run result res.
+func thresholdMatch(b *uncertain.Object, res *core.Result, k int, tau float64) Match {
 	iv := res.CDFBound(k)
 	return Match{
 		Object:     b,
@@ -303,7 +297,7 @@ func (sn *Snapshot) evalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh 
 		IsResult:   iv.LB >= tau,
 		Decided:    iv.LB >= tau || iv.UB < tau,
 		Iterations: len(res.Iterations),
-	}, false
+	}
 }
 
 // EvalKNNCandidate evaluates the threshold-kNN predicate for candidate
@@ -316,11 +310,10 @@ func (sn *Snapshot) evalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh 
 // second return reports that preselection decided b without an IDCA
 // run.
 func (sn *Snapshot) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh float64, cache *core.DecompCache) (Match, bool) {
-	if cache == nil {
-		cache = sn.queryCache()
-	}
-	m, pruned := sn.evalKNNCandidate(q, b, k, tau, thresh, sn.normOrDefault(), cache)
-	countMatch(sn.obs, nil, m, pruned)
+	run := sn.begin(context.TODO(), kindCandidate, cache)
+	defer run.end()
+	m, pruned := sn.evalKNNCandidate(q, b, k, tau, thresh, sn.normOrDefault(), run.cache)
+	countMatch(&run.tr, m, pruned)
 	return m, pruned
 }
 
@@ -338,29 +331,23 @@ func (sn *Snapshot) RKNN(ctx context.Context, q *uncertain.Object, k int, tau fl
 	if k < 1 {
 		return nil, nil
 	}
-	tr, pooled := sn.obs.traceFor(ctx)
-	start := time.Now()
+	// The query object is the target of every run; the run's cache
+	// shares its decomposition (and the influence objects') across
+	// candidates.
+	run := sn.begin(ctx, kindRKNN, nil)
+	defer run.end()
 	norm := sn.normOrDefault()
 	cands := sn.candidates(q)
-	// The query object is the target of every run; the cache shares its
-	// decomposition (and the influence objects') across candidates.
-	cache := sn.queryCache()
-	tr.AddCandidates(len(cands))
-	sn.obs.countCandidates(len(cands))
-	tr.AddPrepare(time.Since(start))
+	run.prepared(len(cands))
 	matches := make([]Match, len(cands))
-	evalStart := time.Now()
-	err := forEach(ctx, sn.parallelism(), len(cands), func(i int) {
-		m, pruned := sn.evalRKNNCandidate(q, cands[i], k, tau, norm, cache)
+	err := run.forEach(len(cands), func(i int) {
+		m, pruned := sn.evalRKNNCandidate(q, cands[i], k, tau, norm, run.cache)
 		matches[i] = m
-		countMatch(sn.obs, tr, m, pruned)
+		countMatch(&run.tr, m, pruned)
 	})
 	if err != nil {
 		return nil, err
 	}
-	tr.AddEval(time.Since(evalStart))
-	recordCache(sn.obs, tr, cache)
-	sn.obs.observe(kindRKNN, start, tr, pooled)
 	return matches, nil
 }
 
@@ -380,15 +367,7 @@ func (sn *Snapshot) evalRKNNCandidate(q, b *uncertain.Object, k int, tau float64
 	opts.SharedDecomps = cache
 	// Target is the query, reference is the candidate: the count is
 	// how many objects are closer to B than q is.
-	res := sn.run(q, b, opts)
-	iv := res.CDFBound(k)
-	return Match{
-		Object:     b,
-		Prob:       iv,
-		IsResult:   iv.LB >= tau,
-		Decided:    iv.LB >= tau || iv.UB < tau,
-		Iterations: len(res.Iterations),
-	}, false
+	return thresholdMatch(b, sn.run(q, b, opts), k, tau), false
 }
 
 // EvalRKNNCandidate evaluates the threshold-RkNN predicate for
@@ -397,11 +376,10 @@ func (sn *Snapshot) evalRKNNCandidate(q, b *uncertain.Object, k int, tau float64
 // built per call). The second return reports that preselection decided
 // b without an IDCA run.
 func (sn *Snapshot) EvalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, cache *core.DecompCache) (Match, bool) {
-	if cache == nil {
-		cache = sn.queryCache()
-	}
-	m, pruned := sn.evalRKNNCandidate(q, b, k, tau, sn.normOrDefault(), cache)
-	countMatch(sn.obs, nil, m, pruned)
+	run := sn.begin(context.TODO(), kindCandidate, cache)
+	defer run.end()
+	m, pruned := sn.evalRKNNCandidate(q, b, k, tau, sn.normOrDefault(), run.cache)
+	countMatch(&run.tr, m, pruned)
 	return m, pruned
 }
 
@@ -445,23 +423,15 @@ func (sn *Snapshot) InverseRank(ctx context.Context, b, r *uncertain.Object) (*R
 			return nil, err
 		}
 	}
-	tr, pooled := sn.obs.traceFor(ctx)
-	start := time.Now()
+	run := sn.begin(ctx, kindInverseRank, nil)
+	defer run.end()
 	opts := sn.runOpts()
 	opts.Parallelism = sn.opts.Parallelism
-	cache := sn.queryCache()
-	opts.SharedDecomps = cache
+	opts.SharedDecomps = run.cache
 	// b is the one candidate, and it is always refined.
-	tr.AddCandidates(1)
-	sn.obs.countCandidates(1)
-	tr.AddPrepare(time.Since(start))
-	evalStart := time.Now()
+	run.prepared(1)
 	res := sn.run(b, r, opts)
-	tr.CountRefined(len(res.Iterations))
-	sn.obs.countRefined(len(res.Iterations))
-	tr.AddEval(time.Since(evalStart))
-	recordCache(sn.obs, tr, cache)
-	sn.obs.observe(kindInverseRank, start, tr, pooled)
+	run.tr.CountRefined(len(res.Iterations))
 	ranks := make([]gf.Interval, len(res.Bounds))
 	copy(ranks, res.Bounds)
 	return &RankDistribution{
@@ -525,32 +495,24 @@ func (sn *Snapshot) RankByExpectedRank(ctx context.Context, q *uncertain.Object)
 	if err := sn.CheckDim(q); err != nil {
 		return nil, err
 	}
-	tr, pooled := sn.obs.traceFor(ctx)
-	start := time.Now()
+	run := sn.begin(ctx, kindExpectedRank, nil)
+	defer run.end()
 	cands := sn.candidates(q)
-	cache := sn.queryCache()
-	tr.AddCandidates(len(cands))
-	sn.obs.countCandidates(len(cands))
-	tr.AddPrepare(time.Since(start))
+	run.prepared(len(cands))
 	out := make([]Ranked, len(cands))
-	evalStart := time.Now()
-	err := forEach(ctx, sn.parallelism(), len(cands), func(i int) {
+	err := run.forEach(len(cands), func(i int) {
 		opts := sn.runOpts()
-		opts.SharedDecomps = cache
+		opts.SharedDecomps = run.cache
 		res := sn.run(cands[i], q, opts)
 		// Expected-rank ranking refines every candidate — there is no
 		// threshold to preselect against.
-		tr.CountRefined(len(res.Iterations))
-		sn.obs.countRefined(len(res.Iterations))
+		run.tr.CountRefined(len(res.Iterations))
 		lo, hi := ExpectedRankBounds(res)
 		out[i] = Ranked{Object: cands[i], ExpectedRankLB: lo, ExpectedRankUB: hi}
 	})
 	if err != nil {
 		return nil, err
 	}
-	tr.AddEval(time.Since(evalStart))
-	recordCache(sn.obs, tr, cache)
-	sn.obs.observe(kindExpectedRank, start, tr, pooled)
 	sort.SliceStable(out, func(i, j int) bool {
 		mi := out[i].ExpectedRankLB + out[i].ExpectedRankUB
 		mj := out[j].ExpectedRankLB + out[j].ExpectedRankUB

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
@@ -44,8 +43,8 @@ func (sn *Snapshot) TopKNN(ctx context.Context, q *uncertain.Object, k, m int) (
 	if k < 1 || m < 1 {
 		return nil, nil
 	}
-	tr, pooled := sn.obs.traceFor(ctx)
-	start := time.Now()
+	run := sn.begin(ctx, kindTopK, nil)
+	defer run.end()
 	type cand struct {
 		obj     *uncertain.Object
 		session *core.Session
@@ -57,31 +56,27 @@ func (sn *Snapshot) TopKNN(ctx context.Context, q *uncertain.Object, k, m int) (
 	norm := sn.normOrDefault()
 	thresh := sn.knnThreshold(q, k, norm)
 	var objs []*uncertain.Object
+	n := 0
 	for _, b := range sn.Database() {
 		if b == q {
 			continue
 		}
-		tr.AddCandidates(1)
-		sn.obs.countCandidates(1)
+		n++
 		if knnPrunable(b, q, thresh, norm) {
-			tr.CountPreselected()
-			sn.obs.countPreselected()
+			run.tr.CountPreselected()
 			continue
 		}
 		objs = append(objs, b)
 	}
+	run.prepared(n)
 	if len(objs) == 0 {
-		sn.obs.observe(kindTopK, start, tr, pooled)
 		return nil, nil
 	}
-	cache := sn.queryCache()
-	tr.AddPrepare(time.Since(start))
-	evalStart := time.Now()
 	cands := make([]*cand, len(objs))
-	err := forEach(ctx, sn.parallelism(), len(objs), func(i int) {
+	err := run.forEach(len(objs), func(i int) {
 		opts := sn.runOpts()
 		opts.KMax = k
-		opts.SharedDecomps = cache
+		opts.SharedDecomps = run.cache
 		s := sn.newSession(objs[i], q, opts)
 		cands[i] = &cand{obj: objs[i], session: s, prob: s.Result().CDFBound(k), done: s.Done()}
 	})
@@ -135,7 +130,7 @@ func (sn *Snapshot) TopKNN(ctx context.Context, q *uncertain.Object, k, m int) (
 		// Phase 2: step them all; sessions are independent, so the
 		// steps parallelize freely.
 		var progressed atomic.Bool
-		err := forEach(ctx, sn.parallelism(), len(todo), func(j int) {
+		err := run.forEach(len(todo), func(j int) {
 			c := cands[todo[j]]
 			if c.session.Step() {
 				progressed.Store(true)
@@ -181,14 +176,13 @@ func (sn *Snapshot) TopKNN(ctx context.Context, q *uncertain.Object, k, m int) (
 			Decided:    decided,
 			Iterations: len(c.session.Result().Iterations),
 		})
+		if !decided {
+			run.tr.CountUndecided()
+		}
 	}
-	tr.AddEval(time.Since(evalStart))
 	for _, c := range cands {
-		tr.CountRefined(len(c.session.Result().Iterations))
-		sn.obs.countRefined(len(c.session.Result().Iterations))
+		run.tr.CountRefined(len(c.session.Result().Iterations))
 	}
-	recordCache(sn.obs, tr, cache)
-	sn.obs.observe(kindTopK, start, tr, pooled)
 	return out, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
+	"probprune/internal/obs"
 	"probprune/internal/uncertain"
 )
 
@@ -124,5 +125,34 @@ func TestTopKNNWithoutIndex(t *testing.T) {
 		if !idsA[o.ID] {
 			t.Fatalf("selections differ: %d missing from the engine's run", o.ID)
 		}
+	}
+}
+
+// TestTopKNNCountsUndecided: two objects with the same samples tie on
+// their kNN probability, so the top-1 selection cannot separate them
+// and its one match is undecided; the trace and the store's
+// query.undecided counter both count it, as they count KNN's and
+// RKNN's undecided matches.
+func TestTopKNNCountsUndecided(t *testing.T) {
+	a := randObj(rand.New(rand.NewSource(41)), 1, 6, 0, 0, 1)
+	twin, err := uncertain.NewFlatObject(2, a.Dim(), a.Coords, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := uncertain.PointObject(3, geom.Point{50, 50})
+	sn := newSnapshot(t, uncertain.Database{a, twin, far}, core.Options{MaxIterations: 4})
+	q := uncertain.PointObject(-1, geom.Point{0.1, 0.1})
+
+	tr := &obs.Trace{}
+	got := must(sn.TopKNN(obs.WithTrace(bg, tr), q, 1, 1))
+	if len(got) != 1 || got[0].Decided {
+		t.Fatalf("TopKNN over a tied pair = %+v, want one undecided match", got)
+	}
+	s := tr.Snapshot()
+	if s.Refined != 2 || s.Undecided != 1 {
+		t.Fatalf("trace refined=%d undecided=%d, want 2 and 1", s.Refined, s.Undecided)
+	}
+	if n := obs.PointsMap(sn.obs.Registry().Points())["query.undecided"]; n != 1 {
+		t.Fatalf("query.undecided = %d, want 1", n)
 	}
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"time"
 
 	"probprune/internal/gf"
 	"probprune/internal/uncertain"
@@ -43,28 +42,23 @@ func (sn *Snapshot) UKRanks(ctx context.Context, q *uncertain.Object, k int) ([]
 	if k < 1 {
 		return nil, nil
 	}
-	tr, pooled := sn.obs.traceFor(ctx)
-	start := time.Now()
+	run := sn.begin(ctx, kindUKRanks, nil)
+	defer run.end()
 	type entry struct {
 		obj    *uncertain.Object
 		bounds []gf.Interval // bounds[i] = P(Rank = i+1)
 		offset int           // first rank with non-zero probability − 1
 	}
 	cands := sn.candidates(q)
-	cache := sn.queryCache()
-	tr.AddCandidates(len(cands))
-	sn.obs.countCandidates(len(cands))
-	tr.AddPrepare(time.Since(start))
+	run.prepared(len(cands))
 	entries := make([]entry, len(cands))
-	evalStart := time.Now()
-	err := forEach(ctx, sn.parallelism(), len(cands), func(i int) {
+	err := run.forEach(len(cands), func(i int) {
 		b := cands[i]
 		opts := sn.runOpts()
 		opts.KMax = k // ranks beyond k are irrelevant
-		opts.SharedDecomps = cache
+		opts.SharedDecomps = run.cache
 		res := sn.run(b, q, opts)
-		tr.CountRefined(len(res.Iterations))
-		sn.obs.countRefined(len(res.Iterations))
+		run.tr.CountRefined(len(res.Iterations))
 		entries[i] = entry{
 			obj:    b,
 			bounds: res.Bounds,
@@ -74,9 +68,6 @@ func (sn *Snapshot) UKRanks(ctx context.Context, q *uncertain.Object, k int) ([]
 	if err != nil {
 		return nil, err
 	}
-	tr.AddEval(time.Since(evalStart))
-	recordCache(sn.obs, tr, cache)
-	defer sn.obs.observe(kindUKRanks, start, tr, pooled)
 	probAt := func(en entry, rank int) gf.Interval {
 		i := rank - 1 - en.offset // count index
 		if i < 0 || i >= len(en.bounds) {

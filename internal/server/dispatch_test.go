@@ -38,7 +38,8 @@ func TestBatchCountOverflow(t *testing.T) {
 
 // TestThresholdQueriesRefuseNaNTau: a NaN tau, which would refine every
 // candidate to full depth, gets an error reply from KNN, RKNN, BATCH
-// and SUBSCRIBE, and the connection keeps serving.
+// and SUBSCRIBE, and the connection keeps serving. So does any other
+// tau outside [0, 1], as SUBSCRIBE already refused it.
 func TestThresholdQueriesRefuseNaNTau(t *testing.T) {
 	store, err := query.NewStore(testDB(7, 16), testOpts)
 	if err != nil {
@@ -47,13 +48,15 @@ func TestThresholdQueriesRefuseNaNTau(t *testing.T) {
 	_, addr := startServer(t, store, server.Options{})
 	rc := rawDial(t, addr)
 	q := string(server.EncodeObject(uncertain.PointObject(-1, geom.Point{4, 4})))
-	for _, argv := range [][]string{
-		{"KNN", "5", "NaN", q},
-		{"RKNN", "3", "NaN", q},
-		{"BATCH", "2", "3", "0.5", q, "5", "NaN", q},
-	} {
-		rc.sendArgs(t, argv...)
-		rc.wantError(t, "ERR")
+	for _, tau := range []string{"NaN", "-0.5", "1.5", "+Inf", "-Inf"} {
+		for _, argv := range [][]string{
+			{"KNN", "5", tau, q},
+			{"RKNN", "3", tau, q},
+			{"BATCH", "2", "3", "0.5", q, "5", tau, q},
+		} {
+			rc.sendArgs(t, argv...)
+			rc.wantError(t, "ERR")
+		}
 	}
 	rc.sendArgs(t, "SUBSCRIBE", "KNN", "5", "NaN", q)
 	if f := rc.read(t); f.Type != server.TError {
@@ -92,8 +95,8 @@ func FuzzDispatch(f *testing.F) {
 	}
 	f.Add(uint8(0), "-1\nNaN\n"+obj, false)
 	f.Add(uint8(2), "100\n-5\n"+obj, false)
-	// Thresholds no probability compares with, and k <= 0.
-	for _, tau := range []string{"NaN", "+Inf", "-Inf"} {
+	// Thresholds outside [0, 1], and k <= 0.
+	for _, tau := range []string{"NaN", "+Inf", "-Inf", "-0.5", "1.5"} {
 		f.Add(uint8(0), "5\n"+tau+"\n"+obj, false)
 		f.Add(uint8(1), "3\n"+tau+"\n"+obj, false)
 		f.Add(uint8(4), "1\n5\n"+tau+"\n"+obj, false)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"probprune/internal/cq"
 	"probprune/internal/query"
 	"probprune/internal/server"
 	"probprune/internal/server/client"
@@ -74,11 +75,7 @@ func TestServerE2ERace(t *testing.T) {
 
 	// Uninterrupted in-process reference on the server's own monitor,
 	// created before any mutation: every subscriber stream must equal it.
-	refSub, err := srv.Monitor().SubscribeKNN(q, k, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDone := collectCQ(refSub)
+	refSub, refDone := collectCQ(t, srv.Monitor(), cq.KNN, q, k, tau)
 
 	var wg sync.WaitGroup
 	writerDone := make(chan struct{})

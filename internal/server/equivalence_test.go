@@ -2,9 +2,11 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"probprune/internal/cq"
@@ -57,17 +59,45 @@ func stripEnd(t *testing.T, evs []server.EventMsg) []server.EventMsg {
 	return evs[:len(evs)-1]
 }
 
-// collectCQ drains a cq subscription in the background until it closes.
-func collectCQ(sub *cq.Subscription) func() []cq.Event {
-	ch := make(chan []cq.Event, 1)
-	go func() {
-		var evs []cq.Event
-		for ev := range sub.Events() {
-			evs = append(evs, ev)
+// cqCollector is a cq.Consumer that never refuses, so a reference
+// stream cannot be cut short by a slow reader the way a bounded Events
+// channel under DisconnectSlow can.
+type cqCollector struct {
+	mu   sync.Mutex
+	evs  []cq.Event
+	done chan struct{}
+}
+
+func (c *cqCollector) Deliver(evs []cq.Event) error {
+	c.mu.Lock()
+	c.evs = append(c.evs, evs...)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *cqCollector) End(error) { close(c.done) }
+
+// collectCQ subscribes an in-process reference standing query through a
+// cqCollector. The returned function, called after Cancel, waits for
+// the subscription to end and returns every event it delivered; it
+// fails the test when the subscription ended for any other reason.
+func collectCQ(t *testing.T, m *cq.Monitor, kind cq.Kind, q *uncertain.Object, k int, tau float64) (*cq.Subscription, func() []cq.Event) {
+	t.Helper()
+	c := &cqCollector{done: make(chan struct{})}
+	sub, err := m.SubscribeTo(c, "", kind, q, k, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub, func() []cq.Event {
+		t.Helper()
+		<-c.done
+		if err := sub.Err(); !errors.Is(err, cq.ErrUnsubscribed) {
+			t.Fatalf("reference subscription ended with %v", err)
 		}
-		ch <- evs
-	}()
-	return func() []cq.Event { return <-ch }
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.evs
+	}
 }
 
 func TestServerEquivalence(t *testing.T) {
@@ -85,7 +115,7 @@ func runEquivalence(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refMon := cq.NewMonitor(ref, cq.Options{Buffer: 4096, Policy: cq.DisconnectSlow})
+	refMon := cq.NewMonitor(ref, cq.Options{})
 	defer refMon.Close()
 
 	// Standing predicates, fixed at the initial version.
@@ -97,15 +127,8 @@ func runEquivalence(t *testing.T, seed int64) {
 	const subK, subTau = 3, 0.2
 	const rkK, rkTau = 2, 0.3
 
-	refKNN, err := refMon.SubscribeKNN(subQ, subK, subTau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRKNN, err := refMon.SubscribeRKNN(subQ, rkK, rkTau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knnDone, rknnDone := collectCQ(refKNN), collectCQ(refRKNN)
+	refKNN, knnDone := collectCQ(t, refMon, cq.KNN, subQ, subK, subTau)
+	refRKNN, rknnDone := collectCQ(t, refMon, cq.RKNN, subQ, rkK, rkTau)
 
 	// Candidates: live servers over both backend types.
 	store, err := query.NewStore(testDB(seed, n), testOpts)
