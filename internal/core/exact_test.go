@@ -18,26 +18,43 @@ import (
 // This file is the exact oracle: every possible world of a tiny
 // database is enumerated and every probability is a rational, so the
 // paper's guarantee — bounds correct under possible-world semantics —
-// is checked with no tolerance. Samples sit on a 5×5 integer grid
-// (squared L2 distances compare exactly) and every weight is a
-// multiple of 1/16 (a world's probability is an exact integer over
-// 16^n). Bounds are read with big.Rat.SetFloat64, which is exact.
+// is checked with no tolerance. Samples sit on a grid and every weight
+// is a multiple of 1/16 (a world's probability is an exact integer over
+// 16^n). Distances are compared exactly, in rational arithmetic on the
+// stored coordinates, and bounds are read with big.Rat.SetFloat64,
+// which is exact. Two grids:
+//   - integer: a 5×5 grid of small integers, exact in binary, so equal
+//     distances are common and ties must be decided;
+//   - decimal: k/10 in [0, 0.5]², not exact in binary, so ties in the
+//     reals become near-ties of the stored doubles that only an exact
+//     domination test gets right.
 
-// dyadicDB builds n objects of 1, 2 or 4 samples on the grid, with
-// uniform weights or random multiples of 1/16 summing to 1.
-func dyadicDB(rng *rand.Rand, n int) uncertain.Database {
+// grid is one data class of the oracle: how a coordinate is drawn.
+type grid struct {
+	name  string
+	coord func(*rand.Rand) float64
+}
+
+var grids = []grid{
+	{"integer", func(rng *rand.Rand) float64 { return float64(rng.Intn(5)) }},
+	{"decimal", func(rng *rand.Rand) float64 { return float64(rng.Intn(6)) / 10 }},
+}
+
+// gridDB builds n objects of 1, 2 or 4 samples on g, with uniform
+// weights or random multiples of 1/16 summing to 1.
+func gridDB(rng *rand.Rand, g grid, n int) uncertain.Database {
 	db := make(uncertain.Database, n)
 	for i := range db {
-		db[i] = dyadicObject(rng, i+1)
+		db[i] = gridObject(rng, g, i+1)
 	}
 	return db
 }
 
-func dyadicObject(rng *rand.Rand, id int) *uncertain.Object {
+func gridObject(rng *rand.Rand, g grid, id int) *uncertain.Object {
 	m := []int{1, 2, 4}[rng.Intn(3)]
 	coords := make([]float64, 2*m)
 	for j := range coords {
-		coords[j] = float64(rng.Intn(5))
+		coords[j] = g.coord(rng)
 	}
 	var weights []float64
 	if rng.Intn(2) == 0 {
@@ -70,15 +87,17 @@ func exactPDFs(t *testing.T, objs []*uncertain.Object, dbLen int, pairs [][2]int
 	for p := range mass {
 		mass[p] = make([]int64, dbLen+1)
 	}
-	pos := make([]geom.Point, len(objs))
+	first, rank := distRanks(objs)
+	pos := make([]int, len(objs)) // the world's sample of each object, numbered as in rank
 	var world func(i int, w int64)
 	world = func(i int, w int64) {
 		if i == len(objs) {
 			for p, br := range pairs {
-				r, d := pos[br[1]], dist2(pos[br[0]], pos[br[1]])
+				r := rank[pos[br[1]]]
+				d := r[pos[br[0]]]
 				k := 0
 				for a := range dbLen {
-					if a != br[0] && a != br[1] && dist2(pos[a], r) < d {
+					if a != br[0] && a != br[1] && r[pos[a]] < d {
 						k++
 					}
 				}
@@ -91,7 +110,7 @@ func exactPDFs(t *testing.T, objs []*uncertain.Object, dbLen int, pairs [][2]int
 			if w16 != float64(int64(w16)) {
 				t.Fatalf("object %d: weight %g is no multiple of 1/16", objs[i].ID, objs[i].Weight(s))
 			}
-			pos[i] = objs[i].Sample(s)
+			pos[i] = first[i] + s
 			world(i+1, w*int64(w16))
 		}
 	}
@@ -106,12 +125,45 @@ func exactPDFs(t *testing.T, objs []*uncertain.Object, dbLen int, pairs [][2]int
 	return out
 }
 
-func dist2(a, b geom.Point) float64 {
-	s := 0.0
-	for i := range a {
-		s += (a[i] - b[i]) * (a[i] - b[i])
+// distRanks numbers every sample of objs (object i's sample s is
+// first[i]+s) and ranks the exact squared distance between any two:
+// rank[u][v] < rank[w][v] exactly when sample u is strictly closer to v
+// than w is, on the stored coordinates.
+func distRanks(objs []*uncertain.Object) (first []int, rank [][]int) {
+	var pts []geom.Point
+	for _, o := range objs {
+		first = append(first, len(pts))
+		for s := range o.NumSamples() {
+			pts = append(pts, o.Sample(s))
+		}
 	}
-	return s
+	d2 := make([]*big.Rat, len(pts)*len(pts))
+	order := make([]int, len(d2))
+	for u, pu := range pts {
+		for v, pv := range pts {
+			sum := new(big.Rat)
+			for i := range pu {
+				x := new(big.Rat).SetFloat64(pu[i])
+				x.Sub(x, new(big.Rat).SetFloat64(pv[i]))
+				sum.Add(sum, x.Mul(x, x))
+			}
+			d2[u*len(pts)+v] = sum
+			order[u*len(pts)+v] = u*len(pts) + v
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return d2[order[i]].Cmp(d2[order[j]]) < 0 })
+	rank = make([][]int, len(pts))
+	for v := range rank {
+		rank[v] = make([]int, len(pts))
+	}
+	r := 0
+	for i, e := range order {
+		if i > 0 && d2[e].Cmp(d2[order[i-1]]) != 0 {
+			r++
+		}
+		rank[e%len(pts)][e/len(pts)] = r // indexed [reference][sample]
+	}
+	return first, rank
 }
 
 // cdf returns P(DomCount < k) from an exact PDF.
@@ -134,12 +186,21 @@ func brackets(iv gf.Interval, p *big.Rat) bool {
 // of Bounds and CDF — and the absolute-count accessors at every count —
 // contains the exact probability.
 func TestExactOracleSessionBounds(t *testing.T) {
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) { exactSessionBounds(t, g) })
+	}
+}
+
+// exactSessionBounds runs each session until Step reports that nothing
+// can change, with no loop cap: at the leaves every sample triple is
+// decided (ties included), so the uncertainty must have reached 0.
+func exactSessionBounds(t *testing.T, g grid) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		db := dyadicDB(rng, 5+rng.Intn(3))
+		db := gridDB(rng, g, 5+rng.Intn(3))
 		// Two pairs among the objects, and the first object against a
 		// query object outside the database.
-		q := dyadicObject(rng, -1)
+		q := gridObject(rng, g, -1)
 		objs := append(append([]*uncertain.Object(nil), db...), q)
 		pairs := [][2]int{{0, 1}, {2, 0}, {0, len(db)}}
 		exact := exactPDFs(t, objs, len(db), pairs)
@@ -152,9 +213,13 @@ func TestExactOracleSessionBounds(t *testing.T) {
 						checkExact(t, s.Result(), exact[p], func() string {
 							return fmt.Sprintf("seed %d pair %v kMax %d par %d level %d", seed, br, kMax, par, level)
 						})
-						if level == 5 || !s.Step() {
+						if !s.Step() {
 							break
 						}
+					}
+					if u := s.Result().Uncertainty(); u != 0 {
+						t.Fatalf("seed %d pair %v kMax %d par %d: session ended at level %d with uncertainty %g",
+							seed, br, kMax, par, s.Level(), u)
 					}
 				}
 			}
@@ -189,15 +254,21 @@ func checkExact(t *testing.T, res *core.Result, pdf []*big.Rat, where func() str
 // brackets the exact P(B ∈ kNN(q)) = P(DomCount(B, q) < k), and every
 // decided verdict equals exact ≥ τ, for k 1 to 3 and τ ∈ {⅛, ¼, ½, ¾}.
 func TestExactOracleKNNVerdicts(t *testing.T) {
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) { exactKNNVerdicts(t, g) })
+	}
+}
+
+func exactKNNVerdicts(t *testing.T, g grid) {
 	ctx := context.Background()
 	decided := 0
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		db := dyadicDB(rng, 5+rng.Intn(3))
+		db := gridDB(rng, g, 5+rng.Intn(3))
 		objs := db
 		qi := rng.Intn(len(db) + 1) // a database object, or a query object
 		if qi == len(db) {
-			objs = append(append(uncertain.Database(nil), db...), dyadicObject(rng, -1))
+			objs = append(append(uncertain.Database(nil), db...), gridObject(rng, g, -1))
 		}
 		q := objs[qi]
 		var pairs [][2]int

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"probprune/internal/geom"
 	"probprune/internal/gf"
 	"probprune/internal/uncertain"
 )
@@ -50,6 +51,9 @@ type Scratch struct {
 	activeB, activeC []gf.Interval
 	widths           []float64
 	tests            int
+	// kernel is the domination predicate of the (B', R') pair being
+	// refined; its term buffer is kept across pairs and runs.
+	kernel geom.PairKernel
 
 	// workers are the arenas of the extra goroutines a
 	// Parallelism > 1 step runs, wg what the step waits for them on; each

@@ -129,7 +129,9 @@ func (s *Session) stopped() bool {
 // Step executes one refinement iteration of Algorithm 1 and reports
 // whether the bounds can still improve. It does NOT consult
 // Options.MaxIterations — the caller owns the budget — but it does
-// honor Options.Stop and the convergence threshold.
+// honor Options.Stop and the convergence threshold, and it returns
+// false without refining once every object is at its leaves (no step
+// can change anything then), so a loop over Step ends on its own.
 //
 // A step is incremental. Complete domination is monotone under
 // shrinking regions, so a triple (A', B', R') the criterion decided at
@@ -157,6 +159,7 @@ func (s *Session) Step() bool {
 	c := len(s.aSrcs)
 	lv.cands = grow(lv.cands, c)
 	eps := s.opts.adaptiveEps()
+	leaves := lv.bFirst == nil && lv.rFirst == nil
 	for i, t := range s.aSrcs {
 		cl := candLevel{exist: t.Object().ExistenceProb()}
 		// A candidate the heuristic froze stays at its level for good
@@ -168,7 +171,17 @@ func (s *Session) Step() bool {
 		} else {
 			cl.parts = t.PartitionsAtLevel(sc.aLevels[i])
 		}
+		leaves = leaves && cl.first == nil
 		lv.cands[i] = cl
+	}
+	if leaves && s.level > 1 {
+		// Every child map is the identity: every object is at its leaves
+		// (or frozen), so this step would repeat the last one's tests with
+		// the same verdicts and could change nothing. (The first step
+		// always runs: it is the first to test the whole regions.)
+		s.level--
+		s.done = true
+		return false
 	}
 
 	// Contiguous chunks of the parent list, one arena per goroutine, the
@@ -239,9 +252,10 @@ func children(first []int32, p int32) (lo, hi int32) {
 // refinePairs refines the parent pairs [lo, hi) one level: for every
 // child pair (B', R') each influence object starts from the mass its
 // parent already settled and puts only the children of the parent's
-// undecided partitions to the criterion (Lemma 3 within the conditioned
-// world set, Lemma 5); the resulting intervals feed the generating
-// function, weighted by P(B')·P(R') (Section IV-E). A child pair with
+// undecided partitions to the criterion — wsc's geom.PairKernel, built
+// once per child pair (Lemma 3 within the conditioned world set, Lemma
+// 5); the resulting intervals feed the generating function, weighted by
+// P(B')·P(R') (Section IV-E). A child pair with
 // undecided partitions left is appended to out and counted into wsc's
 // active accumulators; one without goes to the frozen accumulators and
 // leaves no state behind.
@@ -250,7 +264,7 @@ func (s *Session) refinePairs(parents *levelState, lo, hi int, out *levelState, 
 	lv := &s.sc.step
 	c := len(lv.cands)
 	crit, n, kMax := s.opts.Criterion, s.norm, s.opts.KMax
-	ivs := wsc.ivs
+	ivs, k := wsc.ivs, &wsc.kernel
 	for p := lo; p < hi; p++ {
 		pair := parents.pairs[p]
 		settled := parents.cands[p*c : (p+1)*c]
@@ -261,6 +275,7 @@ func (s *Session) refinePairs(parents *levelState, lo, hi int, out *levelState, 
 			for ri := rLo; ri < rHi; ri++ {
 				r := lv.rParts[ri]
 				w := b.Prob * r.Prob
+				k.Reset(n, crit, b.MBR, r.MBR)
 				candMark, undMark := len(out.cands), len(out.und)
 				for i := range settled {
 					st, cl := settled[i], &lv.cands[i]
@@ -269,11 +284,12 @@ func (s *Session) refinePairs(parents *levelState, lo, hi int, out *levelState, 
 						aLo, aHi := children(cl.first, ap)
 						for ai := aLo; ai < aHi; ai++ {
 							a := &cl.parts[ai]
-							if crit.Decide(n, a.MBR, b.MBR, r.MBR) {
+							switch k.Relate(a.MBR) {
+							case geom.Dominates:
 								st.dom += a.Prob
-							} else if crit.Decide(n, b.MBR, a.MBR, r.MBR) {
+							case geom.NeverCloser:
 								st.sub += a.Prob
-							} else {
+							default:
 								out.und = append(out.und, ai)
 							}
 						}

@@ -28,7 +28,10 @@ import (
 // candidates A_i, because B and R are not decomposed.
 //
 //	PDomLB = Σ_{A' : Dom(A', B, R)} P(A')
-//	PDomUB = 1 − Σ_{A' : Dom(B, A', R)} P(A')
+//	PDomUB = 1 − Σ_{A' : NeverCloser(A', B, R)} P(A')
+//
+// with Dom and NeverCloser the verdicts of crit.Relate, decided by one
+// geom.PairKernel built for (b, r).
 func Bounds(n geom.Norm, crit geom.Criterion, aParts []uncertain.Partition, b, r geom.Rect) gf.Interval {
 	return BoundsWithExistence(n, crit, aParts, 1, b, r)
 }
@@ -39,11 +42,14 @@ func Bounds(n geom.Norm, crit geom.Criterion, aParts []uncertain.Partition, b, r
 // non-existing object never dominates, so both bounds scale by exist —
 // the Section I-A adaptation of the framework to ∫ f < 1.
 func BoundsWithExistence(n geom.Norm, crit geom.Criterion, aParts []uncertain.Partition, exist float64, b, r geom.Rect) gf.Interval {
+	var k geom.PairKernel
+	k.Reset(n, crit, b, r)
 	lb, notUB := 0.0, 0.0
 	for _, ap := range aParts {
-		if crit.Decide(n, ap.MBR, b, r) {
+		switch k.Relate(ap.MBR) {
+		case geom.Dominates:
 			lb += ap.Prob
-		} else if crit.Decide(n, b, ap.MBR, r) {
+		case geom.NeverCloser:
 			notUB += ap.Prob
 		}
 	}
@@ -65,7 +71,7 @@ func FromMass(exist, dom, sub float64) gf.Interval {
 // form):
 //
 //	PDomLB = Σ_{A',B',R' : Dom(A',B',R')} P(A')·P(B')·P(R')
-//	PDomUB = 1 − Σ_{A',B',R' : Dom(B',A',R')} P(A')·P(B')·P(R')
+//	PDomUB = 1 − Σ_{A',B',R' : NeverCloser(A',B',R')} P(A')·P(B')·P(R')
 //
 // Bounds obtained this way are tighter than Bounds but are NOT mutually
 // independent across candidates (Section IV-A): they must not be fed
@@ -73,14 +79,17 @@ func FromMass(exist, dom, sub float64) gf.Interval {
 // fixes one (B', R') pair at a time and calls Bounds per pair (Lemma
 // 5 / Section IV-E).
 func BoundsDecomposed(n geom.Norm, crit geom.Criterion, aParts, bParts, rParts []uncertain.Partition) gf.Interval {
+	var k geom.PairKernel
 	lb, notUB := 0.0, 0.0
 	for _, bp := range bParts {
 		for _, rp := range rParts {
 			w := bp.Prob * rp.Prob
+			k.Reset(n, crit, bp.MBR, rp.MBR)
 			for _, ap := range aParts {
-				if crit.Decide(n, ap.MBR, bp.MBR, rp.MBR) {
+				switch k.Relate(ap.MBR) {
+				case geom.Dominates:
 					lb += w * ap.Prob
-				} else if crit.Decide(n, bp.MBR, ap.MBR, rp.MBR) {
+				case geom.NeverCloser:
 					notUB += w * ap.Prob
 				}
 			}
@@ -89,30 +98,36 @@ func BoundsDecomposed(n geom.Norm, crit geom.Criterion, aParts, bParts, rParts [
 	return clampInterval(lb, 1-notUB)
 }
 
-// Complete classifies the complete domination relation between a
+// CompleteRelation is the complete domination relation between a
 // candidate A and the target B w.r.t. reference R on whole uncertainty
-// regions (the filter step of Algorithm 1).
-type CompleteRelation int
+// regions (the filter step of Algorithm 1): geom.Relation under the
+// filter's names.
+type CompleteRelation = geom.Relation
 
 const (
 	// Unknown: neither direction is decided; A is an influence object.
-	Unknown CompleteRelation = iota
+	Unknown = geom.Unknown
 	// DominatesTarget: PDom(A, B, R) = 1 — A counts toward the
 	// domination count in every possible world.
-	DominatesTarget
-	// DominatedByTarget: PDom(A, B, R) = 0 — A can never contribute.
-	DominatedByTarget
+	DominatesTarget = geom.Dominates
+	// DominatedByTarget: PDom(A, B, R) = 0 — A is never strictly
+	// closer than the target, so it can never contribute.
+	DominatedByTarget = geom.NeverCloser
 )
 
-// Classify applies the complete-domination filter to whole regions.
+// Classify applies the complete-domination filter to whole regions: it
+// is crit.Relate(n, a, b, r). DominatesTarget needs the forward
+// criterion sum strictly below zero; DominatedByTarget needs the reverse
+// sum at most zero, which is exact under DomCount's strict "closer
+// than": an A at best as close as B never counts. Under Optimal with
+// p = 1 or 2 both signs are exact on the stored float64 coordinates —
+// the float sum decides only outside its derived rounding-error bound,
+// (d+4)·2⁻⁵² times the sum of the powers in it, and an exact evaluation
+// decides inside it. Any other finite p answers Unknown inside the
+// bound; MinMax and the maximum norm compare MaxDist and MinDist
+// (strictly, both ways).
 func Classify(n geom.Norm, crit geom.Criterion, a, b, r geom.Rect) CompleteRelation {
-	if crit.Decide(n, a, b, r) {
-		return DominatesTarget
-	}
-	if crit.Decide(n, b, a, r) {
-		return DominatedByTarget
-	}
-	return Unknown
+	return crit.Relate(n, a, b, r)
 }
 
 // clampInterval guards against floating-point drift taking the interval

@@ -1,9 +1,13 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// dominates is the forward half of Optimal.Relate.
+func dominates(n Norm, a, b, r Rect) bool { return Optimal.Relate(n, a, b, r) == Dominates }
 
 // sampledDominates exhaustively samples locations and checks whether
 // every sampled world satisfies dist(a, r) < dist(b, r). It is the
@@ -26,14 +30,14 @@ func TestDominatesClearCase(t *testing.T) {
 	a, _ := NewRect(Point{0, 0}, Point{1, 1})
 	r, _ := NewRect(Point{1.5, 0}, Point{2, 1})
 	b, _ := NewRect(Point{10, 10}, Point{11, 11})
-	if !Dominates(L2, a, b, r) {
+	if !dominates(L2, a, b, r) {
 		t.Error("optimal criterion missed a clear domination")
 	}
 	if !DominatesMinMax(L2, a, b, r) {
 		t.Error("min/max criterion missed a clear domination")
 	}
 	// And the converse direction must fail.
-	if Dominates(L2, b, a, r) {
+	if dominates(L2, b, a, r) {
 		t.Error("B cannot dominate A here")
 	}
 }
@@ -44,7 +48,7 @@ func TestDominatesOverlapNeverDominates(t *testing.T) {
 	a, _ := NewRect(Point{0, 0}, Point{2, 2})
 	b, _ := NewRect(Point{1, 1}, Point{3, 3})
 	r, _ := NewRect(Point{-5, -5}, Point{-4, -4})
-	if Dominates(L2, a, b, r) {
+	if dominates(L2, a, b, r) {
 		t.Error("overlapping rectangles cannot strictly dominate")
 	}
 }
@@ -62,7 +66,7 @@ func TestOptimalStrongerThanMinMax(t *testing.T) {
 	a, _ := NewRect(Point{0, 0}, Point{0.1, 0})
 	b, _ := NewRect(Point{3, 0}, Point{3.1, 0})
 	r, _ := NewRect(Point{1, 0}, Point{1.2, 5})
-	optimal := Dominates(L2, a, b, r)
+	optimal := dominates(L2, a, b, r)
 	minmax := DominatesMinMax(L2, a, b, r)
 	if !optimal {
 		t.Fatal("optimal criterion should detect domination in this configuration")
@@ -72,22 +76,31 @@ func TestOptimalStrongerThanMinMax(t *testing.T) {
 	}
 }
 
-// Property: the criteria are sound — whenever they claim domination, no
-// sampled world contradicts it.
+// Property: the criteria are sound — whenever they claim domination, or
+// that A is never closer, no sampled world contradicts it.
 func TestDominationSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	norms := []Norm{L1, L2, {P: 3}}
-	detected := 0
+	detected, never := 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		d := 1 + rng.Intn(3)
 		a := randRect(rng, d, 3)
 		b := randRect(rng, d, 3)
 		r := randRect(rng, d, 3)
 		for _, n := range norms {
-			if Dominates(n, a, b, r) {
+			switch Optimal.Relate(n, a, b, r) {
+			case Dominates:
 				detected++
 				if sampledCounterexample(rng, n, a, b, r, 50) {
 					t.Fatalf("optimal criterion false positive: n=%v a=%v b=%v r=%v", n, a, b, r)
+				}
+			case NeverCloser:
+				never++
+				for i := 0; i < 50; i++ {
+					pa, pb, pr := randPointIn(rng, a), randPointIn(rng, b), randPointIn(rng, r)
+					if n.Dist(pa, pr) < n.Dist(pb, pr) {
+						t.Fatalf("NeverCloser, but a=%v is closer to r=%v than b=%v", pa, pr, pb)
+					}
 				}
 			}
 			if DominatesMinMax(n, a, b, r) {
@@ -97,8 +110,8 @@ func TestDominationSoundness(t *testing.T) {
 			}
 		}
 	}
-	if detected == 0 {
-		t.Error("property test never exercised a positive domination decision")
+	if detected == 0 || never == 0 {
+		t.Errorf("property test exercised %d dominations and %d NeverCloser verdicts", detected, never)
 	}
 }
 
@@ -114,7 +127,7 @@ func TestMinMaxImpliesOptimal(t *testing.T) {
 		r := randRect(rng, d, 3)
 		if DominatesMinMax(L2, a, b, r) {
 			implied++
-			if !Dominates(L2, a, b, r) {
+			if !dominates(L2, a, b, r) {
 				t.Fatalf("min/max detected but optimal did not: a=%v b=%v r=%v", a, b, r)
 			}
 		}
@@ -132,7 +145,7 @@ func TestDominationAsymmetry(t *testing.T) {
 		a := randRect(rng, d, 3)
 		b := randRect(rng, d, 3)
 		r := randRect(rng, d, 3)
-		if Dominates(L2, a, b, r) && Dominates(L2, b, a, r) {
+		if dominates(L2, a, b, r) && dominates(L2, b, a, r) {
 			t.Fatalf("mutual domination is impossible: a=%v b=%v r=%v", a, b, r)
 		}
 	}
@@ -147,21 +160,23 @@ func TestDominatesExactOnPoints(t *testing.T) {
 		pa, pb, pr := randPoint(rng, d), randPoint(rng, d), randPoint(rng, d)
 		a, b, r := PointRect(pa), PointRect(pb), PointRect(pr)
 		want := L2.Dist(pa, pr) < L2.Dist(pb, pr)
-		if got := Dominates(L2, a, b, r); got != want {
+		if got := dominates(L2, a, b, r); got != want {
 			t.Fatalf("point-object domination: got %v want %v (a=%v b=%v r=%v)", got, want, pa, pb, pr)
 		}
 	}
 }
 
-func TestCriterionDecideAndString(t *testing.T) {
+func TestCriterionRelateAndString(t *testing.T) {
 	a, _ := NewRect(Point{0, 0}, Point{1, 1})
 	r, _ := NewRect(Point{1.5, 0}, Point{2, 1})
 	b, _ := NewRect(Point{10, 10}, Point{11, 11})
-	if !Optimal.Decide(L2, a, b, r) {
-		t.Error("Optimal.Decide failed on clear case")
-	}
-	if !MinMax.Decide(L2, a, b, r) {
-		t.Error("MinMax.Decide failed on clear case")
+	for _, c := range []Criterion{Optimal, MinMax} {
+		if got := c.Relate(L2, a, b, r); got != Dominates {
+			t.Errorf("%v.Relate(a, b) = %v on a clear case", c, got)
+		}
+		if got := c.Relate(L2, b, a, r); got != NeverCloser {
+			t.Errorf("%v.Relate(b, a) = %v on a clear case", c, got)
+		}
 	}
 	if Optimal.String() != "Optimal" || MinMax.String() != "MinMax" {
 		t.Error("Criterion.String mismatch")
@@ -175,7 +190,7 @@ func TestDominatesLInfFallsBackToMinMax(t *testing.T) {
 	a, _ := NewRect(Point{0, 0}, Point{1, 1})
 	r, _ := NewRect(Point{1.5, 0}, Point{2, 1})
 	b, _ := NewRect(Point{10, 10}, Point{11, 11})
-	if Dominates(LInf, a, b, r) != DominatesMinMax(LInf, a, b, r) {
+	if dominates(LInf, a, b, r) != DominatesMinMax(LInf, a, b, r) {
 		t.Error("LInf must use the min/max criterion")
 	}
 }
@@ -187,7 +202,7 @@ func BenchmarkDominatesOptimal(b *testing.B) {
 	rr := randRect(rng, 2, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Dominates(L2, ra, rb, rr)
+		dominates(L2, ra, rb, rr)
 	}
 }
 
@@ -199,5 +214,63 @@ func BenchmarkDominatesMinMax(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		DominatesMinMax(L2, ra, rb, rr)
+	}
+}
+
+// The 128-bit integer path of exactSign agrees with big.Rat on random
+// rectangles whose coordinates span few enough bits to take it: decimal
+// grids, dyadic grids and ties (a, b and r drawn from the same few
+// values), in one to three dimensions.
+func TestExactSignIntegerPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	grids := []func() float64{
+		func() float64 { return float64(rng.Intn(11)) / 10 },
+		func() float64 { return float64(rng.Intn(9)-4) / 8 },
+		func() float64 { return float64(rng.Intn(3)) * 1e-3 },
+	}
+	for trial := 0; trial < 3000; trial++ {
+		g, d := grids[trial%len(grids)], 1+rng.Intn(3)
+		mk := func() Rect {
+			r := Rect{Min: make(Point, d), Max: make(Point, d)}
+			for i := range r.Min {
+				r.Min[i], r.Max[i] = g(), g()
+				if r.Max[i] < r.Min[i] {
+					r.Min[i], r.Max[i] = r.Max[i], r.Min[i]
+				}
+			}
+			return r
+		}
+		a, b, r := mk(), mk(), mk()
+		for _, p := range []float64{1, 2} {
+			got, ok := exactSign(p, a, b, r)
+			if want := ratSign(p, a, b, r); !ok || got != want {
+				t.Fatalf("p=%g: exactSign = %d (ok %v), big.Rat %d for a=%v b=%v r=%v", p, got, ok, want, a, b, r)
+			}
+		}
+	}
+}
+
+// Sums that overflow, underflow or meet a non-finite coordinate leave
+// the float filter undecided; the exact path decides the finite ones and
+// answers Unknown for the rest.
+func TestRelateExtremeCoordinates(t *testing.T) {
+	pt := func(x float64) Rect { return PointRect(Point{x}) }
+	tiny := math.SmallestNonzeroFloat64
+	for _, c := range []struct {
+		name    string
+		a, b, r Rect
+		want    Relation
+	}{
+		{"squares overflow", pt(1e200), pt(3e200), pt(0), Dominates},
+		{"squares overflow, reversed", pt(3e200), pt(1e200), pt(0), NeverCloser},
+		{"subnormal tie", pt(0), pt(2 * tiny), pt(tiny), NeverCloser},
+		{"subnormal", pt(2 * tiny), pt(0), pt(3 * tiny), Dominates},
+		{"infinite reference", pt(0), pt(1), Rect{Min: Point{math.Inf(-1)}, Max: Point{0}}, Unknown},
+	} {
+		for _, p := range []Norm{L1, L2} {
+			if got := Optimal.Relate(p, c.a, c.b, c.r); got != c.want {
+				t.Errorf("%s under L%g: %v, want %v", c.name, p.P, got, c.want)
+			}
+		}
 	}
 }

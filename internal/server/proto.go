@@ -290,12 +290,18 @@ func (r *Reader) readLen(limit int64, what string) (int64, error) {
 // use; callers serialize (the connection writer goroutine owns it).
 type Writer struct {
 	bw *bufio.Writer
+	// num is the scratch every integer and length header is formatted
+	// into; 20 bytes hold any int64, so a header allocates nothing.
+	num [20]byte
 }
 
 // NewWriter wraps w in a frame encoder.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 16<<10)}
 }
+
+// writeInt writes v in decimal.
+func (w *Writer) writeInt(v int64) { w.bw.Write(strconv.AppendInt(w.num[:0], v, 10)) }
 
 // WriteFrame encodes one frame (buffered; call Flush to send).
 func (w *Writer) WriteFrame(f Frame) error {
@@ -305,14 +311,14 @@ func (w *Writer) WriteFrame(f Frame) error {
 		w.bw.WriteString(f.Str)
 	case TInt:
 		w.bw.WriteByte(TInt)
-		w.bw.Write(strconv.AppendInt(nil, f.Int, 10))
+		w.writeInt(f.Int)
 	case TBulk:
 		w.bw.WriteByte(TBulk)
 		if f.Null {
 			w.bw.WriteString("-1")
 			break
 		}
-		w.bw.Write(strconv.AppendInt(nil, int64(len(f.Bulk)), 10))
+		w.writeInt(int64(len(f.Bulk)))
 		w.bw.WriteString("\r\n")
 		w.bw.Write(f.Bulk)
 	case TArray, TPush:
@@ -321,7 +327,7 @@ func (w *Writer) WriteFrame(f Frame) error {
 			w.bw.WriteString("-1")
 			break
 		}
-		w.bw.Write(strconv.AppendInt(nil, int64(len(f.Array)), 10))
+		w.writeInt(int64(len(f.Array)))
 		w.bw.WriteString("\r\n")
 		for _, el := range f.Array {
 			if err := w.WriteFrame(el); err != nil {
