@@ -30,7 +30,6 @@ import (
 	"sort"
 	"time"
 
-	"probprune/internal/domination"
 	"probprune/internal/geom"
 	"probprune/internal/gf"
 	"probprune/internal/rtree"
@@ -213,18 +212,6 @@ func RunIndexed(index *rtree.Tree[*uncertain.Object], target, reference *uncerta
 	return NewSessionIndexed(index, target, reference, opts).run()
 }
 
-// Filter runs only the complete-domination filter step and returns the
-// resulting classification — what Figure 6(a) measures.
-func Filter(db uncertain.Database, target, reference *uncertain.Object, opts Options) *Result {
-	return NewSession(db, target, reference, opts).res
-}
-
-// FilterIndexed runs only the complete-domination filter step through
-// an R-tree, pruning decided subtrees wholesale.
-func FilterIndexed(index *rtree.Tree[*uncertain.Object], target, reference *uncertain.Object, opts Options) *Result {
-	return NewSessionIndexed(index, target, reference, opts).res
-}
-
 func (o *Options) norm() geom.Norm {
 	if !o.Norm.Valid() {
 		return geom.L2
@@ -249,82 +236,6 @@ func (o *Options) adaptiveEps() float64 {
 // IndexTree is the R-tree type the indexed entry points accept.
 type IndexTree = *rtree.Tree[*uncertain.Object]
 
-// PartialFilterIndexed classifies every object of one partition through
-// its R-tree, deciding whole subtrees wholesale where the node MBR
-// already settles the domination relation (the index integration of
-// Section VIII) — the filter of RunIndexed, and an engine's per-cut
-// scatter step.
-func PartialFilterIndexed(index IndexTree, target, reference *uncertain.Object, opts Options) PartialFilter {
-	var pf PartialFilter
-	n := opts.norm()
-	b, r := target.MBR, reference.MBR
-	// takeDominators marks the subtree currently emitted via
-	// TakeSubtree as completely dominating: its objects inherit the
-	// node-level verdict and skip re-classification, but each one still
-	// passes the existence check — an existentially uncertain dominator
-	// belongs to the influence set, not the count shift, so dominating
-	// subtrees cannot be counted wholesale (Walk is a sequential DFS;
-	// the flag is reset on every node callback).
-	takeDominators := false
-	index.Walk(
-		func(mbr geom.Rect, count int) rtree.WalkAction {
-			takeDominators = false
-			switch domination.Classify(n, opts.Criterion, mbr, b, r) {
-			case domination.DominatesTarget:
-				// The whole subtree dominates — unless the target or the
-				// reference object could live inside it, in which case we
-				// must descend to exclude them by identity. (A subtree
-				// containing the target always overlaps it and can never
-				// dominate, so only the reference needs the check in
-				// practice; both are tested for symmetry.)
-				if mbr.ContainsRect(b) || mbr.ContainsRect(r) {
-					return rtree.Descend
-				}
-				takeDominators = true
-				return rtree.TakeSubtree
-			case domination.DominatedByTarget:
-				// Dominated objects are pruned regardless of existence:
-				// the whole subtree is discarded by count.
-				if mbr.ContainsRect(b) || mbr.ContainsRect(r) {
-					return rtree.Descend
-				}
-				pf.Pruned += count
-				return rtree.SkipSubtree
-			default:
-				return rtree.Descend
-			}
-		},
-		func(_ geom.Rect, a *uncertain.Object) {
-			if a == target || a == reference {
-				return
-			}
-			if takeDominators {
-				if a.ExistenceProb() < 1 {
-					// Dominates only in the worlds where it exists; it
-					// cannot shift the count (see classifyInto).
-					pf.Influence = append(pf.Influence, a)
-				} else {
-					pf.Dominators++
-				}
-				return
-			}
-			classifyInto(&pf, n, opts.Criterion, a, target, reference)
-		},
-	)
-	return pf
-}
-
-func classifyInto(pf *PartialFilter, n geom.Norm, crit geom.Criterion, a, target, reference *uncertain.Object) {
-	switch ClassifyRole(n, crit, a.MBR, a.ExistenceProb(), target.MBR, reference.MBR) {
-	case RoleDominator:
-		pf.Dominators++
-	case RolePruned:
-		pf.Pruned++
-	default:
-		pf.Influence = append(pf.Influence, a)
-	}
-}
-
 // canonicalize brings the influence set into canonical (object ID)
 // order. Interval arithmetic in the refinement loop accumulates in
 // influence order, so floating-point results depend on it;
@@ -334,9 +245,9 @@ func classifyInto(pf *PartialFilter, n geom.Norm, crit geom.Criterion, a, target
 // traversal order; unique IDs, the database convention, guarantee full
 // canonicity.)
 func canonicalize(influence []*uncertain.Object) {
-	// Skip the sort when the set is already canonical — merged filter
-	// outcomes (MergePartials) arrive sorted, so a run pays one O(I)
-	// scan here instead of a second O(I log I) sort.
+	// Skip the sort when the set is already canonical — a scan over an
+	// ID-ordered database arrives sorted, so a run pays one O(I) scan
+	// here instead of an O(I log I) sort.
 	for i := 1; i < len(influence); i++ {
 		if influence[i].ID < influence[i-1].ID {
 			sort.SliceStable(influence, func(i, j int) bool {

@@ -265,19 +265,19 @@ func TestParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestFilterOnlyClassification: Filter must agree with a brute-force
+// TestFilterOnlyClassification: the filter outcome must agree with a brute-force
 // per-object classification.
 func TestFilterOnlyClassification(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	db, target, reference := smallWorld(rng, 60, 8)
-	res := Filter(db, target, reference, Options{})
+	res := NewSession(db, target, reference, Options{}).Result()
 	if res.CompleteDominators+res.Pruned+len(res.Influence) != len(db)-1 {
 		t.Fatalf("classification does not partition the database: %d + %d + %d != %d",
 			res.CompleteDominators, res.Pruned, len(res.Influence), len(db)-1)
 	}
 	// The optimal criterion must classify at least as many objects as
 	// min/max (Figure 6(a)'s claim).
-	mm := Filter(db, target, reference, Options{Criterion: geom.MinMax})
+	mm := NewSession(db, target, reference, Options{Criterion: geom.MinMax}).Result()
 	if len(res.Influence) > len(mm.Influence) {
 		t.Errorf("optimal left %d influence objects, min/max %d — optimal must prune at least as much",
 			len(res.Influence), len(mm.Influence))

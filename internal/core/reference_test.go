@@ -245,7 +245,8 @@ const propIterations = 8
 // TestIncrementalMatchesFullGrid is property (a) and (c): at every
 // level the incremental bounds equal the full grid's to 1e-12 — stepped
 // sequentially and on four goroutines, and through Run, RunIndexed and
-// RunMerged, which must also stop after the same number of levels — and
+// a Filter fed a scanned half and a walked half, which must also stop
+// after the same number of levels — and
 // a step never tests more triples than the grid does, strictly fewer
 // from level 2 on once level 1 decided anything.
 func TestIncrementalMatchesFullGrid(t *testing.T) {
@@ -300,13 +301,14 @@ func TestIncrementalMatchesFullGrid(t *testing.T) {
 				}
 
 				last := ref[len(ref)-1]
-				pf := MergePartials(
-					PartialFilterLinear(w.db[:len(w.db)/2], w.target, w.reference, opts),
-					PartialFilterIndexed(bulkTree(w.db[len(w.db)/2:]), w.target, w.reference, opts))
+				var f Filter
+				f.Reset(w.target, w.reference, opts)
+				f.Scan(w.db[:len(w.db)/2])
+				f.Walk(bulkTree(w.db[len(w.db)/2:]))
 				for entry, res := range map[string]*Result{
 					"Run":        Run(w.db, w.target, w.reference, opts),
 					"RunIndexed": RunIndexed(index, w.target, w.reference, opts),
-					"RunMerged":  RunMerged(w.target, w.reference, pf, opts),
+					"Filter.Run": f.Run(opts),
 				} {
 					if len(res.Iterations) != ran {
 						t.Fatalf("%s %s: %d iterations, session %d", name, entry, len(res.Iterations), ran)

@@ -53,23 +53,30 @@ const defaultAdaptiveEps = 1e-3
 // filter is executed immediately (a linear scan over db); refinement
 // happens on Step.
 func NewSession(db uncertain.Database, target, reference *uncertain.Object, opts Options) *Session {
-	return newSession(target, reference, PartialFilterLinear(db, target, reference, opts), opts)
+	var f Filter
+	f.Reset(target, reference, opts)
+	f.Scan(db)
+	return f.Session(opts)
 }
 
 // NewSessionIndexed is NewSession with the filter pushed into an R-tree
 // (see RunIndexed).
 func NewSessionIndexed(index IndexTree, target, reference *uncertain.Object, opts Options) *Session {
-	return newSession(target, reference, PartialFilterIndexed(index, target, reference, opts), opts)
+	var f Filter
+	f.Reset(target, reference, opts)
+	f.Walk(index)
+	return f.Session(opts)
 }
 
-// newSession adopts a filter outcome: canonical influence order,
-// post-filter bounds, decomposition sources and the level-0 refinement
-// state. It is the one finalization path shared by the monolithic
-// filters and the merged one.
-func newSession(target, reference *uncertain.Object, pf PartialFilter, opts Options) *Session {
+// Session adopts the filter's outcome as a refinement session —
+// canonical influence order, post-filter bounds, decomposition sources
+// and the level-0 refinement state — the one path from every filter to
+// refinement. The session takes the influence set over; Reset the filter
+// before feeding it again.
+func (f *Filter) Session(opts Options) *Session {
 	res := &Result{
-		Target: target, Reference: reference, kMax: opts.KMax,
-		CompleteDominators: pf.Dominators, Pruned: pf.Pruned, Influence: pf.Influence,
+		Target: f.target, Reference: f.reference, kMax: opts.KMax,
+		CompleteDominators: f.dominators, Pruned: f.pruned, Influence: f.influence,
 	}
 	s := &Session{res: res, opts: opts, norm: opts.norm()}
 	c := len(res.Influence)
@@ -99,8 +106,8 @@ func newSession(target, reference *uncertain.Object, pf PartialFilter, opts Opti
 	s.sc.ivs = ivs
 	res.Bounds, res.CDF = newBounds(hi)
 	s.sc.addBounds(ivs, opts.KMax, 1, res.Bounds, res.CDF)
-	s.bSrc = source(target, opts)
-	s.rSrc = source(reference, opts)
+	s.bSrc = source(f.target, opts)
+	s.rSrc = source(f.reference, opts)
 	return s
 }
 

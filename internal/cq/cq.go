@@ -18,7 +18,7 @@
 //   - Within a subscription: per-candidate IDCA verdicts and bounds are
 //     persisted. On a change, a candidate re-runs only when its
 //     preselection status flipped or the mutated object's filter role
-//     (core.ClassifyRole) in that candidate's run changed or is an
+//     (core.Filter.Role) in that candidate's run changed or is an
 //     influence-set membership. All other candidates keep their decided
 //     verdicts. The step visits only the tracked candidates and the
 //     untracked objects the change could bring in (an index walk, see

@@ -3,7 +3,9 @@ package cq
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -577,5 +579,47 @@ func TestConcurrentMutationsAndConsumers(t *testing.T) {
 	}
 	if got := m.Stats().Changes; got != 150 {
 		t.Fatalf("processed %d changes, want 150", got)
+	}
+}
+
+// TestSubscribeHugeK: a KNN or RKNN subscription with a k beyond the
+// database starts from exactly the initial set of k = |DB| + 1, and
+// keeps maintaining it on the monitor's worker.
+func TestSubscribeHugeK(t *testing.T) {
+	db := testDB(t, 50, 21)
+	store := newTestStore(t, db, core.Options{MaxIterations: 2})
+	m := NewMonitor(store, Options{Buffer: 1024})
+	defer m.Close()
+	q := objectNear(rand.New(rand.NewSource(4)), -1, 0.5, 0.5, 0.05)
+	for _, sub := range []func(*uncertain.Object, int, float64) (*Subscription, error){m.SubscribeKNN, m.SubscribeRKNN} {
+		initial := func(k int) []Event {
+			s, err := sub(q, k, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs := drainEvents(s)
+			m.Unsubscribe(s)
+			return evs
+		}
+		want := initial(len(db) + 1)
+		if len(want) == 0 {
+			t.Fatal("k = |DB| + 1 has an empty initial set")
+		}
+		for _, k := range []int{math.MaxInt, 1 << 40} {
+			if got := initial(k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k = %d: %d initial events, k = |DB| + 1: %d", k, len(got), len(want))
+			}
+		}
+	}
+	s, err := m.SubscribeKNN(q, math.MaxInt, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainEvents(s)
+	if _, err := store.Delete(db[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Sync(testCtx(t)); err != nil {
+		t.Fatal(err)
 	}
 }

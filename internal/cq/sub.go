@@ -282,7 +282,7 @@ func (s *Subscription) cursorState() wal.CursorSub {
 // The pruning-aware core: a candidate's persisted verdict stays valid
 // unless (a) its preselection status flipped, or (b) the mutated
 // object's role in the candidate's run — complete dominator, pruned, or
-// member of the canonical influence set (core.ClassifyRole) — differs
+// member of the canonical influence set (core.Filter.Role) — differs
 // between the old and new state, or the object was and stays an
 // influence object (its interior distribution matters). Only candidates
 // failing those checks re-run IDCA; everything else keeps its decided
@@ -429,17 +429,18 @@ func (s *Subscription) transition(evs []Event, version uint64, b *uncertain.Obje
 // reverse. Absent states (insert/delete sides) hold the pruned role: an
 // object not in the database contributes nothing.
 func (s *Subscription) roleChanged(sn *query.Snapshot, ch query.Change, b *uncertain.Object) bool {
-	target, reference := b.MBR, s.q.MBR
+	target, reference := b, s.q
 	if s.kind == RKNN {
 		target, reference = reference, target
 	}
-	n, crit := sn.Norm(), sn.Criterion()
+	var f core.Filter
+	f.Reset(target, reference, core.Options{Norm: sn.Norm(), Criterion: sn.Criterion()})
 	ro, rn := core.RolePruned, core.RolePruned
 	if ch.Old != nil {
-		ro = core.ClassifyRole(n, crit, ch.Old.MBR, ch.Old.ExistenceProb(), target, reference)
+		ro = f.Role(ch.Old.MBR, ch.Old.ExistenceProb())
 	}
 	if ch.New != nil {
-		rn = core.ClassifyRole(n, crit, ch.New.MBR, ch.New.ExistenceProb(), target, reference)
+		rn = f.Role(ch.New.MBR, ch.New.ExistenceProb())
 	}
 	return ro != rn || ro == core.RoleInfluence
 }
@@ -447,10 +448,11 @@ func (s *Subscription) roleChanged(sn *query.Snapshot, ch query.Change, b *uncer
 // computeRegion derives the subscription's influence region: the set of
 // locations where a mutation could change the result set or any
 // persisted bound. For KNN at tau > 0 it is q's MBR expanded by
-// max(m_{k+1}, max MaxDist over evaluated candidates): outside it, an
-// object is preselection-pruned as a candidate, cannot move the
-// threshold order statistic, and is completely dominated by every
-// evaluated candidate (so every persisted verdict stays bit-identical).
+// max(query.PreselectRadius(m_{k+1}), max MaxDist over evaluated
+// candidates): outside it, an object is preselection-pruned as a
+// candidate, cannot move the threshold order statistic, and is
+// completely dominated by every evaluated candidate (so every persisted
+// verdict stays bit-identical).
 // RKNN influence is not spatially bounded — a remote object whose
 // neighborhood is empty has q as a nearest neighbor at any distance —
 // and tau = 0 disables preselection entirely, so those subscriptions
@@ -460,11 +462,11 @@ func (s *Subscription) computeRegion(sn *query.Snapshot) (geom.Rect, bool) {
 	if s.kind != KNN || s.tau <= 0 {
 		return geom.Rect{}, false
 	}
-	r := s.thresh
-	if math.IsInf(r, 1) {
+	if math.IsInf(s.thresh, 1) {
 		return geom.Rect{}, false
 	}
 	n := sn.Norm()
+	r := query.PreselectRadius(s.thresh, n, s.q.Dim())
 	for _, cs := range s.cands {
 		if d := cs.obj.MBR.MaxDistRect(n, s.q.MBR); d > r {
 			r = d

@@ -30,8 +30,8 @@ import (
 //	PDomLB = Σ_{A' : Dom(A', B, R)} P(A')
 //	PDomUB = 1 − Σ_{A' : NeverCloser(A', B, R)} P(A')
 //
-// with Dom and NeverCloser the verdicts of crit.Relate, decided by one
-// geom.PairKernel built for (b, r).
+// with Dom and NeverCloser the verdicts of one geom.PairKernel built
+// for (b, r).
 func Bounds(n geom.Norm, crit geom.Criterion, aParts []uncertain.Partition, b, r geom.Rect) gf.Interval {
 	return BoundsWithExistence(n, crit, aParts, 1, b, r)
 }
@@ -96,38 +96,6 @@ func BoundsDecomposed(n geom.Norm, crit geom.Criterion, aParts, bParts, rParts [
 		}
 	}
 	return clampInterval(lb, 1-notUB)
-}
-
-// CompleteRelation is the complete domination relation between a
-// candidate A and the target B w.r.t. reference R on whole uncertainty
-// regions (the filter step of Algorithm 1): geom.Relation under the
-// filter's names.
-type CompleteRelation = geom.Relation
-
-const (
-	// Unknown: neither direction is decided; A is an influence object.
-	Unknown = geom.Unknown
-	// DominatesTarget: PDom(A, B, R) = 1 — A counts toward the
-	// domination count in every possible world.
-	DominatesTarget = geom.Dominates
-	// DominatedByTarget: PDom(A, B, R) = 0 — A is never strictly
-	// closer than the target, so it can never contribute.
-	DominatedByTarget = geom.NeverCloser
-)
-
-// Classify applies the complete-domination filter to whole regions: it
-// is crit.Relate(n, a, b, r). DominatesTarget needs the forward
-// criterion sum strictly below zero; DominatedByTarget needs the reverse
-// sum at most zero, which is exact under DomCount's strict "closer
-// than": an A at best as close as B never counts. Under Optimal with
-// p = 1 or 2 both signs are exact on the stored float64 coordinates —
-// the float sum decides only outside its derived rounding-error bound,
-// (d+4)·2⁻⁵² times the sum of the powers in it, and an exact evaluation
-// decides inside it. Any other finite p answers Unknown inside the
-// bound; MinMax and the maximum norm compare MaxDist and MinDist
-// (strictly, both ways).
-func Classify(n geom.Norm, crit geom.Criterion, a, b, r geom.Rect) CompleteRelation {
-	return crit.Relate(n, a, b, r)
 }
 
 // clampInterval guards against floating-point drift taking the interval

@@ -108,29 +108,6 @@ func TestBoundsConvergeToExactAtFullDepth(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	mk := func(x0, x1 float64) geom.Rect {
-		r, err := geom.NewRect(geom.Point{x0, 0}, geom.Point{x1, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a := mk(0, 1)
-	b := mk(10, 11)
-	r := mk(1.5, 2)
-	if got := Classify(geom.L2, geom.Optimal, a, b, r); got != DominatesTarget {
-		t.Errorf("Classify near = %v, want DominatesTarget", got)
-	}
-	if got := Classify(geom.L2, geom.Optimal, b, a, r); got != DominatedByTarget {
-		t.Errorf("Classify far = %v, want DominatedByTarget", got)
-	}
-	c := mk(1.4, 2.4) // overlaps the reference's distance range
-	if got := Classify(geom.L2, geom.Optimal, c, a, r); got != Unknown {
-		t.Errorf("Classify ambiguous = %v, want Unknown", got)
-	}
-}
-
 func TestBoundsWithMinMaxCriterionAreLooserButSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 20; trial++ {

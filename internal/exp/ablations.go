@@ -35,7 +35,7 @@ func AblationUGF(cfg Config) (*Figure, error) {
 	ugfW := make([][]float64, len(levels))
 	cdfW := make([][]float64, len(levels))
 	for _, q := range queries {
-		res := core.Filter(db, q.Target, q.Reference, core.Options{})
+		res := core.NewSession(db, q.Target, q.Reference, core.Options{}).Result()
 		c := len(res.Influence)
 		if c == 0 {
 			continue
@@ -195,10 +195,10 @@ func AblationIndexFilter(cfg Config) (*Figure, error) {
 		for _, q := range queries {
 			var linRes, idxRes *core.Result
 			tLin = append(tLin, timeIt(func() {
-				linRes = core.Filter(db, q.Target, q.Reference, core.Options{})
+				linRes = core.NewSession(db, q.Target, q.Reference, core.Options{}).Result()
 			}))
 			tIdx = append(tIdx, timeIt(func() {
-				idxRes = core.FilterIndexed(index, q.Target, q.Reference, core.Options{})
+				idxRes = core.NewSessionIndexed(index, q.Target, q.Reference, core.Options{}).Result()
 			}))
 			if len(linRes.Influence) != len(idxRes.Influence) ||
 				linRes.CompleteDominators != idxRes.CompleteDominators {

@@ -16,7 +16,7 @@ import (
 // influence objects for a query (the set both IDCA and the MC
 // comparison partner operate on).
 func influenceSet(db uncertain.Database, q workload.Query) []*uncertain.Object {
-	res := core.Filter(db, q.Target, q.Reference, core.Options{})
+	res := core.NewSession(db, q.Target, q.Reference, core.Options{}).Result()
 	return res.Influence
 }
 
@@ -89,8 +89,8 @@ func Fig6a(cfg Config) (*Figure, error) {
 		queries := cfg.queries(db)
 		var nOpt, nMM []float64
 		for _, q := range queries {
-			resOpt := core.Filter(db, q.Target, q.Reference, core.Options{Criterion: geom.Optimal})
-			resMM := core.Filter(db, q.Target, q.Reference, core.Options{Criterion: geom.MinMax})
+			resOpt := core.NewSession(db, q.Target, q.Reference, core.Options{Criterion: geom.Optimal}).Result()
+			resMM := core.NewSession(db, q.Target, q.Reference, core.Options{Criterion: geom.MinMax}).Result()
 			nOpt = append(nOpt, float64(len(resOpt.Influence)))
 			nMM = append(nMM, float64(len(resMM.Influence)))
 		}
@@ -124,7 +124,7 @@ func Fig6b(cfg Config) (*Figure, error) {
 		// perIter[l] collects the uncertainty after iteration l.
 		perIter := make([][]float64, cfg.MaxIterations+1)
 		for _, q := range queries {
-			filterRes := core.Filter(db, q.Target, q.Reference, core.Options{Criterion: crit})
+			filterRes := core.NewSession(db, q.Target, q.Reference, core.Options{Criterion: crit}).Result()
 			perIter[0] = append(perIter[0], filterRes.Uncertainty())
 			res := core.Run(db, q.Target, q.Reference, core.Options{
 				Criterion:     crit,

@@ -34,10 +34,10 @@ const (
 // Criterion selects which complete-domination decision procedure the
 // filter and refinement steps of the algorithm use. It is the
 // independent variable of the paper's Figure 6 experiment. Either one
-// is applied through Relate (or a PairKernel): Dominates needs A
-// strictly closer than B in every world, the strict "closer than" of
-// DomCount; NeverCloser needs A at best as close as B in every world,
-// so that A never counts. Under Optimal with L1 or L2 both verdicts are
+// is applied through a PairKernel: Dominates needs A strictly closer
+// than B in every world, the strict "closer than" of DomCount;
+// NeverCloser needs A at best as close as B in every world, so that A
+// never counts. Under Optimal with L1 or L2 both verdicts are
 // exact on the stored float64 coordinates (a float sum decides outside
 // its derived rounding-error bound, an exact evaluation inside it);
 // MinMax compares MaxDist and MinDist in floating point, strictly both
@@ -63,41 +63,8 @@ func (c Criterion) String() string {
 	}
 }
 
-// Relate decides the complete-domination relation of a to b w.r.t. r
-// under norm n: the one geometric predicate every bound rests on.
-//
-// Optimal with a finite exponent p uses the criterion of Emrich et al.
-// [15] (Corollary 1 of the paper), a sum over dimensions i with one
-// term per dimension:
-//
-//	forward  Σ_i max_{ri ∈ {Rmin_i, Rmax_i}} MaxDist(A_i, ri)^p − MinDist(B_i, ri)^p  < 0  ⇒ Dominates
-//	reverse  Σ_i max_{ri ∈ {Rmin_i, Rmax_i}} MaxDist(B_i, ri)^p − MinDist(A_i, ri)^p  ≤ 0  ⇒ NeverCloser
-//
-// Unlike the min/max criterion it accounts for the dependency of
-// dist(A, R) and dist(B, R) through the single location of R, and it is
-// tight: the maximum over the closed rectangles is attained, so the
-// forward sum is negative exactly when A dominates and the reverse sum
-// is at most zero exactly when A is never strictly closer.
-//
-// Each sum is evaluated in floating point together with a bound on its
-// rounding error, a small multiple of ε·Σ(MaxDist^p + MinDist^p) over
-// both corners of every dimension (errScale). The float sum decides only
-// when its magnitude exceeds that bound. Below it, p = 1 and p = 2 are
-// decided by an exact evaluation on the stored coordinates, so the
-// verdict is exactly the sign of the criterion on the float64 inputs;
-// any other p answers Unknown, which is sound but not tight.
-//
-// MinMax, and every criterion under the maximum norm (for which the
-// per-dimension decomposition does not apply), compare MaxDist and
-// MinDist as DominatesMinMax does, in both directions.
-func (c Criterion) Relate(n Norm, a, b, r Rect) Relation {
-	var k PairKernel
-	k.Reset(n, c, b, r)
-	return k.Relate(a)
-}
-
-// relateMinMax is Relate for the generic comparison of MaxDist and
-// MinDist.
+// relateMinMax is PairKernel.Relate for the generic comparison of
+// MaxDist and MinDist.
 func relateMinMax(n Norm, a, b, r Rect) Relation {
 	switch {
 	case DominatesMinMax(n, a, b, r):
@@ -117,15 +84,44 @@ func DominatesMinMax(n Norm, a, b, r Rect) bool {
 	return a.MaxDistRect(n, r) < b.MinDistRect(n, r)
 }
 
-// PairKernel is Criterion.Relate with the B′ and R′ terms hoisted:
-// built once per (B′, R′) partition pair by Reset, it decides any
-// number of A′ partitions against that pair — the inner loop of IDCA
-// refinement (Section IV-E). For each dimension and each R′ corner,
-// MinDist(B′_i, r)^p (forward sum) and MaxDist(B′_i, r)^p (reverse sum)
-// are constants of the pair, so Relate computes only the A′ terms, and
-// the reverse sum only when the forward one does not decide.
-// Criterion.Relate is a kernel used once. The zero value is ready for
-// Reset; up to four dimensions need no allocation.
+// PairKernel decides the complete-domination relation of any number of
+// rectangles A to one pair (B, R) under one norm and criterion: the one
+// geometric predicate every bound and every filter decision rests on.
+// Reset builds it once per pair — per (target, reference) in the filter
+// step, per (B′, R′) partition pair in IDCA refinement (Section IV-E) —
+// and Relate decides each A.
+//
+// Optimal with a finite exponent p uses the criterion of Emrich et al.
+// [15] (Corollary 1 of the paper), a sum over dimensions i with one
+// term per dimension:
+//
+//	forward  Σ_i max_{ri ∈ {Rmin_i, Rmax_i}} MaxDist(A_i, ri)^p − MinDist(B_i, ri)^p  < 0  ⇒ Dominates
+//	reverse  Σ_i max_{ri ∈ {Rmin_i, Rmax_i}} MaxDist(B_i, ri)^p − MinDist(A_i, ri)^p  ≤ 0  ⇒ NeverCloser
+//
+// Unlike the min/max criterion it accounts for the dependency of
+// dist(A, R) and dist(B, R) through the single location of R, and it is
+// tight: the maximum over the closed rectangles is attained, so the
+// forward sum is negative exactly when A dominates and the reverse sum
+// is at most zero exactly when A is never strictly closer. For each
+// dimension and each R corner, MinDist(B_i, ri)^p (forward sum) and
+// MaxDist(B_i, ri)^p (reverse sum) are constants of the pair, so Relate
+// computes only the A terms, and the reverse sum only when the forward
+// one does not decide.
+//
+// Each sum is evaluated in floating point together with a bound on its
+// rounding error, a small multiple of ε·Σ(MaxDist^p + MinDist^p) over
+// both corners of every dimension (errScale). The float sum decides only
+// when its magnitude exceeds that bound. Below it, p = 1 and p = 2 are
+// decided by an exact evaluation on the stored coordinates, so the
+// verdict is exactly the sign of the criterion on the float64 inputs;
+// any other p answers Unknown, which is sound but not tight.
+//
+// MinMax, and every criterion under the maximum norm (for which the
+// per-dimension decomposition does not apply), compare MaxDist and
+// MinDist as DominatesMinMax does, in both directions.
+//
+// The zero value is ready for Reset; up to four dimensions need no
+// allocation.
 type PairKernel struct {
 	n Norm
 	// minMax selects the generic comparison (MinMax or L∞).
@@ -187,8 +183,7 @@ func (k *PairKernel) terms() []pairTerm {
 	return k.spill[:k.d]
 }
 
-// Relate returns Criterion.Relate(n, a, b, r) for the kernel's pair (b,
-// r).
+// Relate returns the relation of a to the kernel's pair (b, r).
 func (k *PairKernel) Relate(a Rect) Relation {
 	if k.minMax {
 		return relateMinMax(k.n, a, k.b, k.r)
@@ -341,8 +336,8 @@ func exactly(p float64, strict bool, x, y, r Rect) bool {
 //
 // evaluated exactly on the stored coordinates, for p = 1 and p = 2 and
 // finite coordinates; ok is false otherwise. It is the slow path of
-// Relate, taken only when the float sum is within its rounding error of
-// zero (or NaN), as it is at every tie. Every float64 is an integer
+// PairKernel.Relate, taken only when the float sum is within its
+// rounding error of zero (or NaN), as it is at every tie. Every float64 is an integer
 // multiple of a power of two, so when the coordinates span at most 60
 // bits from the lowest set bit of any of them to the highest, they scale
 // to int64s and the sum is taken in 128-bit integers; wider spans, and

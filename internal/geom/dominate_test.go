@@ -6,8 +6,15 @@ import (
 	"testing"
 )
 
-// dominates is the forward half of Optimal.Relate.
-func dominates(n Norm, a, b, r Rect) bool { return Optimal.Relate(n, a, b, r) == Dominates }
+// relate is the verdict of a fresh kernel for (b, r) on a.
+func relate(n Norm, c Criterion, a, b, r Rect) Relation {
+	var k PairKernel
+	k.Reset(n, c, b, r)
+	return k.Relate(a)
+}
+
+// dominates is the forward half of the Optimal kernel.
+func dominates(n Norm, a, b, r Rect) bool { return relate(n, Optimal, a, b, r) == Dominates }
 
 // sampledDominates exhaustively samples locations and checks whether
 // every sampled world satisfies dist(a, r) < dist(b, r). It is the
@@ -88,7 +95,7 @@ func TestDominationSoundness(t *testing.T) {
 		b := randRect(rng, d, 3)
 		r := randRect(rng, d, 3)
 		for _, n := range norms {
-			switch Optimal.Relate(n, a, b, r) {
+			switch relate(n, Optimal, a, b, r) {
 			case Dominates:
 				detected++
 				if sampledCounterexample(rng, n, a, b, r, 50) {
@@ -171,11 +178,11 @@ func TestCriterionRelateAndString(t *testing.T) {
 	r, _ := NewRect(Point{1.5, 0}, Point{2, 1})
 	b, _ := NewRect(Point{10, 10}, Point{11, 11})
 	for _, c := range []Criterion{Optimal, MinMax} {
-		if got := c.Relate(L2, a, b, r); got != Dominates {
-			t.Errorf("%v.Relate(a, b) = %v on a clear case", c, got)
+		if got := relate(L2, c, a, b, r); got != Dominates {
+			t.Errorf("%v kernel: a = %v on a clear case", c, got)
 		}
-		if got := c.Relate(L2, b, a, r); got != NeverCloser {
-			t.Errorf("%v.Relate(b, a) = %v on a clear case", c, got)
+		if got := relate(L2, c, b, a, r); got != NeverCloser {
+			t.Errorf("%v kernel: b = %v on a clear case", c, got)
 		}
 	}
 	if Optimal.String() != "Optimal" || MinMax.String() != "MinMax" {
@@ -268,7 +275,7 @@ func TestRelateExtremeCoordinates(t *testing.T) {
 		{"infinite reference", pt(0), pt(1), Rect{Min: Point{math.Inf(-1)}, Max: Point{0}}, Unknown},
 	} {
 		for _, p := range []Norm{L1, L2} {
-			if got := Optimal.Relate(p, c.a, c.b, c.r); got != c.want {
+			if got := relate(p, Optimal, c.a, c.b, c.r); got != c.want {
 				t.Errorf("%s under L%g: %v, want %v", c.name, p.P, got, c.want)
 			}
 		}

@@ -123,8 +123,8 @@ func fuzzRects(d int, v []float64) (a, b, r Rect, ok bool) {
 // one to six dimensions carved out of the fuzzed coordinates, in
 // several argument orders (ties included):
 //   - one PairKernel, Reset for each (b, r) in turn, returns the verdict
-//     of a fresh one (Criterion.Relate) for every a, under L1, L2, L3,
-//     L2.5 and L∞ and both criteria;
+//     of a fresh one for every a, under L1, L2, L3, L2.5 and L∞ and both
+//     criteria;
 //   - for p = 1 and p = 2, Relate is exactly the big.Rat sign of the two
 //     criterion sums on the stored coordinates: Dominates iff the forward
 //     sum is negative, else NeverCloser iff the reverse sum is at most 0.
@@ -179,10 +179,10 @@ func FuzzPairKernel(f *testing.F) {
 		var k PairKernel
 		for _, c := range [][3]Rect{{a, b, r}, {b, a, r}, {a, r, b}, {a, a, r}, {a, b, a}} {
 			a, b, r := c[0], c[1], c[2]
-			want := crit.Relate(n, a, b, r)
+			want := relate(n, crit, a, b, r)
 			k.Reset(n, crit, b, r)
 			if got := k.Relate(a); got != want {
-				t.Fatalf("%v %v: kernel %v, Relate %v for a=%v b=%v r=%v", crit, n, got, want, a, b, r)
+				t.Fatalf("%v %v: kernel %v, fresh kernel %v for a=%v b=%v r=%v", crit, n, got, want, a, b, r)
 			}
 			if crit != Optimal || n.P != 1 && n.P != 2 {
 				continue

@@ -33,7 +33,32 @@ import (
 // knnPrunable reports whether object b is impossible as a kNN of q
 // given the threshold.
 func knnPrunable(b *uncertain.Object, q *uncertain.Object, thresh float64, n geom.Norm) bool {
-	return b.MBR.MinDistRect(n, q.MBR) > thresh
+	return b.MBR.MinDistRect(n, q.MBR) > PreselectRadius(thresh, n, q.Dim())
+}
+
+// PreselectRadius returns the distance beyond which kNN preselection
+// prunes for the threshold m = m_{k+1} under norm n in d dimensions: m
+// widened by a bound on the rounding error of the computed distances, so
+// that an object is pruned only when it is farther than m_{k+1} on the
+// exact distances of the stored coordinates — near ties (a point turned
+// about q) round either way. KNN preselection, Snapshot.Within's stop
+// and a standing query's region radius all use it.
+//
+// A computed MinDist or MaxDist is off by a relative γ at most: for
+// p = 2 one rounding in each separation and one in its square (3ε on
+// the square), d − 1 in the sum, halved by the square root, which adds
+// one, so γ ≤ (d+4)ε/2; for p = 1, γ ≤ dε; for L∞, γ ≤ ε (ε = 2⁻⁵³).
+// Pruning is sound when MinDist/(1+γ) > m/(1−γ), which 2γ + 3ε covers
+// together with the rounding of the widening itself: (d+6)·2⁻⁵². For
+// other exponents math.Pow adds well under 4096ε per call, and the p-th
+// root divides the error of the powers by p: (d+8200)·2⁻⁵². The absolute
+// term covers powers that underflow: up to 2⁻¹⁰⁷⁴ per dimension in the
+// sum, magnified by the root.
+func PreselectRadius(m float64, n geom.Norm, d int) float64 {
+	if n.P == 1 || n.P == 2 || n.IsInf() {
+		return m + m*float64(d+6)*0x1p-52 + 0x1p-500
+	}
+	return m + m*float64(d+8200)*0x1p-52 + math.Pow(float64(d)*0x1p-1070, 1/n.P)
 }
 
 // maxDistHeap is a bounded max-heap of the smallest MaxDist values seen

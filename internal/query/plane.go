@@ -14,32 +14,24 @@ import (
 // (IDCA filter, preselection threshold, impossibility count) run per
 // cut on the cuts' own R-trees and are gathered into the exact global
 // value before any refinement work runs. The paper's filter classifies
-// each object on its own (Section III-A), so the filter over a database
-// is the merge of the filters over any partition of it. A one-shard
-// snapshot's cut list is the snapshot itself, and a merge of one
-// partial is that partial, sorted in place.
+// each object on its own (Section III-A), so one core.Filter fed every
+// cut in turn holds the filter outcome of the whole database. A
+// one-shard snapshot's cut list is the snapshot itself.
 
-// filter scatters the complete-domination filter across the cut
-// indexes and gathers the canonical merged outcome. Cuts whose cached
-// root MBR already decides the whole partition (completely dominated,
-// or completely dominating with only certain objects) contribute their
-// verdict with a single geometric test instead of a tree walk — the
-// cut-level analogue of the walk's per-node wholesale decisions, with
-// identical outcomes.
-func (sn *Snapshot) filter(target, reference *uncertain.Object, opts core.Options) core.PartialFilter {
-	parts := make([]core.PartialFilter, 0, 8)
+// filter feeds every cut to one complete-domination filter for (target,
+// reference). A cut whose cached root MBR already decides the whole
+// partition (completely dominated, or completely dominating with only
+// certain objects) is decided with a single geometric test instead of a
+// tree walk — the cut-level analogue of the walk's per-node decisions,
+// with identical outcomes.
+func (sn *Snapshot) filter(target, reference *uncertain.Object, opts core.Options) (f core.Filter) {
+	f.Reset(target, reference, opts)
 	for _, sh := range sn.cuts() {
-		root, ok := sh.root()
-		if !ok {
-			continue // empty cut
+		if root, ok := sh.root(); ok && !f.Whole(root, sh.index.Len(), sh.allCertain) {
+			f.Walk(sh.index)
 		}
-		pf, whole := core.PartialFilterWhole(root, sh.index.Len(), sh.allCertain, target, reference, opts)
-		if !whole {
-			pf = core.PartialFilterIndexed(sh.index, target, reference, opts)
-		}
-		parts = append(parts, pf)
 	}
-	return core.MergePartials(parts...)
+	return f
 }
 
 // knnThreshold computes the exact global m_{k+1} preselection bound —
@@ -50,9 +42,12 @@ func (sn *Snapshot) filter(target, reference *uncertain.Object, opts core.Option
 // every resident object's MaxDist), so once the heap is full, far cuts
 // are ruled out with one distance test and a near cut's stream stops as
 // soon as its next value cannot displace a heap member. Returns +Inf
-// when the database is too small to prune.
+// when the database is too small to prune. The heap is sized by the
+// data: a k of |DB| or more keeps every value and never fills, whatever
+// the k.
 func (sn *Snapshot) knnThreshold(q *uncertain.Object, k int, n geom.Norm) float64 {
-	h := maxDistHeap{vals: make([]float64, 0, k+1), bound: k + 1}
+	bound := min(k, sn.Len()) + 1
+	h := maxDistHeap{vals: make([]float64, 0, bound), bound: bound}
 	type cutDist struct {
 		sh  *Snapshot
 		min float64

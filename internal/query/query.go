@@ -100,8 +100,8 @@ type Match struct {
 	Iterations int
 }
 
-// run executes one IDCA run on the merged filter outcome of the
-// snapshot's cuts (see filter). Merging is exact, so the result is
+// run executes one IDCA run on the filter outcome of the snapshot's
+// cuts (see filter). The filter is exact per object, so the result is
 // bit-identical at any shard count.
 func (sn *Snapshot) run(target, reference *uncertain.Object, opts core.Options) *core.Result {
 	if opts.Scratch == nil {
@@ -113,7 +113,8 @@ func (sn *Snapshot) run(target, reference *uncertain.Object, opts core.Options) 
 		opts.Scratch = sc
 		defer scratchPool.Put(sc)
 	}
-	return core.RunMerged(target, reference, sn.filter(target, reference, opts), opts)
+	f := sn.filter(target, reference, opts)
+	return f.Run(opts)
 }
 
 // newSession prepares an incremental IDCA run on the same filter
@@ -126,7 +127,8 @@ func (sn *Snapshot) newSession(target, reference *uncertain.Object, opts core.Op
 		// its own Steps, garbage-collected with the session.
 		opts.Scratch = core.NewScratch()
 	}
-	return core.NewSessionMerged(target, reference, sn.filter(target, reference, opts), opts)
+	f := sn.filter(target, reference, opts)
+	return f.Session(opts)
 }
 
 // ThresholdStop builds the IDCA stop criterion for a tail predicate

@@ -36,9 +36,9 @@ import (
 // over exactly that one cut.
 //
 // Sharding composes exactly: the complete-domination filter classifies
-// each object on its own (core.ClassifyRole reads one object, the
-// target and the reference), so per-shard filter outcomes merge into
-// the monolithic one — dominator and pruned counts add, influence sets
+// each object on its own (core.Filter reads one object, the target and
+// the reference), so one filter fed every shard's cut holds the
+// monolithic outcome — dominator and pruned counts add, influence sets
 // concatenate in canonical (object ID) order — and the kNN threshold
 // m_{k+1} and the RkNN impossibility count are order statistics and
 // sums of per-shard values. Results are bit-identical at any shard

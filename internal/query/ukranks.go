@@ -42,6 +42,9 @@ func (sn *Snapshot) UKRanks(ctx context.Context, q *uncertain.Object, k int) ([]
 	if k < 1 {
 		return nil, nil
 	}
+	// Every rank beyond |DB| has probability 0 for every object: a
+	// larger k answers as |DB| + 1, whatever the k.
+	k = min(k, sn.Len()+1)
 	run := sn.begin(ctx, kindUKRanks, nil)
 	defer run.end()
 	type entry struct {

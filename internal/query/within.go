@@ -39,10 +39,10 @@ func (sn *Snapshot) gather(q *uncertain.Object, probe func(t *objTree, root geom
 	return out
 }
 
-// Within returns every database object b != q with MinDist(b, q) <= d,
-// in ascending object-ID order. With d = KNNThreshold(q, k) these are
-// exactly the candidates kNN preselection keeps (KNNPrunable is false);
-// d = +Inf yields the whole database but q. The cost is proportional to
+// Within returns every database object b != q with MinDist(b, q) at
+// most PreselectRadius(d), in ascending object-ID order. With d =
+// KNNThreshold(q, k) these are exactly the candidates kNN preselection
+// keeps (KNNPrunable is false); d = +Inf yields the whole database but q. The cost is proportional to
 // the answer: a best-first stream per index stops at the first distance
 // above d, and shards whose root MBR is farther than d are not entered.
 func (sn *Snapshot) Within(q *uncertain.Object, d float64) []*uncertain.Object {
@@ -55,8 +55,9 @@ func (sn *Snapshot) Within(q *uncertain.Object, d float64) []*uncertain.Object {
 // stream.
 func (sn *Snapshot) within(q *uncertain.Object, d float64) (out []*uncertain.Object, visited int) {
 	n := sn.normOrDefault()
+	r := PreselectRadius(d, n, q.Dim())
 	out = sn.gather(q, func(t *objTree, root geom.Rect, emit func(*uncertain.Object)) {
-		if root.MinDistRect(n, q.MBR) > d {
+		if root.MinDistRect(n, q.MBR) > r {
 			return
 		}
 		buf := nearbyPool.Get().(*rtree.NearbyBuf)
@@ -64,7 +65,7 @@ func (sn *Snapshot) within(q *uncertain.Object, d float64) (out []*uncertain.Obj
 		t.NearbyWith(buf, rtree.MinDist[*uncertain.Object](n, q.MBR),
 			func(_ geom.Rect, b *uncertain.Object, dist float64) bool {
 				visited++
-				if dist > d {
+				if dist > r {
 					return false // ascending stream: nothing closer follows
 				}
 				emit(b)

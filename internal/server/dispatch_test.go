@@ -106,6 +106,15 @@ func FuzzDispatch(f *testing.F) {
 		f.Add(uint8(1), k+"\n0.5\n"+obj, false)
 		f.Add(uint8(4), "1\n"+k+"\n0.5\n"+obj, false)
 	}
+	// k (and TOPKNN's m) far beyond the database: math.MaxInt and 2^40.
+	for _, k := range []string{"9223372036854775807", "1099511627776"} {
+		f.Add(uint8(0), k+"\n0.5\n"+obj, false)
+		f.Add(uint8(1), k+"\n0.5\n"+obj, false)
+		f.Add(uint8(2), k+"\n2\n"+obj, false)
+		f.Add(uint8(2), "3\n"+k+"\n"+obj, false)
+		f.Add(uint8(2), k+"\n"+k+"\n"+obj, false)
+		f.Add(uint8(4), "1\n"+k+"\n0.5\n"+obj, false)
+	}
 
 	f.Fuzz(func(t *testing.T, cmd uint8, args string, trace bool) {
 		if len(args) > 1<<12 {

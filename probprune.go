@@ -244,9 +244,11 @@ func NewDecompCache(maxHeight int) *DecompCache {
 // Dominates reports whether uncertainty region a completely dominates b
 // w.r.t. reference region r under norm n — the tight criterion of the
 // paper (Corollary 1, after Emrich et al. SIGMOD'10), decided exactly on
-// the float64 coordinates for L1 and L2 (see geom.Criterion.Relate).
+// the float64 coordinates for L1 and L2 (see geom.PairKernel).
 func Dominates(n Norm, a, b, r Rect) bool {
-	return geom.Optimal.Relate(n, a, b, r) == geom.Dominates
+	var k geom.PairKernel
+	k.Reset(n, geom.Optimal, b, r)
+	return k.Relate(a) == geom.Dominates
 }
 
 // DominatesMinMax is the classical min/max-distance criterion, provided
