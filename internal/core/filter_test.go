@@ -159,7 +159,8 @@ func wantRole(n geom.Norm, crit geom.Criterion, a *uncertain.Object, target, ref
 //     is that of a walk of the same tree, and when it does not, it
 //     records nothing;
 //   - a scan of one half plus a walk of the other (with or without the
-//     shortcut tried first) equals the monolithic scan.
+//     shortcut tried first) equals the monolithic scan;
+//   - on fixed regions, the clear cases take the clear roles.
 func TestFilterProperty(t *testing.T) {
 	wholes := 0
 	for seed := int64(0); seed < 24; seed++ {
@@ -263,10 +264,14 @@ func TestFilterProperty(t *testing.T) {
 			t.Errorf("object %d against target %d: role %v, want %v", c.a.ID, c.target.ID, got, c.want)
 		}
 	}
+}
 
-	// Synthetic databases split at random: every part scanned, every
-	// part walked, and parts alternately walked (shortcut first) and
-	// scanned, all refine from the monolithic outcome.
+// TestMergePartialsMatchesMonolithicFilter: one filter fed a synthetic
+// database split at random into parts — every part scanned, every part
+// walked, or parts alternately walked (whole-cut shortcut first) and
+// scanned — refines from the monolithic outcome: counts, influence
+// membership and canonical order.
+func TestMergePartialsMatchesMonolithicFilter(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		for _, parts := range []int{1, 2, 3, 5, 8} {
 			db, split, target, reference := mergeTestCase(t, seed, parts)

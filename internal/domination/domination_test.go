@@ -108,6 +108,41 @@ func TestBoundsConvergeToExactAtFullDepth(t *testing.T) {
 	}
 }
 
+// TestClassify: the three clear cases of the complete-domination
+// verdict, as the bounds of an undecomposed object — near dominates the
+// target ([1, 1]), the target dominates far ([0, 0]), and an overlap of
+// the reference's distance range decides neither way ([0, 1]).
+func TestClassify(t *testing.T) {
+	mk := func(x0, x1 float64) geom.Rect {
+		r, err := geom.NewRect(geom.Point{x0, 0}, geom.Point{x1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	whole := func(a geom.Rect) []uncertain.Partition { return []uncertain.Partition{{MBR: a, Prob: 1}} }
+	a := mk(0, 1)
+	b := mk(10, 11)
+	r := mk(1.5, 2)
+	c := mk(1.4, 2.4) // overlaps the reference's distance range
+	for _, tc := range []struct {
+		name           string
+		a, target      geom.Rect
+		wantLB, wantUB float64
+	}{
+		{"near", a, b, 1, 1},
+		{"far", b, a, 0, 0},
+		{"ambiguous", c, a, 0, 1},
+	} {
+		for _, crit := range []geom.Criterion{geom.Optimal, geom.MinMax} {
+			got := Bounds(geom.L2, crit, whole(tc.a), tc.target, r)
+			if got.LB != tc.wantLB || got.UB != tc.wantUB {
+				t.Errorf("%s %v: bounds [%g, %g], want [%g, %g]", tc.name, crit, got.LB, got.UB, tc.wantLB, tc.wantUB)
+			}
+		}
+	}
+}
+
 func TestBoundsWithMinMaxCriterionAreLooserButSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 20; trial++ {
