@@ -40,7 +40,7 @@ func TestTraceRecordZeroAlloc(t *testing.T) {
 	tr := &Trace{}
 	if n := testing.AllocsPerRun(100, func() {
 		tr.AddCandidates(10)
-		tr.CountPreselected()
+		tr.AddPreselected(1)
 		tr.CountRefined(2)
 		tr.CountUndecided()
 		tr.AddCacheStats(1, 1)

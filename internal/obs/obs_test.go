@@ -191,7 +191,7 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.AddCandidates(5)
-	tr.CountPreselected()
+	tr.AddPreselected(1)
 	tr.CountRefined(3)
 	tr.CountUndecided()
 	tr.AddCacheStats(1, 2)
@@ -206,7 +206,7 @@ func TestTraceRecordsAndString(t *testing.T) {
 	tr := &Trace{}
 	tr.AddCandidates(10)
 	tr.AddCandidates(0) // no-op
-	tr.CountPreselected()
+	tr.AddPreselected(1)
 	tr.CountRefined(4)
 	tr.CountRefined(0) // refined with zero iterations still counts the run
 	tr.CountUndecided()

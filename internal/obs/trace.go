@@ -59,13 +59,13 @@ func (t *Trace) AddCandidates(n int) {
 	t.candidates.Add(uint64(n))
 }
 
-// CountPreselected records one candidate decided by preselection alone
+// AddPreselected records n candidates decided by preselection alone
 // (no IDCA run).
-func (t *Trace) CountPreselected() {
-	if t == nil {
+func (t *Trace) AddPreselected(n int) {
+	if t == nil || n <= 0 {
 		return
 	}
-	t.preselected.Add(1)
+	t.preselected.Add(uint64(n))
 }
 
 // CountRefined records one candidate that needed an IDCA run, with the

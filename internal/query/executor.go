@@ -2,6 +2,7 @@ package query
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -108,4 +109,15 @@ func (sn *Snapshot) candidates(q *uncertain.Object) []*uncertain.Object {
 		}
 	}
 	return out
+}
+
+// answered returns how many objects a query over reference q answers
+// for: the database, less q itself when it is a database object.
+func (sn *Snapshot) answered(q *uncertain.Object) int {
+	db := sn.Database()
+	i, found := slices.BinarySearchFunc(db, q, cmpID)
+	if found && db[i] == q {
+		return len(db) - 1
+	}
+	return len(db)
 }

@@ -248,7 +248,7 @@ func (m *Metrics) observe(kind queryKind, d time.Duration, s obs.TraceSnapshot) 
 // everything else was refined.
 func countMatch(tr *obs.Trace, m Match, pruned bool) {
 	if pruned {
-		tr.CountPreselected()
+		tr.AddPreselected(1)
 		return
 	}
 	tr.CountRefined(m.Iterations)

@@ -12,6 +12,7 @@ import (
 
 	"probprune/internal/core"
 	"probprune/internal/obs"
+	"probprune/internal/workload"
 )
 
 // anatomy is a metric set's query counters as a trace snapshot (the
@@ -285,5 +286,86 @@ func TestStoreMetricsShared(t *testing.T) {
 	}
 	if got := obs.PointsMap(s.Metrics().Registry().Points())["query.knn.latency.count"]; got != 2 {
 		t.Fatalf("store counted %d KNN queries across snapshots, want 2", got)
+	}
+}
+
+// TestKNNTraceCounts pins what the trace frame means now that the kNN
+// queries take their candidates from the index: on a seeded 10³-object
+// database, at tau 0, ½ and 1 and on one and three shards, KNN,
+// BatchKNN and TopKNN still answer for every object but q
+// (candidates = N − 1 per request), count every object outside the
+// preselection ball as preselected (N − 1 − |Within(q, m_{k+1})|; the
+// whole ball at tau = 0, where nothing is pruned), and refine,
+// iterate and leave undecided exactly what the full-scan reference
+// does.
+func TestKNNTraceCounts(t *testing.T) {
+	db, err := workload.Synthetic(workload.SyntheticConfig{N: 1000, Samples: 4, MaxExtent: 0.03, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{MaxIterations: 2}
+	ref := fullScan{db, opts}
+	q, n, k := db[321], uint64(len(db)-1), 6
+	refThresh := ref.knnThreshold(q, k)
+	traced := func(query func(ctx context.Context)) obs.TraceSnapshot {
+		tr := &obs.Trace{}
+		query(obs.WithTrace(bg, tr))
+		return counts(tr.Snapshot())
+	}
+	for _, shards := range []int{1, 3} {
+		store, err := NewShardedStore(db, ShardedOptions{Shards: shards}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn := store.Snapshot()
+		inBall := uint64(len(sn.Within(q, sn.KNNThreshold(q, k))))
+		if inBall == 0 || inBall > n/10 {
+			t.Fatalf("%d objects in the ball of %d — the preselection is not exercised", inBall, n)
+		}
+		for _, tau := range []float64{0, 0.5, 1} {
+			// The reference's anatomy: every object it does not
+			// preselect is refined.
+			want := obs.TraceSnapshot{Candidates: n, Preselected: n}
+			for _, m := range ref.knn(q, k, tau) {
+				if tau > 0 && knnPrunable(m.Object, q, refThresh, ref.norm()) {
+					continue
+				}
+				want.Preselected--
+				want.Refined++
+				want.Iterations += uint64(m.Iterations)
+				if !m.Decided {
+					want.Undecided++
+				}
+			}
+			if tau > 0 && want.Preselected != n-inBall {
+				t.Fatalf("tau %g: the reference preselects %d, the ball leaves out %d", tau, want.Preselected, n-inBall)
+			}
+			got := traced(func(ctx context.Context) { must(sn.KNN(ctx, q, k, tau)) })
+			if got.CacheHits, got.CacheMisses = 0, 0; got != want {
+				t.Fatalf("%d shards, tau %g: KNN trace %+v, want %+v", shards, tau, got, want)
+			}
+			got = traced(func(ctx context.Context) {
+				must(sn.BatchKNN(ctx, []KNNRequest{{Q: q, K: k, Tau: tau}, {Q: q, K: k, Tau: tau}}))
+			})
+			twice := obs.TraceSnapshot{
+				Candidates: 2 * want.Candidates, Preselected: 2 * want.Preselected, Refined: 2 * want.Refined,
+				Undecided: 2 * want.Undecided, Iterations: 2 * want.Iterations,
+			}
+			if got.CacheHits, got.CacheMisses = 0, 0; got != twice {
+				t.Fatalf("%d shards, tau %g: BatchKNN trace %+v, want %+v", shards, tau, got, twice)
+			}
+		}
+		var top []Match
+		got := traced(func(ctx context.Context) { top = must(sn.TopKNN(ctx, q, k, 3)) })
+		undecided := uint64(0)
+		for _, m := range top {
+			if !m.Decided {
+				undecided++
+			}
+		}
+		if got.Candidates != n || got.Preselected != n-inBall || got.Refined != inBall || got.Undecided != undecided {
+			t.Fatalf("%d shards: TopKNN trace %+v, want %d candidates, %d preselected, %d refined, %d undecided",
+				shards, got, n, n-inBall, inBall, undecided)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"probprune/internal/core"
 	"probprune/internal/rtree"
+	"probprune/internal/uncertain"
 )
 
 // This file holds the query layer's free lists. A multi-candidate query
@@ -26,3 +27,8 @@ var scratchPool = sync.Pool{New: func() any { return core.NewScratch() }}
 // the kNN/RkNN preselection streams. Buffers are tree-independent, so
 // one pool serves every index and every shard.
 var nearbyPool = sync.Pool{New: func() any { return new(rtree.NearbyBuf) }}
+
+// candPool recycles the candidate lists kNN queries gather from the
+// index (Snapshot.appendWithin). A list lives only until its query has
+// laid out the reply, and goes back cleared, holding no object.
+var candPool = sync.Pool{New: func() any { return new([]*uncertain.Object) }}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -10,6 +11,7 @@ import (
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
+	"probprune/internal/obs"
 	"probprune/internal/uncertain"
 )
 
@@ -142,7 +144,8 @@ func TestKNNPreselectExactOnNearTies(t *testing.T) {
 // or turned by ±90° about it — on the decimal grid (numerators in
 // [−100, 100] over 10) and checks that whenever KNNPrunable prunes b for
 // some k, b is exactly farther from q than m_{k+1}: the (k+1)-th
-// smallest exact distance among the database objects.
+// smallest exact distance among the database objects. It then holds the
+// served answers to it (checkServedKNN).
 func FuzzKNNPreselect(f *testing.F) {
 	f.Add(int16(5), int16(8), int16(2), int16(3), uint8(1), uint8(1), uint8(0)) // the smallest known case
 	for sel := range uint8(3) {
@@ -160,6 +163,7 @@ func FuzzKNNPreselect(f *testing.F) {
 		db = append(db, b)
 		q := gridPoint(-1, g(qx), g(qy))
 		k := 1 + int(kk)%len(db)
+		checkServedKNN(t, db, q, b, k)
 		sn := newSnapshot(t, db, core.Options{})
 		if !sn.KNNPrunable(q, b, sn.KNNThreshold(q, k)) {
 			return
@@ -174,6 +178,88 @@ func FuzzKNNPreselect(f *testing.F) {
 				b.MBR.Min, q.MBR.Min, k, len(db)-1, db[0].MBR.Min, exactSqDist(b, q).FloatString(25))
 		}
 	})
+}
+
+// sameBits reports whether two matches agree bit for bit: the same
+// object, the same bound bits, verdict and iteration count.
+func sameBits(a, b Match) bool {
+	return a.Object == b.Object &&
+		math.Float64bits(a.Prob.LB) == math.Float64bits(b.Prob.LB) &&
+		math.Float64bits(a.Prob.UB) == math.Float64bits(b.Prob.UB) &&
+		a.IsResult == b.IsResult && a.Decided == b.Decided && a.Iterations == b.Iterations
+}
+
+// checkServedKNN holds the served KNN, BatchKNN and TopKNN over db on
+// one and three shards to KNNPrunable and to the full-scan reference.
+// A refined candidate can come back as P = 0, decided, after no
+// iteration, just like a preselected one, so the trace tells them
+// apart: each query preselects as many objects as KNNPrunable prunes
+// (none at tau = 0), and a pruned b answers as preselected. Every
+// match equals the reference's bit for bit, and TopKNN selects the
+// reference's objects in its order, never a pruned b.
+func checkServedKNN(t *testing.T, db uncertain.Database, q, b *uncertain.Object, k int) {
+	t.Helper()
+	ref := fullScan{db: db}
+	for _, shards := range []int{1, 3} {
+		store, err := NewShardedStore(db, ShardedOptions{Shards: shards}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn := store.Snapshot()
+		thresh := sn.KNNThreshold(q, k)
+		pruned := 0
+		for _, o := range db {
+			if sn.KNNPrunable(q, o, thresh) {
+				pruned++
+			}
+		}
+		bPruned := sn.KNNPrunable(q, b, thresh)
+		traced := func(what string, want int, query func(ctx context.Context)) {
+			t.Helper()
+			tr := &obs.Trace{}
+			query(obs.WithTrace(bg, tr))
+			if got := tr.Snapshot().Preselected; got != uint64(want) {
+				t.Fatalf("q %v, k %d, %d shards: %s preselected %d objects, KNNPrunable prunes %d", q.MBR.Min, k, shards, what, got, want)
+			}
+		}
+		var knn []Match
+		var batch [][]Match
+		traced("KNN", pruned, func(ctx context.Context) { knn = must(sn.KNN(ctx, q, k, 0.5)) })
+		traced("BatchKNN", pruned, func(ctx context.Context) {
+			batch = must(sn.BatchKNN(ctx, []KNNRequest{{Q: q, K: k, Tau: 0.5}, {Q: q, K: k, Tau: 0}}))
+		})
+		for i, got := range [][]Match{knn, batch[0], batch[1]} {
+			tau := 0.5
+			if i == 2 {
+				tau = 0
+			}
+			at := fmt.Sprintf("q %v, b %v, k %d, tau %g, %d shards, answer %d", q.MBR.Min, b.MBR.Min, k, tau, shards, i)
+			want := ref.knn(q, k, tau)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d matches, the full scan %d", at, len(got), len(want))
+			}
+			for j, m := range got {
+				if m.Object == b && bPruned && tau > 0 && m != (Match{Object: b, Decided: true}) {
+					t.Fatalf("%s: b is pruned but answers %+v", at, m)
+				}
+				if !sameBits(m, want[j]) {
+					t.Fatalf("%s: match %d is %+v, the full scan's %+v", at, j, m, want[j])
+				}
+			}
+		}
+		var top []Match
+		traced("TopKNN", pruned, func(ctx context.Context) { top = must(sn.TopKNN(ctx, q, k, len(db))) })
+		want := ref.topKNN(q, k, len(db))
+		if len(top) != len(want) {
+			t.Fatalf("q %v, k %d, %d shards: TopKNN selects %d objects, the full scan %d", q.MBR.Min, k, shards, len(top), len(want))
+		}
+		for j, m := range top {
+			if m.Object != want[j] || bPruned && m.Object == b {
+				t.Fatalf("q %v, k %d, %d shards: TopKNN entry %d is object %d, the full scan's %d (b pruned: %v)",
+					q.MBR.Min, k, shards, j, m.Object.ID, want[j].ID, bPruned)
+			}
+		}
+	}
 }
 
 // TestPreselectRadiusWidens: the radius lies strictly beyond every

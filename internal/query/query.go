@@ -146,8 +146,9 @@ func ThresholdStop(k int, tau float64) func(*core.Result) bool {
 // KNN answers the probabilistic threshold kNN query of Corollary 4:
 // all objects B with P(B ∈ kNN(q)) = P(DomCount(B, q) < k) >= tau.
 // It returns a Match per database object (q itself excluded, if it is a
-// database object), in ascending object ID order. Candidates are
-// evaluated concurrently on Options.Parallelism workers; the result is
+// database object), in ascending object ID order. Only the objects
+// inside the preselection ball (see newKNNJob) are evaluated, and they
+// run concurrently on Options.Parallelism workers; the result is
 // identical to the sequential evaluation. When ctx is cancelled before
 // the query completes, (nil, ctx.Err()) is returned.
 func (sn *Snapshot) KNN(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
@@ -157,17 +158,18 @@ func (sn *Snapshot) KNN(ctx context.Context, q *uncertain.Object, k int, tau flo
 	run := sn.begin(ctx, kindKNN, nil)
 	defer run.end()
 	j := sn.newKNNJob(run, q, k, tau)
-	run.prepared(len(j.cands))
-	if err := run.forEach(len(j.cands), j.eval); err != nil {
+	run.prepared(len(j.matches))
+	if err := run.forEach(len(j.slots), j.eval); err != nil {
 		return nil, err
 	}
 	return j.matches, nil
 }
 
-// knnJob is one prepared kNN query: the candidate set, the preselection
-// threshold and the per-candidate evaluation closure, separated from
-// the worker pool that drives it so that BatchKNN can pour the
-// candidates of many queries into a single pool.
+// knnJob is one prepared kNN query: the reply with every object outside
+// the preselection ball already answered, the reply slots of the
+// candidates inside it, and the per-candidate evaluation closure,
+// separated from the worker pool that drives it so that BatchKNN can
+// pour the candidates of many queries into a single pool.
 type knnJob struct {
 	run     *queryRun
 	q       *uncertain.Object
@@ -175,19 +177,23 @@ type knnJob struct {
 	tau     float64
 	norm    geom.Norm
 	thresh  float64
-	cands   []*uncertain.Object
+	slots   []int // slots[i] is candidate i's index in matches
 	matches []Match
 }
 
-// newKNNJob prepares a kNN query against the snapshot: candidate
-// preselection (objects farther than the (k+1)-th smallest MaxDist are
-// dominated at least k times in every possible world and get P = 0
-// without an IDCA run, see knnfilter.go — only valid for tau > 0, at
-// tau = 0 even impossible candidates satisfy the predicate). Every
-// candidate evaluates over run's one decomposition cache, so the
-// reference q and every influence object are decomposed once, not once
-// per candidate run they appear in, and records its verdict into run.
-// k < 1 yields an empty job.
+// newKNNJob prepares a kNN query against the snapshot. Objects farther
+// than the (k+1)-th smallest MaxDist are dominated at least k times in
+// every possible world and get P = 0 without an IDCA run (see
+// knnfilter.go — only valid for tau > 0, at tau = 0 even impossible
+// candidates satisfy the predicate), so the candidates come from the
+// index: Within(q, m_{k+1}), a walk proportional to the ball, not to
+// the database. One pass over the database then lays out the reply in
+// ascending ID order, answering every object outside the ball as
+// preselected; the trace counts them with one add. Every candidate
+// evaluates over run's one decomposition cache, so the reference q and
+// every influence object are decomposed once, not once per candidate
+// run they appear in, and records its verdict into run. k < 1 yields
+// an empty job.
 func (sn *Snapshot) newKNNJob(run *queryRun, q *uncertain.Object, k int, tau float64) *knnJob {
 	j := &knnJob{run: run, q: q, k: k, tau: tau, norm: sn.normOrDefault()}
 	if k < 1 {
@@ -197,16 +203,37 @@ func (sn *Snapshot) newKNNJob(run *queryRun, q *uncertain.Object, k int, tau flo
 	if tau > 0 {
 		j.thresh = sn.knnThreshold(q, k, j.norm)
 	}
-	j.cands = sn.candidates(q)
-	j.matches = make([]Match, len(j.cands))
+	pooled := candPool.Get().(*[]*uncertain.Object)
+	cands, _ := sn.appendWithin((*pooled)[:0], q, j.thresh)
+	db := sn.Database()
+	j.slots = make([]int, len(cands))
+	j.matches = make([]Match, 0, len(db))
+	c := 0
+	for _, b := range db {
+		if b == q {
+			continue
+		}
+		// Both lists ascend by ID: b is the next candidate or outside
+		// the ball. A candidate's placeholder is overwritten by eval.
+		if c < len(cands) && cands[c] == b {
+			j.slots[c] = len(j.matches)
+			c++
+		}
+		j.matches = append(j.matches, Match{Object: b, Decided: true})
+	}
+	run.tr.AddPreselected(len(j.matches) - len(cands))
+	clear(cands)
+	*pooled = cands[:0]
+	candPool.Put(pooled)
 	return j
 }
 
-// eval evaluates candidate i into its result slot; calls for distinct i
+// eval evaluates candidate i into its reply slot; calls for distinct i
 // are safe to run concurrently.
 func (j *knnJob) eval(i int) {
-	m, pruned := j.run.sn.evalKNNCandidate(j.q, j.cands[i], j.k, j.tau, j.thresh, j.norm, j.run.cache)
-	j.matches[i] = m
+	s := j.slots[i]
+	m, pruned := j.run.sn.evalKNNCandidate(j.q, j.matches[s].Object, j.k, j.tau, j.thresh, j.norm, j.run.cache)
+	j.matches[s] = m
 	countMatch(&j.run.tr, m, pruned)
 }
 
@@ -234,8 +261,8 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 	}
 	// One cache overlay for the whole batch: influence objects come from
 	// the persistent store cache, repeated query objects are decomposed
-	// once per batch. Preparation (candidate scan + preselection
-	// traversal per request) runs on the pool too — it only reads the
+	// once per batch. Preparation (threshold, index walk and reply
+	// layout per request) runs on the pool too — it only reads the
 	// snapshot — so a large batch has no serial prefix.
 	run := sn.begin(ctx, kindBatchKNN, nil)
 	defer run.end()
@@ -250,15 +277,16 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 	// do not serialize behind big ones and the pool never idles while
 	// work remains.
 	ends := make([]int, len(jobs))
-	total := 0
+	total, answered := 0, 0
 	for i, j := range jobs {
-		total += len(j.cands)
+		total += len(j.slots)
 		ends[i] = total
+		answered += len(j.matches)
 	}
-	run.prepared(total)
+	run.prepared(answered)
 	if err := run.forEach(total, func(i int) {
 		ji := sort.SearchInts(ends, i+1)
-		jobs[ji].eval(i - ends[ji] + len(jobs[ji].cands))
+		jobs[ji].eval(i - ends[ji] + len(jobs[ji].slots))
 	}); err != nil {
 		return nil, err
 	}

@@ -15,6 +15,8 @@ import (
 // Beskales et al. [6], which the paper's related work motivates):
 // return the m database objects with the highest probability
 // P(DomCount(B, q) < k) of being among the k nearest neighbors of q.
+// Only the objects Within(q, m_{k+1}) get a session: everything beyond
+// the ball has P = 0, can only occupy the tail, and is never visited.
 //
 // Unlike the threshold query there is no τ to stop against, so the
 // query refines candidates selectively until the m best are separable
@@ -51,23 +53,9 @@ func (sn *Snapshot) TopKNN(ctx context.Context, q *uncertain.Object, k, m int) (
 		prob    gf.Interval
 		done    bool
 	}
-	// Preselection: impossible candidates have P = 0 and can only
-	// occupy the tail; they never need a session.
-	norm := sn.normOrDefault()
-	thresh := sn.knnThreshold(q, k, norm)
-	var objs []*uncertain.Object
-	n := 0
-	for _, b := range sn.Database() {
-		if b == q {
-			continue
-		}
-		n++
-		if knnPrunable(b, q, thresh, norm) {
-			run.tr.CountPreselected()
-			continue
-		}
-		objs = append(objs, b)
-	}
+	objs := sn.Within(q, sn.knnThreshold(q, k, sn.normOrDefault()))
+	n := sn.answered(q)
+	run.tr.AddPreselected(n - len(objs))
 	run.prepared(n)
 	if len(objs) == 0 {
 		return nil, nil

@@ -33,8 +33,10 @@ type RankWinner struct {
 // the reference q: for each rank, the object maximizing
 // P(DomCount = rank−1). Winners are chosen by the midpoint of the
 // probability bounds; Decided indicates whether the bounds alone
-// already separate the winner. Candidates are evaluated concurrently
-// on the query executor.
+// already separate the winner. A rank no object can hold — every
+// object's upper bound for it is 0, as past the last object or behind
+// objects tied for an earlier rank — has no winner and no entry.
+// Candidates are evaluated concurrently on the query executor.
 func (sn *Snapshot) UKRanks(ctx context.Context, q *uncertain.Object, k int) ([]RankWinner, error) {
 	if err := sn.CheckDim(q); err != nil {
 		return nil, err
@@ -88,8 +90,10 @@ func (sn *Snapshot) UKRanks(ctx context.Context, q *uncertain.Object, k int) ([]
 				bestIdx, bestMid = i, mid
 			}
 		}
-		if bestIdx < 0 {
-			break
+		if bestMid <= 0 {
+			// No object can hold this rank (every upper bound is 0):
+			// beyond the objects, or a gap behind tied objects.
+			continue
 		}
 		best := probAt(entries[bestIdx], rank)
 		decided := true

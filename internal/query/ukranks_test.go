@@ -50,6 +50,49 @@ func TestUKRanksOnCertainData(t *testing.T) {
 	}
 }
 
+// TestUKRanksNoPhantomWinner: a rank no object can hold has no winner.
+// Three points and k = 5 answer ranks 1–3 only (k is clamped to
+// |DB| + 1 = 4, and rank 4 is beyond the objects); two points tied for
+// rank 1 leave rank 2 empty while the farther point still wins rank 3.
+func TestUKRanksNoPhantomWinner(t *testing.T) {
+	q := uncertain.PointObject(99, geom.Point{0, 0})
+	cases := []struct {
+		name  string
+		db    uncertain.Database
+		ranks []int
+		ids   []int
+	}{
+		{"beyond the objects", uncertain.Database{
+			uncertain.PointObject(0, geom.Point{3, 0}),
+			uncertain.PointObject(1, geom.Point{1, 0}),
+			uncertain.PointObject(2, geom.Point{2, 0}),
+		}, []int{1, 2, 3}, []int{1, 2, 0}},
+		{"behind a tie", uncertain.Database{
+			uncertain.PointObject(0, geom.Point{1, 0}),
+			uncertain.PointObject(1, geom.Point{0, 1}),
+			uncertain.PointObject(2, geom.Point{2, 0}),
+		}, []int{1, 3}, []int{0, 2}},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 3} {
+			store, err := NewShardedStore(c.db, ShardedOptions{Shards: shards}, core.Options{MaxIterations: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			winners := must(store.Snapshot().UKRanks(bg, q, 5))
+			if len(winners) != len(c.ranks) {
+				t.Fatalf("%s, %d shards: %d winners %+v, want ranks %v", c.name, shards, len(winners), winners, c.ranks)
+			}
+			for i, w := range winners {
+				if w.Rank != c.ranks[i] || w.Object.ID != c.ids[i] || !(w.Prob.UB > 0) || !w.Decided {
+					t.Fatalf("%s, %d shards: winner %d is rank %d object %d %+v decided=%v, want rank %d object %d with P > 0",
+						c.name, shards, i, w.Rank, w.Object.ID, w.Prob, w.Decided, c.ranks[i], c.ids[i])
+				}
+			}
+		}
+	}
+}
+
 // TestUKRanksBoundsContainExact: every reported winner probability must
 // bracket the exact value, and a Decided winner must actually be the
 // exact argmax.

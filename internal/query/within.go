@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 
 	"probprune/internal/geom"
 	"probprune/internal/rtree"
@@ -9,20 +9,21 @@ import (
 )
 
 // This file is the snapshot's candidate-generation primitive: the objects
-// a standing query has to look at, produced by walking the index instead
-// of the database. The paper's filter is spatial — a completely
-// dominated object contributes nothing — so the work of maintaining a
-// result follows its influence set, not |D|. Package cq builds both its
-// subscribe path and its per-change maintenance on the two walks below.
+// a query has to look at, produced by walking the index instead of the
+// database. The paper's filter is spatial — an object beyond the
+// m_{k+1} bound is dominated at least k times in every possible world —
+// so a kNN query's work follows the ball around q, not |D|. KNN,
+// BatchKNN and TopKNN take their candidates from Within; package cq
+// builds both its subscribe path and its per-change maintenance on the
+// two walks below.
 
 // objTree is the R-tree type every shard cut indexes objects with.
 type objTree = rtree.Tree[*uncertain.Object]
 
-// gather is the one place candidate generation touches the data plane.
-// probe runs once per non-empty cut with the cut's R-tree and root MBR,
-// and emits the objects it selects. q itself is never a candidate.
-// Candidates come back in ascending object-ID order, so nothing
-// downstream depends on index shape or shard layout.
+// gather runs probe once per non-empty cut with the cut's R-tree and
+// root MBR; probe emits the objects it selects. q itself is never a
+// candidate. Candidates come back in ascending object-ID order, so
+// nothing downstream depends on index shape or shard layout.
 func (sn *Snapshot) gather(q *uncertain.Object, probe func(t *objTree, root geom.Rect, emit func(b *uncertain.Object))) []*uncertain.Object {
 	var out []*uncertain.Object
 	emit := func(b *uncertain.Object) {
@@ -35,43 +36,52 @@ func (sn *Snapshot) gather(q *uncertain.Object, probe func(t *objTree, root geom
 			probe(sh.index, root, emit)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, cmpID)
 	return out
 }
 
 // Within returns every database object b != q with MinDist(b, q) at
 // most PreselectRadius(d), in ascending object-ID order. With d =
 // KNNThreshold(q, k) these are exactly the candidates kNN preselection
-// keeps (KNNPrunable is false); d = +Inf yields the whole database but q. The cost is proportional to
-// the answer: a best-first stream per index stops at the first distance
-// above d, and shards whose root MBR is farther than d are not entered.
+// keeps (KNNPrunable is false): it is the candidate source of KNN,
+// BatchKNN, TopKNN and of cq's KNN subscriptions. d = +Inf yields the
+// whole database but q. The cost is proportional to the answer: a
+// best-first stream per index stops at the first distance above d, and
+// shards whose root MBR is farther than d are not entered.
 func (sn *Snapshot) Within(q *uncertain.Object, d float64) []*uncertain.Object {
-	out, _ := sn.within(q, d)
+	out, _ := sn.appendWithin(nil, q, d)
 	return out
 }
 
-// within is Within plus the number of objects the traversal looked at —
-// the answer, and the one object per entered index that ended its
-// stream.
-func (sn *Snapshot) within(q *uncertain.Object, d float64) (out []*uncertain.Object, visited int) {
+// appendWithin appends Within(q, d) to dst (sorting only the appended
+// part) and returns it with the number of objects the traversal looked
+// at — the answer, and the one object per entered index that ended its
+// stream. It allocates nothing beyond dst's growth, so a query can run
+// it on a pooled buffer.
+func (sn *Snapshot) appendWithin(dst []*uncertain.Object, q *uncertain.Object, d float64) (out []*uncertain.Object, visited int) {
 	n := sn.normOrDefault()
 	r := PreselectRadius(d, n, q.Dim())
-	out = sn.gather(q, func(t *objTree, root geom.Rect, emit func(*uncertain.Object)) {
-		if root.MinDistRect(n, q.MBR) > r {
-			return
+	out = dst
+	buf := nearbyPool.Get().(*rtree.NearbyBuf)
+	defer nearbyPool.Put(buf)
+	for _, sh := range sn.cuts() {
+		if root, ok := sh.root(); !ok || root.MinDistRect(n, q.MBR) > r {
+			continue
 		}
-		buf := nearbyPool.Get().(*rtree.NearbyBuf)
-		defer nearbyPool.Put(buf)
-		t.NearbyWith(buf, rtree.MinDist[*uncertain.Object](n, q.MBR),
+		sh.index.NearbyWith(buf,
+			func(mbr geom.Rect, _ *uncertain.Object, _ bool) float64 { return mbr.MinDistRect(n, q.MBR) },
 			func(_ geom.Rect, b *uncertain.Object, dist float64) bool {
 				visited++
 				if dist > r {
 					return false // ascending stream: nothing closer follows
 				}
-				emit(b)
+				if b != q {
+					out = append(out, b)
+				}
 				return true
 			})
-	})
+	}
+	slices.SortFunc(out[len(dst):], cmpID)
 	return out, visited
 }
 

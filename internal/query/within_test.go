@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,18 +12,22 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// withinPlanes builds engines over the same objects that scatter over
-// one cut and over four stripe cuts.
+// withinPlanes builds snapshots over the same objects on one cut, on
+// three hash cuts and on four stripe cuts.
 func withinPlanes(t *testing.T, db uncertain.Database) map[string]*Snapshot {
 	t.Helper()
-	ss, err := NewShardedStore(db, ShardedOptions{Shards: 4, Partition: StripeShards(0, 0, 10)}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	planes := map[string]*Snapshot{"index": newSnapshot(t, db, core.Options{})}
+	for name, so := range map[string]ShardedOptions{
+		"hash":    {Shards: 3},
+		"sharded": {Shards: 4, Partition: StripeShards(0, 0, 10)},
+	} {
+		ss, err := NewShardedStore(db, so, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		planes[name] = ss.Snapshot()
 	}
-	return map[string]*Snapshot{
-		"index":   newSnapshot(t, db, core.Options{}),
-		"sharded": ss.Snapshot(),
-	}
+	return planes
 }
 
 func objIDs(objs []*uncertain.Object) []int {
@@ -45,9 +50,23 @@ func bruteIDs(db uncertain.Database, q *uncertain.Object, keep func(b *uncertain
 	return ids
 }
 
+// checkWithin fails unless Within(q, d) on e is exactly the objects kNN
+// preselection keeps at the bound d (KNNPrunable false), in ascending
+// ID order, never q.
+func checkWithin(t *testing.T, at string, e *Snapshot, db uncertain.Database, q *uncertain.Object, d float64) {
+	t.Helper()
+	want := bruteIDs(db, q, func(b *uncertain.Object) bool { return !e.KNNPrunable(q, b, d) })
+	if got := objIDs(e.Within(q, d)); !slices.Equal(got, want) {
+		t.Fatalf("%s q=%d d=%g: got %v, want %v", at, q.ID, d, got, want)
+	}
+}
+
 // TestWithinMatchesBruteForce: on every plane Within yields exactly the
-// brute-force MinDist filter, in ascending ID order, never q, and the
-// whole database but q at d = +Inf.
+// objects KNNPrunable keeps, and the whole database but q at d = +Inf.
+// Random objects have no near ties; decimal-grid points turned about q
+// (see turn) tie in the reals, so their computed distances straddle a
+// bound d while staying inside PreselectRadius(d), where a plain
+// MinDist <= d filter would disagree.
 func TestWithinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(910))
 	db := smallDB(rng, 400, 4)
@@ -57,17 +76,46 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 		db[17],                         // a database object
 	}
 	for name, e := range withinPlanes(t, db) {
-		n := e.Norm()
 		for _, q := range queries {
-			dists := []float64{0, 0.3, 1.5, e.KNNThreshold(q, 5), 20, math.Inf(1)}
-			for _, d := range dists {
-				want := bruteIDs(db, q, func(b *uncertain.Object) bool { return b.MBR.MinDistRect(n, q.MBR) <= d })
-				got := objIDs(e.Within(q, d))
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s q=%d d=%g: got %v, want %v", name, q.ID, d, got, want)
+			for _, d := range []float64{0, 0.3, 1.5, e.KNNThreshold(q, 5), 20, math.Inf(1)} {
+				checkWithin(t, name, e, db, q, d)
+			}
+		}
+	}
+
+	widened := 0
+	for range 100 {
+		qx, qy := rng.Intn(11), rng.Intn(11)
+		var db uncertain.Database
+		for range 3 {
+			ox, oy := rng.Intn(11), rng.Intn(11)
+			db = append(db, gridPoint(len(db), ox, oy))
+			for sel := range 3 {
+				x, y := turn(sel, qx, qy, ox, oy)
+				db = append(db, gridPoint(len(db), x, y))
+			}
+		}
+		q := gridPoint(-1, qx, qy)
+		for _, shards := range []int{1, 3} {
+			store, err := NewShardedStore(db, ShardedOptions{Shards: shards}, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := store.Snapshot()
+			at := fmt.Sprintf("grid q %v, %d shards", q.MBR.Min, shards)
+			for _, o := range db {
+				d := o.MBR.MinDistRect(e.Norm(), q.MBR)
+				checkWithin(t, at, e, db, q, d)
+				for _, b := range db {
+					if b.MBR.MinDistRect(e.Norm(), q.MBR) > d && !e.KNNPrunable(q, b, d) {
+						widened++
+					}
 				}
 			}
 		}
+	}
+	if widened == 0 {
+		t.Fatal("no grid point lies beyond d but within PreselectRadius(d): the near-tie class is not exercised")
 	}
 }
 
@@ -81,14 +129,14 @@ func TestWithinStopsEarly(t *testing.T) {
 	for _, q := range []*uncertain.Object{randObj(rng, 9000, 4, 1, 5, 0.5), db[40]} {
 		d := planes["index"].KNNThreshold(q, 5)
 		for name, e := range planes {
-			out, visited := e.within(q, d)
+			out, visited := e.appendWithin(nil, q, d)
 			entered := 0
 			for _, sh := range e.cuts() {
 				if root, ok := sh.root(); ok && root.MinDistRect(e.Norm(), q.MBR) <= d {
 					entered++
 				}
 			}
-			if len(e.cuts()) > 1 && entered == len(e.cuts()) {
+			if name == "sharded" && entered == len(e.cuts()) {
 				t.Fatalf("q=%d d=%g: no stripe shard is beyond the ball — the skip is not exercised", q.ID, d)
 			}
 			limit := len(out) + entered + 1 // +1: q itself when indexed
